@@ -22,14 +22,8 @@ import sys
 import numpy as np
 
 from .blowup import explicit_moments, gram_moments
-from .harness import (
-    ExperimentSpec,
-    resolve_target,
-    run_experiment,
-)
-from .meantest import MeanTestConfig, mean_tester
+from .harness import ExperimentSpec, execute_trial, run_experiment
 from .model import DensePmf, Decision, ProductDistribution
-from .oracle import ScondOracle
 from .rng import stream
 from .theory import (
     SCALE,
@@ -46,7 +40,6 @@ from .theory import (
     verify_khintchine,
     verify_variance_bound,
 )
-from .uniformity import SubCondConfig, subcond_uni
 from .zoo import (
     ZooEntry,
     instantiate,
@@ -144,23 +137,35 @@ def _cmd_zoo(args) -> int:
 # meantest / subconduni
 
 
+def _cli_trials(args, tester: str, mean_overrides: dict | None = None):
+    """Yield (trial, verdict, queries) for a one-cell spec built from the flags."""
+    spec = ExperimentSpec(
+        tester=tester,
+        distribution=args.dist,
+        n=[args.n],
+        eps=[args.eps],
+        trials=args.trials,
+        seed=args.seed,
+        preset=args.preset,
+    )
+    for trial in range(spec.trials):
+        yield (trial, *execute_trial(spec, 0, spec.n[0], spec.eps[0], trial, mean_overrides))
+
+
 def _cmd_meantest(args) -> int:
-    cfg = MeanTestConfig(args.eps, preset=args.preset, q=args.q, k0=args.k0)
     rows = []
     accepts = 0
     total_queries = 0
-    for trial in range(args.trials):
-        target = resolve_target(args.dist, args.n)
-        oracle = ScondOracle(target, stream(args.seed, 0, trial))
-        verdict = mean_tester(oracle, cfg)
+    overrides = {"q": args.q, "k0": args.k0}
+    for trial, verdict, queries in _cli_trials(args, "meantest", mean_overrides=overrides):
         accepts += verdict.decision is Decision.ACCEPT
-        total_queries += verdict.queries_used
+        total_queries += queries
         rows.append(
             ",".join(
                 [
                     str(trial),
                     verdict.decision.value,
-                    str(verdict.queries_used),
+                    str(queries),
                     ";".join(_fmt(z) for z in verdict.trace["z_levels"]),
                     ";".join(_fmt(t) for t in verdict.trace["tau_levels"]),
                 ]
@@ -175,19 +180,15 @@ def _cmd_meantest(args) -> int:
 
 
 def _cmd_subconduni(args) -> int:
-    cfg = SubCondConfig.paper() if args.preset == "paper" else SubCondConfig.practical()
     rows = []
     traces = []
     accepts = errors = 0
     total_queries = 0
-    for trial in range(args.trials):
-        target = resolve_target(args.dist, args.n)
-        oracle = ScondOracle(target, stream(args.seed, 0, trial))
-        verdict = subcond_uni(oracle, args.eps, cfg)
+    for trial, verdict, queries in _cli_trials(args, "subconduni"):
         accepts += verdict.decision is Decision.ACCEPT
         errors += verdict.decision is Decision.ERROR
-        total_queries += verdict.queries_used
-        rows.append(f"{trial},{verdict.decision.value},{verdict.queries_used}")
+        total_queries += queries
+        rows.append(f"{trial},{verdict.decision.value},{queries}")
         traces.append(verdict.trace["tree"])
     _write_csv("trial,decision,queries", rows, args.out)
     if args.trace:

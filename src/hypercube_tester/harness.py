@@ -31,7 +31,7 @@ from .meantest import (
     gaussian_required_samples,
     mean_tester,
 )
-from .model import Decision, load_distribution
+from .model import Decision, TestVerdict, load_distribution
 from .oracle import ScondOracle
 from .rng import stream
 from .uniformity import SubCondConfig, edge_tester, subcond_uni
@@ -166,35 +166,43 @@ def _join_levels(values) -> str:
     return ";".join(_float_repr(v) for v in values)
 
 
-def run_trial(spec: ExperimentSpec, cell_index: int, n: int, eps: float, trial: int) -> dict:
-    """Execute one trial and return its CSV row fields as a dict."""
+def _subcond_config(preset: str) -> SubCondConfig:
+    return SubCondConfig.paper() if preset == "paper" else SubCondConfig.practical()
+
+
+def execute_trial(
+    spec: ExperimentSpec,
+    cell_index: int,
+    n: int,
+    eps: float,
+    trial: int,
+    mean_overrides: dict | None = None,
+) -> tuple[TestVerdict, int]:
+    """Run one trial on its own stream and oracle; return (verdict, queries).
+
+    ``mean_overrides`` are extra ``MeanTestConfig`` keywords (``q``, ``k0``)
+    for the mean tester.
+    """
     rng = stream(spec.seed, cell_index, trial)
-    t0 = time.perf_counter()
     if spec.tester == "gaussian":
         source = resolve_gaussian_source(spec.distribution, n)
         samples = source.sample(rng, gaussian_required_samples(n, eps))
-        verdict = gaussian_mean_tester(samples, eps)
-        queries = samples.shape[0]
-    else:
-        target = resolve_target(spec.distribution, n)
-        oracle = ScondOracle(target, rng)
-        if spec.tester == "meantest":
-            verdict = mean_tester(oracle, MeanTestConfig(eps, preset=spec.preset))
-        elif spec.tester == "subconduni":
-            cfg = (
-                SubCondConfig.paper()
-                if spec.preset == "paper"
-                else SubCondConfig.practical()
-            )
-            verdict = subcond_uni(oracle, eps, cfg)
-        else:  # edge
-            cfg = (
-                SubCondConfig.paper()
-                if spec.preset == "paper"
-                else SubCondConfig.practical()
-            )
-            verdict = edge_tester(oracle, eps, cfg.edge)
-        queries = verdict.queries_used
+        return gaussian_mean_tester(samples, eps), samples.shape[0]
+    oracle = ScondOracle(resolve_target(spec.distribution, n), rng)
+    if spec.tester == "meantest":
+        cfg = MeanTestConfig(eps, preset=spec.preset, **(mean_overrides or {}))
+        verdict = mean_tester(oracle, cfg)
+    elif spec.tester == "subconduni":
+        verdict = subcond_uni(oracle, eps, _subcond_config(spec.preset))
+    else:  # edge
+        verdict = edge_tester(oracle, eps, _subcond_config(spec.preset).edge)
+    return verdict, verdict.queries_used
+
+
+def run_trial(spec: ExperimentSpec, cell_index: int, n: int, eps: float, trial: int) -> dict:
+    """Execute one trial and return its CSV row fields as a dict."""
+    t0 = time.perf_counter()
+    verdict, queries = execute_trial(spec, cell_index, n, eps, trial)
     wall = time.perf_counter() - t0
     z_levels = verdict.trace.get("z_levels", verdict.trace.get("reps", []))
     tau_levels = verdict.trace.get("tau_levels", [])

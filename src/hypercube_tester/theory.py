@@ -40,7 +40,6 @@ PISIER_MC_MIN_DRAWS = 100_000
 KHINTCHINE_CAP = 20
 
 ZERO, UNEVEN, SCALE = 0, 1, 2
-_CLS_NAMES = {ZERO: "zero", UNEVEN: "uneven", SCALE: "scale"}
 
 
 @dataclass
@@ -216,9 +215,9 @@ class OrientedGraphs:
         return sorted(self.orderings)
 
 
-def greedy_ordering(n_vertices: int, edges_u: np.ndarray, edges_v: np.ndarray) -> np.ndarray:
-    """Deletion positions (0-based) from repeatedly removing a maximum-degree
-    vertex, ties broken toward the smallest vertex index."""
+def _degrees_and_neighbors(
+    n_vertices: int, edges_u: np.ndarray, edges_v: np.ndarray
+) -> tuple[np.ndarray, list[list[int]]]:
     deg = np.zeros(n_vertices, dtype=np.int64)
     np.add.at(deg, edges_u, 1)
     np.add.at(deg, edges_v, 1)
@@ -226,8 +225,14 @@ def greedy_ordering(n_vertices: int, edges_u: np.ndarray, edges_v: np.ndarray) -
     for a, b in zip(edges_u.tolist(), edges_v.tolist()):
         neighbors[a].append(b)
         neighbors[b].append(a)
+    return deg, neighbors
+
+
+def greedy_ordering(n_vertices: int, edges_u: np.ndarray, edges_v: np.ndarray) -> np.ndarray:
+    """Deletion positions (0-based) from repeatedly removing a maximum-degree
+    vertex, ties broken toward the smallest vertex index."""
+    work, neighbors = _degrees_and_neighbors(n_vertices, edges_u, edges_v)
     pos = np.empty(n_vertices, dtype=np.int64)
-    work = deg.copy()
     for step in range(n_vertices):
         x = int(np.argmax(work))  # first maximum = smallest index
         pos[x] = step
@@ -243,13 +248,7 @@ def greedy_ordering_valid(
 ) -> bool:
     """Replay a deletion sequence and confirm each removed vertex had
     maximal residual degree at its removal step."""
-    deg = np.zeros(n_vertices, dtype=np.int64)
-    np.add.at(deg, edges_u, 1)
-    np.add.at(deg, edges_v, 1)
-    neighbors: list[list[int]] = [[] for _ in range(n_vertices)]
-    for a, b in zip(edges_u.tolist(), edges_v.tolist()):
-        neighbors[a].append(b)
-        neighbors[b].append(a)
+    deg, neighbors = _degrees_and_neighbors(n_vertices, edges_u, edges_v)
     order = np.argsort(pos)
     alive = np.ones(n_vertices, dtype=bool)
     for x in order:

@@ -30,10 +30,10 @@ from .oracle import ScondOracle
 
 EDGE_PAIR_CHUNK = 512
 
-# theta_h * sqrt(b_h) == c3 * sqrt(c2): the "practical" pair (c2=25, c3=1)
-# puts the reject threshold at 5 standard errors of the bias estimate;
-# the "paper" pair (c2=400, c3=1/4) also gives 5 but with far more draws.
-EDGE_PRACTICAL = dict(c_h=2.0, c1=2.0, c2=25.0, c3=1.0, c_beta=1.0)
+# theta_h * sqrt(b_h) == c3 * sqrt(c2): the "practical" pair, the EdgeConfig
+# defaults (c2=25, c3=1), puts the reject threshold at 5 standard errors of
+# the bias estimate; the "paper" pair (c2=400, c3=1/4) also gives 5 but with
+# far more draws.
 EDGE_PAPER = dict(c_h=2.0, c1=2.0, c2=400.0, c3=0.25, c_beta=1.0)
 
 

@@ -296,6 +296,11 @@ def test_cli_runtime_errors(tmp_path):
     assert main(
         ["zoo", "emit", "--kind", "nosuch", "--n", "4", "--out", str(tmp_path / "z.json")]
     ) == 2
+    # the direct commands validate their flags as an ExperimentSpec does
+    for command in ("meantest", "subconduni"):
+        base = [command, "--dist", "uniform", "--eps", "0.5"]
+        assert main(base + ["--n", "4", "--trials", "0"]) == 2
+        assert main(base + ["--n", "0"]) == 2
 
 
 def test_cli_zoo_list(capsys):
@@ -372,6 +377,23 @@ def test_cli_meantest_auto_tokens(tmp_path):
         ]
     )
     assert rc == 0
+
+
+def test_cli_meantest_rows_match_run_experiment(tmp_path):
+    out = tmp_path / "mean.csv"
+    rc = main(
+        [
+            "meantest", "--dist", "planted_product:0.25", "--eps", "0.5", "--n", "8",
+            "--trials", "3", "--seed", "13", "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    spec = _spec(distribution="planted_product:0.25", n=[8], eps=[0.5], trials=3, seed=13)
+    expected = [
+        ",".join([str(r["trial"]), r["decision"], str(r["queries"]), r["z_levels"], r["tau_levels"]])
+        for r in run_experiment(spec)["rows"]
+    ]
+    assert out.read_text().splitlines()[1:] == expected
 
 
 def test_cli_subconduni_with_trace(tmp_path):

@@ -196,9 +196,26 @@ def test_double_restriction_flattens_to_parent():
     view = o.restricted(rho)  # stars 0,1,3,4
     sub = Restriction(np.array([0, -1, 0, 0], dtype=np.int8))  # fixes star 1 -> coord 1
     view2 = view.restricted(sub)
-    assert view2.parent is o
+    view2.sample(4)
+    assert o.queries == 4
     assert view2.rho.cells.tolist() == [0, -1, 1, 0, 0, -1]
     assert view2.n == 3
+
+
+def test_two_level_view_charges_root_ledger():
+    pm = DensePmf.point_mass(Point(np.array([1, 1, 1, 1, 1], dtype=np.int8)))
+    o = ScondOracle(pm, stream(18, 0, 0))
+    view = o.restricted(Restriction(np.array([0, 0, 0, 1, 0], dtype=np.int8)))
+    # fixing the view's last star (coordinate 4) to -1 leaves a zero-mass subcube
+    view2 = view.restricted(Restriction(np.array([0, 0, 0, -1], dtype=np.int8)))
+    view2.draw_restriction_sigma(0.5)
+    view2.draw_restriction_fixed(2)
+    view2.cond_sample(Restriction(np.array([0, 1, 0], dtype=np.int8)), 5)
+    view2.estimate_edge_biases(np.ones((2, 3), dtype=np.int8), np.array([0, 2]), 8)
+    assert o.queries == 1 + 1 + 5 + 2 * 8
+    assert o.zero_support_hits == o.queries
+    assert view.queries == view2.queries == o.queries
+    assert view2.zero_support_hits == o.zero_support_hits
 
 
 def test_restriction_dimension_mismatch_raises():
