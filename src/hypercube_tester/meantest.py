@@ -10,9 +10,16 @@ materializing n^(2^k) coordinates. The tester compares Z_k against a
 threshold schedule tau_k at levels k = 0..k0 and rejects at the first
 exceedance.
 
+`SampleBatch.numerators` forms the Gram matrix of inner products once, as
+an int64 matrix product. That is exact: every entry is an integer of
+magnitude at most n. The matrix is reduced once to a histogram over the
+2n+1 values an inner product can take, and each level's numerator is an
+exact Python-int sum over that histogram.
+
 Thresholds grow doubly exponentially in k, so the schedule is maintained
-in log2 space; comparisons against Z use exact integer numerators, making
-the strict `Z > tau` boundary reproducible.
+in log2 space. `TauSchedule.exceeded` compares the exact numerator with a
+finite tau_k as fractions, making the strict `Z > tau` boundary
+reproducible, and in log2 space once tau_k passes TAU_OVERFLOW_LIMIT.
 
 A reduction for Gaussian mean testing is included: screen per-coordinate
 second moments, map samples through sign(), and run the hypercube tester
@@ -58,14 +65,15 @@ class SampleBatch:
     ys: np.ndarray
 
     def __post_init__(self):
-        xs = np.atleast_2d(np.asarray(self.xs, dtype=np.int8))
-        ys = np.atleast_2d(np.asarray(self.ys, dtype=np.int8))
+        xs = np.atleast_2d(np.asarray(self.xs))
+        ys = np.atleast_2d(np.asarray(self.ys))
         if xs.shape != ys.shape or xs.shape[0] < 1:
             raise ValueError("halves must be nonempty and of equal shape")
+        # checked before the int8 cast, which would turn 257 or 1.7 into 1
         if not (np.isin(xs, (-1, 1)).all() and np.isin(ys, (-1, 1)).all()):
             raise ValueError("samples must be sign vectors")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "xs", xs.astype(np.int8, copy=False))
+        object.__setattr__(self, "ys", ys.astype(np.int8, copy=False))
 
     @property
     def q(self) -> int:
@@ -75,47 +83,24 @@ class SampleBatch:
     def n(self) -> int:
         return self.xs.shape[1]
 
-
-def z_numerator(xs: np.ndarray, ys: np.ndarray, level: int) -> int:
-    """Exact integer sum_{i,j} <x_i, y_j>^(2^level)."""
-    g = np.asarray(xs, dtype=np.int64) @ np.asarray(ys, dtype=np.int64).T
-    power = 1 << int(level)
-    max_abs = int(np.abs(g).max(initial=0))
-    if max_abs == 0:
-        return 0
-    if power * math.log2(max_abs) + math.log2(g.size) < 62.0:
-        return int((g**power).sum())
-    # inner products take at most 2n+1 distinct values, so big-int powers
-    # are needed only once per value
-    vals, counts = np.unique(g, return_counts=True)
-    return sum(int(c) * int(v) ** power for v, c in zip(vals, counts))
+    def numerators(self, k0: int) -> list[int]:
+        """Exact sum_{i,j} <x_i, y_j>^(2^k) for k = 0..k0."""
+        n = self.n
+        # numpy's integer product runs on one thread, outside BLAS; a float64
+        # BLAS product is faster but its thread pool makes its cost unsteady
+        g = self.xs.astype(np.int64) @ self.ys.astype(np.int64).T
+        g += n
+        counts = np.bincount(g.ravel(), minlength=2 * n + 1)
+        hist = [(v - n, c) for v, c in enumerate(counts.tolist()) if c]
+        return [sum(c * v ** (1 << k) for v, c in hist) for k in range(k0 + 1)]
 
 
-def z_statistic(batch: SampleBatch, level: int) -> float:
-    num = z_numerator(batch.xs, batch.ys, level)
-    denom = batch.q * batch.q
+def _z_float(num: int, q: int) -> float:
+    """Z = num / q^2 as a float for traces, +-inf past the float range."""
     try:
-        return num / denom
+        return num / (q * q)
     except OverflowError:
         return math.inf if num > 0 else -math.inf
-
-
-def threshold_z_test(tau: float, batch: SampleBatch, level: int) -> Decision:
-    """Reject iff Z_level > tau, decided in exact arithmetic."""
-    if math.isinf(tau):
-        return Decision.ACCEPT if tau > 0 else Decision.REJECT
-    num = z_numerator(batch.xs, batch.ys, level)
-    if Fraction(num, batch.q * batch.q) > Fraction(tau):
-        return Decision.REJECT
-    return Decision.ACCEPT
-
-
-def _exceeds_log2(batch: SampleBatch, level: int, tau_log2: float) -> bool:
-    """Z_level > 2^tau_log2, for thresholds too large to hold in a float."""
-    num = z_numerator(batch.xs, batch.ys, level)
-    if num <= 0:
-        return False
-    return math.log2(num) - 2.0 * math.log2(batch.q) > tau_log2
 
 
 @dataclass(frozen=True)
@@ -148,6 +133,14 @@ class TauSchedule:
         if lg > math.log2(TAU_OVERFLOW_LIMIT):
             return math.inf
         return 2.0**lg
+
+    def exceeded(self, k: int, num: int) -> bool:
+        """Z_k = num / q^2 > tau_k: exact for a finite tau_k, in log2 space
+        once tau_k is past TAU_OVERFLOW_LIMIT."""
+        tau = self.tau(k)
+        if math.isinf(tau):
+            return num > 0 and math.log2(num) - 2.0 * math.log2(self.q) > self.tau_log2(k)
+        return Fraction(num, self.q * self.q) > Fraction(tau)
 
     @property
     def taus(self) -> tuple:
@@ -217,17 +210,11 @@ def mean_tester(oracle: ScondOracle, cfg: MeanTestConfig) -> TestVerdict:
     sched = cfg.resolve(oracle.n)
     xs = oracle.sample(sched.q)
     ys = oracle.sample(sched.q)
-    batch = SampleBatch(xs, ys)
     z_levels = []
     decision = Decision.ACCEPT
-    for k in range(sched.k0 + 1):
-        z_levels.append(z_statistic(batch, k))
-        tau_k = sched.tau(k)
-        if math.isinf(tau_k):
-            rejected = _exceeds_log2(batch, k, sched.tau_log2(k))
-        else:
-            rejected = threshold_z_test(tau_k, batch, k) is Decision.REJECT
-        if rejected:
+    for k, num in enumerate(SampleBatch(xs, ys).numerators(sched.k0)):
+        z_levels.append(_z_float(num, sched.q))
+        if sched.exceeded(k, num):
             decision = Decision.REJECT
             break
     trace = {
@@ -305,9 +292,9 @@ def gaussian_mean_tester(samples: np.ndarray, eps: float) -> TestVerdict:
     for r in range(GAUSS_REPS):
         lo = r * 2 * q
         batch = SampleBatch(signs[lo : lo + q], signs[lo + q : lo + 2 * q])
-        rep_z.append(z_statistic(batch, 0))
-        if threshold_z_test(sched.tau(0), batch, 0) is Decision.REJECT:
-            rejects += 1
+        (num,) = batch.numerators(0)
+        rep_z.append(_z_float(num, q))
+        rejects += sched.exceeded(0, num)
     decision = Decision.REJECT if 2 * rejects > GAUSS_REPS else Decision.ACCEPT
     trace = {
         "stage": "mean-test",

@@ -61,12 +61,13 @@ def indices_to_points(indices: np.ndarray, n: int) -> np.ndarray:
 
 
 def _validate_signs(signs: np.ndarray) -> np.ndarray:
-    arr = np.asarray(signs, dtype=np.int8)
-    if arr.ndim != 1:
+    raw = np.asarray(signs)
+    if raw.ndim != 1:
         raise ValueError("expected a 1-d sign vector")
-    if arr.size and not np.isin(arr, (-1, 1)).all():
+    # checked before the int8 cast, which would turn 257 or 1.7 into 1
+    if raw.size and not np.isin(raw, (-1, 1)).all():
         raise ValueError("entries must be exactly -1 or +1")
-    arr = arr.copy()
+    arr = raw.astype(np.int8)
     arr.flags.writeable = False
     return arr
 
@@ -115,12 +116,13 @@ class Restriction:
     cells: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.cells, dtype=np.int8)
-        if arr.ndim != 1:
+        raw = np.asarray(self.cells)
+        if raw.ndim != 1:
             raise ValueError("expected a 1-d cell vector")
-        if arr.size and not np.isin(arr, (-1, 0, 1)).all():
+        # checked before the int8 cast, which would turn 0.5 into a star
+        if raw.size and not np.isin(raw, (-1, 0, 1)).all():
             raise ValueError("cells must be -1, +1 or 0 (star)")
-        arr = arr.copy()
+        arr = raw.astype(np.int8)
         arr.flags.writeable = False
         object.__setattr__(self, "cells", arr)
 
@@ -145,12 +147,8 @@ class Restriction:
         return cls(np.zeros(n, dtype=np.int8))
 
     @classmethod
-    def from_point(cls, point: Point) -> "Restriction":
-        return cls(point.signs.copy())
-
-    @classmethod
     def from_stars_and_point(cls, star_mask: np.ndarray, signs: np.ndarray) -> "Restriction":
-        cells = np.asarray(signs, dtype=np.int8).copy()
+        cells = np.array(signs)
         cells[np.asarray(star_mask, dtype=bool)] = STAR
         return cls(cells)
 
@@ -180,10 +178,6 @@ class MeanVector:
     """Coordinate means E[x_i] of a hypercube distribution."""
 
     values: np.ndarray
-
-    @property
-    def dims(self) -> int:
-        return self.values.size
 
     @property
     def l2_norm(self) -> float:

@@ -26,9 +26,7 @@ from .model import (
     all_sign_points,
     bit_powers,
     conditional_table,
-    mean_vector,
     project,
-    second_moment,
     tv_to_uniform,
 )
 
@@ -574,13 +572,3 @@ def verify_variance_bound(
     }
     failures = [] if (mean_ok and var_ok) else [extras]
     return VerifierReport(mean_ok and var_ok, batches, batches, failures, extras)
-
-
-def second_moment_frobenius(p: DensePmf) -> float:
-    sig = second_moment(p)
-    return float(np.sqrt((sig * sig).sum()))
-
-
-def mean_norm_sq(p: DensePmf) -> float:
-    mu = mean_vector(p).values
-    return float(mu @ mu)

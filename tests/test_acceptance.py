@@ -36,7 +36,6 @@ from hypercube_tester.meantest import (
     erf_lower_bound_holds,
     gaussian_mean_tester,
     gaussian_required_samples,
-    z_statistic,
 )
 from hypercube_tester.model import Decision, DensePmf, ProductDistribution
 from hypercube_tester.oracle import ScondOracle
@@ -289,7 +288,7 @@ def test_criterion_4_statistic_equivalence():
         level = b % 3
         xs = rng.choice((-1, 1), size=(q, n)).astype(np.int8)
         ys = rng.choice((-1, 1), size=(q, n)).astype(np.int8)
-        fast = z_statistic(SampleBatch(xs, ys), level)
+        fast = SampleBatch(xs, ys).numerators(level)[level] / (q * q)
         slow = z_statistic_naive(xs, ys, level)
         worst = max(worst, abs(fast - slow) / max(1.0, abs(slow)))
     elapsed = time.perf_counter() - t0

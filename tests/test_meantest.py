@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypercube_tester.blowup import BLOWUP_DIM_CAP, blowup_dim, z_statistic_naive
 from hypercube_tester.meantest import (
     GAUSS_REPS,
     MeanTestConfig,
     SampleBatch,
     TauSchedule,
-    _exceeds_log2,
+    _z_float,
     default_k0,
     erf_lower_bound_holds,
     gaussian_mean_tester,
@@ -24,9 +25,6 @@ from hypercube_tester.meantest import (
     practical_q,
     second_moment_screen,
     tau_schedule,
-    threshold_z_test,
-    z_numerator,
-    z_statistic,
 )
 from hypercube_tester.model import Decision, ProductDistribution
 from hypercube_tester.oracle import ScondOracle
@@ -37,13 +35,22 @@ from hypercube_tester.zoo import TwoPointDistribution
 # the statistic
 
 
+def test_sample_batch_rejects_non_signs():
+    # values are checked before the int8 cast, which would make both 1
+    with pytest.raises(ValueError):
+        SampleBatch(np.array([[257, -1]]), np.array([[1.7, -1.2]]))
+    with pytest.raises(ValueError):
+        SampleBatch(np.array([[1, -1]]), np.array([[1.5, -1.0]]))
+    with pytest.raises(ValueError):
+        SampleBatch(np.ones((2, 3)), np.ones((3, 3)))
+    assert SampleBatch(np.array([[1.0, -1.0]]), np.array([[1, 1]])).xs.dtype == np.int8
+
+
 def test_z_numerator_small_exact():
     xs = np.array([[1, 1], [1, -1]])
     ys = np.array([[1, 1], [-1, 1]])
     # inner products: [2, 0], [0, -2]
-    assert z_numerator(xs, ys, 0) == 0
-    assert z_numerator(xs, ys, 1) == 8
-    assert z_numerator(xs, ys, 2) == 32
+    assert SampleBatch(xs, ys).numerators(2) == [0, 8, 32]
 
 
 def test_z_numerator_bigint_path_matches_python():
@@ -51,67 +58,114 @@ def test_z_numerator_bigint_path_matches_python():
     n, q = 40, 6
     xs = (2 * rng.integers(0, 2, (q, n)) - 1).astype(np.int64)
     ys = (2 * rng.integers(0, 2, (q, n)) - 1).astype(np.int64)
+    nums = SampleBatch(xs, ys).numerators(5)
     for level in (3, 4, 5):  # level 4+ overflows int64 at n=40
         want = sum(
             int(x @ y) ** (1 << level) for x in xs for y in ys
         )
-        assert z_numerator(xs, ys, level) == want
+        assert nums[level] == want
 
 
 def test_z_numerator_exactness_at_int64_boundary():
     # max |<x,y>| = n = 62: 62^8 * 36 pairs sits close to 2^63
     xs = np.ones((6, 62), dtype=np.int64)
     ys = np.ones((6, 62), dtype=np.int64)
-    assert z_numerator(xs, ys, 3) == 36 * 62**8
-    assert z_numerator(xs, ys, 4) == 36 * 62**16
+    assert SampleBatch(xs, ys).numerators(4)[3:] == [36 * 62**8, 36 * 62**16]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 5),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_numerators_match_explicit_blowup(n, q, rank_one, seed):
+    # every level the blowup cap allows; rank-one batches put every inner
+    # product at +-n, the largest power each level can see
+    rng = np.random.default_rng(seed)
+    if rank_one:
+        v = rng.choice((-1, 1), n)
+        xs = rng.choice((-1, 1), (q, 1)) * v
+        ys = rng.choice((-1, 1), (q, 1)) * v
+    else:
+        xs = rng.choice((-1, 1), (q, n))
+        ys = rng.choice((-1, 1), (q, n))
+    levels = [
+        k for k in range(4) if k == 0 or blowup_dim(n, k) <= BLOWUP_DIM_CAP
+    ]
+    nums = SampleBatch(xs, ys).numerators(levels[-1])
+    for k in levels:
+        assert nums[k] / (q * q) == z_statistic_naive(xs, ys, k)
 
 
 def test_z_statistic_is_numerator_over_q_squared():
-    rng = stream(52, 0, 0)
-    xs = (2 * rng.integers(0, 2, (5, 8)) - 1).astype(np.int8)
-    ys = (2 * rng.integers(0, 2, (5, 8)) - 1).astype(np.int8)
-    batch = SampleBatch(xs, ys)
-    for k in (0, 1, 2):
-        assert z_statistic(batch, k) == pytest.approx(
-            z_numerator(xs, ys, k) / 25, rel=1e-15
-        )
+    # the trace's z_levels come from the same 2q samples a fresh oracle
+    # on the same stream redraws
+    target = ProductDistribution.uniform(8)
+    v = mean_tester(ScondOracle(target, stream(52, 0, 0)), MeanTestConfig(1.0, q=100, k0=2))
+    o = ScondOracle(target, stream(52, 0, 0))
+    nums = SampleBatch(o.sample(100), o.sample(100)).numerators(2)
+    assert len(v.trace["z_levels"]) == 3
+    for z, num in zip(v.trace["z_levels"], nums):
+        assert z == pytest.approx(num / 100**2, rel=1e-15)
+    # past the float range the trace value saturates instead of raising
+    assert _z_float(10**400, 1) == math.inf
+    assert _z_float(-(10**400), 1) == -math.inf
 
 
 def test_threshold_equality_accepts():
-    # one pair with <x,y> = 2 in n=4: Z_1 = 4 exactly
-    x = np.array([[1, 1, 1, 1]])
-    y = np.array([[1, 1, 1, -1]])
-    batch = SampleBatch(x, y)
-    assert threshold_z_test(4.0, batch, 1) is Decision.ACCEPT
-    assert threshold_z_test(math.nextafter(4.0, 0.0), batch, 1) is Decision.REJECT
-    assert threshold_z_test(math.inf, batch, 1) is Decision.ACCEPT
+    sched = tau_schedule(0.5, 32, 1, 0)
+    assert sched.tau(0) == 4.0
+    # one pair with <x,y> = 4 in n=32: Z_0 = 4 exactly
+    x = np.ones((1, 32), dtype=np.int8)
+    y = x.copy()
+    y[0, :14] = -1
+    (num,) = SampleBatch(x, y).numerators(0)
+    assert num == 4
+    assert not sched.exceeded(0, num)
+    assert sched.exceeded(0, num + 1)
+    # an excess of 2^-60, far below one ulp of tau, still rejects
+    q = 1 << 30
+    wide = tau_schedule(0.5, 32, q, 0)
+    assert float(Fraction(4 * q * q + 1, q * q)) == 4.0
+    assert not wide.exceeded(0, 4 * q * q)
+    assert wide.exceeded(0, 4 * q * q + 1)
 
 
 def test_threshold_uses_exact_arithmetic():
     # q = 3: Z = num / 9 is not a dyadic float; the comparison must not
     # round through floating point
+    sched = tau_schedule(1.0, 6, 3, 0)
+    assert sched.tau(0) == 3.0
     xs = np.ones((3, 3), dtype=np.int8)
     ys = np.ones((3, 3), dtype=np.int8)
-    batch = SampleBatch(xs, ys)
-    num = z_numerator(xs, ys, 0)  # 9 * 3 = 27, Z = 3 exactly
+    (num,) = SampleBatch(xs, ys).numerators(0)  # 9 * 3 = 27, Z = 3 exactly
     assert num == 27
-    assert threshold_z_test(3.0, batch, 0) is Decision.ACCEPT
-    tau_below = float(Fraction(27, 9) - Fraction(1, 10**12))
-    assert threshold_z_test(tau_below, batch, 0) is Decision.REJECT
+    assert not sched.exceeded(0, num)
+    assert sched.exceeded(0, num + 1)
+    # q = 3^20: an excess of 3^-40 rounds away in float but must reject
+    q = 3**20
+    wide = tau_schedule(1.0, 6, q, 0)
+    assert float(Fraction(3 * q * q + 1, q * q)) == 3.0
+    assert not wide.exceeded(0, 3 * q * q)
+    assert wide.exceeded(0, 3 * q * q + 1)
+
+
+def _int_with_log2(lg: float) -> int:
+    shift = int(lg) - 60
+    return int(2.0 ** (lg - shift)) << shift
 
 
 def test_exceeds_log2_matches_float_compare():
-    rng = stream(53, 0, 0)
-    xs = (2 * rng.integers(0, 2, (4, 10)) - 1).astype(np.int8)
-    ys = (2 * rng.integers(0, 2, (4, 10)) - 1).astype(np.int8)
-    batch = SampleBatch(xs, ys)
-    z = z_statistic(batch, 1)
-    assert z > 0
-    assert _exceeds_log2(batch, 1, math.log2(z) - 0.01)
-    assert not _exceeds_log2(batch, 1, math.log2(z) + 0.01)
+    sched = tau_schedule(0.5, 64, 250, 8)
+    assert math.isinf(sched.tau(8))
+    z_log2 = sched.tau_log2(8) + 2.0 * math.log2(250)  # log2 of num at Z = tau
+    assert sched.exceeded(8, _int_with_log2(z_log2 + 0.01))
+    assert not sched.exceeded(8, _int_with_log2(z_log2 - 0.01))
     # non-positive numerators never exceed a huge threshold
-    neg = SampleBatch(np.array([[1, -1]]), np.array([[1, 1]]))
-    assert not _exceeds_log2(neg, 0, 1e6)
+    assert not sched.exceeded(8, 0)
+    assert not sched.exceeded(8, -_int_with_log2(z_log2 + 0.01))
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,13 @@ def test_point_flip_and_roundtrip():
     assert pt.signs.tolist() == [1, -1, 1]  # original untouched
 
 
+def test_point_rejects_non_signs():
+    for bad in ([257, -1], [1.7, -1.0], [1, 0]):
+        with pytest.raises(ValueError):
+            Point(np.array(bad))
+    assert Point(np.array([1.0, -1.0])).signs.tolist() == [1, -1]
+
+
 # ---------------------------------------------------------------------------
 # restrictions
 
@@ -110,6 +117,14 @@ def test_restriction_from_stars_and_point():
 def test_restriction_rejects_bad_cells():
     with pytest.raises(ValueError):
         Restriction(np.array([0, 2], dtype=np.int8))
+    # values are checked before the int8 cast: 0.5 is no star, 257 no +1
+    with pytest.raises(ValueError):
+        Restriction(np.array([0.5, 1.0, -1.0]))
+    with pytest.raises(ValueError):
+        Restriction(np.array([257, 0]))
+    with pytest.raises(ValueError):
+        Restriction.from_stars_and_point(np.array([True, False]), np.array([1, 257]))
+    assert str(Restriction(np.array([0.0, 1.0, -1.0]))) == "*+-"
 
 
 # ---------------------------------------------------------------------------
@@ -313,3 +328,14 @@ def test_projection_sums_to_one(n, salt):
     proj = project(p, keep)
     assert proj.mass.sum() == pytest.approx(1.0, abs=1e-12)
     assert proj.n == len(keep)
+
+
+# ---------------------------------------------------------------------------
+# the public API
+
+
+def test_every_exported_name_resolves():
+    import hypercube_tester
+
+    missing = [n for n in hypercube_tester.__all__ if not hasattr(hypercube_tester, n)]
+    assert missing == []
