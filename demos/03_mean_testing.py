@@ -17,10 +17,10 @@ from hypercube_tester import (
     MeanTestConfig,
     ProductDistribution,
     ScondOracle,
+    TauSchedule,
     default_k0,
     mean_tester,
     practical_q,
-    tau_schedule,
 )
 from hypercube_tester.meantest import (
     gaussian_mean_tester,
@@ -34,7 +34,7 @@ n, eps = 64, 0.5
 # -- the schedule ------------------------------------------------------------
 k0 = default_k0(n)
 q = practical_q(n, eps, k0)
-sched = tau_schedule(eps, n, q, k0)
+sched = TauSchedule(eps, n, q, k0)
 print(f"n={n}, eps={eps}: k0={k0} levels above level 0, q={q} samples per side")
 print(f"thresholds: {['%.3g' % t for t in sched.taus]}")
 print(f"uniform reference: E[Z_0]=0, E[Z_1]={n}, E[Z_2]={3*n*n - 2*n}")

@@ -30,7 +30,7 @@ from hypercube_tester import (
 )
 from hypercube_tester.rng import stream
 
-cfg = SubCondConfig.practical()
+cfg = SubCondConfig()
 
 # -- regime selection ----------------------------------------------------------
 for n, eps in ((16, 0.5), (64, 0.5), (4096, 0.5)):

@@ -40,6 +40,7 @@ from .theory import (
     verify_khintchine,
     verify_variance_bound,
 )
+from .uniformity import PRESETS
 from .zoo import (
     ZooEntry,
     instantiate,
@@ -423,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mean.add_argument("--k0", type=_int_or_auto, default=None, help="top level, or 'auto'")
     p_mean.add_argument("--trials", type=int, default=1)
     p_mean.add_argument("--seed", type=int, default=0)
-    p_mean.add_argument("--preset", choices=("practical", "paper"), default="practical")
+    p_mean.add_argument("--preset", choices=list(PRESETS), default="practical")
     p_mean.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_mean.set_defaults(func=_cmd_meantest)
 
@@ -433,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--n", type=int, required=True)
     p_sc.add_argument("--trials", type=int, default=1)
     p_sc.add_argument("--seed", type=int, default=0)
-    p_sc.add_argument("--preset", choices=("practical", "paper"), default="practical")
+    p_sc.add_argument("--preset", choices=list(PRESETS), default="practical")
     p_sc.add_argument("--trace", default=None, help="JSON path for recursion traces")
     p_sc.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_sc.set_defaults(func=_cmd_subconduni)

@@ -21,7 +21,8 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -31,10 +32,10 @@ from .meantest import (
     gaussian_required_samples,
     mean_tester,
 )
-from .model import Decision, TestVerdict, load_distribution
+from .model import Decision, TestVerdict, as_int, load_distribution
 from .oracle import ScondOracle
 from .rng import stream
-from .uniformity import SubCondConfig, edge_tester, subcond_uni
+from .uniformity import PRESETS, edge_tester, subcond_uni
 from .zoo import GaussianSource, ZooEntry, instantiate, parse_spec_string
 
 TESTERS = ("meantest", "subconduni", "gaussian", "edge")
@@ -62,9 +63,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.tester not in TESTERS:
             raise ValueError(f"tester must be one of {TESTERS}, got {self.tester!r}")
-        if self.preset not in ("practical", "paper"):
-            raise ValueError("preset must be 'practical' or 'paper'")
-        self.n = [int(v) for v in self.n]
+        if self.preset not in PRESETS:
+            raise ValueError(f"preset must be one of {list(PRESETS)}, got {self.preset!r}")
+        self.n = [as_int(v, "n") for v in self.n]
         self.eps = [float(v) for v in self.eps]
         if not self.n or not self.eps:
             raise ValueError("grid needs at least one n and one eps value")
@@ -72,43 +73,20 @@ class ExperimentSpec:
             raise ValueError("n values must be positive")
         if any(not 0.0 < v <= 1.0 for v in self.eps):
             raise ValueError("eps values must lie in (0, 1]")
-        self.trials = int(self.trials)
+        self.trials = as_int(self.trials, "trials")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        self.seed = int(self.seed)
+        self.seed = as_int(self.seed, "seed")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must fit in 64 bits")
 
     def to_dict(self) -> dict:
-        doc = {
-            "tester": self.tester,
-            "distribution": self.distribution,
-            "n": self.n,
-            "eps": self.eps,
-            "trials": self.trials,
-            "seed": self.seed,
-            "preset": self.preset,
-        }
-        if self.out_csv is not None:
-            doc["out_csv"] = self.out_csv
-        if self.out_json is not None:
-            doc["out_json"] = self.out_json
-        return doc
+        """The spec's fields, leaving out output paths that are not set."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentSpec":
-        known = {
-            "tester",
-            "distribution",
-            "n",
-            "eps",
-            "trials",
-            "seed",
-            "preset",
-            "out_csv",
-            "out_json",
-        }
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown spec fields: {sorted(unknown)}")
         missing = {"tester", "distribution", "n", "eps"} - set(doc)
@@ -166,10 +144,6 @@ def _join_levels(values) -> str:
     return ";".join(_float_repr(v) for v in values)
 
 
-def _subcond_config(preset: str) -> SubCondConfig:
-    return SubCondConfig.paper() if preset == "paper" else SubCondConfig.practical()
-
-
 def execute_trial(
     spec: ExperimentSpec,
     cell_index: int,
@@ -193,9 +167,9 @@ def execute_trial(
         cfg = MeanTestConfig(eps, preset=spec.preset, **(mean_overrides or {}))
         verdict = mean_tester(oracle, cfg)
     elif spec.tester == "subconduni":
-        verdict = subcond_uni(oracle, eps, _subcond_config(spec.preset))
+        verdict = subcond_uni(oracle, eps, PRESETS[spec.preset])
     else:  # edge
-        verdict = edge_tester(oracle, eps, _subcond_config(spec.preset).edge)
+        verdict = edge_tester(oracle, eps, PRESETS[spec.preset].edge)
     return verdict, verdict.queries_used
 
 
@@ -220,19 +194,6 @@ def run_trial(spec: ExperimentSpec, cell_index: int, n: int, eps: float, trial: 
     }
 
 
-def _trial_args(spec: ExperimentSpec):
-    cells = [(n, eps) for n in spec.n for eps in spec.eps]
-    for cell_index, (n, eps) in enumerate(cells):
-        for trial in range(spec.trials):
-            yield cell_index, n, eps, trial
-
-
-def _run_trial_star(args):
-    spec_doc, cell_index, n, eps, trial = args
-    spec = ExperimentSpec.from_dict(spec_doc)
-    return (cell_index, trial, run_trial(spec, cell_index, n, eps, trial))
-
-
 def _worker_count(requested: int | None) -> int:
     if requested is None or requested <= 1:
         return 1
@@ -252,24 +213,21 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> dict:
     """
     env_seed = os.environ.get(_ENV_SEED)
     if env_seed is not None:
-        doc = spec.to_dict()
-        doc["seed"] = int(env_seed)
-        spec = ExperimentSpec.from_dict(doc)
+        spec = replace(spec, seed=int(env_seed))
 
-    jobs = list(_trial_args(spec))
+    cells = [(n, eps) for n in spec.n for eps in spec.eps]
+    jobs = [
+        (cell_index, n, eps, trial)
+        for cell_index, (n, eps) in enumerate(cells)
+        for trial in range(spec.trials)
+    ]
+    trial_row = partial(run_trial, spec)
     nworkers = _worker_count(workers)
-    results: dict[tuple, dict] = {}
     if nworkers == 1:
-        for cell_index, n, eps, trial in jobs:
-            results[(cell_index, trial)] = run_trial(spec, cell_index, n, eps, trial)
+        rows = list(map(trial_row, *zip(*jobs)))
     else:
-        spec_doc = spec.to_dict()
-        args = [(spec_doc, ci, n, eps, t) for ci, n, eps, t in jobs]
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            for cell_index, trial, row in pool.map(_run_trial_star, args):
-                results[(cell_index, trial)] = row
-
-    rows = [results[(ci, t)] for ci, n, eps, t in jobs]
+            rows = list(pool.map(trial_row, *zip(*jobs)))
     csv_text = _rows_to_csv(rows)
     summary = _summarize(spec, rows)
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import Decision, TestVerdict
+from .model import Decision, TestVerdict, as_int
 from .oracle import ScondOracle
 
 TAU_RECURSION_COEFF = 1.0 / 5000.0
@@ -105,13 +105,13 @@ def _z_float(num: int, q: int) -> float:
 
 @dataclass(frozen=True)
 class TauSchedule:
-    """tau_0 = eps^2 n / 2 and tau_k = a q^2 tau_{k-1}^2, held in log2 space."""
+    """tau_0 = eps^2 n / 2 and tau_k = a q^2 tau_{k-1}^2 with
+    a = TAU_RECURSION_COEFF, held in log2 space."""
 
     eps: float
     n: int
     q: int
     k0: int
-    a: float = TAU_RECURSION_COEFF
     taus_log2: tuple = field(init=False)
 
     def __post_init__(self):
@@ -119,7 +119,7 @@ class TauSchedule:
             raise ValueError("eps must lie in (0, 1]")
         if self.q < 1 or self.k0 < 0 or self.n < 1:
             raise ValueError("need q >= 1, k0 >= 0, n >= 1")
-        step = math.log2(self.a) + 2.0 * math.log2(self.q)
+        step = math.log2(TAU_RECURSION_COEFF) + 2.0 * math.log2(self.q)
         logs = [2.0 * math.log2(self.eps) + math.log2(self.n) - 1.0]
         for _ in range(self.k0):
             logs.append(step + 2.0 * logs[-1])
@@ -149,13 +149,9 @@ class TauSchedule:
     def closed_form_log2(self, k: int) -> float:
         """-log2(a q^2) + 2^k log2(a q^2 eps^2 n / 2); agrees with the
         recursion to floating-point accuracy."""
-        base = math.log2(self.a) + 2.0 * math.log2(self.q)
+        base = math.log2(TAU_RECURSION_COEFF) + 2.0 * math.log2(self.q)
         inner = base + 2.0 * math.log2(self.eps) + math.log2(self.n) - 1.0
         return -base + (1 << k) * inner
-
-
-def tau_schedule(eps: float, n: int, q: int, k0: int) -> TauSchedule:
-    return TauSchedule(eps=eps, n=n, q=q, k0=k0)
 
 
 def default_k0(n: int) -> int:
@@ -180,6 +176,11 @@ def paper_q(n: int, eps: float, k0: int) -> int:
     )
 
 
+# the sample rule q(n, eps, k0) of each constant preset; uniformity.PRESETS
+# names its mean tester's rule by these keys
+Q_RULES = {"practical": practical_q, "paper": paper_q}
+
+
 @dataclass(frozen=True)
 class MeanTestConfig:
     eps: float
@@ -188,20 +189,23 @@ class MeanTestConfig:
     k0: int | None = None
 
     def __post_init__(self):
-        if self.preset not in ("practical", "paper"):
-            raise ValueError("preset must be 'practical' or 'paper'")
+        if self.preset not in Q_RULES:
+            raise ValueError(f"preset must be one of {list(Q_RULES)}, got {self.preset!r}")
         if not 0.0 < self.eps <= 1.0:
             raise ValueError("eps must lie in (0, 1]")
+        if self.q is not None:
+            object.__setattr__(self, "q", as_int(self.q, "q"))
+            if self.q < 1:
+                raise ValueError("q must be at least 1")
+        if self.k0 is not None:
+            object.__setattr__(self, "k0", as_int(self.k0, "k0"))
+            if self.k0 < 0:
+                raise ValueError("k0 must be at least 0")
 
     def resolve(self, n: int) -> TauSchedule:
-        k0 = default_k0(n) if self.k0 is None else int(self.k0)
-        if self.q is not None:
-            q = int(self.q)
-        elif self.preset == "paper":
-            q = paper_q(n, self.eps, k0)
-        else:
-            q = practical_q(n, self.eps, k0)
-        return tau_schedule(self.eps, n, q, k0)
+        k0 = default_k0(n) if self.k0 is None else self.k0
+        q = Q_RULES[self.preset](n, self.eps, k0) if self.q is None else self.q
+        return TauSchedule(self.eps, n, q, k0)
 
 
 def mean_tester(oracle: ScondOracle, cfg: MeanTestConfig) -> TestVerdict:
@@ -285,7 +289,7 @@ def gaussian_mean_tester(samples: np.ndarray, eps: float) -> TestVerdict:
     q = _gaussian_q(n, eps)
     # the reduced eps lies far below a practical preset's domain, so the
     # schedule takes an explicit q and runs at level 0 only
-    sched = tau_schedule(eps_reduced, n, q, 0)
+    sched = TauSchedule(eps_reduced, n, q, 0)
     signs = np.where(samples >= 0.0, 1, -1).astype(np.int8)
     rejects = 0
     rep_z = []

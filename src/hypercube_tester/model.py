@@ -60,10 +60,19 @@ def indices_to_points(indices: np.ndarray, n: int) -> np.ndarray:
     return (2 * bits - 1).astype(np.int8)
 
 
-def _validate_signs(signs: np.ndarray) -> np.ndarray:
+def as_int(value, name: str) -> int:
+    """value as an int; integral floats such as the JSON value 16.0 pass, a
+    fractional part is an error rather than silently truncated."""
+    out = int(value)
+    if out != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return out
+
+
+def _validate_signs(signs: np.ndarray, ndim: int = 1) -> np.ndarray:
     raw = np.asarray(signs)
-    if raw.ndim != 1:
-        raise ValueError("expected a 1-d sign vector")
+    if raw.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-d array of signs")
     # checked before the int8 cast, which would turn 257 or 1.7 into 1
     if raw.size and not np.isin(raw, (-1, 1)).all():
         raise ValueError("entries must be exactly -1 or +1")
@@ -148,9 +157,7 @@ class Restriction:
 
     @classmethod
     def from_stars_and_point(cls, star_mask: np.ndarray, signs: np.ndarray) -> "Restriction":
-        cells = np.array(signs)
-        cells[np.asarray(star_mask, dtype=bool)] = STAR
-        return cls(cells)
+        return cls(np.where(np.asarray(star_mask, dtype=bool), STAR, _validate_signs(signs)))
 
     def fill(self, sub: "Restriction") -> "Restriction":
         """Overlay a restriction of the star coordinates onto this one."""
@@ -163,7 +170,7 @@ class Restriction:
 
     def consistent(self, signs: np.ndarray) -> np.ndarray:
         """Boolean mask of which rows of `signs` agree with every fixed cell."""
-        signs = np.atleast_2d(np.asarray(signs, dtype=np.int8))
+        signs = _validate_signs(np.atleast_2d(signs), ndim=2)
         fixed = self.fixed
         if fixed.size == 0:
             return np.ones(signs.shape[0], dtype=bool)

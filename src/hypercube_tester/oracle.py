@@ -113,7 +113,14 @@ class ScondOracle:
         the ledger is charged draws_per_pair per pair all the same.
         """
         points = np.atleast_2d(np.asarray(points, dtype=np.int8))
-        coords = np.asarray(coords, dtype=np.int64)
+        raw = np.asarray(coords)
+        # checked before anything is charged; a negative index would wrap
+        # around and a fractional one would be truncated
+        if raw.size and not (
+            np.issubdtype(raw.dtype, np.integer) and 0 <= raw.min() and raw.max() < self.n
+        ):
+            raise ValueError(f"coordinates must be integers in [0, {self.n})")
+        coords = raw.astype(np.int64)
         b = int(draws_per_pair)
         if b <= 0:
             raise ValueError("draws_per_pair must be positive")

@@ -10,16 +10,19 @@ dimension is too small for the restriction machinery to bite
 points, re-draws single coordinates conditionally, and rejects when any
 conditional edge bias is larger than a level-dependent threshold.
 
-Two constant presets exist. "practical" uses constants small enough to run
-at desk scale; "paper" documents the conservative constant trail (its
-sigma is so small that any runnable dimension lands in the base case, so
-it is for inspection, not experiments).
+The constant presets are declared once, in `PRESETS` (with the mean
+tester's sample rules in `meantest.Q_RULES` under the same names); the
+harness, the CLI and the spec validation all read that table. "practical"
+uses constants small enough to run at desk scale; "paper" documents the
+conservative constant trail (its sigma is so small that any runnable
+dimension lands in the base case, so it is for inspection, not
+experiments).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -29,12 +32,6 @@ from .model import Decision, TestVerdict
 from .oracle import ScondOracle
 
 EDGE_PAIR_CHUNK = 512
-
-# theta_h * sqrt(b_h) == c3 * sqrt(c2): the "practical" pair, the EdgeConfig
-# defaults (c2=25, c3=1), puts the reject threshold at 5 standard errors of
-# the bias estimate; the "paper" pair (c2=400, c3=1/4) also gives 5 but with
-# far more draws.
-EDGE_PAPER = dict(c_h=2.0, c1=2.0, c2=400.0, c3=0.25, c_beta=1.0)
 
 
 def _force_odd(x: int) -> int:
@@ -62,34 +59,17 @@ class EdgeConfig:
 
 @dataclass(frozen=True)
 class SubCondConfig:
-    preset: str = "practical"
     c0: float = 2.0  # sigma = min(1, 1/(c0 log2^4(16/eps)))
     c_l: float = 4.0  # L = ceil(c_l sqrt(n)/eps * log2^2(n/eps))
     l_formula: Callable[[int, float], int] | None = None
     r_factor: float = 3.0  # mean-test repetitions r = odd(ceil(r_factor log2(n/eps)))
-    t_cap: int | None = 15  # cap on recursion repetitions (None = uncapped)
-    t_override: int | None = None
+    # recursion repetitions t = odd(t_override); None = odd(100 ceil(log2(16/eps)))
+    t_override: int | None = 15
     max_depth: int = 12
     mean_preset: str = "practical"
     mean_q_override: int | None = None
     mean_k0_override: int | None = None
     edge: EdgeConfig = field(default_factory=EdgeConfig)
-
-    @classmethod
-    def practical(cls, **overrides) -> "SubCondConfig":
-        return cls(**overrides)
-
-    @classmethod
-    def paper(cls, **overrides) -> "SubCondConfig":
-        base = cls(
-            preset="paper",
-            c0=1e11,
-            c_l=1e4,  # polylog headroom; this preset is documentation-only
-            t_cap=None,
-            mean_preset="paper",
-            edge=EdgeConfig(**EDGE_PAPER),
-        )
-        return replace(base, **overrides) if overrides else base
 
     def sigma(self, eps: float) -> float:
         return min(1.0, 1.0 / (self.c0 * math.log2(16.0 / eps) ** 4))
@@ -106,10 +86,7 @@ class SubCondConfig:
     def t_reps(self, eps: float) -> int:
         if self.t_override is not None:
             return _force_odd(self.t_override)
-        t = 100 * math.ceil(math.log2(16.0 / eps))
-        if self.t_cap is not None:
-            t = min(t, self.t_cap)
-        return _force_odd(t)
+        return _force_odd(100 * math.ceil(math.log2(16.0 / eps)))
 
     def mean_config(self, eps: float) -> MeanTestConfig:
         return MeanTestConfig(
@@ -118,6 +95,22 @@ class SubCondConfig:
             q=self.mean_q_override,
             k0=self.mean_k0_override,
         )
+
+
+# theta_h * sqrt(b_h) == c3 * sqrt(c2): the "practical" pair, the EdgeConfig
+# defaults (c2=25, c3=1), puts the reject threshold at 5 standard errors of
+# the bias estimate; the "paper" pair (c2=400, c3=1/4) also gives 5 but with
+# far more draws.
+PRESETS = {
+    "practical": SubCondConfig(),
+    "paper": SubCondConfig(
+        c0=1e11,
+        c_l=1e4,  # polylog headroom; this preset is documentation-only
+        t_override=None,
+        mean_preset="paper",
+        edge=EdgeConfig(c_h=2.0, c1=2.0, c2=400.0, c3=0.25, c_beta=1.0),
+    ),
+}
 
 
 def base_case_applies(n: int, eps: float, sigma: float) -> bool:

@@ -25,6 +25,7 @@ from .model import (
     DensePmf,
     ProductDistribution,
     Restriction,
+    _validate_signs,
     bit_powers,
     points_to_indices,
 )
@@ -47,12 +48,8 @@ class TwoPointDistribution:
     """Mass 1/2 on x and 1/2 on -x."""
 
     def __init__(self, x):
-        x = np.asarray(x, dtype=np.int8)
-        if not np.isin(x, (-1, 1)).all():
-            raise ValueError("x must be a sign vector")
-        self.x = x.copy()
-        self.x.flags.writeable = False
-        self.n = x.size
+        self.x = _validate_signs(x)
+        self.n = self.x.size
 
     def dense(self, **kw) -> DensePmf:
         mass = np.zeros(1 << self.n)
@@ -104,13 +101,9 @@ class HeavyAtomDistribution:
     def __init__(self, mass: float, x):
         if not 0.0 <= mass <= 1.0:
             raise ValueError("mass must lie in [0, 1]")
-        x = np.asarray(x, dtype=np.int8)
-        if not np.isin(x, (-1, 1)).all():
-            raise ValueError("x must be a sign vector")
         self.atom_mass = float(mass)
-        self.x = x.copy()
-        self.x.flags.writeable = False
-        self.n = x.size
+        self.x = _validate_signs(x)
+        self.n = self.x.size
 
     def dense(self, **kw) -> DensePmf:
         mass = np.full(1 << self.n, (1.0 - self.atom_mass) * 2.0 ** -self.n)
@@ -324,18 +317,18 @@ def instantiate(entry: ZooEntry, n: int):
     if kind == "uniform":
         return ProductDistribution.uniform(n)
     if kind == "two_point":
-        x = np.asarray(p.get("x", np.ones(n)), dtype=np.int8)
-        if x.size != n:
+        target = TwoPointDistribution(p.get("x", np.ones(n)))
+        if target.n != n:
             raise ValueError("two_point x must have length n")
-        return TwoPointDistribution(x)
+        return target
     if kind == "planted_product":
         eps = float(p["eps"])
         return ProductDistribution(np.full(n, eps))
     if kind == "heavy_atom":
-        x = np.asarray(p.get("x", np.ones(n)), dtype=np.int8)
-        if x.size != n:
+        target = HeavyAtomDistribution(float(p["mass"]), p.get("x", np.ones(n)))
+        if target.n != n:
             raise ValueError("heavy_atom x must have length n")
-        return HeavyAtomDistribution(float(p["mass"]), x)
+        return target
     if kind == "junta_mix":
         k = int(p["k"])
         inner = p.get("inner")

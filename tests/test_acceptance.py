@@ -307,7 +307,7 @@ def test_criterion_4_statistic_equivalence():
 
 def test_criterion_5_subcond_uniformity_operating_points():
     t0 = time.perf_counter()
-    cfg = SubCondConfig.practical()
+    cfg = SubCondConfig()
     trials = 100
 
     accepts = 0
@@ -349,7 +349,7 @@ def test_criterion_5_subcond_uniformity_operating_points():
 
 def test_criterion_6_edge_tester_operating_points():
     t0 = time.perf_counter()
-    edge_cfg = SubCondConfig.practical().edge
+    edge_cfg = SubCondConfig().edge
     trials = 100
 
     accepts = 0

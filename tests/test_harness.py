@@ -61,9 +61,17 @@ def test_spec_rejects_bad_fields():
         {"trials": 0},
         {"seed": -1},
         {"seed": 1 << 64},
+        # a fractional integer setting is an error, not truncated
+        {"n": [16.5]},
+        {"trials": 2.5},
+        {"seed": 7.9},
     ):
         with pytest.raises(ValueError):
             _spec(**overrides)
+    # integral floats, as a JSON file may hold them, still count as integers
+    spec = _spec(n=[16.0], trials=2.0, seed=7.0)
+    assert (spec.n, spec.trials, spec.seed) == ([16], 2, 7)
+    assert all(type(v) is int for v in (spec.n[0], spec.trials, spec.seed))
 
 
 def test_spec_rejects_unknown_and_missing_fields():
@@ -288,7 +296,7 @@ def test_cli_usage_errors():
     assert main(["meantest", "--dist", "uniform"]) == 1  # missing --eps/--n
 
 
-def test_cli_runtime_errors(tmp_path):
+def test_cli_runtime_errors(tmp_path, capsys):
     assert main(["run", "--spec", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"tester": "meantest", "distribution": "uniform"}))
@@ -301,6 +309,13 @@ def test_cli_runtime_errors(tmp_path):
         base = [command, "--dist", "uniform", "--eps", "0.5"]
         assert main(base + ["--n", "4", "--trials", "0"]) == 2
         assert main(base + ["--n", "0"]) == 2
+    # a bad --q or --k0 is a parameter error, not an arithmetic failure inside
+    # the sample rule
+    base = ["meantest", "--dist", "uniform", "--eps", "0.5", "--n", "4"]
+    for flags, word in ((["--k0", "-1"], "k0"), (["--q", "0"], "q")):
+        capsys.readouterr()
+        assert main(base + flags) == 2
+        assert capsys.readouterr().err.startswith(f"error: {word} must be")
 
 
 def test_cli_zoo_list(capsys):

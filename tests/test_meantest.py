@@ -24,7 +24,6 @@ from hypercube_tester.meantest import (
     paper_q,
     practical_q,
     second_moment_screen,
-    tau_schedule,
 )
 from hypercube_tester.model import Decision, ProductDistribution
 from hypercube_tester.oracle import ScondOracle
@@ -115,7 +114,7 @@ def test_z_statistic_is_numerator_over_q_squared():
 
 
 def test_threshold_equality_accepts():
-    sched = tau_schedule(0.5, 32, 1, 0)
+    sched = TauSchedule(0.5, 32, 1, 0)
     assert sched.tau(0) == 4.0
     # one pair with <x,y> = 4 in n=32: Z_0 = 4 exactly
     x = np.ones((1, 32), dtype=np.int8)
@@ -127,7 +126,7 @@ def test_threshold_equality_accepts():
     assert sched.exceeded(0, num + 1)
     # an excess of 2^-60, far below one ulp of tau, still rejects
     q = 1 << 30
-    wide = tau_schedule(0.5, 32, q, 0)
+    wide = TauSchedule(0.5, 32, q, 0)
     assert float(Fraction(4 * q * q + 1, q * q)) == 4.0
     assert not wide.exceeded(0, 4 * q * q)
     assert wide.exceeded(0, 4 * q * q + 1)
@@ -136,7 +135,7 @@ def test_threshold_equality_accepts():
 def test_threshold_uses_exact_arithmetic():
     # q = 3: Z = num / 9 is not a dyadic float; the comparison must not
     # round through floating point
-    sched = tau_schedule(1.0, 6, 3, 0)
+    sched = TauSchedule(1.0, 6, 3, 0)
     assert sched.tau(0) == 3.0
     xs = np.ones((3, 3), dtype=np.int8)
     ys = np.ones((3, 3), dtype=np.int8)
@@ -146,7 +145,7 @@ def test_threshold_uses_exact_arithmetic():
     assert sched.exceeded(0, num + 1)
     # q = 3^20: an excess of 3^-40 rounds away in float but must reject
     q = 3**20
-    wide = tau_schedule(1.0, 6, q, 0)
+    wide = TauSchedule(1.0, 6, q, 0)
     assert float(Fraction(3 * q * q + 1, q * q)) == 3.0
     assert not wide.exceeded(0, 3 * q * q)
     assert wide.exceeded(0, 3 * q * q + 1)
@@ -158,7 +157,7 @@ def _int_with_log2(lg: float) -> int:
 
 
 def test_exceeds_log2_matches_float_compare():
-    sched = tau_schedule(0.5, 64, 250, 8)
+    sched = TauSchedule(0.5, 64, 250, 8)
     assert math.isinf(sched.tau(8))
     z_log2 = sched.tau_log2(8) + 2.0 * math.log2(250)  # log2 of num at Z = tau
     assert sched.exceeded(8, _int_with_log2(z_log2 + 0.01))
@@ -173,7 +172,7 @@ def test_exceeds_log2_matches_float_compare():
 
 
 def test_tau_schedule_frozen_values():
-    s = tau_schedule(0.5, 64, 250, 3)
+    s = TauSchedule(0.5, 64, 250, 3)
     assert s.tau(0) == pytest.approx(8.0, rel=1e-12)
     assert s.tau(1) == pytest.approx(800.0, rel=1e-12)
     assert s.tau(2) == pytest.approx(8.0e6, rel=1e-12)
@@ -182,7 +181,7 @@ def test_tau_schedule_frozen_values():
 
 def test_tau_first_level_dominates_twelve_n():
     # the level-1 threshold clears 12n at the criterion operating point
-    s = tau_schedule(0.5, 64, 250, 1)
+    s = TauSchedule(0.5, 64, 250, 1)
     assert s.tau(1) >= 12 * 64
 
 
@@ -194,7 +193,7 @@ def test_tau_first_level_dominates_twelve_n():
     st.integers(0, 6),
 )
 def test_tau_recursion_matches_closed_form(eps, n, q, k0):
-    s = tau_schedule(eps, n, q, k0)
+    s = TauSchedule(eps, n, q, k0)
     for k in range(k0 + 1):
         got = s.tau_log2(k)
         want = s.closed_form_log2(k)
@@ -202,7 +201,7 @@ def test_tau_recursion_matches_closed_form(eps, n, q, k0):
 
 
 def test_tau_recursion_step():
-    s = tau_schedule(0.3, 32, 100, 4)
+    s = TauSchedule(0.3, 32, 100, 4)
     a = 1.0 / 5000.0
     for k in range(1, 5):
         assert s.tau_log2(k) == pytest.approx(
@@ -211,7 +210,7 @@ def test_tau_recursion_step():
 
 
 def test_tau_overflow_reports_inf():
-    s = tau_schedule(1.0, 4, 10**6, 6)
+    s = TauSchedule(1.0, 4, 10**6, 6)
     assert math.isinf(s.tau(6))
     assert s.tau_log2(6) > math.log2(1e300)
     assert not math.isinf(s.tau(0))
@@ -251,6 +250,13 @@ def test_config_validation():
         MeanTestConfig(0.5, preset="fast")
     sched = MeanTestConfig(0.5, q=77, k0=2).resolve(16)
     assert sched.q == 77 and sched.k0 == 2
+    # q and k0 are checked when the config is built: a fractional value is
+    # not truncated, and k0 = -1 no longer reaches the sample rule
+    for bad in ({"q": 10.7}, {"k0": 1.5}, {"q": 0}, {"k0": -1}):
+        with pytest.raises(ValueError):
+            MeanTestConfig(0.5, **bad)
+    sched = MeanTestConfig(0.5, q=77.0, k0=2.0).resolve(16)
+    assert (sched.q, sched.k0) == (77, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +310,7 @@ def test_mean_tester_stops_at_first_exceedance():
 def test_mean_tester_handles_overflowed_tau():
     # deep schedule: the top tau exceeds the float range; uniform must
     # still accept through the log-space comparison
-    sched = tau_schedule(1.0, 4, 2000, 7)
+    sched = TauSchedule(1.0, 4, 2000, 7)
     assert math.isinf(sched.tau(7)) and not math.isinf(sched.tau(6))
     o = ScondOracle(ProductDistribution.uniform(4), stream(59, 0, 0))
     v = mean_tester(o, MeanTestConfig(1.0, q=2000, k0=7))

@@ -124,7 +124,17 @@ def test_restriction_rejects_bad_cells():
         Restriction(np.array([257, 0]))
     with pytest.raises(ValueError):
         Restriction.from_stars_and_point(np.array([True, False]), np.array([1, 257]))
+    # the point must be a sign vector even where no star covers it: a 0 sign
+    # would otherwise become a star
+    with pytest.raises(ValueError):
+        Restriction.from_stars_and_point(np.zeros(3, dtype=bool), np.array([0, 1, -1]))
     assert str(Restriction(np.array([0.0, 1.0, -1.0]))) == "*+-"
+    # rows tested for consistency are signs too: the cast read 257 and 1.7 as 1
+    rho = Restriction(np.array([1, 0], dtype=np.int8))
+    for rows in ([[257, 5], [1.7, 0.3]], [[1, 0]]):
+        with pytest.raises(ValueError):
+            rho.consistent(np.array(rows))
+    assert rho.consistent(np.array([[1.0, -1.0], [-1.0, 1.0]])).tolist() == [True, False]
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,23 @@ def test_restriction_draw_charges_one_query():
     assert o.queries == 2
 
 
+def test_edge_bias_rejects_bad_coordinates_before_charging():
+    o = make_oracle(ProductDistribution.uniform(3))
+    points = np.ones((1, 3), dtype=np.int8)
+    # -1 would wrap to the last coordinate, 1.5 would truncate to 1, and 7
+    # would fail deep inside the target
+    for bad in ([-1], [1.5], [7], [3]):
+        with pytest.raises(ValueError):
+            o.estimate_edge_biases(points, np.array(bad), 4)
+    assert o.queries == 0
+    view = o.restricted(Restriction(np.array([1, 0, 0], dtype=np.int8)))
+    with pytest.raises(ValueError):
+        view.estimate_edge_biases(np.ones((1, 2), dtype=np.int8), np.array([2]), 4)
+    assert o.queries == 0
+    view.estimate_edge_biases(np.ones((2, 2), dtype=np.int8), np.array([0, 1]), 4)
+    assert o.queries == 8
+
+
 def test_edge_bias_estimates_charge_pairs_times_draws():
     o = make_oracle()
     pts = o.sample(4)

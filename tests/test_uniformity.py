@@ -7,10 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hypercube_tester.cli import UsageError, build_parser
+from hypercube_tester.harness import ExperimentSpec
+from hypercube_tester.meantest import Q_RULES
 from hypercube_tester.model import DensePmf, Decision, ProductDistribution
 from hypercube_tester.oracle import ScondOracle
 from hypercube_tester.rng import stream
 from hypercube_tester.uniformity import (
+    PRESETS,
     EdgeConfig,
     SubCondConfig,
     base_case_applies,
@@ -49,31 +53,59 @@ REC_CFG = SubCondConfig(
 
 
 def test_sigma_frozen_values():
-    cfg = SubCondConfig.practical()
+    cfg = SubCondConfig()
     assert cfg.sigma(0.5) == pytest.approx(1.0 / 1250.0, rel=1e-12)
     assert cfg.sigma(0.25) == pytest.approx(1.0 / 2592.0, rel=1e-12)
     assert cfg.sigma(1.0) == pytest.approx(1.0 / 512.0, rel=1e-12)
 
 
 def test_big_l_and_reps_frozen_values():
-    cfg = SubCondConfig.practical()
+    cfg = SubCondConfig()
     assert cfg.big_l(64, 0.5) == 3136  # ceil(4 * 16 * 49)
     assert cfg.r_reps(64, 0.5) == 21  # odd(ceil(3 * 7))
     assert cfg.t_reps(0.5) == 15  # capped, already odd
     assert cfg.t_reps(1.0) == 15
     assert replace(cfg, t_override=4).t_reps(0.5) == 5  # forced odd
-    assert replace(cfg, t_cap=None).t_reps(0.5) == 501  # odd(100 * 5)
+    assert replace(cfg, t_override=None).t_reps(0.5) == 501  # odd(100 * 5)
 
 
 def test_paper_preset_is_marked():
-    cfg = SubCondConfig.paper()
-    assert cfg.preset == "paper"
+    cfg = PRESETS["paper"]
     assert cfg.mean_preset == "paper"
     assert cfg.edge.c2 == 400 and cfg.edge.c3 == 0.25
     # both presets put the firing threshold at five standard errors
-    prac = SubCondConfig.practical().edge
+    prac = PRESETS["practical"].edge
     assert prac.c3 * math.sqrt(prac.c2) == pytest.approx(5.0)
     assert cfg.edge.c3 * math.sqrt(cfg.edge.c2) == pytest.approx(5.0)
+
+
+def test_preset_tables_agree():
+    assert list(PRESETS) == list(Q_RULES)
+    assert all(cfg.mean_preset in Q_RULES for cfg in PRESETS.values())
+    assert PRESETS["practical"] == SubCondConfig()
+    # the CLI and the spec accept exactly the names in the table
+    parser = build_parser()
+    spec = {"tester": "subconduni", "distribution": "uniform", "n": [4], "eps": [0.5]}
+    for name in (*PRESETS, "fast"):
+        argvs = [
+            [command, "--dist", "uniform", "--eps", "0.5", "--n", "4", "--preset", name]
+            for command in ("meantest", "subconduni")
+        ]
+        if name in PRESETS:
+            assert [parser.parse_args(argv).preset for argv in argvs] == [name, name]
+            assert ExperimentSpec(**spec, preset=name).preset == name
+            continue
+        for argv in argvs:
+            with pytest.raises(UsageError):
+                parser.parse_args(argv)
+        with pytest.raises(ValueError):
+            ExperimentSpec(**spec, preset=name)
+    # the practical recursion count of 15 is below the paper formula at
+    # every eps in (0, 1], whose smallest value is odd(100 * 4)
+    for eps in np.linspace(1e-3, 1.0, 200):
+        assert PRESETS["practical"].t_reps(eps) == 15
+        paper_t = 100 * math.ceil(math.log2(16.0 / eps))
+        assert PRESETS["paper"].t_reps(eps) == paper_t + 1 - paper_t % 2
 
 
 def test_base_case_frozen_examples():
@@ -150,7 +182,7 @@ def test_edge_tester_validates_eps():
 
 
 def test_base_case_delegates_verbatim_to_edge_tester():
-    cfg = SubCondConfig.practical()
+    cfg = SubCondConfig()
     o1 = ScondOracle(ProductDistribution.uniform(64), stream(76, 0, 0))
     v1 = subcond_uni(o1, 0.5, cfg)
     o2 = ScondOracle(ProductDistribution.uniform(64), stream(76, 0, 0))

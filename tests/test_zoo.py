@@ -218,6 +218,17 @@ def test_instantiate_validates():
         instantiate(ZooEntry("two_point", {"x": [1, 1]}), 3)
     with pytest.raises(ValueError):
         instantiate(ZooEntry("bogus"), 3)
+    # sign parameters are checked before the int8 cast, which would read
+    # 1.5, 1.9 and 257 as 1
+    with pytest.raises(ValueError):
+        instantiate(ZooEntry("two_point", {"x": [1.5, -1, 1]}), 3)
+    with pytest.raises(ValueError):
+        instantiate(ZooEntry("heavy_atom", {"mass": 0.5, "x": [1, 0, 1]}), 3)
+    with pytest.raises(ValueError):
+        TwoPointDistribution(np.array([257, 1.7, -1]))
+    with pytest.raises(ValueError):
+        HeavyAtomDistribution(0.5, np.array([1.9, 1]))
+    assert instantiate(ZooEntry("two_point", {"x": [1.0, -1.0, 1.0]}), 3).x.tolist() == [1, -1, 1]
 
 
 def test_gaussian_source():
