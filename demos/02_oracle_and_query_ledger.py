@@ -4,7 +4,7 @@ Testers never touch a distribution directly: they go through an oracle that
 answers plain draws, draws conditioned on a restriction, random-restriction
 draws, and batched edge-bias estimates.  Every answer is charged to a ledger,
 so a tester's cost claim can be audited after the fact.  There is one
-oracle class over an optional restriction: the root has none, and
+oracle class over a restriction: the root holds the all-stars one, and
 ``restricted(rho)`` returns an oracle of the same class on rho's free
 coordinates.  Such views compose and charge the root's ledger.
 

@@ -139,7 +139,7 @@ def _cmd_zoo(args) -> int:
 
 
 def _cli_trials(args, tester: str, mean_overrides: dict | None = None):
-    """Yield (trial, verdict, queries) for a one-cell spec built from the flags."""
+    """Yield (trial, verdict) for a one-cell spec built from the flags."""
     spec = ExperimentSpec(
         tester=tester,
         distribution=args.dist,
@@ -150,7 +150,7 @@ def _cli_trials(args, tester: str, mean_overrides: dict | None = None):
         preset=args.preset,
     )
     for trial in range(spec.trials):
-        yield (trial, *execute_trial(spec, 0, spec.n[0], spec.eps[0], trial, mean_overrides))
+        yield trial, execute_trial(spec, 0, spec.n[0], spec.eps[0], trial, mean_overrides)
 
 
 def _cmd_meantest(args) -> int:
@@ -158,15 +158,15 @@ def _cmd_meantest(args) -> int:
     accepts = 0
     total_queries = 0
     overrides = {"q": args.q, "k0": args.k0}
-    for trial, verdict, queries in _cli_trials(args, "meantest", mean_overrides=overrides):
+    for trial, verdict in _cli_trials(args, "meantest", mean_overrides=overrides):
         accepts += verdict.decision is Decision.ACCEPT
-        total_queries += queries
+        total_queries += verdict.queries_used
         rows.append(
             ",".join(
                 [
                     str(trial),
                     verdict.decision.value,
-                    str(queries),
+                    str(verdict.queries_used),
                     ";".join(_fmt(z) for z in verdict.trace["z_levels"]),
                     ";".join(_fmt(t) for t in verdict.trace["tau_levels"]),
                 ]
@@ -185,11 +185,11 @@ def _cmd_subconduni(args) -> int:
     traces = []
     accepts = errors = 0
     total_queries = 0
-    for trial, verdict, queries in _cli_trials(args, "subconduni"):
+    for trial, verdict in _cli_trials(args, "subconduni"):
         accepts += verdict.decision is Decision.ACCEPT
         errors += verdict.decision is Decision.ERROR
-        total_queries += queries
-        rows.append(f"{trial},{verdict.decision.value},{queries}")
+        total_queries += verdict.queries_used
+        rows.append(f"{trial},{verdict.decision.value},{verdict.queries_used}")
         traces.append(verdict.trace["tree"])
     _write_csv("trial,decision,queries", rows, args.out)
     if args.trace:
@@ -239,7 +239,7 @@ def _check_pisier(n, cases, rng):
     ratios = []
     for _ in range(cases):
         p = random_dense_pmf(rng, n)
-        rep = evaluate_robust_pisier(p, s=1.0)
+        rep = evaluate_robust_pisier(p, s=1.0, rng=rng)
         ratios.append(rep.ratio)
     finite = np.array([r for r in ratios if math.isfinite(r)])
     extras = {

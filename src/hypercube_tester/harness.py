@@ -151,8 +151,8 @@ def execute_trial(
     eps: float,
     trial: int,
     mean_overrides: dict | None = None,
-) -> tuple[TestVerdict, int]:
-    """Run one trial on its own stream and oracle; return (verdict, queries).
+) -> TestVerdict:
+    """Run one trial on its own stream and oracle; return its verdict.
 
     ``mean_overrides`` are extra ``MeanTestConfig`` keywords (``q``, ``k0``)
     for the mean tester.
@@ -161,7 +161,7 @@ def execute_trial(
     if spec.tester == "gaussian":
         source = resolve_gaussian_source(spec.distribution, n)
         samples = source.sample(rng, gaussian_required_samples(n, eps))
-        return gaussian_mean_tester(samples, eps), samples.shape[0]
+        return gaussian_mean_tester(samples, eps)
     oracle = ScondOracle(resolve_target(spec.distribution, n), rng)
     if spec.tester == "meantest":
         cfg = MeanTestConfig(eps, preset=spec.preset, **(mean_overrides or {}))
@@ -170,13 +170,13 @@ def execute_trial(
         verdict = subcond_uni(oracle, eps, PRESETS[spec.preset])
     else:  # edge
         verdict = edge_tester(oracle, eps, PRESETS[spec.preset].edge)
-    return verdict, verdict.queries_used
+    return verdict
 
 
 def run_trial(spec: ExperimentSpec, cell_index: int, n: int, eps: float, trial: int) -> dict:
     """Execute one trial and return its CSV row fields as a dict."""
     t0 = time.perf_counter()
-    verdict, queries = execute_trial(spec, cell_index, n, eps, trial)
+    verdict = execute_trial(spec, cell_index, n, eps, trial)
     wall = time.perf_counter() - t0
     z_levels = verdict.trace.get("z_levels", verdict.trace.get("reps", []))
     tau_levels = verdict.trace.get("tau_levels", [])
@@ -187,7 +187,7 @@ def run_trial(spec: ExperimentSpec, cell_index: int, n: int, eps: float, trial: 
         "eps": eps,
         "trial": trial,
         "decision": verdict.decision.value,
-        "queries": queries,
+        "queries": verdict.queries_used,
         "wall_time_s": wall,
         "z_levels": _join_levels(z_levels),
         "tau_levels": _join_levels(tau_levels),

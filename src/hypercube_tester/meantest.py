@@ -282,7 +282,7 @@ def gaussian_mean_tester(samples: np.ndarray, eps: float) -> TestVerdict:
 
     if second_moment_screen(samples):
         return TestVerdict(
-            Decision.REJECT, 0, {"stage": "screen", "reps": [], "q": 0}
+            Decision.REJECT, need, {"stage": "screen", "reps": [], "q": 0}
         )
 
     eps_reduced = eps / (2.0 * math.sqrt(3.0 * n))
@@ -307,4 +307,4 @@ def gaussian_mean_tester(samples: np.ndarray, eps: float) -> TestVerdict:
         "q": q,
         "eps_reduced": eps_reduced,
     }
-    return TestVerdict(decision, 0, trace)
+    return TestVerdict(decision, need, trace)

@@ -6,12 +6,15 @@ Conventions used throughout the package:
 * Dense PMFs are indexed lexicographically with -1 before +1 per coordinate
   and coordinate 0 most significant, i.e. index = sum_i ((x_i+1)/2) * 2^(n-1-i).
 * Restrictions live in {-1,+1,*}^n; internally a star is stored as 0.
-* Conditioning on a subcube of zero mass yields the uniform distribution on
-  the free coordinates (callers that care track how often this fires).
+* A target distribution draws only through ``cond_sample(rng, rho, size)``,
+  which returns draws on rho's star coordinates, or None when rho's subcube
+  has zero mass; a plain sample is ``cond_sample`` on the all-stars
+  restriction (``HypercubeTarget.sample``).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -60,6 +63,11 @@ def indices_to_points(indices: np.ndarray, n: int) -> np.ndarray:
     return (2 * bits - 1).astype(np.int8)
 
 
+def uniform_signs(rng: np.random.Generator, shape) -> np.ndarray:
+    """Independent uniform +-1 entries (int8) of the given shape."""
+    return (2 * rng.integers(0, 2, size=shape) - 1).astype(np.int8)
+
+
 def as_int(value, name: str) -> int:
     """value as an int; integral floats such as the JSON value 16.0 pass, a
     fractional part is an error rather than silently truncated."""
@@ -69,6 +77,11 @@ def as_int(value, name: str) -> int:
     return out
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def _validate_signs(signs: np.ndarray, ndim: int = 1) -> np.ndarray:
     raw = np.asarray(signs)
     if raw.ndim != ndim:
@@ -76,9 +89,7 @@ def _validate_signs(signs: np.ndarray, ndim: int = 1) -> np.ndarray:
     # checked before the int8 cast, which would turn 257 or 1.7 into 1
     if raw.size and not np.isin(raw, (-1, 1)).all():
         raise ValueError("entries must be exactly -1 or +1")
-    arr = raw.astype(np.int8)
-    arr.flags.writeable = False
-    return arr
+    return _read_only(raw.astype(np.int8))
 
 
 @dataclass(frozen=True)
@@ -119,7 +130,8 @@ class Point:
 class Restriction:
     """rho in {-1,+1,*}^n; cells holds 0 where rho has a star.
 
-    The star set is derived from the cells, so it can never disagree with them.
+    The star set is derived from the cells, so it can never disagree with
+    them; it is computed once, since the cells are read-only.
     """
 
     cells: np.ndarray
@@ -131,28 +143,29 @@ class Restriction:
         # checked before the int8 cast, which would turn 0.5 into a star
         if raw.size and not np.isin(raw, (-1, 0, 1)).all():
             raise ValueError("cells must be -1, +1 or 0 (star)")
-        arr = raw.astype(np.int8)
-        arr.flags.writeable = False
-        object.__setattr__(self, "cells", arr)
+        object.__setattr__(self, "cells", _read_only(raw.astype(np.int8)))
 
     @property
     def n(self) -> int:
         return self.cells.size
 
-    @property
+    @functools.cached_property
     def stars(self) -> np.ndarray:
-        return np.flatnonzero(self.cells == STAR)
+        return _read_only(np.flatnonzero(self.cells == STAR))
 
     @property
     def num_stars(self) -> int:
-        return int((self.cells == STAR).sum())
+        return self.stars.size
 
-    @property
+    @functools.cached_property
     def fixed(self) -> np.ndarray:
-        return np.flatnonzero(self.cells != STAR)
+        return _read_only(np.flatnonzero(self.cells != STAR))
 
     @classmethod
+    @functools.cache
     def all_stars(cls, n: int) -> "Restriction":
+        """The restriction with no fixed cell; one shared instance per n,
+        which is safe because the cells are read-only."""
         return cls(np.zeros(n, dtype=np.int8))
 
     @classmethod
@@ -164,6 +177,8 @@ class Restriction:
         stars = self.stars
         if sub.n != stars.size:
             raise ValueError("sub-restriction must cover exactly the star coordinates")
+        if stars.size == self.n:
+            return sub
         cells = self.cells.copy()
         cells[stars] = sub.cells
         return Restriction(cells)
@@ -204,7 +219,22 @@ class TestVerdict:
     trace: dict = field(default_factory=dict)
 
 
-class DensePmf:
+class HypercubeTarget:
+    """A distribution on {-1,+1}^n that draws only through ``cond_sample``.
+
+    ``cond_sample(rng, rho, size)`` returns a (size, rho.num_stars) int8 array
+    of draws conditioned on rho's subcube, on rho's star coordinates in
+    ascending order, or None when that subcube has zero mass.
+    """
+
+    n: int
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """(size, n) draws from the whole cube, which never has zero mass."""
+        return self.cond_sample(rng, Restriction.all_stars(self.n), size)
+
+
+class DensePmf(HypercubeTarget):
     """Explicit PMF over {-1,+1}^n.
 
     The mass vector must sum to 1 within 1e-6 (it is renormalized exactly at
@@ -213,7 +243,7 @@ class DensePmf:
     """
 
     def __init__(self, n: int, mass, *, cap: int = DENSE_CAP_DEFAULT):
-        n = int(n)
+        n = as_int(n, "n")
         if n < 0:
             raise ValueError("n must be >= 0")
         if n > cap:
@@ -227,8 +257,7 @@ class DensePmf:
         if abs(total - 1.0) > _NORMALIZE_TOL:
             raise ValueError(f"mass sums to {total!r}, outside 1 +- {_NORMALIZE_TOL}")
         self.n = n
-        self.mass = mass / total
-        self.mass.flags.writeable = False
+        self.mass = _read_only(mass / total)
         self._cum: Optional[np.ndarray] = None
 
     @classmethod
@@ -244,27 +273,21 @@ class DensePmf:
     def dense(self) -> "DensePmf":
         return self
 
-    def _cumulative(self) -> np.ndarray:
-        if self._cum is None:
-            self._cum = np.cumsum(self.mass)
-        return self._cum
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random(size)
-        idx = np.searchsorted(self._cumulative(), u, side="right")
-        idx = np.minimum(idx, (1 << self.n) - 1)
-        return indices_to_points(idx, self.n)
-
     def cond_sample(self, rng: np.random.Generator, rho: Restriction, size: int):
-        table, total = conditional_table(self, rho)
         k = rho.num_stars
-        if total == 0.0:
-            draws = (2 * rng.integers(0, 2, size=(size, k)) - 1).astype(np.int8)
-            return draws, True
-        cum = np.cumsum(table)
-        idx = np.searchsorted(cum, rng.random(size) * cum[-1], side="right")
+        if k == rho.n == self.n:
+            # the whole cube: a cached cumulative, no 2^n table per call
+            if self._cum is None:
+                self._cum = np.cumsum(self.mass)
+            idx = np.searchsorted(self._cum, rng.random(size), side="right")
+        else:  # conditional_table checks the dimension
+            table, total = conditional_table(self, rho)
+            if total == 0.0:
+                return None
+            cum = np.cumsum(table)
+            idx = np.searchsorted(cum, rng.random(size) * cum[-1], side="right")
         idx = np.minimum(idx, (1 << k) - 1)
-        return indices_to_points(idx, k), False
+        return indices_to_points(idx, k)
 
     def edge_bias(self, points: np.ndarray, coords: np.ndarray):
         """Exact conditional bias of coordinate coords[r] given the other
@@ -284,7 +307,7 @@ class DensePmf:
         return bias, zero
 
 
-class ProductDistribution:
+class ProductDistribution(HypercubeTarget):
     """Independent coordinates with means mu_i in [-1, 1]."""
 
     def __init__(self, mu):
@@ -293,8 +316,7 @@ class ProductDistribution:
             raise ValueError("mu must be a vector")
         if (np.abs(mu) > 1).any():
             raise ValueError("means must lie in [-1, 1]")
-        self.mu = mu.copy()
-        self.mu.flags.writeable = False
+        self.mu = _read_only(mu.copy())
         self.n = mu.size
 
     @classmethod
@@ -307,28 +329,15 @@ class ProductDistribution:
             mass = np.kron(mass, np.array([(1 - m) / 2, (1 + m) / 2]))
         return DensePmf(self.n, mass, cap=cap)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        p_plus = (1.0 + self.mu) / 2.0
-        draws = rng.random((size, self.n)) < p_plus
-        return (2 * draws.astype(np.int8) - 1)
-
-    def _zero_support(self, rho: Restriction) -> bool:
-        fixed = rho.fixed
-        if fixed.size == 0:
-            return False
-        mu_f = self.mu[fixed]
-        cells = rho.cells[fixed].astype(np.float64)
-        det = np.abs(mu_f) == 1.0
-        return bool((det & (cells != np.sign(mu_f))).any())
-
     def cond_sample(self, rng: np.random.Generator, rho: Restriction, size: int):
+        fixed = rho.fixed
+        # a cell fixed against a coordinate of mean +-1 leaves zero mass
+        if fixed.size and (self.mu[fixed] == -rho.cells[fixed]).any():
+            return None
         stars = rho.stars
-        if self._zero_support(rho):
-            draws = (2 * rng.integers(0, 2, size=(size, stars.size)) - 1).astype(np.int8)
-            return draws, True
         p_plus = (1.0 + self.mu[stars]) / 2.0
         draws = rng.random((size, stars.size)) < p_plus
-        return (2 * draws.astype(np.int8) - 1), False
+        return 2 * draws.astype(np.int8) - 1
 
     def edge_bias(self, points: np.ndarray, coords: np.ndarray):
         points = np.atleast_2d(np.asarray(points, dtype=np.int8))
@@ -439,7 +448,7 @@ def distribution_from_dict(doc: dict):
         return DensePmf(doc["n"], doc["mass"])
     if "mu" in doc:
         mu = np.asarray(doc["mu"], dtype=np.float64)
-        if mu.size != int(doc["n"]):
+        if mu.size != as_int(doc["n"], "n"):
             raise ValueError("mu length must equal n")
         return ProductDistribution(mu)
     raise ValueError("distribution file needs a 'mass' or 'mu' field")

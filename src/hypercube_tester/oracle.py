@@ -1,16 +1,18 @@
 """Subcube-conditional sampling oracle with exact query accounting.
 
-An oracle wraps a target distribution (dense table, product, or a generative
-family that knows how to condition itself), a random stream, a ledger and an
-optional restriction rho. Without rho it is the root oracle on all n
-coordinates; ``restricted(rho)`` returns a view on rho's star coordinates
-(ascending order) that conditions every draw on rho. Views compose, and all
-views of one root share its target, stream and ledger.
+An oracle wraps a target distribution (a ``model.HypercubeTarget``: dense
+table, product, or a generative family that knows how to condition itself),
+a random stream, a ledger and a restriction rho. The root oracle holds the
+all-stars restriction on all n coordinates; ``restricted(rho)`` returns a
+view on rho's star coordinates (ascending order) that conditions every draw
+on rho. Views compose, and all views of one root share its target, stream
+and ledger.
 
 Every sample drawn, conditioned or not, costs exactly one query; the sample
 hidden inside each random-restriction draw is charged too. Conditioning on a
 subcube of zero mass returns uniform draws on the free coordinates and bumps
-`zero_support_hits` once per such draw.
+`zero_support_hits` once per such draw; this oracle is the only place that
+policy lives (a target reports the zero mass by returning None).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Restriction
+from .model import Restriction, as_int, uniform_signs
 
 
 @dataclass
@@ -38,17 +40,19 @@ class ScondOracle:
         rho: Restriction | None = None,
         ledger: Ledger | None = None,
     ):
-        if rho is not None and rho.n != target.n:
+        if rho is None:
+            rho = Restriction.all_stars(target.n)
+        elif rho.n != target.n:
             raise ValueError("restriction dimension mismatch")
         self.target = target
         self.rng = rng
         self.rho = rho
         self.ledger = Ledger() if ledger is None else ledger
-        self._stars = None if rho is None else rho.stars
+        self._stars = rho.stars
 
     @property
     def n(self) -> int:
-        return self.target.n if self.rho is None else self._stars.size
+        return self._stars.size
 
     @property
     def queries(self) -> int:
@@ -58,20 +62,15 @@ class ScondOracle:
     def zero_support_hits(self) -> int:
         return self.ledger.zero_support_hits
 
-    def _target_restriction(self, sub: Restriction) -> Restriction:
-        return sub if self.rho is None else self.rho.fill(sub)
-
-    def _draw(self, rho: Restriction | None, size: int | None) -> np.ndarray:
-        # the root samples the target directly: conditioning on an all-stars
-        # restriction would take a different path through the target's stream
-        m = 1 if size is None else int(size)
+    def _draw(self, rho: Restriction, size: int | None) -> np.ndarray:
+        m = 1 if size is None else as_int(size, "size")
+        if m < 0:
+            raise ValueError("size must be nonnegative")
         self.ledger.queries += m
-        if rho is None:
-            draws = self.target.sample(self.rng, m)
-        else:
-            draws, zero = self.target.cond_sample(self.rng, rho, m)
-            if zero:
-                self.ledger.zero_support_hits += m
+        draws = self.target.cond_sample(self.rng, rho, m)
+        if draws is None:
+            self.ledger.zero_support_hits += m
+            draws = uniform_signs(self.rng, (m, rho.num_stars))
         return draws[0] if size is None else draws
 
     def sample(self, size: int | None = None) -> np.ndarray:
@@ -81,7 +80,7 @@ class ScondOracle:
     def cond_sample(self, sub: Restriction, size: int | None = None) -> np.ndarray:
         """Draw(s) conditioned on sub over this view's coordinates, returned on
         sub's star coordinates in ascending order."""
-        return self._draw(self._target_restriction(sub), size)
+        return self._draw(self.rho.fill(sub), size)
 
     def draw_restriction_sigma(self, sigma: float) -> Restriction:
         """Random restriction: each coordinate is a star independently with
@@ -121,10 +120,10 @@ class ScondOracle:
         ):
             raise ValueError(f"coordinates must be integers in [0, {self.n})")
         coords = raw.astype(np.int64)
-        b = int(draws_per_pair)
+        b = as_int(draws_per_pair, "draws_per_pair")
         if b <= 0:
             raise ValueError("draws_per_pair must be positive")
-        if self.rho is not None:
+        if self._stars.size != self.rho.n:
             full = np.broadcast_to(self.rho.cells, (points.shape[0], self.rho.n)).copy()
             full[:, self._stars] = points
             points, coords = full, self._stars[coords]
@@ -136,4 +135,4 @@ class ScondOracle:
 
     def restricted(self, sub: Restriction) -> "ScondOracle":
         """View of this oracle conditioned on sub (over this view's coordinates)."""
-        return ScondOracle(self.target, self.rng, self._target_restriction(sub), self.ledger)
+        return ScondOracle(self.target, self.rng, self.rho.fill(sub), self.ledger)

@@ -28,6 +28,7 @@ from .model import (
     conditional_table,
     project,
     tv_to_uniform,
+    uniform_signs,
 )
 
 CHAIN_RULE_CAP = 10
@@ -378,7 +379,7 @@ def evaluate_robust_pisier(
             raise ValueError(f"m > {PISIER_EXACT_CAP} needs an rng for Monte-Carlo")
         draws = max(int(mc_draws), PISIER_MC_MIN_DRAWS)
         xs = rng.integers(0, n_v, size=draws)
-        ys = (2 * rng.integers(0, 2, size=(draws, m)) - 1).astype(np.float64)
+        ys = uniform_signs(rng, (draws, m))
         sums = (c[xs] * ys).sum(axis=1)
         rhs = float(np.mean(np.abs(sums) ** s) ** (1.0 / s))
         mode = "monte-carlo"

@@ -2,7 +2,8 @@
 
 Every hypercube entry instantiates to either a DensePmf/ProductDistribution
 (small n) or a generative family that supports subcube-conditional sampling
-directly (any n). Entries serialize as {"kind": ..., <parameters>} JSON.
+directly (any n); each is a ``model.HypercubeTarget`` and draws only through
+``cond_sample``. Entries serialize as {"kind": ..., <parameters>} JSON.
 
 Kinds:
   uniform                          uniform on {-1,+1}^n
@@ -23,11 +24,14 @@ import numpy as np
 
 from .model import (
     DensePmf,
+    HypercubeTarget,
     ProductDistribution,
     Restriction,
     _validate_signs,
+    as_int,
     bit_powers,
     points_to_indices,
+    uniform_signs,
 )
 
 _KIND_DOCS = {
@@ -40,11 +44,7 @@ _KIND_DOCS = {
 }
 
 
-def _uniform_signs(rng: np.random.Generator, shape) -> np.ndarray:
-    return (2 * rng.integers(0, 2, size=shape) - 1).astype(np.int8)
-
-
-class TwoPointDistribution:
+class TwoPointDistribution(HypercubeTarget):
     """Mass 1/2 on x and 1/2 on -x."""
 
     def __init__(self, x):
@@ -57,10 +57,6 @@ class TwoPointDistribution:
         mass[int(points_to_indices(-self.x))] += 0.5
         return DensePmf(self.n, mass, **kw)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        s = (2 * rng.integers(0, 2, size=size) - 1).astype(np.int8)
-        return s[:, None] * self.x
-
     def _consistency(self, rho: Restriction):
         fixed = rho.fixed
         if fixed.size == 0:
@@ -70,15 +66,14 @@ class TwoPointDistribution:
         return cx, cmx
 
     def cond_sample(self, rng: np.random.Generator, rho: Restriction, size: int):
-        stars = rho.stars
         cx, cmx = self._consistency(rho)
         if not cx and not cmx:
-            return _uniform_signs(rng, (size, stars.size)), True
+            return None
         if cx and cmx:
-            s = (2 * rng.integers(0, 2, size=size) - 1).astype(np.int8)
+            s = uniform_signs(rng, size)
         else:
             s = np.full(size, 1 if cx else -1, dtype=np.int8)
-        return s[:, None] * self.x[stars], False
+        return s[:, None] * self.x[rho.stars]
 
     def edge_bias(self, points: np.ndarray, coords: np.ndarray):
         points = np.atleast_2d(np.asarray(points, dtype=np.int8))
@@ -95,7 +90,7 @@ class TwoPointDistribution:
         return bias, zero
 
 
-class HeavyAtomDistribution:
+class HeavyAtomDistribution(HypercubeTarget):
     """mass * point_mass(x) + (1 - mass) * uniform."""
 
     def __init__(self, mass: float, x):
@@ -114,12 +109,6 @@ class HeavyAtomDistribution:
         is_atom = (points == self.x).all(axis=1)
         return self.atom_mass * is_atom + (1.0 - self.atom_mass) * 2.0 ** -self.n
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        take_atom = rng.random(size) < self.atom_mass
-        draws = _uniform_signs(rng, (size, self.n))
-        draws[take_atom] = self.x
-        return draws
-
     def cond_sample(self, rng: np.random.Generator, rho: Restriction, size: int):
         stars = rho.stars
         fixed = rho.fixed
@@ -128,11 +117,11 @@ class HeavyAtomDistribution:
         w_unif = (1.0 - self.atom_mass) * 2.0 ** -fixed.size
         total = w_atom + w_unif
         if total == 0.0:
-            return _uniform_signs(rng, (size, stars.size)), True
+            return None
         take_atom = rng.random(size) < (w_atom / total)
-        draws = _uniform_signs(rng, (size, stars.size))
+        draws = uniform_signs(rng, (size, stars.size))
         draws[take_atom] = self.x[stars]
-        return draws, False
+        return draws
 
     def edge_bias(self, points: np.ndarray, coords: np.ndarray):
         points = np.atleast_2d(np.asarray(points, dtype=np.int8))
@@ -151,34 +140,30 @@ class HeavyAtomDistribution:
         return bias, zero
 
 
-class JuntaMixDistribution:
+class JuntaMixDistribution(HypercubeTarget):
     """Inner PMF on the first k coordinates, uniform on the remaining n - k."""
 
     def __init__(self, n: int, k: int, inner):
-        if not 1 <= k <= n:
+        self.n, self.k = as_int(n, "n"), as_int(k, "k")
+        if not 1 <= self.k <= self.n:
             raise ValueError("need 1 <= k <= n")
-        self.n = int(n)
-        self.k = int(k)
-        self.inner = DensePmf(k, inner)
+        self.inner = DensePmf(self.k, inner)
 
     def dense(self, **kw) -> DensePmf:
         rest = np.full(1 << (self.n - self.k), 2.0 ** -(self.n - self.k))
         return DensePmf(self.n, np.kron(self.inner.mass, rest), **kw)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        head = self.inner.sample(rng, size)
-        tail = _uniform_signs(rng, (size, self.n - self.k))
-        return np.concatenate([head, tail], axis=1)
-
     def cond_sample(self, rng: np.random.Generator, rho: Restriction, size: int):
         stars = rho.stars
         inner_rho = Restriction(rho.cells[: self.k])
-        head, zero = self.inner.cond_sample(rng, inner_rho, size)
-        tail = _uniform_signs(rng, (size, int((stars >= self.k).sum())))
+        head = self.inner.cond_sample(rng, inner_rho, size)
+        if head is None:
+            return None
+        tail = uniform_signs(rng, (size, int((stars >= self.k).sum())))
         draws = np.empty((size, stars.size), dtype=np.int8)
         draws[:, stars < self.k] = head
         draws[:, stars >= self.k] = tail
-        return draws, zero
+        return draws
 
     def edge_bias(self, points: np.ndarray, coords: np.ndarray):
         points = np.atleast_2d(np.asarray(points, dtype=np.int8))
@@ -198,18 +183,19 @@ class JuntaMixDistribution:
         return bias, zero
 
 
-class NoisyParityDistribution:
+class NoisyParityDistribution(HypercubeTarget):
     """chi_S(x) = +1 with probability 1 - delta; uniform within each parity class."""
 
     def __init__(self, n: int, S, delta: float):
-        S = tuple(sorted(int(i) for i in S))
+        n = as_int(n, "n")
+        S = tuple(sorted(as_int(i, "S entry") for i in S))
         if len(S) == 0 or len(set(S)) != len(S):
             raise ValueError("S must be a nonempty set of coordinates")
         if any(i < 0 or i >= n for i in S):
             raise ValueError("S out of range")
         if not 0.0 <= delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
-        self.n = int(n)
+        self.n = n
         self.S = S
         self.delta = float(delta)
         self._s_mask = np.zeros(n, dtype=bool)
@@ -229,32 +215,23 @@ class NoisyParityDistribution:
         parity = 1 - 2 * (minus % 2)
         return DensePmf(self.n, 2.0 ** (1 - self.n) * self._weight(parity), **kw)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        draws = _uniform_signs(rng, (size, self.n))
-        want = np.where(rng.random(size) < 1.0 - self.delta, 1, -1).astype(np.int8)
-        have = draws[:, list(self.S)].prod(axis=1).astype(np.int8)
-        flip = want != have
-        draws[flip, self.S[0]] *= -1
-        return draws
-
     def cond_sample(self, rng: np.random.Generator, rho: Restriction, size: int):
         stars = rho.stars
         s_stars = [i for i in self.S if rho.cells[i] == 0]
         fixed_s = [i for i in self.S if rho.cells[i] != 0]
         par_fixed = int(np.prod(rho.cells[fixed_s])) if fixed_s else 1
         if not s_stars:
-            weight = (1.0 - self.delta) if par_fixed > 0 else self.delta
-            if weight == 0.0:
-                return _uniform_signs(rng, (size, stars.size)), True
-            return _uniform_signs(rng, (size, stars.size)), False
-        draws = _uniform_signs(rng, (size, stars.size))
-        want_total = np.where(rng.random(size) < 1.0 - self.delta, 1, -1).astype(np.int8)
-        want_free = want_total * par_fixed
+            if self._weight(par_fixed) == 0.0:
+                return None
+            return uniform_signs(rng, (size, stars.size))
+        draws = uniform_signs(rng, (size, stars.size))
+        # parity wanted of the free S coordinates, given the fixed ones
+        want_free = np.where(rng.random(size) < 1.0 - self.delta, par_fixed, -par_fixed)
         s_cols = np.searchsorted(stars, s_stars)
         have = draws[:, s_cols].prod(axis=1).astype(np.int8)
         flip = want_free != have
         draws[flip, s_cols[0]] *= -1
-        return draws, False
+        return draws
 
     def edge_bias(self, points: np.ndarray, coords: np.ndarray):
         points = np.atleast_2d(np.asarray(points, dtype=np.int8))
@@ -330,7 +307,7 @@ def instantiate(entry: ZooEntry, n: int):
             raise ValueError("heavy_atom x must have length n")
         return target
     if kind == "junta_mix":
-        k = int(p["k"])
+        k = as_int(p["k"], "k")
         inner = p.get("inner")
         if inner is None:
             inner = np.zeros(1 << k)

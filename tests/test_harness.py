@@ -19,6 +19,7 @@ from hypercube_tester.harness import (
     run_trial,
     scaling_report,
 )
+from hypercube_tester.meantest import gaussian_required_samples
 from hypercube_tester.model import (
     ProductDistribution,
     load_distribution,
@@ -153,7 +154,8 @@ def test_run_trial_meantest_row_fields():
 def test_run_trial_gaussian_counts_samples():
     spec = _spec(tester="gaussian", distribution="standard", n=[4], eps=[1.0])
     row = run_trial(spec, 0, 4, 1.0, 0)
-    assert row["queries"] >= 144  # sample budget, charged by the harness
+    # the sample budget, which the verdict reports as its queries
+    assert row["queries"] == gaussian_required_samples(4, 1.0) >= 144
     assert row["decision"] == "accept"
 
 
@@ -452,6 +454,13 @@ def test_cli_theorylab_counterexample_exit_code(monkeypatch):
         cli._CHECKS, "alwaysfail", lambda n, cases, rng: (False, 3, cases, {})
     )
     assert main(["theorylab", "--check", "alwaysfail", "--cases", "10"]) == 2
+
+
+def test_cli_theorylab_pisier_monte_carlo(capsys):
+    # n > 10 leaves the exact branch; the check must hand over its stream
+    rc = main(["theorylab", "--check", "pisier", "--n", "11", "--cases", "1"])
+    assert rc == 0
+    assert "theorylab pisier: ok" in capsys.readouterr().out
 
 
 def test_cli_theorylab_chain_small(capsys):

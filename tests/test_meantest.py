@@ -369,6 +369,10 @@ def test_gaussian_tester_screen_rejects_inflated_variance():
     v = gaussian_mean_tester(samples, eps)
     assert v.decision is Decision.REJECT
     assert v.trace["stage"] == "screen"
+    # the screen reads the whole sample budget, like the mean test
+    assert v.queries_used == need
+    clean = stream(63, 0, 1).standard_normal((need, n))
+    assert gaussian_mean_tester(clean, eps).queries_used == need
 
 
 def test_gaussian_tester_majority_and_requirements():

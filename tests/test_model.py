@@ -24,6 +24,7 @@ from hypercube_tester.model import (
     subcube_mass,
     tv_to_uniform,
 )
+from hypercube_tester.oracle import ScondOracle
 from hypercube_tester.rng import stream
 
 # ---------------------------------------------------------------------------
@@ -171,8 +172,7 @@ def test_dense_cond_sample_returns_star_coordinates():
     mass = np.array([0.4, 0.1, 0.0, 0.0, 0.2, 0.3, 0.0, 0.0])
     p = DensePmf(3, mass)
     rho = Restriction(np.array([0, -1, 0], dtype=np.int8))
-    draws, zero = p.cond_sample(rng, rho, 30_000)
-    assert not zero
+    draws = p.cond_sample(rng, rho, 30_000)
     assert draws.shape == (30_000, 2)
     # conditioned on x_1 = -1: star pattern (x_0, x_2) has masses
     # (-1,-1)->0.4, (-1,+1)->0.1, (+1,-1)->0.2, (+1,+1)->0.3
@@ -184,8 +184,11 @@ def test_dense_cond_sample_zero_support_uniform_on_stars():
     rng = stream(13, 0, 0)
     pm = DensePmf.point_mass(Point(np.array([1, 1, 1], dtype=np.int8)))
     rho = Restriction(np.array([-1, 0, 0], dtype=np.int8))  # misses the atom
-    draws, zero = pm.cond_sample(rng, rho, 4000)
-    assert zero
+    assert pm.cond_sample(rng, rho, 4000) is None
+    # the target reports the zero mass; the oracle draws the uniform fallback
+    o = ScondOracle(pm, rng)
+    draws = o.cond_sample(rho, 4000)
+    assert o.zero_support_hits == 4000
     assert draws.shape == (4000, 2)
     assert np.isin(draws, (-1, 1)).all()
     means = draws.mean(axis=0)
@@ -241,11 +244,14 @@ def test_product_cond_sample_draws_free_coordinates():
     prod = ProductDistribution(np.array([0.9, -0.9, 0.0]))
     rho = Restriction(np.array([0, 1, 0], dtype=np.int8))
     rng = stream(16, 0, 0)
-    draws, zero = prod.cond_sample(rng, rho, 2000)
-    assert not zero
+    draws = prod.cond_sample(rng, rho, 2000)
     assert draws.shape == (2000, 2)  # stars 0 and 2, in that order
     assert abs(draws[:, 0].mean() - 0.9) < 0.05
     assert abs(draws[:, 1].mean()) < 0.08
+    # a fixed cell against a deterministic coordinate leaves zero mass
+    det = ProductDistribution(np.array([1.0, 0.0, 0.0]))
+    assert det.cond_sample(rng, Restriction(np.array([-1, 0, 0], dtype=np.int8)), 5) is None
+    assert det.cond_sample(rng, Restriction(np.array([1, 0, 0], dtype=np.int8)), 5).shape == (5, 2)
 
 
 def test_product_matches_dense_conditional():
@@ -253,7 +259,7 @@ def test_product_matches_dense_conditional():
     rho = Restriction(np.array([0, -1, 0], dtype=np.int8))
     table, m = conditional_table(prod.dense(), rho)
     rng = stream(17, 0, 0)
-    draws, _ = prod.cond_sample(rng, rho, 60_000)
+    draws = prod.cond_sample(rng, rho, 60_000)
     freq = np.bincount(points_to_indices(draws), minlength=table.size) / 60_000
     assert np.abs(freq - table).max() < 0.01
     assert m == pytest.approx((1 + 0.2) / 2)  # P(x_1 = -1) with mean -0.2
@@ -327,6 +333,18 @@ def test_distribution_dict_roundtrip():
     prod = ProductDistribution(np.array([0.25, -0.5]))
     back = distribution_from_dict(distribution_to_dict(prod))
     assert isinstance(back, ProductDistribution) and np.allclose(back.mu, prod.mu)
+
+
+def test_dimensions_are_not_truncated():
+    # 2.5 would otherwise build n=2, and a 3.5 would accept three means
+    with pytest.raises(ValueError):
+        DensePmf(2.5, np.full(4, 0.25))
+    with pytest.raises(ValueError):
+        distribution_from_dict({"n": 2.5, "mass": [0.25] * 4})
+    with pytest.raises(ValueError):
+        distribution_from_dict({"n": 3.5, "mu": [0, 0, 0]})
+    assert distribution_from_dict({"n": 2.0, "mass": [0.25] * 4}).n == 2
+    assert distribution_from_dict({"n": 3.0, "mu": [0, 0, 0]}).n == 3
 
 
 @settings(max_examples=40)

@@ -31,6 +31,20 @@ def test_sample_charges_one_query_each():
     assert o.queries == 1
     o.sample(10)
     assert o.queries == 11
+    assert o.sample(0).shape == (0, 6)
+    assert o.sample(3.0).shape == (3, 6)
+    assert o.queries == 14
+    # sizes are checked before anything is charged: -1 would leave the
+    # ledger at -1, and 2.5 would draw and charge 2
+    rho = Restriction(np.array([0, 1, 0, 0, 0, 0], dtype=np.int8))
+    for bad in (-1, 2.5):
+        with pytest.raises(ValueError):
+            o.sample(bad)
+        with pytest.raises(ValueError):
+            o.cond_sample(rho, bad)
+        with pytest.raises(ValueError):
+            o.restricted(rho).sample(bad)
+    assert o.queries == 14
 
 
 def test_cond_sample_charges_per_draw():
@@ -56,6 +70,10 @@ def test_edge_bias_rejects_bad_coordinates_before_charging():
     for bad in ([-1], [1.5], [7], [3]):
         with pytest.raises(ValueError):
             o.estimate_edge_biases(points, np.array(bad), 4)
+    # a fractional draw count would be truncated to 2 per pair
+    for bad in (2.5, 0, -3):
+        with pytest.raises(ValueError):
+            o.estimate_edge_biases(points, np.array([0]), bad)
     assert o.queries == 0
     view = o.restricted(Restriction(np.array([1, 0, 0], dtype=np.int8)))
     with pytest.raises(ValueError):

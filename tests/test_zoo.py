@@ -2,19 +2,25 @@
 its dense form on masses, conditionals, and edge biases, and match the
 closed-form functionals."""
 
+import inspect
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from hypercube_tester import model, zoo
 from hypercube_tester.model import (
+    HypercubeTarget,
     Restriction,
     all_sign_points,
     conditional_table,
     mean_vector,
     points_to_indices,
+    subcube_mass,
     tv_to_uniform,
 )
+from hypercube_tester.oracle import ScondOracle
 from hypercube_tester.rng import stream
 from hypercube_tester.zoo import (
     GaussianSource,
@@ -69,23 +75,81 @@ def test_sample_law_matches_dense():
         assert np.abs(freq - dense.mass).max() < 0.01, type(fam).__name__
 
 
+def _check_cond_law(fam, rho, rng_key):
+    """Oracle draws on rho follow the dense conditional, or the oracle's
+    uniform fallback when the target reports a zero-mass subcube; returns
+    whether the subcube had zero mass."""
+    name = type(fam).__name__
+    table, mass = conditional_table(fam.dense(), rho)
+    k = rho.num_stars
+    assert (fam.cond_sample(stream(*rng_key), rho, 1) is None) == (mass == 0.0), name
+    o = ScondOracle(fam, stream(*rng_key))
+    draws = o.cond_sample(rho, 30_000)
+    assert draws.shape == (30_000, k), name
+    if mass == 0.0:
+        assert o.zero_support_hits == 30_000, name
+        table = np.full(1 << k, 2.0**-k)
+    else:
+        assert o.zero_support_hits == 0, name
+    freq = np.bincount(points_to_indices(draws), minlength=1 << k) / 30_000
+    assert np.abs(freq - table).max() < 0.015, name
+    return mass == 0.0
+
+
 def test_cond_sample_law_matches_dense_conditional():
     rng = stream(34, 0, 0)
     n = 4
-    for fam in _families(n, rng):
+    x = np.array([1, -1, -1, 1], dtype=np.int8)
+    # two more families that have zero-mass subcubes with stars: a point
+    # mass, and a junta whose inner PMF puts no mass on x_0 = -1
+    families = _families(n, rng) + [
+        HeavyAtomDistribution(1.0, x),
+        JuntaMixDistribution(n, 2, [0.0, 0.0, 0.25, 0.75]),
+    ]
+    every_rho = [
+        Restriction(np.array(cells, dtype=np.int8))
+        for cells in itertools.product((-1, 0, 1), repeat=n)
+    ]
+    zero_checked = set()
+    for fam in families:
         for trial in range(6):
-            rho = _random_restriction(stream(35, trial), n)
-            table, mass = conditional_table(fam.dense(), rho)
-            draws, zero = fam.cond_sample(stream(36, trial), rho, 30_000)
-            k = rho.num_stars
-            assert draws.shape == (30_000, k), type(fam).__name__
-            if mass == 0.0:
-                assert zero
-                table = np.full(1 << k, 2.0**-k)  # uniform fallback
-            else:
-                assert not zero
-            freq = np.bincount(points_to_indices(draws), minlength=1 << k) / 30_000
-            assert np.abs(freq - table).max() < 0.015, type(fam).__name__
+            _check_cond_law(fam, _random_restriction(stream(35, trial), n), (36, trial))
+        dense = fam.dense()
+        dead = [rho for rho in every_rho if rho.num_stars and subcube_mass(dense, rho) == 0.0]
+        if dead:
+            widest = max(dead, key=lambda rho: rho.num_stars)
+            assert _check_cond_law(fam, widest, (36, 9))
+            zero_checked.add(type(fam))
+    assert zero_checked == {
+        TwoPointDistribution,
+        HeavyAtomDistribution,
+        JuntaMixDistribution,
+        NoisyParityDistribution,
+    }
+
+
+def test_targets_draw_only_through_cond_sample():
+    targets = [
+        cls
+        for module in (model, zoo)
+        for _, cls in inspect.getmembers(module, inspect.isclass)
+        if cls.__module__ == module.__name__
+        and cls is not HypercubeTarget
+        and (issubclass(cls, HypercubeTarget) or {"cond_sample", "edge_bias"} & set(vars(cls)))
+    ]
+    assert {cls.__name__ for cls in targets} == {
+        "DensePmf",
+        "ProductDistribution",
+        "TwoPointDistribution",
+        "HeavyAtomDistribution",
+        "JuntaMixDistribution",
+        "NoisyParityDistribution",
+    }
+    for cls in targets:
+        assert issubclass(cls, HypercubeTarget), cls.__name__
+        assert "cond_sample" in vars(cls), cls.__name__
+        assert "sample" not in vars(cls), cls.__name__
+    assert "sample" in vars(HypercubeTarget)
 
 
 def test_edge_bias_matches_dense():
@@ -229,6 +293,18 @@ def test_instantiate_validates():
     with pytest.raises(ValueError):
         HeavyAtomDistribution(0.5, np.array([1.9, 1]))
     assert instantiate(ZooEntry("two_point", {"x": [1.0, -1.0, 1.0]}), 3).x.tolist() == [1, -1, 1]
+    # integer parameters are not truncated either: k=2.7 would build k=2 and
+    # S=[1.5] would build S=(1,)
+    with pytest.raises(ValueError):
+        instantiate(ZooEntry("junta_mix", {"k": 2.7}), 4)
+    with pytest.raises(ValueError):
+        instantiate(ZooEntry("noisy_parity", {"S": [1.5], "delta": 0.1}), 4)
+    with pytest.raises(ValueError):
+        JuntaMixDistribution(4.5, 2, np.full(4, 0.25))
+    with pytest.raises(ValueError):
+        NoisyParityDistribution(4.5, [0], 0.1)
+    assert instantiate(ZooEntry("junta_mix", {"k": 2.0}), 4).k == 2
+    assert instantiate(ZooEntry("noisy_parity", {"S": [1.0, 3], "delta": 0.1}), 4).S == (1, 3)
 
 
 def test_gaussian_source():
