@@ -10,11 +10,18 @@ materializing n^(2^k) coordinates. The tester compares Z_k against a
 threshold schedule tau_k at levels k = 0..k0 and rejects at the first
 exceedance.
 
-`SampleBatch.numerators` forms the Gram matrix of inner products once, as
-an int64 matrix product. That is exact: every entry is an integer of
-magnitude at most n. The matrix is reduced once to a histogram over the
-2n+1 values an inner product can take, and each level's numerator is an
-exact Python-int sum over that histogram.
+`SampleBatch.numerator(k)` has one exact route per level and computes a
+level only when it is read:
+
+* Level 0 by column sums: sum_{i,j} <x_i, y_j> = <sum_i x_i, sum_j y_j>,
+  which costs O(qn) instead of the O(q^2 n) Gram product.
+* Levels >= 1 from the Gram matrix of inner products, formed once per batch
+  as an int64 matrix product (exact: every entry is an integer of magnitude
+  at most n) and reduced to a histogram over the 2n+1 values an inner
+  product can take; each level is an exact Python-int sum over it. The
+  histogram is built on the first read of a level >= 1 and never when only
+  level 0 is read, so a level-0 reject and the gaussian reduction form no
+  Gram matrix.
 
 Thresholds grow doubly exponentially in k, so the schedule is maintained
 in log2 space. `TauSchedule.exceeded` compares the exact numerator with a
@@ -28,13 +35,14 @@ at a reduced distance parameter.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .model import Decision, TestVerdict, as_int
+from .model import Decision, TestVerdict, _entries_in, as_int
 from .oracle import ScondOracle
 
 TAU_RECURSION_COEFF = 1.0 / 5000.0
@@ -69,8 +77,7 @@ class SampleBatch:
         ys = np.atleast_2d(np.asarray(self.ys))
         if xs.shape != ys.shape or xs.shape[0] < 1:
             raise ValueError("halves must be nonempty and of equal shape")
-        # checked before the int8 cast, which would turn 257 or 1.7 into 1
-        if not (np.isin(xs, (-1, 1)).all() and np.isin(ys, (-1, 1)).all()):
+        if not (_entries_in(xs, (-1, 1)) and _entries_in(ys, (-1, 1))):
             raise ValueError("samples must be sign vectors")
         object.__setattr__(self, "xs", xs.astype(np.int8, copy=False))
         object.__setattr__(self, "ys", ys.astype(np.int8, copy=False))
@@ -83,16 +90,26 @@ class SampleBatch:
     def n(self) -> int:
         return self.xs.shape[1]
 
-    def numerators(self, k0: int) -> list[int]:
-        """Exact sum_{i,j} <x_i, y_j>^(2^k) for k = 0..k0."""
+    def numerator(self, k: int) -> int:
+        """Exact sum_{i,j} <x_i, y_j>^(2^k)."""
+        if k == 0:
+            # <sum x, sum y>; each column sum is at most q, and the products
+            # are Python ints, so this is exact for any q
+            sx = self.xs.sum(axis=0, dtype=np.int64).tolist()
+            sy = self.ys.sum(axis=0, dtype=np.int64).tolist()
+            return sum(a * b for a, b in zip(sx, sy))
+        return sum(c * v ** (1 << k) for v, c in self.gram_histogram)
+
+    @functools.cached_property
+    def gram_histogram(self) -> tuple[tuple[int, int], ...]:
+        """(inner product, count) over all q^2 pairs, for levels >= 1."""
         n = self.n
         # numpy's integer product runs on one thread, outside BLAS; a float64
         # BLAS product is faster but its thread pool makes its cost unsteady
         g = self.xs.astype(np.int64) @ self.ys.astype(np.int64).T
         g += n
         counts = np.bincount(g.ravel(), minlength=2 * n + 1)
-        hist = [(v - n, c) for v, c in enumerate(counts.tolist()) if c]
-        return [sum(c * v ** (1 << k) for v, c in hist) for k in range(k0 + 1)]
+        return tuple((v - n, c) for v, c in enumerate(counts.tolist()) if c)
 
 
 def _z_float(num: int, q: int) -> float:
@@ -214,9 +231,11 @@ def mean_tester(oracle: ScondOracle, cfg: MeanTestConfig) -> TestVerdict:
     sched = cfg.resolve(oracle.n)
     xs = oracle.sample(sched.q)
     ys = oracle.sample(sched.q)
+    batch = SampleBatch(xs, ys)
     z_levels = []
     decision = Decision.ACCEPT
-    for k, num in enumerate(SampleBatch(xs, ys).numerators(sched.k0)):
+    for k in range(sched.k0 + 1):
+        num = batch.numerator(k)
         z_levels.append(_z_float(num, sched.q))
         if sched.exceeded(k, num):
             decision = Decision.REJECT
@@ -275,6 +294,9 @@ def gaussian_mean_tester(samples: np.ndarray, eps: float) -> TestVerdict:
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+    # sign() would map NaN to -1, and the screen's comparisons ignore it
+    if not np.isfinite(samples).all():
+        raise ValueError("samples must be finite")
     n = samples.shape[1]
     need = gaussian_required_samples(n, eps)
     if samples.shape[0] < need:
@@ -296,7 +318,7 @@ def gaussian_mean_tester(samples: np.ndarray, eps: float) -> TestVerdict:
     for r in range(GAUSS_REPS):
         lo = r * 2 * q
         batch = SampleBatch(signs[lo : lo + q], signs[lo + q : lo + 2 * q])
-        (num,) = batch.numerators(0)
+        num = batch.numerator(0)
         rep_z.append(_z_float(num, q))
         rejects += sched.exceeded(0, num)
     decision = Decision.REJECT if 2 * rejects > GAUSS_REPS else Decision.ACCEPT

@@ -82,12 +82,22 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _entries_in(raw: np.ndarray, values: tuple[int, ...]) -> bool:
+    """Whether every entry of raw equals one of values. Callers check the raw
+    array before an int8 cast, which would turn 257 or 1.7 into 1 and 0.5
+    into 0; elementwise == accepts what np.isin does at a fraction of its
+    cost on small arrays."""
+    ok = raw == values[0]
+    for v in values[1:]:
+        ok |= raw == v
+    return bool(ok.all())
+
+
 def _validate_signs(signs: np.ndarray, ndim: int = 1) -> np.ndarray:
     raw = np.asarray(signs)
     if raw.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array of signs")
-    # checked before the int8 cast, which would turn 257 or 1.7 into 1
-    if raw.size and not np.isin(raw, (-1, 1)).all():
+    if not _entries_in(raw, (-1, 1)):
         raise ValueError("entries must be exactly -1 or +1")
     return _read_only(raw.astype(np.int8))
 
@@ -140,8 +150,7 @@ class Restriction:
         raw = np.asarray(self.cells)
         if raw.ndim != 1:
             raise ValueError("expected a 1-d cell vector")
-        # checked before the int8 cast, which would turn 0.5 into a star
-        if raw.size and not np.isin(raw, (-1, 0, 1)).all():
+        if not _entries_in(raw, (-1, 0, 1)):
             raise ValueError("cells must be -1, +1 or 0 (star)")
         object.__setattr__(self, "cells", _read_only(raw.astype(np.int8)))
 

@@ -1,6 +1,7 @@
 """Mean tester: exact pairing statistic, threshold schedule, preset sample
 sizes, the full test loop, and the gaussian reduction."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypercube_tester import meantest
 from hypercube_tester.blowup import BLOWUP_DIM_CAP, blowup_dim, z_statistic_naive
 from hypercube_tester.meantest import (
     GAUSS_REPS,
@@ -49,7 +51,8 @@ def test_z_numerator_small_exact():
     xs = np.array([[1, 1], [1, -1]])
     ys = np.array([[1, 1], [-1, 1]])
     # inner products: [2, 0], [0, -2]
-    assert SampleBatch(xs, ys).numerators(2) == [0, 8, 32]
+    batch = SampleBatch(xs, ys)
+    assert [batch.numerator(k) for k in range(3)] == [0, 8, 32]
 
 
 def test_z_numerator_bigint_path_matches_python():
@@ -57,19 +60,20 @@ def test_z_numerator_bigint_path_matches_python():
     n, q = 40, 6
     xs = (2 * rng.integers(0, 2, (q, n)) - 1).astype(np.int64)
     ys = (2 * rng.integers(0, 2, (q, n)) - 1).astype(np.int64)
-    nums = SampleBatch(xs, ys).numerators(5)
+    batch = SampleBatch(xs, ys)
     for level in (3, 4, 5):  # level 4+ overflows int64 at n=40
         want = sum(
             int(x @ y) ** (1 << level) for x in xs for y in ys
         )
-        assert nums[level] == want
+        assert batch.numerator(level) == want
 
 
 def test_z_numerator_exactness_at_int64_boundary():
     # max |<x,y>| = n = 62: 62^8 * 36 pairs sits close to 2^63
     xs = np.ones((6, 62), dtype=np.int64)
     ys = np.ones((6, 62), dtype=np.int64)
-    assert SampleBatch(xs, ys).numerators(4)[3:] == [36 * 62**8, 36 * 62**16]
+    batch = SampleBatch(xs, ys)
+    assert [batch.numerator(3), batch.numerator(4)] == [36 * 62**8, 36 * 62**16]
 
 
 @settings(max_examples=80, deadline=None)
@@ -93,9 +97,63 @@ def test_numerators_match_explicit_blowup(n, q, rank_one, seed):
     levels = [
         k for k in range(4) if k == 0 or blowup_dim(n, k) <= BLOWUP_DIM_CAP
     ]
-    nums = SampleBatch(xs, ys).numerators(levels[-1])
+    batch = SampleBatch(xs, ys)
     for k in levels:
-        assert nums[k] / (q * q) == z_statistic_naive(xs, ys, k)
+        assert batch.numerator(k) / (q * q) == z_statistic_naive(xs, ys, k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 200),
+    st.integers(1, 60),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_level_zero_column_sums_match_gram_histogram(n, q, rank_one, seed):
+    # <sum x, sum y> against the level-0 sum over the Gram histogram;
+    # rank-one batches put every inner product at +-n and give every
+    # column sum the same magnitude
+    rng = np.random.default_rng(seed)
+    if rank_one:
+        v = rng.choice((-1, 1), n)
+        xs = rng.choice((-1, 1), (q, 1)) * v
+        ys = rng.choice((-1, 1), (q, 1)) * v
+    else:
+        xs = rng.choice((-1, 1), (q, n))
+        ys = rng.choice((-1, 1), (q, n))
+    batch = SampleBatch(xs, ys)
+    assert batch.numerator(0) == sum(c * v for v, c in batch.gram_histogram)
+
+
+def test_gram_histogram_built_only_when_a_higher_level_reads_it(monkeypatch):
+    built = []  # one entry per Gram-histogram build in meantest's batches
+
+    class SpyBatch(SampleBatch):
+        @functools.cached_property
+        def gram_histogram(self):
+            built.append(id(self))
+            return SampleBatch.gram_histogram.func(self)
+
+    monkeypatch.setattr(meantest, "SampleBatch", SpyBatch)
+    # a level-0 reject forms no Gram matrix
+    o = ScondOracle(ProductDistribution(np.full(32, 0.25)), stream(56, 0, 0))
+    v = mean_tester(o, MeanTestConfig(0.25))
+    assert v.decision is Decision.REJECT and len(v.trace["z_levels"]) == 1
+    assert built == []
+    # neither does a gaussian verdict, accept or reject
+    n, eps = 16, 0.5
+    need = gaussian_required_samples(n, eps)
+    null = stream(61, 0, 0).standard_normal((need, n))
+    assert gaussian_mean_tester(null, eps).decision is Decision.ACCEPT
+    far = stream(62, 0, 0).standard_normal((need, n)) + 1.0 / math.sqrt(n)
+    v = gaussian_mean_tester(far, eps)
+    assert v.decision is Decision.REJECT and v.trace["stage"] == "mean-test"
+    assert built == []
+    # an accepted k0 = 3 batch reads levels 1-3 from one build
+    o = ScondOracle(ProductDistribution.uniform(64), stream(55, 0, 0))
+    v = mean_tester(o, MeanTestConfig(0.5, k0=3))
+    assert v.decision is Decision.ACCEPT and len(v.trace["z_levels"]) == 4
+    assert len(built) == 1
 
 
 def test_z_statistic_is_numerator_over_q_squared():
@@ -104,7 +162,8 @@ def test_z_statistic_is_numerator_over_q_squared():
     target = ProductDistribution.uniform(8)
     v = mean_tester(ScondOracle(target, stream(52, 0, 0)), MeanTestConfig(1.0, q=100, k0=2))
     o = ScondOracle(target, stream(52, 0, 0))
-    nums = SampleBatch(o.sample(100), o.sample(100)).numerators(2)
+    batch = SampleBatch(o.sample(100), o.sample(100))
+    nums = [batch.numerator(k) for k in range(3)]
     assert len(v.trace["z_levels"]) == 3
     for z, num in zip(v.trace["z_levels"], nums):
         assert z == pytest.approx(num / 100**2, rel=1e-15)
@@ -120,7 +179,7 @@ def test_threshold_equality_accepts():
     x = np.ones((1, 32), dtype=np.int8)
     y = x.copy()
     y[0, :14] = -1
-    (num,) = SampleBatch(x, y).numerators(0)
+    num = SampleBatch(x, y).numerator(0)
     assert num == 4
     assert not sched.exceeded(0, num)
     assert sched.exceeded(0, num + 1)
@@ -139,7 +198,7 @@ def test_threshold_uses_exact_arithmetic():
     assert sched.tau(0) == 3.0
     xs = np.ones((3, 3), dtype=np.int8)
     ys = np.ones((3, 3), dtype=np.int8)
-    (num,) = SampleBatch(xs, ys).numerators(0)  # 9 * 3 = 27, Z = 3 exactly
+    num = SampleBatch(xs, ys).numerator(0)  # 9 * 3 = 27, Z = 3 exactly
     assert num == 27
     assert not sched.exceeded(0, num)
     assert sched.exceeded(0, num + 1)
@@ -373,6 +432,17 @@ def test_gaussian_tester_screen_rejects_inflated_variance():
     assert v.queries_used == need
     clean = stream(63, 0, 1).standard_normal((need, n))
     assert gaussian_mean_tester(clean, eps).queries_used == need
+
+
+def test_gaussian_tester_rejects_non_finite_samples():
+    # sign() would read NaN as -1 and the screen would not see it
+    n, eps = 32, 0.5
+    need = gaussian_required_samples(n, eps)
+    for bad in (math.nan, math.inf, -math.inf):
+        samples = stream(64, 0, 0).standard_normal((need, n))
+        samples[need // 2, 7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_mean_tester(samples, eps)
 
 
 def test_gaussian_tester_majority_and_requirements():

@@ -11,6 +11,7 @@ from hypercube_tester.model import (
     Point,
     ProductDistribution,
     Restriction,
+    _entries_in,
     all_sign_points,
     conditional_table,
     distribution_from_dict,
@@ -136,6 +137,22 @@ def test_restriction_rejects_bad_cells():
         with pytest.raises(ValueError):
             rho.consistent(np.array(rows))
     assert rho.consistent(np.array([[1.0, -1.0], [-1.0, 1.0]])).tolist() == [True, False]
+
+
+def test_entry_check_accepts_what_isin_accepts():
+    # the sign and cell checks replaced np.isin; they must keep its verdicts
+    entries = [[1, -1], [0, 1, -1], [257, -1], [1.7, -1.2], [0.5, 1], [np.nan, 1]]
+    entries += [[1 + 1j], ["1"], []]
+    dtypes = [None, np.int8, np.uint8, np.int64, np.float16, np.float64]
+    dtypes += [bool, object, complex]
+    for row in entries:
+        for dtype in dtypes:
+            try:
+                raw = np.asarray(row, dtype=dtype)
+            except (TypeError, ValueError, OverflowError):
+                continue
+            for values in ((-1, 1), (-1, 0, 1)):
+                assert _entries_in(raw, values) == bool(np.isin(raw, values).all()), (row, dtype)
 
 
 # ---------------------------------------------------------------------------
