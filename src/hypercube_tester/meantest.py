@@ -312,7 +312,9 @@ def gaussian_mean_tester(samples: np.ndarray, eps: float) -> TestVerdict:
     # the reduced eps lies far below a practical preset's domain, so the
     # schedule takes an explicit q and runs at level 0 only
     sched = TauSchedule(eps_reduced, n, q, 0)
-    signs = np.where(samples >= 0.0, 1, -1).astype(np.int8)
+    # straight to int8: an int64 temporary, eight times the size, would be
+    # freed and its pages faulted in again on every verdict
+    signs = np.where(samples >= 0.0, np.int8(1), np.int8(-1))
     rejects = 0
     rep_z = []
     for r in range(GAUSS_REPS):

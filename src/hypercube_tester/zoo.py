@@ -265,7 +265,11 @@ class GaussianSource:
             raise ValueError("mu must have length n")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.standard_normal((size, self.n)) + self.mu
+        out = rng.standard_normal((size, self.n))
+        # in place: a second array of this size would be freed and its pages
+        # faulted in again on every draw
+        out += self.mu
+        return out
 
 
 @dataclass

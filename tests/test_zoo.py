@@ -315,3 +315,10 @@ def test_gaussian_source():
     assert np.abs(draws.std(axis=0) - 1.0).max() < 0.03
     with pytest.raises(ValueError):
         GaussianSource(3, np.zeros(4))
+
+
+def test_gaussian_source_draws_standard_normals_plus_mean():
+    mu = np.linspace(-1.0, 1.0, 5)
+    draws = GaussianSource(5, mu).sample(stream(40, 0, 0), 300)
+    expected = stream(40, 0, 0).standard_normal((300, 5)) + mu
+    assert np.array_equal(draws, expected)
