@@ -10,6 +10,9 @@ Conventions used throughout the package:
   which returns draws on rho's star coordinates, or None when rho's subcube
   has zero mass; a plain sample is ``cond_sample`` on the all-stars
   restriction (``HypercubeTarget.sample``).
+* Every uniform +-1 entry, in the uniform product, the zoo targets and the
+  oracle's zero-mass fallback, is one random bit from ``uniform_signs``;
+  biased products and dense PMFs draw from float64 uniforms.
 """
 
 from __future__ import annotations
@@ -64,8 +67,27 @@ def indices_to_points(indices: np.ndarray, n: int) -> np.ndarray:
 
 
 def uniform_signs(rng: np.random.Generator, shape) -> np.ndarray:
-    """Independent uniform +-1 entries (int8) of the given shape."""
-    return (2 * rng.integers(0, 2, size=shape) - 1).astype(np.int8)
+    """Independent uniform +-1 entries (int8) of the given shape, as a fresh
+    writable array.
+
+    One random bit per entry: each row along the last axis takes whole
+    64-bit words from the stream's bit generator, and entry j of a row is
+    bit j % 64 of its word j // 64 (+1 for a set bit). A float64 uniform
+    per entry costs several times more on large draws, and ``rng.bytes``
+    or a uint8 ``rng.integers`` add Python-level cost that dominates small
+    draws; ``random_raw`` and ``np.unpackbits`` add little per call.
+    """
+    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+    k = shape[-1]
+    words = (k + 63) // 64
+    rows = math.prod(shape[:-1])
+    raw = rng.bit_generator.random_raw(rows * words).astype("<u8", copy=False)
+    bits = np.unpackbits(
+        raw.view(np.uint8).reshape(rows, 8 * words), axis=1, count=k, bitorder="little"
+    )
+    bits <<= 1  # {0, 1} -> {0, 2} -> {255, 1}, which is {-1, +1} as int8
+    bits -= 1
+    return bits.view(np.int8).reshape(shape)
 
 
 def as_int(value, name: str) -> int:
@@ -260,6 +282,8 @@ class DensePmf(HypercubeTarget):
         mass = np.asarray(mass, dtype=np.float64)
         if mass.shape != (1 << n,):
             raise ValueError(f"mass must have length 2^{n}")
+        if not np.isfinite(mass).all():
+            raise ValueError("mass entries must be finite")
         if (mass < 0).any():
             raise ValueError("mass entries must be nonnegative")
         total = float(mass.sum())
@@ -317,16 +341,24 @@ class DensePmf(HypercubeTarget):
 
 
 class ProductDistribution(HypercubeTarget):
-    """Independent coordinates with means mu_i in [-1, 1]."""
+    """Independent coordinates with means mu_i in [-1, 1].
+
+    With every mean 0 (the uniform distribution) a draw is ``uniform_signs``,
+    one random bit per coordinate; otherwise each coordinate compares a
+    float64 uniform against (1 + mu_i) / 2.
+    """
 
     def __init__(self, mu):
         mu = np.asarray(mu, dtype=np.float64)
         if mu.ndim != 1:
             raise ValueError("mu must be a vector")
+        if not np.isfinite(mu).all():
+            raise ValueError("means must be finite")
         if (np.abs(mu) > 1).any():
             raise ValueError("means must lie in [-1, 1]")
         self.mu = _read_only(mu.copy())
         self.n = mu.size
+        self._unbiased = not mu.any()
 
     @classmethod
     def uniform(cls, n: int) -> "ProductDistribution":
@@ -339,6 +371,8 @@ class ProductDistribution(HypercubeTarget):
         return DensePmf(self.n, mass, cap=cap)
 
     def cond_sample(self, rng: np.random.Generator, rho: Restriction, size: int):
+        if self._unbiased:
+            return uniform_signs(rng, (size, rho.num_stars))
         fixed = rho.fixed
         # a cell fixed against a coordinate of mean +-1 leaves zero mass
         if fixed.size and (self.mu[fixed] == -rho.cells[fixed]).any():

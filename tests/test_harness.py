@@ -121,6 +121,8 @@ def test_resolve_target_explicit_distribution_file(tmp_path):
 def test_resolve_target_bad_shorthand():
     with pytest.raises(ValueError):
         resolve_target("definitely_not_a_kind", 4)
+    with pytest.raises(ValueError, match="finite"):
+        resolve_target("planted_product:nan", 4)
 
 
 def test_resolve_gaussian_source():

@@ -24,6 +24,7 @@ from hypercube_tester.model import (
     second_moment,
     subcube_mass,
     tv_to_uniform,
+    uniform_signs,
 )
 from hypercube_tester.oracle import ScondOracle
 from hypercube_tester.rng import stream
@@ -169,6 +170,9 @@ def test_dense_uniform_and_point_mass():
 def test_dense_rejects_bad_mass():
     with pytest.raises(ValueError):
         DensePmf(2, np.array([0.5, 0.5, 0.5, -0.5]))
+    for bad in (np.nan, np.inf, -np.inf):  # NaN slips through both < 0 and the sum check
+        with pytest.raises(ValueError, match="finite"):
+            DensePmf(2, [bad, 0.5, 0.25, 0.25])
     with pytest.raises(ValueError):
         DensePmf(2, np.array([0.25, 0.25, 0.25]))
     with pytest.raises(ValueError):
@@ -255,6 +259,87 @@ def test_product_edge_bias_is_coordinate_mean():
     ests, zero = prod.edge_bias(pts, coords)
     assert not zero.any()
     assert np.allclose(ests, mu[coords])
+
+
+def test_product_rejects_non_finite_means():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ProductDistribution([bad, 0.0, 0.5])
+
+
+# ---------------------------------------------------------------------------
+# uniform signs: one random bit per entry
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 129])
+def test_uniform_signs_shapes_and_values(k):
+    rng = stream(40, 0, k)
+    for shape, want in [
+        (k, (k,)),
+        ((k,), (k,)),
+        ((5, k), (5, k)),
+        ((2, 3, k), (2, 3, k)),
+        ((0, k), (0, k)),
+        ((5, 0), (5, 0)),
+        ((2, 0, k), (2, 0, k)),
+    ]:
+        x = uniform_signs(rng, shape)
+        assert x.shape == want and x.dtype == np.int8
+        assert x.flags.writeable
+        assert np.isin(x, (-1, 1)).all()
+    # callers write into the draw; two draws never share memory
+    a, b = uniform_signs(rng, (4, k)), uniform_signs(rng, (4, k))
+    assert not np.shares_memory(a, b)
+
+
+def test_uniform_signs_law():
+    rows, k = 100_000, 129
+    x = uniform_signs(stream(41, 0, 0), (rows, k)).astype(np.int64)
+    se = 1.0 / np.sqrt(rows)
+    assert np.abs(x.mean(axis=0)).max() < 5 * se
+    # neighbouring columns, across every byte and word boundary (7|8, 63|64, 127|128)
+    assert np.abs((x[:, :-1] * x[:, 1:]).mean(axis=0)).max() < 5 * se
+    # neighbouring rows share no bits either
+    assert np.abs((x[:-1] * x[1:]).mean(axis=0)).max() < 5 * se
+
+
+def test_uniform_signs_bit_layout_and_replay():
+    # entry j of a row is bit j % 64 of the row's word j // 64 (+1 for a set bit)
+    rows, k = 3, 70
+    words = stream(42, 1, 2).bit_generator.random_raw(rows * 2).reshape(rows, 2)
+    want = [
+        [1 if (int(words[r, j // 64]) >> (j % 64)) & 1 else -1 for j in range(k)]
+        for r in range(rows)
+    ]
+    x = uniform_signs(stream(42, 1, 2), (rows, k))
+    assert x.tolist() == want
+    assert np.array_equal(uniform_signs(stream(42, 1, 2), (rows, k)), x)
+    assert not np.array_equal(uniform_signs(stream(42, 1, 3), (rows, k)), x)
+
+
+def test_product_route_and_frequencies():
+    rho = Restriction(np.array([0, 1, 0, 0, -1, 0], dtype=np.int8))
+    # every mean 0: the draw is uniform_signs on the stars, bit for bit
+    uni = ProductDistribution.uniform(6)
+    got = uni.cond_sample(stream(43, 0, 0), rho, 50)
+    assert np.array_equal(got, uniform_signs(stream(43, 0, 0), (50, 4)))
+    # a nonzero mean keeps the float route for every coordinate
+    mu = np.array([0.5, 0.0, 0.0, -0.3, 0.0, 0.0])
+    prod = ProductDistribution(mu)
+    got = prod.cond_sample(stream(43, 0, 1), rho, 50)
+    p_plus = (1.0 + mu[rho.stars]) / 2.0
+    want = 2 * (stream(43, 0, 1).random((50, 4)) < p_plus).astype(np.int8) - 1
+    assert np.array_equal(got, want)
+    # per-coordinate frequencies, 5 standard errors
+    m = 40_000
+    for dist in (uni, prod):
+        draws = dist.cond_sample(stream(43, 1, 0), rho, m)
+        mu_stars = dist.mu[rho.stars]
+        se = np.sqrt((1.0 - mu_stars**2) / m)
+        assert (np.abs(draws.mean(axis=0) - mu_stars) < 5 * se).all()
+    # the uniform product never has a zero-mass subcube, even with no star left
+    every = Restriction(np.array([-1, 1, -1], dtype=np.int8))
+    assert ProductDistribution.uniform(3).cond_sample(stream(43, 2, 0), every, 5).shape == (5, 0)
 
 
 def test_product_cond_sample_draws_free_coordinates():

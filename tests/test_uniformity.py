@@ -142,6 +142,14 @@ def test_edge_tester_level_structure_and_ledger():
     want = sum(lv["m"] * (1 + lv["b"]) for lv in levels)
     assert v.queries_used == want
     assert o.queries == want
+    # the same count at larger n, pinned: a change to how the target draws
+    # may move verdicts, never the cost of an accepted run
+    for n, planned in ((64, 61_841_906), (128, 197_132_272)):
+        o = ScondOracle(ProductDistribution.uniform(n), stream(71, 0, 0))
+        v = edge_tester(o, 0.5)
+        assert v.decision is Decision.ACCEPT
+        assert sum(lv["m"] * (1 + lv["b"]) for lv in v.trace["levels"]) == planned
+        assert v.queries_used == o.queries == planned
 
 
 def test_edge_tester_accepts_uniform():
