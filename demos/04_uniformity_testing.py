@@ -23,7 +23,6 @@ from hypercube_tester import (
     ScondOracle,
     SubCondConfig,
     TwoPointDistribution,
-    base_case_applies,
     edge_tester,
     subcond_uni,
     trace_query_sum,
@@ -35,7 +34,7 @@ cfg = SubCondConfig()
 # -- regime selection ----------------------------------------------------------
 for n, eps in ((16, 0.5), (64, 0.5), (4096, 0.5)):
     sigma = cfg.sigma(eps)
-    base = base_case_applies(n, eps, sigma)
+    base = cfg.base_case(n, eps)
     print(f"n={n:5d} eps={eps}: sigma={sigma:.5f} -> "
           f"{'base case (edge tester)' if base else 'general case (recursion)'}")
 

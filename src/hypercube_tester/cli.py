@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .blowup import explicit_moments, gram_moments
-from .harness import ExperimentSpec, execute_trial, run_experiment
+from .harness import ExperimentSpec, _join_levels, execute_trial, run_experiment
 from .model import DensePmf, Decision, ProductDistribution
 from .rng import stream
 from .theory import (
@@ -90,10 +90,6 @@ def _write_csv(header: str, rows: list, path: str | None) -> None:
     else:
         with open(path, "w") as fh:
             fh.write(text)
-
-
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +163,8 @@ def _cmd_meantest(args) -> int:
                     str(trial),
                     verdict.decision.value,
                     str(verdict.queries_used),
-                    ";".join(_fmt(z) for z in verdict.trace["z_levels"]),
-                    ";".join(_fmt(t) for t in verdict.trace["tau_levels"]),
+                    _join_levels(verdict.trace["z_levels"]),
+                    _join_levels(verdict.trace["tau_levels"]),
                 ]
             )
         )

@@ -22,8 +22,8 @@ experiments).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,18 +43,65 @@ def _log2_at_least_one(x: float) -> float:
     return max(math.log2(x), 1.0)
 
 
+class EdgeLevel(NamedTuple):
+    """One edge-tester level: m pairs, b conditional draws per pair, threshold theta."""
+
+    h: int
+    m: int
+    b: int
+    theta: float
+
+
+class Bucket(NamedTuple):
+    """One restriction bucket: s restrictions tested at distance eps."""
+
+    j: int
+    s: int
+    eps: float
+
+
+def _dyadic_buckets(count: int, total: float) -> tuple[Bucket, ...]:
+    """Buckets j = 1..count with s_j = ceil(total 2^-j) at eps_j = 2^-j."""
+    return tuple(Bucket(j, math.ceil(total * 2.0**-j), 2.0**-j) for j in range(1, count + 1))
+
+
 @dataclass(frozen=True)
 class EdgeConfig:
-    """Constants for the edge tester: H = ceil(c_h log2(n/eps)) levels,
-    m_h = ceil(c1 2^h log2(n/eps)) pairs, b_h = ceil(c2 2^-h n log2^2(n/eps)/eps^2)
-    conditional draws per pair, threshold theta_h = c3 eps sqrt(2^h/n)/log2(n/eps),
-    bucket floor 2^-h >= c_beta eps^2/(n log2^2 n)."""
+    """Constants for the edge tester; `levels` turns them into its schedule."""
 
     c_h: float = 2.0
     c1: float = 2.0
     c2: float = 25.0
     c3: float = 1.0
     c_beta: float = 1.0
+
+    def __post_init__(self):
+        # a zero or negative constant leaves no level or no pair, and the
+        # tester would accept without a query
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"EdgeConfig.{f.name} must be finite and positive, got {value!r}")
+
+    def levels(self, n: int, eps: float) -> tuple[EdgeLevel, ...]:
+        """Levels h = 0..ceil(c_h log2(n/eps)) with m_h = ceil(c1 2^h log2(n/eps))
+        pairs, b_h = ceil(c2 2^-h n log2^2(n/eps)/eps^2) conditional draws per
+        pair and threshold theta_h = c3 eps sqrt(2^h/n)/log2(n/eps), stopping
+        at the bucket floor 2^-h >= c_beta eps^2/(n log2^2 n)."""
+        lg = _log2_at_least_one(n / eps)
+        lg_n = _log2_at_least_one(n)
+        floor = self.c_beta * eps * eps / (n * lg_n * lg_n)
+        out = []
+        for h in range(math.ceil(self.c_h * lg) + 1):
+            if 2.0**-h < floor:
+                break
+            m = math.ceil(self.c1 * 2.0**h * lg)
+            b = math.ceil(self.c2 * 2.0**-h * n * lg * lg / (eps * eps))
+            theta = self.c3 * eps * math.sqrt(2.0**h / n) / lg
+            out.append(EdgeLevel(h, m, b, theta))
+        if not out:
+            raise ValueError(f"the bucket floor leaves no edge level at n={n}, eps={eps}")
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -88,13 +135,22 @@ class SubCondConfig:
             return _force_odd(self.t_override)
         return _force_odd(100 * math.ceil(math.log2(16.0 / eps)))
 
-    def mean_config(self, eps: float) -> MeanTestConfig:
-        return MeanTestConfig(
-            eps=eps,
-            preset=self.mean_preset,
-            q=self.mean_q_override,
-            k0=self.mean_k0_override,
-        )
+    def base_case(self, n: int, eps: float) -> bool:
+        """Whether the dimension is too small for restrictions to bite:
+        e^(-sigma n / 10) > eps / 8."""
+        return math.exp(-self.sigma(eps) * n / 10.0) > eps / 8.0
+
+    def mean_buckets(self, n: int, eps: float) -> tuple[Bucket, ...]:
+        """Mean-loop buckets j = 1..ceil(log2 2L), s_j = ceil(8 L log2(2L) 2^-j)."""
+        big_l = self.big_l(n, eps)
+        lg = math.log2(2 * big_l)
+        return _dyadic_buckets(math.ceil(lg), 8.0 * big_l * lg)
+
+    def recursion_buckets(self, eps: float) -> tuple[Bucket, ...]:
+        """Recursion-loop buckets j = 1..ceil(log2(4/eps)),
+        s_j = ceil((32/eps) log2(4/eps) 2^-j)."""
+        lg = math.log2(4.0 / eps)
+        return _dyadic_buckets(math.ceil(lg), (32.0 / eps) * lg)
 
 
 # theta_h * sqrt(b_h) == c3 * sqrt(c2): the "practical" pair, the EdgeConfig
@@ -113,10 +169,6 @@ PRESETS = {
 }
 
 
-def base_case_applies(n: int, eps: float, sigma: float) -> bool:
-    return math.exp(-sigma * n / 10.0) > eps / 8.0
-
-
 def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) -> TestVerdict:
     """Reject when some conditional single-coordinate bias is large.
 
@@ -129,33 +181,24 @@ def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) 
     cfg = cfg or EdgeConfig()
     n = oracle.n
     start = oracle.queries
-    lg = _log2_at_least_one(n / eps)
-    lg_n = _log2_at_least_one(n)
-    big_h = math.ceil(cfg.c_h * lg)
-    floor = cfg.c_beta * eps * eps / (n * lg_n * lg_n)
     levels = []
     fired = None
-    for h in range(big_h + 1):
-        if 2.0**-h < floor:
-            break
-        m_h = math.ceil(cfg.c1 * 2.0**h * lg)
-        b_h = math.ceil(cfg.c2 * 2.0**-h * n * lg * lg / (eps * eps))
-        theta = cfg.c3 * eps * math.sqrt(2.0**h / n) / lg
+    for lv in cfg.levels(n, eps):
         max_est = 0.0
         done = 0
-        while done < m_h and fired is None:
-            m = min(EDGE_PAIR_CHUNK, m_h - done)
+        while done < lv.m and fired is None:
+            m = min(EDGE_PAIR_CHUNK, lv.m - done)
             points = oracle.sample(m)
             coords = oracle.rng.integers(0, n, size=m)
-            ests = oracle.estimate_edge_biases(points, coords, b_h)
+            ests = oracle.estimate_edge_biases(points, coords, lv.b)
             abs_ests = np.abs(ests)
             max_est = max(max_est, float(abs_ests.max()))
-            hits = np.flatnonzero(abs_ests > theta)
+            hits = np.flatnonzero(abs_ests > lv.theta)
             if hits.size:
                 i = int(hits[0])
-                fired = {"h": h, "coord": int(coords[i]), "est": float(ests[i])}
+                fired = {"h": lv.h, "coord": int(coords[i]), "est": float(ests[i])}
             done += m
-        levels.append({"h": h, "m": m_h, "b": b_h, "theta": theta, "max_est": max_est})
+        levels.append({**lv._asdict(), "max_est": max_est})
         if fired is not None:
             break
     decision = Decision.REJECT if fired is not None else Decision.ACCEPT
@@ -198,7 +241,7 @@ def subcond_uni(
     sigma = cfg.sigma(eps)
     node["sigma"] = sigma
 
-    if base_case_applies(n, eps, sigma):
+    if cfg.base_case(n, eps):
         node["branch"] = "base-case"
         inner = edge_tester(oracle, eps, cfg.edge)
         node["edge"] = inner.trace
@@ -213,13 +256,16 @@ def subcond_uni(
     mean_loop = []
     node["branch"] = "mean-loop"
     node["mean_loop"] = mean_loop
-    for j in range(1, math.ceil(math.log2(2 * big_l)) + 1):
-        s_j = math.ceil(8.0 * big_l * math.log2(2 * big_l) * 2.0**-j)
-        eps_j = 2.0**-j
-        stats = {"j": j, "restrictions": s_j, "tested": 0, "majority_rejects": 0}
+    for bucket in cfg.mean_buckets(n, eps):
+        stats = {"j": bucket.j, "restrictions": bucket.s, "tested": 0, "majority_rejects": 0}
         mean_loop.append(stats)
-        mean_cfg = cfg.mean_config(eps_j)
-        for _ in range(s_j):
+        mean_cfg = MeanTestConfig(
+            eps=bucket.eps,
+            preset=cfg.mean_preset,
+            q=cfg.mean_q_override,
+            k0=cfg.mean_k0_override,
+        )
+        for _ in range(bucket.s):
             rho = oracle.draw_restriction_sigma(sigma)
             if rho.stars.size == 0:
                 continue
@@ -238,12 +284,10 @@ def subcond_uni(
     rec_loop = []
     node["branch"] = "recursion-loop"
     node["recursion_loop"] = rec_loop
-    for j in range(1, math.ceil(math.log2(4.0 / eps)) + 1):
-        s_j = math.ceil((32.0 / eps) * math.log2(4.0 / eps) * 2.0**-j)
-        eps_j = 2.0**-j
-        stats = {"j": j, "restrictions": s_j, "recursed": 0}
+    for bucket in cfg.recursion_buckets(eps):
+        stats = {"j": bucket.j, "restrictions": bucket.s, "recursed": 0}
         rec_loop.append(stats)
-        for _ in range(s_j):
+        for _ in range(bucket.s):
             rho = oracle.draw_restriction_sigma(sigma)
             k = rho.stars.size
             if not 0 < k <= 2.0 * sigma * n:
@@ -252,7 +296,7 @@ def subcond_uni(
             sub = oracle.restricted(rho)
             rejects = 0
             for _ in range(t):
-                verdict = subcond_uni(sub, eps_j, cfg, _depth + 1)
+                verdict = subcond_uni(sub, bucket.eps, cfg, _depth + 1)
                 node["children"].append(verdict.trace["tree"])
                 if verdict.decision is Decision.ERROR:
                     node["branch"] = "child-error"

@@ -259,10 +259,12 @@ class GaussianSource:
     mean tester, not as a hypercube oracle target."""
 
     def __init__(self, n: int, mu=None):
-        self.n = int(n)
+        self.n = as_int(n, "n")
         self.mu = np.zeros(self.n) if mu is None else np.asarray(mu, dtype=np.float64)
         if self.mu.shape != (self.n,):
             raise ValueError("mu must have length n")
+        if not np.isfinite(self.mu).all():
+            raise ValueError("means must be finite")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         out = rng.standard_normal((size, self.n))

@@ -17,7 +17,6 @@ from hypercube_tester.uniformity import (
     PRESETS,
     EdgeConfig,
     SubCondConfig,
-    base_case_applies,
     edge_tester,
     subcond_uni,
     trace_query_sum,
@@ -109,9 +108,12 @@ def test_preset_tables_agree():
 
 
 def test_base_case_frozen_examples():
-    assert base_case_applies(64, 0.5, 1.0 / 1250.0)  # practical desk scale
-    assert not base_case_applies(64, 0.5, 0.5)  # forced recursion config
-    assert base_case_applies(16, 0.5, 1.0 / 1250.0)
+    cfg = SubCondConfig()
+    assert cfg.sigma(0.5) == pytest.approx(1.0 / 1250.0, rel=1e-12)
+    assert REC_CFG.sigma(0.5) == pytest.approx(0.5)
+    assert cfg.base_case(64, 0.5)  # practical desk scale
+    assert not REC_CFG.base_case(64, 0.5)  # forced recursion config
+    assert cfg.base_case(16, 0.5)
 
 
 def test_theta_sqrt_b_identity():
@@ -119,11 +121,29 @@ def test_theta_sqrt_b_identity():
     for cfg in (EdgeConfig(), EdgeConfig(c_h=0.5, c1=0.25, c2=0.05, c3=22.4)):
         for n in (8, 16, 64):
             for eps in (0.5, 0.25):
-                lg = max(math.log2(n / eps), 1.0)
-                for h in range(0, 12):
-                    b = math.ceil(cfg.c2 * 2.0**-h * n * lg * lg / (eps * eps))
-                    theta = cfg.c3 * eps * math.sqrt(2.0**h / n) / lg
-                    assert theta * math.sqrt(b) >= cfg.c3 * math.sqrt(cfg.c2) - 1e-9
+                levels = cfg.levels(n, eps)
+                assert [lv.h for lv in levels] == list(range(len(levels)))
+                for lv in levels:
+                    assert lv.theta * math.sqrt(lv.b) >= cfg.c3 * math.sqrt(cfg.c2) - 1e-9
+
+
+def test_edge_config_rejects_constants_that_would_accept_unqueried():
+    # each of these once gave ACCEPT with 0 queries on a far target
+    for bad in ({"c1": 0.0}, {"c_h": -1.0}, {"c2": 0.0}, {"c3": -0.5}, {"c_beta": 0.0}):
+        with pytest.raises(ValueError):
+            EdgeConfig(**bad)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            EdgeConfig(c2=value)
+    # a positive c_beta can still push the bucket floor above level 0
+    cfg = EdgeConfig(c_beta=4.0)
+    with pytest.raises(ValueError):
+        cfg.levels(2, 1.0)
+    o = ScondOracle(TwoPointDistribution(np.ones(2, dtype=np.int8)), stream(75, 1, 0))
+    with pytest.raises(ValueError):
+        edge_tester(o, 1.0, cfg)
+    assert o.queries == 0
+    assert len(cfg.levels(64, 1.0)) == 10  # the floor 1/576 stops it after h = 9
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +156,9 @@ def test_edge_tester_level_structure_and_ledger():
     assert v.decision is Decision.ACCEPT
     levels = v.trace["levels"]
     assert [lv["h"] for lv in levels] == list(range(11))  # bucket floor at h=10
+    assert [{k: lv[k] for k in ("h", "m", "b", "theta")} for lv in levels] == [
+        lv._asdict() for lv in EdgeConfig().levels(16, 0.5)
+    ]
     assert levels[0]["m"] == 10 and levels[0]["b"] == 40_000
     assert levels[0]["theta"] == pytest.approx(0.025)
     # accepted run: ledger equals sum of m_h samples + m_h * b_h draws
@@ -149,6 +172,7 @@ def test_edge_tester_level_structure_and_ledger():
         v = edge_tester(o, 0.5)
         assert v.decision is Decision.ACCEPT
         assert sum(lv["m"] * (1 + lv["b"]) for lv in v.trace["levels"]) == planned
+        assert sum(lv.m * (1 + lv.b) for lv in EdgeConfig().levels(n, 0.5)) == planned
         assert v.queries_used == o.queries == planned
 
 
@@ -244,6 +268,8 @@ def test_recursion_mean_loop_shape(recursive_uniform_run):
     loop = v.trace["tree"]["mean_loop"]
     assert [s["j"] for s in loop] == [1, 2, 3]
     assert [s["restrictions"] for s in loop] == [48, 24, 12]
+    want = [(48, 0.5), (24, 0.25), (12, 0.125)]
+    assert [(b.s, b.eps) for b in REC_CFG.mean_buckets(64, 0.5)] == want
     # sigma = 1/2 at n = 64 never drew an all-fixed restriction here
     assert all(s["tested"] == s["restrictions"] for s in loop)
     assert all(s["majority_rejects"] == 0 for s in loop)
@@ -255,6 +281,8 @@ def test_recursion_children_are_base_cases(recursive_uniform_run):
     loop = tree["recursion_loop"]
     assert [s["j"] for s in loop] == [1, 2, 3]
     assert [s["restrictions"] for s in loop] == [96, 48, 24]
+    want = [(96, 0.5), (48, 0.25), (24, 0.125)]
+    assert [(b.s, b.eps) for b in REC_CFG.recursion_buckets(0.5)] == want
     recursed = sum(s["recursed"] for s in loop)
     assert recursed > 0
     assert len(tree["children"]) == 3 * recursed  # t verdicts per restriction

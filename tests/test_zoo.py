@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from hypercube_tester import model, zoo
+from hypercube_tester.harness import resolve_gaussian_source
 from hypercube_tester.model import (
     HypercubeTarget,
     Restriction,
@@ -315,6 +316,14 @@ def test_gaussian_source():
     assert np.abs(draws.std(axis=0) - 1.0).max() < 0.03
     with pytest.raises(ValueError):
         GaussianSource(3, np.zeros(4))
+    # a fractional dimension or a non-finite mean fails when the source is
+    # built, not at the first draw
+    with pytest.raises(ValueError):
+        GaussianSource(2.5)
+    for bad in ("shift:nan", "shift:inf"):
+        with pytest.raises(ValueError, match="finite"):
+            resolve_gaussian_source(bad, 4)
+    assert GaussianSource(4.0).n == 4
 
 
 def test_gaussian_source_draws_standard_normals_plus_mean():
