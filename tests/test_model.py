@@ -271,7 +271,7 @@ def test_product_rejects_non_finite_means():
 # uniform signs: one random bit per entry
 
 
-@pytest.mark.parametrize("k", [1, 7, 8, 9, 129])
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 64, 128, 129])
 def test_uniform_signs_shapes_and_values(k):
     rng = stream(40, 0, k)
     for shape, want in [
@@ -286,6 +286,9 @@ def test_uniform_signs_shapes_and_values(k):
         x = uniform_signs(rng, shape)
         assert x.shape == want and x.dtype == np.int8
         assert x.flags.writeable
+        # k a multiple of 64 is a view of the unpacked words, any other k a
+        # sliced copy; both are C-contiguous
+        assert x.flags.c_contiguous
         assert np.isin(x, (-1, 1)).all()
     # callers write into the draw; two draws never share memory
     a, b = uniform_signs(rng, (4, k)), uniform_signs(rng, (4, k))

@@ -1,6 +1,8 @@
 """Oracle layer: query ledger accounting, conditioning semantics,
 restriction composition, and determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,23 @@ def test_edge_bias_rejects_bad_coordinates_before_charging():
     assert o.queries == 8
 
 
+def test_edge_bias_rejects_shape_mismatch_before_charging():
+    o = make_oracle(ProductDistribution.uniform(3))
+    # one point for three coordinates would return 3 estimates and charge 1 * b;
+    # 5-wide points on a 3-coordinate root would pass unnoticed
+    for points, coords in [
+        (np.ones((1, 3), dtype=np.int8), np.array([0, 1, 2])),
+        (np.ones((1, 5), dtype=np.int8), np.array([0])),
+        (np.ones((2, 3), dtype=np.int8), np.array([0])),
+    ]:
+        with pytest.raises(ValueError, match="shape"):
+            o.estimate_edge_biases(points, coords, 4)
+    view = o.restricted(Restriction(np.array([1, 0, 0], dtype=np.int8)))
+    with pytest.raises(ValueError, match="shape"):
+        view.estimate_edge_biases(np.ones((1, 3), dtype=np.int8), np.array([0]), 4)
+    assert o.queries == 0
+
+
 def test_edge_bias_estimates_charge_pairs_times_draws():
     o = make_oracle()
     pts = o.sample(4)
@@ -160,6 +179,88 @@ def test_edge_bias_estimator_is_unbiased():
     assert abs(ests.mean() - 0.4) < 0.01
     # single-pair estimates live on the binomial grid
     assert np.allclose((ests * 64 + 64) % 2, 0)
+
+
+def _plus_counts(ests, b):
+    """The +1 counts behind estimates (2 plus - b) / b."""
+    return np.rint((ests * b + b) / 2).astype(np.int64)
+
+
+def _chi2_upper(df, z=3.09):
+    """Wilson-Hilferty approximation of the chi-square quantile at normal score z
+    (3.09: the 99.9th percentile)."""
+    c = 2.0 / (9.0 * df)
+    return df * (1.0 - c + z * math.sqrt(c)) ** 3
+
+
+@pytest.mark.parametrize("b", [1, 31, 50, 63, 64])
+def test_fair_edge_bias_counts_are_binomial_half(b):
+    m, n = 200_000, 8
+    o = ScondOracle(ProductDistribution.uniform(n), stream(30, 0, b))
+    pts = np.ones((m, n), dtype=np.int8)
+    coords = np.arange(m) % n
+    plus = _plus_counts(o.estimate_edge_biases(pts, coords, b), b)
+    assert o.queries == m * b
+    mean, var = b / 2.0, b / 4.0
+    assert abs(plus.mean() - mean) < 5 * math.sqrt(var / m)
+    # the mean square about b/2 has variance (mu4 - var^2)/m with
+    # mu4 = 3var^2 - b/8; at b = 1 it is exactly var
+    assert abs(((plus - mean) ** 2).mean() - var) <= 5 * math.sqrt((b * b - b) / 8.0 / m)
+    # chi-square over the counts, merging the tails while a cell expects < 5
+    pmf = np.array([math.comb(b, k) for k in range(b + 1)], dtype=np.float64) / 2.0**b
+    expected, observed = m * pmf, np.bincount(plus, minlength=b + 1).astype(np.float64)
+    keep = np.flatnonzero(expected >= 5)
+    lo, hi = keep[0], keep[-1]
+    exp_cells, obs_cells = (
+        np.concatenate(([c[: lo + 1].sum()], c[lo + 1 : hi], [c[hi:].sum()]))
+        for c in (expected, observed)
+    )
+    chi2 = float(((obs_cells - exp_cells) ** 2 / exp_cells).sum())
+    assert chi2 < _chi2_upper(exp_cells.size - 1)
+
+
+@pytest.mark.parametrize("b", [1, 50, 63, 64])
+def test_fair_edge_bias_replays_low_bits_of_raw_words(b):
+    m = 300
+    o = ScondOracle(ProductDistribution.uniform(6), stream(31, 0, b))
+    coords = np.arange(m) % 6
+    plus = _plus_counts(o.estimate_edge_biases(np.ones((m, 6), dtype=np.int8), coords, b), b)
+    words = stream(31, 0, b).bit_generator.random_raw(m)
+    assert plus.tolist() == [bin(int(w) & ((1 << b) - 1)).count("1") for w in words]
+    assert o.queries == m * b
+
+
+def test_edge_bias_zero_support_pairs_take_the_fair_route():
+    # the pair straddles two zero-mass points; the oracle answers with fair coins
+    pm = DensePmf.point_mass(Point(np.array([1, 1], dtype=np.int8)))
+    o = ScondOracle(pm, stream(32, 0, 0))
+    pts = np.full((4, 2), -1, dtype=np.int8)
+    plus = _plus_counts(o.estimate_edge_biases(pts, np.zeros(4, np.int64), 40), 40)
+    words = stream(32, 0, 0).bit_generator.random_raw(4)
+    assert plus.tolist() == [bin(int(w) & ((1 << 40) - 1)).count("1") for w in words]
+    assert o.queries == o.zero_support_hits == 4 * 40
+
+
+@pytest.mark.parametrize("b", [50, 100])
+def test_biased_edge_bias_chunk_keeps_binomial_draws(b):
+    # one nonzero bias puts the whole chunk on rng.binomial, as before
+    mu = np.array([0.0, 0.3, 0.0, 0.0])
+    o = ScondOracle(ProductDistribution(mu), stream(33, 0, b))
+    coords = np.array([0, 2, 1, 3, 0, 2])
+    ests = o.estimate_edge_biases(np.ones((6, 4), dtype=np.int8), coords, b)
+    want = stream(33, 0, b).binomial(b, (1.0 + mu[coords]) / 2.0)
+    assert _plus_counts(ests, b).tolist() == want.tolist()
+    assert o.queries == 6 * b
+
+
+@pytest.mark.parametrize("b", [65, 100, 6400])
+def test_fair_edge_bias_above_one_word_matches_array_binomial(b):
+    m = 200
+    o = ScondOracle(ProductDistribution.uniform(5), stream(34, 0, b))
+    ests = o.estimate_edge_biases(np.ones((m, 5), dtype=np.int8), np.arange(m) % 5, b)
+    want = stream(34, 0, b).binomial(b, np.full(m, 0.5))
+    assert _plus_counts(ests, b).tolist() == want.tolist()
+    assert o.queries == m * b
 
 
 def test_edge_bias_zero_support_counts():
