@@ -10,6 +10,10 @@ Conventions used throughout the package:
   which returns draws on rho's star coordinates, or None when rho's subcube
   has zero mass; a plain sample is ``cond_sample`` on the all-stars
   restriction (``HypercubeTarget.sample``).
+* A target gives ``weight(rows)``, its mass at each row up to one constant
+  factor, from which ``HypercubeTarget.edge_bias`` takes the conditional
+  bias of an edge; a target whose point mass underflows or costs more than
+  the bias gives a closed-form ``edge_bias`` instead.
 * Every uniform +-1 entry, in the uniform product, the zoo targets and the
   oracle's zero-mass fallback, is one random bit from ``uniform_signs``;
   biased products and dense PMFs draw from float64 uniforms.
@@ -268,6 +272,10 @@ class HypercubeTarget:
     ``cond_sample(rng, rho, size)`` returns a (size, rho.num_stars) int8 array
     of draws conditioned on rho's subcube, on rho's star coordinates in
     ascending order, or None when that subcube has zero mass.
+
+    A subclass also gives ``weight(rows)``, the mass of each row of an (m, n)
+    array up to one constant factor, or overrides ``edge_bias`` with a
+    closed form.
     """
 
     n: int
@@ -275,6 +283,24 @@ class HypercubeTarget:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """(size, n) draws from the whole cube, which never has zero mass."""
         return self.cond_sample(rng, Restriction.all_stars(self.n), size)
+
+    def edge_bias(self, points: np.ndarray, coords: np.ndarray):
+        """(bias, zero): the conditional bias of coordinate coords[r] given the
+        other coordinates of points[r], (w(x+) - w(x-)) / (w(x+) + w(x-)) over
+        the edge's two ends; a zero-support edge reports bias 0 and a set
+        zero flag."""
+        points = np.atleast_2d(np.asarray(points, dtype=np.int8))
+        m = points.shape[0]
+        rows = np.arange(m)
+        ends = np.stack([points, points])
+        ends[0, rows, coords] = 1
+        ends[1, rows, coords] = -1
+        a_plus, a_minus = self.weight(ends.reshape(2 * m, points.shape[1])).reshape(2, m)
+        tot = a_plus + a_minus
+        zero = tot == 0.0
+        bias = np.zeros(m)
+        np.divide(a_plus - a_minus, tot, out=bias, where=~zero)
+        return bias, zero
 
 
 class DensePmf(HypercubeTarget):
@@ -334,22 +360,8 @@ class DensePmf(HypercubeTarget):
         idx = np.minimum(idx, (1 << k) - 1)
         return indices_to_points(idx, k)
 
-    def edge_bias(self, points: np.ndarray, coords: np.ndarray):
-        """Exact conditional bias of coordinate coords[r] given the other
-        coordinates of points[r]; zero-support pairs report bias 0."""
-        points = np.atleast_2d(np.asarray(points, dtype=np.int8))
-        coords = np.asarray(coords, dtype=np.int64)
-        idx = points_to_indices(points)
-        bit = bit_powers(self.n)[coords]
-        hi = idx | bit
-        lo = hi - bit
-        a_plus = self.mass[hi]
-        a_minus = self.mass[lo]
-        tot = a_plus + a_minus
-        zero = tot == 0.0
-        bias = np.zeros(points.shape[0])
-        np.divide(a_plus - a_minus, tot, out=bias, where=~zero)
-        return bias, zero
+    def weight(self, rows: np.ndarray) -> np.ndarray:
+        return self.mass[points_to_indices(rows)]
 
 
 class ProductDistribution(HypercubeTarget):
@@ -395,6 +407,8 @@ class ProductDistribution(HypercubeTarget):
         return 2 * draws.astype(np.int8) - 1
 
     def edge_bias(self, points: np.ndarray, coords: np.ndarray):
+        # closed form: the point mass, a product of n factors, underflows
+        # past n of about 1074
         points = np.atleast_2d(np.asarray(points, dtype=np.int8))
         coords = np.asarray(coords, dtype=np.int64)
         m = points.shape[0]
@@ -415,25 +429,12 @@ def subcube_mass(p: DensePmf, rho: Restriction) -> float:
 
 
 def conditional_table(p: DensePmf, rho: Restriction):
-    """(conditional mass over star assignments in dense order, subcube mass)."""
+    """(conditional mass over star assignments in dense order, subcube mass);
+    the table of a zero-mass subcube is all zeros."""
     if rho.n != p.n:
         raise ValueError("restriction dimension mismatch")
-    stars = rho.stars
-    fixed = rho.fixed
-    base = 0
-    pw = bit_powers(p.n)
-    if fixed.size:
-        plus = fixed[rho.cells[fixed] > 0]
-        base = int(pw[plus].sum())
-    k = stars.size
-    if k == 0:
-        total = float(p.mass[base])
-        return np.ones(1), total
-    sub = np.arange(1 << k, dtype=np.int64)
-    offs = pw[stars]
-    bits = (sub[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    idx = base + bits @ offs
-    table = p.mass[idx]
+    at = tuple(slice(None) if c == STAR else (c + 1) // 2 for c in rho.cells.tolist())
+    table = p.mass.reshape((2,) * p.n)[at].reshape(-1)
     total = float(table.sum())
     if total == 0.0:
         return table, 0.0

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .meantest import MeanTestConfig, mean_tester
-from .model import Decision, TestVerdict
+from .model import Decision, TestVerdict, as_int
 from .oracle import ScondOracle
 
 EDGE_PAIR_CHUNK = 512
@@ -117,6 +117,16 @@ class SubCondConfig:
     mean_q_override: int | None = None
     mean_k0_override: int | None = None
     edge: EdgeConfig = field(default_factory=EdgeConfig)
+
+    def __post_init__(self):
+        # a negative t runs no recursion and rejects on 2*0 > t; a nan or
+        # negative c0 puts sigma outside (0, 1]
+        for name in ("c0", "c_l", "r_factor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"SubCondConfig.{name} must be finite and positive, got {value!r}")
+        if self.t_override is not None and as_int(self.t_override, "SubCondConfig.t_override") < 1:
+            raise ValueError(f"SubCondConfig.t_override must be >= 1, got {self.t_override!r}")
 
     def sigma(self, eps: float) -> float:
         return min(1.0, 1.0 / (self.c0 * math.log2(16.0 / eps) ** 4))

@@ -2,6 +2,7 @@
 with each other, and the uniform-distribution bounds."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -102,8 +103,8 @@ def test_level_zero_moments_are_classical():
 
 
 def test_uniform_frobenius_exact_and_bound():
-    for n in (2, 3, 4, 5):
-        for k in (0, 1):
+    for n in range(1, 9):
+        for k in (0, 1, 2):
             exact = uniform_sigma_frob_sq_exact(n, k)
             bound = uniform_sigma_frob_sq_bound(n, k)
             assert exact <= bound * (1 + 1e-12)
@@ -111,6 +112,16 @@ def test_uniform_frobenius_exact_and_bound():
             u = DensePmf.uniform(n)
             _, frob = gram_moments(u, k)
             assert exact == pytest.approx(frob, rel=1e-12)
+
+
+def test_uniform_frobenius_exact_past_float_range_of_terms():
+    # a float sum of lgamma-weighted terms returned inf here
+    n, k = 300, 6
+    total = sum(math.comb(n, b) * (n - 2 * b) ** (1 << (k + 1)) for b in range(n + 1))
+    exact = uniform_sigma_frob_sq_exact(n, k)
+    assert math.isfinite(exact)
+    assert exact == float(Fraction(total, 2**n))
+    assert exact == pytest.approx(5.6427744498e263, rel=1e-10)
 
 
 def test_uniform_level0_frobenius_is_n():

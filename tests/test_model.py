@@ -393,6 +393,13 @@ def test_conditional_table_brute_force():
             # consistent points enumerate the stars in ascending dense order
             assert np.allclose(table, sub)
         assert m == pytest.approx(subcube_mass(p, rho), abs=1e-15)
+    # no stars: the point's own table, all zeros when the point has no mass
+    p = DensePmf(2, [0.0, 0.25, 0.25, 0.5])
+    for cells, want_table, want_mass in (([-1, -1], [0.0], 0.0), ([1, -1], [1.0], 0.25)):
+        table, m = conditional_table(p, Restriction(np.array(cells, dtype=np.int8)))
+        assert table.tolist() == want_table and m == want_mass
+    table, m = conditional_table(DensePmf(0, [1.0]), Restriction(np.zeros(0, dtype=np.int8)))
+    assert table.tolist() == [1.0] and m == 1.0
 
 
 def test_restrict_and_project_marginals():

@@ -146,6 +146,24 @@ def test_edge_config_rejects_constants_that_would_accept_unqueried():
     assert len(cfg.levels(64, 1.0)) == 10  # the floor 1/576 stops it after h = 9
 
 
+def test_subcond_config_rejects_constants_that_would_decide_blindly():
+    # t_override=-1 ran no recursion and rejected the uniform target at n=64
+    # on 2*0 > -1; c0=nan gave sigma 1.0 and c0=-1 a negative sigma
+    for bad in (
+        {"t_override": -1},
+        {"t_override": 0},
+        {"t_override": 2.5},
+        {"c0": math.nan},
+        {"c0": -1.0},
+        {"c_l": 0.0},
+        {"r_factor": math.inf},
+    ):
+        with pytest.raises(ValueError):
+            replace(REC_CFG, **bad)
+    assert replace(REC_CFG, t_override=1.0).t_reps(0.5) == 1
+    assert replace(REC_CFG, t_override=None).t_reps(0.5) == 501
+
+
 # ---------------------------------------------------------------------------
 # edge tester
 

@@ -20,6 +20,7 @@ from hypercube_tester.model import (
     points_to_indices,
     subcube_mass,
     tv_to_uniform,
+    uniform_signs,
 )
 from hypercube_tester.oracle import ScondOracle
 from hypercube_tester.rng import stream
@@ -136,7 +137,10 @@ def test_targets_draw_only_through_cond_sample():
         for _, cls in inspect.getmembers(module, inspect.isclass)
         if cls.__module__ == module.__name__
         and cls is not HypercubeTarget
-        and (issubclass(cls, HypercubeTarget) or {"cond_sample", "edge_bias"} & set(vars(cls)))
+        and (
+            issubclass(cls, HypercubeTarget)
+            or {"cond_sample", "edge_bias", "weight"} & set(vars(cls))
+        )
     ]
     assert {cls.__name__ for cls in targets} == {
         "DensePmf",
@@ -150,20 +154,43 @@ def test_targets_draw_only_through_cond_sample():
         assert issubclass(cls, HypercubeTarget), cls.__name__
         assert "cond_sample" in vars(cls), cls.__name__
         assert "sample" not in vars(cls), cls.__name__
+        # each target states its point mass, or a closed-form edge bias
+        assert {"weight", "edge_bias"} & set(vars(cls)), cls.__name__
     assert "sample" in vars(HypercubeTarget)
+    assert {cls.__name__ for cls in targets if "edge_bias" in vars(cls)} == {
+        "ProductDistribution",
+        "NoisyParityDistribution",
+    }
 
 
 def test_edge_bias_matches_dense():
     rng = stream(37, 0, 0)
     n = 5
-    for fam in _families(n, rng):
+    # three more families with zero-mass points: two_point at n = 1, whose
+    # only edge has both ends in the support, a junta whose inner PMF puts
+    # no mass on x_1 = -1, and a parity that puts no mass on x_0 = +1
+    families = _families(n, rng) + [
+        TwoPointDistribution([1]),
+        JuntaMixDistribution(n, 2, [0.0, 0.5, 0.0, 0.5]),
+        NoisyParityDistribution(n, [0], 1.0),
+    ]
+    zero_checked = set()
+    for fam in families:
+        name = type(fam).__name__
         dense = fam.dense()
-        pts = fam.sample(stream(38, 0, 0), 400)
-        coords = stream(38, 1, 0).integers(0, n, 400)
-        got_bias, got_zero = fam.edge_bias(pts, coords)
-        want_bias, want_zero = dense.edge_bias(pts, coords)
-        assert np.array_equal(got_zero, want_zero), type(fam).__name__
-        assert np.allclose(got_bias, want_bias, atol=1e-12), type(fam).__name__
+        # target draws, and uniform points, which reach zero-support edges
+        for key, pts in (
+            (0, fam.sample(stream(38, 0, 0), 400)),
+            (2, uniform_signs(stream(38, 2, 0), (400, fam.n))),
+        ):
+            coords = stream(38, 1, key).integers(0, fam.n, 400)
+            got_bias, got_zero = fam.edge_bias(pts, coords)
+            want_bias, want_zero = dense.edge_bias(pts, coords)
+            assert np.array_equal(got_zero, want_zero), name
+            assert np.allclose(got_bias, want_bias, atol=1e-12), name
+            if got_zero.any():
+                zero_checked.add(type(fam))
+    assert zero_checked == {TwoPointDistribution, JuntaMixDistribution, NoisyParityDistribution}
 
 
 # ---------------------------------------------------------------------------
