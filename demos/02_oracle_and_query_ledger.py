@@ -36,9 +36,7 @@ print(f"ledger: {oracle.queries} queries")
 
 # -- random restrictions -----------------------------------------------------
 sigma_rho = oracle.draw_restriction_sigma(0.5)  # each coordinate free w.p. 1/2
-fixed_rho = oracle.draw_restriction_fixed(2)    # exactly 2 fixed coordinates
 print(f"\nsigma-restriction: {sigma_rho}  (fills come from one target sample)")
-print(f"fixed-size restriction: {fixed_rho}")
 print(f"ledger: {oracle.queries} queries")
 
 # -- edge-bias estimates -----------------------------------------------------

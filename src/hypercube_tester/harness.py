@@ -178,10 +178,8 @@ def run_trial(spec: ExperimentSpec, cell_index: int, n: int, eps: float, trial: 
     t0 = time.perf_counter()
     verdict = execute_trial(spec, cell_index, n, eps, trial)
     wall = time.perf_counter() - t0
-    z_levels = verdict.trace.get("z_levels", verdict.trace.get("reps", []))
+    z_levels = verdict.trace.get("z_levels", [])
     tau_levels = verdict.trace.get("tau_levels", [])
-    if not tau_levels and "tau" in verdict.trace:
-        tau_levels = [verdict.trace["tau"]]
     return {
         "n": n,
         "eps": eps,

@@ -23,10 +23,10 @@ level only when it is read:
   level 0 is read, so a level-0 reject and the gaussian reduction form no
   Gram matrix.
 
-Thresholds grow doubly exponentially in k, so the schedule is maintained
-in log2 space. `TauSchedule.exceeded` compares the exact numerator with a
-finite tau_k as fractions, making the strict `Z > tau` boundary
-reproducible, and in log2 space once tau_k passes TAU_OVERFLOW_LIMIT.
+The schedule holds each tau_k as an exact Fraction, however far past the
+float range it grows, so `TauSchedule.exceeded` decides the strict
+`Z_k > tau_k` at every level by one integer comparison,
+`num * den(tau_k) > numer(tau_k) * q^2`. Floats appear only in traces.
 
 A reduction for Gaussian mean testing is included: screen per-coordinate
 second moments, map samples through sign(), and run the hypercube tester
@@ -45,8 +45,7 @@ import numpy as np
 from .model import Decision, TestVerdict, _entries_in, as_int
 from .oracle import ScondOracle
 
-TAU_RECURSION_COEFF = 1.0 / 5000.0
-TAU_OVERFLOW_LIMIT = 1e300  # taus beyond this are reported as inf in traces
+TAU_RECURSION_COEFF = Fraction(1, 5000)
 
 # practical preset: the two terms of the sample bound q >= max{...} carry
 # calibrated constants; the first is forced by completeness at level 1
@@ -112,10 +111,11 @@ class SampleBatch:
         return tuple((v - n, c) for v, c in enumerate(counts.tolist()) if c)
 
 
-def _z_float(num: int, q: int) -> float:
-    """Z = num / q^2 as a float for traces, +-inf past the float range."""
+def _trace_float(num: int, den: int) -> float:
+    """num / den (den > 0) correctly rounded for traces, +-inf past the
+    float range."""
     try:
-        return num / (q * q)
+        return num / den
     except OverflowError:
         return math.inf if num > 0 else -math.inf
 
@@ -123,52 +123,31 @@ def _z_float(num: int, q: int) -> float:
 @dataclass(frozen=True)
 class TauSchedule:
     """tau_0 = eps^2 n / 2 and tau_k = a q^2 tau_{k-1}^2 with
-    a = TAU_RECURSION_COEFF, held in log2 space."""
+    a = TAU_RECURSION_COEFF, held as exact Fractions."""
 
     eps: float
     n: int
     q: int
     k0: int
-    taus_log2: tuple = field(init=False)
+    taus: tuple = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.eps <= 1.0:
             raise ValueError("eps must lie in (0, 1]")
         if self.q < 1 or self.k0 < 0 or self.n < 1:
             raise ValueError("need q >= 1, k0 >= 0, n >= 1")
-        step = math.log2(TAU_RECURSION_COEFF) + 2.0 * math.log2(self.q)
-        logs = [2.0 * math.log2(self.eps) + math.log2(self.n) - 1.0]
+        # eps^2 n / 2 from the float's exact ratio, built as one Fraction
+        a, b = self.eps.as_integer_ratio()
+        taus = [Fraction(a * a * self.n, 2 * b * b)]
+        step = TAU_RECURSION_COEFF * (self.q * self.q)
         for _ in range(self.k0):
-            logs.append(step + 2.0 * logs[-1])
-        object.__setattr__(self, "taus_log2", tuple(logs))
-
-    def tau_log2(self, k: int) -> float:
-        return self.taus_log2[k]
-
-    def tau(self, k: int) -> float:
-        lg = self.taus_log2[k]
-        if lg > math.log2(TAU_OVERFLOW_LIMIT):
-            return math.inf
-        return 2.0**lg
+            taus.append(step * taus[-1] ** 2)
+        object.__setattr__(self, "taus", tuple(taus))
 
     def exceeded(self, k: int, num: int) -> bool:
-        """Z_k = num / q^2 > tau_k: exact for a finite tau_k, in log2 space
-        once tau_k is past TAU_OVERFLOW_LIMIT."""
-        tau = self.tau(k)
-        if math.isinf(tau):
-            return num > 0 and math.log2(num) - 2.0 * math.log2(self.q) > self.tau_log2(k)
-        return Fraction(num, self.q * self.q) > Fraction(tau)
-
-    @property
-    def taus(self) -> tuple:
-        return tuple(self.tau(k) for k in range(self.k0 + 1))
-
-    def closed_form_log2(self, k: int) -> float:
-        """-log2(a q^2) + 2^k log2(a q^2 eps^2 n / 2); agrees with the
-        recursion to floating-point accuracy."""
-        base = math.log2(TAU_RECURSION_COEFF) + 2.0 * math.log2(self.q)
-        inner = base + 2.0 * math.log2(self.eps) + math.log2(self.n) - 1.0
-        return -base + (1 << k) * inner
+        """Z_k = num / q^2 > tau_k, exact at every level."""
+        tau = self.taus[k]
+        return num * tau.denominator > tau.numerator * self.q * self.q
 
 
 def default_k0(n: int) -> int:
@@ -236,16 +215,17 @@ def mean_tester(oracle: ScondOracle, cfg: MeanTestConfig) -> TestVerdict:
     decision = Decision.ACCEPT
     for k in range(sched.k0 + 1):
         num = batch.numerator(k)
-        z_levels.append(_z_float(num, sched.q))
+        z_levels.append(_trace_float(num, sched.q * sched.q))
         if sched.exceeded(k, num):
             decision = Decision.REJECT
             break
+    taus = sched.taus[: len(z_levels)]
     trace = {
         "q": sched.q,
         "k0": sched.k0,
         "z_levels": z_levels,
-        "tau_levels": [sched.tau(k) for k in range(len(z_levels))],
-        "tau_levels_log2": [sched.tau_log2(k) for k in range(len(z_levels))],
+        "tau_levels": [_trace_float(*t.as_integer_ratio()) for t in taus],
+        "tau_levels_log2": [math.log2(t.numerator) - math.log2(t.denominator) for t in taus],
     }
     return TestVerdict(decision, oracle.queries - start, trace)
 
@@ -304,7 +284,7 @@ def gaussian_mean_tester(samples: np.ndarray, eps: float) -> TestVerdict:
 
     if second_moment_screen(samples):
         return TestVerdict(
-            Decision.REJECT, need, {"stage": "screen", "reps": [], "q": 0}
+            Decision.REJECT, need, {"stage": "screen", "z_levels": [], "tau_levels": [], "q": 0}
         )
 
     eps_reduced = eps / (2.0 * math.sqrt(3.0 * n))
@@ -321,13 +301,13 @@ def gaussian_mean_tester(samples: np.ndarray, eps: float) -> TestVerdict:
         lo = r * 2 * q
         batch = SampleBatch(signs[lo : lo + q], signs[lo + q : lo + 2 * q])
         num = batch.numerator(0)
-        rep_z.append(_z_float(num, q))
+        rep_z.append(_trace_float(num, q * q))
         rejects += sched.exceeded(0, num)
     decision = Decision.REJECT if 2 * rejects > GAUSS_REPS else Decision.ACCEPT
     trace = {
         "stage": "mean-test",
-        "reps": rep_z,
-        "tau": sched.tau(0),
+        "z_levels": rep_z,
+        "tau_levels": [_trace_float(*sched.taus[0].as_integer_ratio())],
         "q": q,
         "eps_reduced": eps_reduced,
     }

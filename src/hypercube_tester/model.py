@@ -51,9 +51,7 @@ def all_sign_points(n: int) -> np.ndarray:
     if n > 24:
         raise ValueError(f"refusing to enumerate 2^{n} points")
     if n not in _POINT_CACHE:
-        idx = np.arange(1 << n, dtype=np.int64)
-        bits = (idx[:, None] >> np.arange(n - 1, -1, -1)) & 1
-        _POINT_CACHE[n] = (2 * bits - 1).astype(np.int8)
+        _POINT_CACHE[n] = indices_to_points(np.arange(1 << n), n)
     return _POINT_CACHE[n]
 
 

@@ -91,16 +91,6 @@ class ScondOracle:
         x = self.sample()
         return Restriction.from_stars_and_point(star_mask, x)
 
-    def draw_restriction_fixed(self, t: int) -> Restriction:
-        """Random restriction with exactly t stars, chosen uniformly."""
-        if not 0 <= t <= self.n:
-            raise ValueError("t must lie in [0, n]")
-        stars = self.rng.choice(self.n, size=t, replace=False)
-        mask = np.zeros(self.n, dtype=bool)
-        mask[stars] = True
-        x = self.sample()
-        return Restriction.from_stars_and_point(mask, x)
-
     def estimate_edge_biases(
         self, points: np.ndarray, coords: np.ndarray, draws_per_pair: int
     ) -> np.ndarray:

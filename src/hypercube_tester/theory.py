@@ -26,6 +26,8 @@ from .model import (
     all_sign_points,
     bit_powers,
     conditional_table,
+    indices_to_points,
+    points_to_indices,
     project,
     tv_to_uniform,
     uniform_signs,
@@ -400,12 +402,10 @@ def khintchine_lhs(a: np.ndarray) -> float:
     if m == 0:
         return 0.0
     total = 0.0
-    shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
     chunk = 1 << 16
     for lo in range(0, 1 << m, chunk):
-        idx = np.arange(lo, min(lo + chunk, 1 << m), dtype=np.int64)
-        signs = (((idx[:, None] >> shifts) & 1) * 2 - 1).astype(np.float64)
-        total += float(np.abs(signs @ a).sum())
+        signs = indices_to_points(np.arange(lo, min(lo + chunk, 1 << m)), m)
+        total += float(np.abs(signs.astype(np.float64) @ a).sum())
     return total / (1 << m)
 
 
@@ -444,10 +444,7 @@ def _directed_edge_class(p, cache: dict, t_set: frozenset, y: np.ndarray, coord:
         entry = (graphs, tbar)
         cache[t_set] = entry
     graphs, tbar = entry
-    z_idx = 0
-    for b, c in enumerate(tbar):
-        if y[c] > 0:
-            z_idx |= 1 << (len(tbar) - 1 - b)
+    z_idx = int(points_to_indices(y[tbar]))
     i_pos = tbar.index(coord)
     rec = graphs.record(z_idx, i_pos)
     if rec["source"] != z_idx:

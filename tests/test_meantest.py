@@ -17,7 +17,7 @@ from hypercube_tester.meantest import (
     MeanTestConfig,
     SampleBatch,
     TauSchedule,
-    _z_float,
+    _trace_float,
     default_k0,
     erf_lower_bound_holds,
     gaussian_mean_tester,
@@ -168,13 +168,13 @@ def test_z_statistic_is_numerator_over_q_squared():
     for z, num in zip(v.trace["z_levels"], nums):
         assert z == pytest.approx(num / 100**2, rel=1e-15)
     # past the float range the trace value saturates instead of raising
-    assert _z_float(10**400, 1) == math.inf
-    assert _z_float(-(10**400), 1) == -math.inf
+    assert _trace_float(10**400, 3) == math.inf
+    assert _trace_float(-(10**400), 3) == -math.inf
 
 
 def test_threshold_equality_accepts():
     sched = TauSchedule(0.5, 32, 1, 0)
-    assert sched.tau(0) == 4.0
+    assert sched.taus[0] == 4
     # one pair with <x,y> = 4 in n=32: Z_0 = 4 exactly
     x = np.ones((1, 32), dtype=np.int8)
     y = x.copy()
@@ -195,7 +195,7 @@ def test_threshold_uses_exact_arithmetic():
     # q = 3: Z = num / 9 is not a dyadic float; the comparison must not
     # round through floating point
     sched = TauSchedule(1.0, 6, 3, 0)
-    assert sched.tau(0) == 3.0
+    assert sched.taus[0] == 3
     xs = np.ones((3, 3), dtype=np.int8)
     ys = np.ones((3, 3), dtype=np.int8)
     num = SampleBatch(xs, ys).numerator(0)  # 9 * 3 = 27, Z = 3 exactly
@@ -210,20 +210,27 @@ def test_threshold_uses_exact_arithmetic():
     assert wide.exceeded(0, 3 * q * q + 1)
 
 
-def _int_with_log2(lg: float) -> int:
-    shift = int(lg) - 60
-    return int(2.0 ** (lg - shift)) << shift
+def test_threshold_equality_accepts_at_level_one():
+    # the far cell of criterion 3: tau_1 = 5000 exactly, so Z_1 = tau_1
+    # must accept and one more unit of the numerator must reject
+    sched = TauSchedule(0.5, 64, 625, 1)
+    assert sched.taus[1] == 5000
+    num = 5000 * 625**2
+    assert not sched.exceeded(1, num)
+    assert sched.exceeded(1, num + 1)
 
 
-def test_exceeds_log2_matches_float_compare():
-    sched = TauSchedule(0.5, 64, 250, 8)
-    assert math.isinf(sched.tau(8))
-    z_log2 = sched.tau_log2(8) + 2.0 * math.log2(250)  # log2 of num at Z = tau
-    assert sched.exceeded(8, _int_with_log2(z_log2 + 0.01))
-    assert not sched.exceeded(8, _int_with_log2(z_log2 - 0.01))
+def test_exceeds_exact_past_float_range():
+    q = 2000
+    sched = TauSchedule(1.0, 4, q, 7)
+    assert all(t.denominator == 1 for t in sched.taus)
+    assert _trace_float(*sched.taus[7].as_integer_ratio()) == math.inf
+    num = int(sched.taus[7]) * q * q  # Z_7 = tau_7
+    assert not sched.exceeded(7, num)
+    assert sched.exceeded(7, num + 1)
     # non-positive numerators never exceed a huge threshold
-    assert not sched.exceeded(8, 0)
-    assert not sched.exceeded(8, -_int_with_log2(z_log2 + 0.01))
+    assert not sched.exceeded(7, 0)
+    assert not sched.exceeded(7, -num - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +239,13 @@ def test_exceeds_log2_matches_float_compare():
 
 def test_tau_schedule_frozen_values():
     s = TauSchedule(0.5, 64, 250, 3)
-    assert s.tau(0) == pytest.approx(8.0, rel=1e-12)
-    assert s.tau(1) == pytest.approx(800.0, rel=1e-12)
-    assert s.tau(2) == pytest.approx(8.0e6, rel=1e-12)
-    assert s.tau(3) == pytest.approx(8.0e14, rel=1e-12)
+    assert s.taus == (8, 800, 8 * 10**6, 8 * 10**14)
 
 
 def test_tau_first_level_dominates_twelve_n():
     # the level-1 threshold clears 12n at the criterion operating point
     s = TauSchedule(0.5, 64, 250, 1)
-    assert s.tau(1) >= 12 * 64
+    assert s.taus[1] >= 12 * 64
 
 
 @settings(max_examples=60)
@@ -252,27 +256,25 @@ def test_tau_first_level_dominates_twelve_n():
     st.integers(0, 6),
 )
 def test_tau_recursion_matches_closed_form(eps, n, q, k0):
+    # tau_k = (a q^2 tau_0)^(2^k) / (a q^2) with a = 1/5000
     s = TauSchedule(eps, n, q, k0)
+    aq2 = Fraction(q * q, 5000)
+    tau0 = Fraction(eps) ** 2 * n / 2
     for k in range(k0 + 1):
-        got = s.tau_log2(k)
-        want = s.closed_form_log2(k)
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+        assert s.taus[k] == (aq2 * tau0) ** (1 << k) / aq2
 
 
 def test_tau_recursion_step():
     s = TauSchedule(0.3, 32, 100, 4)
-    a = 1.0 / 5000.0
+    assert s.taus[0] == Fraction(0.3) ** 2 * 16
     for k in range(1, 5):
-        assert s.tau_log2(k) == pytest.approx(
-            math.log2(a) + 2 * math.log2(100) + 2 * s.tau_log2(k - 1), rel=1e-12
-        )
+        assert s.taus[k] == Fraction(1, 5000) * 100**2 * s.taus[k - 1] ** 2
 
 
 def test_tau_overflow_reports_inf():
     s = TauSchedule(1.0, 4, 10**6, 6)
-    assert math.isinf(s.tau(6))
-    assert s.tau_log2(6) > math.log2(1e300)
-    assert not math.isinf(s.tau(0))
+    assert _trace_float(*s.taus[6].as_integer_ratio()) == math.inf
+    assert _trace_float(*s.taus[0].as_integer_ratio()) == 2.0
 
 
 def test_default_k0():
@@ -368,9 +370,10 @@ def test_mean_tester_stops_at_first_exceedance():
 
 def test_mean_tester_handles_overflowed_tau():
     # deep schedule: the top tau exceeds the float range; uniform must
-    # still accept through the log-space comparison
+    # still accept through the exact comparison
     sched = TauSchedule(1.0, 4, 2000, 7)
-    assert math.isinf(sched.tau(7)) and not math.isinf(sched.tau(6))
+    assert _trace_float(*sched.taus[7].as_integer_ratio()) == math.inf
+    assert _trace_float(*sched.taus[6].as_integer_ratio()) < math.inf
     o = ScondOracle(ProductDistribution.uniform(4), stream(59, 0, 0))
     v = mean_tester(o, MeanTestConfig(1.0, q=2000, k0=7))
     assert v.decision is Decision.ACCEPT

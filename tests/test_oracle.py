@@ -60,8 +60,6 @@ def test_restriction_draw_charges_one_query():
     o = make_oracle()
     o.draw_restriction_sigma(0.5)
     assert o.queries == 1
-    o.draw_restriction_fixed(3)
-    assert o.queries == 2
 
 
 def test_edge_bias_rejects_bad_coordinates_before_charging():
@@ -157,13 +155,6 @@ def test_draw_restriction_sigma_fills_from_target():
     for _ in range(20):
         rho = o.draw_restriction_sigma(0.5)
         assert (rho.cells[rho.fixed] == atom[rho.fixed]).all()
-
-
-def test_draw_restriction_fixed_star_count():
-    o = make_oracle(seed=8)
-    for t in (0, 2, 6):
-        rho = o.draw_restriction_fixed(t)
-        assert rho.num_stars == t
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +336,9 @@ def test_two_level_view_charges_root_ledger():
     # fixing the view's last star (coordinate 4) to -1 leaves a zero-mass subcube
     view2 = view.restricted(Restriction(np.array([0, 0, 0, -1], dtype=np.int8)))
     view2.draw_restriction_sigma(0.5)
-    view2.draw_restriction_fixed(2)
     view2.cond_sample(Restriction(np.array([0, 1, 0], dtype=np.int8)), 5)
     view2.estimate_edge_biases(np.ones((2, 3), dtype=np.int8), np.array([0, 2]), 8)
-    assert o.queries == 1 + 1 + 5 + 2 * 8
+    assert o.queries == 1 + 5 + 2 * 8
     assert o.zero_support_hits == o.queries
     assert view.queries == view2.queries == o.queries
     assert view2.zero_support_hits == o.zero_support_hits
