@@ -120,6 +120,11 @@ def _trace_float(num: int, den: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
+def _exceeds(num: int, q: int, tau: Fraction) -> bool:
+    """num / q^2 > tau, in integers."""
+    return num * tau.denominator > tau.numerator * q * q
+
+
 @dataclass(frozen=True)
 class TauSchedule:
     """tau_0 = eps^2 n / 2 and tau_k = a q^2 tau_{k-1}^2 with
@@ -146,8 +151,7 @@ class TauSchedule:
 
     def exceeded(self, k: int, num: int) -> bool:
         """Z_k = num / q^2 > tau_k, exact at every level."""
-        tau = self.taus[k]
-        return num * tau.denominator > tau.numerator * self.q * self.q
+        return _exceeds(num, self.q, self.taus[k])
 
 
 def default_k0(n: int) -> int:
@@ -290,8 +294,10 @@ def gaussian_mean_tester(samples: np.ndarray, eps: float) -> TestVerdict:
     eps_reduced = eps / (2.0 * math.sqrt(3.0 * n))
     q = _gaussian_q(n, eps)
     # the reduced eps lies far below a practical preset's domain, so the
-    # schedule takes an explicit q and runs at level 0 only
-    sched = TauSchedule(eps_reduced, n, q, 0)
+    # test takes an explicit q and runs at level 0 only, where tau_0 =
+    # eps_reduced^2 n / 2 = eps^2 / 24 is built from eps, not from the
+    # rounded eps_reduced
+    tau0 = Fraction(eps) ** 2 / 24
     # straight to int8: an int64 temporary, eight times the size, would be
     # freed and its pages faulted in again on every verdict
     signs = np.where(samples >= 0.0, np.int8(1), np.int8(-1))
@@ -302,12 +308,12 @@ def gaussian_mean_tester(samples: np.ndarray, eps: float) -> TestVerdict:
         batch = SampleBatch(signs[lo : lo + q], signs[lo + q : lo + 2 * q])
         num = batch.numerator(0)
         rep_z.append(_trace_float(num, q * q))
-        rejects += sched.exceeded(0, num)
+        rejects += _exceeds(num, q, tau0)
     decision = Decision.REJECT if 2 * rejects > GAUSS_REPS else Decision.ACCEPT
     trace = {
         "stage": "mean-test",
         "z_levels": rep_z,
-        "tau_levels": [_trace_float(*sched.taus[0].as_integer_ratio())],
+        "tau_levels": [_trace_float(*tau0.as_integer_ratio())],
         "q": q,
         "eps_reduced": eps_reduced,
     }

@@ -56,10 +56,23 @@ def all_sign_points(n: int) -> np.ndarray:
 
 
 def points_to_indices(signs: np.ndarray) -> np.ndarray:
+    """Dense index (int64) of each sign vector along the last axis, n <= 63.
+
+    The +1 entries become set bits right-aligned in a 32- or 64-bit row,
+    which one flat ``np.packbits`` turns into big-endian words: coordinate
+    0 lands on the most significant used bit. An integer ``@`` against the
+    place values has no BLAS route and took 1.6 times as long on 1,024
+    rows of 12 coordinates.
+    """
     signs = np.asarray(signs)
     n = signs.shape[-1]
-    bits = (signs.astype(np.int64) + 1) >> 1
-    return bits @ bit_powers(n)
+    if n > 63:
+        raise ValueError(f"a dense index holds at most 63 coordinates, got {n}")
+    width = 32 if n <= 32 else 64
+    bits = np.zeros(signs.shape[:-1] + (width,), dtype=bool)
+    np.greater(signs, 0, out=bits[..., width - n :])
+    words = np.packbits(bits).view(f">u{width // 8}")
+    return words.reshape(signs.shape[:-1]).astype(np.int64)
 
 
 def indices_to_points(indices: np.ndarray, n: int) -> np.ndarray:
@@ -78,6 +91,13 @@ _BYTE_SIGNS = (
     .ravel()
 )
 
+# draws of at most this many random bytes (512 rows of 128 entries) are
+# unpacked through _BYTE_SIGNS, larger ones by np.unpackbits; the table
+# route's intp copy of its index then stays within 64 KiB, and near this
+# size the two routes cost about the same (BENCH_edge_blocks.json,
+# uniform_signs_routes)
+_TABLE_MAX_BYTES = 1 << 13
+
 
 def uniform_signs(rng: np.random.Generator, shape) -> np.ndarray:
     """Independent uniform +-1 entries (int8) of the given shape, as a fresh
@@ -88,17 +108,36 @@ def uniform_signs(rng: np.random.Generator, shape) -> np.ndarray:
     bit j % 64 of its word j // 64 (+1 for a set bit). A float64 uniform
     per entry costs several times more on large draws, and ``rng.bytes``
     or a uint8 ``rng.integers`` add Python-level cost that dominates small
-    draws. The words are unpacked by one ``np.take`` of each byte on a
-    256-entry table of eight packed signs, about four times faster than
-    ``np.unpackbits`` followed by the {0, 1} -> {-1, +1} map; rows whose
-    length is not a multiple of 64 are then cut to k entries by one copy.
+    draws. Both unpacking routes give the same bits in the same layout:
+
+    * up to _TABLE_MAX_BYTES random bytes, one ``np.take`` of each byte on a
+      256-entry table of eight packed signs. On draws of a few rows it is
+      2 to 4 us cheaper per call than the other route (3.8 against 7.5 us for
+      one row of 30), and a recursive uniformity verdict makes thousands
+      of such calls: with ``np.unpackbits`` at every size the benchmark's
+      recursion workload ran about 10% slower;
+    * above it, ``np.unpackbits`` and an in-place {0, 1} -> {-1, +1} map.
+      ``np.take`` first copies its uint8 index to an intp array eight times
+      its size; from 2,048 rows of 128 entries up, that temporary and the
+      output made the allocator fault pages in on every call (224 faults
+      per call at 4,096 rows, one edge-tester block), while this route
+      allocates only the output and took none.
+
+    Rows whose length is not a multiple of 64 are then cut to k entries by
+    one copy.
     """
     shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
     k = shape[-1]
     words = (k + 63) // 64
     rows = math.prod(shape[:-1])
-    raw = rng.bit_generator.random_raw(rows * words).astype("<u8", copy=False)
-    signs = _BYTE_SIGNS.take(raw.view(np.uint8)).view(np.int8).reshape(rows, 64 * words)
+    raw = rng.bit_generator.random_raw(rows * words).astype("<u8", copy=False).view(np.uint8)
+    if raw.size <= _TABLE_MAX_BYTES:
+        signs = _BYTE_SIGNS.take(raw).view(np.int8)
+    else:
+        signs = np.unpackbits(raw, bitorder="little").view(np.int8)
+        signs *= 2
+        signs -= 1
+    signs = signs.reshape(rows, 64 * words)
     if k % 64:
         signs = np.ascontiguousarray(signs[:, :k])
     return signs.reshape(shape)

@@ -31,7 +31,13 @@ from .meantest import MeanTestConfig, mean_tester
 from .model import Decision, TestVerdict, as_int
 from .oracle import ScondOracle
 
-EDGE_PAIR_CHUNK = 512
+# the edge tester draws a level in blocks of pairs; a block is the most
+# pairs whose points matrix, one int8 row of the root dimension per pair,
+# fits in this many bytes (4,096 pairs at n = 128). With 1 MiB, a block's
+# arrays together come near glibc's trim threshold, and whether every block
+# faulted its pages in again depended on the process's earlier allocations
+# (BENCH_edge_blocks.json, block_size_exploration).
+EDGE_BLOCK_BYTES = 1 << 19
 
 
 def _force_odd(x: int) -> int:
@@ -184,12 +190,28 @@ def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) 
 
     Levels run from heavy-mass buckets (few pairs, many draws each) down to
     light ones; the first pair whose estimated |bias| exceeds theta_h ends
-    the run with Reject.
+    the run with Reject, and the trace's ``fired`` names its level, its
+    index ``pair`` within the level, its coordinate and its estimate.
+
+    A level's m_h pairs are drawn in blocks of EDGE_BLOCK_BYTES // rho.n
+    pairs (4,096 at n = 128), where rho.n is the root dimension: a view's
+    points are expanded to it by ``estimate_edge_biases``, and that points
+    matrix is the largest array of a block. Fewer, larger blocks spend
+    less on per-call overhead. Above n = 1024 a block holds fewer than the
+    512 pairs of the earlier fixed chunks (256 at n = 2048); an accepted
+    null at n = 2048 still ran faster than with those chunks, and above
+    n = 2048 the effect is unmeasured (BENCH_edge_blocks.json, large_n).
+    A block is drawn, estimated and charged whole. An accepted run spends
+    exactly sum_h m_h (1 + b_h) queries. A rejecting run stops after the
+    block that holds the firing pair: past the fired level's earlier
+    blocks it spends at most one block of pairs, (1 + b_h) queries each,
+    and it is charged for every draw it made.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
     cfg = cfg or EdgeConfig()
     n = oracle.n
+    block = max(1, EDGE_BLOCK_BYTES // oracle.rho.n)
     start = oracle.queries
     levels = []
     fired = None
@@ -197,7 +219,7 @@ def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) 
         max_est = 0.0
         done = 0
         while done < lv.m and fired is None:
-            m = min(EDGE_PAIR_CHUNK, lv.m - done)
+            m = min(block, lv.m - done)
             points = oracle.sample(m)
             coords = oracle.rng.integers(0, n, size=m)
             ests = oracle.estimate_edge_biases(points, coords, lv.b)
@@ -206,7 +228,12 @@ def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) 
             hits = np.flatnonzero(abs_ests > lv.theta)
             if hits.size:
                 i = int(hits[0])
-                fired = {"h": lv.h, "coord": int(coords[i]), "est": float(ests[i])}
+                fired = {
+                    "h": lv.h,
+                    "pair": done + i,
+                    "coord": int(coords[i]),
+                    "est": float(ests[i]),
+                }
             done += m
         levels.append({**lv._asdict(), "max_est": max_est})
         if fired is not None:

@@ -193,7 +193,7 @@ class NoisyParityDistribution(HypercubeTarget):
 
     def edge_bias(self, points: np.ndarray, coords: np.ndarray):
         # closed form: the edge tester's far target calls this on every
-        # chunk, where the generic ratio costs more and misses 1 - 2 delta
+        # block, where the generic ratio costs more and misses 1 - 2 delta
         # by one ulp at some delta
         points = np.atleast_2d(np.asarray(points, dtype=np.int8))
         coords = np.asarray(coords, dtype=np.int64)

@@ -448,6 +448,19 @@ def test_gaussian_tester_rejects_non_finite_samples():
             gaussian_mean_tester(samples, eps)
 
 
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_gaussian_threshold_is_exactly_eps_squared_over_24(n):
+    # tau_0 = eps_reduced^2 n / 2 = eps^2 / 24, built from eps: the square
+    # of the rounded eps / (2 sqrt(3n)) misses 1/96 at these n
+    eps = 0.5
+    need = gaussian_required_samples(n, eps)
+    v = gaussian_mean_tester(stream(65, 0, n).standard_normal((need, n)), eps)
+    assert v.trace["stage"] == "mean-test"
+    assert v.trace["tau_levels"] == [1 / 96]
+    rounded = TauSchedule(v.trace["eps_reduced"], n, v.trace["q"], 0).taus[0]
+    assert rounded != Fraction(1, 96)
+
+
 def test_gaussian_tester_majority_and_requirements():
     n, eps = 8, 0.5
     need = gaussian_required_samples(n, eps)

@@ -13,6 +13,7 @@ from hypercube_tester.model import (
     Restriction,
     _entries_in,
     all_sign_points,
+    bit_powers,
     conditional_table,
     distribution_from_dict,
     distribution_to_dict,
@@ -53,6 +54,33 @@ def test_index_roundtrip(n, raw):
     idx = raw % (1 << n)
     pt = indices_to_points(np.array([idx]), n)
     assert points_to_indices(pt).tolist() == [idx]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 30),
+    st.lists(st.integers(0, 5), max_size=2),
+    st.integers(0, 2**32 - 1),
+)
+def test_points_to_indices_matches_place_value_formula(n, lead, seed):
+    # the bit-packing route gives what sum_i ((x_i + 1) / 2) 2^(n-1-i) gives,
+    # over any leading shape
+    signs = (2 * np.random.default_rng(seed).integers(0, 2, size=(*lead, n)) - 1).astype(np.int8)
+    want = ((signs.astype(np.int64) + 1) >> 1) @ bit_powers(n)
+    got = points_to_indices(signs)
+    assert got.dtype == np.int64 and got.shape == tuple(lead)
+    assert np.array_equal(got, want)
+
+
+def test_points_to_indices_width_edges():
+    # 32 coordinates fill a 32-bit row, 33 take the 64-bit one
+    for n in (31, 32, 33, 63):
+        ones = np.ones((2, n), dtype=np.int8)
+        ones[1, 0] = -1
+        assert points_to_indices(ones).tolist() == [(1 << n) - 1, (1 << (n - 1)) - 1]
+    assert int(points_to_indices(np.array([1, -1, 1]))) == 5
+    with pytest.raises(ValueError, match="63"):
+        points_to_indices(np.ones((1, 64), dtype=np.int8))
 
 
 def test_reshape_axis_matches_coordinate():
@@ -318,6 +346,22 @@ def test_uniform_signs_bit_layout_and_replay():
     assert x.tolist() == want
     assert np.array_equal(uniform_signs(stream(42, 1, 2), (rows, k)), x)
     assert not np.array_equal(uniform_signs(stream(42, 1, 3), (rows, k)), x)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 512, 4096, 8192])
+@pytest.mark.parametrize("k", [1, 8, 63, 64, 65, 128, 200])
+def test_uniform_signs_matches_bit_formula_at_block_shapes(rows, k):
+    # the reference layout of test_uniform_signs_bit_layout_and_replay,
+    # vectorised, on both unpacking routes: small draws through the byte
+    # table, large ones (an edge-tester block is 4096 x 128) by unpackbits
+    words = (k + 63) // 64
+    raw = stream(44, rows, k).bit_generator.random_raw(rows * words).reshape(rows, words)
+    j = np.arange(k)
+    bits = (raw[:, j // 64] >> (j % 64).astype(np.uint64)) & np.uint64(1)
+    want = np.where(bits == 1, 1, -1).astype(np.int8)
+    x = uniform_signs(stream(44, rows, k), (rows, k))
+    assert x.dtype == np.int8 and x.flags.c_contiguous and x.flags.writeable
+    assert np.array_equal(x, want)
 
 
 def test_product_route_and_frequencies():

@@ -7,13 +7,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hypercube_tester import uniformity
 from hypercube_tester.cli import UsageError, build_parser
-from hypercube_tester.harness import ExperimentSpec
+from hypercube_tester.harness import ExperimentSpec, resolve_target
 from hypercube_tester.meantest import Q_RULES
-from hypercube_tester.model import DensePmf, Decision, ProductDistribution
+from hypercube_tester.model import DensePmf, Decision, ProductDistribution, Restriction
 from hypercube_tester.oracle import ScondOracle
 from hypercube_tester.rng import stream
 from hypercube_tester.uniformity import (
+    EDGE_BLOCK_BYTES,
     PRESETS,
     EdgeConfig,
     SubCondConfig,
@@ -217,6 +219,71 @@ def test_edge_tester_rejects_two_point_instantly():
     assert v.decision is Decision.REJECT
     assert v.trace["fired"]["h"] == 0
     assert abs(v.trace["fired"]["est"]) == pytest.approx(1.0, abs=0.01)
+
+
+# noisy_parity:2:0.3 at n = 128, eps 0.5 on stream(1, 1, t): fired (h, coord,
+# est) and queries_used. Every one fires at a level of at most 64 pairs, which
+# is drawn as one block, so the block size must not move these verdicts.
+FAR_EDGE_VERDICTS_N128 = [
+    (2, 1, -0.402197265625, 39_321_712),
+    (1, 1, 0.3995703125, 26_214_448),
+    (0, 0, 0.4014697265625, 13_107_216),
+    (1, 1, -0.399833984375, 26_214_448),
+    (0, 1, -0.40029296875, 13_107_216),
+    (0, 1, 0.40043212890625, 13_107_216),
+    (0, 0, -0.40095947265625, 13_107_216),
+    (0, 0, 0.39927734375, 13_107_216),
+]
+
+
+def test_edge_tester_far_verdicts_pinned():
+    target = resolve_target("noisy_parity:2:0.3", 128)
+    for t, (h, coord, est, queries) in enumerate(FAR_EDGE_VERDICTS_N128):
+        v = edge_tester(ScondOracle(target, stream(1, 1, t)), 0.5)
+        assert v.decision is Decision.REJECT
+        fired = v.trace["fired"]
+        got = (fired["h"], fired["coord"], fired["est"], v.queries_used)
+        assert got == (h, coord, est, queries)
+
+
+def assert_block_ledger(v, block):
+    """A rejecting run spends every earlier level whole, then the fired
+    level's blocks up to and including the one that holds the firing pair."""
+    assert v.decision is Decision.REJECT
+    levels, fired = v.trace["levels"], v.trace["fired"]
+    last = levels[-1]
+    assert last["h"] == fired["h"] and 0 <= fired["pair"] < last["m"]
+    earlier = sum(lv["m"] * (1 + lv["b"]) for lv in levels[:-1])
+    before = fired["pair"] // block * block  # pairs in the blocks before the firing one
+    assert v.queries_used <= earlier + (before + block) * (1 + last["b"])
+    assert v.queries_used == earlier + min(last["m"], before + block) * (1 + last["b"])
+
+
+def test_edge_tester_block_overshoot(monkeypatch):
+    # the default block at n = 128 holds 4,096 pairs; this uniform null is a
+    # false reject at level 13 (131,072 pairs), inside its third block
+    block = EDGE_BLOCK_BYTES // 128
+    assert block == 4096
+    o = ScondOracle(ProductDistribution.uniform(128), stream(1, 0, 9))
+    v = edge_tester(o, 0.5)
+    assert v.trace["fired"]["h"] == 13 and v.trace["fired"]["pair"] > 2 * block
+    assert_block_ledger(v, block)
+    assert o.queries == v.queries_used
+    # 3-pair blocks: levels of 10 to 160 pairs take several blocks each
+    monkeypatch.setattr(uniformity, "EDGE_BLOCK_BYTES", 3 * 8)
+    deep = 0
+    for t in range(6):
+        v = edge_tester(ScondOracle(biased_edge_pmf(8), stream(73, 0, t)), 0.25)
+        assert_block_ledger(v, 3)
+        deep += v.trace["fired"]["pair"] >= 3
+    assert deep >= 3
+    # a view's block is sized by the root dimension its points expand to:
+    # 48 bytes make 4-pair blocks at the root's n = 12, not 6 at the view's 8
+    monkeypatch.setattr(uniformity, "EDGE_BLOCK_BYTES", 48)
+    rho = Restriction(np.array([-1, -1, 0, 0, 0, 0, 0, 0, 0, 0, -1, -1]))
+    for t in range(6):
+        view = ScondOracle(biased_edge_pmf(12), stream(73, 1, t)).restricted(rho)
+        assert_block_ledger(edge_tester(view, 0.25), 4)
 
 
 def test_edge_tester_validates_eps():
