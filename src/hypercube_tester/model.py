@@ -420,6 +420,11 @@ class ProductDistribution(HypercubeTarget):
         self.mu = _read_only(mu.copy())
         self.n = mu.size
         self._unbiased = not mu.any()
+        # the coordinates of mean +-1, where edge_bias finds zero-support
+        # edges; built once, as mu is read-only (None when there is none)
+        pinned = np.abs(mu) == 1.0
+        self._pinned = _read_only(pinned) if pinned.any() else None
+        self._pinned_sign = _read_only(np.sign(mu).astype(np.int8))
 
     @classmethod
     def uniform(cls, n: int) -> "ProductDistribution":
@@ -449,14 +454,11 @@ class ProductDistribution(HypercubeTarget):
         points = np.atleast_2d(np.asarray(points, dtype=np.int8))
         coords = np.asarray(coords, dtype=np.int64)
         m = points.shape[0]
-        deterministic = np.abs(self.mu) == 1.0
-        zero = np.zeros(m, dtype=bool)
-        if deterministic.any():
-            mism = (points != np.sign(self.mu).astype(np.int8)) & deterministic
-            rows = np.arange(m)
-            zero = (mism.sum(axis=1) - mism[rows, coords]) > 0
-        bias = np.where(zero, 0.0, self.mu[coords])
-        return bias, zero
+        if self._pinned is None:
+            return self.mu[coords], np.zeros(m, dtype=bool)
+        mism = (points != self._pinned_sign) & self._pinned
+        zero = (mism.sum(axis=1) - mism[np.arange(m), coords]) > 0
+        return np.where(zero, 0.0, self.mu[coords]), zero
 
 
 def subcube_mass(p: DensePmf, rho: Restriction) -> float:

@@ -32,6 +32,13 @@ class Ledger:
     zero_support_hits: int = 0
 
 
+def _draws_per_pair(value) -> int:
+    b = as_int(value, "draws_per_pair")
+    if b <= 0:
+        raise ValueError("draws_per_pair must be positive")
+    return b
+
+
 class ScondOracle:
     def __init__(
         self,
@@ -123,10 +130,27 @@ class ScondOracle:
                 f"points must have shape ({raw.size}, {self.n}) for {raw.size} coordinates,"
                 f" got {points.shape}"
             )
-        coords = raw.astype(np.int64)
-        b = as_int(draws_per_pair, "draws_per_pair")
-        if b <= 0:
-            raise ValueError("draws_per_pair must be positive")
+        b = _draws_per_pair(draws_per_pair)
+        return self._edge_estimates(points, raw.astype(np.int64), b)
+
+    def edge_block(self, size: int, draws_per_pair: int) -> tuple[np.ndarray, np.ndarray]:
+        """One edge-tester block in one call: (coords, estimates) for size
+        points of the view, each with a uniform coordinate.
+
+        Reads the stream and charges the ledger exactly as ``sample(size)``,
+        then ``rng.integers(0, n, size)``, then ``estimate_edge_biases`` on
+        those points and coordinates would; draws_per_pair is checked before
+        anything is charged. The coordinates are in range by construction,
+        so the checks that call makes on its arguments are not repeated.
+        """
+        b = _draws_per_pair(draws_per_pair)
+        points = self._draw(self.rho, size)
+        coords = self.rng.integers(0, self.n, size)
+        return coords, self._edge_estimates(points, coords, b)
+
+    def _edge_estimates(self, points: np.ndarray, coords: np.ndarray, b: int) -> np.ndarray:
+        # a view's points and coordinates are expanded to the root dimension,
+        # which is where the target gives its biases
         if self._stars.size != self.rho.n:
             full = np.empty((points.shape[0], self.rho.n), np.int8)
             full[:] = self.rho.cells
@@ -134,7 +158,7 @@ class ScondOracle:
             points, coords = full, self._stars[coords]
         bias, zero = self.target.edge_bias(points, coords)
         self.ledger.queries += points.shape[0] * b
-        self.ledger.zero_support_hits += int(zero.sum()) * b
+        self.ledger.zero_support_hits += int(np.count_nonzero(zero)) * b
         if bias.any():
             plus = self.rng.binomial(b, (1.0 + bias) / 2.0)
         elif b <= 64:

@@ -21,6 +21,7 @@ experiments).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
@@ -89,11 +90,16 @@ class EdgeConfig:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"EdgeConfig.{f.name} must be finite and positive, got {value!r}")
 
+    @functools.lru_cache(maxsize=256)
     def levels(self, n: int, eps: float) -> tuple[EdgeLevel, ...]:
         """Levels h = 0..ceil(c_h log2(n/eps)) with m_h = ceil(c1 2^h log2(n/eps))
         pairs, b_h = ceil(c2 2^-h n log2^2(n/eps)/eps^2) conditional draws per
         pair and threshold theta_h = c3 eps sqrt(2^h/n)/log2(n/eps), stopping
-        at the bucket floor 2^-h >= c_beta eps^2/(n log2^2 n)."""
+        at the bucket floor 2^-h >= c_beta eps^2/(n log2^2 n).
+
+        Schedules are memoised per (config, n, eps) in a bounded cache: a
+        recursive verdict runs hundreds of edge testers on a few (n, eps).
+        An (n, eps) that leaves no level raises on every call."""
         lg = _log2_at_least_one(n / eps)
         lg_n = _log2_at_least_one(n)
         floor = self.c_beta * eps * eps / (n * lg_n * lg_n)
@@ -201,6 +207,12 @@ def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) 
     512 pairs of the earlier fixed chunks (256 at n = 2048); an accepted
     null at n = 2048 still ran faster than with those chunks, and above
     n = 2048 the effect is unmeasured (BENCH_edge_blocks.json, large_n).
+    A block is one ``oracle.edge_block`` call: it draws the block's points,
+    then their coordinates, then their bias estimates, the stream order of
+    ``sample``, ``rng.integers`` and ``estimate_edge_biases`` called in
+    turn, at a fraction of their fixed cost per call; a recursive verdict
+    runs thousands of blocks of a few pairs each. The first-hit search runs
+    only in a block whose largest |estimate| exceeds theta_h.
     A block is drawn, estimated and charged whole. An accepted run spends
     exactly sum_h m_h (1 + b_h) queries. A rejecting run stops after the
     block that holds the firing pair: past the fired level's earlier
@@ -220,14 +232,12 @@ def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) 
         done = 0
         while done < lv.m and fired is None:
             m = min(block, lv.m - done)
-            points = oracle.sample(m)
-            coords = oracle.rng.integers(0, n, size=m)
-            ests = oracle.estimate_edge_biases(points, coords, lv.b)
+            coords, ests = oracle.edge_block(m, lv.b)
             abs_ests = np.abs(ests)
-            max_est = max(max_est, float(abs_ests.max()))
-            hits = np.flatnonzero(abs_ests > lv.theta)
-            if hits.size:
-                i = int(hits[0])
+            top = float(abs_ests.max())
+            max_est = max(max_est, top)
+            if top > lv.theta:
+                i = int(np.flatnonzero(abs_ests > lv.theta)[0])
                 fired = {
                     "h": lv.h,
                     "pair": done + i,

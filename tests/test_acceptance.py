@@ -11,6 +11,7 @@ deterministic.
 
 import json
 import math
+import os
 import time
 from pathlib import Path
 
@@ -55,7 +56,8 @@ from hypercube_tester.theory import (
 from hypercube_tester.uniformity import SubCondConfig, edge_tester, subcond_uni
 from hypercube_tester.zoo import GaussianSource, TwoPointDistribution
 
-REPORTS_DIR = Path(__file__).resolve().parents[1] / "reports"
+# criterion 8's tracked report; the test itself writes to a temporary path
+SCALING_ARTIFACT = Path(__file__).resolve().parents[1] / "reports" / "scaling_subconduni.json"
 
 
 @pytest.fixture(autouse=True)
@@ -412,8 +414,10 @@ def test_criterion_7_gaussian_operating_points():
 # criterion 8: query scaling artifact
 
 
-def test_criterion_8_scaling_artifact():
-    t0 = time.perf_counter()
+def write_scaling_artifact(out: Path) -> dict:
+    """Run criterion 8's grid and write its query-scaling report to out;
+    returns the fitted report. ``python3 tests/test_acceptance.py`` (with
+    the package importable) regenerates the tracked SCALING_ARTIFACT."""
     spec = ExperimentSpec(
         tester="subconduni",
         distribution="uniform",
@@ -424,8 +428,6 @@ def test_criterion_8_scaling_artifact():
     )
     summary = run_experiment(spec)["summary"]
     report = scaling_report(summary["cells"], reference_slope=0.5)
-    REPORTS_DIR.mkdir(exist_ok=True)
-    out = REPORTS_DIR / "scaling_subconduni.json"
     doc = {
         "experiment": spec.to_dict(),
         "cells": summary["cells"],
@@ -440,6 +442,14 @@ def test_criterion_8_scaling_artifact():
         ),
     }
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return report
+
+
+def test_criterion_8_scaling_artifact(tmp_path):
+    # the test writes its own copy, so a run never rewrites the tracked report
+    t0 = time.perf_counter()
+    out = tmp_path / SCALING_ARTIFACT.name
+    report = write_scaling_artifact(out)
 
     elapsed = time.perf_counter() - t0
     increasing = all(
@@ -485,3 +495,12 @@ def test_criterion_9_rerun_byte_identity():
         ok,
         f"{len(first.encode())} bytes compared; {elapsed:.1f}s",
     )
+
+
+if __name__ == "__main__":
+    # the same environment as under pytest: HT_SEED would replace the seed
+    for var in ("HT_SEED", "HT_THREADS"):
+        os.environ.pop(var, None)
+    SCALING_ARTIFACT.parent.mkdir(exist_ok=True)
+    write_scaling_artifact(SCALING_ARTIFACT)
+    print(f"wrote {SCALING_ARTIFACT}")

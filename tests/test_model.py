@@ -289,6 +289,32 @@ def test_product_edge_bias_is_coordinate_mean():
     assert np.allclose(ests, mu[coords])
 
 
+@pytest.mark.parametrize(
+    "mu",
+    [
+        [1.0, -1.0, 0.5, 0.0, -0.25, 1.0, 0.75],
+        [-1.0, 0.3, -0.6, 0.0, 0.9],
+        [0.5, -0.25, 0.0, 0.125],
+        [0.0] * 6,
+    ],
+)
+def test_product_edge_bias_matches_dense_ratio(mu):
+    # the closed form, with its pinned-mean mask built once, against the
+    # generic ratio of point masses that DensePmf inherits
+    prod = ProductDistribution(mu)
+    dense = prod.dense()
+    n = prod.n
+    pts = np.repeat(all_sign_points(n), n, axis=0)
+    coords = np.tile(np.arange(n), 1 << n)
+    bias, zero = prod.edge_bias(pts, coords)
+    want_bias, want_zero = dense.edge_bias(pts, coords)
+    assert zero.tolist() == want_zero.tolist()
+    assert np.allclose(bias, want_bias, rtol=0, atol=1e-12)
+    assert (bias[zero] == 0).all()
+    # a point off a pinned coordinate, on an edge along another one
+    assert zero.any() == bool((np.abs(prod.mu) == 1).any())
+
+
 def test_product_rejects_non_finite_means():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):

@@ -11,11 +11,13 @@ from hypercube_tester.model import (
     Point,
     ProductDistribution,
     Restriction,
+    all_sign_points,
     conditional_table,
     points_to_indices,
 )
-from hypercube_tester.oracle import ScondOracle
+from hypercube_tester.oracle import Ledger, ScondOracle
 from hypercube_tester.rng import stream
+from hypercube_tester.zoo import NoisyParityDistribution
 
 
 def make_oracle(target=None, seed=0):
@@ -261,6 +263,63 @@ def test_edge_bias_zero_support_counts():
     pts = np.array([[-1, -1]], dtype=np.int8)
     o.estimate_edge_biases(pts, np.array([0]), draws_per_pair=16)
     assert o.zero_support_hits == 16
+
+
+# ---------------------------------------------------------------------------
+# edge blocks: one call for sample, coordinates and estimates
+
+
+def _quarter_zero_pmf(n: int = 6) -> DensePmf:
+    """Random masses, with zero mass wherever x_0 = x_1 = +1."""
+    pts = all_sign_points(n)
+    mass = stream(35, 0, 0).random(1 << n) * ~((pts[:, 0] > 0) & (pts[:, 1] > 0))
+    return DensePmf(n, mass / mass.sum())
+
+
+EDGE_BLOCK_TARGETS = {
+    "uniform": lambda: ProductDistribution.uniform(6),
+    "pinned_product": lambda: ProductDistribution([1.0, -1.0, 0.3, 0.0, -0.5, 0.2]),
+    "noisy_parity": lambda: NoisyParityDistribution(6, [0, 1], 0.3),
+    "zero_subcube_pmf": _quarter_zero_pmf,
+}
+
+# the first view's subcube has zero mass under pinned_product and
+# zero_subcube_pmf, the second has positive mass under every target
+EDGE_BLOCK_VIEWS = (
+    None,
+    Restriction(np.array([1, 1, 0, 0, 0, 0])),
+    Restriction(np.array([0, 0, 1, 0, -1, 0])),
+)
+
+
+@pytest.mark.parametrize("view", range(len(EDGE_BLOCK_VIEWS)))
+@pytest.mark.parametrize("name", sorted(EDGE_BLOCK_TARGETS))
+def test_edge_block_replays_sample_coords_and_estimates(name, view):
+    target = EDGE_BLOCK_TARGETS[name]()
+    rho = EDGE_BLOCK_VIEWS[view]
+    roots = [ScondOracle(target, stream(36, view, 0)) for _ in range(2)]
+    fused, parts = (o if rho is None else o.restricted(rho) for o in roots)
+    for size, b in ((1, 3), (7, 64), (40, 200), (25, 17)):
+        coords, ests = fused.edge_block(size, b)
+        points = parts.sample(size)
+        want_coords = parts.rng.integers(0, parts.n, size)
+        want = parts.estimate_edge_biases(points, want_coords, b)
+        assert coords.tolist() == want_coords.tolist()
+        assert ests.tolist() == want.tolist()
+    assert roots[0].ledger == roots[1].ledger
+    if view == 1 and name in ("pinned_product", "zero_subcube_pmf"):
+        assert roots[0].zero_support_hits == roots[0].queries > 0
+    # both calls leave the stream at the same place
+    assert roots[0].rng.bit_generator.random_raw() == roots[1].rng.bit_generator.random_raw()
+
+
+@pytest.mark.parametrize("b", [0, -3, 2.5, 1e9 + 0.5])
+def test_edge_block_rejects_bad_draws_before_charging(b):
+    o = ScondOracle(ProductDistribution.uniform(6), stream(37, 0, 0))
+    with pytest.raises(ValueError, match="draws_per_pair"):
+        o.edge_block(5, b)
+    assert o.ledger == Ledger()
+    assert o.rng.bit_generator.random_raw() == stream(37, 0, 0).bit_generator.random_raw()
 
 
 # ---------------------------------------------------------------------------

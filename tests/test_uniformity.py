@@ -129,6 +129,32 @@ def test_theta_sqrt_b_identity():
                     assert lv.theta * math.sqrt(lv.b) >= cfg.c3 * math.sqrt(cfg.c2) - 1e-9
 
 
+def test_edge_levels_memo_matches_fresh_schedule():
+    fresh = EdgeConfig.levels.__wrapped__
+    for cfg in (PRESETS["practical"].edge, PRESETS["paper"].edge, REC_CFG.edge):
+        for n in (8, 16, 33, 64, 128):
+            for eps in (0.5, 0.25, 0.125):
+                got = cfg.levels(n, eps)
+                assert got == fresh(cfg, n, eps)
+                assert cfg.levels(n, eps) is got
+                assert all(type(lv) is uniformity.EdgeLevel for lv in got)
+    # equal configs share entries; a different constant is a different key
+    assert EdgeConfig().levels(64, 0.5) is EdgeConfig().levels(64, 0.5)
+    assert EdgeConfig(c3=2.0).levels(64, 0.5) != EdgeConfig().levels(64, 0.5)
+
+
+def test_edge_levels_memo_raises_every_call_and_is_bounded():
+    empty = EdgeConfig(c_beta=4.0)  # the bucket floor is above 2^0 at n = 2
+    for _ in range(3):
+        with pytest.raises(ValueError, match="no edge level"):
+            empty.levels(2, 1.0)
+    limit = EdgeConfig.levels.cache_info().maxsize
+    assert limit is not None
+    for k in range(limit + 10):
+        EdgeConfig(c1=1.0 + k).levels(16, 0.5)
+    assert EdgeConfig.levels.cache_info().currsize <= limit
+
+
 def test_edge_config_rejects_constants_that_would_accept_unqueried():
     # each of these once gave ACCEPT with 0 queries on a far target
     for bad in ({"c1": 0.0}, {"c_h": -1.0}, {"c2": 0.0}, {"c3": -0.5}, {"c_beta": 0.0}):
@@ -286,6 +312,37 @@ def test_edge_tester_block_overshoot(monkeypatch):
         assert_block_ledger(edge_tester(view, 0.25), 4)
 
 
+# (decision, queries_used, fired as (h, pair, coord, est), largest level
+# max_est) at n = 64, eps 0.5 on stream(16, 0, t), recorded before edge
+# blocks became one oracle call: the same stream must give the same verdicts
+EDGE_VERDICTS_N64 = {
+    "uniform": [
+        ("accept", 61_841_906, None, 0.6410256410256411),
+        ("accept", 61_841_906, None, 0.7948717948717948),
+        ("accept", 61_841_906, None, 0.7435897435897436),
+    ],
+    "noisy_parity:2:0.3": [
+        ("reject", 17_561_810, (3, 15, 1, 0.4051530612244898), 0.40933673469387755),
+        ("reject", 8_780_842, (1, 10, 1, -0.39743622448979593), 0.39743622448979593),
+        ("reject", 8_780_842, (1, 0, 0, -0.39790816326530615), 0.40006377551020406),
+    ],
+}
+
+
+def _fired(trace):
+    f = trace["fired"]
+    return None if f is None else (f["h"], f["pair"], f["coord"], f["est"])
+
+
+@pytest.mark.parametrize("dist", sorted(EDGE_VERDICTS_N64))
+def test_edge_tester_stream_pinned(dist):
+    target = resolve_target(dist, 64)
+    for t, want in enumerate(EDGE_VERDICTS_N64[dist]):
+        v = edge_tester(ScondOracle(target, stream(16, 0, t)), 0.5)
+        top = max(lv["max_est"] for lv in v.trace["levels"])
+        assert (v.decision.value, v.queries_used, _fired(v.trace), top) == want
+
+
 def test_edge_tester_validates_eps():
     o = ScondOracle(ProductDistribution.uniform(4), stream(75, 0, 0))
     with pytest.raises(ValueError):
@@ -392,6 +449,34 @@ def test_recursion_rejects_two_point_in_mean_loop():
     assert v.decision is Decision.REJECT
     assert tree["branch"] == "mean-loop"
     assert sum(s["majority_rejects"] for s in tree["mean_loop"]) == 1
+
+
+# (decision, queries_used, base-case edge testers run, their fired pairs)
+# under REC_CFG at n = 64, eps 0.5 on stream(16, 1, t), recorded before edge
+# blocks became one oracle call
+RECURSION_VERDICTS_N64 = {
+    "uniform": [
+        ("accept", 7_577_478, 504, []),
+        ("accept", 7_664_574, 504, []),
+        ("accept", 8_881_044, 504, []),
+    ],
+    "two_point": [("reject", 1201, 0, [])] * 3,
+}
+
+
+def _edge_traces(tree):
+    own = [tree["edge"]] if "edge" in tree else []
+    return own + [e for child in tree["children"] for e in _edge_traces(child)]
+
+
+@pytest.mark.parametrize("dist", sorted(RECURSION_VERDICTS_N64))
+def test_recursion_stream_pinned(dist):
+    target = resolve_target(dist, 64)
+    for t, want in enumerate(RECURSION_VERDICTS_N64[dist]):
+        v = subcond_uni(ScondOracle(target, stream(16, 1, t)), 0.5, REC_CFG)
+        edges = _edge_traces(v.trace["tree"])
+        fired = [_fired(e) for e in edges if e["fired"] is not None]
+        assert (v.decision.value, v.queries_used, len(edges), fired) == want
 
 
 def test_depth_cap_produces_error_not_accept():
