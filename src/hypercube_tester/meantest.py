@@ -15,13 +15,16 @@ level only when it is read:
 
 * Level 0 by column sums: sum_{i,j} <x_i, y_j> = <sum_i x_i, sum_j y_j>,
   which costs O(qn) instead of the O(q^2 n) Gram product.
-* Levels >= 1 from the Gram matrix of inner products, formed once per batch
-  as an int64 matrix product (exact: every entry is an integer of magnitude
-  at most n) and reduced to a histogram over the 2n+1 values an inner
-  product can take; each level is an exact Python-int sum over it. The
-  histogram is built on the first read of a level >= 1 and never when only
-  level 0 is read, so a level-0 reject and the gaussian reduction form no
-  Gram matrix.
+* Levels >= 1 from the histogram of all q^2 inner products over the n+1
+  values they can take, built once per batch from Hamming distances: each
+  half is packed into 64-bit words with a bit set where the entry is +1,
+  and <x, y> = n - 2 popcount(x XOR y). The distances are summed over the
+  words in the smallest unsigned type that holds n and counted one block
+  of rows at a time, so the route is integer work throughout, with no
+  float, no BLAS and no thread pool. Each level is an exact Python-int sum
+  over the histogram. The histogram is built on the first read of a level
+  >= 1 and never when only level 0 is read, so a level-0 reject and the
+  gaussian reduction build none.
 
 The schedule holds each tau_k as an exact Fraction, however far past the
 float range it grows, so `TauSchedule.exceeded` decides the strict
@@ -46,6 +49,10 @@ from .model import Decision, TestVerdict, _entries_in, as_int
 from .oracle import ScondOracle
 
 TAU_RECURSION_COEFF = Fraction(1, 5000)
+
+# pairs per row block of the Gram histogram: a block's XOR temporary is
+# 512 KiB of uint64 words, and the q x q distance matrix never exists whole
+GRAM_BLOCK_CELLS = 1 << 16
 
 # practical preset: the two terms of the sample bound q >= max{...} carry
 # calibrated constants; the first is forced by completeness at level 1
@@ -101,14 +108,35 @@ class SampleBatch:
 
     @functools.cached_property
     def gram_histogram(self) -> tuple[tuple[int, int], ...]:
-        """(inner product, count) over all q^2 pairs, for levels >= 1."""
-        n = self.n
-        # numpy's integer product runs on one thread, outside BLAS; a float64
-        # BLAS product is faster but its thread pool makes its cost unsteady
-        g = self.xs.astype(np.int64) @ self.ys.astype(np.int64).T
-        g += n
-        counts = np.bincount(g.ravel(), minlength=2 * n + 1)
-        return tuple((v - n, c) for v, c in enumerate(counts.tolist()) if c)
+        """(inner product, count) over all q^2 pairs in ascending order of
+        inner product, zero counts dropped; for levels >= 1."""
+        q, n = self.xs.shape
+        words = -(-n // 64)
+        xw = _sign_words(self.xs, words)
+        yw = _sign_words(self.ys, words)
+        rows = max(1, GRAM_BLOCK_CELLS // q)
+        dtype = np.min_scalar_type(n)
+        counts = np.zeros(n + 1, dtype=np.int64)
+        for lo in range(0, q, rows):
+            block = xw[lo : lo + rows]
+            # zero-filled, so n = 0 (no words) counts every pair at distance 0
+            dist = np.zeros((block.shape[0], q), dtype=dtype)
+            for w in range(words):
+                dist += np.bitwise_count(block[:, w, None] ^ yw[:, w])
+            counts += np.bincount(dist.ravel(), minlength=n + 1)
+        counts = counts.tolist()
+        # distance d is inner product n - 2d: descending d is ascending <x, y>
+        return tuple((n - 2 * d, counts[d]) for d in range(n, -1, -1) if counts[d])
+
+
+def _sign_words(signs: np.ndarray, words: int) -> np.ndarray:
+    """(rows, words) uint64 with bit j of a row's words set where its entry
+    j is +1; the padding bits past n are 0 in every row, so they never
+    differ."""
+    packed = np.packbits(signs > 0, axis=1, bitorder="little")
+    out = np.zeros((signs.shape[0], 8 * words), dtype=np.uint8)
+    out[:, : packed.shape[1]] = packed
+    return out.view(np.uint64)
 
 
 def _trace_float(num: int, den: int) -> float:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hypercube_tester import meantest
 from hypercube_tester.blowup import BLOWUP_DIM_CAP, blowup_dim, z_statistic_naive
+from hypercube_tester.harness import resolve_target
 from hypercube_tester.meantest import (
     GAUSS_REPS,
     MeanTestConfig,
@@ -76,6 +77,14 @@ def test_z_numerator_exactness_at_int64_boundary():
     assert [batch.numerator(3), batch.numerator(4)] == [36 * 62**8, 36 * 62**16]
 
 
+def _sign_halves(rng, q, n, rank_one):
+    # rank-one halves put every pair at Hamming distance 0 or n
+    if rank_one:
+        v = rng.choice((-1, 1), n)
+        return rng.choice((-1, 1), (q, 1)) * v, rng.choice((-1, 1), (q, 1)) * v
+    return rng.choice((-1, 1), (q, n)), rng.choice((-1, 1), (q, n))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(1, 12),
@@ -86,14 +95,7 @@ def test_z_numerator_exactness_at_int64_boundary():
 def test_numerators_match_explicit_blowup(n, q, rank_one, seed):
     # every level the blowup cap allows; rank-one batches put every inner
     # product at +-n, the largest power each level can see
-    rng = np.random.default_rng(seed)
-    if rank_one:
-        v = rng.choice((-1, 1), n)
-        xs = rng.choice((-1, 1), (q, 1)) * v
-        ys = rng.choice((-1, 1), (q, 1)) * v
-    else:
-        xs = rng.choice((-1, 1), (q, n))
-        ys = rng.choice((-1, 1), (q, n))
+    xs, ys = _sign_halves(np.random.default_rng(seed), q, n, rank_one)
     levels = [
         k for k in range(4) if k == 0 or blowup_dim(n, k) <= BLOWUP_DIM_CAP
     ]
@@ -102,27 +104,58 @@ def test_numerators_match_explicit_blowup(n, q, rank_one, seed):
         assert batch.numerator(k) / (q * q) == z_statistic_naive(xs, ys, k)
 
 
-@settings(max_examples=80, deadline=None)
+def _int64_gram_histogram(xs, ys):
+    # reference: the histogram of an int64 Gram product, ascending inner
+    # product, zero counts dropped
+    n = xs.shape[1]
+    g = xs.astype(np.int64) @ ys.astype(np.int64).T + n
+    counts = np.bincount(g.ravel(), minlength=2 * n + 1)
+    return tuple((v - n, c) for v, c in enumerate(counts.tolist()) if c)
+
+
+@settings(max_examples=120, deadline=None)
 @given(
-    st.integers(1, 200),
+    st.integers(1, 300),
     st.integers(1, 60),
     st.booleans(),
     st.integers(0, 2**32),
 )
 def test_level_zero_column_sums_match_gram_histogram(n, q, rank_one, seed):
-    # <sum x, sum y> against the level-0 sum over the Gram histogram;
-    # rank-one batches put every inner product at +-n and give every
-    # column sum the same magnitude
-    rng = np.random.default_rng(seed)
-    if rank_one:
-        v = rng.choice((-1, 1), n)
-        xs = rng.choice((-1, 1), (q, 1)) * v
-        ys = rng.choice((-1, 1), (q, 1)) * v
-    else:
-        xs = rng.choice((-1, 1), (q, n))
-        ys = rng.choice((-1, 1), (q, n))
+    # the histogram against an int64 Gram product, and <sum x, sum y>
+    # against the level-0 sum over it; rank-one batches put every inner
+    # product at +-n and give every column sum the same magnitude
+    xs, ys = _sign_halves(np.random.default_rng(seed), q, n, rank_one)
     batch = SampleBatch(xs, ys)
+    assert batch.gram_histogram == _int64_gram_histogram(xs, ys)
     assert batch.numerator(0) == sum(c * v for v, c in batch.gram_histogram)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 255, 256, 257, 300])
+def test_gram_histogram_at_word_boundaries(n):
+    # one word holds 64 signs; past n = 255 a distance no longer fits uint8
+    rng = stream(63, 0, n)
+    for q, rank_one in ((1, False), (37, False), (300, False), (37, True)):
+        xs, ys = _sign_halves(rng, q, n, rank_one)
+        assert SampleBatch(xs, ys).gram_histogram == _int64_gram_histogram(xs, ys)
+    # every pair at distance n, the largest count the accumulator must hold
+    ones = np.ones((3, n), dtype=np.int8)
+    assert SampleBatch(ones, -ones).gram_histogram == ((-n, 9),)
+    assert SampleBatch(ones, ones).numerator(1) == 9 * n * n
+
+
+def test_gram_histogram_in_several_row_blocks(monkeypatch):
+    # 7 rows per block over q = 30 leaves a short last block
+    monkeypatch.setattr(meantest, "GRAM_BLOCK_CELLS", 7 * 30)
+    xs, ys = _sign_halves(stream(64, 0, 0), 30, 70, False)
+    assert SampleBatch(xs, ys).gram_histogram == _int64_gram_histogram(xs, ys)
+
+
+def test_gram_histogram_with_no_coordinates():
+    # n = 0: every pair has inner product 0
+    empty = np.zeros((4, 0), dtype=np.int8)
+    batch = SampleBatch(empty, empty)
+    assert batch.gram_histogram == ((0, 16),)
+    assert [batch.numerator(k) for k in range(3)] == [0, 0, 0]
 
 
 def test_gram_histogram_built_only_when_a_higher_level_reads_it(monkeypatch):
@@ -322,6 +355,47 @@ def test_config_validation():
 
 # ---------------------------------------------------------------------------
 # the tester
+
+
+# (decision, queries_used, z_levels) recorded from the int64-product
+# statistic; an exact kernel must reproduce them bit for bit
+MEAN_TESTER_PINS = [
+    # criterion 3: uniform n = 64 at eps 0.5, planted 0.25 at eps 0.25
+    ("uniform", 0.5, (31, 0, 0), "accept", 500,
+     [0.032448, 64.549504, 12313.702912, 1681537629.233152]),
+    ("uniform", 0.5, (31, 0, 1), "accept", 500,
+     [-0.00768, 63.675392, 12176.811008, 1706654331.650048]),
+    ("uniform", 0.5, (31, 0, 2), "accept", 500,
+     [-0.013632, 63.4528, 11961.41824, 1567533183.01696]),
+    ("planted_product:0.25", 0.25, (31, 1, 0), "reject", 2000, [3.961824]),
+    ("planted_product:0.25", 0.25, (31, 1, 1), "reject", 2000, [3.915356]),
+    ("planted_product:0.25", 0.25, (31, 1, 2), "reject", 2000, [4.130248]),
+    # bench/bench.py's mean cells at seeds 1 and 7
+    ("uniform", 0.5, (1, 0, 0), "accept", 500,
+     [-0.003008, 64.665088, 12439.41376, 1909079461.15072]),
+    ("uniform", 0.5, (1, 0, 1), "accept", 500,
+     [-0.018304, 63.980928, 12109.306368, 1585571941.490688]),
+    ("uniform", 0.5, (1, 0, 2), "accept", 500,
+     [-0.00672, 63.76128, 12154.707456, 1617028499.890176]),
+    ("planted_product:0.25", 0.25, (1, 1, 0), "reject", 2000, [3.969408]),
+    ("planted_product:0.25", 0.25, (1, 1, 1), "reject", 2000, [3.979644]),
+    ("planted_product:0.25", 0.25, (1, 1, 2), "reject", 2000, [3.924292]),
+    ("uniform", 0.5, (7, 0, 0), "accept", 500,
+     [-0.095616, 63.955456, 12179.470336, 1640834233.040896]),
+    ("uniform", 0.5, (7, 0, 1), "accept", 500,
+     [-0.004288, 64.153472, 12211.821056, 1673011028.074496]),
+    ("uniform", 0.5, (7, 0, 2), "accept", 500,
+     [-0.036416, 63.732608, 12206.991872, 1642408960.827392]),
+    ("planted_product:0.25", 0.25, (7, 1, 0), "reject", 2000, [4.11368]),
+    ("planted_product:0.25", 0.25, (7, 1, 1), "reject", 2000, [3.980752]),
+    ("planted_product:0.25", 0.25, (7, 1, 2), "reject", 2000, [4.027808]),
+]
+
+
+@pytest.mark.parametrize("dist, eps, key, decision, queries, z_levels", MEAN_TESTER_PINS)
+def test_mean_tester_statistic_pins(dist, eps, key, decision, queries, z_levels):
+    v = mean_tester(ScondOracle(resolve_target(dist, 64), stream(*key)), MeanTestConfig(eps))
+    assert (v.decision.value, v.queries_used, v.trace["z_levels"]) == (decision, queries, z_levels)
 
 
 def test_mean_tester_uses_exactly_2q_queries():

@@ -358,6 +358,12 @@ def test_variance_bound_uniform():
     assert rep.ok, rep.extras
     assert rep.extras["mu_sq"] == pytest.approx(0.0, abs=1e-12)
     assert rep.extras["frob_sq"] == pytest.approx(4.0, rel=1e-12)
+    # recorded on the float64 einsum route this check used before; every sum
+    # is an exact integer below 2^53, so the exact statistic matches bit for bit
+    assert (rep.extras["z_mean"], rep.extras["z_var"]) == (
+        -0.0035333333333333306,
+        0.033854606566499724,
+    )
 
 
 def test_variance_bound_biased_product_level1():
@@ -368,6 +374,7 @@ def test_variance_bound_biased_product_level1():
     p = DensePmf(4, mass)
     rep = verify_variance_bound(p, q=20, batches=600, rng=rng, level=1)
     assert rep.ok, rep.extras
+    assert (rep.extras["z_mean"], rep.extras["z_var"]) == (4.097033333333334, 0.08055011574846968)
 
 
 def test_variance_bound_rejects_large_n():
