@@ -14,6 +14,12 @@ Conventions used throughout the package:
   factor, from which ``HypercubeTarget.edge_bias`` takes the conditional
   bias of an edge; a target whose point mass underflows or costs more than
   the bias gives a closed-form ``edge_bias`` instead.
+* An edge-tester block draws its points through ``edge_draw(rng, rho,
+  size)``, which reads the stream exactly as ``cond_sample`` and returns
+  the block's biases as a function of the edge coordinates. By default it
+  keeps the points and expands them to the root dimension for
+  ``edge_bias``; the uniform product, whose every edge bias is 0, skips the
+  stream words instead and builds no points.
 * Every uniform +-1 entry, in the uniform product, the zoo targets and the
   oracle's zero-mass fallback, is one random bit from ``uniform_signs``;
   biased products and dense PMFs draw from float64 uniforms.
@@ -321,6 +327,29 @@ class HypercubeTarget:
         """(size, n) draws from the whole cube, which never has zero mass."""
         return self.cond_sample(rng, Restriction.all_stars(self.n), size)
 
+    def edge_draw(self, rng: np.random.Generator, rho: Restriction, size: int):
+        """Draw size points of rho's subcube for an edge block, reading the
+        stream exactly as ``cond_sample(rng, rho, size)``. Returns a function
+        that maps coordinates (indices into rho's stars) to the (bias, zero)
+        of those edges at the drawn points, or None when the subcube has zero
+        mass. This default keeps the points for ``view_edge_bias``."""
+        points = self.cond_sample(rng, rho, size)
+        if points is None:
+            return None
+        return functools.partial(self.view_edge_bias, rho, points)
+
+    def view_edge_bias(self, rho: Restriction, points: np.ndarray, coords: np.ndarray):
+        """``edge_bias`` of int8 points on rho's star coordinates, with coords
+        indexing those stars: both are expanded to the root dimension, which
+        is where a target gives its biases."""
+        stars = rho.stars
+        if stars.size != rho.n:
+            full = np.empty((points.shape[0], rho.n), np.int8)
+            full[:] = rho.cells
+            full[:, stars] = points
+            points, coords = full, stars[coords]
+        return self.edge_bias(points, coords)
+
     def edge_bias(self, points: np.ndarray, coords: np.ndarray):
         """(bias, zero): the conditional bias of coordinate coords[r] given the
         other coordinates of points[r], (w(x+) - w(x-)) / (w(x+) + w(x-)) over
@@ -447,6 +476,17 @@ class ProductDistribution(HypercubeTarget):
         p_plus = (1.0 + self.mu[stars]) / 2.0
         draws = rng.random((size, stars.size)) < p_plus
         return 2 * draws.astype(np.int8) - 1
+
+    def edge_draw(self, rng: np.random.Generator, rho: Restriction, size: int):
+        # uniform: every edge bias is 0 whatever the point, so the points are
+        # not built and the stream skips the words uniform_signs would read,
+        # one per 64 entries of a row. They are drawn into a discarded array,
+        # as random_raw(output=False) costs about 2 us more per call on the
+        # few-row blocks of a recursion leaf
+        if not self._unbiased:
+            return super().edge_draw(rng, rho, size)
+        rng.bit_generator.random_raw(size * ((rho.num_stars + 63) // 64))
+        return lambda coords: (np.zeros(coords.size), np.zeros(coords.size, dtype=bool))
 
     def edge_bias(self, points: np.ndarray, coords: np.ndarray):
         # closed form: the point mass, a product of n factors, underflows

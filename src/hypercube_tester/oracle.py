@@ -17,11 +17,12 @@ policy lives (a target reports the zero mass by returning None).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Restriction, as_int, uniform_signs
+from .model import Restriction, _entries_in, as_int, uniform_signs
 
 
 @dataclass
@@ -69,16 +70,25 @@ class ScondOracle:
     def zero_support_hits(self) -> int:
         return self.ledger.zero_support_hits
 
-    def _draw(self, rho: Restriction, size: int | None) -> np.ndarray:
-        m = 1 if size is None else as_int(size, "size")
+    def _charge(self, size) -> int:
+        # size points, checked and charged before anything is drawn
+        m = as_int(size, "size")
         if m < 0:
             raise ValueError("size must be nonnegative")
         self.ledger.queries += m
+        return m
+
+    def _draw(self, rho: Restriction, size: int | None) -> np.ndarray:
+        m = self._charge(1 if size is None else size)
         draws = self.target.cond_sample(self.rng, rho, m)
         if draws is None:
-            self.ledger.zero_support_hits += m
-            draws = uniform_signs(self.rng, (m, rho.num_stars))
+            draws = self._zero_mass(rho, m)
         return draws[0] if size is None else draws
+
+    def _zero_mass(self, rho: Restriction, m: int) -> np.ndarray:
+        # the zero-mass policy: m uniform draws on rho's free coordinates
+        self.ledger.zero_support_hits += m
+        return uniform_signs(self.rng, (m, rho.num_stars))
 
     def sample(self, size: int | None = None) -> np.ndarray:
         """Draw(s) from the view's distribution; shape (n,) or (size, n)."""
@@ -102,72 +112,86 @@ class ScondOracle:
         self, points: np.ndarray, coords: np.ndarray, draws_per_pair: int
     ) -> np.ndarray:
         """Empirical bias of coordinate coords[r] conditioned on the remaining
-        coordinates of points[r], from draws_per_pair conditional draws each.
+        coordinates of points[r], from draws_per_pair conditional draws each:
+        (2 p - b) / b for a count p of +1 draws out of b = draws_per_pair.
 
-        The draws for one pair are i.i.d. signs with the pair's exact
-        conditional bias, so they are aggregated as a single count of +1
-        draws; the ledger is charged draws_per_pair per pair all the same.
-        The count is Binomial(b, (1 + bias)/2) with b = draws_per_pair, drawn
-        by ``rng.binomial`` unless the batch is fair (every bias 0, which
-        includes zero-support pairs): then with b <= 64 each pair's b draws
-        are the low b bits of one ``random_raw`` word and the count is their
-        popcount, exactly Binomial(b, 1/2) at one word per pair, and with
-        b > 64 it is ``rng.binomial(b, 0.5)``, which returns what the general
-        call returns for every p = 1/2 on the same stream. Only the popcount
-        route reads the stream differently from that general call; every
-        route draws the same law.
+        Every argument is checked before anything is charged or drawn: the
+        coordinates must be integers in range and every entry of points -1
+        or +1, tested on the array as given, since an int8 cast would turn
+        1.7 or 257 into 1. The counts come from the core ``edge_block``
+        uses, so the same points, coordinates and stream give the same
+        estimates as a block's counts.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=np.int8))
+        raw_points = np.atleast_2d(np.asarray(points))
         raw = np.asarray(coords)
-        # checked before anything is charged; a negative index would wrap
-        # around and a fractional one would be truncated
+        # a negative index would wrap around and a fractional one would be
+        # truncated
         if raw.size and not (
             np.issubdtype(raw.dtype, np.integer) and 0 <= raw.min() and raw.max() < self.n
         ):
             raise ValueError(f"coordinates must be integers in [0, {self.n})")
-        if points.shape != (raw.size, self.n):
+        if raw_points.shape != (raw.size, self.n):
             raise ValueError(
                 f"points must have shape ({raw.size}, {self.n}) for {raw.size} coordinates,"
-                f" got {points.shape}"
+                f" got {raw_points.shape}"
             )
+        if not _entries_in(raw_points, (-1, 1)):
+            raise ValueError("points must have entries exactly -1 or +1")
         b = _draws_per_pair(draws_per_pair)
-        return self._edge_estimates(points, raw.astype(np.int64), b)
+        bias, zero = self.target.view_edge_bias(
+            self.rho, raw_points.astype(np.int8), raw.astype(np.int64)
+        )
+        return (2.0 * self._edge_counts(bias, zero, b) - b) / b
 
     def edge_block(self, size: int, draws_per_pair: int) -> tuple[np.ndarray, np.ndarray]:
-        """One edge-tester block in one call: (coords, estimates) for size
-        points of the view, each with a uniform coordinate.
+        """One edge-tester block in one call: (coords, counts) for size points
+        of the view, each with a uniform coordinate, where counts[r] is the
+        number of +1 draws among draws_per_pair conditional draws of
+        coordinate coords[r] at point r.
 
         Reads the stream and charges the ledger exactly as ``sample(size)``,
         then ``rng.integers(0, n, size)``, then ``estimate_edge_biases`` on
-        those points and coordinates would; draws_per_pair is checked before
-        anything is charged. The coordinates are in range by construction,
-        so the checks that call makes on its arguments are not repeated.
+        those points and coordinates would, whose estimates are
+        (2 counts - b) / b; draws_per_pair is checked before anything is
+        charged. The target's ``edge_draw`` decides whether the points are
+        built: the uniform product only skips the stream words its draw
+        would read, as its edge biases are 0 at every point.
         """
         b = _draws_per_pair(draws_per_pair)
-        points = self._draw(self.rho, size)
-        coords = self.rng.integers(0, self.n, size)
-        return coords, self._edge_estimates(points, coords, b)
+        m = self._charge(size)
+        rho = self.rho
+        bias_at = self.target.edge_draw(self.rng, rho, m)
+        if bias_at is None:
+            bias_at = functools.partial(
+                self.target.view_edge_bias, rho, self._zero_mass(rho, m)
+            )
+        coords = self.rng.integers(0, self.n, m)
+        return coords, self._edge_counts(*bias_at(coords), b)
 
-    def _edge_estimates(self, points: np.ndarray, coords: np.ndarray, b: int) -> np.ndarray:
-        # a view's points and coordinates are expanded to the root dimension,
-        # which is where the target gives its biases
-        if self._stars.size != self.rho.n:
-            full = np.empty((points.shape[0], self.rho.n), np.int8)
-            full[:] = self.rho.cells
-            full[:, self._stars] = points
-            points, coords = full, self._stars[coords]
-        bias, zero = self.target.edge_bias(points, coords)
-        self.ledger.queries += points.shape[0] * b
+    def _edge_counts(self, bias: np.ndarray, zero: np.ndarray, b: int) -> np.ndarray:
+        """+1 counts out of b draws per pair with the given biases; charges b
+        queries per pair and b zero-support hits per zero-support pair.
+
+        A pair's b draws are i.i.d. signs with the pair's exact conditional
+        bias, so they are aggregated as one count, Binomial(b, (1 + bias)/2),
+        drawn by ``rng.binomial`` unless the batch is fair (every bias 0,
+        which includes zero-support pairs): then with b <= 64 each pair's b
+        draws are the low b bits of one ``random_raw`` word and the count is
+        their popcount, exactly Binomial(b, 1/2) at one word per pair, and
+        with b > 64 it is ``rng.binomial(b, 0.5)``, which returns what the
+        general call returns for every p = 1/2 on the same stream. Only the
+        popcount route reads the stream differently from that general call;
+        every route draws the same law.
+        """
+        self.ledger.queries += bias.shape[0] * b
         self.ledger.zero_support_hits += int(np.count_nonzero(zero)) * b
         if bias.any():
-            plus = self.rng.binomial(b, (1.0 + bias) / 2.0)
-        elif b <= 64:
+            return self.rng.binomial(b, (1.0 + bias) / 2.0)
+        if b <= 64:
             words = self.rng.bit_generator.random_raw(bias.shape)
             words &= np.uint64((1 << b) - 1)
-            plus = np.bitwise_count(words)
-        else:
-            plus = self.rng.binomial(b, 0.5, size=bias.shape)
-        return (2.0 * plus - b) / b
+            return np.bitwise_count(words)
+        return self.rng.binomial(b, 0.5, size=bias.shape)
 
     def restricted(self, sub: Restriction) -> "ScondOracle":
         """View of this oracle conditioned on sub (over this view's coordinates)."""

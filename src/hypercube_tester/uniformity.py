@@ -199,21 +199,27 @@ def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) 
     the run with Reject, and the trace's ``fired`` names its level, its
     index ``pair`` within the level, its coordinate and its estimate.
 
+    A block returns each pair's count p of +1 draws out of b_h, whose
+    estimate is (2p - b_h) / b_h. As that is monotone in p, only the
+    estimates of the block's largest and smallest counts are compared with
+    theta_h; the first firing pair is searched for only in a block where
+    one of them passes it.
+
     A level's m_h pairs are drawn in blocks of EDGE_BLOCK_BYTES // rho.n
-    pairs (4,096 at n = 128), where rho.n is the root dimension: a view's
-    points are expanded to it by ``estimate_edge_biases``, and that points
-    matrix is the largest array of a block. Fewer, larger blocks spend
-    less on per-call overhead. Above n = 1024 a block holds fewer than the
-    512 pairs of the earlier fixed chunks (256 at n = 2048); an accepted
-    null at n = 2048 still ran faster than with those chunks, and above
-    n = 2048 the effect is unmeasured (BENCH_edge_blocks.json, large_n).
-    A block is one ``oracle.edge_block`` call: it draws the block's points,
-    then their coordinates, then their bias estimates, the stream order of
-    ``sample``, ``rng.integers`` and ``estimate_edge_biases`` called in
-    turn, at a fraction of their fixed cost per call; a recursive verdict
-    runs thousands of blocks of a few pairs each. The first-hit search runs
-    only in a block whose largest |estimate| exceeds theta_h.
-    A block is drawn, estimated and charged whole. An accepted run spends
+    pairs (4,096 at n = 128), where rho.n is the root dimension: a target
+    that reads its points gets a view's points expanded to it, and that
+    points matrix is the largest array of a block (the uniform product
+    builds none). Fewer, larger blocks spend less on per-call overhead.
+    Above n = 1024 a block holds fewer than the 512 pairs of the earlier
+    fixed chunks (256 at n = 2048); an accepted null at n = 2048 still ran
+    faster than with those chunks, and above n = 2048 the effect is
+    unmeasured (BENCH_edge_blocks.json, large_n).
+    A block is one ``oracle.edge_block`` call, which returns the block's
+    coordinates and +1 counts in the stream order of ``sample``,
+    ``rng.integers`` and ``estimate_edge_biases`` called in turn, at a
+    fraction of their fixed cost per call; a recursive verdict runs
+    thousands of blocks of a few pairs each.
+    A block is drawn, counted and charged whole. An accepted run spends
     exactly sum_h m_h (1 + b_h) queries. A rejecting run stops after the
     block that holds the firing pair: past the fired level's earlier
     blocks it spends at most one block of pairs, (1 + b_h) queries each,
@@ -228,21 +234,21 @@ def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) 
     levels = []
     fired = None
     for lv in cfg.levels(n, eps):
+        b = lv.b
         max_est = 0.0
         done = 0
         while done < lv.m and fired is None:
             m = min(block, lv.m - done)
-            coords, ests = oracle.edge_block(m, lv.b)
-            abs_ests = np.abs(ests)
-            top = float(abs_ests.max())
+            coords, plus = oracle.edge_block(m, b)
+            top = max((2.0 * int(plus.max()) - b) / b, (b - 2.0 * int(plus.min())) / b)
             max_est = max(max_est, top)
             if top > lv.theta:
-                i = int(np.flatnonzero(abs_ests > lv.theta)[0])
+                i = int(np.flatnonzero(np.abs((2.0 * plus - b) / b) > lv.theta)[0])
                 fired = {
                     "h": lv.h,
                     "pair": done + i,
                     "coord": int(coords[i]),
-                    "est": float(ests[i]),
+                    "est": (2.0 * int(plus[i]) - b) / b,
                 }
             done += m
         levels.append({**lv._asdict(), "max_est": max_est})

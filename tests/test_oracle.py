@@ -2,6 +2,7 @@
 restriction composition, and determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +279,8 @@ def _quarter_zero_pmf(n: int = 6) -> DensePmf:
 
 EDGE_BLOCK_TARGETS = {
     "uniform": lambda: ProductDistribution.uniform(6),
+    # means that avoid +-1, drawn from float uniforms
+    "fractional_product": lambda: ProductDistribution([0.3, -0.5, 0.2, 0.0, 0.7, -0.1]),
     "pinned_product": lambda: ProductDistribution([1.0, -1.0, 0.3, 0.0, -0.5, 0.2]),
     "noisy_parity": lambda: NoisyParityDistribution(6, [0, 1], 0.3),
     "zero_subcube_pmf": _quarter_zero_pmf,
@@ -292,25 +295,79 @@ EDGE_BLOCK_VIEWS = (
 )
 
 
-@pytest.mark.parametrize("view", range(len(EDGE_BLOCK_VIEWS)))
-@pytest.mark.parametrize("name", sorted(EDGE_BLOCK_TARGETS))
-def test_edge_block_replays_sample_coords_and_estimates(name, view):
-    target = EDGE_BLOCK_TARGETS[name]()
-    rho = EDGE_BLOCK_VIEWS[view]
-    roots = [ScondOracle(target, stream(36, view, 0)) for _ in range(2)]
+def _assert_edge_block_replays(target, rho, rng_path):
+    """edge_block against sample, rng.integers and estimate_edge_biases in
+    turn on two clones of one stream: coordinates, counts, ledger and the
+    next raw word."""
+    roots = [ScondOracle(target, stream(36, *rng_path)) for _ in range(2)]
     fused, parts = (o if rho is None else o.restricted(rho) for o in roots)
     for size, b in ((1, 3), (7, 64), (40, 200), (25, 17)):
-        coords, ests = fused.edge_block(size, b)
+        coords, plus = fused.edge_block(size, b)
         points = parts.sample(size)
         want_coords = parts.rng.integers(0, parts.n, size)
         want = parts.estimate_edge_biases(points, want_coords, b)
         assert coords.tolist() == want_coords.tolist()
-        assert ests.tolist() == want.tolist()
+        assert ((2.0 * plus - b) / b).tolist() == want.tolist()
+        assert ((plus >= 0) & (plus <= b)).all()
     assert roots[0].ledger == roots[1].ledger
-    if view == 1 and name in ("pinned_product", "zero_subcube_pmf"):
-        assert roots[0].zero_support_hits == roots[0].queries > 0
     # both calls leave the stream at the same place
     assert roots[0].rng.bit_generator.random_raw() == roots[1].rng.bit_generator.random_raw()
+    return roots[0]
+
+
+@pytest.mark.parametrize("view", range(len(EDGE_BLOCK_VIEWS)))
+@pytest.mark.parametrize("name", sorted(EDGE_BLOCK_TARGETS))
+def test_edge_block_replays_sample_coords_and_estimates(name, view):
+    root = _assert_edge_block_replays(
+        EDGE_BLOCK_TARGETS[name](), EDGE_BLOCK_VIEWS[view], (view, 0)
+    )
+    if view == 1 and name in ("pinned_product", "zero_subcube_pmf"):
+        assert root.zero_support_hits == root.queries > 0
+
+
+@pytest.mark.parametrize("stars", [65, 130])
+def test_edge_block_replays_uniform_rows_of_several_words(stars):
+    # rows of 65 and 130 entries span two and three raw words, k % 64 != 0
+    cells = np.zeros(130, dtype=np.int8)
+    cells[stars:] = 1
+    rho = None if stars == 130 else Restriction(cells)
+    root = _assert_edge_block_replays(ProductDistribution.uniform(130), rho, (stars, 1))
+    assert root.zero_support_hits == 0
+
+
+def _block_peak_bytes(target, size, b):
+    o = ScondOracle(target, stream(39, 0, 0))
+    o.edge_block(size, b)  # warm caches, such as the restriction's stars
+    tracemalloc.start()
+    try:
+        o.edge_block(size, b)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_uniform_edge_block_builds_no_point_matrix():
+    # one 4,096-pair block at n = 128: its int8 points alone take 512 KiB
+    limit = 256 << 10
+    for b in (50, 100):
+        assert _block_peak_bytes(ProductDistribution.uniform(128), 4096, b) < limit
+    # a target that reads its points still builds them, so a silent fall
+    # back to that route on the uniform product would fail above
+    parity = NoisyParityDistribution(128, [0, 1], 0.3)
+    assert _block_peak_bytes(parity, 4096, 50) > limit
+
+
+@pytest.mark.parametrize("bad", [0, 2, 1.7, -3])
+def test_edge_bias_rejects_non_sign_points_before_charging(bad):
+    # an int8 cast made 1.7 a +1 and 0 a point of its own, and both were
+    # charged and answered
+    o = ScondOracle(DensePmf(3, np.arange(1, 9) / 36), stream(40, 0, 0))
+    points = np.array([[1, -1, 1], [1, 1, -1]], dtype=np.float64)
+    points[1, 1] = bad
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        o.estimate_edge_biases(points, np.array([0, 2]), 10)
+    assert o.ledger == Ledger()
+    assert o.rng.bit_generator.random_raw() == stream(40, 0, 0).bit_generator.random_raw()
 
 
 @pytest.mark.parametrize("b", [0, -3, 2.5, 1e9 + 0.5])
