@@ -2,7 +2,8 @@
 
 Testers never touch a distribution directly: they go through an oracle that
 answers plain draws, draws conditioned on a restriction, random-restriction
-draws, and batched edge-bias estimates.  Every answer is charged to a ledger,
+draws, and edge blocks: conditional draws on one-star subcubes, batched per
+point and counted per pair.  Every answer is charged to a ledger,
 so a tester's cost claim can be audited after the fact.  There is one
 oracle class over a restriction: the root holds the all-stars one, and
 ``restricted(rho)`` returns an oracle of the same class on rho's free
@@ -39,16 +40,18 @@ sigma_rho = oracle.draw_restriction_sigma(0.5)  # each coordinate free w.p. 1/2
 print(f"\nsigma-restriction: {sigma_rho}  (fills come from one target sample)")
 print(f"ledger: {oracle.queries} queries")
 
-# -- edge-bias estimates -----------------------------------------------------
-# for each (point, coordinate) pair the oracle spends b conditional draws on
-# the 2-point subcube along that edge and reports the empirical bias
-points = oracle.sample(3)
-coords = np.array([0, 2, 4])
+# -- edge blocks ---------------------------------------------------------------
+# an edge block draws size points, gives each a uniform coordinate, and spends
+# b conditional draws on the 2-point subcube along that edge, returning the
+# count of +1 draws; (2 count - b) / b estimates the edge's bias
+size, b = 3, 4000
 before = oracle.queries
-est = oracle.estimate_edge_biases(points, coords, draws_per_pair=4000)
+coords, counts = oracle.edge_block(size, draws_per_pair=b)
+est = (2 * counts - b) / b
 print(f"\nedge-bias estimates at coordinates {coords.tolist()}: {np.round(est, 3).tolist()}")
 print(f"true coordinate means there:                 {target.mu[coords].tolist()}")
-print(f"cost: {oracle.queries - before} queries (= 3 pairs x 4000 draws each)")
+print(f"cost: {oracle.queries - before} queries"
+      f" (= {size} points x (1 sample + {b} draws each))")
 
 # -- restricted views compose ------------------------------------------------
 view = oracle.restricted(rho)

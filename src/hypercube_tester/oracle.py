@@ -13,6 +13,11 @@ hidden inside each random-restriction draw is charged too. Conditioning on a
 subcube of zero mass returns uniform draws on the free coordinates and bumps
 `zero_support_hits` once per such draw; this oracle is the only place that
 policy lives (a target reports the zero mass by returning None).
+
+The one edge query is ``edge_block``: it draws points of the view, gives
+each a uniform coordinate, and answers each pair with the count of +1
+draws among b conditional draws on that pair's one-star subcube (the edge
+through the point along the coordinate), charging 1 + b queries per pair.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Restriction, _entries_in, as_int, uniform_signs
+from .model import Restriction, as_int, uniform_signs
 
 
 @dataclass
@@ -31,13 +36,6 @@ class Ledger:
 
     queries: int = 0
     zero_support_hits: int = 0
-
-
-def _draws_per_pair(value) -> int:
-    b = as_int(value, "draws_per_pair")
-    if b <= 0:
-        raise ValueError("draws_per_pair must be positive")
-    return b
 
 
 class ScondOracle:
@@ -108,56 +106,25 @@ class ScondOracle:
         x = self.sample()
         return Restriction.from_stars_and_point(star_mask, x)
 
-    def estimate_edge_biases(
-        self, points: np.ndarray, coords: np.ndarray, draws_per_pair: int
-    ) -> np.ndarray:
-        """Empirical bias of coordinate coords[r] conditioned on the remaining
-        coordinates of points[r], from draws_per_pair conditional draws each:
-        (2 p - b) / b for a count p of +1 draws out of b = draws_per_pair.
-
-        Every argument is checked before anything is charged or drawn: the
-        coordinates must be integers in range and every entry of points -1
-        or +1, tested on the array as given, since an int8 cast would turn
-        1.7 or 257 into 1. The counts come from the core ``edge_block``
-        uses, so the same points, coordinates and stream give the same
-        estimates as a block's counts.
-        """
-        raw_points = np.atleast_2d(np.asarray(points))
-        raw = np.asarray(coords)
-        # a negative index would wrap around and a fractional one would be
-        # truncated
-        if raw.size and not (
-            np.issubdtype(raw.dtype, np.integer) and 0 <= raw.min() and raw.max() < self.n
-        ):
-            raise ValueError(f"coordinates must be integers in [0, {self.n})")
-        if raw_points.shape != (raw.size, self.n):
-            raise ValueError(
-                f"points must have shape ({raw.size}, {self.n}) for {raw.size} coordinates,"
-                f" got {raw_points.shape}"
-            )
-        if not _entries_in(raw_points, (-1, 1)):
-            raise ValueError("points must have entries exactly -1 or +1")
-        b = _draws_per_pair(draws_per_pair)
-        bias, zero = self.target.view_edge_bias(
-            self.rho, raw_points.astype(np.int8), raw.astype(np.int64)
-        )
-        return (2.0 * self._edge_counts(bias, zero, b) - b) / b
-
     def edge_block(self, size: int, draws_per_pair: int) -> tuple[np.ndarray, np.ndarray]:
         """One edge-tester block in one call: (coords, counts) for size points
         of the view, each with a uniform coordinate, where counts[r] is the
         number of +1 draws among draws_per_pair conditional draws of
         coordinate coords[r] at point r.
 
-        Reads the stream and charges the ledger exactly as ``sample(size)``,
-        then ``rng.integers(0, n, size)``, then ``estimate_edge_biases`` on
-        those points and coordinates would, whose estimates are
-        (2 counts - b) / b; draws_per_pair is checked before anything is
-        charged. The target's ``edge_draw`` decides whether the points are
-        built: the uniform product only skips the stream words its draw
-        would read, as its edge biases are 0 at every point.
+        Reads the stream in this order: the points as ``sample(size)`` would,
+        then ``rng.integers(0, n, size)`` for the coordinates, then one count
+        per pair by ``_edge_counts``, from the pair's bias as the target's
+        ``view_edge_bias`` gives it. A pair's bias estimate is
+        (2 counts - b) / b. It charges size queries for the points and b per
+        pair; draws_per_pair is checked before anything is charged. The
+        target's ``edge_draw`` decides whether the points are built: the
+        uniform product only skips the stream words its draw would read, as
+        its edge biases are 0 at every point.
         """
-        b = _draws_per_pair(draws_per_pair)
+        b = as_int(draws_per_pair, "draws_per_pair")
+        if b <= 0:
+            raise ValueError("draws_per_pair must be positive")
         m = self._charge(size)
         rho = self.rho
         bias_at = self.target.edge_draw(self.rng, rho, m)

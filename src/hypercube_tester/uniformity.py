@@ -139,6 +139,14 @@ class SubCondConfig:
                 raise ValueError(f"SubCondConfig.{name} must be finite and positive, got {value!r}")
         if self.t_override is not None and as_int(self.t_override, "SubCondConfig.t_override") < 1:
             raise ValueError(f"SubCondConfig.t_override must be >= 1, got {self.t_override!r}")
+        # an integer depth budget; a negative one gives ERROR at the root,
+        # before any query
+        as_int(self.max_depth, "SubCondConfig.max_depth")
+        # the mean fields are read only when a mean loop runs, possibly after
+        # queries were spent; check them now with the mean config's own rules
+        MeanTestConfig(
+            eps=1.0, preset=self.mean_preset, q=self.mean_q_override, k0=self.mean_k0_override
+        )
 
     def sigma(self, eps: float) -> float:
         return min(1.0, 1.0 / (self.c0 * math.log2(16.0 / eps) ** 4))
@@ -209,16 +217,14 @@ def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) 
     pairs (4,096 at n = 128), where rho.n is the root dimension: a target
     that reads its points gets a view's points expanded to it, and that
     points matrix is the largest array of a block (the uniform product
-    builds none). Fewer, larger blocks spend less on per-call overhead.
-    Above n = 1024 a block holds fewer than the 512 pairs of the earlier
-    fixed chunks (256 at n = 2048); an accepted null at n = 2048 still ran
-    faster than with those chunks, and above n = 2048 the effect is
+    builds none). Fewer, larger blocks spend less on per-call overhead;
+    above n = 2048 (blocks of fewer than 256 pairs) the effect is
     unmeasured (BENCH_edge_blocks.json, large_n).
-    A block is one ``oracle.edge_block`` call, which returns the block's
-    coordinates and +1 counts in the stream order of ``sample``,
-    ``rng.integers`` and ``estimate_edge_biases`` called in turn, at a
-    fraction of their fixed cost per call; a recursive verdict runs
-    thousands of blocks of a few pairs each.
+    A block is one ``oracle.edge_block`` call, which draws the block's
+    points as ``sample`` would, then its coordinates by ``rng.integers``,
+    then each pair's +1 count, and returns the coordinates and counts; a
+    recursive verdict runs thousands of blocks of a few pairs each, so the
+    fixed cost per call matters.
     A block is drawn, counted and charged whole. An accepted run spends
     exactly sum_h m_h (1 + b_h) queries. A rejecting run stops after the
     block that holds the firing pair: past the fired level's earlier

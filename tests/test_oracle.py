@@ -15,10 +15,16 @@ from hypercube_tester.model import (
     all_sign_points,
     conditional_table,
     points_to_indices,
+    subcube_mass,
 )
 from hypercube_tester.oracle import Ledger, ScondOracle
 from hypercube_tester.rng import stream
-from hypercube_tester.zoo import NoisyParityDistribution
+from hypercube_tester.zoo import (
+    HeavyAtomDistribution,
+    JuntaMixDistribution,
+    NoisyParityDistribution,
+    TwoPointDistribution,
+)
 
 
 def make_oracle(target=None, seed=0):
@@ -65,52 +71,13 @@ def test_restriction_draw_charges_one_query():
     assert o.queries == 1
 
 
-def test_edge_bias_rejects_bad_coordinates_before_charging():
-    o = make_oracle(ProductDistribution.uniform(3))
-    points = np.ones((1, 3), dtype=np.int8)
-    # -1 would wrap to the last coordinate, 1.5 would truncate to 1, and 7
-    # would fail deep inside the target
-    for bad in ([-1], [1.5], [7], [3]):
-        with pytest.raises(ValueError):
-            o.estimate_edge_biases(points, np.array(bad), 4)
-    # a fractional draw count would be truncated to 2 per pair
-    for bad in (2.5, 0, -3):
-        with pytest.raises(ValueError):
-            o.estimate_edge_biases(points, np.array([0]), bad)
-    assert o.queries == 0
-    view = o.restricted(Restriction(np.array([1, 0, 0], dtype=np.int8)))
-    with pytest.raises(ValueError):
-        view.estimate_edge_biases(np.ones((1, 2), dtype=np.int8), np.array([2]), 4)
-    assert o.queries == 0
-    view.estimate_edge_biases(np.ones((2, 2), dtype=np.int8), np.array([0, 1]), 4)
-    assert o.queries == 8
-
-
-def test_edge_bias_rejects_shape_mismatch_before_charging():
-    o = make_oracle(ProductDistribution.uniform(3))
-    # one point for three coordinates would return 3 estimates and charge 1 * b;
-    # 5-wide points on a 3-coordinate root would pass unnoticed
-    for points, coords in [
-        (np.ones((1, 3), dtype=np.int8), np.array([0, 1, 2])),
-        (np.ones((1, 5), dtype=np.int8), np.array([0])),
-        (np.ones((2, 3), dtype=np.int8), np.array([0])),
-    ]:
-        with pytest.raises(ValueError, match="shape"):
-            o.estimate_edge_biases(points, coords, 4)
-    view = o.restricted(Restriction(np.array([1, 0, 0], dtype=np.int8)))
-    with pytest.raises(ValueError, match="shape"):
-        view.estimate_edge_biases(np.ones((1, 3), dtype=np.int8), np.array([0]), 4)
-    assert o.queries == 0
-
-
 def test_edge_bias_estimates_charge_pairs_times_draws():
     o = make_oracle()
-    pts = o.sample(4)
-    coords = np.array([0, 1, 2, 3])
-    ests = o.estimate_edge_biases(pts, coords, draws_per_pair=25)
-    assert o.queries == 4 + 4 * 25
-    assert ests.shape == (4,)
-    assert (np.abs(ests) <= 1).all()
+    coords, plus = o.edge_block(4, draws_per_pair=25)
+    assert o.queries == 4 * (1 + 25)
+    assert coords.shape == plus.shape == (4,)
+    assert ((coords >= 0) & (coords < 6)).all()
+    assert ((plus >= 0) & (plus <= 25)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -161,23 +128,51 @@ def test_draw_restriction_sigma_fills_from_target():
 
 
 # ---------------------------------------------------------------------------
-# edge-bias estimator
+# edge blocks: one call for points, coordinates and +1 counts
+
+
+def _reference_pairs(view, size):
+    """An edge block's pairs from public calls on view's stream, in
+    edge_block's order: sample(size), then rng.integers(0, n, size).
+    Returns (coords, bias, zero) from the target's view_edge_bias."""
+    points = view.sample(size)
+    coords = view.rng.integers(0, view.n, size)
+    return (coords, *view.target.view_edge_bias(view.rho, points, coords))
+
+
+def _low_bits_popcount(words, b):
+    return [bin(int(w) & ((1 << b) - 1)).count("1") for w in words]
+
+
+def _reference_block(view, size, b):
+    """edge_block's (coords, counts) from public calls: the pairs of
+    _reference_pairs, then the count rule. A block with any nonzero bias
+    draws rng.binomial(b, (1 + bias)/2); a fair block with b <= 64 takes the
+    popcount of the low b bits of one raw word per pair; any other fair
+    block draws rng.binomial(b, 0.5, size). Charges view's ledger as
+    edge_block does."""
+    coords, bias, zero = _reference_pairs(view, size)
+    rng = view.rng
+    if bias.any():
+        counts = rng.binomial(b, (1.0 + bias) / 2.0)
+    elif b <= 64:
+        counts = _low_bits_popcount(rng.bit_generator.random_raw(size), b)
+    else:
+        counts = rng.binomial(b, 0.5, size)
+    view.ledger.queries += size * b
+    view.ledger.zero_support_hits += int(zero.sum()) * b
+    return coords, np.asarray(counts)
 
 
 def test_edge_bias_estimator_is_unbiased():
+    # every coordinate of this product has conditional bias 0.4
     prod = ProductDistribution(np.full(5, 0.4))
     o = ScondOracle(prod, stream(9, 0, 0))
-    pts = o.sample(2000)
-    coords = np.zeros(2000, dtype=np.int64)
-    ests = o.estimate_edge_biases(pts, coords, draws_per_pair=64)
-    assert abs(ests.mean() - 0.4) < 0.01
-    # single-pair estimates live on the binomial grid
-    assert np.allclose((ests * 64 + 64) % 2, 0)
-
-
-def _plus_counts(ests, b):
-    """The +1 counts behind estimates (2 plus - b) / b."""
-    return np.rint((ests * b + b) / 2).astype(np.int64)
+    coords, plus = o.edge_block(2000, draws_per_pair=64)
+    assert np.issubdtype(plus.dtype, np.integer)
+    assert ((plus >= 0) & (plus <= 64)).all()
+    assert abs(((2.0 * plus - 64) / 64).mean() - 0.4) < 0.01
+    assert np.bincount(coords, minlength=5).min() > 300
 
 
 def _chi2_upper(df, z=3.09):
@@ -191,10 +186,8 @@ def _chi2_upper(df, z=3.09):
 def test_fair_edge_bias_counts_are_binomial_half(b):
     m, n = 200_000, 8
     o = ScondOracle(ProductDistribution.uniform(n), stream(30, 0, b))
-    pts = np.ones((m, n), dtype=np.int8)
-    coords = np.arange(m) % n
-    plus = _plus_counts(o.estimate_edge_biases(pts, coords, b), b)
-    assert o.queries == m * b
+    _, plus = o.edge_block(m, b)
+    assert o.queries == m * (1 + b)
     mean, var = b / 2.0, b / 4.0
     assert abs(plus.mean() - mean) < 5 * math.sqrt(var / m)
     # the mean square about b/2 has variance (mu4 - var^2)/m with
@@ -217,57 +210,67 @@ def test_fair_edge_bias_counts_are_binomial_half(b):
 def test_fair_edge_bias_replays_low_bits_of_raw_words(b):
     m = 300
     o = ScondOracle(ProductDistribution.uniform(6), stream(31, 0, b))
-    coords = np.arange(m) % 6
-    plus = _plus_counts(o.estimate_edge_biases(np.ones((m, 6), dtype=np.int8), coords, b), b)
-    words = stream(31, 0, b).bit_generator.random_raw(m)
-    assert plus.tolist() == [bin(int(w) & ((1 << b) - 1)).count("1") for w in words]
-    assert o.queries == m * b
+    coords, plus = o.edge_block(m, b)
+    ref = ScondOracle(ProductDistribution.uniform(6), stream(31, 0, b))
+    want_coords, _, _ = _reference_pairs(ref, m)
+    assert coords.tolist() == want_coords.tolist()
+    assert plus.tolist() == _low_bits_popcount(ref.rng.bit_generator.random_raw(m), b)
+    assert o.queries == m * (1 + b)
 
 
 def test_edge_bias_zero_support_pairs_take_the_fair_route():
-    # the pair straddles two zero-mass points; the oracle answers with fair coins
+    # the view's subcube has no mass, so its points come from the uniform
+    # fallback and every pair straddles two zero-mass points: the oracle
+    # answers with fair coins and counts every draw as a zero-support hit
+    pm = DensePmf.point_mass(Point(np.array([1, 1, 1], dtype=np.int8)))
+    dead = Restriction(np.array([-1, 0, 0], dtype=np.int8))
+    o = ScondOracle(pm, stream(32, 0, 0)).restricted(dead)
+    coords, plus = o.edge_block(4, 40)
+    ref = ScondOracle(pm, stream(32, 0, 0)).restricted(dead)
+    want_coords, bias, zero = _reference_pairs(ref, 4)
+    assert zero.all() and not bias.any()
+    assert coords.tolist() == want_coords.tolist()
+    assert plus.tolist() == _low_bits_popcount(ref.rng.bit_generator.random_raw(4), 40)
+    assert o.queries == o.zero_support_hits == 4 * (1 + 40)
+
+
+def test_edge_bias_zero_support_counts():
     pm = DensePmf.point_mass(Point(np.array([1, 1], dtype=np.int8)))
-    o = ScondOracle(pm, stream(32, 0, 0))
-    pts = np.full((4, 2), -1, dtype=np.int8)
-    plus = _plus_counts(o.estimate_edge_biases(pts, np.zeros(4, np.int64), 40), 40)
-    words = stream(32, 0, 0).bit_generator.random_raw(4)
-    assert plus.tolist() == [bin(int(w) & ((1 << 40) - 1)).count("1") for w in words]
-    assert o.queries == o.zero_support_hits == 4 * 40
+    o = ScondOracle(pm, stream(10, 0, 0))
+    # the subcube x_0 = -1 has no mass: its point is one zero-support draw,
+    # and its pair ((-1, x_1), coord 1) straddles masses 0 and 0
+    o.restricted(Restriction(np.array([-1, 0], dtype=np.int8))).edge_block(1, 16)
+    assert o.zero_support_hits == 1 + 16
+    # pairs drawn from the support straddle a positive mass and count nothing
+    o.edge_block(3, 16)
+    assert o.zero_support_hits == 1 + 16
 
 
 @pytest.mark.parametrize("b", [50, 100])
 def test_biased_edge_bias_chunk_keeps_binomial_draws(b):
-    # one nonzero bias puts the whole chunk on rng.binomial, as before
+    # one nonzero bias puts the whole block on rng.binomial, fair pairs
+    # included; the block is checked to hold both kinds
     mu = np.array([0.0, 0.3, 0.0, 0.0])
     o = ScondOracle(ProductDistribution(mu), stream(33, 0, b))
-    coords = np.array([0, 2, 1, 3, 0, 2])
-    ests = o.estimate_edge_biases(np.ones((6, 4), dtype=np.int8), coords, b)
-    want = stream(33, 0, b).binomial(b, (1.0 + mu[coords]) / 2.0)
-    assert _plus_counts(ests, b).tolist() == want.tolist()
-    assert o.queries == 6 * b
+    coords, plus = o.edge_block(24, b)
+    assert (mu[coords] != 0).any() and (mu[coords] == 0).any()
+    ref = ScondOracle(ProductDistribution(mu), stream(33, 0, b))
+    want_coords, _, _ = _reference_pairs(ref, 24)
+    want = ref.rng.binomial(b, (1.0 + mu[want_coords]) / 2.0)
+    assert coords.tolist() == want_coords.tolist()
+    assert plus.tolist() == want.tolist()
+    assert o.queries == 24 * (1 + b)
 
 
 @pytest.mark.parametrize("b", [65, 100, 6400])
 def test_fair_edge_bias_above_one_word_matches_array_binomial(b):
     m = 200
     o = ScondOracle(ProductDistribution.uniform(5), stream(34, 0, b))
-    ests = o.estimate_edge_biases(np.ones((m, 5), dtype=np.int8), np.arange(m) % 5, b)
-    want = stream(34, 0, b).binomial(b, np.full(m, 0.5))
-    assert _plus_counts(ests, b).tolist() == want.tolist()
-    assert o.queries == m * b
-
-
-def test_edge_bias_zero_support_counts():
-    pm = DensePmf.point_mass(Point(np.array([1, 1], dtype=np.int8)))
-    o = ScondOracle(pm, stream(10, 0, 0))
-    # the pair ((-1, -1), coord 0) straddles masses 0 and 0
-    pts = np.array([[-1, -1]], dtype=np.int8)
-    o.estimate_edge_biases(pts, np.array([0]), draws_per_pair=16)
-    assert o.zero_support_hits == 16
-
-
-# ---------------------------------------------------------------------------
-# edge blocks: one call for sample, coordinates and estimates
+    _, plus = o.edge_block(m, b)
+    ref = ScondOracle(ProductDistribution.uniform(5), stream(34, 0, b))
+    _reference_pairs(ref, m)
+    assert plus.tolist() == ref.rng.binomial(b, np.full(m, 0.5)).tolist()
+    assert o.queries == m * (1 + b)
 
 
 def _quarter_zero_pmf(n: int = 6) -> DensePmf:
@@ -284,30 +287,33 @@ EDGE_BLOCK_TARGETS = {
     "pinned_product": lambda: ProductDistribution([1.0, -1.0, 0.3, 0.0, -0.5, 0.2]),
     "noisy_parity": lambda: NoisyParityDistribution(6, [0, 1], 0.3),
     "zero_subcube_pmf": _quarter_zero_pmf,
+    "two_point": lambda: TwoPointDistribution(np.ones(6)),
+    "heavy_atom": lambda: HeavyAtomDistribution(1.0, np.ones(6)),
+    "exact_parity": lambda: NoisyParityDistribution(6, [0, 1], 0.0),
+    "junta_mix": lambda: JuntaMixDistribution(6, 2, [0, 0, 0, 1]),
 }
 
-# the first view's subcube has zero mass under pinned_product and
-# zero_subcube_pmf, the second has positive mass under every target
+# a view's subcube may have zero mass under a target, and then the block
+# takes the oracle's zero-mass fallback; every target but the uniform,
+# fractional_product and noisy_parity ones has zero mass on some view
 EDGE_BLOCK_VIEWS = (
     None,
     Restriction(np.array([1, 1, 0, 0, 0, 0])),
     Restriction(np.array([0, 0, 1, 0, -1, 0])),
+    Restriction(np.array([1, -1, 0, 0, 0, 0])),
 )
 
 
 def _assert_edge_block_replays(target, rho, rng_path):
-    """edge_block against sample, rng.integers and estimate_edge_biases in
-    turn on two clones of one stream: coordinates, counts, ledger and the
-    next raw word."""
+    """edge_block against _reference_block on a clone of its stream:
+    coordinates, counts, ledger and the next raw word."""
     roots = [ScondOracle(target, stream(36, *rng_path)) for _ in range(2)]
     fused, parts = (o if rho is None else o.restricted(rho) for o in roots)
     for size, b in ((1, 3), (7, 64), (40, 200), (25, 17)):
         coords, plus = fused.edge_block(size, b)
-        points = parts.sample(size)
-        want_coords = parts.rng.integers(0, parts.n, size)
-        want = parts.estimate_edge_biases(points, want_coords, b)
+        want_coords, want = _reference_block(parts, size, b)
         assert coords.tolist() == want_coords.tolist()
-        assert ((2.0 * plus - b) / b).tolist() == want.tolist()
+        assert plus.tolist() == want.tolist()
         assert ((plus >= 0) & (plus <= b)).all()
     assert roots[0].ledger == roots[1].ledger
     # both calls leave the stream at the same place
@@ -318,11 +324,12 @@ def _assert_edge_block_replays(target, rho, rng_path):
 @pytest.mark.parametrize("view", range(len(EDGE_BLOCK_VIEWS)))
 @pytest.mark.parametrize("name", sorted(EDGE_BLOCK_TARGETS))
 def test_edge_block_replays_sample_coords_and_estimates(name, view):
-    root = _assert_edge_block_replays(
-        EDGE_BLOCK_TARGETS[name](), EDGE_BLOCK_VIEWS[view], (view, 0)
-    )
-    if view == 1 and name in ("pinned_product", "zero_subcube_pmf"):
-        assert root.zero_support_hits == root.queries > 0
+    target, rho = EDGE_BLOCK_TARGETS[name](), EDGE_BLOCK_VIEWS[view]
+    root = _assert_edge_block_replays(target, rho, (view, 0))
+    # the points come from the target, whose edges through them have mass,
+    # unless the view's subcube has none: then every draw is a hit
+    dead = rho is not None and subcube_mass(target.dense(), rho) == 0.0
+    assert root.zero_support_hits == (root.queries if dead else 0)
 
 
 @pytest.mark.parametrize("stars", [65, 130])
@@ -355,19 +362,6 @@ def test_uniform_edge_block_builds_no_point_matrix():
     # back to that route on the uniform product would fail above
     parity = NoisyParityDistribution(128, [0, 1], 0.3)
     assert _block_peak_bytes(parity, 4096, 50) > limit
-
-
-@pytest.mark.parametrize("bad", [0, 2, 1.7, -3])
-def test_edge_bias_rejects_non_sign_points_before_charging(bad):
-    # an int8 cast made 1.7 a +1 and 0 a point of its own, and both were
-    # charged and answered
-    o = ScondOracle(DensePmf(3, np.arange(1, 9) / 36), stream(40, 0, 0))
-    points = np.array([[1, -1, 1], [1, 1, -1]], dtype=np.float64)
-    points[1, 1] = bad
-    with pytest.raises(ValueError, match="-1 or \\+1"):
-        o.estimate_edge_biases(points, np.array([0, 2]), 10)
-    assert o.ledger == Ledger()
-    assert o.rng.bit_generator.random_raw() == stream(40, 0, 0).bit_generator.random_raw()
 
 
 @pytest.mark.parametrize("b", [0, -3, 2.5, 1e9 + 0.5])
@@ -428,9 +422,11 @@ def test_restricted_edge_bias_maps_coordinates():
     sub = o.restricted(rho)
     pts = sub.sample(600)
     assert pts.shape == (600, 3)
-    # coord 1 of the view is parent coordinate 2, bias -0.5
-    ests = sub.estimate_edge_biases(pts, np.full(600, 1), draws_per_pair=128)
-    assert abs(ests.mean() + 0.5) < 0.02
+    # view coordinates 0, 1, 2 are parent coordinates 1, 2, 3
+    coords, plus = sub.edge_block(1800, draws_per_pair=128)
+    ests = (2.0 * plus - 128) / 128
+    for j, bias in enumerate(mu[1:]):
+        assert abs(ests[coords == j].mean() - bias) < 0.02
 
 
 def test_double_restriction_flattens_to_parent():
@@ -453,8 +449,8 @@ def test_two_level_view_charges_root_ledger():
     view2 = view.restricted(Restriction(np.array([0, 0, 0, -1], dtype=np.int8)))
     view2.draw_restriction_sigma(0.5)
     view2.cond_sample(Restriction(np.array([0, 1, 0], dtype=np.int8)), 5)
-    view2.estimate_edge_biases(np.ones((2, 3), dtype=np.int8), np.array([0, 2]), 8)
-    assert o.queries == 1 + 5 + 2 * 8
+    view2.edge_block(2, 8)
+    assert o.queries == 1 + 5 + 2 * (1 + 8)
     assert o.zero_support_hits == o.queries
     assert view.queries == view2.queries == o.queries
     assert view2.zero_support_hits == o.zero_support_hits
@@ -476,8 +472,8 @@ def test_same_stream_path_reproduces_everything():
         xs = o.sample(20)
         rho = o.draw_restriction_sigma(0.4)
         ys = o.cond_sample(rho, 10)
-        ests = o.estimate_edge_biases(xs[:5], np.arange(5), 32)
-        return xs, rho.cells, ys, ests, o.queries
+        coords, plus = o.edge_block(5, 32)
+        return xs, rho.cells, ys, coords, plus, o.queries
 
     a = run(21)
     b = run(21)

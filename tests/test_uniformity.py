@@ -185,11 +185,20 @@ def test_subcond_config_rejects_constants_that_would_decide_blindly():
         {"c0": -1.0},
         {"c_l": 0.0},
         {"r_factor": math.inf},
+        # the mean fields once went unchecked until a mean loop ran: at
+        # n = 16 every node is a base case and each of these accepted
+        {"mean_preset": "bogus"},
+        {"mean_q_override": 0},
+        {"mean_q_override": 2.5},
+        {"mean_k0_override": -1},
+        {"max_depth": 2.5},
     ):
         with pytest.raises(ValueError):
             replace(REC_CFG, **bad)
     assert replace(REC_CFG, t_override=1.0).t_reps(0.5) == 1
     assert replace(REC_CFG, t_override=None).t_reps(0.5) == 501
+    for cfg in (*PRESETS.values(), REC_CFG):
+        assert replace(cfg) == cfg
 
 
 # ---------------------------------------------------------------------------
