@@ -14,7 +14,9 @@ exceedance.
 level only when it is read:
 
 * Level 0 by column sums: sum_{i,j} <x_i, y_j> = <sum_i x_i, sum_j y_j>,
-  which costs O(qn) instead of the O(q^2 n) Gram product.
+  which costs O(qn) instead of the O(q^2 n) Gram product. The batches of
+  one draw (the r repetitions of a mean test, or the gaussian tester's
+  chunks) take their level-0 numerators from one column-sum array.
 * Levels >= 1 from the histogram of all q^2 inner products over the n+1
   values they can take, built once per batch from Hamming distances: each
   half is packed into 64-bit words with a bit set where the entry is +1,
@@ -83,10 +85,20 @@ class SampleBatch:
         ys = np.atleast_2d(np.asarray(self.ys))
         if xs.shape != ys.shape or xs.shape[0] < 1:
             raise ValueError("halves must be nonempty and of equal shape")
-        if not (_entries_in(xs, (-1, 1)) and _entries_in(ys, (-1, 1))):
-            raise ValueError("samples must be sign vectors")
-        object.__setattr__(self, "xs", xs.astype(np.int8, copy=False))
-        object.__setattr__(self, "ys", ys.astype(np.int8, copy=False))
+        # both halves checked by one comparison, before the int8 cast
+        self._adopt(_signs_int8(np.stack([xs, ys])))
+
+    @classmethod
+    def _of(cls, halves: np.ndarray) -> "SampleBatch":
+        """The batch of a checked int8 (2, q, n) array, without a second check."""
+        batch = object.__new__(cls)
+        batch._adopt(halves)
+        return batch
+
+    def _adopt(self, halves: np.ndarray) -> None:
+        object.__setattr__(self, "_halves", halves)
+        object.__setattr__(self, "xs", halves[0])
+        object.__setattr__(self, "ys", halves[1])
 
     @property
     def q(self) -> int:
@@ -99,11 +111,7 @@ class SampleBatch:
     def numerator(self, k: int) -> int:
         """Exact sum_{i,j} <x_i, y_j>^(2^k)."""
         if k == 0:
-            # <sum x, sum y>; each column sum is at most q, and the products
-            # are Python ints, so this is exact for any q
-            sx = self.xs.sum(axis=0, dtype=np.int64).tolist()
-            sy = self.ys.sum(axis=0, dtype=np.int64).tolist()
-            return sum(a * b for a, b in zip(sx, sy))
+            return _level0_numerators(self._halves[None])[0]
         return sum(c * v ** (1 << k) for v, c in self.gram_histogram)
 
     @functools.cached_property
@@ -111,9 +119,8 @@ class SampleBatch:
         """(inner product, count) over all q^2 pairs in ascending order of
         inner product, zero counts dropped; for levels >= 1."""
         q, n = self.xs.shape
-        words = -(-n // 64)
-        xw = _sign_words(self.xs, words)
-        yw = _sign_words(self.ys, words)
+        xw, yw = _sign_words(self._halves)
+        words = xw.shape[1]
         rows = max(1, GRAM_BLOCK_CELLS // q)
         dtype = np.min_scalar_type(n)
         counts = np.zeros(n + 1, dtype=np.int64)
@@ -129,13 +136,47 @@ class SampleBatch:
         return tuple((n - 2 * d, counts[d]) for d in range(n, -1, -1) if counts[d])
 
 
-def _sign_words(signs: np.ndarray, words: int) -> np.ndarray:
-    """(rows, words) uint64 with bit j of a row's words set where its entry
-    j is +1; the padding bits past n are 0 in every row, so they never
-    differ."""
-    packed = np.packbits(signs > 0, axis=1, bitorder="little")
-    out = np.zeros((signs.shape[0], 8 * words), dtype=np.uint8)
-    out[:, : packed.shape[1]] = packed
+def _signs_int8(raw: np.ndarray) -> np.ndarray:
+    """raw as int8 after one check that every entry is -1 or +1; the check
+    reads the raw values, which the cast would turn 257 or 1.7 into 1."""
+    if not _entries_in(raw, (-1, 1)):
+        raise ValueError("samples must be sign vectors")
+    return raw.astype(np.int8, copy=False)
+
+
+def _draw_batches(draw: np.ndarray, q: int) -> np.ndarray:
+    """A draw of 2qr sign rows, checked once, as r batches: an int8
+    (r, 2, q, n) array whose batch i holds rows [2qi, 2qi + q) as X and
+    rows [2qi + q, 2q(i + 1)) as Y."""
+    raw = np.asarray(draw)
+    return _signs_int8(raw).reshape(-1, 2, q, raw.shape[-1])
+
+
+def _level0_numerators(batches: np.ndarray) -> list[int]:
+    """<sum x, sum y> of every batch of an int8 (r, 2, q, n) array, from one
+    int64 column-sum array; each column sum is at most q, and the products
+    are Python ints, so this is exact for any q."""
+    sums = batches.sum(axis=2, dtype=np.int64).tolist()
+    return [sum(a * b for a, b in zip(sx, sy)) for sx, sy in sums]
+
+
+def _numerators(draw: np.ndarray, q: int, k: int) -> list[int]:
+    """The level-k numerator of each batch of a draw of 2qr sign rows (see
+    ``_draw_batches``); the draw is checked once, not once per batch."""
+    batches = _draw_batches(draw, q)
+    if k == 0:
+        return _level0_numerators(batches)
+    return [SampleBatch._of(b).numerator(k) for b in batches]
+
+
+def _sign_words(signs: np.ndarray) -> np.ndarray:
+    """uint64 words along the last axis, ceil(n / 64) per row, with bit j of
+    a row's words set where its entry j is +1; the padding bits past n are 0
+    in every row, so they never differ."""
+    packed = np.packbits(signs > 0, axis=-1, bitorder="little")
+    words = -(-signs.shape[-1] // 64)
+    out = np.zeros(signs.shape[:-1] + (8 * words,), dtype=np.uint8)
+    out[..., : packed.shape[-1]] = packed
     return out.view(np.uint64)
 
 
@@ -237,29 +278,47 @@ class MeanTestConfig:
 
 
 def mean_tester(oracle: ScondOracle, cfg: MeanTestConfig) -> TestVerdict:
-    """Draw 2q samples once, then run the threshold test at every level."""
-    start = oracle.queries
+    """Draw 2q samples once, then run the threshold test at every level:
+    the one-repetition case of ``_mean_tests``."""
+    return _mean_tests(oracle, cfg, 1)[0]
+
+
+def _mean_tests(oracle: ScondOracle, cfg: MeanTestConfig, reps: int) -> list[TestVerdict]:
+    """reps independent mean tests on one view, one verdict each.
+
+    All 2q reps rows come from one ``oracle.sample`` call, checked once;
+    repetition i reads rows [2qi, 2qi + q) as X and [2qi + q, 2q(i + 1))
+    as Y. For the product and dense targets that is the stream of 2 reps
+    calls of q rows each, so one repetition reads what it always read. The
+    level-0 numerators of all repetitions come from one reshaped int64
+    column-sum array; a repetition reads level k only after level k - 1
+    accepted, from its own Gram histogram. Each verdict is charged its own
+    2q queries.
+    """
     sched = cfg.resolve(oracle.n)
-    xs = oracle.sample(sched.q)
-    ys = oracle.sample(sched.q)
-    batch = SampleBatch(xs, ys)
-    z_levels = []
-    decision = Decision.ACCEPT
-    for k in range(sched.k0 + 1):
-        num = batch.numerator(k)
-        z_levels.append(_trace_float(num, sched.q * sched.q))
-        if sched.exceeded(k, num):
-            decision = Decision.REJECT
-            break
-    taus = sched.taus[: len(z_levels)]
-    trace = {
-        "q": sched.q,
-        "k0": sched.k0,
-        "z_levels": z_levels,
-        "tau_levels": [_trace_float(*t.as_integer_ratio()) for t in taus],
-        "tau_levels_log2": [math.log2(t.numerator) - math.log2(t.denominator) for t in taus],
-    }
-    return TestVerdict(decision, oracle.queries - start, trace)
+    q = sched.q
+    batches = _draw_batches(oracle.sample(2 * q * reps), q)
+    verdicts = []
+    for halves, num0 in zip(batches, _level0_numerators(batches)):
+        batch = SampleBatch._of(halves)
+        z_levels = []
+        decision = Decision.ACCEPT
+        for k in range(sched.k0 + 1):
+            num = num0 if k == 0 else batch.numerator(k)
+            z_levels.append(_trace_float(num, q * q))
+            if sched.exceeded(k, num):
+                decision = Decision.REJECT
+                break
+        taus = sched.taus[: len(z_levels)]
+        trace = {
+            "q": q,
+            "k0": sched.k0,
+            "z_levels": z_levels,
+            "tau_levels": [_trace_float(*t.as_integer_ratio()) for t in taus],
+            "tau_levels_log2": [math.log2(t.numerator) - math.log2(t.denominator) for t in taus],
+        }
+        verdicts.append(TestVerdict(decision, 2 * q, trace))
+    return verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +387,10 @@ def gaussian_mean_tester(samples: np.ndarray, eps: float) -> TestVerdict:
     tau0 = Fraction(eps) ** 2 / 24
     # straight to int8: an int64 temporary, eight times the size, would be
     # freed and its pages faulted in again on every verdict
-    signs = np.where(samples >= 0.0, np.int8(1), np.int8(-1))
-    rejects = 0
-    rep_z = []
-    for r in range(GAUSS_REPS):
-        lo = r * 2 * q
-        batch = SampleBatch(signs[lo : lo + q], signs[lo + q : lo + 2 * q])
-        num = batch.numerator(0)
-        rep_z.append(_trace_float(num, q * q))
-        rejects += _exceeds(num, q, tau0)
+    signs = np.where(samples[: GAUSS_REPS * 2 * q] >= 0.0, np.int8(1), np.int8(-1))
+    nums = _level0_numerators(signs.reshape(GAUSS_REPS, 2, q, n))
+    rep_z = [_trace_float(num, q * q) for num in nums]
+    rejects = sum(_exceeds(num, q, tau0) for num in nums)
     decision = Decision.REJECT if 2 * rejects > GAUSS_REPS else Decision.ACCEPT
     trace = {
         "stage": "mean-test",

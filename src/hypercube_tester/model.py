@@ -105,6 +105,14 @@ _BYTE_SIGNS = (
 _TABLE_MAX_BYTES = 1 << 13
 
 
+# a biased product draws at most this many float64 uniforms at a time (512
+# KiB): the r mean tests of one restriction draw 2qr rows in one call, and
+# one 1 MiB temporary for the mean workload's far target (2,000 rows of 64)
+# slowed that workload's null verdicts by about 8%
+# (BENCH_batched_reps.json, mean_workload_checks)
+_PRODUCT_STEP_ENTRIES = 1 << 16
+
+
 def uniform_signs(rng: np.random.Generator, shape) -> np.ndarray:
     """Independent uniform +-1 entries (int8) of the given shape, as a fresh
     C-contiguous writable array.
@@ -474,8 +482,16 @@ class ProductDistribution(HypercubeTarget):
             return None
         stars = rho.stars
         p_plus = (1.0 + self.mu[stars]) / 2.0
-        draws = rng.random((size, stars.size)) < p_plus
-        return 2 * draws.astype(np.int8) - 1
+        out = np.empty((size, stars.size), dtype=np.int8)
+        step = max(1, _PRODUCT_STEP_ENTRIES // max(1, stars.size))
+        # rng.random fills whole rows in order, so steps of rows read the
+        # stream as one call would
+        for lo in range(0, size, step):
+            part = out[lo : lo + step]
+            np.less(rng.random(part.shape), p_plus, out=part, casting="unsafe")
+        out *= 2
+        out -= 1
+        return out
 
     def edge_draw(self, rng: np.random.Generator, rho: Restriction, size: int):
         # uniform: every edge bias is 0 whatever the point, so the points are

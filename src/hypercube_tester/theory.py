@@ -5,8 +5,8 @@ chain rule for total variation under random restrictions, hypercube edge
 classification and greedy orientations, the robust Pisier inequality (as
 a reported ratio; its universal constant is unspecified), Khintchine's
 inequality, the graph-to-mean and contributing-pair lower bounds, the
-restriction-theorem probe, and the mean/variance bands of the pairing
-statistic Z.
+restriction-theorem probe, the mean/variance bands of the pairing
+statistic Z, and the edge tester's exact null accept rate.
 
 Verifiers return report objects; the test suite (not this module) turns
 them into assertions, so a failing inequality shows up as a test failure
@@ -32,6 +32,7 @@ from .model import (
     tv_to_uniform,
     uniform_signs,
 )
+from .uniformity import EdgeConfig
 
 CHAIN_RULE_CAP = 10
 PROBE_CAP = 8
@@ -537,15 +538,15 @@ def verify_variance_bound(
     if p.n > 6:
         raise ValueError("variance check needs n <= 6")
     from .blowup import gram_moments
-    from .meantest import SampleBatch
+    from .meantest import _numerators
 
     mu_sq, frob_sq = gram_moments(p, level)
     frob = math.sqrt(frob_sq)
     bound = frob_sq / q**2 + 4.0 / q * mu_sq * frob
 
-    draws = p.sample(rng, (2 * q) * batches).reshape(batches, 2 * q, p.n)
-    # each batch's Z from the testers' own exact statistic
-    z = np.array([SampleBatch(d[:q], d[q:]).numerator(level) / q**2 for d in draws])
+    # each batch's Z from the testers' own exact statistic, over one draw
+    # that is checked once
+    z = np.array(_numerators(p.sample(rng, (2 * q) * batches), q, level)) / q**2
 
     z_mean = float(z.mean())
     z_var = float(z.var(ddof=1))
@@ -568,3 +569,64 @@ def verify_variance_bound(
     }
     failures = [] if (mean_ok and var_ok) else [extras]
     return VerifierReport(mean_ok and var_ok, batches, batches, failures, extras)
+
+
+# ---------------------------------------------------------------------------
+# The edge tester's exact null accept rate
+
+
+def edge_null_accept(n: int, eps: float, cfg: EdgeConfig | None = None) -> float:
+    """Exact probability that ``edge_tester`` accepts the uniform target
+    on n coordinates: prod_h (1 - f_h)^(m_h) over ``cfg.levels(n, eps)``.
+
+    On the uniform target each pair's +1 count X is Binomial(b_h, 1/2) and
+    the pairs are independent, so the product is exact; f_h is the chance
+    that one level-h pair fires (see ``_edge_fire_prob``). An accepted run
+    spends exactly sum_h m_h (1 + b_h) queries over the same levels.
+    """
+    cfg = cfg or EdgeConfig()
+    log_accept = 0.0
+    for lv in cfg.levels(n, eps):
+        f = _edge_fire_prob(lv.b, lv.theta)
+        if f >= 1.0:
+            return 0.0
+        log_accept += lv.m * math.log1p(-f)
+    return math.exp(log_accept)
+
+
+def _edge_fire_prob(b: int, theta: float) -> float:
+    """P(abs((2X - b) / b) > theta) for X ~ Binomial(b, 1/2), under the
+    tester's own float predicate.
+
+    The predicate takes the same value at x and b - x (negation and the
+    division's rounding are symmetric), never fires at x = b / 2 (theta >
+    0), and on x < b / 2 it fires exactly at x <= c for one c, as the float
+    quotient is monotone in x. So f = 2 P(X <= c): c is found by bisection
+    on the predicate, and the tail is summed from c down by the ratio
+    P(x - 1) / P(x) = x / (b - x + 1), starting from P(c) by ``math.lgamma``,
+    until the terms no longer change the sum.
+    """
+
+    def fires(x: int) -> bool:
+        return abs((2.0 * x - b) / b) > theta
+
+    if not fires(0):
+        return 0.0
+    lo, hi = 0, (b - 1) // 2  # fires(lo), and c lies in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if fires(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    c = lo
+    term = math.exp(
+        math.lgamma(b + 1) - math.lgamma(c + 1) - math.lgamma(b - c + 1) - b * math.log(2.0)
+    )
+    tail = 0.0
+    for x in range(c, -1, -1):
+        if tail + term == tail:
+            break
+        tail += term
+        term *= x / (b - x + 1)
+    return 2.0 * tail

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .meantest import MeanTestConfig, mean_tester
+from .meantest import MeanTestConfig, _mean_tests
 from .model import Decision, TestVerdict, as_int
 from .oracle import ScondOracle
 
@@ -202,6 +202,10 @@ PRESETS = {
 def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) -> TestVerdict:
     """Reject when some conditional single-coordinate bias is large.
 
+    This is the one-repetition case of ``_edge_tests``, which runs the
+    repetitions of a restriction's base-case children along one axis; with
+    one repetition it draws the stream exactly as described here.
+
     Levels run from heavy-mass buckets (few pairs, many draws each) down to
     light ones; the first pair whose estimated |bias| exceeds theta_h ends
     the run with Reject, and the trace's ``fired`` names its level, its
@@ -231,38 +235,106 @@ def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) 
     blocks it spends at most one block of pairs, (1 + b_h) queries each,
     and it is charged for every draw it made.
     """
+    return _edge_tests(oracle, eps, cfg or EdgeConfig(), 1)[0]
+
+
+def _edge_tests(oracle: ScondOracle, eps: float, cfg: EdgeConfig, reps: int) -> list[TestVerdict]:
+    """reps independent edge testers on one view, one verdict each, run
+    along a repetition axis.
+
+    The repetitions walk the levels in step. At each block of a level, one
+    ``oracle.edge_block`` call draws the pairs of every live repetition,
+    repetition after repetition in the order of their index, and the
+    counts are split per repetition by a reshape. A repetition stops at its
+    own first firing pair; the others go on. Per repetition a block holds
+    max(1, EDGE_BLOCK_BYTES // rho.n // reps) pairs, so a block's points
+    matrix stays within the byte cap, and one repetition draws the blocks,
+    in the order and at the charges, of ``edge_tester``. Each verdict is
+    charged what its own blocks drew, so an accepted repetition spends
+    exactly sum_h m_h (1 + b_h) queries.
+    """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
-    cfg = cfg or EdgeConfig()
-    n = oracle.n
-    block = max(1, EDGE_BLOCK_BYTES // oracle.rho.n)
-    start = oracle.queries
-    levels = []
-    fired = None
-    for lv in cfg.levels(n, eps):
-        b = lv.b
-        max_est = 0.0
+    block = max(1, EDGE_BLOCK_BYTES // oracle.rho.n // reps)
+    levels = [[] for _ in range(reps)]
+    fired = [None] * reps
+    queries = [0] * reps
+    live = list(range(reps))
+    for lv in cfg.levels(oracle.n, eps):
+        b, theta = lv.b, lv.theta
+        entered = live
+        max_est = [0.0] * reps
         done = 0
-        while done < lv.m and fired is None:
+        while done < lv.m and live:
             m = min(block, lv.m - done)
-            coords, plus = oracle.edge_block(m, b)
-            top = max((2.0 * int(plus.max()) - b) / b, (b - 2.0 * int(plus.min())) / b)
-            max_est = max(max_est, top)
-            if top > lv.theta:
-                i = int(np.flatnonzero(np.abs((2.0 * plus - b) / b) > lv.theta)[0])
-                fired = {
-                    "h": lv.h,
-                    "pair": done + i,
-                    "coord": int(coords[i]),
-                    "est": (2.0 * int(plus[i]) - b) / b,
-                }
+            coords, plus = oracle.edge_block(len(live) * m, b)
+            plus = plus.reshape(len(live), m)
+            # each repetition's largest and smallest count, by direct reduces:
+            # the array methods add a Python-level call per block
+            his = np.maximum.reduce(plus, axis=1).tolist()
+            los = np.minimum.reduce(plus, axis=1).tolist()
+            for row, (rep, hi, lo) in enumerate(zip(live, his, los)):
+                queries[rep] += m * (1 + b)
+                top = max((2.0 * hi - b) / b, (b - 2.0 * lo) / b)
+                max_est[rep] = max(max_est[rep], top)
+                if top > theta:
+                    counts = plus[row]
+                    i = int(np.flatnonzero(np.abs((2.0 * counts - b) / b) > theta)[0])
+                    fired[rep] = {
+                        "h": lv.h,
+                        "pair": done + i,
+                        "coord": int(coords[row * m + i]),
+                        "est": (2.0 * int(counts[i]) - b) / b,
+                    }
+            live = [rep for rep in live if fired[rep] is None]
             done += m
-        levels.append({**lv._asdict(), "max_est": max_est})
-        if fired is not None:
+        entry = lv._asdict()
+        for rep in entered:
+            levels[rep].append({**entry, "max_est": max_est[rep]})
+        if not live:
             break
-    decision = Decision.REJECT if fired is not None else Decision.ACCEPT
-    trace = {"kind": "edge", "levels": levels, "fired": fired}
-    return TestVerdict(decision, oracle.queries - start, trace)
+    return [
+        TestVerdict(
+            Decision.ACCEPT if f is None else Decision.REJECT,
+            spent,
+            {"kind": "edge", "levels": reached, "fired": f},
+        )
+        for reached, f, spent in zip(levels, fired, queries)
+    ]
+
+
+def _base_cases(
+    oracle: ScondOracle, eps: float, cfg: SubCondConfig, depth: int, reps: int
+) -> list[TestVerdict]:
+    """reps base-case verdicts of ``subcond_uni`` on one view, each with its
+    own tree node, from one batched edge tester."""
+    # a lone base case goes through the public entry, so a tracer that
+    # wraps ``edge_tester`` still sees it
+    if reps == 1:
+        inners = [edge_tester(oracle, eps, cfg.edge)]
+    else:
+        inners = _edge_tests(oracle, eps, cfg.edge, reps)
+    sigma = cfg.sigma(eps)
+    return [
+        TestVerdict(
+            inner.decision,
+            inner.queries_used,
+            {
+                "tree": {
+                    "depth": depth,
+                    "n": oracle.n,
+                    "eps": eps,
+                    "branch": "base-case",
+                    "verdict": inner.decision.value,
+                    "queries": inner.queries_used,
+                    "children": [],
+                    "sigma": sigma,
+                    "edge": inner.trace,
+                }
+            },
+        )
+        for inner in inners
+    ]
 
 
 def subcond_uni(
@@ -271,7 +343,20 @@ def subcond_uni(
     cfg: SubCondConfig | None = None,
     _depth: int = 0,
 ) -> TestVerdict:
-    """Recursive uniformity tester (Accept / Reject / Error verdicts)."""
+    """Recursive uniformity tester (Accept / Reject / Error verdicts).
+
+    A restriction is tested by a majority vote over repetitions, and the
+    repetitions of one restriction run batched. The r mean tests of a
+    mean-loop restriction draw their 2qr rows in one ``sample`` call
+    (``meantest._mean_tests``). When a recursion-loop restriction's
+    children are base cases, its t children are one edge tester over a
+    repetition axis (``_edge_tests``): each child stops at its own first
+    firing pair, is charged what its own blocks drew and keeps its own
+    tree node. The children's draws interleave, so their streams differ
+    from t edge testers run one after another; their laws and their
+    charges do not. Children that recurse run one after another, and the
+    first ``ERROR`` ends the verdict.
+    """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
     cfg = cfg or SubCondConfig()
@@ -297,15 +382,11 @@ def subcond_uni(
         node["branch"] = "depth-exceeded"
         return finish(Decision.ERROR)
 
+    if cfg.base_case(n, eps):
+        return _base_cases(oracle, eps, cfg, _depth, 1)[0]
+
     sigma = cfg.sigma(eps)
     node["sigma"] = sigma
-
-    if cfg.base_case(n, eps):
-        node["branch"] = "base-case"
-        inner = edge_tester(oracle, eps, cfg.edge)
-        node["edge"] = inner.trace
-        return finish(inner.decision)
-
     big_l = cfg.big_l(n, eps)
     r = cfg.r_reps(n, eps)
     node["L"] = big_l
@@ -330,9 +411,8 @@ def subcond_uni(
                 continue
             stats["tested"] += 1
             sub = oracle.restricted(rho)
-            rejects = sum(
-                mean_tester(sub, mean_cfg).decision is Decision.REJECT for _ in range(r)
-            )
+            verdicts = _mean_tests(sub, mean_cfg, r)
+            rejects = sum(v.decision is Decision.REJECT for v in verdicts)
             if 2 * rejects > r:
                 stats["majority_rejects"] += 1
                 return finish(Decision.REJECT)
@@ -353,9 +433,13 @@ def subcond_uni(
                 continue
             stats["recursed"] += 1
             sub = oracle.restricted(rho)
+            # a child past the depth budget gives ERROR before its base case
+            if _depth < cfg.max_depth and cfg.base_case(k, bucket.eps):
+                children = _base_cases(sub, bucket.eps, cfg, _depth + 1, t)
+            else:
+                children = (subcond_uni(sub, bucket.eps, cfg, _depth + 1) for _ in range(t))
             rejects = 0
-            for _ in range(t):
-                verdict = subcond_uni(sub, bucket.eps, cfg, _depth + 1)
+            for verdict in children:
                 node["children"].append(verdict.trace["tree"])
                 if verdict.decision is Decision.ERROR:
                     node["branch"] = "child-error"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypercube_tester import model
 from hypercube_tester.model import (
     DensePmf,
     Point,
@@ -413,6 +414,21 @@ def test_product_route_and_frequencies():
     # the uniform product never has a zero-mass subcube, even with no star left
     every = Restriction(np.array([-1, 1, -1], dtype=np.int8))
     assert ProductDistribution.uniform(3).cond_sample(stream(43, 2, 0), every, 5).shape == (5, 0)
+
+
+def test_biased_product_steps_read_the_stream_as_one_draw(monkeypatch):
+    # a large biased draw is taken in steps of whole rows, which give the
+    # values of one rng.random call over all rows
+    mu = np.linspace(-0.6, 0.6, 40)
+    prod = ProductDistribution(mu)
+    rho = Restriction(np.where(np.arange(40) % 3 == 0, 1, 0).astype(np.int8))
+    p_plus = (1.0 + mu[rho.stars]) / 2.0
+    for entries, size in ((model._PRODUCT_STEP_ENTRIES, 5_000), (7, 9), (60, 13)):
+        monkeypatch.setattr(model, "_PRODUCT_STEP_ENTRIES", entries)
+        got = prod.cond_sample(stream(45, 0, size), rho, size)
+        ref = stream(45, 0, size).random((size, rho.num_stars)) < p_plus
+        assert got.dtype == np.int8 and got.shape == (size, 26)
+        assert np.array_equal(got, 2 * ref.astype(np.int8) - 1)
 
 
 def test_product_cond_sample_draws_free_coordinates():

@@ -19,15 +19,18 @@ from hypercube_tester.model import (
     mean_vector,
 )
 from hypercube_tester.rng import stream
+from hypercube_tester.uniformity import EdgeConfig
 from hypercube_tester.theory import (
     SCALE,
     UNEVEN,
     ZERO,
     InequalityReport,
     _conditional_mean_at,
+    _edge_fire_prob,
     build_orientation,
     check_greedy_property,
     count_directed_into,
+    edge_null_accept,
     evaluate_robust_pisier,
     greedy_ordering,
     greedy_ordering_valid,
@@ -388,3 +391,36 @@ def test_random_dense_pmf_is_valid():
     p = random_dense_pmf(rng, 5)
     assert p.mass.min() >= 0
     assert p.mass.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the edge tester's exact null accept rate
+
+
+def test_edge_null_accept_matches_the_recorded_table():
+    # prod_h (1 - f_h)^m_h on the EdgeConfig() levels, as tabulated for
+    # n = 16..1024 before this function existed
+    table = {
+        0.5: [0.995, 0.989, 0.962, 0.874, 0.689, 0.298, 0.039],
+        0.25: [0.978, 0.933, 0.763, 0.493, 0.089, 0.002, 0.000],
+    }
+    for eps, row in table.items():
+        got = [round(edge_null_accept(n, eps), 3) for n in (16, 32, 64, 128, 256, 512, 1024)]
+        assert got == row
+    assert edge_null_accept(64, 0.5) == edge_null_accept(64, 0.5, EdgeConfig())
+
+
+def test_edge_fire_prob_matches_every_count():
+    # the bisection and the summed tail against the tester's predicate at
+    # every count x, weighted by the exact binomial mass
+    for b in (1, 2, 3, 7, 10, 13, 40, 64, 65, 80, 257):
+        for theta in (0.01, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.9, 0.999, 1.0, 2.0):
+            fire = [x for x in range(b + 1) if abs((2.0 * x - b) / b) > theta]
+            want = sum(math.comb(b, x) for x in fire) / 2**b
+            assert _edge_fire_prob(b, theta) == pytest.approx(want, rel=1e-12, abs=1e-300)
+    # a threshold no count can pass leaves every pair silent
+    assert _edge_fire_prob(10, 1.0) == 0.0
+    # at c3 = 1e-9 every pair of the odd-b levels (b = 313, 157, 79 at
+    # n = 16) fires, so no run accepts; the summed tail may round past 1
+    assert _edge_fire_prob(313, EdgeConfig(c3=1e-9).levels(16, 0.5)[7].theta) >= 1.0
+    assert edge_null_accept(16, 0.5, EdgeConfig(c3=1e-9)) == 0.0

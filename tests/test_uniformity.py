@@ -14,6 +14,7 @@ from hypercube_tester.meantest import Q_RULES
 from hypercube_tester.model import DensePmf, Decision, ProductDistribution, Restriction
 from hypercube_tester.oracle import ScondOracle
 from hypercube_tester.rng import stream
+from hypercube_tester.theory import edge_null_accept
 from hypercube_tester.uniformity import (
     EDGE_BLOCK_BYTES,
     PRESETS,
@@ -285,13 +286,18 @@ def assert_block_ledger(v, block):
     """A rejecting run spends every earlier level whole, then the fired
     level's blocks up to and including the one that holds the firing pair."""
     assert v.decision is Decision.REJECT
-    levels, fired = v.trace["levels"], v.trace["fired"]
+    assert_block_charge(v.trace, v.queries_used, block)
+
+
+def assert_block_charge(trace, queries, block):
+    """The charge of an edge trace that fired, for blocks of block pairs."""
+    levels, fired = trace["levels"], trace["fired"]
     last = levels[-1]
     assert last["h"] == fired["h"] and 0 <= fired["pair"] < last["m"]
     earlier = sum(lv["m"] * (1 + lv["b"]) for lv in levels[:-1])
     before = fired["pair"] // block * block  # pairs in the blocks before the firing one
-    assert v.queries_used <= earlier + (before + block) * (1 + last["b"])
-    assert v.queries_used == earlier + min(last["m"], before + block) * (1 + last["b"])
+    assert queries <= earlier + (before + block) * (1 + last["b"])
+    assert queries == earlier + min(last["m"], before + block) * (1 + last["b"])
 
 
 def test_edge_tester_block_overshoot(monkeypatch):
@@ -461,13 +467,15 @@ def test_recursion_rejects_two_point_in_mean_loop():
 
 
 # (decision, queries_used, base-case edge testers run, their fired pairs)
-# under REC_CFG at n = 64, eps 0.5 on stream(16, 1, t), recorded before edge
-# blocks became one oracle call
+# under REC_CFG at n = 64, eps 0.5 on stream(16, 1, t). The uniform rows were
+# recorded when a restriction's t base-case children became one batched edge
+# tester, whose interleaved draws move the stream after the first leaf; the
+# two_point rows predate edge blocks as one oracle call
 RECURSION_VERDICTS_N64 = {
     "uniform": [
-        ("accept", 7_577_478, 504, []),
-        ("accept", 7_664_574, 504, []),
-        ("accept", 8_881_044, 504, []),
+        ("accept", 8_405_862, 504, []),
+        ("accept", 8_524_011, 504, []),
+        ("accept", 8_095_818, 504, []),
     ],
     "two_point": [("reject", 1201, 0, [])] * 3,
 }
@@ -505,3 +513,195 @@ def test_negative_depth_budget_errors_immediately():
     assert v.decision is Decision.ERROR
     assert v.trace["tree"]["branch"] == "depth-exceeded"
     assert v.queries_used == 0
+
+
+# ---------------------------------------------------------------------------
+# batched repetitions: a restriction's t base-case children are one edge
+# tester over a repetition axis, whose streams interleave; these tests hold
+# the laws and the charges, which must not move
+
+# uniform at n = 16, eps 0.5: four levels (b = 80, 40, 20, 10, so both fair
+# count routes) whose exact null accept rate is 0.5004
+HALF_EDGE = EdgeConfig(c_h=0.5, c1=0.5, c2=0.05, c3=10.0)
+
+# REC_CFG whose leaves fire: a child accepts the uniform target with exact
+# probability 0.36-0.90, so restrictions mix accepting and rejecting children
+FIRE_CFG = replace(REC_CFG, edge=replace(REC_CFG.edge, c3=12.0))
+
+# the key order of a lone base-case node
+BASE_CASE_KEYS = ["depth", "n", "eps", "branch", "verdict", "queries", "children", "sigma", "edge"]
+
+
+def _binomial_two_sided_p(k, trials, p):
+    """Exact two-sided binomial test: the mass of every count no likelier than k."""
+    logs = [
+        math.lgamma(trials + 1)
+        - math.lgamma(j + 1)
+        - math.lgamma(trials - j + 1)
+        + j * math.log(p)
+        + (trials - j) * math.log1p(-p)
+        for j in range(trials + 1)
+    ]
+    cut = logs[k] + 1e-9
+    return min(1.0, sum(math.exp(v) for v in logs if v <= cut))
+
+
+def _repetitions(o, eps, cfg, reps):
+    if reps == 1:
+        return [edge_tester(o, eps, cfg)]
+    return uniformity._edge_tests(o, eps, cfg, reps)
+
+
+@pytest.mark.parametrize("reps", [1, 3, 15])
+@pytest.mark.parametrize("block_bytes", [EDGE_BLOCK_BYTES, 2 * 16 * 15])
+def test_batched_edge_accept_rate_matches_exact_law(monkeypatch, reps, block_bytes):
+    # 480 bytes make blocks of 30, 10 and 2 pairs per repetition at n = 16,
+    # so the levels of 3 to 20 pairs also take several blocks
+    monkeypatch.setattr(uniformity, "EDGE_BLOCK_BYTES", block_bytes)
+    want = edge_null_accept(16, 0.5, HALF_EDGE)
+    assert want == pytest.approx(0.5, abs=0.001)
+    planned = sum(lv.m * (1 + lv.b) for lv in HALF_EDGE.levels(16, 0.5))
+    target = ProductDistribution.uniform(16)
+    key = 18 if block_bytes == EDGE_BLOCK_BYTES else 19
+    accepts = total = 0
+    for t in range(3000 // reps):
+        o = ScondOracle(target, stream(key, reps, t))
+        verdicts = _repetitions(o, 0.5, HALF_EDGE, reps)
+        assert len(verdicts) == reps
+        assert sum(v.queries_used for v in verdicts) == o.queries
+        for v in verdicts:
+            total += 1
+            if v.decision is Decision.ACCEPT:
+                accepts += 1
+                assert v.queries_used == planned
+            else:
+                assert_block_ledger(v, max(1, block_bytes // 16 // reps))
+    assert total == 3000
+    assert _binomial_two_sided_p(accepts, total, want) >= 1e-3
+
+
+def test_one_repetition_is_the_lone_edge_tester():
+    # same stream, same verdict, trace and charge
+    for dist in ("uniform", "noisy_parity:2:0.3"):
+        target = resolve_target(dist, 32)
+        for t in range(3):
+            lone = edge_tester(ScondOracle(target, stream(20, 0, t)), 0.25, REC_CFG.edge)
+            (batched,) = uniformity._edge_tests(
+                ScondOracle(target, stream(20, 0, t)), 0.25, REC_CFG.edge, 1
+            )
+            assert (batched.decision, batched.queries_used, batched.trace) == (
+                lone.decision,
+                lone.queries_used,
+                lone.trace,
+            )
+
+
+# mean and standard error of queries_used over 2,000 uniform recursion nulls
+# (n = 64, eps 0.5, REC_CFG, stream(17, 1, t)) run with one edge tester per
+# child, one after another, before children were batched
+SERIAL_NULL_QUERIES = (8_087_879, 8_575)
+
+
+def test_recursion_null_query_law_is_kept():
+    target = ProductDistribution.uniform(64)
+    spent = []
+    for t in range(200):
+        o = ScondOracle(target, stream(17, 2, t))
+        v = subcond_uni(o, 0.5, REC_CFG)
+        assert v.queries_used == o.queries == trace_query_sum(v.trace["tree"])
+        spent.append(v.queries_used)
+    mean = sum(spent) / len(spent)
+    se = math.sqrt(sum((q - mean) ** 2 for q in spent) / (len(spent) - 1) / len(spent))
+    assert abs(mean - SERIAL_NULL_QUERIES[0]) <= 3 * se
+
+
+class RestrictionLog(ScondOracle):
+    """A root oracle that logs (ledger, star count) at each restriction draw."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.draws = []
+
+    def draw_restriction_sigma(self, sigma):
+        before = self.queries
+        rho = super().draw_restriction_sigma(sigma)
+        self.draws.append((before, rho.stars.size))
+        return rho
+
+
+def assert_restriction_charges(o, v, cfg, eps=0.5):
+    """Each restriction's ledger delta is its draw, then its r mean tests or
+    the sum of its t children's charges; every child is charged what its own
+    edge blocks drew."""
+    tree = v.trace["tree"]
+    assert v.queries_used == o.queries == trace_query_sum(tree)
+    n, sigma, t = tree["n"], tree["sigma"], cfg.t_reps(eps)
+    two_q_r = 2 * cfg.mean_q_override * tree["r"]
+    ends = [before for before, _ in o.draws[1:]] + [o.queries]
+    mean_draws = sum(s["restrictions"] for s in tree["mean_loop"])
+    children = iter(tree["children"])
+    block = max(1, uniformity.EDGE_BLOCK_BYTES // n // t)
+    for i, ((before, k), end) in enumerate(zip(o.draws, ends)):
+        if i < mean_draws:
+            assert end - before == 1 + (two_q_r if k else 0)
+            continue
+        if not 0 < k <= 2.0 * sigma * n:
+            assert end - before == 1
+            continue
+        group = [next(children) for _ in range(t)]
+        assert end - before == 1 + sum(c["queries"] for c in group)
+        for child in group:
+            assert list(child) == BASE_CASE_KEYS
+            assert child["branch"] == "base-case" and child["n"] == k
+            assert child["children"] == []
+            edge = child["edge"]
+            if child["verdict"] == "accept":
+                assert edge["fired"] is None
+                levels = cfg.edge.levels(k, child["eps"])
+                assert child["queries"] == sum(lv.m * (1 + lv.b) for lv in levels)
+                assert [lv["h"] for lv in edge["levels"]] == [lv.h for lv in levels]
+            else:
+                assert child["verdict"] == "reject"
+                assert_block_charge(edge, child["queries"], block)
+    assert next(children, None) is None
+
+
+@pytest.mark.parametrize("block_bytes", [EDGE_BLOCK_BYTES, 64 * 3 * 2])
+@pytest.mark.parametrize(
+    "dist, cfg", [("uniform", REC_CFG), ("two_point", REC_CFG), ("uniform", FIRE_CFG)]
+)
+def test_batched_children_charges_and_traces(monkeypatch, block_bytes, dist, cfg):
+    # 384 bytes make blocks of 2 pairs per child at n = 64 and t = 3
+    monkeypatch.setattr(uniformity, "EDGE_BLOCK_BYTES", block_bytes)
+    target = resolve_target(dist, 64)
+    outcomes = set()
+    for t in range(3):
+        o = RestrictionLog(target, stream(21, 0, t))
+        v = subcond_uni(o, 0.5, cfg)
+        want = "accept" if (dist, cfg) == ("uniform", REC_CFG) else "reject"
+        assert v.decision.value == want
+        assert_restriction_charges(o, v, cfg)
+        outcomes |= {c["verdict"] for c in v.trace["tree"]["children"]}
+    if cfg is FIRE_CFG:
+        assert outcomes == {"accept", "reject"}
+
+
+def test_batched_children_match_a_lone_base_case_node():
+    # a view's t children are t lone base-case nodes, each charged its own
+    # blocks, summing to the view's ledger delta
+    # the even coordinates of a uniform n = 64 cube are free, the odd ones +1
+    rho = Restriction(np.where(np.arange(64) % 2 == 0, 0, 1).astype(np.int8))
+    view = ScondOracle(ProductDistribution.uniform(64), stream(22, 0, 0)).restricted(rho)
+    lone = subcond_uni(view, 0.25, REC_CFG, 1)
+    assert lone.trace["tree"]["branch"] == "base-case"
+    assert list(lone.trace["tree"]) == BASE_CASE_KEYS
+    before = view.queries
+    children = uniformity._base_cases(view, 0.25, REC_CFG, 1, 5)
+    assert view.queries - before == sum(c.queries_used for c in children)
+    for c in children:
+        node = c.trace["tree"]
+        assert list(node) == BASE_CASE_KEYS
+        assert {k: node[k] for k in BASE_CASE_KEYS[:3]} == {"depth": 1, "n": 32, "eps": 0.25}
+        assert node["sigma"] == lone.trace["tree"]["sigma"]
+        assert node["queries"] == c.queries_used
+        assert node["verdict"] == c.decision.value
