@@ -4,6 +4,8 @@ schedule, a recursive uniformity tester, a gaussian-mean reduction, and a
 brute-force lab for the small-n structural facts behind them.
 """
 
+from types import ModuleType as _ModuleType
+
 from .blowup import (
     blowup_dim,
     blowup_rows,
@@ -100,85 +102,10 @@ from .zoo import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Decision",
-    "DensePmf",
-    "EdgeConfig",
-    "ExperimentSpec",
-    "GaussianSource",
-    "HeavyAtomDistribution",
-    "InequalityReport",
-    "JuntaMixDistribution",
-    "MeanTestConfig",
-    "MeanVector",
-    "NoisyParityDistribution",
-    "OrientedGraphs",
-    "Point",
-    "ProductDistribution",
-    "Restriction",
-    "SampleBatch",
-    "ScondOracle",
-    "SubCondConfig",
-    "TauSchedule",
-    "TestVerdict",
-    "TwoPointDistribution",
-    "VerifierReport",
-    "ZooEntry",
-    "all_sign_points",
-    "blowup_dim",
-    "blowup_rows",
-    "build_orientation",
-    "check_greedy_property",
-    "conditional_table",
-    "csv_body_without_wall_time",
-    "default_k0",
-    "edge_null_accept",
-    "edge_tester",
-    "erf_lower_bound_holds",
-    "evaluate_robust_pisier",
-    "explicit_moments",
-    "gaussian_mean_tester",
-    "gaussian_required_samples",
-    "gram_moments",
-    "greedy_ordering",
-    "greedy_ordering_valid",
-    "indices_to_points",
-    "instantiate",
-    "iterated_blowup_rows",
-    "khintchine_lhs",
-    "load_distribution",
-    "load_entry",
-    "mean_tester",
-    "mean_vector",
-    "paper_q",
-    "parse_spec_string",
-    "points_to_indices",
-    "practical_q",
-    "probe_restriction_theorem",
-    "project",
-    "random_dense_pmf",
-    "resolve_gaussian_source",
-    "resolve_target",
-    "restrict",
-    "run_experiment",
-    "save_distribution",
-    "save_entry",
-    "scaling_report",
-    "second_moment",
-    "second_moment_screen",
-    "seed_sequence",
-    "stream",
-    "subcond_uni",
-    "subcube_mass",
-    "trace_query_sum",
-    "tv_to_uniform",
-    "uniform_sigma_frob_sq_bound",
-    "uniform_sigma_frob_sq_exact",
-    "verify_chain_rule",
-    "verify_contributing_bias",
-    "verify_graph_to_mean",
-    "verify_khintchine",
-    "verify_variance_bound",
-    "z_statistic_naive",
-    "zoo_kinds",
-]
+# every public name imported above; the submodules those imports bind are
+# not exported
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

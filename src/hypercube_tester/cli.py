@@ -202,56 +202,54 @@ def _cmd_subconduni(args) -> int:
 # theorylab
 
 
-def _check_chain(n, cases, rng):
-    sigmas = (0.25, 0.5, 0.75)
-    worst = 0.0
-    failures = 0
+_SIGMAS = (0.25, 0.5, 0.75)
+
+
+def _random_pmfs(n, cases, rng):
+    """(c, p) for each case c, with p a fresh random PMF; each p is drawn
+    only when its case is reached, so a case's own draws follow its PMF."""
     for c in range(cases):
-        p = random_dense_pmf(rng, n)
-        rep = verify_chain_rule(p, sigmas[c % len(sigmas)])
-        worst = max(worst, rep.ratio)
-        failures += rep.lhs > rep.rhs + 1e-9
-    return failures == 0, failures, cases, {"max_ratio": worst}
+        yield c, random_dense_pmf(rng, n)
 
 
-def _check_probe(n, cases, rng):
-    sigmas = (0.25, 0.5, 0.75)
-    ratios = []
-    for c in range(cases):
-        p = random_dense_pmf(rng, n)
-        rep = probe_restriction_theorem(p, sigmas[c % len(sigmas)])
-        ratios.append(rep.ratio)
-    arr = np.array(ratios)
-    extras = {
-        "min_ratio": float(arr.min()),
-        "max_ratio": float(arr.max()),
-        "mean_ratio": float(arr.mean()),
-        "note": "ratios reported only; nothing asserted",
-    }
-    return True, 0, cases, extras
-
-
-def _check_pisier(n, cases, rng):
-    ratios = []
-    for _ in range(cases):
-        p = random_dense_pmf(rng, n)
-        rep = evaluate_robust_pisier(p, s=1.0, rng=rng)
-        ratios.append(rep.ratio)
-    finite = np.array([r for r in ratios if math.isfinite(r)])
-    extras = {
+def _ratio_extras(reports):
+    finite = np.array([rep.ratio for rep in reports if math.isfinite(rep.ratio)])
+    return {
         "min_ratio": float(finite.min()) if finite.size else None,
         "max_ratio": float(finite.max()) if finite.size else None,
         "mean_ratio": float(finite.mean()) if finite.size else None,
         "note": "ratios reported only; nothing asserted",
     }
-    return True, 0, cases, extras
+
+
+def _verifier_totals(reports):
+    failures = sum(len(rep.failures) for rep in reports)
+    return failures == 0, failures, sum(rep.nonvacuous for rep in reports), {}
+
+
+def _check_chain(n, cases, rng):
+    pmfs = _random_pmfs(n, cases, rng)
+    reps = [verify_chain_rule(p, _SIGMAS[c % len(_SIGMAS)]) for c, p in pmfs]
+    failures = sum(rep.lhs > rep.rhs + 1e-9 for rep in reps)
+    return failures == 0, failures, cases, {"max_ratio": max([0.0] + [r.ratio for r in reps])}
+
+
+def _check_probe(n, cases, rng):
+    pmfs = _random_pmfs(n, cases, rng)
+    reps = [probe_restriction_theorem(p, _SIGMAS[c % len(_SIGMAS)]) for c, p in pmfs]
+    return True, 0, cases, _ratio_extras(reps)
+
+
+def _check_pisier(n, cases, rng):
+    pmfs = _random_pmfs(n, cases, rng)
+    reps = [evaluate_robust_pisier(p, s=1.0, rng=rng) for _, p in pmfs]
+    return True, 0, cases, _ratio_extras(reps)
 
 
 def _check_greedy(n, cases, rng):
     failures = 0
     nonvac = 0
-    for _ in range(cases):
-        p = random_dense_pmf(rng, n)
+    for _, p in _random_pmfs(n, cases, rng):
         graphs = build_orientation(p)
         n_v = 1 << n
         if graphs.u.size != n * (1 << (n - 1)):
@@ -279,26 +277,16 @@ def _check_greedy(n, cases, rng):
 
 
 def _check_graphmean(n, cases, rng):
-    failures = 0
-    nonvac = 0
-    for _ in range(cases):
-        p = random_dense_pmf(rng, n)
-        t = int(rng.integers(1, n))
-        rep = verify_graph_to_mean(p, t, trials=10, rng=rng)
-        failures += len(rep.failures)
-        nonvac += rep.nonvacuous
-    return failures == 0, failures, nonvac, {}
+    # a case draws its t after its PMF
+    pmfs = _random_pmfs(n, cases, rng)
+    return _verifier_totals(
+        [verify_graph_to_mean(p, int(rng.integers(1, n)), trials=10, rng=rng) for _, p in pmfs]
+    )
 
 
 def _check_contributing(n, cases, rng):
-    failures = 0
-    nonvac = 0
-    for _ in range(cases):
-        p = random_dense_pmf(rng, n)
-        rep = verify_contributing_bias(p, trials=10, rng=rng)
-        failures += len(rep.failures)
-        nonvac += rep.nonvacuous
-    return failures == 0, failures, nonvac, {}
+    pmfs = _random_pmfs(n, cases, rng)
+    return _verifier_totals([verify_contributing_bias(p, trials=10, rng=rng) for _, p in pmfs])
 
 
 def _check_variance(n, cases, rng):
@@ -324,8 +312,7 @@ def _check_variance(n, cases, rng):
 
 def _check_blowupfact(n, cases, rng):
     failures = 0
-    for _ in range(cases):
-        p = random_dense_pmf(rng, n)
+    for _, p in _random_pmfs(n, cases, rng):
         for k in (0, 1):
             mu_sq_k, frob_sq_k = gram_moments(p, k)
             mu_sq_next, _ = gram_moments(p, k + 1)
@@ -361,6 +348,9 @@ _CHECKS = {
 
 
 def _cmd_theorylab(args) -> int:
+    # a check over no case would report ok having checked nothing
+    if args.cases < 1:
+        raise UsageError(f"theorylab: --cases must be at least 1, got {args.cases}")
     rng = stream(args.seed, 0, 0)
     ok, failures, nonvac, extras = _CHECKS[args.check](args.n, args.cases, rng)
     report = {

@@ -81,21 +81,11 @@ class SampleBatch:
     ys: np.ndarray
 
     def __post_init__(self):
-        xs = np.atleast_2d(np.asarray(self.xs))
-        ys = np.atleast_2d(np.asarray(self.ys))
-        if xs.shape != ys.shape or xs.shape[0] < 1:
-            raise ValueError("halves must be nonempty and of equal shape")
-        # both halves checked by one comparison, before the int8 cast
-        self._adopt(_signs_int8(np.stack([xs, ys])))
-
-    @classmethod
-    def _of(cls, halves: np.ndarray) -> "SampleBatch":
-        """The batch of a checked int8 (2, q, n) array, without a second check."""
-        batch = object.__new__(cls)
-        batch._adopt(halves)
-        return batch
-
-    def _adopt(self, halves: np.ndarray) -> None:
+        xs, ys = np.asarray(self.xs), np.asarray(self.ys)
+        if xs.ndim != 2 or xs.shape != ys.shape or xs.shape[0] < 1:
+            raise ValueError("halves must be nonempty 2-D arrays of equal shape")
+        # both halves checked as one draw of 2q rows
+        (halves,) = _draw_batches(np.concatenate([xs, ys]), xs.shape[0])
         object.__setattr__(self, "_halves", halves)
         object.__setattr__(self, "xs", halves[0])
         object.__setattr__(self, "ys", halves[1])
@@ -112,44 +102,52 @@ class SampleBatch:
         """Exact sum_{i,j} <x_i, y_j>^(2^k)."""
         if k == 0:
             return _level0_numerators(self._halves[None])[0]
-        return sum(c * v ** (1 << k) for v, c in self.gram_histogram)
+        return _level_numerator(self.gram_histogram, k)
 
     @functools.cached_property
     def gram_histogram(self) -> tuple[tuple[int, int], ...]:
-        """(inner product, count) over all q^2 pairs in ascending order of
-        inner product, zero counts dropped; for levels >= 1."""
-        q, n = self.xs.shape
-        xw, yw = _sign_words(self._halves)
-        words = xw.shape[1]
-        rows = max(1, GRAM_BLOCK_CELLS // q)
-        dtype = np.min_scalar_type(n)
-        counts = np.zeros(n + 1, dtype=np.int64)
-        for lo in range(0, q, rows):
-            block = xw[lo : lo + rows]
-            # zero-filled, so n = 0 (no words) counts every pair at distance 0
-            dist = np.zeros((block.shape[0], q), dtype=dtype)
-            for w in range(words):
-                dist += np.bitwise_count(block[:, w, None] ^ yw[:, w])
-            counts += np.bincount(dist.ravel(), minlength=n + 1)
-        counts = counts.tolist()
-        # distance d is inner product n - 2d: descending d is ascending <x, y>
-        return tuple((n - 2 * d, counts[d]) for d in range(n, -1, -1) if counts[d])
+        """``_gram_histogram`` of the batch, built on first read."""
+        return _gram_histogram(self._halves)
 
 
-def _signs_int8(raw: np.ndarray) -> np.ndarray:
-    """raw as int8 after one check that every entry is -1 or +1; the check
-    reads the raw values, which the cast would turn 257 or 1.7 into 1."""
-    if not _entries_in(raw, (-1, 1)):
-        raise ValueError("samples must be sign vectors")
-    return raw.astype(np.int8, copy=False)
+def _gram_histogram(halves: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """(inner product, count) over all q^2 pairs (x_i, y_j) of one checked
+    int8 (2, q, n) batch, in ascending order of inner product with zero
+    counts dropped; for levels >= 1."""
+    _, q, n = halves.shape
+    xw, yw = _sign_words(halves)
+    words = xw.shape[1]
+    rows = max(1, GRAM_BLOCK_CELLS // q)
+    dtype = np.min_scalar_type(n)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for lo in range(0, q, rows):
+        block = xw[lo : lo + rows]
+        # zero-filled, so n = 0 (no words) counts every pair at distance 0
+        dist = np.zeros((block.shape[0], q), dtype=dtype)
+        for w in range(words):
+            dist += np.bitwise_count(block[:, w, None] ^ yw[:, w])
+        counts += np.bincount(dist.ravel(), minlength=n + 1)
+    counts = counts.tolist()
+    # distance d is inner product n - 2d: descending d is ascending <x, y>
+    return tuple((n - 2 * d, counts[d]) for d in range(n, -1, -1) if counts[d])
+
+
+def _level_numerator(histogram: tuple[tuple[int, int], ...], k: int) -> int:
+    """The exact level-k numerator sum c v^(2^k) over a Gram histogram."""
+    return sum(c * v ** (1 << k) for v, c in histogram)
 
 
 def _draw_batches(draw: np.ndarray, q: int) -> np.ndarray:
-    """A draw of 2qr sign rows, checked once, as r batches: an int8
-    (r, 2, q, n) array whose batch i holds rows [2qi, 2qi + q) as X and
-    rows [2qi + q, 2q(i + 1)) as Y."""
+    """A draw of 2qr sign rows as r batches: an int8 (r, 2, q, n) array
+    whose batch i holds rows [2qi, 2qi + q) as X and [2qi + q, 2q(i + 1))
+    as Y. The one check of samples, once per draw: every raw entry is -1 or
+    +1 (the int8 cast would turn 257 or 1.7 into 1)."""
     raw = np.asarray(draw)
-    return _signs_int8(raw).reshape(-1, 2, q, raw.shape[-1])
+    if not _entries_in(raw, (-1, 1)):
+        raise ValueError("samples must be sign vectors")
+    rows, n = raw.shape
+    # sized, not inferred: reshape(-1, ...) cannot infer an axis when n = 0
+    return raw.astype(np.int8, copy=False).reshape(rows // (2 * q), 2, q, n)
 
 
 def _level0_numerators(batches: np.ndarray) -> list[int]:
@@ -166,7 +164,7 @@ def _numerators(draw: np.ndarray, q: int, k: int) -> list[int]:
     batches = _draw_batches(draw, q)
     if k == 0:
         return _level0_numerators(batches)
-    return [SampleBatch._of(b).numerator(k) for b in batches]
+    return [_level_numerator(_gram_histogram(b), k) for b in batches]
 
 
 def _sign_words(signs: np.ndarray) -> np.ndarray:
@@ -208,6 +206,9 @@ class TauSchedule:
     def __post_init__(self):
         if not 0.0 < self.eps <= 1.0:
             raise ValueError("eps must lie in (0, 1]")
+        # integers, so every tau_k is an exact Fraction
+        for name in ("n", "q", "k0"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.q < 1 or self.k0 < 0 or self.n < 1:
             raise ValueError("need q >= 1, k0 >= 0, n >= 1")
         # eps^2 n / 2 from the float's exact ratio, built as one Fraction
@@ -292,19 +293,20 @@ def _mean_tests(oracle: ScondOracle, cfg: MeanTestConfig, reps: int) -> list[Tes
     calls of q rows each, so one repetition reads what it always read. The
     level-0 numerators of all repetitions come from one reshaped int64
     column-sum array; a repetition reads level k only after level k - 1
-    accepted, from its own Gram histogram. Each verdict is charged its own
-    2q queries.
+    accepted, from its own Gram histogram, built at its first read of level
+    1. Each verdict is charged its own 2q queries.
     """
     sched = cfg.resolve(oracle.n)
     q = sched.q
     batches = _draw_batches(oracle.sample(2 * q * reps), q)
     verdicts = []
     for halves, num0 in zip(batches, _level0_numerators(batches)):
-        batch = SampleBatch._of(halves)
         z_levels = []
         decision = Decision.ACCEPT
         for k in range(sched.k0 + 1):
-            num = num0 if k == 0 else batch.numerator(k)
+            if k == 1:
+                histogram = _gram_histogram(halves)
+            num = num0 if k == 0 else _level_numerator(histogram, k)
             z_levels.append(_trace_float(num, q * q))
             if sched.exceeded(k, num):
                 decision = Decision.REJECT

@@ -192,14 +192,10 @@ class OrientedGraphs:
     def directed_from(self, x: int, i: int) -> bool:
         return int(self.source[self.edge_row[x, i]]) == int(x)
 
-    def out_mask(self, include_zero: bool = True) -> np.ndarray:
+    def out_mask(self) -> np.ndarray:
         """Boolean (2^m, m): entry [x, i] says the edge at (x, coord i) is
-        oriented out of x (optionally ignoring zero edges)."""
-        src = self.source[self.edge_row]
-        mask = src == np.arange(1 << self.m)[:, None]
-        if not include_zero:
-            mask &= self.cls[self.edge_row] != ZERO
-        return mask
+        oriented out of x."""
+        return self.source[self.edge_row] == np.arange(1 << self.m)[:, None]
 
     def out_degrees(self, cls: int, kappa: int | None = None) -> np.ndarray:
         sel = self.cls == cls
@@ -353,25 +349,22 @@ def check_greedy_property(
 
 
 def evaluate_robust_pisier(
-    ell: DensePmf,
-    graphs: OrientedGraphs | None = None,
-    s: float = 1.0,
-    rng: np.random.Generator | None = None,
-    mc_draws: int = PISIER_MC_MIN_DRAWS,
+    ell: DensePmf, *, s: float = 1.0, rng: np.random.Generator | None = None
 ) -> InequalityReport:
     """lhs = (E_x |f(x)|^s)^(1/s) with f = 2^m ell - 1; rhs the oriented
-    derivative sum of the robust inequality. Reports lhs / (rhs ln m);
-    asserts nothing (the inequality's constant is unspecified)."""
+    derivative sum of the robust inequality on ell's orientation (by rng's
+    draws past m = PISIER_EXACT_CAP). Reports lhs / (rhs ln m); asserts
+    nothing (the inequality's constant is unspecified)."""
     if s < 1.0:
         raise ValueError("s must be >= 1")
     m = ell.n
-    graphs = graphs or build_orientation(ell)
+    graphs = build_orientation(ell)
     n_v = 1 << m
     f = n_v * ell.mass - 1.0
     pts = all_sign_points(m).astype(np.float64)
     partner_f = f[(np.arange(n_v)[:, None] ^ bit_powers(m)[None, :])]
     delta = 0.5 * (f[:, None] - partner_f)
-    c = pts * delta * graphs.out_mask(include_zero=True)
+    c = pts * delta * graphs.out_mask()
     lhs = float(np.mean(np.abs(f) ** s) ** (1.0 / s))
     if m <= PISIER_EXACT_CAP:
         sums = c @ pts.T  # [x, y] -> sum_i y_i x_i delta_i f(x) over out-edges
@@ -380,9 +373,8 @@ def evaluate_robust_pisier(
     else:
         if rng is None:
             raise ValueError(f"m > {PISIER_EXACT_CAP} needs an rng for Monte-Carlo")
-        draws = max(int(mc_draws), PISIER_MC_MIN_DRAWS)
-        xs = rng.integers(0, n_v, size=draws)
-        ys = uniform_signs(rng, (draws, m))
+        xs = rng.integers(0, n_v, size=PISIER_MC_MIN_DRAWS)
+        ys = uniform_signs(rng, (PISIER_MC_MIN_DRAWS, m))
         sums = (c[xs] * ys).sum(axis=1)
         rhs = float(np.mean(np.abs(sums) ** s) ** (1.0 / s))
         mode = "monte-carlo"

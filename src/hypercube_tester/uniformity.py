@@ -305,9 +305,14 @@ def _edge_tests(oracle: ScondOracle, eps: float, cfg: EdgeConfig, reps: int) -> 
 
 def _base_cases(
     oracle: ScondOracle, eps: float, cfg: SubCondConfig, depth: int, reps: int
-) -> list[TestVerdict]:
-    """reps base-case verdicts of ``subcond_uni`` on one view, each with its
-    own tree node, from one batched edge tester."""
+) -> list[TestVerdict] | None:
+    """The one base-case rule of ``subcond_uni``, for the root and for each
+    restriction's children: a view within the depth budget whose dimension
+    is too small for restrictions to bite (``SubCondConfig.base_case``) gets
+    reps verdicts, each with its own tree node, from one batched edge
+    tester; any other view gets None and no draw."""
+    if depth > cfg.max_depth or not cfg.base_case(oracle.n, eps):
+        return None
     # a lone base case goes through the public entry, so a tracer that
     # wraps ``edge_tester`` still sees it
     if reps == 1:
@@ -344,6 +349,9 @@ def subcond_uni(
     _depth: int = 0,
 ) -> TestVerdict:
     """Recursive uniformity tester (Accept / Reject / Error verdicts).
+
+    A view past the depth budget gives ``ERROR`` before any query; whether
+    a view is a base case, ``_base_cases`` alone decides.
 
     A restriction is tested by a majority vote over repetitions, and the
     repetitions of one restriction run batched. The r mean tests of a
@@ -382,8 +390,9 @@ def subcond_uni(
         node["branch"] = "depth-exceeded"
         return finish(Decision.ERROR)
 
-    if cfg.base_case(n, eps):
-        return _base_cases(oracle, eps, cfg, _depth, 1)[0]
+    base = _base_cases(oracle, eps, cfg, _depth, 1)
+    if base:
+        return base[0]
 
     sigma = cfg.sigma(eps)
     node["sigma"] = sigma
@@ -433,11 +442,9 @@ def subcond_uni(
                 continue
             stats["recursed"] += 1
             sub = oracle.restricted(rho)
-            # a child past the depth budget gives ERROR before its base case
-            if _depth < cfg.max_depth and cfg.base_case(k, bucket.eps):
-                children = _base_cases(sub, bucket.eps, cfg, _depth + 1, t)
-            else:
-                children = (subcond_uni(sub, bucket.eps, cfg, _depth + 1) for _ in range(t))
+            children = _base_cases(sub, bucket.eps, cfg, _depth + 1, t) or (
+                subcond_uni(sub, bucket.eps, cfg, _depth + 1) for _ in range(t)
+            )
             rejects = 0
             for verdict in children:
                 node["children"].append(verdict.trace["tree"])

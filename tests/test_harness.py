@@ -1,6 +1,7 @@
 """Experiment harness and command-line interface: spec validation, grid runs,
 deterministic reruns, CSV/JSON artifacts, scaling diagnostics, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -25,6 +26,9 @@ from hypercube_tester.model import (
     load_distribution,
     save_distribution,
 )
+from hypercube_tester.oracle import ScondOracle
+from hypercube_tester.rng import stream
+from hypercube_tester.uniformity import PRESETS, edge_tester
 from hypercube_tester.zoo import TwoPointDistribution, parse_spec_string, save_entry
 
 # ---------------------------------------------------------------------------
@@ -159,6 +163,21 @@ def test_run_trial_gaussian_counts_samples():
     # the sample budget, which the verdict reports as its queries
     assert row["queries"] == gaussian_required_samples(4, 1.0) >= 144
     assert row["decision"] == "accept"
+
+
+@pytest.mark.parametrize("dist", ["uniform", "noisy_parity:2:0.3"])
+def test_run_experiment_edge_rows_are_edge_tester_verdicts(dist):
+    # tester "edge" runs the preset's edge tester on each trial's stream
+    spec = _spec(tester="edge", distribution=dist, n=[16], eps=[0.5], trials=3)
+    rows = run_experiment(spec)["rows"]
+    target = resolve_target(dist, 16)
+    want = []
+    for t in range(3):
+        v = edge_tester(ScondOracle(target, stream(7, 0, t)), 0.5, PRESETS["practical"].edge)
+        want.append((16, 0.5, t, v.decision.value, v.queries_used, "", ""))
+    keys = ("n", "eps", "trial", "decision", "queries", "z_levels", "tau_levels")
+    assert [tuple(row[k] for k in keys) for row in rows] == want
+    assert {row["decision"] for row in rows} == {"accept" if dist == "uniform" else "reject"}
 
 
 def test_run_trial_is_deterministic():
@@ -469,3 +488,74 @@ def test_cli_theorylab_chain_small(capsys):
     rc = main(["theorylab", "--check", "chain", "--n", "3", "--cases", "12"])
     assert rc == 0
     assert "chain: ok" in capsys.readouterr().out
+
+
+def test_cli_theorylab_refuses_no_cases(tmp_path, capsys):
+    # a check that ran on no case must not report ok: --cases < 1 is a usage
+    # error for every check, raised before the check runs
+    import hypercube_tester.cli as cli
+
+    for check in sorted(cli._CHECKS):
+        for cases in ("0", "-3"):
+            report = tmp_path / f"{check}{cases}.json"
+            rc = main(["theorylab", "--check", check, "--n", "3", "--cases", cases,
+                       "--report", str(report)])
+            assert rc == 1
+            out = capsys.readouterr()
+            assert out.out == "" and "--cases must be at least 1" in out.err
+            assert not report.exists()
+
+
+# (non-vacuous cases, sha256 of the --report JSON) of every theorylab check at
+# (n, cases, seed); each run prints one ok line and exits 0
+THEORYLAB_PINS = {
+    (3, 5, 0): {
+        "blowupfact": (5, "a5bdd0f523dc73dc93f00220f7306a6bae400ea9edc2591cae9a69de9efe8015"),
+        "chain": (5, "f3e14b9d616ebaca560ab118892d2892e2d68c7b6799522f60e84bba64190af7"),
+        "contributing": (17, "1783f88f5c292028e3d48327f20e40c89ca5ca06604b32590b2cfde80a1361e5"),
+        "graphmean": (42, "2b1a49cc05aa2d9a6ba2fac914d82393c5952ebe8ac0a2facaefb32a19ac188e"),
+        "greedy": (5, "730ce30c0afac576d071a0af1bdfbf2cc6f825a84749d81cab460ca834b1e4da"),
+        "khintchine": (5, "fdf87b13be41b9046c4cfcca4848d667fd9c7f9ab3b6d5c86f0183b99ab14aab"),
+        "pisier": (5, "6ee0a8b996240e140ac2318f85ee9f3ddff3e27d82bb8daadb598ec6326a8f69"),
+        "probe": (5, "74e3bedd78a6e6ead0f0e2badababf1907038dc6b98b6e57ffa156a0aea134ca"),
+        "variance": (3, "eca6ce85dbc1cefeb53e525ca0f15bd047904fc4052f5de0b6d1f2c76a384fc7"),
+    },
+    (4, 3, 7): {
+        "blowupfact": (3, "6722b42437d8d160efd81e452ac669e25934e135575cc2c84f02c86e2b0c05bc"),
+        "chain": (3, "35e4228b81ea81bea2d9b918923d0332bb5a580c22729794f20101a736a2418c"),
+        "contributing": (4, "7a1fd00173a7414e2260a18250af63e6e06725970beae2a6234ac68e68a5b328"),
+        "graphmean": (24, "6670bc1afae165d626f2a9fa5dfd621d41547f4ff65eec775eadbe86a5b76d3b"),
+        "greedy": (3, "aa74bf4e917de2d9ea0fb080bb09c4a43ce3f04026671e3140f8dc0272b60d1a"),
+        "khintchine": (3, "8e7b281d24f4e22f32207ab17a71f9f0d8c96c1d7332fb81083b87b76926de18"),
+        "pisier": (3, "dc0de8ae6b7e9089cb86d63309fa8af1b5e9181f40162435ab21b7208fe3bda7"),
+        "probe": (3, "0aa334ca89794ad67191d7df5bc17007819aa92350fad64328fb45f4b80edb68"),
+        "variance": (3, "8ef9ec5a11eb3cf9c523822ebf04917d0d2c4a594bacac6794d615a274021283"),
+    },
+    (5, 2, 3): {
+        "blowupfact": (2, "ac889c454cf4ee0bedd89c3c90aafdcad12135d84d7aa213f2e0adf527086494"),
+        "chain": (2, "fdc8261f9fb447c9ac4e350cfea407210c6733181714613ddaac8e6ba27a0106"),
+        "contributing": (5, "b8fbc8e37240cd775cc1415448a06c86074a9b18e70be8153004dc24f199ce8c"),
+        "graphmean": (14, "bc340a3ce461cfdf402d568125745a46dd8ca9ad43aa6d93e2cda34a1da30054"),
+        "greedy": (2, "5f59ea44d1ef16768de384367d95d70af676c6535d3e93f8fa27edaf99d05dab"),
+        "khintchine": (2, "35460782d1ee265ae79e08f216fbda79cd804ea0cb79370ca990b5da2a35b076"),
+        "pisier": (2, "bfe6d26697d2a73db5060f4450e75f43fecff725946f8f36c4bad85c76644988"),
+        "probe": (2, "626581202c888eee05b2cc09d88d0bb0e0ba3ce06eb31d1fc015bb71fdf06ba8"),
+        "variance": (3, "64a3b21dad36d510ef2197aab878a2d5c121e359140ff2890537c122467ca447"),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "check, n, cases, seed",
+    [(check, *point) for point in THEORYLAB_PINS for check in THEORYLAB_PINS[point]],
+)
+def test_cli_theorylab_report_pinned(tmp_path, capsys, check, n, cases, seed):
+    nonvac, digest = THEORYLAB_PINS[n, cases, seed][check]
+    report = tmp_path / "report.json"
+    rc = main(["theorylab", "--check", check, "--n", str(n), "--cases", str(cases),
+               "--seed", str(seed), "--report", str(report)])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        f"theorylab {check}: ok (0 failures / {nonvac} non-vacuous cases)\n"
+    )
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest

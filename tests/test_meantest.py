@@ -1,7 +1,6 @@
 """Mean tester: exact pairing statistic, threshold schedule, preset sample
 sizes, the full test loop, and the gaussian reduction."""
 
-import functools
 import math
 from fractions import Fraction
 
@@ -45,6 +44,11 @@ def test_sample_batch_rejects_non_signs():
         SampleBatch(np.array([[1, -1]]), np.array([[1.5, -1.0]]))
     with pytest.raises(ValueError):
         SampleBatch(np.ones((2, 3)), np.ones((3, 3)))
+    # halves of equal shape that are not 2-D are refused when built, not by
+    # a TypeError or an unpacking error when a level is read
+    for shape in ((2, 3, 4), (3,), ()):
+        with pytest.raises(ValueError, match="2-D"):
+            SampleBatch(np.ones(shape), np.ones(shape))
     assert SampleBatch(np.array([[1.0, -1.0]]), np.array([[1, 1]])).xs.dtype == np.int8
 
 
@@ -159,15 +163,14 @@ def test_gram_histogram_with_no_coordinates():
 
 
 def test_gram_histogram_built_only_when_a_higher_level_reads_it(monkeypatch):
-    built = []  # one entry per Gram-histogram build in meantest's batches
+    built = []  # one entry per Gram-histogram build in meantest
+    histogram = meantest._gram_histogram
 
-    class SpyBatch(SampleBatch):
-        @functools.cached_property
-        def gram_histogram(self):
-            built.append(id(self))
-            return SampleBatch.gram_histogram.func(self)
+    def spy(halves):
+        built.append(halves.shape)
+        return histogram(halves)
 
-    monkeypatch.setattr(meantest, "SampleBatch", SpyBatch)
+    monkeypatch.setattr(meantest, "_gram_histogram", spy)
     # a level-0 reject forms no Gram matrix
     o = ScondOracle(ProductDistribution(np.full(32, 0.25)), stream(56, 0, 0))
     v = mean_tester(o, MeanTestConfig(0.25))
@@ -351,6 +354,21 @@ def test_config_validation():
             MeanTestConfig(0.5, **bad)
     sched = MeanTestConfig(0.5, q=77.0, k0=2.0).resolve(16)
     assert (sched.q, sched.k0) == (77, 2)
+    # the schedule reads n, q and k0 as integers too: a fractional value is
+    # refused, not carried into float taus or a Fraction of a float
+    for bad in ((0.5, 64, 2.5, 0), (0.5, 64.5, 250, 1), (0.5, 64, 250, 1.5)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            TauSchedule(*bad)
+    for bad in ((0.0, 64, 250, 1), (1.5, 64, 250, 1), (0.5, 64, 0, 1), (0.5, 64, 250, -1),
+                (0.5, 0, 250, 1)):
+        with pytest.raises(ValueError):
+            TauSchedule(*bad)
+    # integral floats pass as ints, so the taus stay exact and level 1 compares
+    sched = TauSchedule(0.5, 64.0, 250.0, 1.0)
+    assert (sched.n, sched.q, sched.k0) == (64, 250, 1)
+    assert sched.taus == TauSchedule(0.5, 64, 250, 1).taus
+    assert all(isinstance(t, Fraction) for t in sched.taus)
+    assert not sched.exceeded(1, 800 * 250**2) and sched.exceeded(1, 800 * 250**2 + 1)
 
 
 # ---------------------------------------------------------------------------

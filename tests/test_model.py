@@ -1,6 +1,8 @@
 """Core model: points, index convention, restrictions, dense and product
 distributions, conditional tables, and exact functionals."""
 
+from types import ModuleType
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -565,3 +567,10 @@ def test_every_exported_name_resolves():
 
     missing = [n for n in hypercube_tester.__all__ if not hasattr(hypercube_tester, n)]
     assert missing == []
+    # the list is built from the package's imports: no submodule, private
+    # name or module attribute such as __version__ is exported
+    names = hypercube_tester.__all__
+    assert names == sorted(set(names))
+    assert not any(n.startswith("_") for n in names)
+    assert not any(isinstance(getattr(hypercube_tester, n), ModuleType) for n in names)
+    assert {"ScondOracle", "SampleBatch", "subcond_uni", "verify_chain_rule"} <= set(names)

@@ -161,7 +161,7 @@ def test_orientation_invariants_random():
                 other = v if src == u else u
                 assert pos[src] < pos[other]
         # out_mask agrees with directed_from
-        mask = g.out_mask(include_zero=True)
+        mask = g.out_mask()
         for x in (0, (1 << m) - 1):
             for i in range(m):
                 assert mask[x, i] == g.directed_from(x, i)

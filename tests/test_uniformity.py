@@ -1,6 +1,8 @@
 """Uniformity testing: edge tester mechanics, base-case dispatch, the
 recursive structure, majority voting, and error propagation."""
 
+import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -686,12 +688,16 @@ def test_batched_children_charges_and_traces(monkeypatch, block_bytes, dist, cfg
         assert outcomes == {"accept", "reject"}
 
 
+def _half_free_view():
+    """A uniform n = 64 cube whose even coordinates are free, the odd ones +1."""
+    rho = Restriction(np.where(np.arange(64) % 2 == 0, 0, 1).astype(np.int8))
+    return ScondOracle(ProductDistribution.uniform(64), stream(22, 0, 0)).restricted(rho)
+
+
 def test_batched_children_match_a_lone_base_case_node():
     # a view's t children are t lone base-case nodes, each charged its own
     # blocks, summing to the view's ledger delta
-    # the even coordinates of a uniform n = 64 cube are free, the odd ones +1
-    rho = Restriction(np.where(np.arange(64) % 2 == 0, 0, 1).astype(np.int8))
-    view = ScondOracle(ProductDistribution.uniform(64), stream(22, 0, 0)).restricted(rho)
+    view = _half_free_view()
     lone = subcond_uni(view, 0.25, REC_CFG, 1)
     assert lone.trace["tree"]["branch"] == "base-case"
     assert list(lone.trace["tree"]) == BASE_CASE_KEYS
@@ -705,3 +711,50 @@ def test_batched_children_match_a_lone_base_case_node():
         assert node["sigma"] == lone.trace["tree"]["sigma"]
         assert node["queries"] == c.queries_used
         assert node["verdict"] == c.decision.value
+
+
+# the sha256 of json.dumps(trace, sort_keys=True) of whole subcond_uni runs,
+# so every key and value of every node is pinned: the root and its children
+# under REC_CFG (accepting children, and a mean-loop reject with none),
+# FIRE_CFG (accepting and rejecting children in one restriction), a child
+# past the depth budget, a root past it, and a depth-1 view that is a base case
+TRACE_PINS = {
+    "rec-uniform": (
+        "uniform", REC_CFG, (16, 1, 0),
+        "2f9bbd970e20d5183af5434430b896c2e3193d4d1a16383e4795d6658856f5ce",
+    ),
+    "rec-two-point": (
+        "two_point", REC_CFG, (16, 1, 0),
+        "ee75d7a0a5b6ed727ccb0c8bcac07bafa0a3bd74183bf109a1e231bee53ffa2d",
+    ),
+    "fire-uniform": (
+        "uniform", FIRE_CFG, (21, 0, 0),
+        "200093bbd56ae8b8fdf32ea030fa0ffda93f07c5c3e8a862d458d12af885f3e2",
+    ),
+    "child-error": (
+        "uniform", replace(REC_CFG, max_depth=0), (81, 0, 0),
+        "0571cb4f27ab896e8434e506089cc8ad376b20cbf79620418eb9b5e2d035e5da",
+    ),
+    "root-error": (
+        "uniform", replace(REC_CFG, max_depth=-1), (82, 0, 0),
+        "cdef7ea5fc5586e312e8d7485355dbd2cba2ff04b4f6fa3316775bc3e84bb6a5",
+    ),
+}
+DEPTH_1_BASE_CASE_DIGEST = "73a7f48a7ab51fdaa1671ec97c3546826837eea16f92c520c52e665d24a1f8c9"
+
+
+def _trace_digest(verdict):
+    return hashlib.sha256(json.dumps(verdict.trace, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_PINS))
+def test_recursion_trace_pinned(name):
+    dist, cfg, key, digest = TRACE_PINS[name]
+    v = subcond_uni(ScondOracle(resolve_target(dist, 64), stream(*key)), 0.5, cfg)
+    assert _trace_digest(v) == digest
+
+
+def test_depth_one_base_case_trace_pinned():
+    v = subcond_uni(_half_free_view(), 0.25, REC_CFG, 1)
+    assert v.trace["tree"]["branch"] == "base-case"
+    assert _trace_digest(v) == DEPTH_1_BASE_CASE_DIGEST
