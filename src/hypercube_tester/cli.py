@@ -334,25 +334,31 @@ def _check_khintchine(n, cases, rng):
     return failures == 0, failures, cases, {}
 
 
+# each check and its smallest n: graphmean draws t from 1..n-1 and
+# contributing needs two coordinates
 _CHECKS = {
-    "chain": _check_chain,
-    "pisier": _check_pisier,
-    "greedy": _check_greedy,
-    "graphmean": _check_graphmean,
-    "contributing": _check_contributing,
-    "variance": _check_variance,
-    "blowupfact": _check_blowupfact,
-    "khintchine": _check_khintchine,
-    "probe": _check_probe,
+    "chain": (_check_chain, 1),
+    "pisier": (_check_pisier, 1),
+    "greedy": (_check_greedy, 1),
+    "graphmean": (_check_graphmean, 2),
+    "contributing": (_check_contributing, 2),
+    "variance": (_check_variance, 1),
+    "blowupfact": (_check_blowupfact, 1),
+    "khintchine": (_check_khintchine, 1),
+    "probe": (_check_probe, 1),
 }
 
 
 def _cmd_theorylab(args) -> int:
-    # a check over no case would report ok having checked nothing
+    # a check over no case, or on a cube too small for it, would report ok
+    # having checked nothing, or crash
+    check, min_n = _CHECKS[args.check]
     if args.cases < 1:
         raise UsageError(f"theorylab: --cases must be at least 1, got {args.cases}")
+    if args.n < min_n:
+        raise UsageError(f"theorylab {args.check}: --n must be at least {min_n}, got {args.n}")
     rng = stream(args.seed, 0, 0)
-    ok, failures, nonvac, extras = _CHECKS[args.check](args.n, args.cases, rng)
+    ok, failures, nonvac, extras = check(args.n, args.cases, rng)
     report = {
         "check": args.check,
         "n": args.n,

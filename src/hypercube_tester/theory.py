@@ -579,44 +579,31 @@ def edge_null_accept(n: int, eps: float, cfg: EdgeConfig | None = None) -> float
     cfg = cfg or EdgeConfig()
     log_accept = 0.0
     for lv in cfg.levels(n, eps):
-        f = _edge_fire_prob(lv.b, lv.theta)
+        f = _edge_fire_prob(lv.b, lv.c)
         if f >= 1.0:
             return 0.0
         log_accept += lv.m * math.log1p(-f)
     return math.exp(log_accept)
 
 
-def _edge_fire_prob(b: int, theta: float) -> float:
-    """P(abs((2X - b) / b) > theta) for X ~ Binomial(b, 1/2), under the
-    tester's own float predicate.
+def _edge_fire_prob(b: int, c: int) -> float:
+    """P(|2X - b| >= c) for X ~ Binomial(b, 1/2) and a level's count
+    threshold c >= 1 (``EdgeLevel.c``).
 
-    The predicate takes the same value at x and b - x (negation and the
-    division's rounding are symmetric), never fires at x = b / 2 (theta >
-    0), and on x < b / 2 it fires exactly at x <= c for one c, as the float
-    quotient is monotone in x. So f = 2 P(X <= c): c is found by bisection
-    on the predicate, and the tail is summed from c down by the ratio
-    P(x - 1) / P(x) = x / (b - x + 1), starting from P(c) by ``math.lgamma``,
-    until the terms no longer change the sum.
+    The event is X <= k or X >= b - k with k = (b - c) // 2, two disjoint
+    tails of equal mass, so f = 2 P(X <= k), and 0 when k < 0 (c = b + 1).
+    The tail is summed from k down by the ratio P(x - 1) / P(x) =
+    x / (b - x + 1), starting from P(k) by ``math.lgamma``, until the terms
+    no longer change the sum.
     """
-
-    def fires(x: int) -> bool:
-        return abs((2.0 * x - b) / b) > theta
-
-    if not fires(0):
+    k = (b - c) // 2
+    if k < 0:
         return 0.0
-    lo, hi = 0, (b - 1) // 2  # fires(lo), and c lies in [lo, hi]
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if fires(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    c = lo
     term = math.exp(
-        math.lgamma(b + 1) - math.lgamma(c + 1) - math.lgamma(b - c + 1) - b * math.log(2.0)
+        math.lgamma(b + 1) - math.lgamma(k + 1) - math.lgamma(b - k + 1) - b * math.log(2.0)
     )
     tail = 0.0
-    for x in range(c, -1, -1):
+    for x in range(k, -1, -1):
         if tail + term == tail:
             break
         tail += term

@@ -21,6 +21,7 @@ experiments).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field, fields
@@ -51,12 +52,22 @@ def _log2_at_least_one(x: float) -> float:
 
 
 class EdgeLevel(NamedTuple):
-    """One edge-tester level: m pairs, b conditional draws per pair, threshold theta."""
+    """One edge-tester level: m pairs, b conditional draws per pair, threshold
+    theta, and count threshold c: a pair with p draws of +1 fires when
+    |2p - b| >= c, that is when |2p - b| / b > theta (c = b + 1 if never)."""
 
     h: int
     m: int
     b: int
     theta: float
+    c: int
+
+
+def _count_threshold(b: int, theta: float) -> int:
+    """The smallest d in 0..b with d / b > theta, else b + 1. For b < 2^53,
+    int / int and the tester's float (2.0 p - b) / b are both the correctly
+    rounded quotient, which never decreases in d."""
+    return bisect.bisect_right(range(b + 1), theta, key=lambda d: d / b)
 
 
 class Bucket(NamedTuple):
@@ -94,12 +105,16 @@ class EdgeConfig:
     def levels(self, n: int, eps: float) -> tuple[EdgeLevel, ...]:
         """Levels h = 0..ceil(c_h log2(n/eps)) with m_h = ceil(c1 2^h log2(n/eps))
         pairs, b_h = ceil(c2 2^-h n log2^2(n/eps)/eps^2) conditional draws per
-        pair and threshold theta_h = c3 eps sqrt(2^h/n)/log2(n/eps), stopping
-        at the bucket floor 2^-h >= c_beta eps^2/(n log2^2 n).
+        pair and threshold theta_h = c3 eps sqrt(2^h/n)/log2(n/eps), with its
+        count threshold c_h (see ``EdgeLevel``), stopping at the bucket floor
+        2^-h >= c_beta eps^2/(n log2^2 n).
 
         Schedules are memoised per (config, n, eps) in a bounded cache: a
         recursive verdict runs hundreds of edge testers on a few (n, eps).
-        An (n, eps) that leaves no level raises on every call."""
+        An n < 1, an eps outside (0, 1] or an (n, eps) that leaves no level
+        raises on every call."""
+        if n < 1 or not 0.0 < eps <= 1.0:
+            raise ValueError(f"edge levels need n >= 1 and eps in (0, 1], got n={n}, eps={eps}")
         lg = _log2_at_least_one(n / eps)
         lg_n = _log2_at_least_one(n)
         floor = self.c_beta * eps * eps / (n * lg_n * lg_n)
@@ -110,7 +125,7 @@ class EdgeConfig:
             m = math.ceil(self.c1 * 2.0**h * lg)
             b = math.ceil(self.c2 * 2.0**-h * n * lg * lg / (eps * eps))
             theta = self.c3 * eps * math.sqrt(2.0**h / n) / lg
-            out.append(EdgeLevel(h, m, b, theta))
+            out.append(EdgeLevel(h, m, b, theta, _count_threshold(b, theta)))
         if not out:
             raise ValueError(f"the bucket floor leaves no edge level at n={n}, eps={eps}")
         return tuple(out)
@@ -207,15 +222,12 @@ def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) 
     one repetition it draws the stream exactly as described here.
 
     Levels run from heavy-mass buckets (few pairs, many draws each) down to
-    light ones; the first pair whose estimated |bias| exceeds theta_h ends
-    the run with Reject, and the trace's ``fired`` names its level, its
-    index ``pair`` within the level, its coordinate and its estimate.
-
-    A block returns each pair's count p of +1 draws out of b_h, whose
-    estimate is (2p - b_h) / b_h. As that is monotone in p, only the
-    estimates of the block's largest and smallest counts are compared with
-    theta_h; the first firing pair is searched for only in a block where
-    one of them passes it.
+    light ones. A pair whose count p of +1 draws out of b_h has
+    |2p - b_h| >= c_h fires (``EdgeLevel``): decisions compare integers,
+    and the float estimates (2p - b_h) / b_h only fill the trace. The first
+    firing pair ends the run with Reject, and the trace's ``fired`` names
+    its level, its index ``pair`` within the level, its coordinate and its
+    estimate. A block is checked by its largest and smallest counts alone.
 
     A level's m_h pairs are drawn in blocks of EDGE_BLOCK_BYTES // rho.n
     pairs (4,096 at n = 128), where rho.n is the root dimension: a target
@@ -253,17 +265,16 @@ def _edge_tests(oracle: ScondOracle, eps: float, cfg: EdgeConfig, reps: int) -> 
     charged what its own blocks drew, so an accepted repetition spends
     exactly sum_h m_h (1 + b_h) queries.
     """
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0, 1]")
+    schedule = cfg.levels(oracle.n, eps)
     block = max(1, EDGE_BLOCK_BYTES // oracle.rho.n // reps)
     levels = [[] for _ in range(reps)]
     fired = [None] * reps
     queries = [0] * reps
     live = list(range(reps))
-    for lv in cfg.levels(oracle.n, eps):
-        b, theta = lv.b, lv.theta
+    for lv in schedule:
+        b, c = lv.b, lv.c
         entered = live
-        max_est = [0.0] * reps
+        top = [0] * reps  # largest |2p - b| per repetition
         done = 0
         while done < lv.m and live:
             m = min(block, lv.m - done)
@@ -275,11 +286,11 @@ def _edge_tests(oracle: ScondOracle, eps: float, cfg: EdgeConfig, reps: int) -> 
             los = np.minimum.reduce(plus, axis=1).tolist()
             for row, (rep, hi, lo) in enumerate(zip(live, his, los)):
                 queries[rep] += m * (1 + b)
-                top = max((2.0 * hi - b) / b, (b - 2.0 * lo) / b)
-                max_est[rep] = max(max_est[rep], top)
-                if top > theta:
-                    counts = plus[row]
-                    i = int(np.flatnonzero(np.abs((2.0 * counts - b) / b) > theta)[0])
+                top[rep] = max(top[rep], 2 * hi - b, b - 2 * lo)
+                if top[rep] >= c:
+                    # counts of b <= 64 come as uint8, where 2 * counts wraps
+                    counts = plus[row].astype(np.int64)
+                    i = int(np.flatnonzero(np.abs(2 * counts - b) >= c)[0])
                     fired[rep] = {
                         "h": lv.h,
                         "pair": done + i,
@@ -288,9 +299,9 @@ def _edge_tests(oracle: ScondOracle, eps: float, cfg: EdgeConfig, reps: int) -> 
                     }
             live = [rep for rep in live if fired[rep] is None]
             done += m
-        entry = lv._asdict()
+        entry = {"h": lv.h, "m": lv.m, "b": b, "theta": lv.theta}
         for rep in entered:
-            levels[rep].append({**entry, "max_est": max_est[rep]})
+            levels[rep].append({**entry, "max_est": top[rep] / b})
         if not live:
             break
     return [

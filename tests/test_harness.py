@@ -472,7 +472,7 @@ def test_cli_theorylab_counterexample_exit_code(monkeypatch):
     import hypercube_tester.cli as cli
 
     monkeypatch.setitem(
-        cli._CHECKS, "alwaysfail", lambda n, cases, rng: (False, 3, cases, {})
+        cli._CHECKS, "alwaysfail", (lambda n, cases, rng: (False, 3, cases, {}), 1)
     )
     assert main(["theorylab", "--check", "alwaysfail", "--cases", "10"]) == 2
 
@@ -504,6 +504,26 @@ def test_cli_theorylab_refuses_no_cases(tmp_path, capsys):
             out = capsys.readouterr()
             assert out.out == "" and "--cases must be at least 1" in out.err
             assert not report.exists()
+
+
+def test_cli_theorylab_refuses_a_cube_below_each_checks_minimum(tmp_path, capsys):
+    # at --n 0 five checks printed ok on a 0-dimensional cube, and graphmean,
+    # contributing and greedy crashed at n = 0 or 1: an n below a check's
+    # minimum is a usage error, raised before the check runs
+    import hypercube_tester.cli as cli
+
+    for check, (_, min_n) in sorted(cli._CHECKS.items()):
+        assert min_n == (2 if check in ("graphmean", "contributing") else 1)
+        report = tmp_path / f"{check}.json"
+        rc = main(["theorylab", "--check", check, "--n", str(min_n - 1), "--cases", "1",
+                   "--report", str(report)])
+        assert rc == 1
+        out = capsys.readouterr()
+        assert out.out == "" and f"--n must be at least {min_n}" in out.err
+        assert not report.exists()
+        rc = main(["theorylab", "--check", check, "--n", str(min_n), "--cases", "1"])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith(f"theorylab {check}: ok")
 
 
 # (non-vacuous cases, sha256 of the --report JSON) of every theorylab check at

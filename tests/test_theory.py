@@ -19,7 +19,7 @@ from hypercube_tester.model import (
     mean_vector,
 )
 from hypercube_tester.rng import stream
-from hypercube_tester.uniformity import EdgeConfig
+from hypercube_tester.uniformity import EdgeConfig, _count_threshold
 from hypercube_tester.theory import (
     SCALE,
     UNEVEN,
@@ -411,16 +411,18 @@ def test_edge_null_accept_matches_the_recorded_table():
 
 
 def test_edge_fire_prob_matches_every_count():
-    # the bisection and the summed tail against the tester's predicate at
-    # every count x, weighted by the exact binomial mass
+    # the summed tail at the level rule's c against the tester's float
+    # predicate at every count x, weighted by the exact binomial mass
     for b in (1, 2, 3, 7, 10, 13, 40, 64, 65, 80, 257):
         for theta in (0.01, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.9, 0.999, 1.0, 2.0):
             fire = [x for x in range(b + 1) if abs((2.0 * x - b) / b) > theta]
             want = sum(math.comb(b, x) for x in fire) / 2**b
-            assert _edge_fire_prob(b, theta) == pytest.approx(want, rel=1e-12, abs=1e-300)
+            got = _edge_fire_prob(b, _count_threshold(b, theta))
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
     # a threshold no count can pass leaves every pair silent
-    assert _edge_fire_prob(10, 1.0) == 0.0
+    assert _count_threshold(10, 1.0) == 11
+    assert _edge_fire_prob(10, _count_threshold(10, 1.0)) == 0.0
     # at c3 = 1e-9 every pair of the odd-b levels (b = 313, 157, 79 at
     # n = 16) fires, so no run accepts; the summed tail may round past 1
-    assert _edge_fire_prob(313, EdgeConfig(c3=1e-9).levels(16, 0.5)[7].theta) >= 1.0
+    assert _edge_fire_prob(313, EdgeConfig(c3=1e-9).levels(16, 0.5)[7].c) >= 1.0
     assert edge_null_accept(16, 0.5, EdgeConfig(c3=1e-9)) == 0.0

@@ -146,6 +146,34 @@ def test_edge_levels_memo_matches_fresh_schedule():
     assert EdgeConfig(c3=2.0).levels(64, 0.5) != EdgeConfig().levels(64, 0.5)
 
 
+def test_edge_count_threshold_is_the_float_test():
+    # c is where the tester's float estimate |2x - b| / b first passes theta,
+    # on every level of the three edge configs over n = 1..64, 96, 128, 256,
+    # ..., 4096 and eps = 1, 1/2, ..., 1/16
+    ns = [*range(1, 65), 96, *(1 << k for k in range(7, 13))]
+    levels = [
+        lv
+        for cfg in (PRESETS["practical"].edge, PRESETS["paper"].edge, REC_CFG.edge)
+        for n in ns
+        for eps in (1.0, 0.5, 0.25, 0.125, 0.0625)
+        for lv in cfg.levels(n, eps)
+    ]
+    assert len(levels) == 11_736
+    for lv in levels:
+        b, theta, c = lv.b, lv.theta, lv.c
+        assert b < 2**53 and 1 <= c <= b + 1
+        assert not (c - 1) / b > theta
+        if c <= b:
+            assert c / b > theta
+        if b <= 200_000:
+            # the tester's own expression at every count
+            x = np.arange(b + 1)
+            assert np.array_equal(np.abs((2.0 * x - b) / b) > theta, np.abs(2 * x - b) >= c)
+    # the levels where no count can fire: 247 under REC_CFG's c3 = 22.4, and
+    # 6 practical ones with theta = 1 exactly
+    assert sum(lv.c == lv.b + 1 for lv in levels) == 253
+
+
 def test_edge_levels_memo_raises_every_call_and_is_bounded():
     empty = EdgeConfig(c_beta=4.0)  # the bucket floor is above 2^0 at n = 2
     for _ in range(3):
@@ -214,8 +242,8 @@ def test_edge_tester_level_structure_and_ledger():
     assert v.decision is Decision.ACCEPT
     levels = v.trace["levels"]
     assert [lv["h"] for lv in levels] == list(range(11))  # bucket floor at h=10
-    assert [{k: lv[k] for k in ("h", "m", "b", "theta")} for lv in levels] == [
-        lv._asdict() for lv in EdgeConfig().levels(16, 0.5)
+    assert [[lv[k] for k in ("h", "m", "b", "theta")] for lv in levels] == [
+        [lv.h, lv.m, lv.b, lv.theta] for lv in EdgeConfig().levels(16, 0.5)
     ]
     assert levels[0]["m"] == 10 and levels[0]["b"] == 40_000
     assert levels[0]["theta"] == pytest.approx(0.025)
@@ -366,6 +394,19 @@ def test_edge_tester_validates_eps():
         edge_tester(o, 0.0)
     with pytest.raises(ValueError):
         edge_tester(o, 1.5)
+    # the schedule refuses what the tester refuses, so the exact law does too:
+    # it once returned 0.9973 at eps 1.5 and raised ZeroDivisionError or a
+    # math domain error at eps 0 and n = 0
+    for n, eps in ((64, 1.5), (64, 0.0), (64, -0.5), (64, math.nan), (0, 0.5), (-1, 0.5)):
+        for call in (EdgeConfig().levels, edge_null_accept):
+            with pytest.raises(ValueError):
+                call(n, eps)
+    # a 0-dimensional cube once raised ZeroDivisionError sizing a block
+    o = ScondOracle(DensePmf.uniform(0), stream(75, 0, 0))
+    for tester in (edge_tester, subcond_uni):
+        with pytest.raises(ValueError):
+            tester(o, 0.5)
+    assert o.queries == 0
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +573,46 @@ FIRE_CFG = replace(REC_CFG, edge=replace(REC_CFG.edge, c3=12.0))
 
 # the key order of a lone base-case node
 BASE_CASE_KEYS = ["depth", "n", "eps", "branch", "verdict", "queries", "children", "sigma", "edge"]
+
+
+# edge_null_accept to the bit over n = 16, 32, ..., 1024, per (edge config, eps)
+EDGE_NULL_ACCEPT_PINS = {
+    (EdgeConfig(), 0.5): [
+        0.9952869902812141, 0.9889688214082373, 0.9617899744182258,
+        0.8737416158396476, 0.6891885473999001, 0.2979524603948278,
+        0.03936932822902018,
+    ],
+    (EdgeConfig(), 0.25): [
+        0.97805267487288, 0.9327215931035987, 0.7634174370426409,
+        0.4925121235863708, 0.08877465240710655, 0.0015499244735605775,
+        1.1586546466919667e-05,
+    ],
+    (REC_CFG.edge, 0.5): [
+        0.9999989896649648, 0.9999979377097741, 0.9999832005833506,
+        0.9999704718532749, 0.9999410482617219, 0.9999161099919276,
+        0.9998399562927215,
+    ],
+    (REC_CFG.edge, 0.25): [
+        0.999995545471158, 0.9999762618375182, 0.9999714424367754,
+        0.9999352168837935, 0.9999196215444232, 0.9998320533578752,
+        0.9997939936382992,
+    ],
+    (FIRE_CFG.edge, 0.5): [
+        0.9403029693891451, 0.8457642596747911, 0.6944108343876471,
+        0.6708092764719459, 0.3789189447452951, 0.34031317290303287,
+        0.07732610149271782,
+    ],
+    (FIRE_CFG.edge, 0.25): [
+        0.8654940155872312, 0.688066125799178, 0.6328168602738372,
+        0.3553378966652291, 0.30260230728974447, 0.07119438770543675,
+        0.05802523485511224,
+    ],
+}
+
+
+def test_edge_null_accept_pinned_to_the_bit():
+    for (cfg, eps), want in EDGE_NULL_ACCEPT_PINS.items():
+        assert [edge_null_accept(16 << k, eps, cfg) for k in range(7)] == want
 
 
 def _binomial_two_sided_p(k, trials, p):
