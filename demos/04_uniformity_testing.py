@@ -93,6 +93,9 @@ tree = verdict.trace["tree"]
 print(f"\nshrunk-budget recursion: {verdict.decision.value} via {tree['branch']!r}")
 print(f"  mean loop sizes: {[s['restrictions'] for s in tree['mean_loop']]}")
 print(f"  recursion loop sizes: {[s['restrictions'] for s in tree['recursion_loop']]}")
-print(f"  children: {len(tree['children'])}, all at depth 1, each a base case:"
-      f" {set(c['branch'] for c in tree['children'])}")
+# a restriction's vote stops once it is decided: two agreeing children of
+# t = 3 already fix it, so the third runs only after a split
+recursed = sum(s["recursed"] for s in tree["recursion_loop"])
+print(f"  children: {len(tree['children'])} run of t * recursed = {tree['t'] * recursed},"
+      f" all at depth 1, each a base case: {set(c['branch'] for c in tree['children'])}")
 print(f"  ledger {verdict.queries_used} == tree sum {trace_query_sum(tree)}")

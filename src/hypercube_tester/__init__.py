@@ -71,6 +71,7 @@ from .theory import (
     greedy_ordering,
     greedy_ordering_valid,
     khintchine_lhs,
+    majority_vote_law,
     probe_restriction_theorem,
     random_dense_pmf,
     verify_chain_rule,

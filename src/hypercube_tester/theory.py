@@ -6,7 +6,8 @@ classification and greedy orientations, the robust Pisier inequality (as
 a reported ratio; its universal constant is unspecified), Khintchine's
 inequality, the graph-to-mean and contributing-pair lower bounds, the
 restriction-theorem probe, the mean/variance bands of the pairing
-statistic Z, and the edge tester's exact null accept rate.
+statistic Z, the edge tester's exact null accept rate, and the exact law
+of a curtailed majority vote.
 
 Verifiers return report objects; the test suite (not this module) turns
 them into assertions, so a failing inequality shows up as a test failure
@@ -609,3 +610,43 @@ def _edge_fire_prob(b: int, c: int) -> float:
         tail += term
         term *= x / (b - x + 1)
     return 2.0 * tail
+
+
+# ---------------------------------------------------------------------------
+# The curtailed majority vote's exact law
+
+
+def majority_vote_law(p: float, t: int) -> tuple[float, float]:
+    """Exact (P(accept), expected repetitions run) of the curtailed majority
+    vote of ``uniformity._vote`` over an odd number t of repetitions that
+    each accept with probability p, independently.
+
+    A dynamic program over (accepts, rejects) follows the vote's schedule:
+    need = (t + 1) // 2 repetitions first, then need - max(accepts, rejects)
+    more while neither side holds need. The accept probability is that of a
+    majority of all t repetitions; at t = 3 the expected runs are
+    2 + 2p(1 - p).
+    """
+    if t < 1 or t % 2 == 0:
+        raise ValueError(f"the vote needs an odd number of repetitions, got t={t}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    need = (t + 1) // 2
+    accept = runs = 0.0
+    open_states = {(0, 0): 1.0}
+    while open_states:
+        after = {}
+        for (a, r), mass in open_states.items():
+            k = need - max(a, r)
+            runs += mass * k
+            for i in range(k + 1):
+                state = (a + i, r + k - i)
+                step = mass * math.comb(k, i) * p**i * (1.0 - p) ** (k - i)
+                after[state] = after.get(state, 0.0) + step
+        open_states = {}
+        for (a, r), mass in after.items():
+            if a >= need:
+                accept += mass
+            elif r < need:
+                open_states[(a, r)] = mass
+    return accept, runs

@@ -25,7 +25,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -353,6 +353,46 @@ def _base_cases(
     ]
 
 
+def _children(
+    view: ScondOracle, eps: float, cfg: SubCondConfig, depth: int, reps: int
+) -> Iterable[TestVerdict]:
+    """reps children of a recursion-loop restriction on its view: base cases
+    batched (``_base_cases``), or else recursive verdicts, produced one at a
+    time as they are read."""
+    return _base_cases(view, eps, cfg, depth, reps) or (
+        subcond_uni(view, eps, cfg, depth) for _ in range(reps)
+    )
+
+
+def _vote(
+    reps: int, run: Callable[[int], Iterable[TestVerdict]]
+) -> tuple[Decision, list[TestVerdict]]:
+    """The majority decision of an odd number reps of repetitions, taken
+    curtailed, and the verdicts of the repetitions that ran.
+
+    ``run(k)`` gives k more verdicts. The vote asks for need = (reps + 1) // 2
+    first, then, while neither side holds need, for need - max(accepts,
+    rejects) more: the fewest that could fix the vote, so no repetition runs
+    once it is fixed, and at most reps run. Its decision is the majority of
+    all reps verdicts on every outcome, since the repetitions left out could
+    not change it. The first ``ERROR`` ends the vote at once with ``ERROR``;
+    a repetition that never ran gives none.
+    """
+    need = (reps + 1) // 2
+    verdicts = []
+    votes = {Decision.ACCEPT: 0, Decision.REJECT: 0}
+    lead = 0
+    while lead < need:
+        for verdict in run(need - lead):
+            verdicts.append(verdict)
+            if verdict.decision is Decision.ERROR:
+                return Decision.ERROR, verdicts
+            votes[verdict.decision] += 1
+        lead = max(votes.values())
+    decision = Decision.REJECT if votes[Decision.REJECT] >= need else Decision.ACCEPT
+    return decision, verdicts
+
+
 def subcond_uni(
     oracle: ScondOracle,
     eps: float,
@@ -364,17 +404,22 @@ def subcond_uni(
     A view past the depth budget gives ``ERROR`` before any query; whether
     a view is a base case, ``_base_cases`` alone decides.
 
-    A restriction is tested by a majority vote over repetitions, and the
-    repetitions of one restriction run batched. The r mean tests of a
-    mean-loop restriction draw their 2qr rows in one ``sample`` call
-    (``meantest._mean_tests``). When a recursion-loop restriction's
-    children are base cases, its t children are one edge tester over a
+    A restriction is tested by a majority vote over its r mean tests or its
+    t children, and the vote stops once it is decided (``_vote``): it runs
+    (r + 1) // 2 or (t + 1) // 2 repetitions first, then the fewest more
+    that could fix it, so a restriction whose first repetitions agree runs
+    no other. Each loop's trace entries count the repetitions that ran, in
+    ``runs``. The repetitions of one request run batched. The k mean tests
+    of a request draw their 2qk rows in one ``sample`` call
+    (``meantest._mean_tests``), which reads the stream of k draws on product
+    and dense targets. When a recursion-loop restriction's children are
+    base cases, the k children of a request are one edge tester over a
     repetition axis (``_edge_tests``): each child stops at its own first
     firing pair, is charged what its own blocks drew and keeps its own
     tree node. The children's draws interleave, so their streams differ
-    from t edge testers run one after another; their laws and their
-    charges do not. Children that recurse run one after another, and the
-    first ``ERROR`` ends the verdict.
+    from edge testers run one after another; their laws and their charges
+    do not. Children that recurse run one after another, and the first
+    ``ERROR`` ends the verdict.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
@@ -417,7 +462,13 @@ def subcond_uni(
     node["branch"] = "mean-loop"
     node["mean_loop"] = mean_loop
     for bucket in cfg.mean_buckets(n, eps):
-        stats = {"j": bucket.j, "restrictions": bucket.s, "tested": 0, "majority_rejects": 0}
+        stats = {
+            "j": bucket.j,
+            "restrictions": bucket.s,
+            "tested": 0,
+            "majority_rejects": 0,
+            "runs": 0,
+        }
         mean_loop.append(stats)
         mean_cfg = MeanTestConfig(
             eps=bucket.eps,
@@ -431,9 +482,9 @@ def subcond_uni(
                 continue
             stats["tested"] += 1
             sub = oracle.restricted(rho)
-            verdicts = _mean_tests(sub, mean_cfg, r)
-            rejects = sum(v.decision is Decision.REJECT for v in verdicts)
-            if 2 * rejects > r:
+            decision, verdicts = _vote(r, functools.partial(_mean_tests, sub, mean_cfg))
+            stats["runs"] += len(verdicts)
+            if decision is Decision.REJECT:
                 stats["majority_rejects"] += 1
                 return finish(Decision.REJECT)
 
@@ -444,7 +495,7 @@ def subcond_uni(
     node["branch"] = "recursion-loop"
     node["recursion_loop"] = rec_loop
     for bucket in cfg.recursion_buckets(eps):
-        stats = {"j": bucket.j, "restrictions": bucket.s, "recursed": 0}
+        stats = {"j": bucket.j, "restrictions": bucket.s, "recursed": 0, "runs": 0}
         rec_loop.append(stats)
         for _ in range(bucket.s):
             rho = oracle.draw_restriction_sigma(sigma)
@@ -453,18 +504,15 @@ def subcond_uni(
                 continue
             stats["recursed"] += 1
             sub = oracle.restricted(rho)
-            children = _base_cases(sub, bucket.eps, cfg, _depth + 1, t) or (
-                subcond_uni(sub, bucket.eps, cfg, _depth + 1) for _ in range(t)
+            decision, children = _vote(
+                t, functools.partial(_children, sub, bucket.eps, cfg, _depth + 1)
             )
-            rejects = 0
-            for verdict in children:
-                node["children"].append(verdict.trace["tree"])
-                if verdict.decision is Decision.ERROR:
-                    node["branch"] = "child-error"
-                    return finish(Decision.ERROR)
-                if verdict.decision is Decision.REJECT:
-                    rejects += 1
-            if 2 * rejects > t:
+            stats["runs"] += len(children)
+            node["children"] += [child.trace["tree"] for child in children]
+            if decision is Decision.ERROR:
+                node["branch"] = "child-error"
+                return finish(Decision.ERROR)
+            if decision is Decision.REJECT:
                 return finish(Decision.REJECT)
 
     node["branch"] = "accept"

@@ -35,6 +35,7 @@ from hypercube_tester.theory import (
     greedy_ordering,
     greedy_ordering_valid,
     khintchine_lhs,
+    majority_vote_law,
     probe_restriction_theorem,
     random_dense_pmf,
     verify_chain_rule,
@@ -426,3 +427,41 @@ def test_edge_fire_prob_matches_every_count():
     # n = 16) fires, so no run accepts; the summed tail may round past 1
     assert _edge_fire_prob(313, EdgeConfig(c3=1e-9).levels(16, 0.5)[7].c) >= 1.0
     assert edge_null_accept(16, 0.5, EdgeConfig(c3=1e-9)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the curtailed majority vote's exact law
+
+
+def test_majority_vote_law_closed_forms():
+    for p in (0.0, 0.1, 0.5004, 0.9, 1.0):
+        assert majority_vote_law(p, 1) == pytest.approx((p, 1.0))
+        # 2 repetitions first, a third when they split
+        accept, runs = majority_vote_law(p, 3)
+        assert accept == pytest.approx(p * p * (3 - 2 * p), abs=1e-15)
+        assert runs == pytest.approx(2 + 2 * p * (1 - p), abs=1e-15)
+    for t in (5, 15, 101):
+        # a sure side needs (t + 1) // 2 repetitions; a fair coin's vote is fair
+        assert majority_vote_law(1.0, t) == (1.0, (t + 1) / 2)
+        assert majority_vote_law(0.0, t) == (0.0, (t + 1) / 2)
+        assert majority_vote_law(0.5, t)[0] == pytest.approx(0.5, abs=1e-14)
+
+
+def test_majority_vote_law_is_the_full_majority():
+    # the curtailed vote decides as the majority of all t repetitions
+    for t in (5, 7, 15, 31):
+        for p in (0.2, 0.45, 0.7):
+            majorities = range((t + 1) // 2, t + 1)
+            full = sum(math.comb(t, a) * p**a * (1 - p) ** (t - a) for a in majorities)
+            accept, runs = majority_vote_law(p, t)
+            assert accept == pytest.approx(full, rel=1e-12)
+            assert (t + 1) / 2 <= runs <= t
+
+
+def test_majority_vote_law_validates():
+    for t in (0, -1, 2, 4):
+        with pytest.raises(ValueError):
+            majority_vote_law(0.5, t)
+    for p in (-0.1, 1.1, float("nan")):
+        with pytest.raises(ValueError):
+            majority_vote_law(p, 3)

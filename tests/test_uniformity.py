@@ -1,7 +1,9 @@
 """Uniformity testing: edge tester mechanics, base-case dispatch, the
 recursive structure, majority voting, and error propagation."""
 
+import functools
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -14,9 +16,10 @@ from hypercube_tester.cli import UsageError, build_parser
 from hypercube_tester.harness import ExperimentSpec, resolve_target
 from hypercube_tester.meantest import Q_RULES
 from hypercube_tester.model import DensePmf, Decision, ProductDistribution, Restriction
+from hypercube_tester.model import TestVerdict as Verdict  # not a test class
 from hypercube_tester.oracle import ScondOracle
 from hypercube_tester.rng import stream
-from hypercube_tester.theory import edge_null_accept
+from hypercube_tester.theory import edge_null_accept, majority_vote_law
 from hypercube_tester.uniformity import (
     EDGE_BLOCK_BYTES,
     PRESETS,
@@ -485,7 +488,10 @@ def test_recursion_children_are_base_cases(recursive_uniform_run):
     assert [(b.s, b.eps) for b in REC_CFG.recursion_buckets(0.5)] == want
     recursed = sum(s["recursed"] for s in loop)
     assert recursed > 0
-    assert len(tree["children"]) == 3 * recursed  # t verdicts per restriction
+    # each restriction's vote runs 2 or 3 of its t = 3 children, all counted
+    runs = sum(s["runs"] for s in loop)
+    assert len(tree["children"]) == runs
+    assert 2 * recursed <= runs <= 3 * recursed
     for child in tree["children"]:
         assert child["depth"] == 1
         assert child["branch"] == "base-case"
@@ -510,17 +516,17 @@ def test_recursion_rejects_two_point_in_mean_loop():
 
 
 # (decision, queries_used, base-case edge testers run, their fired pairs)
-# under REC_CFG at n = 64, eps 0.5 on stream(16, 1, t). The uniform rows were
-# recorded when a restriction's t base-case children became one batched edge
-# tester, whose interleaved draws move the stream after the first leaf; the
-# two_point rows predate edge blocks as one oracle call
+# under REC_CFG at n = 64, eps 0.5 on stream(16, 1, t), recorded when votes
+# became curtailed: every restriction's first 2 of t = 3 children agree, so
+# 336 leaves run instead of 504, and two_point's rejecting mean-loop
+# restriction runs 2 of its r = 3 mean tests (1 + 2 * 2q = 801 queries)
 RECURSION_VERDICTS_N64 = {
     "uniform": [
-        ("accept", 8_405_862, 504, []),
-        ("accept", 8_524_011, 504, []),
-        ("accept", 8_095_818, 504, []),
+        ("accept", 5_286_658, 336, []),
+        ("accept", 5_211_776, 336, []),
+        ("accept", 5_384_918, 336, []),
     ],
-    "two_point": [("reject", 1201, 0, [])] * 3,
+    "two_point": [("reject", 801, 0, [])] * 3,
 }
 
 
@@ -681,11 +687,26 @@ def test_one_repetition_is_the_lone_edge_tester():
 
 # mean and standard error of queries_used over 2,000 uniform recursion nulls
 # (n = 64, eps 0.5, REC_CFG, stream(17, 1, t)) run with one edge tester per
-# child, one after another, before children were batched
+# child, one after another, all t = 3 children and r = 3 mean tests of each
+# restriction run, before children were batched or votes curtailed
 SERIAL_NULL_QUERIES = (8_087_879, 8_575)
+# the one-query restriction draws of a REC_CFG null: 84 in the mean loop and
+# 168 in the recursion loop
+RESTRICTION_DRAWS = 84 + 168
 
 
 def test_recursion_null_query_law_is_kept():
+    # a REC_CFG null's votes are decided by their first 2 of 3 repetitions
+    # but rarely: a child fires with probability at most 8e-5 (edge_null_accept
+    # at every k <= 64 and eps 0.5, 0.25, 0.125), and a null mean test rarely
+    # rejects. So a curtailed null spends the draws and 2/3 of the rest of a
+    # serial one
+    assert all(
+        edge_null_accept(k, eps, REC_CFG.edge) >= 1 - 8e-5
+        for k in range(1, 65)
+        for eps in (0.5, 0.25, 0.125)
+    )
+    want = RESTRICTION_DRAWS + (SERIAL_NULL_QUERIES[0] - RESTRICTION_DRAWS) * 2 / 3
     target = ProductDistribution.uniform(64)
     spent = []
     for t in range(200):
@@ -695,7 +716,125 @@ def test_recursion_null_query_law_is_kept():
         spent.append(v.queries_used)
     mean = sum(spent) / len(spent)
     se = math.sqrt(sum((q - mean) ** 2 for q in spent) / (len(spent) - 1) / len(spent))
-    assert abs(mean - SERIAL_NULL_QUERIES[0]) <= 3 * se
+    assert abs(mean - want) <= 3 * se
+
+
+# ---------------------------------------------------------------------------
+# curtailed votes: a restriction's vote stops once it is decided
+
+
+def _scripted(pattern):
+    """A ``run`` for ``_vote`` that gives the next k verdicts of pattern
+    (True = accept), and the list of the k it was asked for."""
+    outcomes = iter(pattern)
+    requests = []
+
+    def run(k):
+        requests.append(k)
+        for accept in itertools.islice(outcomes, k):
+            yield Verdict(Decision.ACCEPT if accept else Decision.REJECT, 1, {})
+
+    return run, requests
+
+
+@functools.lru_cache(maxsize=None)
+def _vote_outcomes(t):
+    """(accepts among all t, decision accepted, repetitions run) of ``_vote``
+    on every outcome pattern of t repetitions."""
+    out = []
+    for bits in range(1 << t):
+        pattern = [bool(bits >> i & 1) for i in range(t)]
+        decision, verdicts = uniformity._vote(t, _scripted(pattern)[0])
+        out.append((sum(pattern), decision is Decision.ACCEPT, len(verdicts)))
+    return out
+
+
+def test_vote_is_the_full_majority_on_every_outcome_pattern():
+    for t in range(1, 16, 2):
+        need = (t + 1) // 2
+        for bits in range(1 << t):
+            pattern = [bool(bits >> i & 1) for i in range(t)]
+            run, requests = _scripted(pattern)
+            decision, verdicts = uniformity._vote(t, run)
+            assert decision is (Decision.ACCEPT if 2 * sum(pattern) > t else Decision.REJECT)
+            # it reads the shortest prefix in which a side holds need ...
+            accepts = [0, *itertools.accumulate(pattern)]
+            fixed = next(c for c in range(t + 1) if max(accepts[c], c - accepts[c]) == need)
+            assert [v.decision is Decision.ACCEPT for v in verdicts] == pattern[:fixed]
+            # ... asked for as need, then the fewest that could fix the vote
+            want, seen = [], 0
+            while seen < fixed:
+                want.append(need - max(accepts[seen], seen - accepts[seen]))
+                seen += want[-1]
+            assert requests == want
+
+
+def test_vote_stops_at_the_first_error():
+    for t in (3, 5, 15):
+        # an error before a side can hold the majority
+        for at in range((t + 1) // 2):
+            read = []
+
+            def run(k, at=at, read=read):
+                for _ in range(k):
+                    read.append(len(read) == at)
+                    yield Verdict(Decision.ERROR if read[-1] else Decision.REJECT, 1, {})
+
+            decision, verdicts = uniformity._vote(t, run)
+            assert decision is Decision.ERROR
+            assert [v.decision for v in verdicts] == [Decision.REJECT] * at + [Decision.ERROR]
+            # no repetition is read past the error, not even in its request
+            assert len(read) == at + 1
+
+
+def test_majority_vote_law_follows_the_vote():
+    # the exact law against _vote on every outcome pattern, each weighted by
+    # its probability
+    for t in (1, 3, 5, 9, 15):
+        for p in (0.0, 0.3, 0.5004, 0.8, 1.0):
+            accept = runs = 0.0
+            for a, accepted, ran in _vote_outcomes(t):
+                weight = p**a * (1 - p) ** (t - a)
+                accept += weight * accepted
+                runs += weight * ran
+            assert majority_vote_law(p, t) == pytest.approx((accept, runs), rel=1e-12, abs=1e-15)
+
+
+def _sum_two_sided_p(total, pmf, trials):
+    """Exact two-sided test of a sum of trials independent draws from pmf (a
+    dict from value to probability): the mass of every sum no likelier than
+    total."""
+    lo = min(pmf)
+    step = np.array([pmf.get(v, 0.0) for v in range(lo, max(pmf) + 1)])
+    dist = np.ones(1)
+    for _ in range(trials):
+        dist = np.convolve(dist, step)
+    cut = dist[total - lo * trials] * (1 + 1e-9)
+    return min(1.0, float(dist[dist <= cut].sum()))
+
+
+@pytest.mark.parametrize("t", [3, 15])
+def test_curtailed_vote_matches_the_exact_law(t):
+    # votes of t base-case children, taken as the recursion loop takes them,
+    # on the uniform 16-cube where a child accepts with probability 0.5004
+    cfg = replace(REC_CFG, edge=HALF_EDGE, t_override=t)
+    p = edge_null_accept(16, 0.5, HALF_EDGE)
+    accept_law, runs_law = majority_vote_law(p, t)
+    pmf = {}
+    for a, _, ran in _vote_outcomes(t):
+        pmf[ran] = pmf.get(ran, 0.0) + p**a * (1 - p) ** (t - a)
+    assert sum(ran * mass for ran, mass in pmf.items()) == pytest.approx(runs_law, rel=1e-12)
+    o = ScondOracle(ProductDistribution.uniform(16), stream(23, t, 0))
+    children = functools.partial(uniformity._children, o, 0.5, cfg, 1)
+    votes, accepts, runs = 2000, 0, 0
+    for _ in range(votes):
+        before = o.queries
+        decision, verdicts = uniformity._vote(t, children)
+        assert o.queries - before == sum(v.queries_used for v in verdicts)
+        accepts += decision is Decision.ACCEPT
+        runs += len(verdicts)
+    assert _binomial_two_sided_p(accepts, votes, accept_law) >= 1e-3
+    assert _sum_two_sided_p(runs, pmf, votes) >= 1e-3
 
 
 class RestrictionLog(ScondOracle):
@@ -713,27 +852,44 @@ class RestrictionLog(ScondOracle):
 
 
 def assert_restriction_charges(o, v, cfg, eps=0.5):
-    """Each restriction's ledger delta is its draw, then its r mean tests or
-    the sum of its t children's charges; every child is charged what its own
-    edge blocks drew."""
+    """Each restriction's ledger delta is its draw, then its mean tests, 2q
+    queries each, or the sum of its children's charges. A restriction's
+    children are the trace's next children, read in the vote's requests
+    ((t + 1) // 2, then the fewest that could fix it) until a side holds
+    the majority of t; every child is charged what its own edge blocks drew,
+    in blocks for the children of its request, and each bucket's ``runs``
+    counts the mean tests or children of its restrictions."""
     tree = v.trace["tree"]
     assert v.queries_used == o.queries == trace_query_sum(tree)
-    n, sigma, t = tree["n"], tree["sigma"], cfg.t_reps(eps)
-    two_q_r = 2 * cfg.mean_q_override * tree["r"]
+    n, sigma, r, t = tree["n"], tree["sigma"], tree["r"], cfg.t_reps(eps)
+    two_q = 2 * cfg.mean_q_override
     ends = [before for before, _ in o.draws[1:]] + [o.queries]
-    mean_draws = sum(s["restrictions"] for s in tree["mean_loop"])
+    loops = [(s, r) for s in tree["mean_loop"]] + [(s, t) for s in tree.get("recursion_loop", [])]
+    buckets = [i for i, (stats, _) in enumerate(loops) for _ in range(stats["restrictions"])]
+    runs = [0] * len(loops)
     children = iter(tree["children"])
-    block = max(1, uniformity.EDGE_BLOCK_BYTES // n // t)
-    for i, ((before, k), end) in enumerate(zip(o.draws, ends)):
-        if i < mean_draws:
-            assert end - before == 1 + (two_q_r if k else 0)
+    for (before, k), end, i in zip(o.draws, ends, buckets):
+        stats, reps = loops[i]
+        need = (reps + 1) // 2
+        if "tested" in stats:
+            tests, rest = divmod(end - before - 1, two_q)
+            assert rest == 0 and (tests == 0 if k == 0 else need <= tests <= reps)
+            runs[i] += tests
             continue
         if not 0 < k <= 2.0 * sigma * n:
             assert end - before == 1
             continue
-        group = [next(children) for _ in range(t)]
-        assert end - before == 1 + sum(c["queries"] for c in group)
-        for child in group:
+        votes = {"accept": 0, "reject": 0}
+        group = []
+        while max(votes.values()) < need:
+            request = [next(children) for _ in range(need - max(votes.values()))]
+            block = max(1, uniformity.EDGE_BLOCK_BYTES // n // len(request))
+            group += [(child, block) for child in request]
+            for child in request:
+                votes[child["verdict"]] += 1
+        runs[i] += len(group)
+        assert end - before == 1 + sum(c["queries"] for c, _ in group)
+        for child, block in group:
             assert list(child) == BASE_CASE_KEYS
             assert child["branch"] == "base-case" and child["n"] == k
             assert child["children"] == []
@@ -747,6 +903,7 @@ def assert_restriction_charges(o, v, cfg, eps=0.5):
                 assert child["verdict"] == "reject"
                 assert_block_charge(edge, child["queries"], block)
     assert next(children, None) is None
+    assert runs == [stats["runs"] for stats, _ in loops]
 
 
 @pytest.mark.parametrize("block_bytes", [EDGE_BLOCK_BYTES, 64 * 3 * 2])
@@ -754,10 +911,11 @@ def assert_restriction_charges(o, v, cfg, eps=0.5):
     "dist, cfg", [("uniform", REC_CFG), ("two_point", REC_CFG), ("uniform", FIRE_CFG)]
 )
 def test_batched_children_charges_and_traces(monkeypatch, block_bytes, dist, cfg):
-    # 384 bytes make blocks of 2 pairs per child at n = 64 and t = 3
+    # 384 bytes make blocks of 3 pairs per child in a request of 2 children
+    # at n = 64, and of 6 pairs for a lone third child
     monkeypatch.setattr(uniformity, "EDGE_BLOCK_BYTES", block_bytes)
     target = resolve_target(dist, 64)
-    outcomes = set()
+    outcomes, thirds = set(), 0
     for t in range(3):
         o = RestrictionLog(target, stream(21, 0, t))
         v = subcond_uni(o, 0.5, cfg)
@@ -765,8 +923,12 @@ def test_batched_children_charges_and_traces(monkeypatch, block_bytes, dist, cfg
         assert v.decision.value == want
         assert_restriction_charges(o, v, cfg)
         outcomes |= {c["verdict"] for c in v.trace["tree"]["children"]}
+        loop = v.trace["tree"].get("recursion_loop", [])
+        thirds += sum(s["runs"] for s in loop) - 2 * sum(s["recursed"] for s in loop)
     if cfg is FIRE_CFG:
+        # some restrictions split their first 2 children and ran a third
         assert outcomes == {"accept", "reject"}
+        assert thirds > 0
 
 
 def _half_free_view():
@@ -798,23 +960,25 @@ def test_batched_children_match_a_lone_base_case_node():
 # so every key and value of every node is pinned: the root and its children
 # under REC_CFG (accepting children, and a mean-loop reject with none),
 # FIRE_CFG (accepting and rejecting children in one restriction), a child
-# past the depth budget, a root past it, and a depth-1 view that is a base case
+# past the depth budget, a root past it, and a depth-1 view that is a base case.
+# The first four were recorded when votes became curtailed, which added the
+# loops' "runs" and cut the leaves and mean tests a restriction runs
 TRACE_PINS = {
     "rec-uniform": (
         "uniform", REC_CFG, (16, 1, 0),
-        "2f9bbd970e20d5183af5434430b896c2e3193d4d1a16383e4795d6658856f5ce",
+        "26c77c68fce7c0e12ef58008f3f22b3f7bda6490b298f6ce76ea6c3c26f59abf",
     ),
     "rec-two-point": (
         "two_point", REC_CFG, (16, 1, 0),
-        "ee75d7a0a5b6ed727ccb0c8bcac07bafa0a3bd74183bf109a1e231bee53ffa2d",
+        "ccd4f5f2cf3b0af63107478585b19609c21155deb3ebf7c3834c58e9a4ea2106",
     ),
     "fire-uniform": (
         "uniform", FIRE_CFG, (21, 0, 0),
-        "200093bbd56ae8b8fdf32ea030fa0ffda93f07c5c3e8a862d458d12af885f3e2",
+        "f60074f6c5a073d8285e50ceeabc44180a8c9cddd44250cb7fcdb62caadd0ba3",
     ),
     "child-error": (
         "uniform", replace(REC_CFG, max_depth=0), (81, 0, 0),
-        "0571cb4f27ab896e8434e506089cc8ad376b20cbf79620418eb9b5e2d035e5da",
+        "b696c6121bd18f0a9b9823579d89d3f47a3af67ee1175cc0d3051f780e74cde1",
     ),
     "root-error": (
         "uniform", replace(REC_CFG, max_depth=-1), (82, 0, 0),
