@@ -23,6 +23,7 @@ from hypercube_tester import (
     practical_q,
 )
 from hypercube_tester.meantest import (
+    GaussianDraw,
     gaussian_mean_tester,
     gaussian_required_samples,
 )
@@ -64,13 +65,16 @@ gn, geps = 32, 0.5
 budget = gaussian_required_samples(gn, geps)
 print(f"\ngaussian version at n={gn}, eps={geps}: {budget} vector samples")
 
-std = GaussianSource(gn).sample(stream(42, 2, 0), budget)
+# a GaussianDraw is drawn chunk by chunk as the tester reads it, so a
+# verdict never holds the whole budget
+std = GaussianDraw(GaussianSource(gn), stream(42, 2, 0), budget)
 print(f"  N(0, I)        -> {gaussian_mean_tester(std, geps).decision.value}")
 
 mu = np.full(gn, 1.0 / np.sqrt(gn))  # mean norm 1 > eps
-shifted = GaussianSource(gn, mu).sample(stream(42, 3, 0), budget)
+shifted = GaussianDraw(GaussianSource(gn, mu), stream(42, 3, 0), budget)
 print(f"  mean norm 1    -> {gaussian_mean_tester(shifted, geps).decision.value}")
 
+# an array is one chunk
 hot = GaussianSource(gn).sample(stream(42, 4, 0), budget)
 hot[:, 0] *= 3.0  # one coordinate with variance 9: caught by the screen
 screened = gaussian_mean_tester(hot, geps)

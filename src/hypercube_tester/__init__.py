@@ -25,6 +25,7 @@ from .harness import (
     scaling_report,
 )
 from .meantest import (
+    GaussianDraw,
     MeanTestConfig,
     SampleBatch,
     TauSchedule,

@@ -27,6 +27,7 @@ from functools import partial
 import numpy as np
 
 from .meantest import (
+    GaussianDraw,
     MeanTestConfig,
     gaussian_mean_tester,
     gaussian_required_samples,
@@ -160,8 +161,8 @@ def execute_trial(
     rng = stream(spec.seed, cell_index, trial)
     if spec.tester == "gaussian":
         source = resolve_gaussian_source(spec.distribution, n)
-        samples = source.sample(rng, gaussian_required_samples(n, eps))
-        return gaussian_mean_tester(samples, eps)
+        draw = GaussianDraw(source, rng, gaussian_required_samples(n, eps))
+        return gaussian_mean_tester(draw, eps)
     oracle = ScondOracle(resolve_target(spec.distribution, n), rng)
     if spec.tester == "meantest":
         cfg = MeanTestConfig(eps, preset=spec.preset, **(mean_overrides or {}))

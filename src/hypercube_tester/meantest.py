@@ -14,9 +14,11 @@ exceedance.
 level only when it is read:
 
 * Level 0 by column sums: sum_{i,j} <x_i, y_j> = <sum_i x_i, sum_j y_j>,
-  which costs O(qn) instead of the O(q^2 n) Gram product. The batches of
-  one draw (the r repetitions of a mean test, or the gaussian tester's
-  chunks) take their level-0 numerators from one column-sum array.
+  which costs O(qn) instead of the O(q^2 n) Gram product. The r
+  repetitions of a mean test take their level-0 numerators from one
+  column-sum array of their shared draw; the gaussian tester reads its
+  samples in row chunks and keeps only each block's per-column +1
+  counts, from which it forms the same column sums.
 * Levels >= 1 from the histogram of all q^2 inner products over the n+1
   values they can take, built once per batch from Hamming distances: each
   half is packed into 64-bit words with a bit set where the entry is +1,
@@ -35,7 +37,9 @@ float range it grows, so `TauSchedule.exceeded` decides the strict
 
 A reduction for Gaussian mean testing is included: screen per-coordinate
 second moments, map samples through sign(), and run the hypercube tester
-at a reduced distance parameter.
+at a reduced distance parameter. It streams: beside the chunk in hand, a
+verdict holds only 2 * GAUSS_REPS * n int64 counts, whatever its sample
+budget.
 """
 
 from __future__ import annotations
@@ -71,6 +75,10 @@ SCREEN_BATCH_SIZE = 16
 SCREEN_THRESHOLD = 1.5  # midpoint between E[x_i^2] <= 1 and > 2
 GAUSS_Q_COEFF = 64.0
 GAUSS_REPS = 3
+# float64 bytes in one chunk of a GaussianDraw: below glibc's 128 KiB mmap
+# threshold, so each chunk reuses the heap block that the last one freed
+# instead of faulting fresh pages in
+GAUSS_CHUNK_BYTES = 120 << 10
 
 
 @dataclass(frozen=True)
@@ -154,8 +162,13 @@ def _level0_numerators(batches: np.ndarray) -> list[int]:
     """<sum x, sum y> of every batch of an int8 (r, 2, q, n) array, from one
     int64 column-sum array; each column sum is at most q, and the products
     are Python ints, so this is exact for any q."""
-    sums = batches.sum(axis=2, dtype=np.int64).tolist()
-    return [sum(a * b for a, b in zip(sx, sy)) for sx, sy in sums]
+    return _paired_dots(batches.sum(axis=2, dtype=np.int64))
+
+
+def _paired_dots(sums: np.ndarray) -> list[int]:
+    """<s_x, s_y> of every pair of an int64 (r, 2, n) column-sum array, in
+    Python ints."""
+    return [sum(a * b for a, b in zip(sx, sy)) for sx, sy in sums.tolist()]
 
 
 def _numerators(draw: np.ndarray, q: int, k: int) -> list[int]:
@@ -356,41 +369,109 @@ def _gaussian_q(n: int, eps: float) -> int:
     return math.ceil(GAUSS_Q_COEFF * math.sqrt(n) / (eps * eps))
 
 
-def gaussian_mean_tester(samples: np.ndarray, eps: float) -> TestVerdict:
+class GaussianDraw:
+    """``rows`` samples of a gaussian source (such as ``zoo.GaussianSource``)
+    on ``rng``, drawn lazily for `gaussian_mean_tester`: ``row_chunks()``
+    yields them in row order, one ``source.sample`` call per chunk of about
+    GAUSS_CHUNK_BYTES, and never fewer rows than the second-moment screen
+    reads from the first chunk. Consecutive ``standard_normal`` draws are one
+    draw split, so the chunks hold exactly the rows of
+    ``source.sample(rng, rows)``. Each chunk consumes ``rng``, so a draw is
+    read once."""
+
+    def __init__(self, source, rng: np.random.Generator, rows: int):
+        self.source = source
+        self.rng = rng
+        self.rows = as_int(rows, "rows")
+        self._drawn = False
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, self.source.n)
+
+    def row_chunks(self):
+        if self._drawn:
+            raise RuntimeError("a GaussianDraw is read once")
+        self._drawn = True
+        step = max(SCREEN_BATCHES * SCREEN_BATCH_SIZE, GAUSS_CHUNK_BYTES // (8 * self.source.n))
+        for lo in range(0, self.rows, step):
+            yield self.source.sample(self.rng, min(step, self.rows - lo))
+
+
+def gaussian_mean_tester(samples, eps: float) -> TestVerdict:
     """Accept when the source looks like N(0, I); reject when the mean norm
     exceeds eps (any covariance).
 
-    Screens per-coordinate second moments first, then sign-maps the samples
-    and majority-votes over disjoint sample chunks of the level-0 hypercube
-    tester at the reduced parameter eps / (2 sqrt(3n)).
+    Screens per-coordinate second moments first, then majority-votes over
+    GAUSS_REPS level-0 hypercube tests on the signs of disjoint sample
+    blocks, at the reduced parameter eps / (2 sqrt(3n)).
+
+    ``samples`` is a lazy draw such as `GaussianDraw`, an object with
+    ``shape == (rows, n)`` whose ``row_chunks()`` yields its rows in order
+    as 2-D chunks, or anything else `np.asarray` takes as a (rows, n) array,
+    read as one chunk. The screen reads the first 144 rows from the first
+    chunk. Of each chunk the tester keeps only the +1 count of every column
+    in each q-row (repetition, half) block, so beside the chunk in hand a
+    verdict holds 2 * GAUSS_REPS * n int64 counts, whatever its sample
+    budget. A lazy draw is read only up to that budget, and not past a
+    screen reject, which is still charged the whole budget.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
-    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    # sign() would map NaN to -1, and the screen's comparisons ignore it
-    if not np.isfinite(samples).all():
-        raise ValueError("samples must be finite")
-    n = samples.shape[1]
+    # a method, not a `chunks` attribute: h5py, dask and zarr arrays carry a
+    # `chunks` tuple and are read through np.asarray
+    if callable(getattr(samples, "row_chunks", None)):
+        chunks = samples.row_chunks()
+    else:
+        samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+        chunks = (samples,)
+    if len(samples.shape) != 2:
+        raise ValueError("samples must be 2-D, one row per sample")
+    rows, n = samples.shape
+    if n < 1:
+        raise ValueError(f"samples need at least 1 coordinate, got n = {n}")
     need = gaussian_required_samples(n, eps)
-    if samples.shape[0] < need:
-        raise ValueError(f"need at least {need} samples, got {samples.shape[0]}")
+    if rows < need:
+        raise ValueError(f"need at least {need} samples, got {rows}")
 
-    if second_moment_screen(samples):
-        return TestVerdict(
-            Decision.REJECT, need, {"stage": "screen", "z_levels": [], "tau_levels": [], "q": 0}
-        )
+    q = _gaussian_q(n, eps)
+    blocks = 2 * GAUSS_REPS
+    # +1 counts per column of each q-row block; block 2i is repetition i's X
+    # and block 2i + 1 its Y
+    plus = np.zeros((blocks, n), dtype=np.int64)
+    lo = 0
+    for chunk in chunks:
+        chunk = np.asarray(chunk, dtype=np.float64)
+        if chunk.ndim != 2 or chunk.shape[1] != n:
+            raise ValueError(f"each chunk must be a 2-D array of width n = {n}")
+        # a NaN would count as a -1, and the screen's comparisons ignore it
+        if not np.isfinite(chunk).all():
+            raise ValueError("samples must be finite")
+        if lo == 0 and second_moment_screen(chunk):
+            return TestVerdict(
+                Decision.REJECT, need, {"stage": "screen", "z_levels": [], "tau_levels": [], "q": 0}
+            )
+        hi = lo + chunk.shape[0]
+        # 0/1 bytes, summed down each column in the smallest unsigned type
+        # that holds a block's rows: no int64 cast of every entry
+        nonneg = (chunk >= 0.0).view(np.uint8)
+        for b in range(lo // q, min(-(-hi // q), blocks)):
+            part = nonneg[max(b * q - lo, 0) : min((b + 1) * q, hi) - lo]
+            plus[b] += part.sum(axis=0, dtype=np.min_scalar_type(part.shape[0]))
+        lo = hi
+        if lo >= need:
+            break
+    if lo < need:
+        raise ValueError(f"need at least {need} samples, the draw yielded {lo}")
 
     eps_reduced = eps / (2.0 * math.sqrt(3.0 * n))
-    q = _gaussian_q(n, eps)
     # the reduced eps lies far below a practical preset's domain, so the
     # test takes an explicit q and runs at level 0 only, where tau_0 =
     # eps_reduced^2 n / 2 = eps^2 / 24 is built from eps, not from the
     # rounded eps_reduced
     tau0 = Fraction(eps) ** 2 / 24
-    # straight to int8: an int64 temporary, eight times the size, would be
-    # freed and its pages faulted in again on every verdict
-    signs = np.where(samples[: GAUSS_REPS * 2 * q] >= 0.0, np.int8(1), np.int8(-1))
-    nums = _level0_numerators(signs.reshape(GAUSS_REPS, 2, q, n))
+    # a block's sign sum is (+1 count) - (-1 count) = 2 * plus - q
+    nums = _paired_dots((2 * plus - q).reshape(GAUSS_REPS, 2, n))
     rep_z = [_trace_float(num, q * q) for num in nums]
     rejects = sum(_exceeds(num, q, tau0) for num in nums)
     decision = Decision.REJECT if 2 * rejects > GAUSS_REPS else Decision.ACCEPT

@@ -221,6 +221,8 @@ class GaussianSource:
 
     def __init__(self, n: int, mu=None):
         self.n = as_int(n, "n")
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
         self.mu = np.zeros(self.n) if mu is None else np.asarray(mu, dtype=np.float64)
         if self.mu.shape != (self.n,):
             raise ValueError("mu must have length n")

@@ -28,10 +28,12 @@ from hypercube_tester.blowup import (
 from hypercube_tester.harness import (
     ExperimentSpec,
     csv_body_without_wall_time,
+    resolve_gaussian_source,
     run_experiment,
     scaling_report,
 )
 from hypercube_tester.meantest import (
+    GaussianDraw,
     MeanTestConfig,
     SampleBatch,
     erf_lower_bound_holds,
@@ -407,6 +409,31 @@ def test_criterion_7_gaussian_operating_points():
         ok,
         f"accepts {accepts}/{trials}, rejects {rejects}/{trials}, floor {floor}, "
         f"erf grid {'ok' if erf_ok else 'VIOLATED'}; {elapsed:.1f}s",
+    )
+
+
+def test_criterion_7_gaussian_operating_point_n128():
+    # streamed draws at n = 128, past what criterion 7 maps; a verdict here
+    # reads 17,382 rows, about 60 ms on a shared 2-CPU host, so 30 trials a side
+    t0 = time.perf_counter()
+    n, eps, trials = 128, 0.5, 30
+    budget = gaussian_required_samples(n, eps)
+    decisions = {}
+    for cell, dist in enumerate(("standard", "shift:1.0")):
+        source = resolve_gaussian_source(dist, n)
+        decisions[dist] = [
+            gaussian_mean_tester(GaussianDraw(source, stream(72, cell, t), budget), eps).decision
+            for t in range(trials)
+        ]
+    accepts = decisions["standard"].count(Decision.ACCEPT)
+    rejects = decisions["shift:1.0"].count(Decision.REJECT)
+    elapsed = time.perf_counter() - t0
+    floor = _band_floor(trials)
+    _criterion(
+        7,
+        "gaussian tester at n=128: N(0,I) accepts, unit mean shift rejects",
+        accepts >= floor and rejects >= floor,
+        f"accepts {accepts}/{trials}, rejects {rejects}/{trials}, floor {floor}; {elapsed:.1f}s",
     )
 
 

@@ -2,6 +2,7 @@
 sizes, the full test loop, and the gaussian reduction."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 
 from hypercube_tester import meantest
 from hypercube_tester.blowup import BLOWUP_DIM_CAP, blowup_dim, z_statistic_naive
-from hypercube_tester.harness import resolve_target
+from hypercube_tester.harness import resolve_gaussian_source, resolve_target
 from hypercube_tester.meantest import (
+    GAUSS_CHUNK_BYTES,
     GAUSS_REPS,
+    GaussianDraw,
     MeanTestConfig,
     SampleBatch,
     TauSchedule,
@@ -30,7 +33,7 @@ from hypercube_tester.meantest import (
 from hypercube_tester.model import Decision, ProductDistribution
 from hypercube_tester.oracle import ScondOracle
 from hypercube_tester.rng import stream
-from hypercube_tester.zoo import TwoPointDistribution
+from hypercube_tester.zoo import GaussianSource, TwoPointDistribution
 
 # ---------------------------------------------------------------------------
 # the statistic
@@ -600,3 +603,142 @@ def test_gaussian_tester_majority_and_requirements():
         gaussian_mean_tester(np.zeros((need - 1, n)), eps)
     with pytest.raises(ValueError):
         gaussian_mean_tester(np.zeros((need, n)), 0.0)
+
+
+def test_gaussian_tester_refuses_zero_width_samples():
+    # q = 0 would otherwise reach the trace's division by q^2
+    for samples in (np.zeros((144, 0)), np.zeros((10_000, 0))):
+        with pytest.raises(ValueError, match="n = 0"):
+            gaussian_mean_tester(samples, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the streamed gaussian tester
+
+
+class _Lazy:
+    """A lazy draw of the given shape that yields the given chunks."""
+
+    def __init__(self, shape, chunks):
+        self.shape = shape
+        self.parts = chunks
+        self.read = 0
+
+    def row_chunks(self):
+        for chunk in self.parts:
+            self.read += chunk.shape[0]
+            yield chunk
+
+
+def _split(samples, cuts):
+    return _Lazy(samples.shape, np.split(samples, cuts))
+
+
+def _same_verdict(a, b):
+    assert a.decision is b.decision
+    assert a.queries_used == b.queries_used
+    assert a.trace == b.trace
+    assert [z.hex() for z in a.trace["z_levels"]] == [z.hex() for z in b.trace["z_levels"]]
+
+
+@pytest.mark.parametrize("dist", ["standard", "shift:1.0"])
+@pytest.mark.parametrize("eps", [1.0, 0.5, 0.3])
+@pytest.mark.parametrize("n", [1, 16, 32, 33, 200])
+def test_gaussian_stream_matches_array_verdict(n, eps, dist):
+    source = resolve_gaussian_source(dist, n)
+    need = gaussian_required_samples(n, eps)
+    array = source.sample(stream(66, n, 0), need)
+    expected = gaussian_mean_tester(array, eps)
+    _same_verdict(gaussian_mean_tester(GaussianDraw(source, stream(66, n, 0), need), eps), expected)
+    # chunk ends off the q-row block boundaries, an empty chunk, and one
+    # chunk that spans several blocks
+    q = math.ceil(64 * math.sqrt(n) / eps**2)
+    cuts = sorted(c for c in (144, 145, 145, q + 1, 3 * q - 7, 3 * q + 5, need - 1) if c >= 144)
+    _same_verdict(gaussian_mean_tester(_split(array, cuts), eps), expected)
+
+
+def test_gaussian_draw_chunks_are_one_draw():
+    for n in (1, 16, 33, 200):
+        source = GaussianSource(n, np.linspace(-1.0, 1.0, n))
+        chunks = list(GaussianDraw(source, stream(67, n, 0), 5_000).row_chunks())
+        assert chunks[0].shape[0] >= 144
+        assert all(c.nbytes <= max(GAUSS_CHUNK_BYTES, 144 * 8 * n) for c in chunks)
+        assert np.array_equal(np.concatenate(chunks), source.sample(stream(67, n, 0), 5_000))
+    draw = GaussianDraw(GaussianSource(4), stream(67, 0, 1), 300)
+    assert draw.shape == (300, 4)
+    list(draw.row_chunks())
+    with pytest.raises(RuntimeError):
+        list(draw.row_chunks())
+
+
+class _ArrayLike:
+    """An array-like that is not an ndarray, with a `chunks` attribute as
+    h5py, dask and zarr arrays carry: read whole through np.asarray."""
+
+    def __init__(self, array):
+        self.array = array
+        self.shape = array.shape
+        self.chunks = (64, array.shape[1])
+
+    def __array__(self, dtype=None, copy=None):
+        return self.array if dtype is None else self.array.astype(dtype)
+
+
+def test_gaussian_tester_reads_array_likes_whole():
+    n, eps = 16, 0.5
+    samples = stream(71, 0, 0).standard_normal((gaussian_required_samples(n, eps), n))
+    expected = gaussian_mean_tester(samples, eps)
+    _same_verdict(gaussian_mean_tester(_ArrayLike(samples), eps), expected)
+    _same_verdict(gaussian_mean_tester(samples.tolist(), eps), expected)
+
+
+def test_gaussian_stream_stops_at_the_budget_and_the_screen():
+    n, eps = 16, 0.5
+    need = gaussian_required_samples(n, eps)
+    samples = stream(68, 0, 0).standard_normal((need + 500, n))
+    lazy = _split(samples, [300, need, need + 200])
+    v = gaussian_mean_tester(lazy, eps)
+    assert lazy.read == need and v.queries_used == need
+    _same_verdict(v, gaussian_mean_tester(samples, eps))
+    # a screen reject reads only the first chunk and is charged the budget
+    samples[:, 0] *= 2.0
+    lazy = _split(samples, [300])
+    v = gaussian_mean_tester(lazy, eps)
+    assert v.trace["stage"] == "screen" and v.queries_used == need
+    assert lazy.read == 300
+
+
+def test_gaussian_stream_checks_every_chunk():
+    n, eps = 32, 0.5
+    need = gaussian_required_samples(n, eps)
+    base = stream(69, 0, 0).standard_normal((need, n))
+    # the screen reads its 144 rows from the first chunk
+    with pytest.raises(ValueError, match="144"):
+        gaussian_mean_tester(_split(base, [143]), eps)
+    # a NaN in a later chunk, a chunk of the wrong width, and a draw that
+    # yields fewer rows than its shape
+    bad = base.copy()
+    bad[need - 3, 5] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        gaussian_mean_tester(_split(bad, [1000, 2000]), eps)
+    with pytest.raises(ValueError, match="width"):
+        gaussian_mean_tester(_Lazy(base.shape, [base[:1000], base[1000:, :-1]]), eps)
+    with pytest.raises(ValueError, match="yielded"):
+        gaussian_mean_tester(_Lazy(base.shape, np.split(base[: need - 10], [500])), eps)
+
+
+def test_gaussian_stream_memory_does_not_grow_with_the_budget():
+    n = 64
+    peaks = []
+    # warm-up: the screen's first np.median imports numpy.ma
+    gaussian_mean_tester(GaussianDraw(GaussianSource(n), stream(70, 0, 0), 20_000), 0.5)
+    for eps in (0.5, 0.125):  # 16 times the rows
+        draw = GaussianDraw(GaussianSource(n), stream(70, 1, 0), gaussian_required_samples(n, eps))
+        tracemalloc.start()
+        try:
+            assert gaussian_mean_tester(draw, eps).trace["stage"] == "mean-test"
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 2 * min(peaks)
+    assert max(peaks) < 4 * GAUSS_CHUNK_BYTES

@@ -347,6 +347,10 @@ def test_gaussian_source():
     # built, not at the first draw
     with pytest.raises(ValueError):
         GaussianSource(2.5)
+    # as for an experiment's n, a dimension below 1 fails here, not at a draw
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            GaussianSource(n)
     for bad in ("shift:nan", "shift:inf"):
         with pytest.raises(ValueError, match="finite"):
             resolve_gaussian_source(bad, 4)
