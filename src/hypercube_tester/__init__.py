@@ -67,12 +67,10 @@ from .theory import (
     VerifierReport,
     build_orientation,
     check_greedy_property,
-    edge_null_accept,
     evaluate_robust_pisier,
     greedy_ordering,
     greedy_ordering_valid,
     khintchine_lhs,
-    majority_vote_law,
     probe_restriction_theorem,
     random_dense_pmf,
     verify_chain_rule,
@@ -84,7 +82,9 @@ from .theory import (
 from .uniformity import (
     EdgeConfig,
     SubCondConfig,
+    edge_null_accept,
     edge_tester,
+    majority_vote_law,
     subcond_uni,
     trace_query_sum,
 )

@@ -65,21 +65,9 @@ def _int_or_auto(text: str):
     return int(text)
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, Decision):
-        return obj.value
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _write_json(doc, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

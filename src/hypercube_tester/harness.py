@@ -33,7 +33,7 @@ from .meantest import (
     gaussian_required_samples,
     mean_tester,
 )
-from .model import Decision, TestVerdict, as_int, load_distribution
+from .model import Decision, TestVerdict, as_int, distribution_from_dict
 from .oracle import ScondOracle
 from .rng import stream
 from .uniformity import PRESETS, edge_tester, subcond_uni
@@ -113,7 +113,7 @@ def resolve_target(spec_string: str, n: int):
             doc = json.load(fh)
         if isinstance(doc, dict) and "kind" in doc:
             return instantiate(ZooEntry.from_dict(doc), n)
-        target = load_distribution(spec_string)
+        target = distribution_from_dict(doc)
         if target.n != n:
             raise ValueError(
                 f"distribution file has n={target.n}, grid asks for n={n}"

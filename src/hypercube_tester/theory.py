@@ -5,9 +5,8 @@ chain rule for total variation under random restrictions, hypercube edge
 classification and greedy orientations, the robust Pisier inequality (as
 a reported ratio; its universal constant is unspecified), Khintchine's
 inequality, the graph-to-mean and contributing-pair lower bounds, the
-restriction-theorem probe, the mean/variance bands of the pairing
-statistic Z, the edge tester's exact null accept rate, and the exact law
-of a curtailed majority vote.
+restriction-theorem probe, and the mean/variance bands of the pairing
+statistic Z.
 
 Verifiers return report objects; the test suite (not this module) turns
 them into assertions, so a failing inequality shows up as a test failure
@@ -21,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blowup import gram_moments
+from .meantest import _numerators
 from .model import (
     DensePmf,
     Restriction,
@@ -33,7 +34,6 @@ from .model import (
     tv_to_uniform,
     uniform_signs,
 )
-from .uniformity import EdgeConfig
 
 CHAIN_RULE_CAP = 10
 PROBE_CAP = 8
@@ -95,30 +95,32 @@ def _subset_terms(p: DensePmf, stars: tuple[int, ...]):
     return float(proj_tv), cond_term, norm_term
 
 
-def _sigma_weights(n: int, sigma: float):
-    for mask in range(1 << n):
-        stars = tuple(i for i in range(n) if mask & (1 << i))
-        k = len(stars)
-        yield stars, sigma**k * (1.0 - sigma) ** (n - k)
+def _sigma_sweep(p: DensePmf, sigma: float, cap: int, name: str):
+    """The three ``_subset_terms``, each summed exactly over star sets drawn
+    i.i.d. with probability sigma and weighted by their probability."""
+    if p.n > cap:
+        raise ValueError(f"{name} needs n <= {cap}")
+    if not 0.0 <= sigma <= 1.0:
+        raise ValueError("sigma must lie in [0, 1]")
+    proj_total = cond_total = norm_total = 0.0
+    for mask in range(1 << p.n):
+        stars = tuple(i for i in range(p.n) if mask & (1 << i))
+        w = sigma ** len(stars) * (1.0 - sigma) ** (p.n - len(stars))
+        if w == 0.0:
+            continue
+        proj_tv, cond_term, norm_term = _subset_terms(p, stars)
+        proj_total += w * proj_tv
+        cond_total += w * cond_term
+        norm_total += w * norm_term
+    return proj_total, cond_total, norm_total
 
 
 def verify_chain_rule(p: DensePmf, sigma: float) -> InequalityReport:
     """dtv(p, U) <= E_S[dtv(p_projected, U)] + E_rho[dtv(p_restricted, U)],
     with both expectations over stars drawn i.i.d. with probability sigma
     and the non-stars filled from p, all evaluated exactly."""
-    if p.n > CHAIN_RULE_CAP:
-        raise ValueError(f"exact chain-rule check needs n <= {CHAIN_RULE_CAP}")
-    if not 0.0 <= sigma <= 1.0:
-        raise ValueError("sigma must lie in [0, 1]")
+    proj_total, cond_total, _ = _sigma_sweep(p, sigma, CHAIN_RULE_CAP, "exact chain-rule check")
     lhs = tv_to_uniform(p)
-    proj_total = 0.0
-    cond_total = 0.0
-    for stars, w in _sigma_weights(p.n, sigma):
-        if w == 0.0:
-            continue
-        proj_tv, cond_term, _ = _subset_terms(p, stars)
-        proj_total += w * proj_tv
-        cond_total += w * cond_term
     rhs = proj_total + cond_total
     ratio = lhs / rhs if rhs > 0.0 else 0.0
     return InequalityReport(
@@ -130,18 +132,7 @@ def probe_restriction_theorem(p: DensePmf, sigma: float) -> InequalityReport:
     """lhs = E_rho ||mu(p_restricted)||_2, rhs = sigma * E_S dtv(p_projected, U);
     reported only: the comparison hides unspecified polylog factors, so no
     threshold is asserted here."""
-    if p.n > PROBE_CAP:
-        raise ValueError(f"restriction probe needs n <= {PROBE_CAP}")
-    if not 0.0 <= sigma <= 1.0:
-        raise ValueError("sigma must lie in [0, 1]")
-    mean_total = 0.0
-    proj_total = 0.0
-    for stars, w in _sigma_weights(p.n, sigma):
-        if w == 0.0:
-            continue
-        proj_tv, _, norm_term = _subset_terms(p, stars)
-        proj_total += w * proj_tv
-        mean_total += w * norm_term
+    proj_total, _, mean_total = _sigma_sweep(p, sigma, PROBE_CAP, "restriction probe")
     rhs = sigma * proj_total
     ratio = mean_total / rhs if rhs > 0.0 else 0.0
     return InequalityReport(
@@ -530,8 +521,6 @@ def verify_variance_bound(
     use the blown-up exact moments)."""
     if p.n > 6:
         raise ValueError("variance check needs n <= 6")
-    from .blowup import gram_moments
-    from .meantest import _numerators
 
     mu_sq, frob_sq = gram_moments(p, level)
     frob = math.sqrt(frob_sq)
@@ -562,91 +551,3 @@ def verify_variance_bound(
     }
     failures = [] if (mean_ok and var_ok) else [extras]
     return VerifierReport(mean_ok and var_ok, batches, batches, failures, extras)
-
-
-# ---------------------------------------------------------------------------
-# The edge tester's exact null accept rate
-
-
-def edge_null_accept(n: int, eps: float, cfg: EdgeConfig | None = None) -> float:
-    """Exact probability that ``edge_tester`` accepts the uniform target
-    on n coordinates: prod_h (1 - f_h)^(m_h) over ``cfg.levels(n, eps)``.
-
-    On the uniform target each pair's +1 count X is Binomial(b_h, 1/2) and
-    the pairs are independent, so the product is exact; f_h is the chance
-    that one level-h pair fires (see ``_edge_fire_prob``). An accepted run
-    spends exactly sum_h m_h (1 + b_h) queries over the same levels.
-    """
-    cfg = cfg or EdgeConfig()
-    log_accept = 0.0
-    for lv in cfg.levels(n, eps):
-        f = _edge_fire_prob(lv.b, lv.c)
-        if f >= 1.0:
-            return 0.0
-        log_accept += lv.m * math.log1p(-f)
-    return math.exp(log_accept)
-
-
-def _edge_fire_prob(b: int, c: int) -> float:
-    """P(|2X - b| >= c) for X ~ Binomial(b, 1/2) and a level's count
-    threshold c >= 1 (``EdgeLevel.c``).
-
-    The event is X <= k or X >= b - k with k = (b - c) // 2, two disjoint
-    tails of equal mass, so f = 2 P(X <= k), and 0 when k < 0 (c = b + 1).
-    The tail is summed from k down by the ratio P(x - 1) / P(x) =
-    x / (b - x + 1), starting from P(k) by ``math.lgamma``, until the terms
-    no longer change the sum.
-    """
-    k = (b - c) // 2
-    if k < 0:
-        return 0.0
-    term = math.exp(
-        math.lgamma(b + 1) - math.lgamma(k + 1) - math.lgamma(b - k + 1) - b * math.log(2.0)
-    )
-    tail = 0.0
-    for x in range(k, -1, -1):
-        if tail + term == tail:
-            break
-        tail += term
-        term *= x / (b - x + 1)
-    return 2.0 * tail
-
-
-# ---------------------------------------------------------------------------
-# The curtailed majority vote's exact law
-
-
-def majority_vote_law(p: float, t: int) -> tuple[float, float]:
-    """Exact (P(accept), expected repetitions run) of the curtailed majority
-    vote of ``uniformity._vote`` over an odd number t of repetitions that
-    each accept with probability p, independently.
-
-    A dynamic program over (accepts, rejects) follows the vote's schedule:
-    need = (t + 1) // 2 repetitions first, then need - max(accepts, rejects)
-    more while neither side holds need. The accept probability is that of a
-    majority of all t repetitions; at t = 3 the expected runs are
-    2 + 2p(1 - p).
-    """
-    if t < 1 or t % 2 == 0:
-        raise ValueError(f"the vote needs an odd number of repetitions, got t={t}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    need = (t + 1) // 2
-    accept = runs = 0.0
-    open_states = {(0, 0): 1.0}
-    while open_states:
-        after = {}
-        for (a, r), mass in open_states.items():
-            k = need - max(a, r)
-            runs += mass * k
-            for i in range(k + 1):
-                state = (a + i, r + k - i)
-                step = mass * math.comb(k, i) * p**i * (1.0 - p) ** (k - i)
-                after[state] = after.get(state, 0.0) + step
-        open_states = {}
-        for (a, r), mass in after.items():
-            if a >= need:
-                accept += mass
-            elif r < need:
-                open_states[(a, r)] = mass
-    return accept, runs

@@ -17,6 +17,9 @@ uses constants small enough to run at desk scale; "paper" documents the
 conservative constant trail (its sigma is so small that any runnable
 dimension lands in the base case, so it is for inspection, not
 experiments).
+
+The exact laws stand beside their rules: `edge_null_accept`, the edge
+tester's uniform accept rate, and `majority_vote_law`, the law of `_vote`.
 """
 
 from __future__ import annotations
@@ -68,6 +71,31 @@ def _count_threshold(b: int, theta: float) -> int:
     int / int and the tester's float (2.0 p - b) / b are both the correctly
     rounded quotient, which never decreases in d."""
     return bisect.bisect_right(range(b + 1), theta, key=lambda d: d / b)
+
+
+def _edge_fire_prob(b: int, c: int) -> float:
+    """P(|2X - b| >= c) for X ~ Binomial(b, 1/2) and a level's count
+    threshold c >= 1 (``EdgeLevel.c``).
+
+    The event is X <= k or X >= b - k with k = (b - c) // 2, two disjoint
+    tails of equal mass, so f = 2 P(X <= k), and 0 when k < 0 (c = b + 1).
+    The tail is summed from k down by the ratio P(x - 1) / P(x) =
+    x / (b - x + 1), starting from P(k) by ``math.lgamma``, until the terms
+    no longer change the sum.
+    """
+    k = (b - c) // 2
+    if k < 0:
+        return 0.0
+    term = math.exp(
+        math.lgamma(b + 1) - math.lgamma(k + 1) - math.lgamma(b - k + 1) - b * math.log(2.0)
+    )
+    tail = 0.0
+    for x in range(k, -1, -1):
+        if tail + term == tail:
+            break
+        tail += term
+        term *= x / (b - x + 1)
+    return 2.0 * tail
 
 
 class Bucket(NamedTuple):
@@ -129,6 +157,25 @@ class EdgeConfig:
         if not out:
             raise ValueError(f"the bucket floor leaves no edge level at n={n}, eps={eps}")
         return tuple(out)
+
+
+def edge_null_accept(n: int, eps: float, cfg: EdgeConfig | None = None) -> float:
+    """Exact probability that ``edge_tester`` accepts the uniform target
+    on n coordinates: prod_h (1 - f_h)^(m_h) over ``cfg.levels(n, eps)``.
+
+    On the uniform target each pair's +1 count X is Binomial(b_h, 1/2) and
+    the pairs are independent, so the product is exact; f_h is the chance
+    that one level-h pair fires (see ``_edge_fire_prob``). An accepted run
+    spends exactly sum_h m_h (1 + b_h) queries over the same levels.
+    """
+    cfg = cfg or EdgeConfig()
+    log_accept = 0.0
+    for lv in cfg.levels(n, eps):
+        f = _edge_fire_prob(lv.b, lv.c)
+        if f >= 1.0:
+            return 0.0
+        log_accept += lv.m * math.log1p(-f)
+    return math.exp(log_accept)
 
 
 @dataclass(frozen=True)
@@ -391,6 +438,38 @@ def _vote(
         lead = max(votes.values())
     decision = Decision.REJECT if votes[Decision.REJECT] >= need else Decision.ACCEPT
     return decision, verdicts
+
+
+def majority_vote_law(p: float, t: int) -> tuple[float, float]:
+    """Exact (P(accept), expected repetitions run) of the curtailed majority
+    vote of ``_vote`` over an odd number t of repetitions that each accept
+    with probability p, independently.
+
+    No request of ``_vote`` carries a side past need = (t + 1) // 2, so the
+    vote stops when one side first holds need: accept wins after need + j
+    runs, j < need, with probability C(need - 1 + j, j) p^need (1 - p)^j,
+    and reject with p and 1 - p swapped. The accept probability is that of
+    a majority of all t repetitions; at t = 3 the expected runs are
+    2 + 2p(1 - p). Terms below the normal floats (past t = 2043 at p = 1/2)
+    lose mass, and then the law raises ValueError.
+    """
+    if t < 1 or t % 2 == 0:
+        raise ValueError(f"the vote needs an odd number of repetitions, got t={t}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    need = (t + 1) // 2
+    accept_wins, reject_wins = p**need, (1.0 - p) ** need
+    accept = runs = mass = 0.0
+    for j in range(need):
+        accept += accept_wins
+        mass += accept_wins + reject_wins
+        runs += (need + j) * (accept_wins + reject_wins)
+        ratio = (need + j) / (j + 1)
+        accept_wins *= ratio * (1.0 - p)
+        reject_wins *= ratio * p
+    if abs(mass - 1.0) > 1e-9:
+        raise ValueError(f"the vote law's terms underflow at t={t}, p={p}")
+    return accept, runs
 
 
 def subcond_uni(

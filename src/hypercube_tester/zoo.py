@@ -33,13 +33,26 @@ from .model import (
     uniform_signs,
 )
 
+# kind: (description, required parameter names, optional parameter names)
 _KIND_DOCS = {
-    "uniform": "uniform distribution; no parameters",
-    "two_point": "half mass on x, half on -x; params: x (sign list, default all +1)",
-    "planted_product": "product distribution with every mean eps; params: eps",
-    "heavy_atom": "mass on one atom, rest uniform; params: mass, x (default all +1)",
-    "junta_mix": "inner PMF on first k coordinates times uniform; params: k, inner (2^k masses)",
-    "noisy_parity": "chi_S(x) = +1 w.p. 1-delta, uniform within parity classes; params: S, delta",
+    "uniform": ("uniform distribution; no parameters", set(), set()),
+    "two_point": (
+        "half mass on x, half on -x; params: x (sign list, default all +1)", set(), {"x"}
+    ),
+    "planted_product": ("product distribution with every mean eps; params: eps", {"eps"}, set()),
+    "heavy_atom": (
+        "mass on one atom, rest uniform; params: mass, x (default all +1)", {"mass"}, {"x"}
+    ),
+    "junta_mix": (
+        "inner PMF on first k coordinates times uniform; params: k, inner (2^k masses)",
+        {"k"},
+        {"inner"},
+    ),
+    "noisy_parity": (
+        "chi_S(x) = +1 w.p. 1-delta, uniform within parity classes; params: S, delta",
+        {"S", "delta"},
+        set(),
+    ),
 }
 
 
@@ -254,12 +267,24 @@ class ZooEntry:
 
 
 def zoo_kinds() -> dict[str, str]:
-    return dict(_KIND_DOCS)
+    return {kind: doc for kind, (doc, _, _) in _KIND_DOCS.items()}
 
 
 def instantiate(entry: ZooEntry, n: int):
-    """Build the target distribution described by a zoo entry at dimension n."""
+    """Build the target distribution described by a zoo entry at dimension n.
+
+    An unknown kind, a missing required parameter or a parameter the kind
+    does not take raises ValueError."""
     kind, p = entry.kind, entry.params
+    if kind not in _KIND_DOCS:
+        raise ValueError(f"unknown zoo kind {kind!r}")
+    _, required, optional = _KIND_DOCS[kind]
+    missing = required - p.keys()
+    if missing:
+        raise ValueError(f"zoo kind {kind!r} needs parameters {sorted(missing)}")
+    unknown = p.keys() - required - optional
+    if unknown:
+        raise ValueError(f"zoo kind {kind!r} takes no parameters {sorted(unknown)}")
     if kind == "uniform":
         return ProductDistribution.uniform(n)
     if kind == "two_point":
@@ -282,9 +307,7 @@ def instantiate(entry: ZooEntry, n: int):
             inner = np.zeros(1 << k)
             inner[-1] = 1.0  # point mass on all +1 within the junta
         return JuntaMixDistribution(n, k, inner)
-    if kind == "noisy_parity":
-        return NoisyParityDistribution(n, p["S"], float(p["delta"]))
-    raise ValueError(f"unknown zoo kind {kind!r}")
+    return NoisyParityDistribution(n, p["S"], float(p["delta"]))
 
 
 def save_entry(entry: ZooEntry, path: str) -> None:

@@ -579,3 +579,23 @@ def test_cli_theorylab_report_pinned(tmp_path, capsys, check, n, cases, seed):
         f"theorylab {check}: ok (0 failures / {nonvac} non-vacuous cases)\n"
     )
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# input checks
+
+
+def test_scaling_report_refuses_a_non_positive_mean():
+    cells = [{"n": n, "mean_queries": q} for n, q in ((4, 10.0), (8, 0.0), (16, 40.0))]
+    with pytest.raises(ValueError, match="positive"):
+        scaling_report(cells)
+
+
+def test_run_names_a_missing_zoo_parameter(tmp_path, capsys):
+    entry = tmp_path / "entry.json"
+    entry.write_text(json.dumps({"kind": "planted_product"}))
+    spec = tmp_path / "spec.json"
+    doc = {"tester": "meantest", "distribution": str(entry), "n": [8], "eps": [0.5]}
+    spec.write_text(json.dumps(doc))
+    assert main(["run", "--spec", str(spec)]) == 2
+    assert capsys.readouterr().err == "error: zoo kind 'planted_product' needs parameters ['eps']\n"

@@ -742,3 +742,12 @@ def test_gaussian_stream_memory_does_not_grow_with_the_budget():
             tracemalloc.stop()
     assert max(peaks) < 2 * min(peaks)
     assert max(peaks) < 4 * GAUSS_CHUNK_BYTES
+
+
+# ---------------------------------------------------------------------------
+# input checks
+
+
+def test_gaussian_mean_tester_refuses_three_d_samples():
+    with pytest.raises(ValueError, match="2-D"):
+        gaussian_mean_tester(np.zeros((2, 2, 2)), 0.5)

@@ -574,3 +574,76 @@ def test_every_exported_name_resolves():
     assert not any(n.startswith("_") for n in names)
     assert not any(isinstance(getattr(hypercube_tester, n), ModuleType) for n in names)
     assert {"ScondOracle", "SampleBatch", "subcond_uni", "verify_chain_rule"} <= set(names)
+
+
+# ---------------------------------------------------------------------------
+# input checks
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: all_sign_points(-1), ValueError, ">= 0", id="points-negative-n"),
+        pytest.param(lambda: all_sign_points(25), ValueError, "2\\^25", id="points-past-24"),
+        pytest.param(lambda: Point(np.ones((2, 2))), ValueError, "1-d array", id="point-2d"),
+        pytest.param(lambda: Point.from_index(3, 8), ValueError, "out of range", id="index-high"),
+        pytest.param(
+            lambda: Restriction(np.zeros((2, 2))), ValueError, "1-d cell", id="restriction-2d"
+        ),
+        pytest.param(lambda: DensePmf(-1, [1.0]), ValueError, ">= 0", id="dense-negative-n"),
+        pytest.param(
+            lambda: DensePmf(5, np.full(32, 1 / 32), cap=4), ValueError, "cap 4", id="dense-cap"
+        ),
+        pytest.param(
+            lambda: ProductDistribution(np.zeros((2, 2))), ValueError, "vector", id="product-2d"
+        ),
+        pytest.param(
+            lambda: ProductDistribution([0.5, -1.5]), ValueError, "\\[-1, 1\\]", id="product-mu"
+        ),
+        pytest.param(
+            lambda: conditional_table(DensePmf.uniform(3), Restriction.all_stars(2)),
+            ValueError,
+            "mismatch",
+            id="table-dimension",
+        ),
+        pytest.param(
+            lambda: project(DensePmf.uniform(3), [1, 0]), ValueError, "increasing", id="keep-order"
+        ),
+        pytest.param(
+            lambda: project(DensePmf.uniform(3), [0, 3]), ValueError, "range", id="keep-range"
+        ),
+        pytest.param(
+            lambda: second_moment(DensePmf.uniform(17)), ValueError, "small-n", id="moment-n"
+        ),
+        pytest.param(
+            lambda: distribution_from_dict([1, 2]), ValueError, "'n' field", id="file-not-object"
+        ),
+        pytest.param(
+            lambda: distribution_from_dict({"n": 2, "mu": [0.1]}),
+            ValueError,
+            "length",
+            id="file-mu-length",
+        ),
+        pytest.param(
+            lambda: distribution_from_dict({"n": 2}), ValueError, "'mass' or 'mu'", id="file-empty"
+        ),
+        pytest.param(
+            lambda: distribution_to_dict(object()), TypeError, "object", id="serialize-other"
+        ),
+    ],
+)
+def test_model_refuses_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_model_boundary_inputs():
+    # equal points hash equal, as set members
+    assert len({Point([1, -1]), Point(np.array([1, -1])), Point([-1, 1])}) == 2
+    # with no fixed cell every row is consistent
+    rows = np.array([[1, -1], [-1, -1]])
+    assert Restriction.all_stars(2).consistent(rows).tolist() == [True, True]
+    # no mass where x_0 = +1: that subcube's restriction is uniform
+    p = DensePmf(2, [0.5, 0.5, 0.0, 0.0])
+    assert restrict(p, Restriction(np.array([1, 0]))).mass.tolist() == [0.5, 0.5]
+    assert mean_vector(DensePmf(0, [1.0])).values.shape == (0,)

@@ -481,3 +481,26 @@ def test_same_stream_path_reproduces_everything():
         assert np.array_equal(x, y)
     c = run(22)
     assert not np.array_equal(a[0], c[0])
+
+
+# ---------------------------------------------------------------------------
+# input checks
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: ScondOracle(
+                ProductDistribution.uniform(3), stream(0, 0, 0), Restriction.all_stars(2)
+            ),
+            "dimension mismatch",
+            id="view-dimension",
+        ),
+        pytest.param(lambda: make_oracle().draw_restriction_sigma(1.5), "sigma", id="sigma-high"),
+        pytest.param(lambda: make_oracle().draw_restriction_sigma(-0.1), "sigma", id="sigma-low"),
+    ],
+)
+def test_oracle_refuses_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -19,23 +19,26 @@ from hypercube_tester.model import (
     mean_vector,
 )
 from hypercube_tester.rng import stream
-from hypercube_tester.uniformity import EdgeConfig, _count_threshold
+from hypercube_tester.uniformity import (
+    EdgeConfig,
+    _count_threshold,
+    _edge_fire_prob,
+    edge_null_accept,
+    majority_vote_law,
+)
 from hypercube_tester.theory import (
     SCALE,
     UNEVEN,
     ZERO,
     InequalityReport,
     _conditional_mean_at,
-    _edge_fire_prob,
     build_orientation,
     check_greedy_property,
     count_directed_into,
-    edge_null_accept,
     evaluate_robust_pisier,
     greedy_ordering,
     greedy_ordering_valid,
     khintchine_lhs,
-    majority_vote_law,
     probe_restriction_theorem,
     random_dense_pmf,
     verify_chain_rule,
@@ -465,3 +468,48 @@ def test_majority_vote_law_validates():
     for p in (-0.1, 1.1, float("nan")):
         with pytest.raises(ValueError):
             majority_vote_law(p, 3)
+
+
+def test_majority_vote_law_refuses_underflowing_terms():
+    # at p = 1/2 the first terms are 2^-need, normal floats up to need = 1022
+    assert majority_vote_law(0.5, 2043)[0] == pytest.approx(0.5, abs=1e-14)
+    for p, t in ((0.5, 2149), (0.6, 4001)):
+        with pytest.raises(ValueError, match="underflow"):
+            majority_vote_law(p, t)
+
+
+# ---------------------------------------------------------------------------
+# input checks
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: probe_restriction_theorem(DensePmf.uniform(9), 0.5),
+            "restriction probe needs n <= 8",
+            id="probe-cap",
+        ),
+        pytest.param(
+            lambda: probe_restriction_theorem(DensePmf.uniform(2), 1.5), "sigma", id="probe-sigma"
+        ),
+        pytest.param(
+            lambda: build_orientation(DensePmf.uniform(15)), "m <= 14", id="orientation-cap"
+        ),
+        pytest.param(
+            lambda: evaluate_robust_pisier(DensePmf.uniform(11)), "needs an rng", id="pisier-rng"
+        ),
+        pytest.param(
+            lambda: verify_contributing_bias(DensePmf.uniform(9), 1, stream(0, 0, 0)),
+            "n <= 8",
+            id="contributing-cap",
+        ),
+    ],
+)
+def test_lab_refuses_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_khintchine_of_no_coordinates_is_zero():
+    assert khintchine_lhs(np.zeros(0)) == 0.0

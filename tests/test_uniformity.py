@@ -19,13 +19,14 @@ from hypercube_tester.model import DensePmf, Decision, ProductDistribution, Rest
 from hypercube_tester.model import TestVerdict as Verdict  # not a test class
 from hypercube_tester.oracle import ScondOracle
 from hypercube_tester.rng import stream
-from hypercube_tester.theory import edge_null_accept, majority_vote_law
 from hypercube_tester.uniformity import (
     EDGE_BLOCK_BYTES,
     PRESETS,
     EdgeConfig,
     SubCondConfig,
+    edge_null_accept,
     edge_tester,
+    majority_vote_law,
     subcond_uni,
     trace_query_sum,
 )

@@ -362,3 +362,73 @@ def test_gaussian_source_draws_standard_normals_plus_mean():
     draws = GaussianSource(5, mu).sample(stream(40, 0, 0), 300)
     expected = stream(40, 0, 0).standard_normal((300, 5)) + mu
     assert np.array_equal(draws, expected)
+
+
+# ---------------------------------------------------------------------------
+# input checks
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: HeavyAtomDistribution(1.5, [1, 1]), "mass", id="atom-mass"),
+        pytest.param(lambda: JuntaMixDistribution(3, 0, [1.0]), "k <= n", id="junta-k-low"),
+        pytest.param(
+            lambda: JuntaMixDistribution(3, 4, np.ones(16) / 16), "k <= n", id="junta-k-high"
+        ),
+        pytest.param(lambda: NoisyParityDistribution(4, [], 0.1), "nonempty", id="parity-empty"),
+        pytest.param(lambda: NoisyParityDistribution(4, [4], 0.1), "range", id="parity-range"),
+        pytest.param(lambda: NoisyParityDistribution(4, [0], 1.5), "delta", id="parity-delta"),
+        pytest.param(lambda: ZooEntry.from_dict({"eps": 0.1}), "'kind'", id="entry-no-kind"),
+        pytest.param(
+            lambda: instantiate(ZooEntry("heavy_atom", {"mass": 0.5, "x": [1, 1]}), 3),
+            "length n",
+            id="atom-x-length",
+        ),
+    ],
+)
+def test_zoo_refuses_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"kind": "planted_product"}, "'planted_product' needs parameters ['eps']"),
+        ({"kind": "noisy_parity"}, "'noisy_parity' needs parameters ['S', 'delta']"),
+        (
+            {"kind": "planted_product", "eps": 0.25, "epss": 3},
+            "'planted_product' takes no parameters ['epss']",
+        ),
+        ({"kind": "two_point", "mass": 0.3}, "'two_point' takes no parameters ['mass']"),
+        ({"kind": "uniform", "n": 6}, "'uniform' takes no parameters ['n']"),
+    ],
+    ids=["missing-eps", "missing-two", "misspelt-eps", "foreign-mass", "uniform-n"],
+)
+def test_instantiate_names_a_missing_or_unknown_parameter(doc, message):
+    with pytest.raises(ValueError) as info:
+        instantiate(ZooEntry.from_dict(doc), 6)
+    assert str(info.value) == f"zoo kind {message}"
+
+
+def test_shorthands_and_optional_parameters_pass_the_check():
+    specs = [
+        "uniform",
+        "two_point",
+        "planted_product:0.1",
+        "heavy_atom:0.3",
+        "junta_mix:2",
+        "noisy_parity:2:0.1",
+    ]
+    assert {parse_spec_string(s).kind for s in specs} == set(zoo_kinds())
+    for spec in specs:
+        instantiate(parse_spec_string(spec), 4)
+    assert parse_spec_string("junta_mix:2") == ZooEntry("junta_mix", {"k": 2})
+    full = {
+        "two_point": {"x": [1, -1, 1, -1]},
+        "heavy_atom": {"mass": 0.3, "x": [1, -1, 1, -1]},
+        "junta_mix": {"k": 1, "inner": [0.25, 0.75]},
+    }
+    for kind, params in full.items():
+        assert instantiate(ZooEntry(kind, params), 4).n == 4
