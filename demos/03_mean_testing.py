@@ -65,8 +65,8 @@ gn, geps = 32, 0.5
 budget = gaussian_required_samples(gn, geps)
 print(f"\ngaussian version at n={gn}, eps={geps}: {budget} vector samples")
 
-# a GaussianDraw is drawn chunk by chunk as the tester reads it, so a
-# verdict never holds the whole budget
+# a GaussianDraw draws only the screen's rows; of the rest of the budget
+# the tester keeps per-column sign counts, which it draws from their law
 std = GaussianDraw(GaussianSource(gn), stream(42, 2, 0), budget)
 print(f"  N(0, I)        -> {gaussian_mean_tester(std, geps).decision.value}")
 

@@ -36,6 +36,8 @@ from .meantest import (
     mean_tester,
     paper_q,
     practical_q,
+    screen_batches,
+    screen_null_reject,
     second_moment_screen,
 )
 from .model import (

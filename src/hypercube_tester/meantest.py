@@ -16,9 +16,9 @@ level only when it is read:
 * Level 0 by column sums: sum_{i,j} <x_i, y_j> = <sum_i x_i, sum_j y_j>,
   which costs O(qn) instead of the O(q^2 n) Gram product. The r
   repetitions of a mean test take their level-0 numerators from one
-  column-sum array of their shared draw; the gaussian tester reads its
-  samples in row chunks and keeps only each block's per-column +1
-  counts, from which it forms the same column sums.
+  column-sum array of their shared draw; the gaussian tester keeps only
+  each block's per-column +1 counts, from which it forms the same column
+  sums.
 * Levels >= 1 from the histogram of all q^2 inner products over the n+1
   values they can take, built once per batch from Hamming distances: each
   half is packed into 64-bit words with a bit set where the entry is +1,
@@ -37,9 +37,13 @@ float range it grows, so `TauSchedule.exceeded` decides the strict
 
 A reduction for Gaussian mean testing is included: screen per-coordinate
 second moments, map samples through sign(), and run the hypercube tester
-at a reduced distance parameter. It streams: beside the chunk in hand, a
-verdict holds only 2 * GAUSS_REPS * n int64 counts, whatever its sample
-budget.
+at a reduced distance parameter. The screen reads a batch count that grows
+with n, so that its exact reject rate on N(0, I) stays at most 1%. The
+tester streams an array's rows: beside the chunk in hand, a verdict holds
+only 2 * GAUSS_REPS * n int64 counts, whatever its sample budget. A
+`GaussianDraw` of N(mu, I) draws only the screen's rows; past them, each
+column's +1 count in a block of r rows is exactly Binomial(r, Phi(mu_i)),
+and the draw hands the tester those counts.
 """
 
 from __future__ import annotations
@@ -70,15 +74,12 @@ Q_MIN_PRACTICAL = 150
 C_PAPER = 8.0
 
 # gaussian reduction
-SCREEN_BATCHES = 9
-SCREEN_BATCH_SIZE = 16
+SCREEN_MIN_BATCHES = 9
+SCREEN_BATCH_SIZE = 16  # even, so a batch's chi-square tail is a finite Poisson sum
 SCREEN_THRESHOLD = 1.5  # midpoint between E[x_i^2] <= 1 and > 2
+SCREEN_NULL_REJECT = 0.01  # the screen's largest exact N(0, I) reject rate
 GAUSS_Q_COEFF = 64.0
 GAUSS_REPS = 3
-# float64 bytes in one chunk of a GaussianDraw: below glibc's 128 KiB mmap
-# threshold, so each chunk reuses the heap block that the last one freed
-# instead of faulting fresh pages in
-GAUSS_CHUNK_BYTES = 120 << 10
 
 
 @dataclass(frozen=True)
@@ -347,22 +348,68 @@ def erf_lower_bound_holds(x: np.ndarray) -> np.ndarray:
     return erf * erf >= (2.0 / 3.0) * np.minimum(x * x, 1.0) - 1e-12
 
 
+def _screen_batch_law(batches: int, variance: float = 1.0) -> float:
+    """Exact probability that one N(0, variance) coordinate trips the
+    screen: the median of its ``batches`` (odd) batch means of x_i^2 lands
+    above SCREEN_THRESHOLD. With s = SCREEN_BATCH_SIZE, s / variance times a
+    batch mean is chi-square with s degrees of freedom, above x = s T /
+    variance with the Poisson probability e^(-x/2) sum_{j < s/2} (x/2)^j / j!;
+    the median lies above T when (batches + 1) / 2 of the independent batch
+    means do."""
+    half = SCREEN_BATCH_SIZE * SCREEN_THRESHOLD / (2.0 * variance)
+    term, above = math.exp(-half), 0.0
+    for j in range(SCREEN_BATCH_SIZE // 2):
+        above += term
+        term *= half / (j + 1)
+    return sum(
+        math.comb(batches, k) * above**k * (1.0 - above) ** (batches - k)
+        for k in range((batches + 1) // 2, batches + 1)
+    )
+
+
+def screen_null_reject(n: int, batches: int) -> float:
+    """Exact probability that `second_moment_screen` over ``batches`` batches
+    rejects N(0, I) in dimension n, whose coordinates trip it independently:
+    1 - (1 - P(Bin(batches, f) >= (batches + 1) / 2))^n with f = P(Gamma(8,
+    1/8) > 1.5) = 0.0895."""
+    return -math.expm1(n * math.log1p(-_screen_batch_law(batches)))
+
+
+@functools.cache
+def screen_batches(n: int) -> int:
+    """The screen's batch count at dimension n: the smallest odd count of at
+    least SCREEN_MIN_BATCHES whose exact null reject rate is at most
+    SCREEN_NULL_REJECT; 9 up to n = 18, 17 at n = 1024, 23 at n = 65,536."""
+    batches = SCREEN_MIN_BATCHES
+    while screen_null_reject(n, batches) > SCREEN_NULL_REJECT:
+        batches += 2
+    return batches
+
+
+def _screen_rows(n: int) -> int:
+    return SCREEN_BATCH_SIZE * screen_batches(n)
+
+
 def second_moment_screen(samples: np.ndarray) -> bool:
     """True when some coordinate's median-of-batch-means of x_i^2 lands
-    above the screen threshold (evidence of variance larger than 1)."""
-    need = SCREEN_BATCHES * SCREEN_BATCH_SIZE
+    above the screen threshold (evidence of variance larger than 1). It reads
+    the first ``screen_batches(n)`` batches of SCREEN_BATCH_SIZE rows, a
+    count that grows with n so that N(0, I) trips the screen with
+    probability at most SCREEN_NULL_REJECT (``screen_null_reject``)."""
+    batches = screen_batches(samples.shape[1])
+    need = batches * SCREEN_BATCH_SIZE
     if samples.shape[0] < need:
         raise ValueError(f"screen needs at least {need} samples")
     sq = samples[:need] ** 2
-    batches = sq.reshape(SCREEN_BATCHES, SCREEN_BATCH_SIZE, -1).mean(axis=1)
-    medians = np.median(batches, axis=0)
+    means = sq.reshape(batches, SCREEN_BATCH_SIZE, -1).mean(axis=1)
+    medians = np.median(means, axis=0)
     return bool((medians > SCREEN_THRESHOLD).any())
 
 
 def gaussian_required_samples(n: int, eps: float) -> int:
     """Total real-vector samples the gaussian tester consumes."""
     per_rep = 2 * _gaussian_q(n, eps)
-    return max(SCREEN_BATCHES * SCREEN_BATCH_SIZE, GAUSS_REPS * per_rep)
+    return max(_screen_rows(n), GAUSS_REPS * per_rep)
 
 
 def _gaussian_q(n: int, eps: float) -> int:
@@ -370,13 +417,13 @@ def _gaussian_q(n: int, eps: float) -> int:
 
 
 class GaussianDraw:
-    """``rows`` samples of a gaussian source (such as ``zoo.GaussianSource``)
-    on ``rng``, drawn lazily for `gaussian_mean_tester`: ``row_chunks()``
-    yields them in row order, one ``source.sample`` call per chunk of about
-    GAUSS_CHUNK_BYTES, and never fewer rows than the second-moment screen
-    reads from the first chunk. Consecutive ``standard_normal`` draws are one
-    draw split, so the chunks hold exactly the rows of
-    ``source.sample(rng, rows)``. Each chunk consumes ``rng``, so a draw is
+    """``rows`` samples of a gaussian source N(mu, I) (such as
+    ``zoo.GaussianSource``) on ``rng``, drawn only as far as
+    `gaussian_mean_tester` reads them. ``head(rows)`` is the first rows,
+    ``source.sample(rng, rows)``, which the tester screens and counts; of
+    every later row the tester keeps only the +1 count of each column in its
+    q-row block, so it draws those counts from their exact law through
+    ``source.plus_counts(rng, ...)`` and no later row is drawn. A draw is
     read once."""
 
     def __init__(self, source, rng: np.random.Generator, rows: int):
@@ -389,13 +436,12 @@ class GaussianDraw:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.source.n)
 
-    def row_chunks(self):
+    def head(self, rows: int) -> np.ndarray:
+        """The first ``rows`` samples."""
         if self._drawn:
             raise RuntimeError("a GaussianDraw is read once")
         self._drawn = True
-        step = max(SCREEN_BATCHES * SCREEN_BATCH_SIZE, GAUSS_CHUNK_BYTES // (8 * self.source.n))
-        for lo in range(0, self.rows, step):
-            yield self.source.sample(self.rng, min(step, self.rows - lo))
+        return self.source.sample(self.rng, rows)
 
 
 def gaussian_mean_tester(samples, eps: float) -> TestVerdict:
@@ -406,25 +452,27 @@ def gaussian_mean_tester(samples, eps: float) -> TestVerdict:
     GAUSS_REPS level-0 hypercube tests on the signs of disjoint sample
     blocks, at the reduced parameter eps / (2 sqrt(3n)).
 
-    ``samples`` is a lazy draw such as `GaussianDraw`, an object with
-    ``shape == (rows, n)`` whose ``row_chunks()`` yields its rows in order
-    as 2-D chunks, or anything else `np.asarray` takes as a (rows, n) array,
-    read as one chunk. The screen reads the first 144 rows from the first
-    chunk. Of each chunk the tester keeps only the +1 count of every column
-    in each q-row (repetition, half) block, so beside the chunk in hand a
-    verdict holds 2 * GAUSS_REPS * n int64 counts, whatever its sample
-    budget. A lazy draw is read only up to that budget, and not past a
-    screen reject, which is still charged the whole budget.
+    ``samples`` is a `GaussianDraw`, an object with ``shape == (rows, n)``
+    whose ``row_chunks()`` yields its rows in order as 2-D chunks, or
+    anything else `np.asarray` takes as a (rows, n) array, read as one
+    chunk. The screen reads its ``SCREEN_BATCH_SIZE * screen_batches(n)``
+    rows from the first chunk. Of each chunk the tester keeps only the +1
+    count of every column in each q-row (repetition, half) block, so beside
+    the chunk in hand a verdict holds 2 * GAUSS_REPS * n int64 counts,
+    whatever its sample budget. A lazy draw is read only up to that budget,
+    and not past a screen reject, which is still charged the whole budget.
+    A `GaussianDraw` yields the screen's rows as its one chunk and the rest
+    of the budget as block counts drawn from their law, so its verdict has
+    the law of the array verdict, not its stream.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
     # a method, not a `chunks` attribute: h5py, dask and zarr arrays carry a
     # `chunks` tuple and are read through np.asarray
-    if callable(getattr(samples, "row_chunks", None)):
-        chunks = samples.row_chunks()
-    else:
+    draw = isinstance(samples, GaussianDraw)
+    lazy = draw or callable(getattr(samples, "row_chunks", None))
+    if not lazy:
         samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-        chunks = (samples,)
     if len(samples.shape) != 2:
         raise ValueError("samples must be 2-D, one row per sample")
     rows, n = samples.shape
@@ -433,6 +481,12 @@ def gaussian_mean_tester(samples, eps: float) -> TestVerdict:
     need = gaussian_required_samples(n, eps)
     if rows < need:
         raise ValueError(f"need at least {need} samples, got {rows}")
+    if draw:
+        chunks = (samples.head(_screen_rows(n)),)
+    elif lazy:
+        chunks = samples.row_chunks()
+    else:
+        chunks = (samples,)
 
     q = _gaussian_q(n, eps)
     blocks = 2 * GAUSS_REPS
@@ -461,7 +515,11 @@ def gaussian_mean_tester(samples, eps: float) -> TestVerdict:
         lo = hi
         if lo >= need:
             break
-    if lo < need:
+    if lo < need and draw:
+        # block b's rows [bq, (b + 1) q) from lo on
+        rest = np.clip(q * np.arange(1, blocks + 1) - lo, 0, q)
+        plus += samples.source.plus_counts(samples.rng, rest)
+    elif lo < need:
         raise ValueError(f"need at least {need} samples, the draw yielded {lo}")
 
     eps_reduced = eps / (2.0 * math.sqrt(3.0 * n))

@@ -25,6 +25,7 @@ tester's uniform accept rate, and `majority_vote_law`, the law of `_vote`.
 from __future__ import annotations
 
 import bisect
+import decimal
 import functools
 import math
 from dataclasses import dataclass, field, fields
@@ -450,26 +451,29 @@ def majority_vote_law(p: float, t: int) -> tuple[float, float]:
     runs, j < need, with probability C(need - 1 + j, j) p^need (1 - p)^j,
     and reject with p and 1 - p swapped. The accept probability is that of
     a majority of all t repetitions; at t = 3 the expected runs are
-    2 + 2p(1 - p). Terms below the normal floats (past t = 2043 at p = 1/2)
-    lose mass, and then the law raises ValueError.
+    2 + 2p(1 - p). The terms are carried as 34-digit decimal floats, whose
+    exponent range holds every term however far below the normal floats it
+    lies, so a far tail keeps its relative precision: before its rounding to
+    a float, each result lies within a relative 1e-30 of the exact law.
     """
     if t < 1 or t % 2 == 0:
         raise ValueError(f"the vote needs an odd number of repetitions, got t={t}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     need = (t + 1) // 2
-    accept_wins, reject_wins = p**need, (1.0 - p) ** need
-    accept = runs = mass = 0.0
-    for j in range(need):
-        accept += accept_wins
-        mass += accept_wins + reject_wins
-        runs += (need + j) * (accept_wins + reject_wins)
-        ratio = (need + j) / (j + 1)
-        accept_wins *= ratio * (1.0 - p)
-        reject_wins *= ratio * p
-    if abs(mass - 1.0) > 1e-9:
-        raise ValueError(f"the vote law's terms underflow at t={t}, p={p}")
-    return accept, runs
+    with decimal.localcontext() as ctx:
+        ctx.prec = 34
+        accept_p = decimal.Decimal(p)  # the float's exact value
+        reject_p = 1 - accept_p
+        accept_wins, reject_wins = accept_p**need, reject_p**need
+        accept = runs = decimal.Decimal(0)
+        for j in range(need):
+            accept += accept_wins
+            runs += (need + j) * (accept_wins + reject_wins)
+            ratio = decimal.Decimal(need + j) / (j + 1)
+            accept_wins *= ratio * reject_p
+            reject_wins *= ratio * accept_p
+        return float(accept), float(runs)
 
 
 def subcond_uni(

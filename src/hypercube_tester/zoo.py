@@ -17,6 +17,7 @@ Kinds:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -236,11 +237,16 @@ class GaussianSource:
         self.n = as_int(n, "n")
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
-        self.mu = np.zeros(self.n) if mu is None else np.asarray(mu, dtype=np.float64)
+        # a read-only copy, so that phi always holds the law of these means
+        self.mu = np.zeros(self.n) if mu is None else np.array(mu, dtype=np.float64)
         if self.mu.shape != (self.n,):
             raise ValueError("mu must have length n")
         if not np.isfinite(self.mu).all():
             raise ValueError("means must be finite")
+        self.mu.setflags(write=False)
+        # P(x_i >= 0) = Phi(mu_i)
+        self.phi = np.array([0.5 * math.erfc(-m / math.sqrt(2.0)) for m in self.mu.tolist()])
+        self.phi.setflags(write=False)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         out = rng.standard_normal((size, self.n))
@@ -248,6 +254,13 @@ class GaussianSource:
         # faulted in again on every draw
         out += self.mu
         return out
+
+    def plus_counts(self, rng: np.random.Generator, rows) -> np.ndarray:
+        """An int64 (len(rows), n) array whose row b counts, in each column,
+        the entries >= 0 of rows[b] fresh samples, in one draw: the columns
+        of a sample are independent, so each count is exactly
+        Binomial(rows[b], Phi(mu_i)), independent across columns and rows."""
+        return rng.binomial(np.asarray(rows, dtype=np.int64)[:, None], self.phi)
 
 
 @dataclass

@@ -412,17 +412,17 @@ def test_criterion_7_gaussian_operating_points():
     )
 
 
-def test_criterion_7_gaussian_operating_point_n128():
-    # streamed draws at n = 128, past what criterion 7 maps; a verdict here
-    # reads 17,382 rows, about 60 ms on a shared 2-CPU host, so 30 trials a side
+def _gaussian_draw_point(n, trials, seed):
+    """Criterion 7 at dimension n through `GaussianDraw`: N(0, I) accepts and
+    a unit mean shift rejects, each in at least the band floor of trials."""
     t0 = time.perf_counter()
-    n, eps, trials = 128, 0.5, 30
+    eps = 0.5
     budget = gaussian_required_samples(n, eps)
     decisions = {}
     for cell, dist in enumerate(("standard", "shift:1.0")):
         source = resolve_gaussian_source(dist, n)
         decisions[dist] = [
-            gaussian_mean_tester(GaussianDraw(source, stream(72, cell, t), budget), eps).decision
+            gaussian_mean_tester(GaussianDraw(source, stream(seed, cell, t), budget), eps).decision
             for t in range(trials)
         ]
     accepts = decisions["standard"].count(Decision.ACCEPT)
@@ -431,10 +431,21 @@ def test_criterion_7_gaussian_operating_point_n128():
     floor = _band_floor(trials)
     _criterion(
         7,
-        "gaussian tester at n=128: N(0,I) accepts, unit mean shift rejects",
+        f"gaussian tester at n={n}: N(0,I) accepts, unit mean shift rejects",
         accepts >= floor and rejects >= floor,
         f"accepts {accepts}/{trials}, rejects {rejects}/{trials}, floor {floor}; {elapsed:.1f}s",
     )
+
+
+def test_criterion_7_gaussian_operating_point_n128():
+    # a verdict reads 208 rows and 17,382 rows' worth of sign counts
+    _gaussian_draw_point(128, 30, 72)
+
+
+def test_criterion_7_gaussian_operating_point_n1024():
+    # past n = 760 a 144-row screen alone would reject N(0, I) more than a
+    # third of the time; a verdict reads 272 rows and 49,152 rows' counts
+    _gaussian_draw_point(1024, 100, 76)
 
 
 # ---------------------------------------------------------------------------

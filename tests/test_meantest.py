@@ -14,8 +14,8 @@ from hypercube_tester import meantest
 from hypercube_tester.blowup import BLOWUP_DIM_CAP, blowup_dim, z_statistic_naive
 from hypercube_tester.harness import resolve_gaussian_source, resolve_target
 from hypercube_tester.meantest import (
-    GAUSS_CHUNK_BYTES,
     GAUSS_REPS,
+    SCREEN_BATCH_SIZE,
     GaussianDraw,
     MeanTestConfig,
     SampleBatch,
@@ -28,6 +28,8 @@ from hypercube_tester.meantest import (
     mean_tester,
     paper_q,
     practical_q,
+    screen_batches,
+    screen_null_reject,
     second_moment_screen,
 )
 from hypercube_tester.model import Decision, ProductDistribution
@@ -534,6 +536,51 @@ def test_second_moment_screen_flags_large_variance():
         second_moment_screen(good[:100])
 
 
+# the screen's batch count at every n up to which it holds, from the exact law
+SCREEN_BATCH_TABLE = {16: 9, 32: 11, 64: 13, 128: 13, 256: 15, 512: 15, 1024: 17}
+SCREEN_BATCH_TABLE.update({2048: 17, 4096: 19, 65536: 23})
+
+
+def test_screen_batches_hold_the_null_reject_rate():
+    grid = sorted({round(2 ** (k / 4)) for k in range(65)})  # n = 1 ... 65,536
+    assert grid[0] == 1 and grid[-1] == 65536
+    # a variance-2 coordinate is caught at least as often as by 9 batches
+    power9 = meantest._screen_batch_law(9, 2.0)
+    assert power9 == pytest.approx(0.946, abs=5e-4)
+    for n in grid:
+        batches = screen_batches(n)
+        assert batches % 2 == 1 and batches >= 9
+        assert screen_null_reject(n, batches) <= 0.01
+        # the smallest such count
+        if batches > 9:
+            assert screen_null_reject(n, batches - 2) > 0.01
+        assert meantest._screen_batch_law(batches, 2.0) >= power9
+    assert {n: screen_batches(n) for n in SCREEN_BATCH_TABLE} == SCREEN_BATCH_TABLE
+    assert screen_batches(18) == 9 and screen_batches(19) == 11
+    # f = P(Gamma(8, 1/8) > 1.5), the batch mean of 16 squared normals
+    f = math.exp(-12) * sum(12**j / math.factorial(j) for j in range(8))
+    assert meantest._screen_batch_law(1, 1.0) == pytest.approx(f, rel=1e-14)
+    assert screen_null_reject(32, 9) == pytest.approx(0.01687, abs=1e-5)
+    assert screen_null_reject(32, 11) == pytest.approx(0.00509, abs=1e-5)
+
+
+@pytest.mark.parametrize("n, variance, trials", [(16, 1.0, 8000), (32, 1.0, 8000), (1, 2.0, 2000)])
+def test_screen_reject_rate_matches_the_exact_law(n, variance, trials):
+    # N(0, I) at n = 16 and 32, and one coordinate of variance 2
+    batches = screen_batches(n)
+    rows = SCREEN_BATCH_SIZE * batches
+    exact = -math.expm1(n * math.log1p(-meantest._screen_batch_law(batches, variance)))
+    if variance == 1.0:
+        assert exact == screen_null_reject(n, batches)
+    rng = stream(73, n, 0)
+    rejects = 0
+    for _ in range(trials // 1000):
+        draws = rng.standard_normal((1000, rows, n)) * math.sqrt(variance)
+        rejects += sum(second_moment_screen(d) for d in draws)
+    se = math.sqrt(exact * (1 - exact) / trials)
+    assert abs(rejects / trials - exact) <= 3 * se
+
+
 def test_gaussian_tester_accepts_standard_normal():
     n, eps = 16, 0.5
     need = gaussian_required_samples(n, eps)
@@ -649,26 +696,96 @@ def test_gaussian_stream_matches_array_verdict(n, eps, dist):
     need = gaussian_required_samples(n, eps)
     array = source.sample(stream(66, n, 0), need)
     expected = gaussian_mean_tester(array, eps)
-    _same_verdict(gaussian_mean_tester(GaussianDraw(source, stream(66, n, 0), need), eps), expected)
     # chunk ends off the q-row block boundaries, an empty chunk, and one
-    # chunk that spans several blocks
+    # chunk that spans several blocks; the first chunk holds the screen's rows
+    head = SCREEN_BATCH_SIZE * screen_batches(n)
     q = math.ceil(64 * math.sqrt(n) / eps**2)
-    cuts = sorted(c for c in (144, 145, 145, q + 1, 3 * q - 7, 3 * q + 5, need - 1) if c >= 144)
+    cuts = (head, head + 1, head + 1, q + 1, 3 * q - 7, 3 * q + 5, need - 1)
+    cuts = sorted(c for c in cuts if c >= head)
     _same_verdict(gaussian_mean_tester(_split(array, cuts), eps), expected)
 
 
-def test_gaussian_draw_chunks_are_one_draw():
+def test_gaussian_draw_head_is_the_first_rows():
     for n in (1, 16, 33, 200):
         source = GaussianSource(n, np.linspace(-1.0, 1.0, n))
-        chunks = list(GaussianDraw(source, stream(67, n, 0), 5_000).row_chunks())
-        assert chunks[0].shape[0] >= 144
-        assert all(c.nbytes <= max(GAUSS_CHUNK_BYTES, 144 * 8 * n) for c in chunks)
-        assert np.array_equal(np.concatenate(chunks), source.sample(stream(67, n, 0), 5_000))
+        head = GaussianDraw(source, stream(67, n, 0), 5_000).head(176)
+        assert np.array_equal(head, source.sample(stream(67, n, 0), 176))
     draw = GaussianDraw(GaussianSource(4), stream(67, 0, 1), 300)
     assert draw.shape == (300, 4)
-    list(draw.row_chunks())
+    draw.head(144)
     with pytest.raises(RuntimeError):
-        list(draw.row_chunks())
+        draw.head(144)
+    # a GaussianDraw verdict reads the screen's rows, then only counts
+    n, eps = 32, 0.5
+    need = gaussian_required_samples(n, eps)
+    source = resolve_gaussian_source("shift:1.0", n)
+    v = gaussian_mean_tester(GaussianDraw(source, stream(67, 1, 0), need), eps)
+    rng = stream(67, 1, 0)
+    plus = np.zeros((2 * GAUSS_REPS, n), dtype=np.int64)
+    plus[0] = (source.sample(rng, 176) >= 0).sum(axis=0)
+    q = v.trace["q"]
+    plus += source.plus_counts(rng, [q - 176] + [q] * (2 * GAUSS_REPS - 1))
+    nums = meantest._paired_dots((2 * plus - q).reshape(GAUSS_REPS, 2, n))
+    assert v.trace["z_levels"] == [num / (q * q) for num in nums]
+    assert v.queries_used == need
+    # a screen reject draws no counts, and is charged the whole budget
+    v = gaussian_mean_tester(GaussianDraw(_HotSource(n), stream(67, 2, 0), need), eps)
+    assert v.trace["stage"] == "screen" and v.queries_used == need
+
+
+class _HotSource(GaussianSource):
+    """N(0, 9 I), which the screen rejects; its counts are never drawn."""
+
+    def sample(self, rng, size):
+        return 3.0 * super().sample(rng, size)
+
+    def plus_counts(self, rng, rows):
+        raise AssertionError("a screen reject draws no counts")
+
+
+def test_gaussian_source_counts_follow_the_exact_law():
+    # each column's +1 count over blocks of 0, 30 and 4 x 50 rows, summed
+    # over many draws, against Binomial(rows, Phi(mu_i)), Bonferroni over
+    # the columns
+    n, sizes, draws = 13, [0, 30, 50, 50, 50, 50], 200
+    mu = np.linspace(-1.5, 1.5, n)
+    source = GaussianSource(n, mu)
+    rng = stream(74, 0, 0)
+    counts = [source.plus_counts(rng, sizes) for _ in range(draws)]
+    assert all(c.shape == (len(sizes), n) and c.dtype == np.int64 for c in counts)
+    assert all(not c[0].any() and (c[1] <= 30).all() for c in counts)
+    assert max(c[1].max() for c in counts) == 30
+    rows = draws * sum(sizes)
+    totals = np.sum(counts, axis=(0, 1))
+    for total, m in zip(totals.tolist(), mu.tolist()):
+        phi = 0.5 * math.erfc(-m / math.sqrt(2))
+        assert _binomial_two_sided_p(total, rows, phi) >= 1e-3 / n
+
+
+def _binomial_two_sided_p(k, trials, p):
+    """Exact two-sided binomial test: the mass of every count no likelier than k."""
+    j = np.arange(trials + 1)
+    lgam = np.array([math.lgamma(i + 1) for i in range(trials + 1)])
+    logs = lgam[-1] - lgam - lgam[::-1] + j * math.log(p) + (trials - j) * math.log1p(-p)
+    return min(1.0, float(np.exp(logs[logs <= logs[k] + 1e-9]).sum()))
+
+
+def test_gaussian_draw_and_array_accept_rates_agree():
+    # the two routes draw different streams of one law: at a shift where
+    # the tester accepts about 6 times in 10, their rates agree within 3 SE
+    n, eps, trials = 8, 0.5, 400
+    need = gaussian_required_samples(n, eps)
+    source = resolve_gaussian_source("shift:0.12", n)
+
+    def accepts(samples):
+        return gaussian_mean_tester(samples, eps).decision is Decision.ACCEPT
+
+    array = sum(accepts(source.sample(stream(75, 0, t), need)) for t in range(trials))
+    draw = sum(accepts(GaussianDraw(source, stream(75, 1, t), need)) for t in range(trials))
+    pooled = (array + draw) / (2 * trials)
+    assert 0.2 <= pooled <= 0.8
+    se = math.sqrt(2 * pooled * (1 - pooled) / trials)
+    assert abs(array - draw) / trials <= 3 * se
 
 
 class _ArrayLike:
@@ -712,9 +829,9 @@ def test_gaussian_stream_checks_every_chunk():
     n, eps = 32, 0.5
     need = gaussian_required_samples(n, eps)
     base = stream(69, 0, 0).standard_normal((need, n))
-    # the screen reads its 144 rows from the first chunk
-    with pytest.raises(ValueError, match="144"):
-        gaussian_mean_tester(_split(base, [143]), eps)
+    # the screen reads its 176 rows (11 batches at n = 32) from the first chunk
+    with pytest.raises(ValueError, match="176"):
+        gaussian_mean_tester(_split(base, [175]), eps)
     # a NaN in a later chunk, a chunk of the wrong width, and a draw that
     # yields fewer rows than its shape
     bad = base.copy()
@@ -741,7 +858,7 @@ def test_gaussian_stream_memory_does_not_grow_with_the_budget():
         finally:
             tracemalloc.stop()
     assert max(peaks) < 2 * min(peaks)
-    assert max(peaks) < 4 * GAUSS_CHUNK_BYTES
+    assert max(peaks) < 480 << 10
 
 
 # ---------------------------------------------------------------------------

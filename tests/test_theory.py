@@ -5,6 +5,7 @@ bounds, and the pairing-statistic moment bands.
 Hand-derived frozen values anchor each verifier before random sweeps."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -470,12 +471,37 @@ def test_majority_vote_law_validates():
             majority_vote_law(p, 3)
 
 
-def test_majority_vote_law_refuses_underflowing_terms():
-    # at p = 1/2 the first terms are 2^-need, normal floats up to need = 1022
+def _exact_vote_law(p: float, t: int) -> tuple[Fraction, Fraction]:
+    """``majority_vote_law`` as exact Fractions of the float p = a / 2^k:
+    the race's terms C(need - 1 + j, j) a^need (2^k - a)^j over 2^(k(need +
+    j)), and reject's with a and 2^k - a swapped, in integers over the
+    common denominator 2^(k(2 need - 1))."""
+    need = (t + 1) // 2
+    a, b = p.as_integer_ratio()
+    k, c = b.bit_length() - 1, b - a
+    # wins_j = C(need - 1 + j, j) c^j (resp. a^j), shifted to the denominator
+    wins_a = wins_r = 1
+    accept = runs_a = runs_r = 0
+    for j in range(need):
+        shift = k * (need - 1 - j)
+        accept += wins_a << shift
+        runs_a += ((need + j) * wins_a) << shift
+        runs_r += ((need + j) * wins_r) << shift
+        wins_a = wins_a * (need + j) * c // (j + 1)
+        wins_r = wins_r * (need + j) * a // (j + 1)
+    den = 1 << (k * (2 * need - 1))
+    return Fraction(accept * a**need, den), Fraction(runs_a * a**need + runs_r * c**need, den)
+
+
+def test_majority_vote_law_keeps_the_far_tail():
+    # each value is the exact law's, correctly rounded, where the terms lie
+    # far below the normal floats (2^-1075 at p = 1/2, t = 2149)
     assert majority_vote_law(0.5, 2043)[0] == pytest.approx(0.5, abs=1e-14)
-    for p, t in ((0.5, 2149), (0.6, 4001)):
-        with pytest.raises(ValueError, match="underflow"):
-            majority_vote_law(p, t)
+    for p, t in ((0.3, 1501), (0.5, 2149), (0.6, 4001)):
+        got = majority_vote_law(p, t)
+        for value, exact in zip(got, _exact_vote_law(p, t)):
+            assert abs(Fraction(value) - exact) <= exact * Fraction(1, 1 << 52)
+    assert majority_vote_law(0.3, 1501)[0] == pytest.approx(3.4888608933768e-59, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ closed-form functionals."""
 import inspect
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -362,6 +363,19 @@ def test_gaussian_source_draws_standard_normals_plus_mean():
     draws = GaussianSource(5, mu).sample(stream(40, 0, 0), 300)
     expected = stream(40, 0, 0).standard_normal((300, 5)) + mu
     assert np.array_equal(draws, expected)
+
+
+def test_gaussian_source_keeps_the_sign_law_of_its_means():
+    mu = np.linspace(-1.5, 1.5, 7)
+    src = GaussianSource(7, mu)
+    # P(x_i >= 0) = Phi(mu_i), held read-only beside a read-only copy of mu
+    assert src.phi == pytest.approx([0.5 * (1 + math.erf(m / math.sqrt(2))) for m in mu])
+    assert src.phi[3] == 0.5
+    mu[0] = 9.0
+    assert src.mu[0] == -1.5
+    for array in (src.mu, src.phi):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 # ---------------------------------------------------------------------------
