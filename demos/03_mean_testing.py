@@ -74,7 +74,7 @@ mu = np.full(gn, 1.0 / np.sqrt(gn))  # mean norm 1 > eps
 shifted = GaussianDraw(GaussianSource(gn, mu), stream(42, 3, 0), budget)
 print(f"  mean norm 1    -> {gaussian_mean_tester(shifted, geps).decision.value}")
 
-# an array is one chunk
+# or any array of samples
 hot = GaussianSource(gn).sample(stream(42, 4, 0), budget)
 hot[:, 0] *= 3.0  # one coordinate with variance 9: caught by the screen
 screened = gaussian_mean_tester(hot, geps)

@@ -66,6 +66,9 @@ class ExperimentSpec:
             raise ValueError(f"tester must be one of {TESTERS}, got {self.tester!r}")
         if self.preset not in PRESETS:
             raise ValueError(f"preset must be one of {list(PRESETS)}, got {self.preset!r}")
+        for name in ("n", "eps"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
         self.n = [as_int(v, "n") for v in self.n]
         self.eps = [float(v) for v in self.eps]
         if not self.n or not self.eps:

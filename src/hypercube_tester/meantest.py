@@ -38,12 +38,12 @@ float range it grows, so `TauSchedule.exceeded` decides the strict
 A reduction for Gaussian mean testing is included: screen per-coordinate
 second moments, map samples through sign(), and run the hypercube tester
 at a reduced distance parameter. The screen reads a batch count that grows
-with n, so that its exact reject rate on N(0, I) stays at most 1%. The
-tester streams an array's rows: beside the chunk in hand, a verdict holds
-only 2 * GAUSS_REPS * n int64 counts, whatever its sample budget. A
-`GaussianDraw` of N(mu, I) draws only the screen's rows; past them, each
+with n, so that its exact reject rate on N(0, I) stays at most 1%. Of its
+samples the tester keeps only each column's +1 count in each q-row block.
+A `GaussianDraw` of N(mu, I) draws only the screen's rows; past them, each
 column's +1 count in a block of r rows is exactly Binomial(r, Phi(mu_i)),
-and the draw hands the tester those counts.
+and the draw hands the tester those counts, so its memory does not grow
+with the sample budget.
 """
 
 from __future__ import annotations
@@ -386,10 +386,6 @@ def screen_batches(n: int) -> int:
     return batches
 
 
-def _screen_rows(n: int) -> int:
-    return SCREEN_BATCH_SIZE * screen_batches(n)
-
-
 def second_moment_screen(samples: np.ndarray) -> bool:
     """True when some coordinate's median-of-batch-means of x_i^2 lands
     above the screen threshold (evidence of variance larger than 1). It reads
@@ -407,9 +403,9 @@ def second_moment_screen(samples: np.ndarray) -> bool:
 
 
 def gaussian_required_samples(n: int, eps: float) -> int:
-    """Total real-vector samples the gaussian tester consumes."""
-    per_rep = 2 * _gaussian_q(n, eps)
-    return max(_screen_rows(n), GAUSS_REPS * per_rep)
+    """Total real-vector samples the gaussian tester consumes: its
+    2 * GAUSS_REPS blocks of q rows, which hold the screen's rows at every n."""
+    return 2 * GAUSS_REPS * _gaussian_q(n, eps)
 
 
 def _gaussian_q(n: int, eps: float) -> int:
@@ -452,26 +448,19 @@ def gaussian_mean_tester(samples, eps: float) -> TestVerdict:
     GAUSS_REPS level-0 hypercube tests on the signs of disjoint sample
     blocks, at the reduced parameter eps / (2 sqrt(3n)).
 
-    ``samples`` is a `GaussianDraw`, an object with ``shape == (rows, n)``
-    whose ``row_chunks()`` yields its rows in order as 2-D chunks, or
-    anything else `np.asarray` takes as a (rows, n) array, read as one
-    chunk. The screen reads its ``SCREEN_BATCH_SIZE * screen_batches(n)``
-    rows from the first chunk. Of each chunk the tester keeps only the +1
-    count of every column in each q-row (repetition, half) block, so beside
-    the chunk in hand a verdict holds 2 * GAUSS_REPS * n int64 counts,
-    whatever its sample budget. A lazy draw is read only up to that budget,
-    and not past a screen reject, which is still charged the whole budget.
-    A `GaussianDraw` yields the screen's rows as its one chunk and the rest
-    of the budget as block counts drawn from their law, so its verdict has
+    ``samples`` is a `GaussianDraw` or anything `np.asarray` takes as a
+    (rows, n) array; an array's rows past the budget are checked finite but
+    not counted. The screen reads the first ``SCREEN_BATCH_SIZE * screen_batches(n)``
+    rows, and a screen reject is charged the whole budget. Of the rest the
+    tester keeps only the +1 count of every column in each q-row
+    (repetition, half) block. A `GaussianDraw` draws only the screen's rows
+    and the rest of each block's counts from their law, so its verdict has
     the law of the array verdict, not its stream.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
-    # a method, not a `chunks` attribute: h5py, dask and zarr arrays carry a
-    # `chunks` tuple and are read through np.asarray
     draw = isinstance(samples, GaussianDraw)
-    lazy = draw or callable(getattr(samples, "row_chunks", None))
-    if not lazy:
+    if not draw:
         samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if len(samples.shape) != 2:
         raise ValueError("samples must be 2-D, one row per sample")
@@ -481,46 +470,30 @@ def gaussian_mean_tester(samples, eps: float) -> TestVerdict:
     need = gaussian_required_samples(n, eps)
     if rows < need:
         raise ValueError(f"need at least {need} samples, got {rows}")
-    if draw:
-        chunks = (samples.head(_screen_rows(n)),)
-    elif lazy:
-        chunks = samples.row_chunks()
-    else:
-        chunks = (samples,)
+    head = samples.head(SCREEN_BATCH_SIZE * screen_batches(n)) if draw else samples
+    # a NaN would count as a -1, and the screen's comparisons ignore it
+    if not np.isfinite(head).all():
+        raise ValueError("samples must be finite")
+    if second_moment_screen(head):
+        return TestVerdict(
+            Decision.REJECT, need, {"stage": "screen", "z_levels": [], "tau_levels": [], "q": 0}
+        )
 
     q = _gaussian_q(n, eps)
     blocks = 2 * GAUSS_REPS
     # +1 counts per column of each q-row block; block 2i is repetition i's X
-    # and block 2i + 1 its Y
+    # and block 2i + 1 its Y. 0/1 bytes, summed down each column in the
+    # smallest unsigned type that holds a block's rows: no int64 cast of
+    # every entry
+    nonneg = (head[: blocks * q] >= 0.0).view(np.uint8)
     plus = np.zeros((blocks, n), dtype=np.int64)
-    lo = 0
-    for chunk in chunks:
-        chunk = np.asarray(chunk, dtype=np.float64)
-        if chunk.ndim != 2 or chunk.shape[1] != n:
-            raise ValueError(f"each chunk must be a 2-D array of width n = {n}")
-        # a NaN would count as a -1, and the screen's comparisons ignore it
-        if not np.isfinite(chunk).all():
-            raise ValueError("samples must be finite")
-        if lo == 0 and second_moment_screen(chunk):
-            return TestVerdict(
-                Decision.REJECT, need, {"stage": "screen", "z_levels": [], "tau_levels": [], "q": 0}
-            )
-        hi = lo + chunk.shape[0]
-        # 0/1 bytes, summed down each column in the smallest unsigned type
-        # that holds a block's rows: no int64 cast of every entry
-        nonneg = (chunk >= 0.0).view(np.uint8)
-        for b in range(lo // q, min(-(-hi // q), blocks)):
-            part = nonneg[max(b * q - lo, 0) : min((b + 1) * q, hi) - lo]
-            plus[b] += part.sum(axis=0, dtype=np.min_scalar_type(part.shape[0]))
-        lo = hi
-        if lo >= need:
-            break
-    if lo < need and draw:
-        # block b's rows [bq, (b + 1) q) from lo on
-        rest = np.clip(q * np.arange(1, blocks + 1) - lo, 0, q)
+    for b in range(blocks):
+        part = nonneg[b * q : (b + 1) * q]
+        plus[b] = part.sum(axis=0, dtype=np.min_scalar_type(part.shape[0]))
+    if draw:
+        # block b's rows [bq, (b + 1) q) past the head
+        rest = np.clip(q * np.arange(1, blocks + 1) - head.shape[0], 0, q)
         plus += samples.source.plus_counts(samples.rng, rest)
-    elif lo < need:
-        raise ValueError(f"need at least {need} samples, the draw yielded {lo}")
 
     eps_reduced = eps / (2.0 * math.sqrt(3.0 * n))
     # the reduced eps lies far below a practical preset's domain, so the

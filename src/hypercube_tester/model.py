@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-DENSE_CAP_DEFAULT = 30
+DENSE_CAP = 30
 
 _NORMALIZE_TOL = 1e-6
 
@@ -385,12 +385,12 @@ class DensePmf(HypercubeTarget):
     n = 0 is allowed and denotes the unique empty-cube distribution.
     """
 
-    def __init__(self, n: int, mass, *, cap: int = DENSE_CAP_DEFAULT):
+    def __init__(self, n: int, mass):
         n = as_int(n, "n")
         if n < 0:
             raise ValueError("n must be >= 0")
-        if n > cap:
-            raise ValueError(f"dense PMF dimension {n} exceeds cap {cap}")
+        if n > DENSE_CAP:
+            raise ValueError(f"dense PMF dimension {n} exceeds cap {DENSE_CAP}")
         mass = np.asarray(mass, dtype=np.float64)
         if mass.shape != (1 << n,):
             raise ValueError(f"mass must have length 2^{n}")
@@ -467,11 +467,11 @@ class ProductDistribution(HypercubeTarget):
     def uniform(cls, n: int) -> "ProductDistribution":
         return cls(np.zeros(n))
 
-    def dense(self, *, cap: int = DENSE_CAP_DEFAULT) -> DensePmf:
+    def dense(self) -> DensePmf:
         mass = np.ones(1)
         for m in self.mu:
             mass = np.kron(mass, np.array([(1 - m) / 2, (1 + m) / 2]))
-        return DensePmf(self.n, mass, cap=cap)
+        return DensePmf(self.n, mass)
 
     def cond_sample(self, rng: np.random.Generator, rho: Restriction, size: int):
         if self._unbiased:

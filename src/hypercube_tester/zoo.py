@@ -64,11 +64,11 @@ class TwoPointDistribution(HypercubeTarget):
         self.x = _validate_signs(x)
         self.n = self.x.size
 
-    def dense(self, **kw) -> DensePmf:
+    def dense(self) -> DensePmf:
         mass = np.zeros(1 << self.n)
         mass[int(points_to_indices(self.x))] += 0.5
         mass[int(points_to_indices(-self.x))] += 0.5
-        return DensePmf(self.n, mass, **kw)
+        return DensePmf(self.n, mass)
 
     def weight(self, rows: np.ndarray) -> np.ndarray:
         return ((rows == self.x).all(axis=1) | (rows == -self.x).all(axis=1)).astype(np.float64)
@@ -102,10 +102,10 @@ class HeavyAtomDistribution(HypercubeTarget):
         self.x = _validate_signs(x)
         self.n = self.x.size
 
-    def dense(self, **kw) -> DensePmf:
+    def dense(self) -> DensePmf:
         mass = np.full(1 << self.n, (1.0 - self.atom_mass) * 2.0 ** -self.n)
         mass[int(points_to_indices(self.x))] += self.atom_mass
-        return DensePmf(self.n, mass, **kw)
+        return DensePmf(self.n, mass)
 
     def weight(self, rows: np.ndarray) -> np.ndarray:
         is_atom = (rows == self.x).all(axis=1)
@@ -135,9 +135,9 @@ class JuntaMixDistribution(HypercubeTarget):
             raise ValueError("need 1 <= k <= n")
         self.inner = DensePmf(self.k, inner)
 
-    def dense(self, **kw) -> DensePmf:
+    def dense(self) -> DensePmf:
         rest = np.full(1 << (self.n - self.k), 2.0 ** -(self.n - self.k))
-        return DensePmf(self.n, np.kron(self.inner.mass, rest), **kw)
+        return DensePmf(self.n, np.kron(self.inner.mass, rest))
 
     def weight(self, rows: np.ndarray) -> np.ndarray:
         return self.inner.weight(rows[:, : self.k])
@@ -176,7 +176,7 @@ class NoisyParityDistribution(HypercubeTarget):
     def _weight(self, parity: np.ndarray) -> np.ndarray:
         return np.where(parity > 0, 1.0 - self.delta, self.delta)
 
-    def dense(self, **kw) -> DensePmf:
+    def dense(self) -> DensePmf:
         idx = np.arange(1 << self.n, dtype=np.int64)
         pw = bit_powers(self.n)[list(self.S)]
         ones = np.zeros(1 << self.n, dtype=np.int64)
@@ -185,7 +185,7 @@ class NoisyParityDistribution(HypercubeTarget):
         # chi_S = prod x_i = (-1)^(# of -1 entries among S); a set bit means +1
         minus = len(self.S) - ones
         parity = 1 - 2 * (minus % 2)
-        return DensePmf(self.n, 2.0 ** (1 - self.n) * self._weight(parity), **kw)
+        return DensePmf(self.n, 2.0 ** (1 - self.n) * self._weight(parity))
 
     def cond_sample(self, rng: np.random.Generator, rho: Restriction, size: int):
         stars = rho.stars

@@ -79,6 +79,18 @@ def test_spec_rejects_bad_fields():
     assert all(type(v) is int for v in (spec.n[0], spec.trials, spec.seed))
 
 
+@pytest.mark.parametrize("name, value", [("n", 64), ("n", "64"), ("eps", "0.5"), ("eps", "1")])
+def test_spec_refuses_a_grid_that_is_not_a_list(tmp_path, capsys, name, value):
+    # a number cannot be iterated, and a string would iterate its characters
+    with pytest.raises(ValueError, match=f"^{name} must be a list"):
+        _spec(**{name: value})
+    spec = tmp_path / "spec.json"
+    doc = {"tester": "meantest", "distribution": "uniform", "n": [4], "eps": [1.0], name: value}
+    spec.write_text(json.dumps(doc))
+    assert main(["run", "--spec", str(spec)]) == 2
+    assert capsys.readouterr().err == f"error: {name} must be a list, got {value!r}\n"
+
+
 def test_spec_rejects_unknown_and_missing_fields():
     with pytest.raises(ValueError, match="unknown"):
         ExperimentSpec.from_dict(

@@ -1,6 +1,7 @@
 """Mean tester: exact pairing statistic, threshold schedule, preset sample
 sizes, the full test loop, and the gaussian reduction."""
 
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -652,6 +653,15 @@ def test_gaussian_tester_majority_and_requirements():
         gaussian_mean_tester(np.zeros((need, n)), 0.0)
 
 
+def test_gaussian_budget_holds_the_screen_rows():
+    # so gaussian_required_samples is the 2 * GAUSS_REPS blocks of q rows
+    # alone: the screen's rows fit in them at the widest eps, for every n
+    for e in range(41):
+        for n in (1 << e, (1 << e) + 1, 3 * (1 << e) // 2):
+            budget = 2 * GAUSS_REPS * meantest._gaussian_q(n, 1.0)
+            assert SCREEN_BATCH_SIZE * screen_batches(n) <= budget
+
+
 def test_gaussian_tester_refuses_zero_width_samples():
     # q = 0 would otherwise reach the trace's division by q^2
     for samples in (np.zeros((144, 0)), np.zeros((10_000, 0))):
@@ -660,49 +670,75 @@ def test_gaussian_tester_refuses_zero_width_samples():
 
 
 # ---------------------------------------------------------------------------
-# the streamed gaussian tester
+# the gaussian tester's inputs
 
 
-class _Lazy:
-    """A lazy draw of the given shape that yields the given chunks."""
+def _verdict_bytes(v):
+    """A verdict's decision, charge and trace, with floats as .hex()."""
 
-    def __init__(self, shape, chunks):
-        self.shape = shape
-        self.parts = chunks
-        self.read = 0
+    def hexed(x):
+        if isinstance(x, float):
+            return x.hex()
+        return [hexed(y) for y in x] if isinstance(x, list) else x
 
-    def row_chunks(self):
-        for chunk in self.parts:
-            self.read += chunk.shape[0]
-            yield chunk
+    trace = {key: hexed(x) for key, x in sorted(v.trace.items())}
+    return repr((v.decision.value, v.queries_used, trace)).encode()
 
 
-def _split(samples, cuts):
-    return _Lazy(samples.shape, np.split(samples, cuts))
-
-
-def _same_verdict(a, b):
-    assert a.decision is b.decision
-    assert a.queries_used == b.queries_used
-    assert a.trace == b.trace
-    assert [z.hex() for z in a.trace["z_levels"]] == [z.hex() for z in b.trace["z_levels"]]
+# sha256 of test_gaussian_verdicts_match_their_pin's verdicts in each cell
+GAUSSIAN_PINS = {
+    (1, 1.0, "standard"): "c707dc3980a11a6874ee65dd36800f8473cbab7ac90186099b15be4da92de58f",
+    (1, 1.0, "shift:1.0"): "25f740bb596dd59ba61de99af1efcfc643b9ea28aab936c13330b6aebf78d385",
+    (1, 0.5, "standard"): "d5592275c43e5cd2b87fc1aee7b2d5f8aa84a2174a3ea86d98cdfc832658c826",
+    (1, 0.5, "shift:1.0"): "40f2cc0e3b651a954e14c5a500131e837f15e1c635bf33c38dde9dbf5192c182",
+    (1, 0.3, "standard"): "3149775ced8e389afc30edec46f0c370045323c9d6c8597e448bece83a65284b",
+    (1, 0.3, "shift:1.0"): "bdbad4e84531477d7890734513c0db2c9cce9ea429db46a9eb389b044c6be634",
+    (16, 1.0, "standard"): "e32ab1840ad47a9412790970d07cbdb679a692c3521ff2a90083cbd635a810ce",
+    (16, 1.0, "shift:1.0"): "30063370e068552c65805cc9b4cdf9942ecca5a88f4621926b20dae91836945c",
+    (16, 0.5, "standard"): "9f4e9979857bdbfd41258dea28832374f40a626f605d7bb4399d54ec73743de5",
+    (16, 0.5, "shift:1.0"): "82033a492539cdcd02a1ee255d181191d05017c4bfe88372aff3693b749982a1",
+    (16, 0.3, "standard"): "98a12cde6175feeea8ed14ede607daa78b2f047cad02f38a20acb712c8930b5b",
+    (16, 0.3, "shift:1.0"): "d0b6dffaddf1c342dae7defa47d640fa52971d4cb1e35684bbd26bdea6d1da1f",
+    (32, 1.0, "standard"): "2d8e5da68df4da74b044829a67b10f85446db73b9cb0316ab04a5b02720fbd99",
+    (32, 1.0, "shift:1.0"): "9b4689aff9f915ec0e58f2d710754dde3319971bdcf9d69651eda9d057f96014",
+    (32, 0.5, "standard"): "dfed81cb6d4b5b0ad86ee2a47a118638421561df4ee68b1cfd192524e4c27501",
+    (32, 0.5, "shift:1.0"): "0817805307316270882c19ceef05a8d34700a06487d4fd821282ce63d4d19903",
+    (32, 0.3, "standard"): "9f6f72ada77b90504bc24ac227e28d8722f5686851a885a93486eeb6fad1c48f",
+    (32, 0.3, "shift:1.0"): "b6b9314e8c4a2b3a4abe330cfc7a43a668ab6bf28558f1bdb428e576f8f3eb13",
+    (33, 1.0, "standard"): "d841357dae6d78c9f8e9f542a3255eb9844836ed5f67eb1c94e12c603a833e60",
+    (33, 1.0, "shift:1.0"): "33e22179e9f81aaeb63a4d6f88db2cae42ebf2503218b57e3ed50c90d073630f",
+    (33, 0.5, "standard"): "3461a0976685feb960b580bfe70c48414b46855a3d3633b631f8512123b7ba73",
+    (33, 0.5, "shift:1.0"): "b8ea00a41749fae05429f5d8bd70ac465100d6d0837889f6513ab0581cfc2f1e",
+    (33, 0.3, "standard"): "80194d77cd25e05376f54f9f72e9559cc8993df961b671e3c7198692ee5750ea",
+    (33, 0.3, "shift:1.0"): "8c4e04832c2f132cee7a132ea918cadaf13c9569712340c96e98c4672a810a60",
+    (200, 1.0, "standard"): "956e31718a15d54066db54d97ba22049736025fb64480268da1372fb6f474be5",
+    (200, 1.0, "shift:1.0"): "2dad17e53de46083fc0da89bc30c6b3a6ae35baa330a9bbe1afe1f662bfcb3ba",
+    (200, 0.5, "standard"): "fd319ac5a251ccc328dea6f3db3e637f39739527ee26faf41a228f3245a66cbe",
+    (200, 0.5, "shift:1.0"): "53a00465880203d4c597298d893be63ba9ccc1feea67ce96b7883c38c4a27438",
+    (200, 0.3, "standard"): "ba28a9f920ea2fd54c1a7980d75316a25134fe2fefb792c30d9d42a41e9fcad6",
+    (200, 0.3, "shift:1.0"): "e3affc1cd4217ce47f0b7450192b41827c9ea20212bc7a35e20298a27e4d8020",
+}
 
 
 @pytest.mark.parametrize("dist", ["standard", "shift:1.0"])
 @pytest.mark.parametrize("eps", [1.0, 0.5, 0.3])
 @pytest.mark.parametrize("n", [1, 16, 32, 33, 200])
-def test_gaussian_stream_matches_array_verdict(n, eps, dist):
+def test_gaussian_verdicts_match_their_pin(n, eps, dist):
+    # an array of exactly the budget, one with 37 surplus rows, a
+    # GaussianDraw and a screen reject
     source = resolve_gaussian_source(dist, n)
     need = gaussian_required_samples(n, eps)
-    array = source.sample(stream(66, n, 0), need)
-    expected = gaussian_mean_tester(array, eps)
-    # chunk ends off the q-row block boundaries, an empty chunk, and one
-    # chunk that spans several blocks; the first chunk holds the screen's rows
-    head = SCREEN_BATCH_SIZE * screen_batches(n)
-    q = math.ceil(64 * math.sqrt(n) / eps**2)
-    cuts = (head, head + 1, head + 1, q + 1, 3 * q - 7, 3 * q + 5, need - 1)
-    cuts = sorted(c for c in cuts if c >= head)
-    _same_verdict(gaussian_mean_tester(_split(array, cuts), eps), expected)
+    array = source.sample(stream(66, n, 0), need + 37)
+    verdicts = [
+        gaussian_mean_tester(array[:need], eps),
+        gaussian_mean_tester(array, eps),
+        gaussian_mean_tester(GaussianDraw(source, stream(66, n, 1), need), eps),
+    ]
+    array[:, 0] *= 3.0
+    verdicts.append(gaussian_mean_tester(array[:need], eps))
+    assert verdicts[-1].trace["stage"] == "screen"
+    digest = hashlib.sha256(b"".join(_verdict_bytes(v) for v in verdicts))
+    assert digest.hexdigest() == GAUSSIAN_PINS[n, eps, dist]
 
 
 def test_gaussian_draw_head_is_the_first_rows():
@@ -805,43 +841,66 @@ def test_gaussian_tester_reads_array_likes_whole():
     n, eps = 16, 0.5
     samples = stream(71, 0, 0).standard_normal((gaussian_required_samples(n, eps), n))
     expected = gaussian_mean_tester(samples, eps)
-    _same_verdict(gaussian_mean_tester(_ArrayLike(samples), eps), expected)
-    _same_verdict(gaussian_mean_tester(samples.tolist(), eps), expected)
+    for same in (_ArrayLike(samples), samples.tolist()):
+        assert _verdict_bytes(gaussian_mean_tester(same, eps)) == _verdict_bytes(expected)
+
+
+class _CountingDraw(GaussianDraw):
+    """A `GaussianDraw` that records how many rows its head was asked for."""
+
+    read = None
+
+    def head(self, rows):
+        self.read = rows
+        return super().head(rows)
+
+
+class _NanSource(GaussianSource):
+    """N(0, I) with one NaN in the last row of every sample."""
+
+    def sample(self, rng, size):
+        samples = super().sample(rng, size)
+        samples[-1, 0] = math.nan
+        return samples
 
 
 def test_gaussian_stream_stops_at_the_budget_and_the_screen():
     n, eps = 16, 0.5
     need = gaussian_required_samples(n, eps)
     samples = stream(68, 0, 0).standard_normal((need + 500, n))
-    lazy = _split(samples, [300, need, need + 200])
-    v = gaussian_mean_tester(lazy, eps)
-    assert lazy.read == need and v.queries_used == need
-    _same_verdict(v, gaussian_mean_tester(samples, eps))
-    # a screen reject reads only the first chunk and is charged the budget
+    # rows past the budget are neither counted nor charged
+    v = gaussian_mean_tester(samples, eps)
+    assert v.queries_used == need
+    assert _verdict_bytes(v) == _verdict_bytes(gaussian_mean_tester(samples[:need], eps))
+    # a draw reads only the screen's rows
+    draw = _CountingDraw(GaussianSource(n), stream(68, 1, 0), need)
+    assert gaussian_mean_tester(draw, eps).queries_used == need
+    assert draw.read == SCREEN_BATCH_SIZE * screen_batches(n) < need
+    # a screen reject, surplus rows and all, is charged the whole budget
     samples[:, 0] *= 2.0
-    lazy = _split(samples, [300])
-    v = gaussian_mean_tester(lazy, eps)
+    v = gaussian_mean_tester(samples, eps)
     assert v.trace["stage"] == "screen" and v.queries_used == need
-    assert lazy.read == 300
 
 
 def test_gaussian_stream_checks_every_chunk():
     n, eps = 32, 0.5
     need = gaussian_required_samples(n, eps)
-    base = stream(69, 0, 0).standard_normal((need, n))
-    # the screen reads its 176 rows (11 batches at n = 32) from the first chunk
-    with pytest.raises(ValueError, match="176"):
-        gaussian_mean_tester(_split(base, [175]), eps)
-    # a NaN in a later chunk, a chunk of the wrong width, and a draw that
-    # yields fewer rows than its shape
-    bad = base.copy()
-    bad[need - 3, 5] = math.nan
+    base = stream(69, 0, 0).standard_normal((need + 40, n))
+    with pytest.raises(ValueError, match=f"need at least {need}"):
+        gaussian_mean_tester(base[: need - 10], eps)
+    # an array is checked whole: a NaN near the end of the budget and one
+    # in a surplus row past it
+    for row in (need - 3, need + 37):
+        bad = base.copy()
+        bad[row, 5] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_mean_tester(bad, eps)
+    # rows of unequal width are refused when the input is read
+    with pytest.raises(ValueError):
+        gaussian_mean_tester([row.tolist() for row in base[:-1]] + [[0.0] * (n - 1)], eps)
+    # a draw's screened rows are checked too
     with pytest.raises(ValueError, match="finite"):
-        gaussian_mean_tester(_split(bad, [1000, 2000]), eps)
-    with pytest.raises(ValueError, match="width"):
-        gaussian_mean_tester(_Lazy(base.shape, [base[:1000], base[1000:, :-1]]), eps)
-    with pytest.raises(ValueError, match="yielded"):
-        gaussian_mean_tester(_Lazy(base.shape, np.split(base[: need - 10], [500])), eps)
+        gaussian_mean_tester(GaussianDraw(_NanSource(n), stream(69, 1, 0), need), eps)
 
 
 def test_gaussian_stream_memory_does_not_grow_with_the_budget():

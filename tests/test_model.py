@@ -591,9 +591,7 @@ def test_every_exported_name_resolves():
             lambda: Restriction(np.zeros((2, 2))), ValueError, "1-d cell", id="restriction-2d"
         ),
         pytest.param(lambda: DensePmf(-1, [1.0]), ValueError, ">= 0", id="dense-negative-n"),
-        pytest.param(
-            lambda: DensePmf(5, np.full(32, 1 / 32), cap=4), ValueError, "cap 4", id="dense-cap"
-        ),
+        pytest.param(lambda: DensePmf(31, np.zeros(1)), ValueError, "cap 30", id="dense-cap"),
         pytest.param(
             lambda: ProductDistribution(np.zeros((2, 2))), ValueError, "vector", id="product-2d"
         ),
