@@ -23,6 +23,7 @@ diagonal is identically 1.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,8 @@ import numpy as np
 from .model import DensePmf, all_sign_points
 
 BLOWUP_DIM_CAP = 1 << 14  # refuse to materialize rows wider than this
+# gram_moments builds (2^n x 2^n) float64 arrays, 8 * 4^n bytes each
+GRAM_DIM_CAP = 12
 
 
 def blowup_dim(n: int, k: int) -> int:
@@ -63,8 +66,18 @@ def explicit_moments(p: DensePmf, k: int) -> tuple[float, float]:
 
 
 def gram_moments(p: DensePmf, k: int) -> tuple[float, float]:
-    """(||mu||^2, ||Sigma||_F^2) of the k-fold blowup via inner-product powers."""
-    pts = all_sign_points(p.n).astype(np.float64)
+    """(||mu||^2, ||Sigma||_F^2) of the k-fold blowup via inner-product powers.
+
+    Refuses a dimension above GRAM_DIM_CAP, and a k whose largest power
+    n^(2^(k+1)) would overflow float64, i.e. 2^(k+1) log2(n) >= 1024.
+    """
+    n = p.n
+    if n > GRAM_DIM_CAP:
+        raise ValueError(f"gram moments need n <= {GRAM_DIM_CAP}, got {n}")
+    # at n >= 2 every k >= 9 overflows; testing it first keeps 1 << (k + 1) small
+    if n > 1 and (k >= 9 or (1 << (k + 1)) * math.log2(n) >= 1024):
+        raise ValueError(f"gram moments at n={n} overflow float64 for k={k}")
+    pts = all_sign_points(n).astype(np.float64)
     g = pts @ pts.T
     w = p.mass
     mu_sq = float(w @ (g ** (1 << k)) @ w)

@@ -15,14 +15,13 @@ check that finds a counterexample).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
 import numpy as np
 
 from .blowup import explicit_moments, gram_moments
-from .harness import ExperimentSpec, _join_levels, execute_trial, run_experiment
+from .harness import ExperimentSpec, _join_levels, _write_json, execute_trial, run_experiment
 from .model import DensePmf, Decision, ProductDistribution
 from .rng import stream
 from .theory import (
@@ -65,12 +64,6 @@ def _int_or_auto(text: str):
     return int(text)
 
 
-def _write_json(doc, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_csv(header: str, rows: list, path: str | None) -> None:
     text = "\n".join([header] + rows) + "\n"
     if path is None:
@@ -86,7 +79,7 @@ def _write_csv(header: str, rows: list, path: str | None) -> None:
 
 def _cmd_run(args) -> int:
     spec = ExperimentSpec.from_json_file(args.spec)
-    result = run_experiment(spec, workers=args.workers)
+    result = run_experiment(spec)
     for cell in result["summary"]["cells"]:
         print(
             f"n={cell['n']} eps={cell['eps']:g}: "
@@ -375,14 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hypercube-tester", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    p_run = sub.add_parser("run", help="run a grid experiment from a JSON spec")
-    p_run.add_argument("--spec", required=True, help="path to the experiment JSON")
-    p_run.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="parallel worker processes (default 1 = sequential; capped by HT_THREADS)",
+    p_run = sub.add_parser(
+        "run", help="run a grid experiment from a JSON spec, one trial after another"
     )
+    p_run.add_argument("--spec", required=True, help="path to the experiment JSON")
     p_run.set_defaults(func=_cmd_run)
 
     p_zoo = sub.add_parser("zoo", help="inspect or emit built-in distributions")

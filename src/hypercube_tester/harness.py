@@ -10,8 +10,9 @@ produces
   wall time, and per-level statistics when the tester reports them), and
 * a JSON summary with per-cell accept rates and query statistics.
 
-Reruns with the same spec and seed yield byte-identical CSV bodies once the
-wall-time column is stripped (see ``csv_body_without_wall_time``).
+Trials run one after another in one process, and the spec alone fixes the
+result: reruns of a spec yield byte-identical CSV bodies once the wall-time
+column is stripped (see ``csv_body_without_wall_time``).
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -42,9 +41,6 @@ from .zoo import GaussianSource, ZooEntry, instantiate, parse_spec_string
 TESTERS = ("meantest", "subconduni", "gaussian", "edge")
 
 CSV_HEADER = "n,eps,trial,decision,queries,wall_time_s,z_levels,tau_levels"
-
-_ENV_SEED = "HT_SEED"
-_ENV_THREADS = "HT_THREADS"
 
 
 @dataclass
@@ -196,50 +192,35 @@ def run_trial(spec: ExperimentSpec, cell_index: int, n: int, eps: float, trial: 
     }
 
 
-def _worker_count(requested: int | None) -> int:
-    if requested is None or requested <= 1:
-        return 1
-    cap = os.environ.get(_ENV_THREADS)
-    if cap is not None:
-        requested = min(requested, max(1, int(cap)))
-    return max(1, requested)
+def _write_json(doc, path: str) -> None:
+    """Write ``doc`` as JSON with indent 2, sorted keys and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
-def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> dict:
-    """Run every trial of every grid cell; write CSV/JSON if paths are set.
+def run_experiment(spec: ExperimentSpec) -> dict:
+    """Run every trial of every grid cell in turn; write CSV/JSON if paths
+    are set.
 
-    Returns ``{"csv": str, "summary": dict, "rows": list[dict]}``.  Trials are
-    deterministic per (seed, cell, trial) and independent of ``workers``; the
-    HT_SEED environment variable overrides the spec seed, and HT_THREADS caps
-    the worker count.  Parallel execution is opt-in (workers > 1).
+    Returns ``{"csv": str, "summary": dict, "rows": list[dict]}``.  Each
+    trial draws from its own stream, fixed by (seed, cell, trial), so the
+    result depends on the spec alone.
     """
-    env_seed = os.environ.get(_ENV_SEED)
-    if env_seed is not None:
-        spec = replace(spec, seed=int(env_seed))
-
     cells = [(n, eps) for n in spec.n for eps in spec.eps]
-    jobs = [
-        (cell_index, n, eps, trial)
+    rows = [
+        run_trial(spec, cell_index, n, eps, trial)
         for cell_index, (n, eps) in enumerate(cells)
         for trial in range(spec.trials)
     ]
-    trial_row = partial(run_trial, spec)
-    nworkers = _worker_count(workers)
-    if nworkers == 1:
-        rows = list(map(trial_row, *zip(*jobs)))
-    else:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            rows = list(pool.map(trial_row, *zip(*jobs)))
     csv_text = _rows_to_csv(rows)
-    summary = _summarize(spec, rows)
+    summary = _summarize(spec, cells, rows)
 
     if spec.out_csv is not None:
         with open(spec.out_csv, "w") as fh:
             fh.write(csv_text)
     if spec.out_json is not None:
-        with open(spec.out_json, "w") as fh:
-            fh.write(json.dumps(summary, indent=2, sort_keys=True))
-            fh.write("\n")
+        _write_json(summary, spec.out_json)
     return {"csv": csv_text, "summary": summary, "rows": rows}
 
 
@@ -263,8 +244,7 @@ def _rows_to_csv(rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _summarize(spec: ExperimentSpec, rows: list) -> dict:
-    cells = [(n, eps) for n in spec.n for eps in spec.eps]
+def _summarize(spec: ExperimentSpec, cells: list, rows: list) -> dict:
     cell_docs = []
     total_queries = 0
     for cell_index, (n, eps) in enumerate(cells):

@@ -244,18 +244,21 @@ def default_k0(n: int) -> int:
     return max(0, math.ceil(math.log2(math.log2(n))))
 
 
+def _sound_exponent(k0: int) -> float:
+    """The soundness term's power of 1/eps^2: 2^(k0+1) / (2^(k0+2) - 2)."""
+    return (1 << (k0 + 1)) / ((1 << (k0 + 2)) - 2)
+
+
 def practical_q(n: int, eps: float, k0: int) -> int:
     comp = math.ceil(C_COMP_PRACTICAL / (eps * eps * math.sqrt(n)))
-    expo = (1 << (k0 + 1)) / ((1 << (k0 + 2)) - 2)
-    sound = math.ceil((C_SOUND_PRACTICAL / (eps * eps)) ** expo)
+    sound = math.ceil((C_SOUND_PRACTICAL / (eps * eps)) ** _sound_exponent(k0))
     return max(comp, sound, Q_MIN_PRACTICAL)
 
 
 def paper_q(n: int, eps: float, k0: int) -> int:
-    expo = (1 << (k0 + 1)) / ((1 << (k0 + 2)) - 2)
     return max(
         math.ceil(C_PAPER / (eps * eps * math.sqrt(n))),
-        math.ceil(C_PAPER * (1.0 / (eps * eps)) ** expo),
+        math.ceil(C_PAPER * (1.0 / (eps * eps)) ** _sound_exponent(k0)),
         1,
     )
 

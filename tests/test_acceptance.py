@@ -11,12 +11,10 @@ deterministic.
 
 import json
 import math
-import os
 import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from hypercube_tester.blowup import (
     explicit_moments,
@@ -60,12 +58,6 @@ from hypercube_tester.zoo import GaussianSource, TwoPointDistribution
 
 # criterion 8's tracked report; the test itself writes to a temporary path
 SCALING_ARTIFACT = Path(__file__).resolve().parents[1] / "reports" / "scaling_subconduni.json"
-
-
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("HT_SEED", raising=False)
-    monkeypatch.delenv("HT_THREADS", raising=False)
 
 
 def _criterion(num: int, label: str, ok: bool, detail: str) -> None:
@@ -536,9 +528,6 @@ def test_criterion_9_rerun_byte_identity():
 
 
 if __name__ == "__main__":
-    # the same environment as under pytest: HT_SEED would replace the seed
-    for var in ("HT_SEED", "HT_THREADS"):
-        os.environ.pop(var, None)
     SCALING_ARTIFACT.parent.mkdir(exist_ok=True)
     write_scaling_artifact(SCALING_ARTIFACT)
     print(f"wrote {SCALING_ARTIFACT}")

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypercube_tester import blowup
 from hypercube_tester.blowup import (
+    GRAM_DIM_CAP,
     blowup_dim,
     blowup_rows,
     explicit_moments,
@@ -19,6 +21,7 @@ from hypercube_tester.blowup import (
     uniform_sigma_frob_sq_exact,
     z_statistic_naive,
 )
+from hypercube_tester.cli import main
 from hypercube_tester.model import DensePmf, ProductDistribution, all_sign_points
 from hypercube_tester.rng import stream
 from hypercube_tester.theory import random_dense_pmf
@@ -157,6 +160,29 @@ def test_blowup_dim_cap_enforced():
     with pytest.raises(ValueError):
         x = np.ones((1, 20), dtype=np.int64)
         iterated_blowup_rows(x, 4)  # 20^16 columns
+
+
+def test_gram_moments_refuses_a_float64_overflow():
+    # at n = 4 the largest power 4^(2^(k+1)) reaches 2^1024 at k = 8
+    with pytest.raises(ValueError, match="n=4 overflow float64 for k=8"):
+        gram_moments(DensePmf.uniform(4), 8)
+    assert gram_moments(DensePmf.uniform(4), 7) == (
+        1.4474011154664524e76,
+        1.6759759912428246e153,
+    )
+
+
+def test_gram_moments_refuses_a_dimension_past_its_cap(monkeypatch, capsys):
+    def no_arrays(n):
+        raise AssertionError("built the sign points")
+
+    monkeypatch.setattr(blowup, "all_sign_points", no_arrays)
+    p = DensePmf.uniform(GRAM_DIM_CAP + 1)
+    with pytest.raises(ValueError, match=f"n <= {GRAM_DIM_CAP}, got {GRAM_DIM_CAP + 1}"):
+        gram_moments(p, 0)
+    argv = ["theorylab", "--check", "blowupfact", "--n", str(GRAM_DIM_CAP + 1), "--cases", "1"]
+    assert main(argv) == 2
+    assert f"n <= {GRAM_DIM_CAP}" in capsys.readouterr().err
 
 
 @settings(max_examples=25)

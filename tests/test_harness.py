@@ -4,7 +4,6 @@ deterministic reruns, CSV/JSON artifacts, scaling diagnostics, exit codes."""
 import hashlib
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -241,35 +240,16 @@ def test_rerun_is_byte_identical_after_wall_time_strip():
     assert all(len(line.split(",")) == 7 for line in stripped)
 
 
-def test_parallel_run_matches_sequential():
-    spec = _spec(n=[4], eps=[1.0, 0.5], trials=3)
-    seq = run_experiment(spec, workers=1)
-    par = run_experiment(spec, workers=2)
-    assert csv_body_without_wall_time(seq["csv"]) == csv_body_without_wall_time(
-        par["csv"]
-    )
-
-
-def test_env_seed_override(monkeypatch):
-    spec = _spec(trials=2)
+def test_run_ignores_seed_and_thread_environment(monkeypatch):
+    # a grid's result depends on its spec alone
+    spec = _spec(trials=3)
     base = run_experiment(spec)
     monkeypatch.setenv("HT_SEED", "12345")
-    other = run_experiment(spec)
-    assert other["summary"]["seed"] == 12345
-    assert base["summary"]["seed"] == 7
-    assert csv_body_without_wall_time(base["csv"]) != csv_body_without_wall_time(
-        other["csv"]
-    )
-    assert spec.seed == 7  # the caller's spec object is left alone
-
-
-def test_env_thread_cap_preserves_results(monkeypatch):
-    spec = _spec(trials=3)
-    base = run_experiment(spec, workers=1)
     monkeypatch.setenv("HT_THREADS", "1")
-    capped = run_experiment(spec, workers=8)  # forced back to sequential
-    assert csv_body_without_wall_time(base["csv"]) == csv_body_without_wall_time(
-        capped["csv"]
+    other = run_experiment(spec)
+    assert other["summary"]["seed"] == spec.seed
+    assert csv_body_without_wall_time(other["csv"]) == csv_body_without_wall_time(
+        base["csv"]
     )
 
 
@@ -329,6 +309,13 @@ def test_cli_usage_errors():
     assert main(["zoo"]) == 1
     assert main(["run"]) == 1  # missing required --spec
     assert main(["meantest", "--dist", "uniform"]) == 1  # missing --eps/--n
+
+
+def test_cli_run_has_no_workers_option(tmp_path):
+    # a valid spec: the option itself is the usage error
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_spec().to_dict()))
+    assert main(["run", "--spec", str(spec), "--workers", "2"]) == 1
 
 
 def test_cli_runtime_errors(tmp_path, capsys):

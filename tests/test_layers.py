@@ -2,6 +2,9 @@
 ends: none of them imports those, not even inside a function."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +49,16 @@ def test_package_imports_sees_every_form():
 def test_tester_modules_import_no_lab_harness_or_front_end(module):
     source = (PACKAGE / f"{module}.py").read_text()
     assert _package_imports(source) & ABOVE == set()
+
+
+def test_package_import_loads_no_process_pool():
+    # trials run in one process, so importing the package starts no pool
+    code = (
+        "import sys, hypercube_tester\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"
