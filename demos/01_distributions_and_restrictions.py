@@ -59,8 +59,8 @@ print(f"coordinate means: {prod.mu.tolist()}")
 print(f"dense mass (8 cells): {np.round(dense.mass, 4).tolist()}")
 print(f"tv distance to uniform: {tv_to_uniform(dense):.4f}")
 mv = mean_vector(dense)
-print(f"mean vector from the table: {np.round(mv.values, 4).tolist()}"
-      f"  (l2 norm {mv.l2_norm:.4f})")
+print(f"mean vector from the table: {np.round(mv, 4).tolist()}"
+      f"  (l2 norm {np.linalg.norm(mv):.4f})")
 print(f"second-moment matrix diagonal: {np.diag(second_moment(dense)).tolist()}")
 
 # -- conditioning ------------------------------------------------------------

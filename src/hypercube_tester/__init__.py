@@ -19,8 +19,6 @@ from .blowup import (
 from .harness import (
     ExperimentSpec,
     csv_body_without_wall_time,
-    resolve_gaussian_source,
-    resolve_target,
     run_experiment,
     scaling_report,
 )
@@ -43,7 +41,6 @@ from .meantest import (
 from .model import (
     DensePmf,
     Decision,
-    MeanVector,
     Point,
     ProductDistribution,
     Restriction,
@@ -96,10 +93,11 @@ from .zoo import (
     JuntaMixDistribution,
     NoisyParityDistribution,
     TwoPointDistribution,
-    ZooEntry,
     instantiate,
     load_entry,
     parse_spec_string,
+    resolve_gaussian_source,
+    resolve_target,
     save_entry,
     zoo_kinds,
 )

@@ -40,13 +40,7 @@ from .theory import (
     verify_variance_bound,
 )
 from .uniformity import PRESETS
-from .zoo import (
-    ZooEntry,
-    instantiate,
-    parse_spec_string,
-    save_entry,
-    zoo_kinds,
-)
+from .zoo import instantiate, parse_spec_string, save_entry, zoo_kinds
 
 
 class UsageError(Exception):
@@ -107,7 +101,7 @@ def _cmd_zoo(args) -> int:
     entry = parse_spec_string(args.kind)
     instantiate(entry, args.n)  # validate the entry at this dimension
     save_entry(entry, args.out)
-    print(f"zoo entry {entry.kind!r} written to {args.out}")
+    print(f"zoo entry {entry['kind']!r} written to {args.out}")
     return 0
 
 
@@ -366,7 +360,7 @@ def _cmd_theorylab(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hypercube-tester", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_run = sub.add_parser(
         "run", help="run a grid experiment from a JSON spec, one trial after another"
@@ -375,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_zoo = sub.add_parser("zoo", help="inspect or emit built-in distributions")
-    zoo_sub = p_zoo.add_subparsers(dest="zoo_cmd", parser_class=_Parser)
+    zoo_sub = p_zoo.add_subparsers(dest="zoo_cmd", required=True, parser_class=_Parser)
     zoo_sub.add_parser("list", help="list available kinds")
     p_emit = zoo_sub.add_parser("emit", help="write a zoo entry to a JSON file")
     p_emit.add_argument(
@@ -425,12 +419,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
-        return 1
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
-        return 1
-    if getattr(args, "command", None) == "zoo" and getattr(args, "zoo_cmd", None) is None:
-        parser.print_usage(sys.stderr)
         return 1
     try:
         return int(args.func(args) or 0)

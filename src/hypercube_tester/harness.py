@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 
@@ -32,11 +31,11 @@ from .meantest import (
     gaussian_required_samples,
     mean_tester,
 )
-from .model import Decision, TestVerdict, as_int, distribution_from_dict
+from .model import Decision, TestVerdict, as_int
 from .oracle import ScondOracle
 from .rng import stream
 from .uniformity import PRESETS, edge_tester, subcond_uni
-from .zoo import GaussianSource, ZooEntry, instantiate, parse_spec_string
+from .zoo import resolve_gaussian_source, resolve_target
 
 TESTERS = ("meantest", "subconduni", "gaussian", "edge")
 
@@ -98,42 +97,6 @@ class ExperimentSpec:
     def from_json_file(cls, path: str) -> "ExperimentSpec":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-def resolve_target(spec_string: str, n: int):
-    """Turn a distribution spec string into a concrete target at dimension n.
-
-    The string is either a path to a JSON file (a zoo entry with a ``kind``
-    field, or an explicit distribution saved by ``save_distribution``) or a
-    zoo shorthand like ``planted_product:0.25``.
-    """
-    if os.path.exists(spec_string):
-        with open(spec_string) as fh:
-            doc = json.load(fh)
-        if isinstance(doc, dict) and "kind" in doc:
-            return instantiate(ZooEntry.from_dict(doc), n)
-        target = distribution_from_dict(doc)
-        if target.n != n:
-            raise ValueError(
-                f"distribution file has n={target.n}, grid asks for n={n}"
-            )
-        return target
-    return instantiate(parse_spec_string(spec_string), n)
-
-
-def resolve_gaussian_source(spec_string: str, n: int) -> GaussianSource:
-    """Gaussian targets: 'standard' or 'shift:NORM' (mean norm split evenly
-    across coordinates)."""
-    parts = spec_string.split(":")
-    if parts[0] == "standard" and len(parts) == 1:
-        return GaussianSource(n)
-    if parts[0] == "shift" and len(parts) == 2:
-        norm = float(parts[1])
-        mu = np.full(n, norm / math.sqrt(n))
-        return GaussianSource(n, mu)
-    raise ValueError(
-        f"gaussian distribution must be 'standard' or 'shift:NORM', got {spec_string!r}"
-    )
 
 
 def _float_repr(x: float) -> str:

@@ -293,17 +293,6 @@ class Restriction:
         return "".join("*" if c == STAR else ("+" if c > 0 else "-") for c in self.cells)
 
 
-@dataclass(frozen=True)
-class MeanVector:
-    """Coordinate means E[x_i] of a hypercube distribution."""
-
-    values: np.ndarray
-
-    @property
-    def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
-
 class Decision(Enum):
     ACCEPT = "accept"
     REJECT = "reject"
@@ -565,16 +554,17 @@ def tv_to_uniform(p: DensePmf) -> float:
     return 0.5 * float(np.abs(p.mass - 2.0 ** -p.n).sum())
 
 
-def mean_vector(p: DensePmf) -> MeanVector:
+def mean_vector(p: DensePmf) -> np.ndarray:
+    """Coordinate means E[x_i] of a hypercube distribution."""
     if p.n == 0:
-        return MeanVector(np.zeros(0))
+        return np.zeros(0)
     cube = p.mass.reshape((2,) * p.n)
     vals = np.empty(p.n)
     for i in range(p.n):
         axes = tuple(j for j in range(p.n) if j != i)
         minus, plus = cube.sum(axis=axes)
         vals[i] = plus - minus
-    return MeanVector(vals)
+    return vals
 
 
 def second_moment(p: DensePmf) -> np.ndarray:

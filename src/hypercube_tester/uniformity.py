@@ -246,10 +246,10 @@ class SubCondConfig:
         return _dyadic_buckets(math.ceil(lg), (32.0 / eps) * lg)
 
 
-# theta_h * sqrt(b_h) == c3 * sqrt(c2): the "practical" pair, the EdgeConfig
-# defaults (c2=25, c3=1), puts the reject threshold at 5 standard errors of
-# the bias estimate; the "paper" pair (c2=400, c3=1/4) also gives 5 but with
-# far more draws.
+# theta_h * sqrt(b_h) >= c3 * sqrt(c2), not ==, by the ceil in b_h: the
+# "practical" pair, the EdgeConfig defaults (c2=25, c3=1), puts the reject
+# threshold at 5 or more standard errors of the bias estimate; the "paper"
+# pair (c2=400, c3=1/4) also gives 5 but with far more draws.
 PRESETS = {
     "practical": SubCondConfig(),
     "paper": SubCondConfig(

@@ -1,24 +1,18 @@
-"""Named target distributions for experiments.
+"""Named target distributions for experiments, and the one place that turns
+a spec string or an entry file into a target.
 
 Every hypercube entry instantiates to either a DensePmf/ProductDistribution
 (small n) or a generative family that supports subcube-conditional sampling
 directly (any n); each is a ``model.HypercubeTarget`` and draws only through
-``cond_sample``. Entries serialize as {"kind": ..., <parameters>} JSON.
-
-Kinds:
-  uniform                          uniform on {-1,+1}^n
-  two_point      x                 1/2 on x and 1/2 on -x  (TV to uniform 1 - 2^(1-n))
-  planted_product eps              product with mu_i = eps (mean norm exactly eps*sqrt(n))
-  heavy_atom     mass, x           mass on the atom x plus (1-mass) uniform
-  junta_mix      k, inner          inner PMF on the first k coordinates, uniform elsewhere
-  noisy_parity   S, delta          parity chi_S(x) = +1 with probability 1-delta, uniform within
+``cond_sample``. An entry is its JSON object {"kind": ..., <parameters>}; the
+kinds and their parameters are the rows of ``_KIND_DOCS``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import os
 
 import numpy as np
 
@@ -30,28 +24,36 @@ from .model import (
     _validate_signs,
     as_int,
     bit_powers,
+    distribution_from_dict,
     points_to_indices,
     uniform_signs,
 )
 
-# kind: (description, required parameter names, optional parameter names)
+
+# kind: (description, required parameters as (name, shorthand converter) in
+# shorthand order, optional parameter names)
 _KIND_DOCS = {
-    "uniform": ("uniform distribution; no parameters", set(), set()),
+    "uniform": ("uniform distribution; no parameters", (), set()),
     "two_point": (
-        "half mass on x, half on -x; params: x (sign list, default all +1)", set(), {"x"}
+        "half mass on x, half on -x; params: x (sign list, default all +1)", (), {"x"}
     ),
-    "planted_product": ("product distribution with every mean eps; params: eps", {"eps"}, set()),
+    "planted_product": (
+        "product distribution with every mean eps; params: eps", (("eps", float),), set()
+    ),
     "heavy_atom": (
-        "mass on one atom, rest uniform; params: mass, x (default all +1)", {"mass"}, {"x"}
+        "mass on one atom, rest uniform; params: mass, x (default all +1)",
+        (("mass", float),),
+        {"x"},
     ),
     "junta_mix": (
         "inner PMF on first k coordinates times uniform; params: k, inner (2^k masses)",
-        {"k"},
+        (("k", int),),
         {"inner"},
     ),
+    # the shorthand noisy_parity:M:DELTA takes S = the first M coordinates
     "noisy_parity": (
         "chi_S(x) = +1 w.p. 1-delta, uniform within parity classes; params: S, delta",
-        {"S", "delta"},
+        (("S", lambda m: list(range(int(m)))), ("delta", float)),
         set(),
     ),
 }
@@ -263,35 +265,49 @@ class GaussianSource:
         return rng.binomial(np.asarray(rows, dtype=np.int64)[:, None], self.phi)
 
 
-@dataclass
-class ZooEntry:
-    kind: str
-    params: dict = field(default_factory=dict)
+# gaussian kind: (source builder, required parameters in the second field as
+# in _KIND_DOCS)
+_GAUSSIAN_KINDS = {
+    "standard": (GaussianSource, ()),
+    # the mean norm split evenly across coordinates
+    "shift": (
+        lambda n, norm: GaussianSource(n, np.full(n, norm / math.sqrt(n))),
+        (("norm", float),),
+    ),
+}
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, **self.params}
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ZooEntry":
-        if "kind" not in doc:
-            raise ValueError("zoo entry needs a 'kind' field")
-        params = {k: v for k, v in doc.items() if k != "kind"}
-        return cls(doc["kind"], params)
+def _parse_shorthand(text: str, kinds: dict) -> dict | None:
+    """The entry of a 'kind[:arg[:arg]]' string whose kind is a row of
+    ``kinds`` and whose args are that row's required parameters in order;
+    None when the string has another form."""
+    kind, *args = text.split(":")
+    if kind not in kinds or len(args) != len(kinds[kind][1]):
+        return None
+    return {"kind": kind, **{name: conv(a) for (name, conv), a in zip(kinds[kind][1], args)}}
 
 
 def zoo_kinds() -> dict[str, str]:
     return {kind: doc for kind, (doc, _, _) in _KIND_DOCS.items()}
 
 
-def instantiate(entry: ZooEntry, n: int):
+def _entry_kind(entry: dict) -> str:
+    if "kind" not in entry:
+        raise ValueError("zoo entry needs a 'kind' field")
+    return entry["kind"]
+
+
+def instantiate(entry: dict, n: int):
     """Build the target distribution described by a zoo entry at dimension n.
 
-    An unknown kind, a missing required parameter or a parameter the kind
-    does not take raises ValueError."""
-    kind, p = entry.kind, entry.params
+    An entry with no kind or an unknown kind, a missing required parameter or
+    a parameter the kind does not take raises ValueError."""
+    kind = _entry_kind(entry)
+    p = {k: v for k, v in entry.items() if k != "kind"}
     if kind not in _KIND_DOCS:
         raise ValueError(f"unknown zoo kind {kind!r}")
-    _, required, optional = _KIND_DOCS[kind]
+    _, params, optional = _KIND_DOCS[kind]
+    required = {name for name, _ in params}
     missing = required - p.keys()
     if missing:
         raise ValueError(f"zoo kind {kind!r} needs parameters {sorted(missing)}")
@@ -323,35 +339,55 @@ def instantiate(entry: ZooEntry, n: int):
     return NoisyParityDistribution(n, p["S"], float(p["delta"]))
 
 
-def save_entry(entry: ZooEntry, path: str) -> None:
+def save_entry(entry: dict, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(entry.to_dict(), fh)
+        json.dump(entry, fh)
         fh.write("\n")
 
 
-def load_entry(path: str) -> ZooEntry:
+def load_entry(path: str) -> dict:
     with open(path) as fh:
-        return ZooEntry.from_dict(json.load(fh))
+        entry = json.load(fh)
+    _entry_kind(entry)
+    return entry
 
 
-def parse_spec_string(text: str) -> ZooEntry:
-    """Shorthand 'kind[:arg[:arg]]' used by the CLI.
+def parse_spec_string(text: str) -> dict:
+    """Shorthand 'kind[:arg[:arg]]' used by the CLI: a kind of ``_KIND_DOCS``
+    followed by its required parameters, such as planted_product:0.25."""
+    entry = _parse_shorthand(text, _KIND_DOCS)
+    if entry is None:
+        raise ValueError(f"cannot parse distribution spec {text!r}")
+    return entry
 
-    uniform | two_point | planted_product:EPS | heavy_atom:MASS |
-    junta_mix:K | noisy_parity:M:DELTA  (S = first M coordinates)
+
+def resolve_target(spec_string: str, n: int):
+    """Turn a distribution spec string into a concrete target at dimension n.
+
+    The string is either a path to a JSON file (a zoo entry with a ``kind``
+    field, or an explicit distribution saved by ``save_distribution``) or a
+    zoo shorthand like ``planted_product:0.25``.
     """
-    parts = text.split(":")
-    kind, args = parts[0], parts[1:]
-    if kind == "uniform" and not args:
-        return ZooEntry("uniform")
-    if kind == "two_point" and not args:
-        return ZooEntry("two_point")
-    if kind == "planted_product" and len(args) == 1:
-        return ZooEntry("planted_product", {"eps": float(args[0])})
-    if kind == "heavy_atom" and len(args) == 1:
-        return ZooEntry("heavy_atom", {"mass": float(args[0])})
-    if kind == "junta_mix" and len(args) == 1:
-        return ZooEntry("junta_mix", {"k": int(args[0])})
-    if kind == "noisy_parity" and len(args) == 2:
-        return ZooEntry("noisy_parity", {"S": list(range(int(args[0]))), "delta": float(args[1])})
-    raise ValueError(f"cannot parse distribution spec {text!r}")
+    if os.path.exists(spec_string):
+        with open(spec_string) as fh:
+            doc = json.load(fh)
+        if isinstance(doc, dict) and "kind" in doc:
+            return instantiate(doc, n)
+        target = distribution_from_dict(doc)
+        if target.n != n:
+            raise ValueError(
+                f"distribution file has n={target.n}, grid asks for n={n}"
+            )
+        return target
+    return instantiate(parse_spec_string(spec_string), n)
+
+
+def resolve_gaussian_source(spec_string: str, n: int) -> GaussianSource:
+    """Gaussian targets: a row of ``_GAUSSIAN_KINDS``, 'standard' or 'shift:NORM'."""
+    entry = _parse_shorthand(spec_string, _GAUSSIAN_KINDS)
+    if entry is None:
+        raise ValueError(
+            f"gaussian distribution must be 'standard' or 'shift:NORM', got {spec_string!r}"
+        )
+    build = _GAUSSIAN_KINDS[entry.pop("kind")][0]
+    return build(n, *entry.values())

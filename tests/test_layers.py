@@ -51,6 +51,13 @@ def test_tester_modules_import_no_lab_harness_or_front_end(module):
     assert _package_imports(source) & ABOVE == set()
 
 
+def test_zoo_imports_only_the_model():
+    # zoo turns spec strings and entry files into targets for the harness,
+    # the front ends and the bench, and stands beside the tester's modules
+    source = (PACKAGE / "zoo.py").read_text()
+    assert _package_imports(source) == {"model"}
+
+
 def test_package_import_loads_no_process_pool():
     # trials run in one process, so importing the package starts no pool
     code = (

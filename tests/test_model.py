@@ -519,7 +519,7 @@ def test_mean_vector_and_second_moment():
     mass = rng.dirichlet(np.ones(1 << n))
     p = DensePmf(n, mass)
     pts = all_sign_points(n).astype(np.float64)
-    mu = mean_vector(p).values
+    mu = mean_vector(p)
     assert np.allclose(mu, mass @ pts)
     sig = second_moment(p)
     assert np.allclose(sig, (pts * mass[:, None]).T @ pts)
@@ -644,4 +644,4 @@ def test_model_boundary_inputs():
     # no mass where x_0 = +1: that subcube's restriction is uniform
     p = DensePmf(2, [0.5, 0.5, 0.0, 0.0])
     assert restrict(p, Restriction(np.array([1, 0]))).mass.tolist() == [0.5, 0.5]
-    assert mean_vector(DensePmf(0, [1.0])).values.shape == (0,)
+    assert mean_vector(DensePmf(0, [1.0])).shape == (0,)

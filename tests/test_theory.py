@@ -307,7 +307,7 @@ def test_conditional_mean_frozen_example():
     # with no conditioning the coordinate means are the plain marginals
     free = Restriction(np.array([0, 0], dtype=np.int8))
     assert _conditional_mean_at(p, free, 1) == pytest.approx(
-        mean_vector(p).values[1], abs=1e-12
+        mean_vector(p)[1], abs=1e-12
     )
 
 

@@ -31,7 +31,6 @@ from hypercube_tester.zoo import (
     JuntaMixDistribution,
     NoisyParityDistribution,
     TwoPointDistribution,
-    ZooEntry,
     instantiate,
     load_entry,
     parse_spec_string,
@@ -207,7 +206,7 @@ def test_two_point_tv_closed_form():
 def test_two_point_mean_is_zero_and_biases_maximal():
     x = np.array([1, -1, 1, 1], dtype=np.int8)
     tp = TwoPointDistribution(x)
-    assert np.allclose(mean_vector(tp.dense()).values, 0.0)
+    assert np.allclose(mean_vector(tp.dense()), 0.0)
     pts = np.vstack([x, -x])
     bias, zero = tp.edge_bias(pts, np.array([2, 2]))
     assert not zero.any()
@@ -283,13 +282,13 @@ def test_zoo_kinds_lists_all():
 
 
 def test_parse_spec_string_and_instantiate():
-    assert parse_spec_string("uniform").kind == "uniform"
+    assert parse_spec_string("uniform")["kind"] == "uniform"
     e = parse_spec_string("planted_product:0.25")
-    assert e.params == {"eps": 0.25}
+    assert e == {"kind": "planted_product", "eps": 0.25}
     prod = instantiate(e, 16)
     assert np.allclose(prod.mu, 0.25)
     e2 = parse_spec_string("noisy_parity:3:0.1")
-    assert e2.params == {"S": [0, 1, 2], "delta": 0.1}
+    assert e2 == {"kind": "noisy_parity", "S": [0, 1, 2], "delta": 0.1}
     with pytest.raises(ValueError):
         parse_spec_string("planted_product")
     with pytest.raises(ValueError):
@@ -297,7 +296,7 @@ def test_parse_spec_string_and_instantiate():
 
 
 def test_entry_roundtrip(tmp_path):
-    e = ZooEntry("heavy_atom", {"mass": 0.4})
+    e = {"kind": "heavy_atom", "mass": 0.4}
     path = tmp_path / "entry.json"
     save_entry(e, str(path))
     back = load_entry(str(path))
@@ -306,34 +305,41 @@ def test_entry_roundtrip(tmp_path):
     assert doc == {"kind": "heavy_atom", "mass": 0.4}
 
 
+def test_load_entry_refuses_a_file_with_no_kind(tmp_path):
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps({"eps": 0.1}))
+    with pytest.raises(ValueError, match="'kind'"):
+        load_entry(str(path))
+
+
 def test_instantiate_validates():
     with pytest.raises(ValueError):
-        instantiate(ZooEntry("two_point", {"x": [1, 1]}), 3)
+        instantiate({"kind": "two_point", "x": [1, 1]}, 3)
     with pytest.raises(ValueError):
-        instantiate(ZooEntry("bogus"), 3)
+        instantiate({"kind": "bogus"}, 3)
     # sign parameters are checked before the int8 cast, which would read
     # 1.5, 1.9 and 257 as 1
     with pytest.raises(ValueError):
-        instantiate(ZooEntry("two_point", {"x": [1.5, -1, 1]}), 3)
+        instantiate({"kind": "two_point", "x": [1.5, -1, 1]}, 3)
     with pytest.raises(ValueError):
-        instantiate(ZooEntry("heavy_atom", {"mass": 0.5, "x": [1, 0, 1]}), 3)
+        instantiate({"kind": "heavy_atom", "mass": 0.5, "x": [1, 0, 1]}, 3)
     with pytest.raises(ValueError):
         TwoPointDistribution(np.array([257, 1.7, -1]))
     with pytest.raises(ValueError):
         HeavyAtomDistribution(0.5, np.array([1.9, 1]))
-    assert instantiate(ZooEntry("two_point", {"x": [1.0, -1.0, 1.0]}), 3).x.tolist() == [1, -1, 1]
+    assert instantiate({"kind": "two_point", "x": [1.0, -1.0, 1.0]}, 3).x.tolist() == [1, -1, 1]
     # integer parameters are not truncated either: k=2.7 would build k=2 and
     # S=[1.5] would build S=(1,)
     with pytest.raises(ValueError):
-        instantiate(ZooEntry("junta_mix", {"k": 2.7}), 4)
+        instantiate({"kind": "junta_mix", "k": 2.7}, 4)
     with pytest.raises(ValueError):
-        instantiate(ZooEntry("noisy_parity", {"S": [1.5], "delta": 0.1}), 4)
+        instantiate({"kind": "noisy_parity", "S": [1.5], "delta": 0.1}, 4)
     with pytest.raises(ValueError):
         JuntaMixDistribution(4.5, 2, np.full(4, 0.25))
     with pytest.raises(ValueError):
         NoisyParityDistribution(4.5, [0], 0.1)
-    assert instantiate(ZooEntry("junta_mix", {"k": 2.0}), 4).k == 2
-    assert instantiate(ZooEntry("noisy_parity", {"S": [1.0, 3], "delta": 0.1}), 4).S == (1, 3)
+    assert instantiate({"kind": "junta_mix", "k": 2.0}, 4).k == 2
+    assert instantiate({"kind": "noisy_parity", "S": [1.0, 3], "delta": 0.1}, 4).S == (1, 3)
 
 
 def test_gaussian_source():
@@ -393,9 +399,9 @@ def test_gaussian_source_keeps_the_sign_law_of_its_means():
         pytest.param(lambda: NoisyParityDistribution(4, [], 0.1), "nonempty", id="parity-empty"),
         pytest.param(lambda: NoisyParityDistribution(4, [4], 0.1), "range", id="parity-range"),
         pytest.param(lambda: NoisyParityDistribution(4, [0], 1.5), "delta", id="parity-delta"),
-        pytest.param(lambda: ZooEntry.from_dict({"eps": 0.1}), "'kind'", id="entry-no-kind"),
+        pytest.param(lambda: instantiate({"eps": 0.1}, 3), "'kind'", id="entry-no-kind"),
         pytest.param(
-            lambda: instantiate(ZooEntry("heavy_atom", {"mass": 0.5, "x": [1, 1]}), 3),
+            lambda: instantiate({"kind": "heavy_atom", "mass": 0.5, "x": [1, 1]}, 3),
             "length n",
             id="atom-x-length",
         ),
@@ -422,7 +428,7 @@ def test_zoo_refuses_bad_input(call, message):
 )
 def test_instantiate_names_a_missing_or_unknown_parameter(doc, message):
     with pytest.raises(ValueError) as info:
-        instantiate(ZooEntry.from_dict(doc), 6)
+        instantiate(doc, 6)
     assert str(info.value) == f"zoo kind {message}"
 
 
@@ -435,14 +441,14 @@ def test_shorthands_and_optional_parameters_pass_the_check():
         "junta_mix:2",
         "noisy_parity:2:0.1",
     ]
-    assert {parse_spec_string(s).kind for s in specs} == set(zoo_kinds())
+    assert {parse_spec_string(s)["kind"] for s in specs} == set(zoo_kinds())
     for spec in specs:
         instantiate(parse_spec_string(spec), 4)
-    assert parse_spec_string("junta_mix:2") == ZooEntry("junta_mix", {"k": 2})
+    assert parse_spec_string("junta_mix:2") == {"kind": "junta_mix", "k": 2}
     full = {
         "two_point": {"x": [1, -1, 1, -1]},
         "heavy_atom": {"mass": 0.3, "x": [1, -1, 1, -1]},
         "junta_mix": {"k": 1, "inner": [0.25, 0.75]},
     }
     for kind, params in full.items():
-        assert instantiate(ZooEntry(kind, params), 4).n == 4
+        assert instantiate({"kind": kind, **params}, 4).n == 4
