@@ -14,12 +14,12 @@ Conventions used throughout the package:
   factor, from which ``HypercubeTarget.edge_bias`` takes the conditional
   bias of an edge; a target whose point mass underflows or costs more than
   the bias gives a closed-form ``edge_bias`` instead.
-* An edge-tester block draws its points through ``edge_draw(rng, rho,
-  size)``, which reads the stream exactly as ``cond_sample`` and returns
-  the block's biases as a function of the edge coordinates. By default it
-  keeps the points and expands them to the root dimension for
-  ``edge_bias``; the uniform product, whose every edge bias is 0, skips the
-  stream words instead and builds no points.
+* A target whose every edge bias is 0 on every subcube sets
+  ``fair_edges``; only the uniform product does. The edge tester then
+  draws such a target's levels from their exact law and asks the oracle
+  for no edge block; any other target's blocks draw their points by
+  ``cond_sample`` and have them expanded to the root dimension for
+  ``edge_bias`` (``view_edge_bias``).
 * Every uniform +-1 entry, in the uniform product, the zoo targets and the
   oracle's zero-mass fallback, is one random bit from ``uniform_signs``;
   biased products and dense PMFs draw from float64 uniforms.
@@ -319,21 +319,12 @@ class HypercubeTarget:
     """
 
     n: int
+    # whether every edge bias is 0 at every point of every subcube
+    fair_edges: bool = False
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """(size, n) draws from the whole cube, which never has zero mass."""
         return self.cond_sample(rng, Restriction.all_stars(self.n), size)
-
-    def edge_draw(self, rng: np.random.Generator, rho: Restriction, size: int):
-        """Draw size points of rho's subcube for an edge block, reading the
-        stream exactly as ``cond_sample(rng, rho, size)``. Returns a function
-        that maps coordinates (indices into rho's stars) to the (bias, zero)
-        of those edges at the drawn points, or None when the subcube has zero
-        mass. This default keeps the points for ``view_edge_bias``."""
-        points = self.cond_sample(rng, rho, size)
-        if points is None:
-            return None
-        return functools.partial(self.view_edge_bias, rho, points)
 
     def view_edge_bias(self, rho: Restriction, points: np.ndarray, coords: np.ndarray):
         """``edge_bias`` of int8 points on rho's star coordinates, with coords
@@ -431,8 +422,8 @@ class ProductDistribution(HypercubeTarget):
     """Independent coordinates with means mu_i in [-1, 1].
 
     With every mean 0 (the uniform distribution) a draw is ``uniform_signs``,
-    one random bit per coordinate; otherwise each coordinate compares a
-    float64 uniform against (1 + mu_i) / 2.
+    one random bit per coordinate, and ``fair_edges`` is set; otherwise each
+    coordinate compares a float64 uniform against (1 + mu_i) / 2.
     """
 
     def __init__(self, mu):
@@ -445,7 +436,8 @@ class ProductDistribution(HypercubeTarget):
             raise ValueError("means must lie in [-1, 1]")
         self.mu = _read_only(mu.copy())
         self.n = mu.size
-        self._unbiased = not mu.any()
+        # uniform: every edge bias is 0, and the subcubes have no zero mass
+        self.fair_edges = not mu.any()
         # the coordinates of mean +-1, where edge_bias finds zero-support
         # edges; built once, as mu is read-only (None when there is none)
         pinned = np.abs(mu) == 1.0
@@ -463,7 +455,7 @@ class ProductDistribution(HypercubeTarget):
         return DensePmf(self.n, mass)
 
     def cond_sample(self, rng: np.random.Generator, rho: Restriction, size: int):
-        if self._unbiased:
+        if self.fair_edges:
             return uniform_signs(rng, (size, rho.num_stars))
         fixed = rho.fixed
         # a cell fixed against a coordinate of mean +-1 leaves zero mass
@@ -481,17 +473,6 @@ class ProductDistribution(HypercubeTarget):
         out *= 2
         out -= 1
         return out
-
-    def edge_draw(self, rng: np.random.Generator, rho: Restriction, size: int):
-        # uniform: every edge bias is 0 whatever the point, so the points are
-        # not built and the stream skips the words uniform_signs would read,
-        # one per 64 entries of a row. They are drawn into a discarded array,
-        # as random_raw(output=False) costs about 2 us more per call on the
-        # few-row blocks of a recursion leaf
-        if not self._unbiased:
-            return super().edge_draw(rng, rho, size)
-        rng.bit_generator.random_raw(size * ((rho.num_stars + 63) // 64))
-        return lambda coords: (np.zeros(coords.size), np.zeros(coords.size, dtype=bool))
 
     def edge_bias(self, points: np.ndarray, coords: np.ndarray):
         # closed form: the point mass, a product of n factors, underflows

@@ -18,11 +18,13 @@ The one edge query is ``edge_block``: it draws points of the view, gives
 each a uniform coordinate, and answers each pair with the count of +1
 draws among b conditional draws on that pair's one-star subcube (the edge
 through the point along the coordinate), charging 1 + b queries per pair.
+On a target with ``fair_edges`` (the uniform product) the edge tester asks
+for no block: it draws each level from the exact law of its counts and
+charges this ledger the pairs a block route would have drawn.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,23 +119,16 @@ class ScondOracle:
         per pair by ``_edge_counts``, from the pair's bias as the target's
         ``view_edge_bias`` gives it. A pair's bias estimate is
         (2 counts - b) / b. It charges size queries for the points and b per
-        pair; draws_per_pair is checked before anything is charged. The
-        target's ``edge_draw`` decides whether the points are built: the
-        uniform product only skips the stream words its draw would read, as
-        its edge biases are 0 at every point.
+        pair; draws_per_pair is checked before anything is charged.
         """
         b = as_int(draws_per_pair, "draws_per_pair")
         if b <= 0:
             raise ValueError("draws_per_pair must be positive")
-        m = self._charge(size)
-        rho = self.rho
-        bias_at = self.target.edge_draw(self.rng, rho, m)
-        if bias_at is None:
-            bias_at = functools.partial(
-                self.target.view_edge_bias, rho, self._zero_mass(rho, m)
-            )
-        coords = self.rng.integers(0, self.n, m)
-        return coords, self._edge_counts(*bias_at(coords), b)
+        points = self._draw(self.rho, size)
+        coords = self.rng.integers(0, self.n, points.shape[0])
+        return coords, self._edge_counts(
+            *self.target.view_edge_bias(self.rho, points, coords), b
+        )
 
     def _edge_counts(self, bias: np.ndarray, zero: np.ndarray, b: int) -> np.ndarray:
         """+1 counts out of b draws per pair with the given biases; charges b

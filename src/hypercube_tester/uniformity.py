@@ -27,6 +27,7 @@ from __future__ import annotations
 import bisect
 import decimal
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, NamedTuple
@@ -97,6 +98,69 @@ def _edge_fire_prob(b: int, c: int) -> float:
         tail += term
         term *= x / (b - x + 1)
     return 2.0 * tail
+
+
+class _FairLaw(NamedTuple):
+    """The law of Y = |2X - b| for X ~ Binomial(b, 1/2), as a fair level of
+    count threshold c reads it (``_fair_law``). Y takes the values
+    b % 2, b % 2 + 2, ...; ``below`` holds log P(Y <= y | Y < c) at the
+    values below c, and ``above`` and ``log_cdf`` hold -P(Y > y | Y >= c)
+    and log P(Y <= y) at the values from ``first``, the least at or above c.
+    Each ascends and ends at 0, so ``bisect`` inverts it, and each stops
+    where the mass left above it no longer shows in a double."""
+
+    log_miss: float  # log(1 - P(Y >= c)), -inf when every pair fires
+    first: int
+    below: tuple[float, ...]
+    above: tuple[float, ...]
+    log_cdf: tuple[float, ...]
+
+
+def _folded_masses(b: int, y: int, stop: int) -> list[float]:
+    """The masses of Y = y, y + 2, ... up to stop (Y = |2X - b| as in
+    ``_FairLaw``) up to one factor, by the ratio P(x + 1) / P(x) =
+    (b - x) / (x + 1) of X = (b + y) / 2, doubled from Y = 0 to Y = 2,
+    which have one and two values of X. Past Y = 2 the masses fall, so the
+    run stops once a term times b, a bound on the rest, is below 2^-64 of
+    the sum."""
+    out, term, total = [], 1.0, 0.0
+    while y <= stop:
+        out.append(term)
+        total += term
+        x = (b + y) // 2
+        term *= (b - x) / (x + 1) * (2 if y == 0 else 1)
+        y += 2
+        if term * b < total * 2.0**-64:
+            break
+    return out
+
+
+def _shares(masses: list[float]) -> list[tuple[float, float]]:
+    """Each entry's (share of the sum at or before it, share after it), each
+    summed from its own side so that neither loses a small value."""
+    total = sum(masses)
+    upto = itertools.accumulate(masses)
+    after = reversed(list(itertools.accumulate(reversed(masses[1:]), initial=0.0)))
+    return [(lo / total, hi / total) for lo, hi in zip(upto, after)]
+
+
+@functools.lru_cache(maxsize=1024)
+def _fair_law(b: int, c: int) -> _FairLaw:
+    """The ``_FairLaw`` of a level with b draws per pair and count threshold
+    c, built once per (b, c): a recursive verdict settles thousands of
+    levels on a few schedules. P(Y >= c) is ``_edge_fire_prob(b, c)``, the
+    number ``edge_null_accept`` reads, or 1 when no value of Y lies below c."""
+    first = c + (c - b) % 2
+    body = _folded_masses(b, b % 2, c - 1)
+    fire = _edge_fire_prob(b, c) if body else 1.0
+    tail = _shares(_folded_masses(b, first, b)) if fire else []
+    return _FairLaw(
+        math.log1p(-fire) if fire < 1.0 else -math.inf,
+        first,
+        tuple(math.log(lo) if lo < hi else math.log1p(-hi) for lo, hi in _shares(body)),
+        tuple(-hi for _, hi in tail),
+        tuple(math.log1p(-fire * hi) for _, hi in tail),
+    )
 
 
 class Bucket(NamedTuple):
@@ -280,20 +344,26 @@ def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) 
     A level's m_h pairs are drawn in blocks of EDGE_BLOCK_BYTES // rho.n
     pairs (4,096 at n = 128), where rho.n is the root dimension: a target
     that reads its points gets a view's points expanded to it, and that
-    points matrix is the largest array of a block (the uniform product
-    builds none). Fewer, larger blocks spend less on per-call overhead;
-    above n = 2048 (blocks of fewer than 256 pairs) the effect is
-    unmeasured (BENCH_edge_blocks.json, large_n).
+    points matrix is the largest array of a block. Fewer, larger blocks
+    spend less on per-call overhead; above n = 2048 (blocks of fewer than
+    256 pairs) the effect is unmeasured (BENCH_edge_blocks.json, large_n).
     A block is one ``oracle.edge_block`` call, which draws the block's
     points as ``sample`` would, then its coordinates by ``rng.integers``,
-    then each pair's +1 count, and returns the coordinates and counts; a
-    recursive verdict runs thousands of blocks of a few pairs each, so the
-    fixed cost per call matters.
+    then each pair's +1 count, and returns the coordinates and counts.
     A block is drawn, counted and charged whole. An accepted run spends
     exactly sum_h m_h (1 + b_h) queries. A rejecting run stops after the
     block that holds the firing pair: past the fired level's earlier
     blocks it spends at most one block of pairs, (1 + b_h) queries each,
     and it is charged for every draw it made.
+
+    On a target with ``fair_edges`` (the uniform product, and so every view
+    of it and every recursion leaf on it) each pair's count is
+    Binomial(b_h, 1/2) whatever its point, and a level is drawn from the
+    exact law of its m_h counts instead (``_fair_level``): a handful of
+    scalar draws give whether it fires, its first firing pair, that pair's
+    estimate and coordinate, and the level's largest |2p - b_h|. Its
+    verdict, trace and charge have the law of the blocks', the charge still
+    counting whole blocks; it reads other stream words (BENCH_edge_law.json).
     """
     return _edge_tests(oracle, eps, cfg or EdgeConfig(), 1)[0]
 
@@ -302,54 +372,31 @@ def _edge_tests(oracle: ScondOracle, eps: float, cfg: EdgeConfig, reps: int) -> 
     """reps independent edge testers on one view, one verdict each, run
     along a repetition axis.
 
-    The repetitions walk the levels in step. At each block of a level, one
-    ``oracle.edge_block`` call draws the pairs of every live repetition,
-    repetition after repetition in the order of their index, and the
-    counts are split per repetition by a reshape. A repetition stops at its
-    own first firing pair; the others go on. Per repetition a block holds
+    The repetitions walk the levels in step, and each level settles every
+    live repetition at once: by drawn blocks (``_drawn_level``), or, on a
+    target with ``fair_edges``, from the exact law of its counts
+    (``_fair_level``). A repetition stops at its own first firing pair; the
+    others go on. Per repetition a block holds
     max(1, EDGE_BLOCK_BYTES // rho.n // reps) pairs, so a block's points
-    matrix stays within the byte cap, and one repetition draws the blocks,
-    in the order and at the charges, of ``edge_tester``. Each verdict is
-    charged what its own blocks drew, so an accepted repetition spends
-    exactly sum_h m_h (1 + b_h) queries.
+    matrix stays within the byte cap, and one repetition reads the stream,
+    and is charged, as ``edge_tester``. Each verdict is charged what its
+    own blocks drew, so an accepted repetition spends exactly
+    sum_h m_h (1 + b_h) queries.
     """
     schedule = cfg.levels(oracle.n, eps)
     block = max(1, EDGE_BLOCK_BYTES // oracle.rho.n // reps)
+    settle = _fair_level if oracle.target.fair_edges else _drawn_level
     levels = [[] for _ in range(reps)]
     fired = [None] * reps
     queries = [0] * reps
     live = list(range(reps))
     for lv in schedule:
-        b, c = lv.b, lv.c
-        entered = live
-        top = [0] * reps  # largest |2p - b| per repetition
-        done = 0
-        while done < lv.m and live:
-            m = min(block, lv.m - done)
-            coords, plus = oracle.edge_block(len(live) * m, b)
-            plus = plus.reshape(len(live), m)
-            # each repetition's largest and smallest count, by direct reduces:
-            # the array methods add a Python-level call per block
-            his = np.maximum.reduce(plus, axis=1).tolist()
-            los = np.minimum.reduce(plus, axis=1).tolist()
-            for row, (rep, hi, lo) in enumerate(zip(live, his, los)):
-                queries[rep] += m * (1 + b)
-                top[rep] = max(top[rep], 2 * hi - b, b - 2 * lo)
-                if top[rep] >= c:
-                    # counts of b <= 64 come as uint8, where 2 * counts wraps
-                    counts = plus[row].astype(np.int64)
-                    i = int(np.flatnonzero(np.abs(2 * counts - b) >= c)[0])
-                    fired[rep] = {
-                        "h": lv.h,
-                        "pair": done + i,
-                        "coord": int(coords[row * m + i]),
-                        "est": (2.0 * int(counts[i]) - b) / b,
-                    }
-            live = [rep for rep in live if fired[rep] is None]
-            done += m
-        entry = {"h": lv.h, "m": lv.m, "b": b, "theta": lv.theta}
-        for rep in entered:
-            levels[rep].append({**entry, "max_est": top[rep] / b})
+        entry = {"h": lv.h, "m": lv.m, "b": lv.b, "theta": lv.theta}
+        for rep, (top, pairs, hit) in zip(live, settle(oracle, lv, block, len(live))):
+            queries[rep] += pairs * (1 + lv.b)
+            fired[rep] = hit
+            levels[rep].append({**entry, "max_est": top / lv.b})
+        live = [rep for rep in live if fired[rep] is None]
         if not live:
             break
     return [
@@ -360,6 +407,91 @@ def _edge_tests(oracle: ScondOracle, eps: float, cfg: EdgeConfig, reps: int) -> 
         )
         for reached, f, spent in zip(levels, fired, queries)
     ]
+
+
+def _drawn_level(oracle: ScondOracle, lv: EdgeLevel, block: int, reps: int) -> list[tuple]:
+    """One level of reps repetitions from drawn blocks: (largest |2p - b|,
+    pairs drawn, fired or None) per repetition.
+
+    At each block one ``oracle.edge_block`` call draws the pairs of every
+    live repetition, repetition after repetition, and the counts are split
+    per repetition by a reshape; a repetition is checked by its largest and
+    smallest counts alone, and it draws no block past the one that holds
+    its first firing pair.
+    """
+    b, c = lv.b, lv.c
+    top, pairs, fired = [0] * reps, [0] * reps, [None] * reps
+    live = list(range(reps))
+    done = 0
+    while done < lv.m and live:
+        m = min(block, lv.m - done)
+        coords, plus = oracle.edge_block(len(live) * m, b)
+        plus = plus.reshape(len(live), m)
+        # each repetition's largest and smallest count, by direct reduces:
+        # the array methods add a Python-level call per block
+        his = np.maximum.reduce(plus, axis=1).tolist()
+        los = np.minimum.reduce(plus, axis=1).tolist()
+        for row, (rep, hi, lo) in enumerate(zip(live, his, los)):
+            pairs[rep] += m
+            top[rep] = max(top[rep], 2 * hi - b, b - 2 * lo)
+            if top[rep] >= c:
+                # counts of b <= 64 come as uint8, where 2 * counts wraps
+                counts = plus[row].astype(np.int64)
+                i = int(np.flatnonzero(np.abs(2 * counts - b) >= c)[0])
+                fired[rep] = {
+                    "h": lv.h,
+                    "pair": done + i,
+                    "coord": int(coords[row * m + i]),
+                    "est": (2.0 * int(counts[i]) - b) / b,
+                }
+        live = [rep for rep in live if fired[rep] is None]
+        done += m
+    return list(zip(top, pairs, fired))
+
+
+def _fair_level(oracle: ScondOracle, lv: EdgeLevel, block: int, reps: int) -> list[tuple]:
+    """One level of reps repetitions on a view whose every edge bias is 0,
+    drawn from the exact law of its m i.i.d. Y = |2X - b|,
+    X ~ Binomial(b, 1/2) (``_fair_law``), with what ``_drawn_level``
+    returns and charges.
+
+    Per repetition, one uniform u says whether some pair fires,
+    u < 1 - (1 - f)^m, and then gives the first firing pair i by inversion
+    of the geometric law, truncated to m; a second uniform gives the level's
+    largest Y. Without a fire that is the largest of m values of Y given
+    Y < c. With one, two more uniforms draw the firing pair's Y given
+    Y >= c and its sign, ``rng.integers`` its coordinate, and the largest Y
+    is the larger of that pair's and of the pairs after it in its block,
+    which are unconditioned. The pairs charged are the level's m, or those
+    up to the end of the firing pair's block, as a drawn block is charged,
+    and the oracle's ledger is charged 1 + b queries for each.
+    """
+    m, b = lv.m, lv.b
+    law = _fair_law(b, lv.c)
+    rng = oracle.rng
+    hits = -math.expm1(m * law.log_miss)
+    out = []
+    for u, v in rng.random((reps, 2)).tolist():
+        if u >= hits:
+            out.append((b % 2 + 2 * bisect.bisect_left(law.below, math.log1p(-v) / m), m, None))
+            continue
+        i = min(m - 1, int(math.log1p(-u) / law.log_miss))
+        pairs = min(m, (i // block + 1) * block)
+        w, sign = rng.random(2).tolist()
+        y = law.first + 2 * bisect.bisect_left(law.above, w - 1.0)
+        rest = pairs - i - 1
+        top = y
+        if rest:
+            top = max(y, law.first + 2 * bisect.bisect_left(law.log_cdf, math.log1p(-v) / rest))
+        fired = {
+            "h": lv.h,
+            "pair": i,
+            "coord": int(rng.integers(0, oracle.n)),
+            "est": (y if sign < 0.5 else -y) / b,
+        }
+        out.append((top, pairs, fired))
+    oracle.ledger.queries += sum(pairs for _, pairs, _ in out) * (1 + b)
+    return out
 
 
 def _base_cases(

@@ -2,7 +2,6 @@
 restriction composition, and determinism."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,28 +339,6 @@ def test_edge_block_replays_uniform_rows_of_several_words(stars):
     rho = None if stars == 130 else Restriction(cells)
     root = _assert_edge_block_replays(ProductDistribution.uniform(130), rho, (stars, 1))
     assert root.zero_support_hits == 0
-
-
-def _block_peak_bytes(target, size, b):
-    o = ScondOracle(target, stream(39, 0, 0))
-    o.edge_block(size, b)  # warm caches, such as the restriction's stars
-    tracemalloc.start()
-    try:
-        o.edge_block(size, b)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_uniform_edge_block_builds_no_point_matrix():
-    # one 4,096-pair block at n = 128: its int8 points alone take 512 KiB
-    limit = 256 << 10
-    for b in (50, 100):
-        assert _block_peak_bytes(ProductDistribution.uniform(128), 4096, b) < limit
-    # a target that reads its points still builds them, so a silent fall
-    # back to that route on the uniform product would fail above
-    parity = NoisyParityDistribution(128, [0, 1], 0.3)
-    assert _block_peak_bytes(parity, 4096, 50) > limit
 
 
 @pytest.mark.parametrize("b", [0, -3, 2.5, 1e9 + 0.5])

@@ -6,7 +6,10 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from hypercube_tester.uniformity import (
     subcond_uni,
     trace_query_sum,
 )
-from hypercube_tester.zoo import TwoPointDistribution
+from hypercube_tester.zoo import NoisyParityDistribution, TwoPointDistribution
 
 
 def biased_edge_pmf(n: int, atom_index: int = 0, coord: int = 0) -> DensePmf:
@@ -336,10 +339,11 @@ def assert_block_charge(trace, queries, block):
 
 def test_edge_tester_block_overshoot(monkeypatch):
     # the default block at n = 128 holds 4,096 pairs; this uniform null is a
-    # false reject at level 13 (131,072 pairs), inside its third block
+    # false reject at level 13 (131,072 pairs), inside its twentieth block
+    # (the first of stream(1, 0, t) to fire past the second block there)
     block = EDGE_BLOCK_BYTES // 128
     assert block == 4096
-    o = ScondOracle(ProductDistribution.uniform(128), stream(1, 0, 9))
+    o = ScondOracle(ProductDistribution.uniform(128), stream(1, 0, 12))
     v = edge_tester(o, 0.5)
     assert v.trace["fired"]["h"] == 13 and v.trace["fired"]["pair"] > 2 * block
     assert_block_ledger(v, block)
@@ -363,11 +367,13 @@ def test_edge_tester_block_overshoot(monkeypatch):
 
 # (decision, queries_used, fired as (h, pair, coord, est), largest level
 # max_est) at n = 64, eps 0.5 on stream(16, 0, t), recorded before edge
-# blocks became one oracle call: the same stream must give the same verdicts
+# blocks became one oracle call: the same stream must give the same verdicts.
+# The uniform rows were recorded again when fair levels came to be drawn
+# from their exact law, which reads other stream words
 EDGE_VERDICTS_N64 = {
     "uniform": [
-        ("accept", 61_841_906, None, 0.6410256410256411),
-        ("accept", 61_841_906, None, 0.7948717948717948),
+        ("accept", 61_841_906, None, 0.6923076923076923),
+        ("accept", 61_841_906, None, 0.7435897435897436),
         ("accept", 61_841_906, None, 0.7435897435897436),
     ],
     "noisy_parity:2:0.3": [
@@ -411,6 +417,193 @@ def test_edge_tester_validates_eps():
         with pytest.raises(ValueError):
             tester(o, 0.5)
     assert o.queries == 0
+
+
+# ---------------------------------------------------------------------------
+# fair levels: on a target with fair_edges (the uniform product) each level
+# is drawn from the exact law of its counts, with no edge block
+
+
+def _peak_bytes(call):
+    call()  # warm caches, such as the restriction's stars and the fair laws
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_uniform_edge_levels_build_no_point_matrix():
+    # one 4,096-pair block at n = 128: its int8 points alone take 512 KiB
+    limit = 256 << 10
+    uniform = ProductDistribution.uniform(128)
+    assert _peak_bytes(lambda: edge_tester(ScondOracle(uniform, stream(39, 0, 0)), 0.5)) < limit
+    # a block still builds its points, the uniform product's too, so a silent
+    # fall back to blocks on the uniform product would fail above
+    for target in (uniform, NoisyParityDistribution(128, [0, 1], 0.3)):
+        oracle = ScondOracle(target, stream(39, 0, 0))
+        assert _peak_bytes(lambda: oracle.edge_block(4096, 50)) > limit
+
+
+@pytest.mark.parametrize("b", [1, 2, 10, 29, 80, 231])
+def test_fair_law_tables_are_the_folded_binomial(b):
+    # Y = |2X - b| for X ~ Binomial(b, 1/2), in exact fractions, against the
+    # tables of every count threshold c = 1..b + 1; a table may stop early
+    # only where the exact mass left above it is below 1e-15, so a survival
+    # share is exact to that mass, 2^-60 of the conditional law at most
+    mass = {}
+    for x in range(b + 1):
+        y = abs(2 * x - b)
+        mass[y] = mass.get(y, 0) + Fraction(math.comb(b, x), 2**b)
+    values = sorted(mass)
+    for c in range(1, b + 2):
+        law = uniformity._fair_law(b, c)
+        body = [y for y in values if y < c]
+        tail = [y for y in values if y >= c]
+        fire = sum(mass[y] for y in tail)
+        assert math.exp(law.log_miss) == pytest.approx(float(1 - fire), rel=1e-12, abs=1e-300)
+        assert len(law.below) <= len(body) and len(law.above) == len(law.log_cdf)
+        for j, y in enumerate(body[: len(law.below)]):
+            upto = sum(mass[v] for v in body if v <= y) / (1 - fire)
+            assert math.exp(law.below[j]) == pytest.approx(float(upto), rel=1e-12)
+        assert sum(mass[v] for v in body[len(law.below) :]) < 1e-15
+        if not fire:
+            assert law.above == ()
+            continue
+        assert law.first == tail[0] and len(law.above) <= len(tail)
+        for j, y in enumerate(tail[: len(law.above)]):
+            past = sum(mass[v] for v in tail if v > y)
+            assert -law.above[j] == pytest.approx(float(past / fire), rel=1e-12, abs=2.0**-60)
+            assert math.exp(law.log_cdf[j]) == pytest.approx(float(1 - past), rel=1e-12)
+        assert sum(mass[v] for v in tail[len(law.above) :]) < 1e-15 * fire
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_fair_edge_accept_rate_matches_exact_law(n):
+    # the default schedule at eps 0.5: 15 levels and 0.689 exact accept at
+    # n = 256, 17 levels and 0.039 at n = 1024
+    want = edge_null_accept(n, 0.5)
+    planned = sum(lv.m * (1 + lv.b) for lv in EdgeConfig().levels(n, 0.5))
+    target = ProductDistribution.uniform(n)
+    runs, accepts = 2000, 0
+    for t in range(runs):
+        o = ScondOracle(target, stream(24, n, t))
+        v = edge_tester(o, 0.5)
+        assert v.queries_used == o.queries
+        if v.decision is Decision.ACCEPT:
+            accepts += 1
+            assert v.queries_used == planned
+        else:
+            assert_block_ledger(v, EDGE_BLOCK_BYTES // n)
+    assert abs(accepts / runs - want) <= 3 * math.sqrt(want * (1 - want) / runs)
+
+
+def test_fair_accepted_null_at_n4096_spends_its_plan():
+    # the default schedule at n = 4096, eps 0.5 plans 3.98e10 queries for an
+    # accepted null, which its 5-standard-error thresholds reach with
+    # probability 4.6e-8; 7.5 standard errors keep every level and its
+    # counts and accept with probability 0.9999994
+    cfg = EdgeConfig(c3=1.5)
+    assert [(lv.m, lv.b) for lv in cfg.levels(4096, 0.5)] == [
+        (lv.m, lv.b) for lv in EdgeConfig().levels(4096, 0.5)
+    ]
+    planned = sum(lv.m * (1 + lv.b) for lv in cfg.levels(4096, 0.5))
+    assert planned == 39_809_482_726
+    o = ScondOracle(ProductDistribution.uniform(4096), stream(25, 0, 0))
+    v = edge_tester(o, 0.5, cfg)
+    assert v.decision is Decision.ACCEPT
+    assert v.queries_used == o.queries == planned
+
+
+def _reference_edge_run(rng, n, eps, cfg, block):
+    """The edge tester's rule on the uniform n-cube with every pair drawn:
+    per block of at most block pairs, rng.integers coordinates and one
+    rng.binomial(b, 0.5) count per pair. Returns (queries, fired as
+    (h, pair, coord, est) or None, each level's max_est)."""
+    queries, tops = 0, []
+    for lv in cfg.levels(n, eps):
+        top = 0
+        for done in range(0, lv.m, block):
+            size = min(block, lv.m - done)
+            coords = rng.integers(0, n, size)
+            counts = rng.binomial(lv.b, 0.5, size)
+            queries += size * (1 + lv.b)
+            dev = np.abs(2 * counts - lv.b)
+            top = max(top, int(dev.max()))
+            hits = np.flatnonzero(dev >= lv.c)
+            if hits.size:
+                i = int(hits[0])
+                tops.append(top / lv.b)
+                est = (2.0 * int(counts[i]) - lv.b) / lv.b
+                return queries, (lv.h, done + i, int(coords[i]), est), tops
+        tops.append(top / lv.b)
+    return queries, None, tops
+
+
+def _two_sample_p(left, right):
+    """Chi-square test that two lists of outcomes come from one law, with the
+    outcomes seen fewer than 10 times in both lists pooled into one cell:
+    its p-value by the Wilson-Hilferty approximation."""
+    ours, theirs = Counter(left), Counter(right)
+    rare = {k for k in ours | theirs if ours[k] + theirs[k] < 10}
+    cells = [(ours[k], theirs[k]) for k in ours | theirs if k not in rare]
+    if rare:
+        cells.append((sum(ours[k] for k in rare), sum(theirs[k] for k in rare)))
+    df = len(cells) - 1
+    if df < 1:
+        return 1.0
+    share = len(left) / (len(left) + len(right))
+    stat = 0.0
+    for a, b in cells:
+        for observed, expected in ((a, (a + b) * share), (b, (a + b) * (1 - share))):
+            stat += (observed - expected) ** 2 / expected
+    c = 2.0 / (9.0 * df)
+    z = ((stat / df) ** (1.0 / 3.0) - (1.0 - c)) / math.sqrt(c)
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def _run_outcomes(runs, levels):
+    """The compared outcomes of (queries, fired, max_est per level) runs."""
+    fired = [(f, tops[f[0]]) for _, f, tops in runs if f is not None]
+    out = {
+        "charge": [q for q, _, _ in runs],
+        "fired level": [None if f is None else f[0] for _, f, _ in runs],
+        "fired est": [(f[0], f[3]) for f, _ in fired],
+        "fired coord": [f[2] for f, _ in fired],
+        # whether a later pair of the firing pair's block went further
+        "passed in its block": [(f[0], top > abs(f[3])) for f, top in fired],
+    }
+    for h in range(levels):
+        out[f"pair at {h}"] = [f[1] for f, _ in fired if f[0] == h]
+        out[f"max_est at {h}"] = [tops[h] for _, _, tops in runs if len(tops) > h]
+    return out
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_fair_levels_match_drawn_pairs(monkeypatch, n):
+    # HALF_EDGE at eps 0.5 has four levels of 3 to 24 pairs (b = 80 to 10 at
+    # n = 16, 231 to 29 at n = 32, both parities of b), and accepts with
+    # probability 0.50 and 0.34; blocks of 4 pairs split every level but the
+    # first, so the charge of a rejecting run depends on its pair. The fair
+    # route's runs are compared, outcome by outcome, with runs of
+    # _reference_edge_run, 5,000 a side, each at the 1e-4 level. Power: an
+    # outcome of two cells whose share moves from p to p +- d is found with
+    # probability 0.9 once d >= 0.103 sqrt(p (1 - p)), such as 0.50 -> 0.55
+    # in the accept rate; more cells need a larger move
+    monkeypatch.setattr(uniformity, "EDGE_BLOCK_BYTES", 4 * n)
+    target = ProductDistribution.uniform(n)
+    fair, drawn = [], []
+    for t in range(5000):
+        o = ScondOracle(target, stream(26, n, t))
+        v = edge_tester(o, 0.5, HALF_EDGE)
+        tops = [lv["max_est"] for lv in v.trace["levels"]]
+        fair.append((v.queries_used, _fired(v.trace), tops))
+        drawn.append(_reference_edge_run(stream(27, n, t), n, 0.5, HALF_EDGE, 4))
+    levels = len(HALF_EDGE.levels(n, 0.5))
+    ours, theirs = _run_outcomes(fair, levels), _run_outcomes(drawn, levels)
+    p_values = {name: _two_sample_p(ours[name], theirs[name]) for name in ours}
+    assert min(p_values.values()) >= 1e-4, p_values
 
 
 # ---------------------------------------------------------------------------
@@ -520,12 +713,14 @@ def test_recursion_rejects_two_point_in_mean_loop():
 # under REC_CFG at n = 64, eps 0.5 on stream(16, 1, t), recorded when votes
 # became curtailed: every restriction's first 2 of t = 3 children agree, so
 # 336 leaves run instead of 504, and two_point's rejecting mean-loop
-# restriction runs 2 of its r = 3 mean tests (1 + 2 * 2q = 801 queries)
+# restriction runs 2 of its r = 3 mean tests (1 + 2 * 2q = 801 queries);
+# the uniform rows were recorded again when fair levels came to be drawn
+# from their exact law
 RECURSION_VERDICTS_N64 = {
     "uniform": [
-        ("accept", 5_286_658, 336, []),
-        ("accept", 5_211_776, 336, []),
-        ("accept", 5_384_918, 336, []),
+        ("accept", 5_089_674, 336, []),
+        ("accept", 5_640_038, 336, []),
+        ("accept", 5_180_944, 336, []),
     ],
     "two_point": [("reject", 801, 0, [])] * 3,
 }
@@ -963,11 +1158,13 @@ def test_batched_children_match_a_lone_base_case_node():
 # FIRE_CFG (accepting and rejecting children in one restriction), a child
 # past the depth budget, a root past it, and a depth-1 view that is a base case.
 # The first four were recorded when votes became curtailed, which added the
-# loops' "runs" and cut the leaves and mean tests a restriction runs
+# loops' "runs" and cut the leaves and mean tests a restriction runs; the
+# uniform ones and the depth-1 view again when fair levels came to be drawn
+# from their exact law
 TRACE_PINS = {
     "rec-uniform": (
         "uniform", REC_CFG, (16, 1, 0),
-        "26c77c68fce7c0e12ef58008f3f22b3f7bda6490b298f6ce76ea6c3c26f59abf",
+        "14b674c770e551e21af4815b3140f2123311310157ec4e73a414952eeb6f0509",
     ),
     "rec-two-point": (
         "two_point", REC_CFG, (16, 1, 0),
@@ -975,7 +1172,7 @@ TRACE_PINS = {
     ),
     "fire-uniform": (
         "uniform", FIRE_CFG, (21, 0, 0),
-        "f60074f6c5a073d8285e50ceeabc44180a8c9cddd44250cb7fcdb62caadd0ba3",
+        "ce078979d425895e625c3751790588996f00378e91e3026bc6d6ebf9e38bf513",
     ),
     "child-error": (
         "uniform", replace(REC_CFG, max_depth=0), (81, 0, 0),
@@ -986,7 +1183,7 @@ TRACE_PINS = {
         "cdef7ea5fc5586e312e8d7485355dbd2cba2ff04b4f6fa3316775bc3e84bb6a5",
     ),
 }
-DEPTH_1_BASE_CASE_DIGEST = "73a7f48a7ab51fdaa1671ec97c3546826837eea16f92c520c52e665d24a1f8c9"
+DEPTH_1_BASE_CASE_DIGEST = "4268137281090be863814b807ebb72380807cb6c77a19ce759dd57f74462579c"
 
 
 def _trace_digest(verdict):
