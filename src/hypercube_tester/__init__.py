@@ -25,13 +25,13 @@ from .harness import (
 from .meantest import (
     GaussianDraw,
     MeanTestConfig,
-    SampleBatch,
     TauSchedule,
     default_k0,
     erf_lower_bound_holds,
     gaussian_mean_tester,
     gaussian_required_samples,
     mean_tester,
+    numerators,
     paper_q,
     practical_q,
     screen_batches,

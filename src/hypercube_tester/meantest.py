@@ -10,8 +10,10 @@ materializing n^(2^k) coordinates. The tester compares Z_k against a
 threshold schedule tau_k at levels k = 0..k0 and rejects at the first
 exceedance.
 
-`SampleBatch.numerator(k)` has one exact route per level and computes a
-level only when it is read:
+`numerators(draw, q, k)`, the one public entry to the statistic, gives the
+level-k numerator of each batch of a draw of 2qr sign rows. Each level has
+one exact route, which the mean tests take too, reading a level only when
+their decision needs it:
 
 * Level 0 by column sums: sum_{i,j} <x_i, y_j> = <sum_i x_i, sum_j y_j>,
   which costs O(qn) instead of the O(q^2 n) Gram product. The r
@@ -82,43 +84,6 @@ GAUSS_Q_COEFF = 64.0
 GAUSS_REPS = 3
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """Two independent halves of 2q i.i.d. sign-vector samples."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __post_init__(self):
-        xs, ys = np.asarray(self.xs), np.asarray(self.ys)
-        if xs.ndim != 2 or xs.shape != ys.shape or xs.shape[0] < 1:
-            raise ValueError("halves must be nonempty 2-D arrays of equal shape")
-        # both halves checked as one draw of 2q rows
-        (halves,) = _draw_batches(np.concatenate([xs, ys]), xs.shape[0])
-        object.__setattr__(self, "_halves", halves)
-        object.__setattr__(self, "xs", halves[0])
-        object.__setattr__(self, "ys", halves[1])
-
-    @property
-    def q(self) -> int:
-        return self.xs.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.xs.shape[1]
-
-    def numerator(self, k: int) -> int:
-        """Exact sum_{i,j} <x_i, y_j>^(2^k)."""
-        if k == 0:
-            return _level0_numerators(self._halves[None])[0]
-        return _level_numerator(self.gram_histogram, k)
-
-    @functools.cached_property
-    def gram_histogram(self) -> tuple[tuple[int, int], ...]:
-        """``_gram_histogram`` of the batch, built on first read."""
-        return _gram_histogram(self._halves)
-
-
 def _gram_histogram(halves: np.ndarray) -> tuple[tuple[int, int], ...]:
     """(inner product, count) over all q^2 pairs (x_i, y_j) of one checked
     int8 (2, q, n) batch, in ascending order of inner product with zero
@@ -149,12 +114,17 @@ def _level_numerator(histogram: tuple[tuple[int, int], ...], k: int) -> int:
 def _draw_batches(draw: np.ndarray, q: int) -> np.ndarray:
     """A draw of 2qr sign rows as r batches: an int8 (r, 2, q, n) array
     whose batch i holds rows [2qi, 2qi + q) as X and [2qi + q, 2q(i + 1))
-    as Y. The one check of samples, once per draw: every raw entry is -1 or
-    +1 (the int8 cast would turn 257 or 1.7 into 1)."""
+    as Y. The one check of samples, once per draw: a 2-D array of r >= 1
+    batches whose every raw entry is -1 or +1 (the int8 cast would turn 257
+    or 1.7 into 1)."""
     raw = np.asarray(draw)
+    if raw.ndim != 2:
+        raise ValueError(f"a draw must be a 2-D array of sign rows, got shape {raw.shape}")
+    rows, n = raw.shape
+    if rows == 0 or rows % (2 * q):
+        raise ValueError(f"a draw needs a positive multiple of 2q = {2 * q} rows, got {rows}")
     if not _entries_in(raw, (-1, 1)):
         raise ValueError("samples must be sign vectors")
-    rows, n = raw.shape
     # sized, not inferred: reshape(-1, ...) cannot infer an axis when n = 0
     return raw.astype(np.int8, copy=False).reshape(rows // (2 * q), 2, q, n)
 
@@ -172,9 +142,15 @@ def _paired_dots(sums: np.ndarray) -> list[int]:
     return [sum(a * b for a, b in zip(sx, sy)) for sx, sy in sums.tolist()]
 
 
-def _numerators(draw: np.ndarray, q: int, k: int) -> list[int]:
-    """The level-k numerator of each batch of a draw of 2qr sign rows (see
-    ``_draw_batches``); the draw is checked once, not once per batch."""
+def numerators(draw: np.ndarray, q: int, k: int) -> list[int]:
+    """The exact level-k numerator sum_{i,j} <x_i, y_j>^(2^k) of each batch
+    of a draw of 2qr sign rows, batch i holding rows [2qi, 2qi + q) as X and
+    [2qi + q, 2q(i + 1)) as Y. The draw is checked once, not once per batch:
+    it must be 2-D, hold a positive multiple of 2q rows and have only -1 and
+    +1 entries."""
+    q, k = as_int(q, "q"), as_int(k, "k")
+    if q < 1 or k < 0:
+        raise ValueError(f"numerators need q >= 1 and k >= 0, got q={q}, k={k}")
     batches = _draw_batches(draw, q)
     if k == 0:
         return _level0_numerators(batches)

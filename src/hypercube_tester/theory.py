@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blowup import gram_moments
-from .meantest import _numerators
+from .meantest import numerators
 from .model import (
     DensePmf,
     Restriction,
@@ -528,7 +528,7 @@ def verify_variance_bound(
 
     # each batch's Z from the testers' own exact statistic, over one draw
     # that is checked once
-    z = np.array(_numerators(p.sample(rng, (2 * q) * batches), q, level)) / q**2
+    z = np.array(numerators(p.sample(rng, (2 * q) * batches), q, level)) / q**2
 
     z_mean = float(z.mean())
     z_var = float(z.var(ddof=1))

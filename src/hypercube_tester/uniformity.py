@@ -233,7 +233,7 @@ def edge_null_accept(n: int, eps: float, cfg: EdgeConfig | None = None) -> float
     that one level-h pair fires (see ``_edge_fire_prob``). An accepted run
     spends exactly sum_h m_h (1 + b_h) queries over the same levels.
     """
-    cfg = cfg or EdgeConfig()
+    cfg = cfg or PRESETS["practical"].edge
     log_accept = 0.0
     for lv in cfg.levels(n, eps):
         f = _edge_fire_prob(lv.b, lv.c)
@@ -330,8 +330,8 @@ def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) 
     """Reject when some conditional single-coordinate bias is large.
 
     This is the one-repetition case of ``_edge_tests``, which runs the
-    repetitions of a restriction's base-case children along one axis; with
-    one repetition it draws the stream exactly as described here.
+    repetitions of a restriction's base-case children level by level in
+    step; each of them has the law described here.
 
     Levels run from heavy-mass buckets (few pairs, many draws each) down to
     light ones. A pair whose count p of +1 draws out of b_h has
@@ -341,10 +341,11 @@ def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) 
     its level, its index ``pair`` within the level, its coordinate and its
     estimate. A block is checked by its largest and smallest counts alone.
 
-    A level's m_h pairs are drawn in blocks of EDGE_BLOCK_BYTES // rho.n
-    pairs (4,096 at n = 128), where rho.n is the root dimension: a target
-    that reads its points gets a view's points expanded to it, and that
-    points matrix is the largest array of a block. Fewer, larger blocks
+    A level's m_h pairs are drawn in blocks of
+    max(1, EDGE_BLOCK_BYTES // rho.n) pairs (4,096 at n = 128), where rho.n
+    is the root dimension: a target that reads its points gets a view's
+    points expanded to it, and that points matrix is the largest array of a
+    block. Fewer, larger blocks
     spend less on per-call overhead; above n = 2048 (blocks of fewer than
     256 pairs) the effect is unmeasured (BENCH_edge_blocks.json, large_n).
     A block is one ``oracle.edge_block`` call, which draws the block's
@@ -365,34 +366,37 @@ def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) 
     verdict, trace and charge have the law of the blocks', the charge still
     counting whole blocks; it reads other stream words (BENCH_edge_law.json).
     """
-    return _edge_tests(oracle, eps, cfg or EdgeConfig(), 1)[0]
+    return _edge_tests(oracle, eps, cfg or PRESETS["practical"].edge, 1)[0]
 
 
 def _edge_tests(oracle: ScondOracle, eps: float, cfg: EdgeConfig, reps: int) -> list[TestVerdict]:
-    """reps independent edge testers on one view, one verdict each, run
-    along a repetition axis.
+    """reps independent edge testers on one view, one verdict each.
 
-    The repetitions walk the levels in step, and each level settles every
-    live repetition at once: by drawn blocks (``_drawn_level``), or, on a
-    target with ``fair_edges``, from the exact law of its counts
-    (``_fair_level``). A repetition stops at its own first firing pair; the
-    others go on. Per repetition a block holds
-    max(1, EDGE_BLOCK_BYTES // rho.n // reps) pairs, so a block's points
-    matrix stays within the byte cap, and one repetition reads the stream,
-    and is charged, as ``edge_tester``. Each verdict is charged what its
-    own blocks drew, so an accepted repetition spends exactly
-    sum_h m_h (1 + b_h) queries.
+    The repetitions walk the levels in step. At each level every live
+    repetition is settled by its own drawn blocks (``_drawn_level``), one
+    repetition after another, or, on a target with ``fair_edges``, all at
+    once from the exact law of their counts (``_fair_level``). A repetition
+    stops at its own first firing pair; the others go on. Every block holds
+    max(1, EDGE_BLOCK_BYTES // rho.n) pairs, whatever reps, so each
+    repetition's verdict, trace and charge have the law of a lone
+    ``edge_tester``, and one repetition reads its stream. Each verdict is
+    charged what its own blocks drew, so an accepted repetition spends
+    exactly sum_h m_h (1 + b_h) queries.
     """
     schedule = cfg.levels(oracle.n, eps)
-    block = max(1, EDGE_BLOCK_BYTES // oracle.rho.n // reps)
-    settle = _fair_level if oracle.target.fair_edges else _drawn_level
+    block = max(1, EDGE_BLOCK_BYTES // oracle.rho.n)
+    fair = oracle.target.fair_edges
     levels = [[] for _ in range(reps)]
     fired = [None] * reps
     queries = [0] * reps
     live = list(range(reps))
     for lv in schedule:
         entry = {"h": lv.h, "m": lv.m, "b": lv.b, "theta": lv.theta}
-        for rep, (top, pairs, hit) in zip(live, settle(oracle, lv, block, len(live))):
+        if fair:
+            settled = _fair_level(oracle, lv, block, len(live))
+        else:
+            settled = [_drawn_level(oracle, lv, block) for _ in live]
+        for rep, (top, pairs, hit) in zip(live, settled):
             queries[rep] += pairs * (1 + lv.b)
             fired[rep] = hit
             levels[rep].append({**entry, "max_est": top / lv.b})
@@ -409,51 +413,42 @@ def _edge_tests(oracle: ScondOracle, eps: float, cfg: EdgeConfig, reps: int) -> 
     ]
 
 
-def _drawn_level(oracle: ScondOracle, lv: EdgeLevel, block: int, reps: int) -> list[tuple]:
-    """One level of reps repetitions from drawn blocks: (largest |2p - b|,
-    pairs drawn, fired or None) per repetition.
+def _drawn_level(oracle: ScondOracle, lv: EdgeLevel, block: int) -> tuple:
+    """One level of one repetition from drawn blocks: (largest |2p - b|,
+    pairs drawn, fired or None).
 
-    At each block one ``oracle.edge_block`` call draws the pairs of every
-    live repetition, repetition after repetition, and the counts are split
-    per repetition by a reshape; a repetition is checked by its largest and
-    smallest counts alone, and it draws no block past the one that holds
-    its first firing pair.
+    Each block is one ``oracle.edge_block`` call of up to block pairs,
+    checked by its largest and smallest counts alone; no block is drawn past
+    the one that holds the first firing pair.
     """
     b, c = lv.b, lv.c
-    top, pairs, fired = [0] * reps, [0] * reps, [None] * reps
-    live = list(range(reps))
-    done = 0
-    while done < lv.m and live:
+    top = done = 0
+    while done < lv.m:
         m = min(block, lv.m - done)
-        coords, plus = oracle.edge_block(len(live) * m, b)
-        plus = plus.reshape(len(live), m)
-        # each repetition's largest and smallest count, by direct reduces:
-        # the array methods add a Python-level call per block
-        his = np.maximum.reduce(plus, axis=1).tolist()
-        los = np.minimum.reduce(plus, axis=1).tolist()
-        for row, (rep, hi, lo) in enumerate(zip(live, his, los)):
-            pairs[rep] += m
-            top[rep] = max(top[rep], 2 * hi - b, b - 2 * lo)
-            if top[rep] >= c:
-                # counts of b <= 64 come as uint8, where 2 * counts wraps
-                counts = plus[row].astype(np.int64)
-                i = int(np.flatnonzero(np.abs(2 * counts - b) >= c)[0])
-                fired[rep] = {
-                    "h": lv.h,
-                    "pair": done + i,
-                    "coord": int(coords[row * m + i]),
-                    "est": (2.0 * int(counts[i]) - b) / b,
-                }
-        live = [rep for rep in live if fired[rep] is None]
+        coords, plus = oracle.edge_block(m, b)
+        # by direct reduces: the array methods add a Python-level call per block
+        hi, lo = int(np.maximum.reduce(plus)), int(np.minimum.reduce(plus))
+        top = max(top, 2 * hi - b, b - 2 * lo)
         done += m
-    return list(zip(top, pairs, fired))
+        if top >= c:
+            # counts of b <= 64 come as uint8, where 2 * counts wraps
+            counts = plus.astype(np.int64)
+            i = int(np.flatnonzero(np.abs(2 * counts - b) >= c)[0])
+            fired = {
+                "h": lv.h,
+                "pair": done - m + i,
+                "coord": int(coords[i]),
+                "est": (2.0 * int(counts[i]) - b) / b,
+            }
+            return top, done, fired
+    return top, done, None
 
 
 def _fair_level(oracle: ScondOracle, lv: EdgeLevel, block: int, reps: int) -> list[tuple]:
     """One level of reps repetitions on a view whose every edge bias is 0,
     drawn from the exact law of its m i.i.d. Y = |2X - b|,
-    X ~ Binomial(b, 1/2) (``_fair_law``), with what ``_drawn_level``
-    returns and charges.
+    X ~ Binomial(b, 1/2) (``_fair_law``): per repetition, what
+    ``_drawn_level`` returns and charges.
 
     Per repetition, one uniform u says whether some pair fires,
     u < 1 - (1 - f)^m, and then gives the first firing pair i by inversion
@@ -628,17 +623,17 @@ def subcond_uni(
     of a request draw their 2qk rows in one ``sample`` call
     (``meantest._mean_tests``), which reads the stream of k draws on product
     and dense targets. When a recursion-loop restriction's children are
-    base cases, the k children of a request are one edge tester over a
-    repetition axis (``_edge_tests``): each child stops at its own first
-    firing pair, is charged what its own blocks drew and keeps its own
-    tree node. The children's draws interleave, so their streams differ
-    from edge testers run one after another; their laws and their charges
-    do not. Children that recurse run one after another, and the first
-    ``ERROR`` ends the verdict.
+    base cases, the k children of a request walk the edge levels in step
+    (``_edge_tests``): each child stops at its own first firing pair, is
+    charged what its own blocks drew, in blocks sized as a lone edge
+    tester's, and keeps its own tree node. The children's levels
+    interleave, so their streams differ from edge testers run one after
+    another; their laws do not. Children that recurse run one after
+    another, and the first ``ERROR`` ends the verdict.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
-    cfg = cfg or SubCondConfig()
+    cfg = cfg or PRESETS["practical"]
     eps = min(eps, 0.5)
     n = oracle.n
     start = oracle.queries

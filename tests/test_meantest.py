@@ -19,7 +19,6 @@ from hypercube_tester.meantest import (
     SCREEN_BATCH_SIZE,
     GaussianDraw,
     MeanTestConfig,
-    SampleBatch,
     TauSchedule,
     _trace_float,
     default_k0,
@@ -27,6 +26,7 @@ from hypercube_tester.meantest import (
     gaussian_mean_tester,
     gaussian_required_samples,
     mean_tester,
+    numerators,
     paper_q,
     practical_q,
     screen_batches,
@@ -42,28 +42,54 @@ from hypercube_tester.zoo import GaussianSource, TwoPointDistribution
 # the statistic
 
 
-def test_sample_batch_rejects_non_signs():
+def _numerator(xs, ys, k):
+    """The level-k numerator of one batch with halves xs and ys."""
+    return numerators(np.concatenate([xs, ys]), len(xs), k)[0]
+
+
+def _histogram(xs, ys):
+    """The Gram histogram of one batch with halves xs and ys, checked as a
+    draw of 2q rows first."""
+    (halves,) = meantest._draw_batches(np.concatenate([xs, ys]), len(xs))
+    return meantest._gram_histogram(halves)
+
+
+def test_numerators_reject_non_signs():
     # values are checked before the int8 cast, which would make both 1
     with pytest.raises(ValueError):
-        SampleBatch(np.array([[257, -1]]), np.array([[1.7, -1.2]]))
+        numerators(np.array([[257, -1], [1.7, -1.2]]), 1, 0)
     with pytest.raises(ValueError):
-        SampleBatch(np.array([[1, -1]]), np.array([[1.5, -1.0]]))
-    with pytest.raises(ValueError):
-        SampleBatch(np.ones((2, 3)), np.ones((3, 3)))
-    # halves of equal shape that are not 2-D are refused when built, not by
-    # a TypeError or an unpacking error when a level is read
+        numerators(np.array([[1, -1], [1.5, -1.0]]), 1, 0)
+    # halves of 2 and 3 rows are no draw of 2q rows
+    with pytest.raises(ValueError, match="multiple of 2q"):
+        numerators(np.ones((5, 3)), 2, 0)
+    # a draw that is not 2-D is refused by name, not by a TypeError or an
+    # unpacking error when a level is read
     for shape in ((2, 3, 4), (3,), ()):
         with pytest.raises(ValueError, match="2-D"):
-            SampleBatch(np.ones(shape), np.ones(shape))
-    assert SampleBatch(np.array([[1.0, -1.0]]), np.array([[1, 1]])).xs.dtype == np.int8
+            numerators(np.ones(shape), 1, 0)
+    assert meantest._draw_batches(np.array([[1.0, -1.0], [1, 1]]), 1).dtype == np.int8
+
+
+def test_numerators_reject_a_bad_row_count_or_parameter():
+    # 15 rows are no whole number of q = 2 batches, and no draw holds none;
+    # numpy's reshape would report only the array size
+    for rows in (15, 0, 6):
+        with pytest.raises(ValueError, match="positive multiple of 2q = 4 rows"):
+            numerators(np.ones((rows, 3)), 2, 0)
+    assert numerators(np.ones((8, 3)), 2, 0) == [12, 12]
+    for q, k in ((0, 0), (-1, 0), (2, -1)):
+        with pytest.raises(ValueError, match="q >= 1 and k >= 0"):
+            numerators(np.ones((8, 3)), q, k)
+    with pytest.raises(ValueError, match="integer"):
+        numerators(np.ones((8, 3)), 2.5, 0)
 
 
 def test_z_numerator_small_exact():
     xs = np.array([[1, 1], [1, -1]])
     ys = np.array([[1, 1], [-1, 1]])
     # inner products: [2, 0], [0, -2]
-    batch = SampleBatch(xs, ys)
-    assert [batch.numerator(k) for k in range(3)] == [0, 8, 32]
+    assert [_numerator(xs, ys, k) for k in range(3)] == [0, 8, 32]
 
 
 def test_z_numerator_bigint_path_matches_python():
@@ -71,20 +97,18 @@ def test_z_numerator_bigint_path_matches_python():
     n, q = 40, 6
     xs = (2 * rng.integers(0, 2, (q, n)) - 1).astype(np.int64)
     ys = (2 * rng.integers(0, 2, (q, n)) - 1).astype(np.int64)
-    batch = SampleBatch(xs, ys)
     for level in (3, 4, 5):  # level 4+ overflows int64 at n=40
         want = sum(
             int(x @ y) ** (1 << level) for x in xs for y in ys
         )
-        assert batch.numerator(level) == want
+        assert _numerator(xs, ys, level) == want
 
 
 def test_z_numerator_exactness_at_int64_boundary():
     # max |<x,y>| = n = 62: 62^8 * 36 pairs sits close to 2^63
     xs = np.ones((6, 62), dtype=np.int64)
     ys = np.ones((6, 62), dtype=np.int64)
-    batch = SampleBatch(xs, ys)
-    assert [batch.numerator(3), batch.numerator(4)] == [36 * 62**8, 36 * 62**16]
+    assert [_numerator(xs, ys, 3), _numerator(xs, ys, 4)] == [36 * 62**8, 36 * 62**16]
 
 
 def _sign_halves(rng, q, n, rank_one):
@@ -109,9 +133,8 @@ def test_numerators_match_explicit_blowup(n, q, rank_one, seed):
     levels = [
         k for k in range(4) if k == 0 or blowup_dim(n, k) <= BLOWUP_DIM_CAP
     ]
-    batch = SampleBatch(xs, ys)
     for k in levels:
-        assert batch.numerator(k) / (q * q) == z_statistic_naive(xs, ys, k)
+        assert _numerator(xs, ys, k) / (q * q) == z_statistic_naive(xs, ys, k)
 
 
 def _int64_gram_histogram(xs, ys):
@@ -135,9 +158,9 @@ def test_level_zero_column_sums_match_gram_histogram(n, q, rank_one, seed):
     # against the level-0 sum over it; rank-one batches put every inner
     # product at +-n and give every column sum the same magnitude
     xs, ys = _sign_halves(np.random.default_rng(seed), q, n, rank_one)
-    batch = SampleBatch(xs, ys)
-    assert batch.gram_histogram == _int64_gram_histogram(xs, ys)
-    assert batch.numerator(0) == sum(c * v for v, c in batch.gram_histogram)
+    histogram = _histogram(xs, ys)
+    assert histogram == _int64_gram_histogram(xs, ys)
+    assert _numerator(xs, ys, 0) == sum(c * v for v, c in histogram)
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 255, 256, 257, 300])
@@ -146,26 +169,25 @@ def test_gram_histogram_at_word_boundaries(n):
     rng = stream(63, 0, n)
     for q, rank_one in ((1, False), (37, False), (300, False), (37, True)):
         xs, ys = _sign_halves(rng, q, n, rank_one)
-        assert SampleBatch(xs, ys).gram_histogram == _int64_gram_histogram(xs, ys)
+        assert _histogram(xs, ys) == _int64_gram_histogram(xs, ys)
     # every pair at distance n, the largest count the accumulator must hold
     ones = np.ones((3, n), dtype=np.int8)
-    assert SampleBatch(ones, -ones).gram_histogram == ((-n, 9),)
-    assert SampleBatch(ones, ones).numerator(1) == 9 * n * n
+    assert _histogram(ones, -ones) == ((-n, 9),)
+    assert _numerator(ones, ones, 1) == 9 * n * n
 
 
 def test_gram_histogram_in_several_row_blocks(monkeypatch):
     # 7 rows per block over q = 30 leaves a short last block
     monkeypatch.setattr(meantest, "GRAM_BLOCK_CELLS", 7 * 30)
     xs, ys = _sign_halves(stream(64, 0, 0), 30, 70, False)
-    assert SampleBatch(xs, ys).gram_histogram == _int64_gram_histogram(xs, ys)
+    assert _histogram(xs, ys) == _int64_gram_histogram(xs, ys)
 
 
 def test_gram_histogram_with_no_coordinates():
     # n = 0: every pair has inner product 0
     empty = np.zeros((4, 0), dtype=np.int8)
-    batch = SampleBatch(empty, empty)
-    assert batch.gram_histogram == ((0, 16),)
-    assert [batch.numerator(k) for k in range(3)] == [0, 0, 0]
+    assert _histogram(empty, empty) == ((0, 16),)
+    assert [_numerator(empty, empty, k) for k in range(3)] == [0, 0, 0]
 
 
 def test_gram_histogram_built_only_when_a_higher_level_reads_it(monkeypatch):
@@ -204,8 +226,8 @@ def test_z_statistic_is_numerator_over_q_squared():
     target = ProductDistribution.uniform(8)
     v = mean_tester(ScondOracle(target, stream(52, 0, 0)), MeanTestConfig(1.0, q=100, k0=2))
     o = ScondOracle(target, stream(52, 0, 0))
-    batch = SampleBatch(o.sample(100), o.sample(100))
-    nums = [batch.numerator(k) for k in range(3)]
+    xs, ys = o.sample(100), o.sample(100)
+    nums = [_numerator(xs, ys, k) for k in range(3)]
     assert len(v.trace["z_levels"]) == 3
     for z, num in zip(v.trace["z_levels"], nums):
         assert z == pytest.approx(num / 100**2, rel=1e-15)
@@ -221,7 +243,7 @@ def test_threshold_equality_accepts():
     x = np.ones((1, 32), dtype=np.int8)
     y = x.copy()
     y[0, :14] = -1
-    num = SampleBatch(x, y).numerator(0)
+    num = _numerator(x, y, 0)
     assert num == 4
     assert not sched.exceeded(0, num)
     assert sched.exceeded(0, num + 1)
@@ -240,7 +262,7 @@ def test_threshold_uses_exact_arithmetic():
     assert sched.taus[0] == 3
     xs = np.ones((3, 3), dtype=np.int8)
     ys = np.ones((3, 3), dtype=np.int8)
-    num = SampleBatch(xs, ys).numerator(0)  # 9 * 3 = 27, Z = 3 exactly
+    num = _numerator(xs, ys, 0)  # 9 * 3 = 27, Z = 3 exactly
     assert num == 27
     assert not sched.exceeded(0, num)
     assert sched.exceeded(0, num + 1)
@@ -452,12 +474,12 @@ def test_batch_numerators_check_the_draw_once():
     q, n = 7, 9
     draw = rng.choice((-1, 1), (6 * 2 * q, n))
     for k in (0, 1, 2):
-        want = [SampleBatch(d[:q], d[q:]).numerator(k) for d in draw.reshape(6, 2 * q, n)]
-        assert meantest._numerators(draw, q, k) == want
+        want = [_numerator(d[:q], d[q:], k) for d in draw.reshape(6, 2 * q, n)]
+        assert numerators(draw, q, k) == want
     draw = draw.astype(np.float64)
     draw[50, 3] = 0.5
     with pytest.raises(ValueError):
-        meantest._numerators(draw, q, 0)
+        numerators(draw, q, 0)
 
 
 def test_mean_tester_uses_exactly_2q_queries():

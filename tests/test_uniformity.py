@@ -761,9 +761,9 @@ def test_negative_depth_budget_errors_immediately():
 
 
 # ---------------------------------------------------------------------------
-# batched repetitions: a restriction's t base-case children are one edge
-# tester over a repetition axis, whose streams interleave; these tests hold
-# the laws and the charges, which must not move
+# batched repetitions: a restriction's t base-case children walk the edge
+# levels in step, so their streams interleave; these tests hold the laws and
+# the charges of lone edge testers, which must not move
 
 # uniform at n = 16, eps 0.5: four levels (b = 80, 40, 20, 10, so both fair
 # count routes) whose exact null accept rate is 0.5004
@@ -817,6 +817,40 @@ def test_edge_null_accept_pinned_to_the_bit():
         assert [edge_null_accept(16 << k, eps, cfg) for k in range(7)] == want
 
 
+def test_calls_without_a_config_build_none(monkeypatch):
+    # edge_tester, edge_null_accept and subcond_uni read the practical
+    # preset's instances when given no config: a fresh config's checks cost
+    # about a tenth of a uniform n = 128 null
+    assert PRESETS["practical"] == SubCondConfig()
+    assert PRESETS["practical"].edge == EdgeConfig()
+    built = []
+    for cls in (EdgeConfig, SubCondConfig):
+
+        def spy(self, check=cls.__post_init__):
+            built.append(type(self).__name__)
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", spy)
+    target = ProductDistribution.uniform(16)
+    lone = edge_tester(ScondOracle(target, stream(30, 0, 0)), 0.5)
+    accept = edge_null_accept(16, 0.5)
+    root = subcond_uni(ScondOracle(target, stream(30, 0, 0)), 0.5)
+    assert built == []
+    # the same verdicts and law as the preset passed by name
+    preset = PRESETS["practical"]
+    named = edge_tester(ScondOracle(target, stream(30, 0, 0)), 0.5, preset.edge)
+    assert (lone.decision, lone.queries_used, lone.trace) == (
+        named.decision,
+        named.queries_used,
+        named.trace,
+    )
+    assert accept == edge_null_accept(16, 0.5, preset.edge)
+    assert root.trace == subcond_uni(ScondOracle(target, stream(30, 0, 0)), 0.5, preset).trace
+    # the spies see a config that is built
+    SubCondConfig()
+    assert built == ["EdgeConfig", "SubCondConfig"]
+
+
 def _binomial_two_sided_p(k, trials, p):
     """Exact two-sided binomial test: the mass of every count no likelier than k."""
     logs = [
@@ -838,10 +872,10 @@ def _repetitions(o, eps, cfg, reps):
 
 
 @pytest.mark.parametrize("reps", [1, 3, 15])
-@pytest.mark.parametrize("block_bytes", [EDGE_BLOCK_BYTES, 2 * 16 * 15])
+@pytest.mark.parametrize("block_bytes", [EDGE_BLOCK_BYTES, 2 * 16])
 def test_batched_edge_accept_rate_matches_exact_law(monkeypatch, reps, block_bytes):
-    # 480 bytes make blocks of 30, 10 and 2 pairs per repetition at n = 16,
-    # so the levels of 3 to 20 pairs also take several blocks
+    # 32 bytes make blocks of 2 pairs at n = 16 for every repetition, so the
+    # levels of 3 to 20 pairs also take several blocks
     monkeypatch.setattr(uniformity, "EDGE_BLOCK_BYTES", block_bytes)
     want = edge_null_accept(16, 0.5, HALF_EDGE)
     assert want == pytest.approx(0.5, abs=0.001)
@@ -860,9 +894,53 @@ def test_batched_edge_accept_rate_matches_exact_law(monkeypatch, reps, block_byt
                 accepts += 1
                 assert v.queries_used == planned
             else:
-                assert_block_ledger(v, max(1, block_bytes // 16 // reps))
+                assert_block_ledger(v, max(1, block_bytes // 16))
     assert total == 3000
     assert _binomial_two_sided_p(accepts, total, want) >= 1e-3
+
+
+def test_drawn_repetitions_match_lone_edge_testers(monkeypatch):
+    # a product with every mean 0.1 has no fair_edges, so each repetition
+    # draws its own blocks; under HALF_EDGE at n = 16, eps 0.5 a lone edge
+    # tester accepts it about 0.30 of the time. 64 bytes make blocks of 4
+    # pairs for every repetition, splitting every level but the first. Each
+    # of 3 repetitions run together is charged its own blocks, and 3,000 of
+    # them are compared with 3,000 lone runs on other streams, outcome by
+    # outcome, each at the 1e-3 level. Power: an outcome of two cells whose
+    # share moves from p to p +- d is found with probability 0.9 once
+    # d >= 0.118 sqrt(p (1 - p)), such as 0.30 -> 0.35 in the accept rate
+    monkeypatch.setattr(uniformity, "EDGE_BLOCK_BYTES", 4 * 16)
+    target = ProductDistribution(np.full(16, 0.1))
+    assert not target.fair_edges
+    planned = sum(lv.m * (1 + lv.b) for lv in HALF_EDGE.levels(16, 0.5))
+    batched, lone = [], []
+    for t in range(1000):
+        o = ScondOracle(target, stream(28, 3, t))
+        verdicts = uniformity._edge_tests(o, 0.5, HALF_EDGE, 3)
+        assert sum(v.queries_used for v in verdicts) == o.queries
+        for v in verdicts:
+            if v.decision is Decision.ACCEPT:
+                assert v.queries_used == planned
+            else:
+                assert_block_ledger(v, 4)
+        batched += verdicts
+        lone += [
+            edge_tester(ScondOracle(target, stream(29, 0, 3 * t + i)), 0.5, HALF_EDGE)
+            for i in range(3)
+        ]
+
+    def outcomes(verdicts):
+        return {
+            "decision": [v.decision for v in verdicts],
+            "charge": [v.queries_used for v in verdicts],
+            "fired level": [(_fired(v.trace) or (None,))[0] for v in verdicts],
+        }
+
+    ours, theirs = outcomes(batched), outcomes(lone)
+    p_values = {name: _two_sample_p(ours[name], theirs[name]) for name in ours}
+    assert min(p_values.values()) >= 1e-3, p_values
+    accepts = ours["decision"].count(Decision.ACCEPT) / len(batched)
+    assert 0.2 <= accepts <= 0.8
 
 
 def test_one_repetition_is_the_lone_edge_tester():
@@ -1053,11 +1131,13 @@ def assert_restriction_charges(o, v, cfg, eps=0.5):
     children are the trace's next children, read in the vote's requests
     ((t + 1) // 2, then the fewest that could fix it) until a side holds
     the majority of t; every child is charged what its own edge blocks drew,
-    in blocks for the children of its request, and each bucket's ``runs``
-    counts the mean tests or children of its restrictions."""
+    in blocks of EDGE_BLOCK_BYTES // n pairs as a lone edge tester, and each
+    bucket's ``runs`` counts the mean tests or children of its
+    restrictions."""
     tree = v.trace["tree"]
     assert v.queries_used == o.queries == trace_query_sum(tree)
     n, sigma, r, t = tree["n"], tree["sigma"], tree["r"], cfg.t_reps(eps)
+    block = max(1, uniformity.EDGE_BLOCK_BYTES // n)
     two_q = 2 * cfg.mean_q_override
     ends = [before for before, _ in o.draws[1:]] + [o.queries]
     loops = [(s, r) for s in tree["mean_loop"]] + [(s, t) for s in tree.get("recursion_loop", [])]
@@ -1079,13 +1159,12 @@ def assert_restriction_charges(o, v, cfg, eps=0.5):
         group = []
         while max(votes.values()) < need:
             request = [next(children) for _ in range(need - max(votes.values()))]
-            block = max(1, uniformity.EDGE_BLOCK_BYTES // n // len(request))
-            group += [(child, block) for child in request]
+            group += request
             for child in request:
                 votes[child["verdict"]] += 1
         runs[i] += len(group)
-        assert end - before == 1 + sum(c["queries"] for c, _ in group)
-        for child, block in group:
+        assert end - before == 1 + sum(c["queries"] for c in group)
+        for child in group:
             assert list(child) == BASE_CASE_KEYS
             assert child["branch"] == "base-case" and child["n"] == k
             assert child["children"] == []
@@ -1107,8 +1186,8 @@ def assert_restriction_charges(o, v, cfg, eps=0.5):
     "dist, cfg", [("uniform", REC_CFG), ("two_point", REC_CFG), ("uniform", FIRE_CFG)]
 )
 def test_batched_children_charges_and_traces(monkeypatch, block_bytes, dist, cfg):
-    # 384 bytes make blocks of 3 pairs per child in a request of 2 children
-    # at n = 64, and of 6 pairs for a lone third child
+    # 384 bytes make blocks of 6 pairs at n = 64 for every child, whatever
+    # the size of its request
     monkeypatch.setattr(uniformity, "EDGE_BLOCK_BYTES", block_bytes)
     target = resolve_target(dist, 64)
     outcomes, thirds = set(), 0
