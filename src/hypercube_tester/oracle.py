@@ -18,9 +18,11 @@ The one edge query is ``edge_block``: it draws points of the view, gives
 each a uniform coordinate, and answers each pair with the count of +1
 draws among b conditional draws on that pair's one-star subcube (the edge
 through the point along the coordinate), charging 1 + b queries per pair.
-On a target with ``fair_edges`` (the uniform product) the edge tester asks
-for no block: it draws each level from the exact law of its counts and
-charges this ledger the pairs a block route would have drawn.
+Each count is one ``rng.binomial`` draw from the pair's exact bias, by the
+same route for fair and biased pairs alike. On a target with ``fair_edges``
+(the uniform product) the edge tester asks for no block: it draws each
+level from the exact law of its counts and charges this ledger the pairs a
+block route would have drawn.
 """
 
 from __future__ import annotations
@@ -136,24 +138,12 @@ class ScondOracle:
 
         A pair's b draws are i.i.d. signs with the pair's exact conditional
         bias, so they are aggregated as one count, Binomial(b, (1 + bias)/2),
-        drawn by ``rng.binomial`` unless the batch is fair (every bias 0,
-        which includes zero-support pairs): then with b <= 64 each pair's b
-        draws are the low b bits of one ``random_raw`` word and the count is
-        their popcount, exactly Binomial(b, 1/2) at one word per pair, and
-        with b > 64 it is ``rng.binomial(b, 0.5)``, which returns what the
-        general call returns for every p = 1/2 on the same stream. Only the
-        popcount route reads the stream differently from that general call;
-        every route draws the same law.
+        drawn for every pair of the block, fair or not, by one
+        ``rng.binomial`` call.
         """
         self.ledger.queries += bias.shape[0] * b
         self.ledger.zero_support_hits += int(np.count_nonzero(zero)) * b
-        if bias.any():
-            return self.rng.binomial(b, (1.0 + bias) / 2.0)
-        if b <= 64:
-            words = self.rng.bit_generator.random_raw(bias.shape)
-            words &= np.uint64((1 << b) - 1)
-            return np.bitwise_count(words)
-        return self.rng.binomial(b, 0.5, size=bias.shape)
+        return self.rng.binomial(b, (1.0 + bias) / 2.0)
 
     def restricted(self, sub: Restriction) -> "ScondOracle":
         """View of this oracle conditioned on sub (over this view's coordinates)."""

@@ -329,9 +329,8 @@ PRESETS = {
 def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) -> TestVerdict:
     """Reject when some conditional single-coordinate bias is large.
 
-    This is the one-repetition case of ``_edge_tests``, which runs the
-    repetitions of a restriction's base-case children level by level in
-    step; each of them has the law described here.
+    This is the one edge loop: every base case of ``subcond_uni``, at the
+    root or as a restriction's child, runs it once.
 
     Levels run from heavy-mass buckets (few pairs, many draws each) down to
     light ones. A pair whose count p of +1 draws out of b_h has
@@ -339,7 +338,8 @@ def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) 
     and the float estimates (2p - b_h) / b_h only fill the trace. The first
     firing pair ends the run with Reject, and the trace's ``fired`` names
     its level, its index ``pair`` within the level, its coordinate and its
-    estimate. A block is checked by its largest and smallest counts alone.
+    estimate. Each level is settled by ``_drawn_level``, or by
+    ``_fair_level`` on a target with ``fair_edges``.
 
     A level's m_h pairs are drawn in blocks of
     max(1, EDGE_BLOCK_BYTES // rho.n) pairs (4,096 at n = 128), where rho.n
@@ -366,56 +366,27 @@ def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) 
     verdict, trace and charge have the law of the blocks', the charge still
     counting whole blocks; it reads other stream words (BENCH_edge_law.json).
     """
-    return _edge_tests(oracle, eps, cfg or PRESETS["practical"].edge, 1)[0]
-
-
-def _edge_tests(oracle: ScondOracle, eps: float, cfg: EdgeConfig, reps: int) -> list[TestVerdict]:
-    """reps independent edge testers on one view, one verdict each.
-
-    The repetitions walk the levels in step. At each level every live
-    repetition is settled by its own drawn blocks (``_drawn_level``), one
-    repetition after another, or, on a target with ``fair_edges``, all at
-    once from the exact law of their counts (``_fair_level``). A repetition
-    stops at its own first firing pair; the others go on. Every block holds
-    max(1, EDGE_BLOCK_BYTES // rho.n) pairs, whatever reps, so each
-    repetition's verdict, trace and charge have the law of a lone
-    ``edge_tester``, and one repetition reads its stream. Each verdict is
-    charged what its own blocks drew, so an accepted repetition spends
-    exactly sum_h m_h (1 + b_h) queries.
-    """
-    schedule = cfg.levels(oracle.n, eps)
+    # the schedule refuses a 0-dimensional view before the block is sized
+    schedule = (cfg or PRESETS["practical"].edge).levels(oracle.n, eps)
     block = max(1, EDGE_BLOCK_BYTES // oracle.rho.n)
-    fair = oracle.target.fair_edges
-    levels = [[] for _ in range(reps)]
-    fired = [None] * reps
-    queries = [0] * reps
-    live = list(range(reps))
+    settle = _fair_level if oracle.target.fair_edges else _drawn_level
+    levels, fired, queries = [], None, 0
     for lv in schedule:
-        entry = {"h": lv.h, "m": lv.m, "b": lv.b, "theta": lv.theta}
-        if fair:
-            settled = _fair_level(oracle, lv, block, len(live))
-        else:
-            settled = [_drawn_level(oracle, lv, block) for _ in live]
-        for rep, (top, pairs, hit) in zip(live, settled):
-            queries[rep] += pairs * (1 + lv.b)
-            fired[rep] = hit
-            levels[rep].append({**entry, "max_est": top / lv.b})
-        live = [rep for rep in live if fired[rep] is None]
-        if not live:
+        top, pairs, fired = settle(oracle, lv, block)
+        queries += pairs * (1 + lv.b)
+        levels.append({"h": lv.h, "m": lv.m, "b": lv.b, "theta": lv.theta, "max_est": top / lv.b})
+        if fired is not None:
             break
-    return [
-        TestVerdict(
-            Decision.ACCEPT if f is None else Decision.REJECT,
-            spent,
-            {"kind": "edge", "levels": reached, "fired": f},
-        )
-        for reached, f, spent in zip(levels, fired, queries)
-    ]
+    return TestVerdict(
+        Decision.ACCEPT if fired is None else Decision.REJECT,
+        queries,
+        {"kind": "edge", "levels": levels, "fired": fired},
+    )
 
 
 def _drawn_level(oracle: ScondOracle, lv: EdgeLevel, block: int) -> tuple:
-    """One level of one repetition from drawn blocks: (largest |2p - b|,
-    pairs drawn, fired or None).
+    """One level from drawn blocks: (largest |2p - b|, pairs drawn, fired or
+    None).
 
     Each block is one ``oracle.edge_block`` call of up to block pairs,
     checked by its largest and smallest counts alone; no block is drawn past
@@ -431,112 +402,56 @@ def _drawn_level(oracle: ScondOracle, lv: EdgeLevel, block: int) -> tuple:
         top = max(top, 2 * hi - b, b - 2 * lo)
         done += m
         if top >= c:
-            # counts of b <= 64 come as uint8, where 2 * counts wraps
-            counts = plus.astype(np.int64)
-            i = int(np.flatnonzero(np.abs(2 * counts - b) >= c)[0])
+            i = int(np.flatnonzero(np.abs(2 * plus - b) >= c)[0])
             fired = {
                 "h": lv.h,
                 "pair": done - m + i,
                 "coord": int(coords[i]),
-                "est": (2.0 * int(counts[i]) - b) / b,
+                "est": (2.0 * int(plus[i]) - b) / b,
             }
             return top, done, fired
     return top, done, None
 
 
-def _fair_level(oracle: ScondOracle, lv: EdgeLevel, block: int, reps: int) -> list[tuple]:
-    """One level of reps repetitions on a view whose every edge bias is 0,
-    drawn from the exact law of its m i.i.d. Y = |2X - b|,
-    X ~ Binomial(b, 1/2) (``_fair_law``): per repetition, what
-    ``_drawn_level`` returns and charges.
+def _fair_level(oracle: ScondOracle, lv: EdgeLevel, block: int) -> tuple:
+    """One level on a view whose every edge bias is 0, drawn from the exact
+    law of its m i.i.d. Y = |2X - b|, X ~ Binomial(b, 1/2) (``_fair_law``):
+    what ``_drawn_level`` returns and charges.
 
-    Per repetition, one uniform u says whether some pair fires,
-    u < 1 - (1 - f)^m, and then gives the first firing pair i by inversion
-    of the geometric law, truncated to m; a second uniform gives the level's
-    largest Y. Without a fire that is the largest of m values of Y given
-    Y < c. With one, two more uniforms draw the firing pair's Y given
-    Y >= c and its sign, ``rng.integers`` its coordinate, and the largest Y
-    is the larger of that pair's and of the pairs after it in its block,
-    which are unconditioned. The pairs charged are the level's m, or those
-    up to the end of the firing pair's block, as a drawn block is charged,
-    and the oracle's ledger is charged 1 + b queries for each.
+    One uniform u says whether some pair fires, u < 1 - (1 - f)^m, and then
+    gives the first firing pair i by inversion of the geometric law,
+    truncated to m; a second uniform, read with u by one ``rng.random(2)``,
+    gives the level's largest Y. Without a fire that is the largest of m
+    values of Y given Y < c. With one, two more uniforms draw the firing
+    pair's Y given Y >= c and its sign, ``rng.integers`` its coordinate, and
+    the largest Y is the larger of that pair's and of the pairs after it in
+    its block, which are unconditioned. The pairs charged are the level's
+    m, or those up to the end of the firing pair's block, as a drawn block
+    is charged, and the oracle's ledger is charged 1 + b queries for each.
     """
     m, b = lv.m, lv.b
     law = _fair_law(b, lv.c)
     rng = oracle.rng
-    hits = -math.expm1(m * law.log_miss)
-    out = []
-    for u, v in rng.random((reps, 2)).tolist():
-        if u >= hits:
-            out.append((b % 2 + 2 * bisect.bisect_left(law.below, math.log1p(-v) / m), m, None))
-            continue
-        i = min(m - 1, int(math.log1p(-u) / law.log_miss))
-        pairs = min(m, (i // block + 1) * block)
-        w, sign = rng.random(2).tolist()
-        y = law.first + 2 * bisect.bisect_left(law.above, w - 1.0)
-        rest = pairs - i - 1
-        top = y
-        if rest:
-            top = max(y, law.first + 2 * bisect.bisect_left(law.log_cdf, math.log1p(-v) / rest))
-        fired = {
-            "h": lv.h,
-            "pair": i,
-            "coord": int(rng.integers(0, oracle.n)),
-            "est": (y if sign < 0.5 else -y) / b,
-        }
-        out.append((top, pairs, fired))
-    oracle.ledger.queries += sum(pairs for _, pairs, _ in out) * (1 + b)
-    return out
-
-
-def _base_cases(
-    oracle: ScondOracle, eps: float, cfg: SubCondConfig, depth: int, reps: int
-) -> list[TestVerdict] | None:
-    """The one base-case rule of ``subcond_uni``, for the root and for each
-    restriction's children: a view within the depth budget whose dimension
-    is too small for restrictions to bite (``SubCondConfig.base_case``) gets
-    reps verdicts, each with its own tree node, from one batched edge
-    tester; any other view gets None and no draw."""
-    if depth > cfg.max_depth or not cfg.base_case(oracle.n, eps):
-        return None
-    # a lone base case goes through the public entry, so a tracer that
-    # wraps ``edge_tester`` still sees it
-    if reps == 1:
-        inners = [edge_tester(oracle, eps, cfg.edge)]
-    else:
-        inners = _edge_tests(oracle, eps, cfg.edge, reps)
-    sigma = cfg.sigma(eps)
-    return [
-        TestVerdict(
-            inner.decision,
-            inner.queries_used,
-            {
-                "tree": {
-                    "depth": depth,
-                    "n": oracle.n,
-                    "eps": eps,
-                    "branch": "base-case",
-                    "verdict": inner.decision.value,
-                    "queries": inner.queries_used,
-                    "children": [],
-                    "sigma": sigma,
-                    "edge": inner.trace,
-                }
-            },
-        )
-        for inner in inners
-    ]
-
-
-def _children(
-    view: ScondOracle, eps: float, cfg: SubCondConfig, depth: int, reps: int
-) -> Iterable[TestVerdict]:
-    """reps children of a recursion-loop restriction on its view: base cases
-    batched (``_base_cases``), or else recursive verdicts, produced one at a
-    time as they are read."""
-    return _base_cases(view, eps, cfg, depth, reps) or (
-        subcond_uni(view, eps, cfg, depth) for _ in range(reps)
-    )
+    u, v = rng.random(2).tolist()
+    if u >= -math.expm1(m * law.log_miss):
+        oracle.ledger.queries += m * (1 + b)
+        return b % 2 + 2 * bisect.bisect_left(law.below, math.log1p(-v) / m), m, None
+    i = min(m - 1, int(math.log1p(-u) / law.log_miss))
+    pairs = min(m, (i // block + 1) * block)
+    w, sign = rng.random(2).tolist()
+    y = law.first + 2 * bisect.bisect_left(law.above, w - 1.0)
+    rest = pairs - i - 1
+    top = y
+    if rest:
+        top = max(y, law.first + 2 * bisect.bisect_left(law.log_cdf, math.log1p(-v) / rest))
+    fired = {
+        "h": lv.h,
+        "pair": i,
+        "coord": int(rng.integers(0, oracle.n)),
+        "est": (y if sign < 0.5 else -y) / b,
+    }
+    oracle.ledger.queries += pairs * (1 + b)
+    return top, pairs, fired
 
 
 def _vote(
@@ -611,25 +526,21 @@ def subcond_uni(
 ) -> TestVerdict:
     """Recursive uniformity tester (Accept / Reject / Error verdicts).
 
-    A view past the depth budget gives ``ERROR`` before any query; whether
-    a view is a base case, ``_base_cases`` alone decides.
+    A view past the depth budget gives ``ERROR`` before any query. A view
+    whose dimension is too small for restrictions to bite
+    (``SubCondConfig.base_case``) is a base case: one ``edge_tester`` run,
+    whose trace the node keeps under ``edge``.
 
     A restriction is tested by a majority vote over its r mean tests or its
     t children, and the vote stops once it is decided (``_vote``): it runs
     (r + 1) // 2 or (t + 1) // 2 repetitions first, then the fewest more
     that could fix it, so a restriction whose first repetitions agree runs
     no other. Each loop's trace entries count the repetitions that ran, in
-    ``runs``. The repetitions of one request run batched. The k mean tests
-    of a request draw their 2qk rows in one ``sample`` call
-    (``meantest._mean_tests``), which reads the stream of k draws on product
-    and dense targets. When a recursion-loop restriction's children are
-    base cases, the k children of a request walk the edge levels in step
-    (``_edge_tests``): each child stops at its own first firing pair, is
-    charged what its own blocks drew, in blocks sized as a lone edge
-    tester's, and keeps its own tree node. The children's levels
-    interleave, so their streams differ from edge testers run one after
-    another; their laws do not. Children that recurse run one after
-    another, and the first ``ERROR`` ends the verdict.
+    ``runs``. The k mean tests of a request run batched: they draw their
+    2qk rows in one ``sample`` call (``meantest._mean_tests``), which reads
+    the stream of k draws on product and dense targets. The children are
+    ``subcond_uni`` nodes one level deeper, run one after another, base
+    cases included; the first ``ERROR`` ends the verdict.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
@@ -656,12 +567,14 @@ def subcond_uni(
         node["branch"] = "depth-exceeded"
         return finish(Decision.ERROR)
 
-    base = _base_cases(oracle, eps, cfg, _depth, 1)
-    if base:
-        return base[0]
-
     sigma = cfg.sigma(eps)
     node["sigma"] = sigma
+    if cfg.base_case(n, eps):
+        node["branch"] = "base-case"
+        inner = edge_tester(oracle, eps, cfg.edge)
+        node["edge"] = inner.trace
+        return finish(inner.decision)
+
     big_l = cfg.big_l(n, eps)
     r = cfg.r_reps(n, eps)
     node["L"] = big_l
@@ -715,7 +628,7 @@ def subcond_uni(
             stats["recursed"] += 1
             sub = oracle.restricted(rho)
             decision, children = _vote(
-                t, functools.partial(_children, sub, bucket.eps, cfg, _depth + 1)
+                t, lambda k: (subcond_uni(sub, bucket.eps, cfg, _depth + 1) for _ in range(k))
             )
             stats["runs"] += len(children)
             node["children"] += [child.trace["tree"] for child in children]

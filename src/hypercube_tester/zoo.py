@@ -17,6 +17,7 @@ import os
 import numpy as np
 
 from .model import (
+    DENSE_CAP,
     DensePmf,
     HypercubeTarget,
     ProductDistribution,
@@ -129,12 +130,19 @@ class HeavyAtomDistribution(HypercubeTarget):
 
 
 class JuntaMixDistribution(HypercubeTarget):
-    """Inner PMF on the first k coordinates, uniform on the remaining n - k."""
+    """Inner PMF on the first k coordinates, uniform on the remaining n - k;
+    with no inner PMF, a point mass on all +1 within the junta."""
 
-    def __init__(self, n: int, k: int, inner):
+    def __init__(self, n: int, k: int, inner=None):
         self.n, self.k = as_int(n, "n"), as_int(k, "k")
-        if not 1 <= self.k <= self.n:
-            raise ValueError("need 1 <= k <= n")
+        # checked before the 2^k inner masses are built or read
+        if not 1 <= self.k <= min(self.n, DENSE_CAP):
+            raise ValueError(
+                f"need 1 <= k <= n and k <= DENSE_CAP = {DENSE_CAP}, got k={self.k} at n={self.n}"
+            )
+        if inner is None:
+            inner = np.zeros(1 << self.k)
+            inner[-1] = 1.0  # point mass on all +1 within the junta
         self.inner = DensePmf(self.k, inner)
 
     def dense(self) -> DensePmf:
@@ -330,12 +338,7 @@ def instantiate(entry: dict, n: int):
             raise ValueError("heavy_atom x must have length n")
         return target
     if kind == "junta_mix":
-        k = as_int(p["k"], "k")
-        inner = p.get("inner")
-        if inner is None:
-            inner = np.zeros(1 << k)
-            inner[-1] = 1.0  # point mass on all +1 within the junta
-        return JuntaMixDistribution(n, k, inner)
+        return JuntaMixDistribution(n, p["k"], p.get("inner"))
     return NoisyParityDistribution(n, p["S"], float(p["delta"]))
 
 

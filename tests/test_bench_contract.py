@@ -4,6 +4,7 @@ draw's shape and the trace's query sum.  One verdict per cell of every
 workload, taken through the benchmark's own runner and ledger probe, keeps
 those names working."""
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -39,3 +40,19 @@ def test_every_bench_workload_gives_clean_verdicts(bench, monkeypatch):
             _, decision, _, problem = runner.verdict(cell, 0)
             assert problem is None, (workload, cell, problem)
             assert decision in ("accept", "reject"), (workload, cell, decision)
+
+
+def test_recursion_config_is_rec_cfg(bench):
+    # the shrunk recursion config is written twice, as bench.recursion_config
+    # and as REC_CFG of test_uniformity; a drift between the two copies fails
+    # here. l_formula is a function, so it is compared through big_l
+    from test_uniformity import REC_CFG
+
+    uniformity = bench.import_package()[3]
+    cfg = bench.recursion_config(uniformity)
+    for f in dataclasses.fields(uniformity.SubCondConfig):
+        if f.name != "l_formula":
+            assert getattr(cfg, f.name) == getattr(REC_CFG, f.name), f.name
+    for n in range(1, 129):
+        for eps in (0.5, 0.25, 0.125):
+            assert cfg.big_l(n, eps) == REC_CFG.big_l(n, eps), (n, eps)

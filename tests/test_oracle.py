@@ -139,25 +139,12 @@ def _reference_pairs(view, size):
     return (coords, *view.target.view_edge_bias(view.rho, points, coords))
 
 
-def _low_bits_popcount(words, b):
-    return [bin(int(w) & ((1 << b) - 1)).count("1") for w in words]
-
-
 def _reference_block(view, size, b):
     """edge_block's (coords, counts) from public calls: the pairs of
-    _reference_pairs, then the count rule. A block with any nonzero bias
-    draws rng.binomial(b, (1 + bias)/2); a fair block with b <= 64 takes the
-    popcount of the low b bits of one raw word per pair; any other fair
-    block draws rng.binomial(b, 0.5, size). Charges view's ledger as
-    edge_block does."""
+    _reference_pairs, then the counts, rng.binomial(b, (1 + bias)/2) for
+    every block, fair or not. Charges view's ledger as edge_block does."""
     coords, bias, zero = _reference_pairs(view, size)
-    rng = view.rng
-    if bias.any():
-        counts = rng.binomial(b, (1.0 + bias) / 2.0)
-    elif b <= 64:
-        counts = _low_bits_popcount(rng.bit_generator.random_raw(size), b)
-    else:
-        counts = rng.binomial(b, 0.5, size)
+    counts = view.rng.binomial(b, (1.0 + bias) / 2.0)
     view.ledger.queries += size * b
     view.ledger.zero_support_hits += int(zero.sum()) * b
     return coords, np.asarray(counts)
@@ -207,13 +194,15 @@ def test_fair_edge_bias_counts_are_binomial_half(b):
 
 @pytest.mark.parametrize("b", [1, 50, 63, 64])
 def test_fair_edge_bias_replays_low_bits_of_raw_words(b):
+    # fair counts of b <= 64 draws, once the popcount of one raw word's low
+    # b bits, now replay the one rng.binomial route as every block does
     m = 300
     o = ScondOracle(ProductDistribution.uniform(6), stream(31, 0, b))
     coords, plus = o.edge_block(m, b)
     ref = ScondOracle(ProductDistribution.uniform(6), stream(31, 0, b))
     want_coords, _, _ = _reference_pairs(ref, m)
     assert coords.tolist() == want_coords.tolist()
-    assert plus.tolist() == _low_bits_popcount(ref.rng.bit_generator.random_raw(m), b)
+    assert plus.tolist() == ref.rng.binomial(b, np.full(m, 0.5)).tolist()
     assert o.queries == m * (1 + b)
 
 
@@ -229,7 +218,7 @@ def test_edge_bias_zero_support_pairs_take_the_fair_route():
     want_coords, bias, zero = _reference_pairs(ref, 4)
     assert zero.all() and not bias.any()
     assert coords.tolist() == want_coords.tolist()
-    assert plus.tolist() == _low_bits_popcount(ref.rng.bit_generator.random_raw(4), 40)
+    assert plus.tolist() == ref.rng.binomial(40, np.full(4, 0.5)).tolist()
     assert o.queries == o.zero_support_hits == 4 * (1 + 40)
 
 

@@ -761,9 +761,9 @@ def test_negative_depth_budget_errors_immediately():
 
 
 # ---------------------------------------------------------------------------
-# batched repetitions: a restriction's t base-case children walk the edge
-# levels in step, so their streams interleave; these tests hold the laws and
-# the charges of lone edge testers, which must not move
+# repetitions: a restriction's t base-case children are lone subcond_uni
+# nodes, each one edge tester run after the last; these tests hold their
+# laws and charges to those of lone edge testers
 
 # uniform at n = 16, eps 0.5: four levels (b = 80, 40, 20, 10, so both fair
 # count routes) whose exact null accept rate is 0.5004
@@ -865,17 +865,12 @@ def _binomial_two_sided_p(k, trials, p):
     return min(1.0, sum(math.exp(v) for v in logs if v <= cut))
 
 
-def _repetitions(o, eps, cfg, reps):
-    if reps == 1:
-        return [edge_tester(o, eps, cfg)]
-    return uniformity._edge_tests(o, eps, cfg, reps)
-
-
 @pytest.mark.parametrize("reps", [1, 3, 15])
 @pytest.mark.parametrize("block_bytes", [EDGE_BLOCK_BYTES, 2 * 16])
 def test_batched_edge_accept_rate_matches_exact_law(monkeypatch, reps, block_bytes):
-    # 32 bytes make blocks of 2 pairs at n = 16 for every repetition, so the
-    # levels of 3 to 20 pairs also take several blocks
+    # reps lone edge testers, one after another on one oracle. 32 bytes make
+    # blocks of 2 pairs at n = 16, so the levels of 3 to 20 pairs also take
+    # several blocks
     monkeypatch.setattr(uniformity, "EDGE_BLOCK_BYTES", block_bytes)
     want = edge_null_accept(16, 0.5, HALF_EDGE)
     assert want == pytest.approx(0.5, abs=0.001)
@@ -885,7 +880,7 @@ def test_batched_edge_accept_rate_matches_exact_law(monkeypatch, reps, block_byt
     accepts = total = 0
     for t in range(3000 // reps):
         o = ScondOracle(target, stream(key, reps, t))
-        verdicts = _repetitions(o, 0.5, HALF_EDGE, reps)
+        verdicts = [edge_tester(o, 0.5, HALF_EDGE) for _ in range(reps)]
         assert len(verdicts) == reps
         assert sum(v.queries_used for v in verdicts) == o.queries
         for v in verdicts:
@@ -899,64 +894,42 @@ def test_batched_edge_accept_rate_matches_exact_law(monkeypatch, reps, block_byt
     assert _binomial_two_sided_p(accepts, total, want) >= 1e-3
 
 
-def test_drawn_repetitions_match_lone_edge_testers(monkeypatch):
-    # a product with every mean 0.1 has no fair_edges, so each repetition
-    # draws its own blocks; under HALF_EDGE at n = 16, eps 0.5 a lone edge
-    # tester accepts it about 0.30 of the time. 64 bytes make blocks of 4
-    # pairs for every repetition, splitting every level but the first. Each
-    # of 3 repetitions run together is charged its own blocks, and 3,000 of
-    # them are compared with 3,000 lone runs on other streams, outcome by
-    # outcome, each at the 1e-3 level. Power: an outcome of two cells whose
-    # share moves from p to p +- d is found with probability 0.9 once
-    # d >= 0.118 sqrt(p (1 - p)), such as 0.30 -> 0.35 in the accept rate
-    monkeypatch.setattr(uniformity, "EDGE_BLOCK_BYTES", 4 * 16)
-    target = ProductDistribution(np.full(16, 0.1))
-    assert not target.fair_edges
+@pytest.mark.parametrize("mean", [0.0, 0.1])
+def test_base_case_children_are_lone_edge_testers(monkeypatch, mean):
+    # k = 3 child subcond_uni nodes of a restriction's view against 3 lone
+    # edge testers on a copy of the stream: the same decisions, charges and
+    # edge traces, and the stream left at the same place. The uniform
+    # product settles its levels by the fair route; a product with every
+    # mean 0.1 has no fair_edges and draws its blocks, and a lone edge
+    # tester accepts it about 0.30 of the time under HALF_EDGE at n = 16.
+    # The views fix half of a 32-cube, and 128 bytes make blocks of 4 pairs
+    # at the root's n = 32, splitting every level but the first
+    monkeypatch.setattr(uniformity, "EDGE_BLOCK_BYTES", 4 * 32)
+    target = ProductDistribution(np.full(32, mean))
+    assert target.fair_edges is (mean == 0.0)
+    cfg = replace(REC_CFG, edge=HALF_EDGE)
+    rho = Restriction(np.where(np.arange(32) % 2 == 0, 0, 1).astype(np.int8))
     planned = sum(lv.m * (1 + lv.b) for lv in HALF_EDGE.levels(16, 0.5))
-    batched, lone = [], []
-    for t in range(1000):
-        o = ScondOracle(target, stream(28, 3, t))
-        verdicts = uniformity._edge_tests(o, 0.5, HALF_EDGE, 3)
-        assert sum(v.queries_used for v in verdicts) == o.queries
-        for v in verdicts:
+    decisions = set()
+    for t in range(10):
+        views = [ScondOracle(target, stream(28, 3, t)).restricted(rho) for _ in range(2)]
+        assert cfg.base_case(views[0].n, 0.5)
+        children = [subcond_uni(views[0], 0.5, cfg, 1) for _ in range(3)]
+        lone = [edge_tester(views[1], 0.5, HALF_EDGE) for _ in range(3)]
+        assert [(c.decision, c.queries_used, c.trace["tree"]["edge"]) for c in children] == [
+            (v.decision, v.queries_used, v.trace) for v in lone
+        ]
+        assert views[0].ledger == views[1].ledger
+        assert views[0].queries == sum(v.queries_used for v in lone)
+        raw = [view.rng.bit_generator.random_raw() for view in views]
+        assert raw[0] == raw[1]
+        for v in lone:
             if v.decision is Decision.ACCEPT:
                 assert v.queries_used == planned
             else:
                 assert_block_ledger(v, 4)
-        batched += verdicts
-        lone += [
-            edge_tester(ScondOracle(target, stream(29, 0, 3 * t + i)), 0.5, HALF_EDGE)
-            for i in range(3)
-        ]
-
-    def outcomes(verdicts):
-        return {
-            "decision": [v.decision for v in verdicts],
-            "charge": [v.queries_used for v in verdicts],
-            "fired level": [(_fired(v.trace) or (None,))[0] for v in verdicts],
-        }
-
-    ours, theirs = outcomes(batched), outcomes(lone)
-    p_values = {name: _two_sample_p(ours[name], theirs[name]) for name in ours}
-    assert min(p_values.values()) >= 1e-3, p_values
-    accepts = ours["decision"].count(Decision.ACCEPT) / len(batched)
-    assert 0.2 <= accepts <= 0.8
-
-
-def test_one_repetition_is_the_lone_edge_tester():
-    # same stream, same verdict, trace and charge
-    for dist in ("uniform", "noisy_parity:2:0.3"):
-        target = resolve_target(dist, 32)
-        for t in range(3):
-            lone = edge_tester(ScondOracle(target, stream(20, 0, t)), 0.25, REC_CFG.edge)
-            (batched,) = uniformity._edge_tests(
-                ScondOracle(target, stream(20, 0, t)), 0.25, REC_CFG.edge, 1
-            )
-            assert (batched.decision, batched.queries_used, batched.trace) == (
-                lone.decision,
-                lone.queries_used,
-                lone.trace,
-            )
+        decisions |= {v.decision for v in lone}
+    assert decisions == {Decision.ACCEPT, Decision.REJECT}
 
 
 # mean and standard error of queries_used over 2,000 uniform recursion nulls
@@ -1099,7 +1072,10 @@ def test_curtailed_vote_matches_the_exact_law(t):
         pmf[ran] = pmf.get(ran, 0.0) + p**a * (1 - p) ** (t - a)
     assert sum(ran * mass for ran, mass in pmf.items()) == pytest.approx(runs_law, rel=1e-12)
     o = ScondOracle(ProductDistribution.uniform(16), stream(23, t, 0))
-    children = functools.partial(uniformity._children, o, 0.5, cfg, 1)
+
+    def children(k):
+        return (subcond_uni(o, 0.5, cfg, 1) for _ in range(k))
+
     votes, accepts, runs = 2000, 0, 0
     for _ in range(votes):
         before = o.queries
@@ -1214,13 +1190,14 @@ def _half_free_view():
 
 def test_batched_children_match_a_lone_base_case_node():
     # a view's t children are t lone base-case nodes, each charged its own
-    # blocks, summing to the view's ledger delta
+    # blocks, summing to the view's ledger delta, with the node keys in
+    # BASE_CASE_KEYS order
     view = _half_free_view()
     lone = subcond_uni(view, 0.25, REC_CFG, 1)
     assert lone.trace["tree"]["branch"] == "base-case"
     assert list(lone.trace["tree"]) == BASE_CASE_KEYS
     before = view.queries
-    children = uniformity._base_cases(view, 0.25, REC_CFG, 1, 5)
+    children = [subcond_uni(view, 0.25, REC_CFG, 1) for _ in range(5)]
     assert view.queries - before == sum(c.queries_used for c in children)
     for c in children:
         node = c.trace["tree"]
@@ -1239,11 +1216,13 @@ def test_batched_children_match_a_lone_base_case_node():
 # The first four were recorded when votes became curtailed, which added the
 # loops' "runs" and cut the leaves and mean tests a restriction runs; the
 # uniform ones and the depth-1 view again when fair levels came to be drawn
-# from their exact law
+# from their exact law; and the two uniform ones again when a restriction's
+# children became lone nodes run one after another, which reorders the
+# stream words their fair levels read
 TRACE_PINS = {
     "rec-uniform": (
         "uniform", REC_CFG, (16, 1, 0),
-        "14b674c770e551e21af4815b3140f2123311310157ec4e73a414952eeb6f0509",
+        "f5bfe649a3b3db5e4c86b7ff46147c50b51f5414e207ab574b1059876c83dda0",
     ),
     "rec-two-point": (
         "two_point", REC_CFG, (16, 1, 0),
@@ -1251,7 +1230,7 @@ TRACE_PINS = {
     ),
     "fire-uniform": (
         "uniform", FIRE_CFG, (21, 0, 0),
-        "ce078979d425895e625c3751790588996f00378e91e3026bc6d6ebf9e38bf513",
+        "db912d2b3208b2999f6125b99d1708c9989ee3e77c485ea19f96fb43f47a2aad",
     ),
     "child-error": (
         "uniform", replace(REC_CFG, max_depth=0), (81, 0, 0),

@@ -6,6 +6,7 @@ import inspect
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -410,6 +411,20 @@ def test_gaussian_source_keeps_the_sign_law_of_its_means():
 def test_zoo_refuses_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("k", [31, 62])
+def test_junta_mix_checks_k_before_building_its_masses(k):
+    # the default inner PMF has 2^k masses: 16 GiB at k = 31, past NumPy's
+    # largest array at k = 62; a k past DENSE_CAP is refused first
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="DENSE_CAP"):
+            instantiate({"kind": "junta_mix", "k": k}, 80)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
 
 
 @pytest.mark.parametrize(
