@@ -12,15 +12,13 @@ exceedance.
 
 `numerators(draw, q, k)`, the one public entry to the statistic, gives the
 level-k numerator of each batch of a draw of 2qr sign rows. Each level has
-one exact route, which the mean tests take too, reading a level only when
-their decision needs it:
+one exact route, which the mean test takes too, reading a level only when
+its decision needs it:
 
 * Level 0 by column sums: sum_{i,j} <x_i, y_j> = <sum_i x_i, sum_j y_j>,
-  which costs O(qn) instead of the O(q^2 n) Gram product. The r
-  repetitions of a mean test take their level-0 numerators from one
-  column-sum array of their shared draw; the gaussian tester keeps only
-  each block's per-column +1 counts, from which it forms the same column
-  sums.
+  which costs O(qn) instead of the O(q^2 n) Gram product. The gaussian
+  tester keeps only each block's per-column +1 counts, from which it forms
+  the same column sums.
 * Levels >= 1 from the histogram of all q^2 inner products over the n+1
   values they can take, built once per batch from Hamming distances: each
   half is packed into 64-bit words with a bit set where the entry is +1,
@@ -272,48 +270,35 @@ class MeanTestConfig:
 
 
 def mean_tester(oracle: ScondOracle, cfg: MeanTestConfig) -> TestVerdict:
-    """Draw 2q samples once, then run the threshold test at every level:
-    the one-repetition case of ``_mean_tests``."""
-    return _mean_tests(oracle, cfg, 1)[0]
-
-
-def _mean_tests(oracle: ScondOracle, cfg: MeanTestConfig, reps: int) -> list[TestVerdict]:
-    """reps independent mean tests on one view, one verdict each.
-
-    All 2q reps rows come from one ``oracle.sample`` call, checked once;
-    repetition i reads rows [2qi, 2qi + q) as X and [2qi + q, 2q(i + 1))
-    as Y. For the product and dense targets that is the stream of 2 reps
-    calls of q rows each, so one repetition reads what it always read. The
-    level-0 numerators of all repetitions come from one reshaped int64
-    column-sum array; a repetition reads level k only after level k - 1
-    accepted, from its own Gram histogram, built at its first read of level
-    1. Each verdict is charged its own 2q queries.
+    """Draw 2q samples in one ``oracle.sample`` call, rows [0, q) as X and
+    [q, 2q) as Y, then run the threshold test at every level. Level 0 comes
+    from the column sums; level k is read only after level k - 1 accepted,
+    from the Gram histogram, built at the first read of level 1. The
+    verdict is charged its 2q queries.
     """
     sched = cfg.resolve(oracle.n)
     q = sched.q
-    batches = _draw_batches(oracle.sample(2 * q * reps), q)
-    verdicts = []
-    for halves, num0 in zip(batches, _level0_numerators(batches)):
-        z_levels = []
-        decision = Decision.ACCEPT
-        for k in range(sched.k0 + 1):
-            if k == 1:
-                histogram = _gram_histogram(halves)
-            num = num0 if k == 0 else _level_numerator(histogram, k)
-            z_levels.append(_trace_float(num, q * q))
-            if sched.exceeded(k, num):
-                decision = Decision.REJECT
-                break
-        taus = sched.taus[: len(z_levels)]
-        trace = {
-            "q": q,
-            "k0": sched.k0,
-            "z_levels": z_levels,
-            "tau_levels": [_trace_float(*t.as_integer_ratio()) for t in taus],
-            "tau_levels_log2": [math.log2(t.numerator) - math.log2(t.denominator) for t in taus],
-        }
-        verdicts.append(TestVerdict(decision, 2 * q, trace))
-    return verdicts
+    batches = _draw_batches(oracle.sample(2 * q), q)
+    (num0,) = _level0_numerators(batches)
+    z_levels = []
+    decision = Decision.ACCEPT
+    for k in range(sched.k0 + 1):
+        if k == 1:
+            histogram = _gram_histogram(batches[0])
+        num = num0 if k == 0 else _level_numerator(histogram, k)
+        z_levels.append(_trace_float(num, q * q))
+        if sched.exceeded(k, num):
+            decision = Decision.REJECT
+            break
+    taus = sched.taus[: len(z_levels)]
+    trace = {
+        "q": q,
+        "k0": sched.k0,
+        "z_levels": z_levels,
+        "tau_levels": [_trace_float(*t.as_integer_ratio()) for t in taus],
+        "tau_levels_log2": [math.log2(t.numerator) - math.log2(t.denominator) for t in taus],
+    }
+    return TestVerdict(decision, 2 * q, trace)
 
 
 # ---------------------------------------------------------------------------

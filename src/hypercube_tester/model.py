@@ -106,10 +106,10 @@ _TABLE_MAX_BYTES = 1 << 13
 
 
 # a biased product draws at most this many float64 uniforms at a time (512
-# KiB): the r mean tests of one restriction draw 2qr rows in one call, and
-# one 1 MiB temporary for the mean workload's far target (2,000 rows of 64)
-# slowed that workload's null verdicts by about 8%
-# (BENCH_batched_reps.json, mean_workload_checks)
+# KiB): one mean_tester call on the mean workload's far target draws 2,000
+# rows of 64 at once, and drawing them as one 1 MiB temporary slowed that
+# workload's null verdicts by about 8% (BENCH_batched_reps.json,
+# mean_workload_checks)
 _PRODUCT_STEP_ENTRIES = 1 << 16
 
 

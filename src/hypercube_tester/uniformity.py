@@ -30,11 +30,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .meantest import MeanTestConfig, _mean_tests
+from .meantest import MeanTestConfig, mean_tester
 from .model import Decision, TestVerdict, as_int
 from .oracle import ScondOracle
 
@@ -454,31 +454,26 @@ def _fair_level(oracle: ScondOracle, lv: EdgeLevel, block: int) -> tuple:
     return top, pairs, fired
 
 
-def _vote(
-    reps: int, run: Callable[[int], Iterable[TestVerdict]]
-) -> tuple[Decision, list[TestVerdict]]:
+def _vote(reps: int, run: Callable[[], TestVerdict]) -> tuple[Decision, list[TestVerdict]]:
     """The majority decision of an odd number reps of repetitions, taken
     curtailed, and the verdicts of the repetitions that ran.
 
-    ``run(k)`` gives k more verdicts. The vote asks for need = (reps + 1) // 2
-    first, then, while neither side holds need, for need - max(accepts,
-    rejects) more: the fewest that could fix the vote, so no repetition runs
-    once it is fixed, and at most reps run. Its decision is the majority of
-    all reps verdicts on every outcome, since the repetitions left out could
-    not change it. The first ``ERROR`` ends the vote at once with ``ERROR``;
-    a repetition that never ran gives none.
+    ``run()`` gives the verdict of one more repetition. The vote runs them
+    one after another and stops once one side holds need = (reps + 1) // 2,
+    so no repetition runs once the vote is fixed, and at most reps run. Its
+    decision is the majority of all reps verdicts on every outcome, since
+    the repetitions left out could not change it. The first ``ERROR`` ends
+    the vote at once with ``ERROR``.
     """
     need = (reps + 1) // 2
     verdicts = []
     votes = {Decision.ACCEPT: 0, Decision.REJECT: 0}
-    lead = 0
-    while lead < need:
-        for verdict in run(need - lead):
-            verdicts.append(verdict)
-            if verdict.decision is Decision.ERROR:
-                return Decision.ERROR, verdicts
-            votes[verdict.decision] += 1
-        lead = max(votes.values())
+    while max(votes.values()) < need:
+        verdict = run()
+        verdicts.append(verdict)
+        if verdict.decision is Decision.ERROR:
+            return Decision.ERROR, verdicts
+        votes[verdict.decision] += 1
     decision = Decision.REJECT if votes[Decision.REJECT] >= need else Decision.ACCEPT
     return decision, verdicts
 
@@ -488,15 +483,15 @@ def majority_vote_law(p: float, t: int) -> tuple[float, float]:
     vote of ``_vote`` over an odd number t of repetitions that each accept
     with probability p, independently.
 
-    No request of ``_vote`` carries a side past need = (t + 1) // 2, so the
-    vote stops when one side first holds need: accept wins after need + j
-    runs, j < need, with probability C(need - 1 + j, j) p^need (1 - p)^j,
-    and reject with p and 1 - p swapped. The accept probability is that of
-    a majority of all t repetitions; at t = 3 the expected runs are
-    2 + 2p(1 - p). The terms are carried as 34-digit decimal floats, whose
-    exponent range holds every term however far below the normal floats it
-    lies, so a far tail keeps its relative precision: before its rounding to
-    a float, each result lies within a relative 1e-30 of the exact law.
+    The vote stops when one side first holds need = (t + 1) // 2: accept
+    wins after need + j runs, j < need, with probability
+    C(need - 1 + j, j) p^need (1 - p)^j, and reject with p and 1 - p
+    swapped. The accept probability is that of a majority of all t
+    repetitions; at t = 3 the expected runs are 2 + 2p(1 - p). The terms
+    are carried as 34-digit decimal floats, whose exponent range holds
+    every term however far below the normal floats it lies, so a far tail
+    keeps its relative precision: before its rounding to a float, each
+    result lies within a relative 1e-30 of the exact law.
     """
     if t < 1 or t % 2 == 0:
         raise ValueError(f"the vote needs an odd number of repetitions, got t={t}")
@@ -532,15 +527,13 @@ def subcond_uni(
     whose trace the node keeps under ``edge``.
 
     A restriction is tested by a majority vote over its r mean tests or its
-    t children, and the vote stops once it is decided (``_vote``): it runs
-    (r + 1) // 2 or (t + 1) // 2 repetitions first, then the fewest more
-    that could fix it, so a restriction whose first repetitions agree runs
-    no other. Each loop's trace entries count the repetitions that ran, in
-    ``runs``. The k mean tests of a request run batched: they draw their
-    2qk rows in one ``sample`` call (``meantest._mean_tests``), which reads
-    the stream of k draws on product and dense targets. The children are
-    ``subcond_uni`` nodes one level deeper, run one after another, base
-    cases included; the first ``ERROR`` ends the verdict.
+    t children. Every repetition is one tester call, run one after another:
+    a mean test is one ``mean_tester`` call, and a child is one
+    ``subcond_uni`` node one level deeper, base cases included. The vote
+    stops once one side holds a majority of all its repetitions
+    (``_vote``), so a restriction whose first (r + 1) // 2 or (t + 1) // 2
+    repetitions agree runs no other; the first ``ERROR`` ends the verdict.
+    Each loop's trace entries count the repetitions that ran, in ``runs``.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
@@ -605,7 +598,7 @@ def subcond_uni(
                 continue
             stats["tested"] += 1
             sub = oracle.restricted(rho)
-            decision, verdicts = _vote(r, functools.partial(_mean_tests, sub, mean_cfg))
+            decision, verdicts = _vote(r, lambda: mean_tester(sub, mean_cfg))
             stats["runs"] += len(verdicts)
             if decision is Decision.REJECT:
                 stats["majority_rejects"] += 1
@@ -627,9 +620,7 @@ def subcond_uni(
                 continue
             stats["recursed"] += 1
             sub = oracle.restricted(rho)
-            decision, children = _vote(
-                t, lambda k: (subcond_uni(sub, bucket.eps, cfg, _depth + 1) for _ in range(k))
-            )
+            decision, children = _vote(t, lambda: subcond_uni(sub, bucket.eps, cfg, _depth + 1))
             stats["runs"] += len(children)
             node["children"] += [child.trace["tree"] for child in children]
             if decision is Decision.ERROR:

@@ -56,3 +56,29 @@ def test_recursion_config_is_rec_cfg(bench):
     for n in range(1, 129):
         for eps in (0.5, 0.25, 0.125):
             assert cfg.big_l(n, eps) == REC_CFG.big_l(n, eps), (n, eps)
+
+
+def _tree_nodes(tree):
+    yield tree
+    for child in tree["children"]:
+        yield from _tree_nodes(child)
+
+
+def test_tracer_sees_every_mean_test_and_edge_test(bench):
+    # the per-layer metrics read meantest.test and uniformity.edge spans: a
+    # traced recursion null must open one per mean test and one per base case
+    spec = importlib.util.spec_from_file_location(
+        "bench_contract_spans", BENCH.parent / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    harness, oracle, rng, uniformity = bench.import_package()
+    o = oracle.ScondOracle(harness.resolve_target("uniform", 64), rng.stream(1, 0, 0))
+    with spans.Tracer() as tracer:
+        v = uniformity.subcond_uni(o, 0.5, bench.recursion_config(uniformity))
+    nodes = list(_tree_nodes(v.trace["tree"]))
+    mean_runs = sum(s["runs"] for node in nodes for s in node.get("mean_loop", []))
+    base_cases = sum(node["branch"] == "base-case" for node in nodes)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("meantest.test") == mean_runs > 0
+    assert names.count("uniformity.edge") == base_cases > 0

@@ -444,29 +444,6 @@ def test_mean_tester_statistic_pins(dist, eps, key, decision, queries, z_levels)
     assert (v.decision.value, v.queries_used, v.trace["z_levels"]) == (decision, queries, z_levels)
 
 
-@pytest.mark.parametrize(
-    "target",
-    [
-        ProductDistribution.uniform(20),
-        ProductDistribution(np.linspace(-0.3, 0.3, 20)),
-        ProductDistribution(np.full(6, 0.2)).dense(),
-    ],
-    ids=["uniform", "biased", "dense"],
-)
-def test_batched_mean_tests_read_the_stream_of_lone_tests(target):
-    # r tests from one draw of 2qr rows give the verdicts, traces and charges
-    # of r lone tests run one after another on the same stream
-    cfg = MeanTestConfig(0.5, q=40, k0=2)
-    batched = ScondOracle(target, stream(57, 0, 0))
-    verdicts = meantest._mean_tests(batched, cfg, 5)
-    lone = ScondOracle(target, stream(57, 0, 0))
-    want = [mean_tester(lone, cfg) for _ in range(5)]
-    assert [(v.decision, v.queries_used, v.trace) for v in verdicts] == [
-        (v.decision, v.queries_used, v.trace) for v in want
-    ]
-    assert batched.queries == lone.queries == 5 * 80
-
-
 def test_batch_numerators_check_the_draw_once():
     # the numerators of a split draw equal those of separate batches, and a
     # draw with one non-sign entry is refused as a whole

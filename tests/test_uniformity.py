@@ -971,17 +971,14 @@ def test_recursion_null_query_law_is_kept():
 
 
 def _scripted(pattern):
-    """A ``run`` for ``_vote`` that gives the next k verdicts of pattern
-    (True = accept), and the list of the k it was asked for."""
+    """A ``run`` for ``_vote`` that gives the next verdict of pattern (True =
+    accept) at each call."""
     outcomes = iter(pattern)
-    requests = []
 
-    def run(k):
-        requests.append(k)
-        for accept in itertools.islice(outcomes, k):
-            yield Verdict(Decision.ACCEPT if accept else Decision.REJECT, 1, {})
+    def run():
+        return Verdict(Decision.ACCEPT if next(outcomes) else Decision.REJECT, 1, {})
 
-    return run, requests
+    return run
 
 
 @functools.lru_cache(maxsize=None)
@@ -991,7 +988,7 @@ def _vote_outcomes(t):
     out = []
     for bits in range(1 << t):
         pattern = [bool(bits >> i & 1) for i in range(t)]
-        decision, verdicts = uniformity._vote(t, _scripted(pattern)[0])
+        decision, verdicts = uniformity._vote(t, _scripted(pattern))
         out.append((sum(pattern), decision is Decision.ACCEPT, len(verdicts)))
     return out
 
@@ -1001,19 +998,12 @@ def test_vote_is_the_full_majority_on_every_outcome_pattern():
         need = (t + 1) // 2
         for bits in range(1 << t):
             pattern = [bool(bits >> i & 1) for i in range(t)]
-            run, requests = _scripted(pattern)
-            decision, verdicts = uniformity._vote(t, run)
+            decision, verdicts = uniformity._vote(t, _scripted(pattern))
             assert decision is (Decision.ACCEPT if 2 * sum(pattern) > t else Decision.REJECT)
-            # it reads the shortest prefix in which a side holds need ...
+            # it reads the shortest prefix in which a side holds need
             accepts = [0, *itertools.accumulate(pattern)]
             fixed = next(c for c in range(t + 1) if max(accepts[c], c - accepts[c]) == need)
             assert [v.decision is Decision.ACCEPT for v in verdicts] == pattern[:fixed]
-            # ... asked for as need, then the fewest that could fix the vote
-            want, seen = [], 0
-            while seen < fixed:
-                want.append(need - max(accepts[seen], seen - accepts[seen]))
-                seen += want[-1]
-            assert requests == want
 
 
 def test_vote_stops_at_the_first_error():
@@ -1022,15 +1012,14 @@ def test_vote_stops_at_the_first_error():
         for at in range((t + 1) // 2):
             read = []
 
-            def run(k, at=at, read=read):
-                for _ in range(k):
-                    read.append(len(read) == at)
-                    yield Verdict(Decision.ERROR if read[-1] else Decision.REJECT, 1, {})
+            def run(at=at, read=read):
+                read.append(len(read) == at)
+                return Verdict(Decision.ERROR if read[-1] else Decision.REJECT, 1, {})
 
             decision, verdicts = uniformity._vote(t, run)
             assert decision is Decision.ERROR
             assert [v.decision for v in verdicts] == [Decision.REJECT] * at + [Decision.ERROR]
-            # no repetition is read past the error, not even in its request
+            # no repetition is read past the error
             assert len(read) == at + 1
 
 
@@ -1073,8 +1062,8 @@ def test_curtailed_vote_matches_the_exact_law(t):
     assert sum(ran * mass for ran, mass in pmf.items()) == pytest.approx(runs_law, rel=1e-12)
     o = ScondOracle(ProductDistribution.uniform(16), stream(23, t, 0))
 
-    def children(k):
-        return (subcond_uni(o, 0.5, cfg, 1) for _ in range(k))
+    def children():
+        return subcond_uni(o, 0.5, cfg, 1)
 
     votes, accepts, runs = 2000, 0, 0
     for _ in range(votes):
@@ -1104,11 +1093,10 @@ class RestrictionLog(ScondOracle):
 def assert_restriction_charges(o, v, cfg, eps=0.5):
     """Each restriction's ledger delta is its draw, then its mean tests, 2q
     queries each, or the sum of its children's charges. A restriction's
-    children are the trace's next children, read in the vote's requests
-    ((t + 1) // 2, then the fewest that could fix it) until a side holds
-    the majority of t; every child is charged what its own edge blocks drew,
-    in blocks of EDGE_BLOCK_BYTES // n pairs as a lone edge tester, and each
-    bucket's ``runs`` counts the mean tests or children of its
+    children are the trace's next children, read one at a time until a side
+    holds the majority of t; every child is charged what its own edge blocks
+    drew, in blocks of EDGE_BLOCK_BYTES // n pairs as a lone edge tester,
+    and each bucket's ``runs`` counts the mean tests or children of its
     restrictions."""
     tree = v.trace["tree"]
     assert v.queries_used == o.queries == trace_query_sum(tree)
@@ -1134,10 +1122,8 @@ def assert_restriction_charges(o, v, cfg, eps=0.5):
         votes = {"accept": 0, "reject": 0}
         group = []
         while max(votes.values()) < need:
-            request = [next(children) for _ in range(need - max(votes.values()))]
-            group += request
-            for child in request:
-                votes[child["verdict"]] += 1
+            group.append(next(children))
+            votes[group[-1]["verdict"]] += 1
         runs[i] += len(group)
         assert end - before == 1 + sum(c["queries"] for c in group)
         for child in group:
@@ -1162,8 +1148,7 @@ def assert_restriction_charges(o, v, cfg, eps=0.5):
     "dist, cfg", [("uniform", REC_CFG), ("two_point", REC_CFG), ("uniform", FIRE_CFG)]
 )
 def test_batched_children_charges_and_traces(monkeypatch, block_bytes, dist, cfg):
-    # 384 bytes make blocks of 6 pairs at n = 64 for every child, whatever
-    # the size of its request
+    # 384 bytes make blocks of 6 pairs at n = 64 for every child
     monkeypatch.setattr(uniformity, "EDGE_BLOCK_BYTES", block_bytes)
     target = resolve_target(dist, 64)
     outcomes, thirds = set(), 0
