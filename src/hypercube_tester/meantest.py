@@ -263,7 +263,11 @@ class MeanTestConfig:
             if self.k0 < 0:
                 raise ValueError("k0 must be at least 0")
 
+    @functools.lru_cache(maxsize=256)
     def resolve(self, n: int) -> TauSchedule:
+        """The schedule at dimension n, memoised per (config, n) in a bounded
+        cache: a recursive verdict runs hundreds of mean tests on a few
+        (config, n). An n that no schedule takes raises on every call."""
         k0 = default_k0(n) if self.k0 is None else self.k0
         q = Q_RULES[self.preset](n, self.eps, k0) if self.q is None else self.q
         return TauSchedule(self.eps, n, q, k0)
@@ -275,11 +279,23 @@ def mean_tester(oracle: ScondOracle, cfg: MeanTestConfig) -> TestVerdict:
     from the column sums; level k is read only after level k - 1 accepted,
     from the Gram histogram, built at the first read of level 1. The
     verdict is charged its 2q queries.
+
+    A schedule that reads level 0 only (k0 = 0) on a target with
+    ``fair_edges`` (the uniform product) draws no row: each column's +1
+    count in each half is Binomial(q, 1/2), drawn by one
+    ``rng.binomial(q, 1/2, (1, 2, n))``, and the oracle's ledger is charged
+    the 2q queries. Its verdict has the law of the rows', not their stream.
     """
     sched = cfg.resolve(oracle.n)
     q = sched.q
-    batches = _draw_batches(oracle.sample(2 * q), q)
-    (num0,) = _level0_numerators(batches)
+    if sched.k0 == 0 and oracle.target.fair_edges:
+        plus = oracle.rng.binomial(q, 0.5, (1, 2, oracle.n))
+        oracle.ledger.queries += 2 * q
+        # a half's column sum is (+1 count) - (-1 count) = 2 * plus - q
+        (num0,) = _paired_dots(2 * plus - q)
+    else:
+        batches = _draw_batches(oracle.sample(2 * q), q)
+        (num0,) = _level0_numerators(batches)
     z_levels = []
     decision = Decision.ACCEPT
     for k in range(sched.k0 + 1):

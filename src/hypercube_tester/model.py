@@ -15,11 +15,15 @@ Conventions used throughout the package:
   bias of an edge; a target whose point mass underflows or costs more than
   the bias gives a closed-form ``edge_bias`` instead.
 * A target whose every edge bias is 0 on every subcube sets
-  ``fair_edges``; only the uniform product does. The edge tester then
-  draws such a target's levels from their exact law and asks the oracle
-  for no edge block; any other target's blocks draw their points by
-  ``cond_sample`` and have them expanded to the root dimension for
-  ``edge_bias`` (``view_edge_bias``).
+  ``fair_edges``; only the uniform product does. Every view of such a
+  target with k stars is the uniform k-cube, so the testers settle what
+  they read of it from exact laws: the edge tester draws each level from
+  the law of its counts and asks the oracle for no edge block, a random
+  restriction draws only its star count (``ScondOracle.draw_view``), and a
+  mean test that reads level 0 only draws its column counts, not its rows.
+  Any other target's edge blocks draw their points by ``cond_sample`` and
+  have them expanded to the root dimension for ``edge_bias``
+  (``view_edge_bias``), and its restrictions and mean tests draw rows.
 * Every uniform +-1 entry, in the uniform product, the zoo targets and the
   oracle's zero-mass fallback, is one random bit from ``uniform_signs``;
   biased products and dense PMFs draw from float64 uniforms.
@@ -265,6 +269,15 @@ class Restriction:
         """The restriction with no fixed cell; one shared instance per n,
         which is safe because the cells are read-only."""
         return cls(np.zeros(n, dtype=np.int8))
+
+    @classmethod
+    @functools.lru_cache(maxsize=1024)
+    def leading_stars(cls, n: int, k: int) -> "Restriction":
+        """The restriction whose first k of n cells are stars and the rest
+        +1; one shared instance per (n, k) in a bounded cache."""
+        if not 0 <= k <= n:
+            raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
+        return cls(np.where(np.arange(n) < k, STAR, 1).astype(np.int8))
 
     @classmethod
     def from_stars_and_point(cls, star_mask: np.ndarray, signs: np.ndarray) -> "Restriction":

@@ -9,7 +9,10 @@ on rho. Views compose, and all views of one root share its target, stream
 and ledger.
 
 Every sample drawn, conditioned or not, costs exactly one query; the sample
-hidden inside each random-restriction draw is charged too. Conditioning on a
+hidden inside each random-restriction draw is charged too. A recursion node
+takes each random restriction as a view, ``draw_view(sigma)``; on a target
+with ``fair_edges`` that view is drawn from its law, a star count alone,
+and still charged the 1 query of its fill sample. Conditioning on a
 subcube of zero mass returns uniform draws on the free coordinates and bumps
 `zero_support_hits` once per such draw; this oracle is the only place that
 policy lives (a target reports the zero mass by returning None).
@@ -22,7 +25,8 @@ Each count is one ``rng.binomial`` draw from the pair's exact bias, by the
 same route for fair and biased pairs alike. On a target with ``fair_edges``
 (the uniform product) the edge tester asks for no block: it draws each
 level from the exact law of its counts and charges this ledger the pairs a
-block route would have drawn.
+block route would have drawn. A level-0 mean test on such a target draws
+its column counts the same way and charges the 2q rows they stand for.
 """
 
 from __future__ import annotations
@@ -32,6 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Restriction, as_int, uniform_signs
+
+
+def _check_sigma(sigma: float) -> None:
+    if not 0.0 <= sigma <= 1.0:
+        raise ValueError("sigma must lie in [0, 1]")
 
 
 @dataclass
@@ -104,11 +113,30 @@ class ScondOracle:
     def draw_restriction_sigma(self, sigma: float) -> Restriction:
         """Random restriction: each coordinate is a star independently with
         probability sigma; the rest are filled from one sample of the view."""
-        if not 0.0 <= sigma <= 1.0:
-            raise ValueError("sigma must lie in [0, 1]")
+        _check_sigma(sigma)
         star_mask = self.rng.random(self.n) < sigma
         x = self.sample()
         return Restriction.from_stars_and_point(star_mask, x)
+
+    def draw_view(self, sigma: float) -> "ScondOracle":
+        """The view on a random restriction of this view, charged the 1
+        query of its fill sample: ``restricted(draw_restriction_sigma(sigma))``.
+
+        On a target with ``fair_edges`` (the uniform product) every view of k
+        stars is the uniform k-cube, whichever coordinates are stars and
+        whatever the fill point, so only k is drawn: one
+        ``rng.binomial(n, sigma)``. The view is then the root restriction
+        whose first k coordinates are stars and the rest +1
+        (``Restriction.leading_stars``). What a tester reads of it has the
+        law of the drawn view's; the stream words differ.
+        """
+        if not self.target.fair_edges:
+            return self.restricted(self.draw_restriction_sigma(sigma))
+        _check_sigma(sigma)
+        k = int(self.rng.binomial(self.n, sigma))
+        self._charge(1)
+        rho = Restriction.leading_stars(self.rho.n, k)
+        return ScondOracle(self.target, self.rng, rho, self.ledger)
 
     def edge_block(self, size: int, draws_per_pair: int) -> tuple[np.ndarray, np.ndarray]:
         """One edge-tester block in one call: (coords, counts) for size points

@@ -526,9 +526,11 @@ def subcond_uni(
     (``SubCondConfig.base_case``) is a base case: one ``edge_tester`` run,
     whose trace the node keeps under ``edge``.
 
-    A restriction is tested by a majority vote over its r mean tests or its
-    t children. Every repetition is one tester call, run one after another:
-    a mean test is one ``mean_tester`` call, and a child is one
+    Each random restriction is one ``oracle.draw_view(sigma)`` call, the
+    view on it, which on a target with ``fair_edges`` draws only its star
+    count. A restriction is tested by a majority vote over its r mean tests
+    or its t children. Every repetition is one tester call, run one after
+    another: a mean test is one ``mean_tester`` call, and a child is one
     ``subcond_uni`` node one level deeper, base cases included. The vote
     stops once one side holds a majority of all its repetitions
     (``_vote``), so a restriction whose first (r + 1) // 2 or (t + 1) // 2
@@ -593,11 +595,10 @@ def subcond_uni(
             k0=cfg.mean_k0_override,
         )
         for _ in range(bucket.s):
-            rho = oracle.draw_restriction_sigma(sigma)
-            if rho.stars.size == 0:
+            sub = oracle.draw_view(sigma)
+            if sub.n == 0:
                 continue
             stats["tested"] += 1
-            sub = oracle.restricted(rho)
             decision, verdicts = _vote(r, lambda: mean_tester(sub, mean_cfg))
             stats["runs"] += len(verdicts)
             if decision is Decision.REJECT:
@@ -614,12 +615,10 @@ def subcond_uni(
         stats = {"j": bucket.j, "restrictions": bucket.s, "recursed": 0, "runs": 0}
         rec_loop.append(stats)
         for _ in range(bucket.s):
-            rho = oracle.draw_restriction_sigma(sigma)
-            k = rho.stars.size
-            if not 0 < k <= 2.0 * sigma * n:
+            sub = oracle.draw_view(sigma)
+            if not 0 < sub.n <= 2.0 * sigma * n:
                 continue
             stats["recursed"] += 1
-            sub = oracle.restricted(rho)
             decision, children = _vote(t, lambda: subcond_uni(sub, bucket.eps, cfg, _depth + 1))
             stats["runs"] += len(children)
             node["children"] += [child.trace["tree"] for child in children]

@@ -264,6 +264,31 @@ def test_criterion_3_mean_tester_operating_points():
     )
 
 
+def test_criterion_3_mean_tester_operating_point_n1024():
+    # q = 250 and k0 = 4 under the practical preset; the far product has
+    # every mean eps, so ||mu||^2 = eps^2 n, as at the criterion's n = 64
+    t0 = time.perf_counter()
+    n, eps, trials = 1024, 0.25, 90
+    uniform = ProductDistribution.uniform(n)
+    planted = ProductDistribution(np.full(n, eps))
+    accepts = sum(
+        mean_tester_run(uniform, eps, stream(87, 0, t)).decision is Decision.ACCEPT
+        for t in range(trials)
+    )
+    rejects = sum(
+        mean_tester_run(planted, eps, stream(87, 1, t)).decision is Decision.REJECT
+        for t in range(trials)
+    )
+    elapsed = time.perf_counter() - t0
+    floor = _band_floor(trials)
+    _criterion(
+        3,
+        f"mean tester at n={n} eps={eps}: uniform accepts, planted {eps} rejects",
+        accepts >= floor and rejects >= floor,
+        f"accepts {accepts}/{trials}, rejects {rejects}/{trials}, floor {floor}; {elapsed:.1f}s",
+    )
+
+
 def mean_tester_run(target, eps, rng):
     from hypercube_tester.meantest import mean_tester
 

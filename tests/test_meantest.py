@@ -2,8 +2,10 @@
 sizes, the full test loop, and the gaussian reduction."""
 
 import hashlib
+import itertools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -514,6 +516,72 @@ def test_mean_tester_handles_overflowed_tau():
     assert v.decision is Decision.ACCEPT
     assert v.trace["tau_levels"][-1] == math.inf
     assert v.trace["tau_levels_log2"][-1] > 1000
+
+
+def test_resolve_is_shared_by_equal_configs_and_raises_every_call():
+    # a recursive verdict builds one config per bucket and resolves it at
+    # every mean test: equal configs share one schedule
+    first = MeanTestConfig(0.25, q=200, k0=0).resolve(24)
+    assert MeanTestConfig(0.25, q=200, k0=0).resolve(24) is first
+    assert first == MeanTestConfig.resolve.__wrapped__(MeanTestConfig(0.25, q=200, k0=0), 24)
+    assert MeanTestConfig(0.25, q=200, k0=1).resolve(24) != first
+    # a refused n is not cached: it raises on every call
+    cfg = MeanTestConfig(0.5, q=10, k0=0)
+    for bad in (0, -3, 8.5):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                cfg.resolve(bad)
+    limit = MeanTestConfig.resolve.cache_info().maxsize
+    assert limit is not None
+    for q in range(1, limit + 10):
+        MeanTestConfig(0.5, q=q).resolve(16)
+    assert MeanTestConfig.resolve.cache_info().currsize <= limit
+
+
+@pytest.mark.parametrize("n, q", [(1, 1), (7, 3), (64, 200), (300, 41)])
+def test_fair_level0_mean_test_replays_its_counts(n, q):
+    # on the uniform product a k0 = 0 schedule draws each half's column
+    # counts by one rng.binomial(q, 1/2, (1, 2, n)) and no row, and is
+    # charged 2q; the numerator is <2 plus_x - q, 2 plus_y - q>
+    def refuse(size=None):
+        raise AssertionError("a fair level-0 mean test draws no row")
+
+    cfg = MeanTestConfig(0.5, q=q, k0=0)
+    for t in range(5):
+        o = ScondOracle(ProductDistribution.uniform(n), stream(85, n, t))
+        o.sample = refuse
+        v = mean_tester(o, cfg)
+        replay = stream(85, n, t)
+        plus_x, plus_y = replay.binomial(q, 0.5, (1, 2, n))[0].tolist()
+        num = sum((2 * a - q) * (2 * b - q) for a, b in zip(plus_x, plus_y))
+        assert v.trace["z_levels"] == [_trace_float(num, q * q)]
+        want = Decision.REJECT if cfg.resolve(n).exceeded(0, num) else Decision.ACCEPT
+        assert v.decision is want
+        assert v.queries_used == o.queries == 2 * q
+        # the stream is left where the replay left it
+        assert o.rng.bit_generator.random_raw() == replay.bit_generator.random_raw()
+    # a schedule that reads a level >= 1 still draws its rows
+    o = ScondOracle(ProductDistribution.uniform(n), stream(85, n, 0))
+    v = mean_tester(o, MeanTestConfig(0.5, q=q, k0=1))
+    draw = ProductDistribution.uniform(n).sample(stream(85, n, 0), 2 * q)
+    assert v.trace["z_levels"][0] == _trace_float(numerators(draw, q, 0)[0], q * q)
+
+
+@pytest.mark.parametrize("q, k", [(1, 3), (2, 2), (2, 3), (3, 2), (4, 1)])
+def test_fair_level0_numerator_has_the_rows_law(q, k):
+    # exact: over all 2^(2qk) draws of 2q rows on k coordinates, the rows
+    # route's level-0 numerators; over all +1 count vectors of the two
+    # halves, each weighted by the number of draws that give it
+    # (prod C(q, c)), the count route's. Equal multisets
+    rows = np.array(list(itertools.product((-1, 1), repeat=2 * q * k)), dtype=np.int8)
+    by_rows = Counter(numerators(rows.reshape(-1, k), q, 0))
+    by_counts = Counter()
+    for plus in itertools.product(range(q + 1), repeat=2 * k):
+        halves = np.array(plus, dtype=np.int64).reshape(1, 2, k)
+        (num,) = meantest._paired_dots(2 * halves - q)
+        by_counts[num] += math.prod(math.comb(q, c) for c in plus)
+    assert by_rows == by_counts
+    assert sum(by_counts.values()) == 1 << (2 * q * k)
 
 
 # ---------------------------------------------------------------------------

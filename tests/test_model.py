@@ -590,6 +590,12 @@ def test_every_exported_name_resolves():
         pytest.param(
             lambda: Restriction(np.zeros((2, 2))), ValueError, "1-d cell", id="restriction-2d"
         ),
+        pytest.param(
+            lambda: Restriction.leading_stars(4, 5), ValueError, "0 <= k <= n", id="stars-past-n"
+        ),
+        pytest.param(
+            lambda: Restriction.leading_stars(4, -1), ValueError, "0 <= k <= n", id="stars-negative"
+        ),
         pytest.param(lambda: DensePmf(-1, [1.0]), ValueError, ">= 0", id="dense-negative-n"),
         pytest.param(lambda: DensePmf(31, np.zeros(1)), ValueError, "cap 30", id="dense-cap"),
         pytest.param(

@@ -367,6 +367,41 @@ def test_restricted_sample_equals_parent_cond_sample():
     assert (direct == viewed).all()
 
 
+def test_drawn_view_is_the_restricted_random_restriction():
+    # a target without fair_edges: draw_view is restricted(draw_restriction_sigma)
+    target = ProductDistribution(np.full(12, 0.2))
+    for t in range(5):
+        o, twin = (ScondOracle(target, stream(86, 0, t)) for _ in range(2))
+        view = o.draw_view(0.4)
+        want = twin.restricted(twin.draw_restriction_sigma(0.4))
+        assert str(view.rho) == str(want.rho) and view.n == want.n
+        assert view.ledger is o.ledger and o.queries == twin.queries == 1
+        assert (view.sample(3) == want.sample(3)).all()
+
+
+def test_fair_view_draws_only_its_star_count():
+    # the uniform product: k ~ Binomial(n, sigma) from one rng.binomial, 1
+    # query, and the root restriction with the first k cells stars and the
+    # rest +1, one instance per (root n, k); a view of a view draws its k
+    # from its own n
+    target = ProductDistribution.uniform(40)
+    for t in range(5):
+        o = ScondOracle(target, stream(86, 1, t))
+        replay = stream(86, 1, t)
+        view = o.draw_view(0.3)
+        k = int(replay.binomial(40, 0.3))
+        assert view.n == k and view.rho is Restriction.leading_stars(40, k)
+        assert str(view.rho) == "*" * k + "+" * (40 - k)
+        assert view.ledger is o.ledger and view.rng is o.rng and o.queries == 1
+        inner = view.draw_view(0.5)
+        j = int(replay.binomial(k, 0.5))
+        assert inner.n == j and inner.rho is Restriction.leading_stars(40, j)
+        assert o.queries == 2
+        assert o.rng.bit_generator.random_raw() == replay.bit_generator.random_raw()
+    for sigma in (0.0, 1.0):
+        assert ScondOracle(target, stream(86, 2, 0)).draw_view(sigma).n == 40 * sigma
+
+
 def test_restricted_cond_sample_composes_restrictions():
     mass = stream(14, 0, 0).dirichlet(np.ones(16))
     p = DensePmf(4, mass)
@@ -465,6 +500,12 @@ def test_same_stream_path_reproduces_everything():
         ),
         pytest.param(lambda: make_oracle().draw_restriction_sigma(1.5), "sigma", id="sigma-high"),
         pytest.param(lambda: make_oracle().draw_restriction_sigma(-0.1), "sigma", id="sigma-low"),
+        pytest.param(lambda: make_oracle().draw_view(float("nan")), "sigma", id="fair-view-sigma"),
+        pytest.param(
+            lambda: make_oracle(ProductDistribution(np.full(6, 0.5))).draw_view(1.5),
+            "sigma",
+            id="drawn-view-sigma",
+        ),
     ],
 )
 def test_oracle_refuses_bad_input(call, message):

@@ -715,12 +715,13 @@ def test_recursion_rejects_two_point_in_mean_loop():
 # 336 leaves run instead of 504, and two_point's rejecting mean-loop
 # restriction runs 2 of its r = 3 mean tests (1 + 2 * 2q = 801 queries);
 # the uniform rows were recorded again when fair levels came to be drawn
-# from their exact law
+# from their exact law, and again when the uniform target's restrictions
+# and level-0 mean tests came to be drawn from theirs
 RECURSION_VERDICTS_N64 = {
     "uniform": [
-        ("accept", 5_089_674, 336, []),
-        ("accept", 5_640_038, 336, []),
-        ("accept", 5_180_944, 336, []),
+        ("accept", 5_061_498, 336, []),
+        ("accept", 5_667_538, 336, []),
+        ("accept", 5_656_010, 336, []),
     ],
     "two_point": [("reject", 801, 0, [])] * 3,
 }
@@ -1077,17 +1078,28 @@ def test_curtailed_vote_matches_the_exact_law(t):
 
 
 class RestrictionLog(ScondOracle):
-    """A root oracle that logs (ledger, star count) at each restriction draw."""
+    """A root oracle that logs (ledger, star count) at each restriction draw,
+    on the fair route (a star count) and the drawn route (a star mask and a
+    fill point) alike."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.draws = []
 
-    def draw_restriction_sigma(self, sigma):
+    def draw_view(self, sigma):
         before = self.queries
-        rho = super().draw_restriction_sigma(sigma)
-        self.draws.append((before, rho.stars.size))
-        return rho
+        view = super().draw_view(sigma)
+        self.draws.append((before, view.n))
+        return view
+
+
+def drawn_uniform(n):
+    """The uniform product with ``fair_edges`` forced off: its restrictions,
+    mean tests and edge levels take the drawn routes of a non-fair target,
+    whose laws the fair routes must keep."""
+    target = ProductDistribution.uniform(n)
+    target.fair_edges = False
+    return target
 
 
 def assert_restriction_charges(o, v, cfg, eps=0.5):
@@ -1145,17 +1157,26 @@ def assert_restriction_charges(o, v, cfg, eps=0.5):
 
 @pytest.mark.parametrize("block_bytes", [EDGE_BLOCK_BYTES, 64 * 3 * 2])
 @pytest.mark.parametrize(
-    "dist, cfg", [("uniform", REC_CFG), ("two_point", REC_CFG), ("uniform", FIRE_CFG)]
+    "dist, cfg",
+    [
+        ("uniform", REC_CFG),
+        ("two_point", REC_CFG),
+        ("uniform", FIRE_CFG),
+        ("drawn-uniform", REC_CFG),
+        ("drawn-uniform", FIRE_CFG),
+    ],
 )
 def test_batched_children_charges_and_traces(monkeypatch, block_bytes, dist, cfg):
-    # 384 bytes make blocks of 6 pairs at n = 64 for every child
+    # 384 bytes make blocks of 6 pairs at n = 64 for every child. The
+    # uniform target settles its restrictions, level-0 mean tests and edge
+    # levels from their laws; drawn-uniform and two_point draw them
     monkeypatch.setattr(uniformity, "EDGE_BLOCK_BYTES", block_bytes)
-    target = resolve_target(dist, 64)
+    target = drawn_uniform(64) if dist == "drawn-uniform" else resolve_target(dist, 64)
     outcomes, thirds = set(), 0
     for t in range(3):
         o = RestrictionLog(target, stream(21, 0, t))
         v = subcond_uni(o, 0.5, cfg)
-        want = "accept" if (dist, cfg) == ("uniform", REC_CFG) else "reject"
+        want = "accept" if cfg is REC_CFG and dist != "two_point" else "reject"
         assert v.decision.value == want
         assert_restriction_charges(o, v, cfg)
         outcomes |= {c["verdict"] for c in v.trace["tree"]["children"]}
@@ -1165,6 +1186,97 @@ def test_batched_children_charges_and_traces(monkeypatch, block_bytes, dist, cfg
         # some restrictions split their first 2 children and ran a third
         assert outcomes == {"accept", "reject"}
         assert thirds > 0
+
+
+# the fair routes against the drawn ones, on nulls that reject often enough
+# for the node that decides them to vary. MEAN_FIRE_CFG's level-0 mean
+# tests at q = 1 reject a restriction's vote with probability 0.14 at
+# n = 64 (0.07 at n = 128) in the first bucket, so most runs end there, at
+# an index spread over dozens of restrictions. LEAF_FIRE_CFG's mean loop
+# is one bucket of 4 restrictions, and a child accepts with probability
+# 0.57 at k = 32 (0.32 at k = 64), so most runs end in the first recursion
+# restrictions. At n = 128 a first-bucket child holds about 64 stars and
+# recurses once more, so the fair route there also draws views of views
+MEAN_FIRE_CFG = replace(REC_CFG, mean_q_override=1)
+LEAF_FIRE_CFG = replace(
+    REC_CFG, l_formula=lambda n, eps: 1, edge=replace(REC_CFG.edge, c3=10.0)
+)
+
+
+def _ks_two_sample_p(left, right):
+    """Two-sample Kolmogorov-Smirnov test of two lists of numbers: the
+    asymptotic p-value of the largest gap between their empirical
+    distribution functions."""
+    a, b = np.sort(left), np.sort(right)
+    at = np.union1d(a, b)
+    cdf_a, cdf_b = (np.searchsorted(side, at, "right") / side.size for side in (a, b))
+    m = a.size * b.size / (a.size + b.size)
+    lam = (math.sqrt(m) + 0.12 + 0.11 / math.sqrt(m)) * float(np.abs(cdf_a - cdf_b).max())
+    tail = 2 * sum((-1) ** (j - 1) * math.exp(-2 * j * j * lam * lam) for j in range(1, 101))
+    return min(1.0, max(0.0, tail))
+
+
+def _decided_by(tree):
+    """Where a verdict was decided: from the root down the last child of
+    each rejecting vote, each node's branch and the bucket and index of the
+    restriction whose vote ended it, then the deciding leaf as (depth,
+    stars, fired level), or None when no leaf decided it."""
+    path, node = [], tree
+    while node["branch"] in ("mean-loop", "recursion-loop"):
+        mean = node["branch"] == "mean-loop"
+        stats = node["mean_loop" if mean else "recursion_loop"][-1]
+        path.append((node["branch"], stats["j"], stats["tested" if mean else "recursed"]))
+        if mean:
+            return tuple(path), None
+        node = node["children"][-1]
+    if node["branch"] != "base-case":
+        return tuple(path) + (node["branch"],), None
+    fired = node["edge"]["fired"]
+    return tuple(path), (node["depth"], node["n"], None if fired is None else fired["h"])
+
+
+def _route_outcomes(o, v):
+    """The compared outcomes of one subcond_uni verdict on oracle o."""
+    tree = v.trace["tree"]
+    assert v.queries_used == o.queries == trace_query_sum(tree)
+    path, leaf = _decided_by(tree)
+    return {
+        "decision": v.decision.value,
+        "queries": v.queries_used,
+        "root node": path[0],
+        "deciding path": path,
+        "leaf level": None if leaf is None else (leaf[0], leaf[2]),
+        "leaf stars": None if leaf is None else leaf[1],
+        "first child stars": tree["children"][0]["n"] if tree["children"] else None,
+        "mean tests": sum(s["runs"] for s in tree["mean_loop"]),
+    }
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("cfg", [MEAN_FIRE_CFG, LEAF_FIRE_CFG], ids=["mean-fire", "leaf-fire"])
+def test_fair_restrictions_match_drawn_ones(cfg, n):
+    # the uniform target, whose restrictions, level-0 mean tests and edge
+    # levels are settled from their laws, against drawn_uniform, which draws
+    # them, 400 runs a side on fixed streams. Each outcome is compared at
+    # the 1e-4 level: the queries by a Kolmogorov-Smirnov test, the rest by
+    # _two_sample_p. Power: an outcome of two cells whose share moves from p
+    # to p +- d is found with probability 0.9 once d >= 0.37 sqrt(p (1 - p)),
+    # such as 0.50 -> 0.68; the queries once the two distribution
+    # functions part by about 0.20 somewhere
+    runs = 400
+    sides = []
+    for target, key in ((ProductDistribution.uniform(n), 83), (drawn_uniform(n), 84)):
+        side = []
+        for t in range(runs):
+            o = ScondOracle(target, stream(key, n, t))
+            side.append(_route_outcomes(o, subcond_uni(o, 0.5, cfg)))
+        sides.append(side)
+    fair, drawn = sides
+    p_values = {}
+    for name in fair[0]:
+        test = _ks_two_sample_p if name == "queries" else _two_sample_p
+        p_values[name] = test([o[name] for o in fair], [o[name] for o in drawn])
+    assert min(p_values.values()) >= 1e-4, p_values
 
 
 def _half_free_view():
@@ -1203,11 +1315,13 @@ def test_batched_children_match_a_lone_base_case_node():
 # uniform ones and the depth-1 view again when fair levels came to be drawn
 # from their exact law; and the two uniform ones again when a restriction's
 # children became lone nodes run one after another, which reorders the
-# stream words their fair levels read
+# stream words their fair levels read. The three uniform ones were recorded
+# again when the uniform target's restrictions came to draw only their star
+# counts and its level-0 mean tests only their column counts
 TRACE_PINS = {
     "rec-uniform": (
         "uniform", REC_CFG, (16, 1, 0),
-        "f5bfe649a3b3db5e4c86b7ff46147c50b51f5414e207ab574b1059876c83dda0",
+        "a13b987aad17a5509071b679b336c4b9bbc54c87066296bd333a817c44522eb2",
     ),
     "rec-two-point": (
         "two_point", REC_CFG, (16, 1, 0),
@@ -1215,11 +1329,11 @@ TRACE_PINS = {
     ),
     "fire-uniform": (
         "uniform", FIRE_CFG, (21, 0, 0),
-        "db912d2b3208b2999f6125b99d1708c9989ee3e77c485ea19f96fb43f47a2aad",
+        "55ace62a068826ebf60ff8b0a0066667d50bc0cfddc63d653e2e05959b1d81f2",
     ),
     "child-error": (
         "uniform", replace(REC_CFG, max_depth=0), (81, 0, 0),
-        "b696c6121bd18f0a9b9823579d89d3f47a3af67ee1175cc0d3051f780e74cde1",
+        "c2833a6f9fdacae3d46dbd3d21e8514b7a0b08eb39ccf6c845a69d2bf0a9d214",
     ),
     "root-error": (
         "uniform", replace(REC_CFG, max_depth=-1), (82, 0, 0),
