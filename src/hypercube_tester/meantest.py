@@ -16,9 +16,10 @@ one exact route, which the mean test takes too, reading a level only when
 its decision needs it:
 
 * Level 0 by column sums: sum_{i,j} <x_i, y_j> = <sum_i x_i, sum_j y_j>,
-  which costs O(qn) instead of the O(q^2 n) Gram product. The gaussian
-  tester keeps only each block's per-column +1 counts, from which it forms
-  the same column sums.
+  which costs O(qn) instead of the O(q^2 n) Gram product, as an int64 dot
+  wherever q^2 n < 2^63 proves it cannot wrap. The gaussian tester keeps
+  only each block's per-column +1 counts, from which it forms the same
+  column sums.
 * Levels >= 1 from the histogram of all q^2 inner products over the n+1
   values they can take, built once per batch from Hamming distances: each
   half is packed into 64-bit words with a bit set where the entry is +1,
@@ -129,14 +130,18 @@ def _draw_batches(draw: np.ndarray, q: int) -> np.ndarray:
 
 def _level0_numerators(batches: np.ndarray) -> list[int]:
     """<sum x, sum y> of every batch of an int8 (r, 2, q, n) array, from one
-    int64 column-sum array; each column sum is at most q, and the products
-    are Python ints, so this is exact for any q."""
-    return _paired_dots(batches.sum(axis=2, dtype=np.int64))
+    int64 column-sum array; each column sum is at most q in size, which
+    ``_paired_dots`` reads as its bound, so this is exact for any q."""
+    return _paired_dots(batches.sum(axis=2, dtype=np.int64), batches.shape[2])
 
 
-def _paired_dots(sums: np.ndarray) -> list[int]:
-    """<s_x, s_y> of every pair of an int64 (r, 2, n) column-sum array, in
-    Python ints."""
+def _paired_dots(sums: np.ndarray, bound: int | None = None) -> list[int]:
+    """<s_x, s_y> of every pair of an int64 (r, 2, n) column-sum array,
+    exact. Given a bound on every entry's size with bound^2 n < 2^63, no
+    partial sum of the products can reach 2^63 in size, and each dot is an
+    int64 sum; otherwise, or with no bound, each is a sum of Python ints."""
+    if bound is not None and bound * bound * sums.shape[-1] < 1 << 63:
+        return np.vecdot(sums[:, 0], sums[:, 1]).tolist()
     return [sum(a * b for a, b in zip(sx, sy)) for sx, sy in sums.tolist()]
 
 
@@ -183,13 +188,17 @@ def _exceeds(num: int, q: int, tau: Fraction) -> bool:
 @dataclass(frozen=True)
 class TauSchedule:
     """tau_0 = eps^2 n / 2 and tau_k = a q^2 tau_{k-1}^2 with
-    a = TAU_RECURSION_COEFF, held as exact Fractions."""
+    a = TAU_RECURSION_COEFF, held as exact Fractions, and the trace's floats
+    of them, worked out once: ``tau_levels`` (each tau_k correctly rounded,
+    inf past the float range) and ``tau_levels_log2`` (log2 tau_k)."""
 
     eps: float
     n: int
     q: int
     k0: int
     taus: tuple = field(init=False)
+    tau_levels: tuple = field(init=False, repr=False, compare=False)
+    tau_levels_log2: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.eps <= 1.0:
@@ -206,6 +215,10 @@ class TauSchedule:
         for _ in range(self.k0):
             taus.append(step * taus[-1] ** 2)
         object.__setattr__(self, "taus", tuple(taus))
+        floats = tuple(_trace_float(*t.as_integer_ratio()) for t in taus)
+        log2s = tuple(math.log2(t.numerator) - math.log2(t.denominator) for t in taus)
+        object.__setattr__(self, "tau_levels", floats)
+        object.__setattr__(self, "tau_levels_log2", log2s)
 
     def exceeded(self, k: int, num: int) -> bool:
         """Z_k = num / q^2 > tau_k, exact at every level."""
@@ -276,9 +289,11 @@ class MeanTestConfig:
 def mean_tester(oracle: ScondOracle, cfg: MeanTestConfig) -> TestVerdict:
     """Draw 2q samples in one ``oracle.sample`` call, rows [0, q) as X and
     [q, 2q) as Y, then run the threshold test at every level. Level 0 comes
-    from the column sums; level k is read only after level k - 1 accepted,
-    from the Gram histogram, built at the first read of level 1. The
-    verdict is charged its 2q queries.
+    from the column sums, each at most q in size, by ``_paired_dots``:
+    an int64 dot when q^2 n < 2^63, else Python ints. Level k is read only
+    after level k - 1 accepted, from the Gram histogram, built at the first
+    read of level 1. The verdict is charged its 2q queries, and its trace
+    copies the schedule's tau floats for the levels read.
 
     A schedule that reads level 0 only (k0 = 0) on a target with
     ``fair_edges`` (the uniform product) draws no row: each column's +1
@@ -292,7 +307,7 @@ def mean_tester(oracle: ScondOracle, cfg: MeanTestConfig) -> TestVerdict:
         plus = oracle.rng.binomial(q, 0.5, (1, 2, oracle.n))
         oracle.ledger.queries += 2 * q
         # a half's column sum is (+1 count) - (-1 count) = 2 * plus - q
-        (num0,) = _paired_dots(2 * plus - q)
+        (num0,) = _paired_dots(2 * plus - q, q)
     else:
         batches = _draw_batches(oracle.sample(2 * q), q)
         (num0,) = _level0_numerators(batches)
@@ -306,13 +321,13 @@ def mean_tester(oracle: ScondOracle, cfg: MeanTestConfig) -> TestVerdict:
         if sched.exceeded(k, num):
             decision = Decision.REJECT
             break
-    taus = sched.taus[: len(z_levels)]
+    read = len(z_levels)
     trace = {
         "q": q,
         "k0": sched.k0,
         "z_levels": z_levels,
-        "tau_levels": [_trace_float(*t.as_integer_ratio()) for t in taus],
-        "tau_levels_log2": [math.log2(t.numerator) - math.log2(t.denominator) for t in taus],
+        "tau_levels": list(sched.tau_levels[:read]),
+        "tau_levels_log2": list(sched.tau_levels_log2[:read]),
     }
     return TestVerdict(decision, 2 * q, trace)
 
@@ -484,7 +499,7 @@ def gaussian_mean_tester(samples, eps: float) -> TestVerdict:
     # rounded eps_reduced
     tau0 = Fraction(eps) ** 2 / 24
     # a block's sign sum is (+1 count) - (-1 count) = 2 * plus - q
-    nums = _paired_dots((2 * plus - q).reshape(GAUSS_REPS, 2, n))
+    nums = _paired_dots((2 * plus - q).reshape(GAUSS_REPS, 2, n), q)
     rep_z = [_trace_float(num, q * q) for num in nums]
     rejects = sum(_exceeds(num, q, tau0) for num in nums)
     decision = Decision.REJECT if 2 * rejects > GAUSS_REPS else Decision.ACCEPT

@@ -67,11 +67,8 @@ class ScondOracle:
         self.rng = rng
         self.rho = rho
         self.ledger = Ledger() if ledger is None else ledger
-        self._stars = rho.stars
-
-    @property
-    def n(self) -> int:
-        return self._stars.size
+        # the view's dimension, its number of stars
+        self.n = rho.num_stars
 
     @property
     def queries(self) -> int:
@@ -134,7 +131,7 @@ class ScondOracle:
             return self.restricted(self.draw_restriction_sigma(sigma))
         _check_sigma(sigma)
         k = int(self.rng.binomial(self.n, sigma))
-        self._charge(1)
+        self.ledger.queries += 1
         rho = Restriction.leading_stars(self.rho.n, k)
         return ScondOracle(self.target, self.rng, rho, self.ledger)
 

@@ -163,6 +163,20 @@ def _fair_law(b: int, c: int) -> _FairLaw:
     )
 
 
+class _FairStep(NamedTuple):
+    """One level of a fair edge run with what ``_fair_run`` reads of it,
+    worked out once per schedule (``EdgeConfig._fair_steps``)."""
+
+    fire: float  # 1 - (1 - f)^m, the chance that some pair of the level fires
+    m: int
+    below: tuple[float, ...]  # the law's ``below``
+    ests: tuple[float, ...]  # y / b for the values y of Y that ``below`` holds
+    charge: int  # m (1 + b), the queries of a level that does not fire
+    trace: dict  # the level's trace entry but its max_est; copied, never changed
+    lv: EdgeLevel
+    law: _FairLaw
+
+
 class Bucket(NamedTuple):
     """One restriction bucket: s restrictions tested at distance eps."""
 
@@ -223,6 +237,20 @@ class EdgeConfig:
             raise ValueError(f"the bucket floor leaves no edge level at n={n}, eps={eps}")
         return tuple(out)
 
+    @functools.lru_cache(maxsize=256)
+    def _fair_steps(self, n: int, eps: float) -> tuple[_FairStep, ...]:
+        """``levels(n, eps)`` with each level's fair constants: its fire
+        chance, its ``_fair_law`` and its trace entry, in a bounded cache
+        like ``levels``, so a fair run works none of them out."""
+        steps = []
+        for lv in self.levels(n, eps):
+            law = _fair_law(lv.b, lv.c)
+            fire = -math.expm1(lv.m * law.log_miss)
+            ests = tuple((lv.b % 2 + 2 * i) / lv.b for i in range(len(law.below)))
+            trace = {"h": lv.h, "m": lv.m, "b": lv.b, "theta": lv.theta}
+            steps.append(_FairStep(fire, lv.m, law.below, ests, lv.m * (1 + lv.b), trace, lv, law))
+        return tuple(steps)
+
 
 def edge_null_accept(n: int, eps: float, cfg: EdgeConfig | None = None) -> float:
     """Exact probability that ``edge_tester`` accepts the uniform target
@@ -241,6 +269,11 @@ def edge_null_accept(n: int, eps: float, cfg: EdgeConfig | None = None) -> float
             return 0.0
         log_accept += lv.m * math.log1p(-f)
     return math.exp(log_accept)
+
+
+def _too_small(sigma: float, n: int, eps: float) -> bool:
+    """``SubCondConfig.base_case`` at a sigma already worked out."""
+    return math.exp(-sigma * n / 10.0) > eps / 8.0
 
 
 @dataclass(frozen=True)
@@ -295,7 +328,7 @@ class SubCondConfig:
     def base_case(self, n: int, eps: float) -> bool:
         """Whether the dimension is too small for restrictions to bite:
         e^(-sigma n / 10) > eps / 8."""
-        return math.exp(-self.sigma(eps) * n / 10.0) > eps / 8.0
+        return _too_small(self.sigma(eps), n, eps)
 
     def mean_buckets(self, n: int, eps: float) -> tuple[Bucket, ...]:
         """Mean-loop buckets j = 1..ceil(log2 2L), s_j = ceil(8 L log2(2L) 2^-j)."""
@@ -338,8 +371,8 @@ def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) 
     and the float estimates (2p - b_h) / b_h only fill the trace. The first
     firing pair ends the run with Reject, and the trace's ``fired`` names
     its level, its index ``pair`` within the level, its coordinate and its
-    estimate. Each level is settled by ``_drawn_level``, or by
-    ``_fair_level`` on a target with ``fair_edges``.
+    estimate. Each level is settled by ``_drawn_level``; on a target with
+    ``fair_edges`` the whole run is drawn from its law (``_fair_run``).
 
     A level's m_h pairs are drawn in blocks of
     max(1, EDGE_BLOCK_BYTES // rho.n) pairs (4,096 at n = 128), where rho.n
@@ -359,29 +392,45 @@ def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) 
 
     On a target with ``fair_edges`` (the uniform product, and so every view
     of it and every recursion leaf on it) each pair's count is
-    Binomial(b_h, 1/2) whatever its point, and a level is drawn from the
-    exact law of its m_h counts instead (``_fair_level``): a handful of
-    scalar draws give whether it fires, its first firing pair, that pair's
-    estimate and coordinate, and the level's largest |2p - b_h|. Its
-    verdict, trace and charge have the law of the blocks', the charge still
-    counting whole blocks; it reads other stream words (BENCH_edge_law.json).
+    Binomial(b_h, 1/2) whatever its point, and the run is drawn from the
+    exact law of its levels' counts instead: one ``rng.random(2L)`` for its
+    L levels gives each level whether it fires, its first firing pair and
+    its largest |2p - b_h|, and a level that fires draws its pair's estimate
+    and coordinate (``_fair_level``). Its verdict, trace and charge have
+    the law of the blocks', the charge still counting whole blocks; it
+    reads other stream words (BENCH_edge_law.json).
     """
-    # the schedule refuses a 0-dimensional view before the block is sized
-    schedule = (cfg or PRESETS["practical"].edge).levels(oracle.n, eps)
-    block = max(1, EDGE_BLOCK_BYTES // oracle.rho.n)
-    settle = _fair_level if oracle.target.fair_edges else _drawn_level
-    levels, fired, queries = [], None, 0
-    for lv in schedule:
-        top, pairs, fired = settle(oracle, lv, block)
-        queries += pairs * (1 + lv.b)
-        levels.append({"h": lv.h, "m": lv.m, "b": lv.b, "theta": lv.theta, "max_est": top / lv.b})
-        if fired is not None:
-            break
+    cfg = cfg or PRESETS["practical"].edge
+    if oracle.target.fair_edges:
+        levels, fired, queries = _fair_run(oracle, cfg._fair_steps(oracle.n, eps))
+    else:
+        levels, fired, queries = _drawn_run(oracle, cfg.levels(oracle.n, eps))
     return TestVerdict(
         Decision.ACCEPT if fired is None else Decision.REJECT,
         queries,
         {"kind": "edge", "levels": levels, "fired": fired},
     )
+
+
+def _block(oracle: ScondOracle) -> int:
+    """The pairs of an edge block on this view, max(1, EDGE_BLOCK_BYTES //
+    rho.n), rho.n the root dimension; a run reads its schedule first, which
+    refuses a 0-dimensional view."""
+    return max(1, EDGE_BLOCK_BYTES // oracle.rho.n)
+
+
+def _drawn_run(oracle: ScondOracle, schedule: tuple[EdgeLevel, ...]) -> tuple:
+    """(level traces, fired or None, queries) of a run whose levels are
+    settled one after another by ``_drawn_level``, up to the first fire."""
+    block = _block(oracle)
+    levels, fired, queries = [], None, 0
+    for lv in schedule:
+        top, pairs, fired = _drawn_level(oracle, lv, block)
+        queries += pairs * (1 + lv.b)
+        levels.append({"h": lv.h, "m": lv.m, "b": lv.b, "theta": lv.theta, "max_est": top / lv.b})
+        if fired is not None:
+            break
+    return levels, fired, queries
 
 
 def _drawn_level(oracle: ScondOracle, lv: EdgeLevel, block: int) -> tuple:
@@ -413,32 +462,54 @@ def _drawn_level(oracle: ScondOracle, lv: EdgeLevel, block: int) -> tuple:
     return top, done, None
 
 
-def _fair_level(oracle: ScondOracle, lv: EdgeLevel, block: int) -> tuple:
-    """One level on a view whose every edge bias is 0, drawn from the exact
-    law of its m i.i.d. Y = |2X - b|, X ~ Binomial(b, 1/2) (``_fair_law``):
-    what ``_drawn_level`` returns and charges.
+def _fair_run(oracle: ScondOracle, steps: tuple[_FairStep, ...]) -> tuple:
+    """``_drawn_run`` on a view whose every edge bias is 0, drawn from the
+    exact law of each level's m i.i.d. Y = |2X - b|, X ~ Binomial(b, 1/2)
+    (``_fair_law``).
 
-    One uniform u says whether some pair fires, u < 1 - (1 - f)^m, and then
-    gives the first firing pair i by inversion of the geometric law,
-    truncated to m; a second uniform, read with u by one ``rng.random(2)``,
-    gives the level's largest Y. Without a fire that is the largest of m
-    values of Y given Y < c. With one, two more uniforms draw the firing
-    pair's Y given Y >= c and its sign, ``rng.integers`` its coordinate, and
-    the largest Y is the larger of that pair's and of the pairs after it in
-    its block, which are unconditioned. The pairs charged are the level's
-    m, or those up to the end of the firing pair's block, as a drawn block
-    is charged, and the oracle's ledger is charged 1 + b queries for each.
+    One ``rng.random(2L)`` gives every level of the L-level schedule its two
+    uniforms (u, v), the words that L calls of ``rng.random(2)`` would read.
+    A level fires when u < 1 - (1 - f)^m; one that does not has as its
+    largest Y the largest of m values of Y given Y < c, by inversion of v,
+    and is charged its m (1 + b) queries. The first level that fires is
+    settled by ``_fair_level`` and ends the run; the words drawn for the
+    levels after it are left unused. The oracle's ledger is charged once,
+    at the end.
     """
+    words = iter(oracle.rng.random(2 * len(steps)).tolist())
+    levels, fired, queries = [], None, 0
+    for step, u, v in zip(steps, words, words):
+        if u < step.fire:
+            top, fired, charge = _fair_level(oracle, step, u, v)
+            levels.append(dict(step.trace, max_est=top / step.lv.b))
+            queries += charge
+            break
+        est = step.ests[bisect.bisect_left(step.below, math.log1p(-v) / step.m)]
+        levels.append(dict(step.trace, max_est=est))
+        queries += step.charge
+    oracle.ledger.queries += queries
+    return levels, fired, queries
+
+
+def _fair_level(oracle: ScondOracle, step: _FairStep, u: float, v: float) -> tuple:
+    """The level of a fair run that fires, given its uniforms u < step.fire
+    and v: (largest Y, fired, queries charged), what ``_drawn_level`` returns
+    for a level whose pairs are all fair.
+
+    u gives the first firing pair i by inversion of the geometric law,
+    truncated to m. Then one ``rng.random(2)`` draws the firing pair's Y
+    given Y >= c and its sign, and ``rng.integers`` its coordinate. The
+    largest Y is the larger of that pair's and of the pairs after it in its
+    block, which are unconditioned, by inversion of v. The pairs charged
+    are those up to the end of the firing pair's block, as a drawn block is
+    charged, 1 + b queries each.
+    """
+    lv, law = step.lv, step.law
     m, b = lv.m, lv.b
-    law = _fair_law(b, lv.c)
-    rng = oracle.rng
-    u, v = rng.random(2).tolist()
-    if u >= -math.expm1(m * law.log_miss):
-        oracle.ledger.queries += m * (1 + b)
-        return b % 2 + 2 * bisect.bisect_left(law.below, math.log1p(-v) / m), m, None
     i = min(m - 1, int(math.log1p(-u) / law.log_miss))
+    block = _block(oracle)
     pairs = min(m, (i // block + 1) * block)
-    w, sign = rng.random(2).tolist()
+    w, sign = oracle.rng.random(2).tolist()
     y = law.first + 2 * bisect.bisect_left(law.above, w - 1.0)
     rest = pairs - i - 1
     top = y
@@ -447,11 +518,10 @@ def _fair_level(oracle: ScondOracle, lv: EdgeLevel, block: int) -> tuple:
     fired = {
         "h": lv.h,
         "pair": i,
-        "coord": int(rng.integers(0, oracle.n)),
+        "coord": int(oracle.rng.integers(0, oracle.n)),
         "est": (y if sign < 0.5 else -y) / b,
     }
-    oracle.ledger.queries += pairs * (1 + b)
-    return top, pairs, fired
+    return top, fired, pairs * (1 + b)
 
 
 def _vote(reps: int, run: Callable[[], TestVerdict]) -> tuple[Decision, list[TestVerdict]]:
@@ -467,15 +537,17 @@ def _vote(reps: int, run: Callable[[], TestVerdict]) -> tuple[Decision, list[Tes
     """
     need = (reps + 1) // 2
     verdicts = []
-    votes = {Decision.ACCEPT: 0, Decision.REJECT: 0}
-    while max(votes.values()) < need:
+    accepts = rejects = 0
+    while accepts < need and rejects < need:
         verdict = run()
         verdicts.append(verdict)
-        if verdict.decision is Decision.ERROR:
+        if verdict.decision is Decision.ACCEPT:
+            accepts += 1
+        elif verdict.decision is Decision.REJECT:
+            rejects += 1
+        else:
             return Decision.ERROR, verdicts
-        votes[verdict.decision] += 1
-    decision = Decision.REJECT if votes[Decision.REJECT] >= need else Decision.ACCEPT
-    return decision, verdicts
+    return (Decision.ACCEPT if accepts == need else Decision.REJECT), verdicts
 
 
 def majority_vote_law(p: float, t: int) -> tuple[float, float]:
@@ -543,6 +615,23 @@ def subcond_uni(
     eps = min(eps, 0.5)
     n = oracle.n
     start = oracle.queries
+    sigma = cfg.sigma(eps)
+    if _depth <= cfg.max_depth and _too_small(sigma, n, eps):
+        # a base case's node is built whole once its one edge run is done
+        inner = edge_tester(oracle, eps, cfg.edge)
+        queries = oracle.queries - start
+        leaf = {
+            "depth": _depth,
+            "n": n,
+            "eps": eps,
+            "branch": "base-case",
+            "verdict": inner.decision.value,
+            "queries": queries,
+            "children": [],
+            "sigma": sigma,
+            "edge": inner.trace,
+        }
+        return TestVerdict(inner.decision, queries, {"tree": leaf})
     node = {
         "depth": _depth,
         "n": n,
@@ -562,14 +651,7 @@ def subcond_uni(
         node["branch"] = "depth-exceeded"
         return finish(Decision.ERROR)
 
-    sigma = cfg.sigma(eps)
     node["sigma"] = sigma
-    if cfg.base_case(n, eps):
-        node["branch"] = "base-case"
-        inner = edge_tester(oracle, eps, cfg.edge)
-        node["edge"] = inner.trace
-        return finish(inner.decision)
-
     big_l = cfg.big_l(n, eps)
     r = cfg.r_reps(n, eps)
     node["L"] = big_l

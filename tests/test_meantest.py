@@ -567,6 +567,25 @@ def test_fair_level0_mean_test_replays_its_counts(n, q):
     assert v.trace["z_levels"][0] == _trace_float(numerators(draw, q, 0)[0], q * q)
 
 
+@pytest.mark.parametrize("n", [1, 5, 64])
+def test_paired_dots_is_exact_on_both_sides_of_its_int64_guard(n):
+    # entries +-q with q^2 n just below 2^63 take the int64 route, and with
+    # q one larger the Python-int route, where an int64 sum could wrap: all
+    # +q gives n q^2 >= 2^63. One batch (1, 2, n), as a fair level-0 mean
+    # test gives, and the gaussian tester's (GAUSS_REPS, 2, n)
+    below = math.isqrt(((1 << 63) - 1) // n)
+    rng = stream(86, n, 0)
+    for q in (below, below + 1):
+        assert (q * q * n < 1 << 63) is (q == below)
+        for reps in (1, GAUSS_REPS):
+            signs = rng.choice(np.array([-1, 1]), size=(reps, 2, n))
+            for sums in (signs * q, np.full((reps, 2, n), q, dtype=np.int64)):
+                want = [sum(a * b for a, b in zip(sx, sy)) for sx, sy in sums.tolist()]
+                assert meantest._paired_dots(sums, q) == want
+                # with no bound, the Python-int route
+                assert meantest._paired_dots(sums) == want
+
+
 @pytest.mark.parametrize("q, k", [(1, 3), (2, 2), (2, 3), (3, 2), (4, 1)])
 def test_fair_level0_numerator_has_the_rows_law(q, k):
     # exact: over all 2^(2qk) draws of 2q rows on k coordinates, the rows

@@ -1,6 +1,7 @@
 """Uniformity testing: edge tester mechanics, base-case dispatch, the
 recursive structure, majority voting, and error propagation."""
 
+import bisect
 import functools
 import hashlib
 import itertools
@@ -604,6 +605,68 @@ def test_fair_levels_match_drawn_pairs(monkeypatch, n):
     ours, theirs = _run_outcomes(fair, levels), _run_outcomes(drawn, levels)
     p_values = {name: _two_sample_p(ours[name], theirs[name]) for name in ours}
     assert min(p_values.values()) >= 1e-4, p_values
+
+
+def _per_level_fair_run(rng, n, eps, cfg, block):
+    """The fair run read one level at a time, one rng.random(2) each: u says
+    whether the level fires and gives its first firing pair, v the largest
+    |2p - b| of a level that does not. Returns (queries, (h, pair) or None,
+    the max_est of each level that does not fire)."""
+    queries, tops = 0, []
+    for lv in cfg.levels(n, eps):
+        law = uniformity._fair_law(lv.b, lv.c)
+        u, v = rng.random(2).tolist()
+        if u < -math.expm1(lv.m * law.log_miss):
+            i = min(lv.m - 1, int(math.log1p(-u) / law.log_miss))
+            pairs = min(lv.m, (i // block + 1) * block)
+            return queries + pairs * (1 + lv.b), (lv.h, i), tops
+        y = lv.b % 2 + 2 * bisect.bisect_left(law.below, math.log1p(-v) / lv.m)
+        tops.append(y / lv.b)
+        queries += lv.m * (1 + lv.b)
+    return queries, None, tops
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_fair_run_reads_one_draw(monkeypatch, n):
+    # HALF_EDGE's four levels fire in about half of the runs (accept rates
+    # 0.50 and 0.34), so both kinds of run come up; blocks of 4 pairs make
+    # a rejecting run's charge depend on its pair
+    monkeypatch.setattr(uniformity, "EDGE_BLOCK_BYTES", 4 * n)
+    levels = HALF_EDGE.levels(n, 0.5)
+    target = ProductDistribution.uniform(n)
+    kinds = Counter()
+    for t in range(60):
+        o = ScondOracle(target, stream(28, n, t))
+        v = edge_tester(o, 0.5, HALF_EDGE)
+        queries, fired, tops = _per_level_fair_run(stream(28, n, t), n, 0.5, HALF_EDGE, 4)
+        # the level, pair and charge of the per-level route on the same stream,
+        # and the max_est of every level before a fire
+        assert (v.queries_used, o.queries) == (queries, queries)
+        got = _fired(v.trace)
+        assert (None if got is None else got[:2]) == fired
+        assert [lv["max_est"] for lv in v.trace["levels"]][: len(tops)] == tops
+        kinds[v.decision] += 1
+        copy = stream(28, n, t)
+        words = copy.random(2 * len(levels)).tolist()
+        if fired is not None:
+            # the fired pair's (w, sign), then its coordinate, come after the
+            # run's one draw
+            lv = levels[fired[0]]
+            law = uniformity._fair_law(lv.b, lv.c)
+            w, sign = copy.random(2).tolist()
+            y = law.first + 2 * bisect.bisect_left(law.above, w - 1.0)
+            assert got[2:] == (int(copy.integers(0, n)), (y if sign < 0.5 else -y) / lv.b)
+            assert o.rng.bit_generator.random_raw() == copy.bit_generator.random_raw()
+            continue
+        # a run that does not fire reads exactly one rng.random(2L)
+        want = []
+        for lv, v_word in zip(levels, words[1::2]):
+            law = uniformity._fair_law(lv.b, lv.c)
+            y = lv.b % 2 + 2 * bisect.bisect_left(law.below, math.log1p(-v_word) / lv.m)
+            want.append(y / lv.b)
+        assert [lv["max_est"] for lv in v.trace["levels"]] == want
+        assert o.rng.bit_generator.random_raw() == copy.bit_generator.random_raw()
+    assert kinds[Decision.ACCEPT] >= 10 and kinds[Decision.REJECT] >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -1317,7 +1380,10 @@ def test_batched_children_match_a_lone_base_case_node():
 # children became lone nodes run one after another, which reorders the
 # stream words their fair levels read. The three uniform ones were recorded
 # again when the uniform target's restrictions came to draw only their star
-# counts and its level-0 mean tests only their column counts
+# counts and its level-0 mean tests only their column counts; and
+# fire-uniform again when a fair edge run came to read all its levels' words
+# in one draw, which moves the words of a fired leaf's pair and of every
+# later node
 TRACE_PINS = {
     "rec-uniform": (
         "uniform", REC_CFG, (16, 1, 0),
@@ -1329,7 +1395,7 @@ TRACE_PINS = {
     ),
     "fire-uniform": (
         "uniform", FIRE_CFG, (21, 0, 0),
-        "55ace62a068826ebf60ff8b0a0066667d50bc0cfddc63d653e2e05959b1d81f2",
+        "ae56b68e65e5cd17a214b2ccce3d98091c4a8f20b22456fbda7010e4258fc757",
     ),
     "child-error": (
         "uniform", replace(REC_CFG, max_depth=0), (81, 0, 0),
