@@ -16,10 +16,11 @@ one exact route, which the mean test takes too, reading a level only when
 its decision needs it:
 
 * Level 0 by column sums: sum_{i,j} <x_i, y_j> = <sum_i x_i, sum_j y_j>,
-  which costs O(qn) instead of the O(q^2 n) Gram product, as an int64 dot
-  wherever q^2 n < 2^63 proves it cannot wrap. The gaussian tester keeps
-  only each block's per-column +1 counts, from which it forms the same
-  column sums.
+  which costs O(qn) instead of the O(q^2 n) Gram product. Each column is
+  summed in the narrowest signed type that holds q (int16 below 2^15), and
+  the dot is an int64 one wherever q^2 n < 2^63 proves it cannot wrap. The
+  gaussian tester keeps only each block's per-column +1 counts, from which
+  it forms the same column sums.
 * Levels >= 1 from the histogram of all q^2 inner products over the n+1
   values they can take, built once per batch from Hamming distances: each
   half is packed into 64-bit words with a bit set where the entry is +1,
@@ -129,10 +130,14 @@ def _draw_batches(draw: np.ndarray, q: int) -> np.ndarray:
 
 
 def _level0_numerators(batches: np.ndarray) -> list[int]:
-    """<sum x, sum y> of every batch of an int8 (r, 2, q, n) array, from one
-    int64 column-sum array; each column sum is at most q in size, which
-    ``_paired_dots`` reads as its bound, so this is exact for any q."""
-    return _paired_dots(batches.sum(axis=2, dtype=np.int64), batches.shape[2])
+    """<sum x, sum y> of every batch of an int8 (r, 2, q, n) array. Every
+    partial column sum is at most q in size, so each column is summed in the
+    narrowest signed type that holds q (int16 below 2^15, int32 below 2^31)
+    and widened once to int64; ``_paired_dots`` reads q as its bound, so
+    this is exact for any q."""
+    q = batches.shape[2]
+    dtype = np.int16 if q < 1 << 15 else np.int32 if q < 1 << 31 else np.int64
+    return _paired_dots(batches.sum(axis=2, dtype=dtype).astype(np.int64), q)
 
 
 def _paired_dots(sums: np.ndarray, bound: int | None = None) -> list[int]:

@@ -25,8 +25,10 @@ Conventions used throughout the package:
   have them expanded to the root dimension for ``edge_bias``
   (``view_edge_bias``), and its restrictions and mean tests draw rows.
 * Every uniform +-1 entry, in the uniform product, the zoo targets and the
-  oracle's zero-mass fallback, is one random bit from ``uniform_signs``;
-  biased products and dense PMFs draw from float64 uniforms.
+  oracle's zero-mass fallback, is one random bit from ``uniform_signs``.
+  Every entry of a biased product is one random byte compared with a
+  threshold, and a float64 uniform only when the byte ties it (1 in 256);
+  dense PMFs draw from float64 uniforms.
 """
 
 from __future__ import annotations
@@ -107,14 +109,6 @@ _BYTE_SIGNS = (
 # size the two routes cost about the same (BENCH_edge_blocks.json,
 # uniform_signs_routes)
 _TABLE_MAX_BYTES = 1 << 13
-
-
-# a biased product draws at most this many float64 uniforms at a time (512
-# KiB): one mean_tester call on the mean workload's far target draws 2,000
-# rows of 64 at once, and drawing them as one 1 MiB temporary slowed that
-# workload's null verdicts by about 8% (BENCH_batched_reps.json,
-# mean_workload_checks)
-_PRODUCT_STEP_ENTRIES = 1 << 16
 
 
 def uniform_signs(rng: np.random.Generator, shape) -> np.ndarray:
@@ -435,8 +429,14 @@ class ProductDistribution(HypercubeTarget):
     """Independent coordinates with means mu_i in [-1, 1].
 
     With every mean 0 (the uniform distribution) a draw is ``uniform_signs``,
-    one random bit per coordinate, and ``fair_edges`` is set; otherwise each
-    coordinate compares a float64 uniform against (1 + mu_i) / 2.
+    one random bit per coordinate, and ``fair_edges`` is set. Otherwise each
+    entry is one random byte b, read from one ``random_raw`` call, against
+    its coordinate's ``_thresholds`` (t, r): b < t gives +1, b > t gives -1,
+    and a tie gives +1 iff a float64 uniform is below r, the ties' uniforms
+    drawn by one ``rng.random`` call after the bytes in row-major order.
+    P(+1) is then (1 + mu_i) / 2 exactly for every P(+1) >= 2^-9. A float64
+    uniform per entry cost 3 to 5 times as much on the mean workload's draw
+    of 2,000 rows of 64 (BENCH_product_bytes.json).
     """
 
     def __init__(self, mu):
@@ -461,6 +461,21 @@ class ProductDistribution(HypercubeTarget):
     def uniform(cls, n: int) -> "ProductDistribution":
         return cls(np.zeros(n))
 
+    @functools.cached_property
+    def _thresholds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(t, r) of each coordinate for the byte draw: with s = 256 p,
+        p = (1 + mu_i) / 2, t = min(floor(s), 255) as uint8 and r = s - t in
+        [0, 1]. The subtraction is exact, and a uniform random byte b gives
+        +1 when b < t, or when b == t and a float64 uniform falls below r, so
+        P(+1) = t / 256 + ceil(r 2^53) / 2^61. For p >= 2^-9, r is a
+        multiple of 2^-53 and this is p exactly; p = 1 gives t = 255, r = 1.
+        Built on the first biased draw, not in __init__: the harness builds
+        a target per trial, and the uniform product never reads them."""
+        s = (1.0 + self.mu) * 128.0
+        # the cast truncates, which is floor on s >= 0
+        t = np.minimum(s, 255.0).astype(np.uint8)
+        return t, s - t
+
     def dense(self) -> DensePmf:
         mass = np.ones(1)
         for m in self.mu:
@@ -475,16 +490,19 @@ class ProductDistribution(HypercubeTarget):
         if fixed.size and (self.mu[fixed] == -rho.cells[fixed]).any():
             return None
         stars = rho.stars
-        p_plus = (1.0 + self.mu[stars]) / 2.0
-        out = np.empty((size, stars.size), dtype=np.int8)
-        step = max(1, _PRODUCT_STEP_ENTRIES // max(1, stars.size))
-        # rng.random fills whole rows in order, so steps of rows read the
-        # stream as one call would
-        for lo in range(0, size, step):
-            part = out[lo : lo + step]
-            np.less(rng.random(part.shape), p_plus, out=part, casting="unsafe")
+        t, r = self._thresholds
+        t, r = t[stars], r[stars]
+        m = size * stars.size
+        raw = rng.bit_generator.random_raw(-(-m // 8)).astype("<u8", copy=False)
+        raw = raw.view(np.uint8)[:m].reshape(size, stars.size)
+        out = np.less(raw, t).view(np.int8)
         out *= 2
         out -= 1
+        # a byte equal to t is +1 iff a float64 uniform falls below r; the
+        # ties read their uniforms after the bytes, in row-major order
+        ties = np.flatnonzero(raw == t)
+        if ties.size:
+            out.flat[ties] = np.where(rng.random(ties.size) < r[ties % stars.size], 1, -1)
         return out
 
     def edge_bias(self, points: np.ndarray, coords: np.ndarray):

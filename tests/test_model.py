@@ -1,6 +1,8 @@
 """Core model: points, index convention, restrictions, dense and product
 distributions, conditional tables, and exact functionals."""
 
+import math
+from fractions import Fraction
 from types import ModuleType
 
 import numpy as np
@@ -393,19 +395,38 @@ def test_uniform_signs_matches_bit_formula_at_block_shapes(rows, k):
     assert np.array_equal(x, want)
 
 
+def _byte_draw_reference(rng, mu_stars, size):
+    """A biased product's (size, k) rows read entry by entry from rng: entry
+    j of the row-major draw is byte j % 8, least significant first, of raw
+    word j // 8; then one float64 uniform per entry whose byte equals its
+    threshold t = min(floor(256 p), 255), in entry order. A byte below t is
+    +1, above it -1, and a tie +1 iff its uniform is below 256 p - t."""
+    k = len(mu_stars)
+    m = size * k
+    words = rng.bit_generator.random_raw(-(-m // 8)).tolist()
+    data = [(words[j // 8] >> (8 * (j % 8))) & 0xFF for j in range(m)]
+    s = [(1.0 + float(v)) / 2.0 * 256.0 for v in mu_stars]
+    t = [min(int(v), 255) for v in s]
+    ties = [j for j in range(m) if data[j] == t[j % k]]
+    u = dict(zip(ties, rng.random(len(ties)).tolist()))
+    out = [
+        1 if b < t[j % k] or (b == t[j % k] and u[j] < s[j % k] - t[j % k]) else -1
+        for j, b in enumerate(data)
+    ]
+    return np.array(out, dtype=np.int8).reshape(size, k)
+
+
 def test_product_route_and_frequencies():
     rho = Restriction(np.array([0, 1, 0, 0, -1, 0], dtype=np.int8))
     # every mean 0: the draw is uniform_signs on the stars, bit for bit
     uni = ProductDistribution.uniform(6)
     got = uni.cond_sample(stream(43, 0, 0), rho, 50)
     assert np.array_equal(got, uniform_signs(stream(43, 0, 0), (50, 4)))
-    # a nonzero mean keeps the float route for every coordinate
+    # a nonzero mean takes the byte route for every coordinate
     mu = np.array([0.5, 0.0, 0.0, -0.3, 0.0, 0.0])
     prod = ProductDistribution(mu)
     got = prod.cond_sample(stream(43, 0, 1), rho, 50)
-    p_plus = (1.0 + mu[rho.stars]) / 2.0
-    want = 2 * (stream(43, 0, 1).random((50, 4)) < p_plus).astype(np.int8) - 1
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, _byte_draw_reference(stream(43, 0, 1), mu[rho.stars], 50))
     # per-coordinate frequencies, 5 standard errors
     m = 40_000
     for dist in (uni, prod):
@@ -418,19 +439,78 @@ def test_product_route_and_frequencies():
     assert ProductDistribution.uniform(3).cond_sample(stream(43, 2, 0), every, 5).shape == (5, 0)
 
 
-def test_biased_product_steps_read_the_stream_as_one_draw(monkeypatch):
-    # a large biased draw is taken in steps of whole rows, which give the
-    # values of one rng.random call over all rows
-    mu = np.linspace(-0.6, 0.6, 40)
+@pytest.mark.parametrize("size", [1, 9, 4_999])
+def test_biased_product_byte_route_pin(size):
+    # 7 stars, so size * 7 entries are never a whole number of raw words at
+    # these sizes; means +-1 and 0 sit among the stars. The draw reads the
+    # bytes and the ties' uniforms and nothing more: the next raw word of
+    # the stream is the reference's
+    mu = np.array([1.0, 0.3, -1.0, 0.0, 0.9, -0.55, 0.25, 1 / 3, -0.999, 0.125])
+    rho = Restriction(np.array([0, 0, 0, 1, 0, 0, 1, 0, 0, -1], dtype=np.int8))
     prod = ProductDistribution(mu)
-    rho = Restriction(np.where(np.arange(40) % 3 == 0, 1, 0).astype(np.int8))
-    p_plus = (1.0 + mu[rho.stars]) / 2.0
-    for entries, size in ((model._PRODUCT_STEP_ENTRIES, 5_000), (7, 9), (60, 13)):
-        monkeypatch.setattr(model, "_PRODUCT_STEP_ENTRIES", entries)
-        got = prod.cond_sample(stream(45, 0, size), rho, size)
-        ref = stream(45, 0, size).random((size, rho.num_stars)) < p_plus
-        assert got.dtype == np.int8 and got.shape == (size, 26)
-        assert np.array_equal(got, 2 * ref.astype(np.int8) - 1)
+    rng, ref = stream(45, 0, size), stream(45, 0, size)
+    got = prod.cond_sample(rng, rho, size)
+    want = _byte_draw_reference(ref, mu[rho.stars], size)
+    assert (size * rho.num_stars) % 8
+    assert got.dtype == np.int8 and got.shape == (size, 7) and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+    assert (got[:, 0] == 1).all() and (got[:, 2] == -1).all()
+    assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
+
+
+def test_byte_thresholds_are_exact():
+    # P(+1) = t / 256 + P(u < r) / 256, where a float64 uniform u is a
+    # multiple of 2^-53 and so P(u < r) = ceil(r 2^53) / 2^53: this is the
+    # float p = (1 + mu) / 2 exactly from p = 2^-9 up, and within 2^-61
+    # below it
+    named = [0.0, 2.0**-10, 2.0**-9, 1 / 3, 0.5, 0.625, 1 - 2.0**-53, 1.0]
+    rng = stream(46, 0, 0)
+    mu = np.concatenate([
+        2 * np.array(named) - 1,
+        rng.uniform(-1.0, 1.0, 3_000),
+        -1.0 + rng.random(1_000) * 2.0**-6,
+        1.0 - rng.random(1_000) * 2.0**-6,
+    ])
+    p = (1.0 + mu) / 2.0
+    # the named p survive the trip through mu
+    assert p[: len(named)].tolist() == named
+    t, r = ProductDistribution(mu)._thresholds
+    assert t.dtype == np.uint8 and (t <= 255).all() and ((0 <= r) & (r <= 1)).all()
+    exact = 0
+    for ti, ri, pi in zip(t.tolist(), r.tolist(), p.tolist()):
+        law = Fraction(ti, 256) + Fraction(math.ceil(ri * 2**53), 2**53) / 256
+        if pi >= 2.0**-9:
+            assert law == Fraction(pi), pi
+            exact += 1
+        else:
+            assert abs(law - Fraction(pi)) < Fraction(1, 2**61), pi
+    assert exact > 4_000
+
+
+def test_biased_product_ties_follow_their_uniforms():
+    # means whose 256 p lies just above an integer (r = 1/64) and halfway
+    # between two (r = 1/2): the frequencies hold at 5 standard errors, and
+    # so does the +1 rate among the entries whose byte tied, read back from
+    # a copied stream
+    s = np.array([200 + 1 / 64, 3 + 1 / 64, 77.5, 128.5])
+    mu = s / 128.0 - 1.0
+    prod = ProductDistribution(mu)
+    m = 200_000
+    rho = Restriction.all_stars(4)
+    draws = prod.cond_sample(stream(47, 0, 0), rho, m)
+    se = np.sqrt((1.0 - mu**2) / m)
+    assert (np.abs(draws.mean(axis=0) - mu) < 5 * se).all()
+    raw = stream(47, 0, 0).bit_generator.random_raw(m * 4 // 8)
+    data = raw.astype("<u8").view(np.uint8).reshape(m, 4)
+    t, r = prod._thresholds
+    for j in range(4):
+        tied = data[:, j] == t[j]
+        assert abs(tied.mean() - 1 / 256) < 5 * np.sqrt(255 / 256**2 / m)
+        rate = (draws[tied, j] == 1).mean()
+        assert abs(rate - r[j]) < 5 * np.sqrt(r[j] * (1 - r[j]) / tied.sum())
+        # below the threshold every entry is +1, above it -1
+        assert (draws[data[:, j] < t[j], j] == 1).all()
+        assert (draws[data[:, j] > t[j], j] == -1).all()
 
 
 def test_product_cond_sample_draws_free_coordinates():
