@@ -74,21 +74,13 @@ verdict = subcond_uni(oracle, 0.25, cfg)
 print(f"two-point target: {verdict.decision.value} after {verdict.queries_used} queries")
 
 # -- forcing the recursion at demo scale ----------------------------------------
-# shrink every budget so the general case runs at n=64 in milliseconds; the
-# children then resolve through the base case one level down
-from hypercube_tester import EdgeConfig
+# the package's shrunk config cuts every budget so the general case runs at
+# n=64 in milliseconds; the children then resolve through the base case one
+# level down
+from hypercube_tester.uniformity import SHRUNK
 
-tiny = SubCondConfig(
-    c0=2.0 / 625.0,          # sigma(0.5) = 1/2 instead of 1/1250
-    l_formula=lambda n, eps: 4,
-    r_factor=0.3,
-    t_override=3,
-    mean_q_override=200,
-    mean_k0_override=0,
-    edge=EdgeConfig(c_h=0.5, c1=0.25, c2=0.05, c3=22.4, c_beta=1.0),
-)
 oracle = ScondOracle(ProductDistribution.uniform(64), stream(9, 4, 0))
-verdict = subcond_uni(oracle, 0.5, tiny)
+verdict = subcond_uni(oracle, 0.5, SHRUNK)
 tree = verdict.trace["tree"]
 print(f"\nshrunk-budget recursion: {verdict.decision.value} via {tree['branch']!r}")
 print(f"  mean loop sizes: {[s['restrictions'] for s in tree['mean_loop']]}")

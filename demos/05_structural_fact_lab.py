@@ -53,7 +53,7 @@ print(f"  edge (vertex 0, coordinate 0): weight {rec['weight']:.3f},"
 # -- a robust averaging inequality ---------------------------------------------
 print("\n== robust averaging inequality, exact at m <= 10 ==")
 pm = DensePmf(3, np.array([0.55, 0.15, 0.1, 0.05, 0.05, 0.04, 0.03, 0.03]))
-rep = evaluate_robust_pisier(pm, s=1.0)
+rep = evaluate_robust_pisier(pm)
 print(f"  concentrated pmf: lhs {rep.lhs:.4f}, rhs*log {rep.rhs:.4f},"
       f" ratio {rep.ratio:.3f}")
 

@@ -58,7 +58,7 @@ scale_spec = ExperimentSpec(
     seed=99,
 )
 cells = run_experiment(scale_spec)["summary"]["cells"]
-report = scaling_report(cells, reference_slope=0.5)
+report = scaling_report(cells)
 print("\n== query scaling of the mean tester on uniform ==")
 print(f"  mean queries by n: {dict(zip(report['n_values'], report['mean_queries']))}")
 print(f"  fitted log-log slope {report['slope']:.2f}"

@@ -217,7 +217,7 @@ def _check_probe(n, cases, rng):
 
 def _check_pisier(n, cases, rng):
     pmfs = _random_pmfs(n, cases, rng)
-    reps = [evaluate_robust_pisier(p, s=1.0, rng=rng) for _, p in pmfs]
+    reps = [evaluate_robust_pisier(p, rng=rng) for _, p in pmfs]
     return True, 0, cases, _ratio_extras(reps)
 
 
@@ -239,7 +239,7 @@ def _check_greedy(n, cases, rng):
         scales = graphs.scales()
         if scales:
             kappa = int(scales[rng.integers(len(scales))])
-            out_deg = graphs.out_degrees(SCALE, kappa)
+            out_deg = graphs.out_degrees(kappa)
             size_u = int(rng.integers(1, n_v))
             big_u = rng.choice(n_v, size=size_u, replace=False)
             rest = np.setdiff1d(np.arange(n_v), big_u)

@@ -41,6 +41,10 @@ TESTERS = ("meantest", "subconduni", "gaussian", "edge")
 
 CSV_HEADER = "n,eps,trial,decision,queries,wall_time_s,z_levels,tau_levels"
 
+# the log-log slope of the paper's sqrt(n) / eps^2 mean-testing bound, which
+# a scaling report gives beside the fitted one
+REFERENCE_SLOPE = 0.5
+
 
 @dataclass
 class ExperimentSpec:
@@ -260,12 +264,12 @@ def csv_body_without_wall_time(csv_text: str) -> str:
     return "\n".join(out) + "\n"
 
 
-def scaling_report(cells: list, reference_slope: float = 0.5) -> dict:
+def scaling_report(cells: list) -> dict:
     """Least-squares slope of log(mean queries) against log(n).
 
     ``cells`` are summary cell dicts (needs ``n`` and ``mean_queries``).
-    Requires at least three distinct n values; the reference slope is included
-    for comparison, never asserted.
+    Requires at least three distinct n values; ``REFERENCE_SLOPE`` is
+    included for comparison, never asserted.
     """
     by_n: dict[int, list] = {}
     for c in cells:
@@ -284,6 +288,6 @@ def scaling_report(cells: list, reference_slope: float = 0.5) -> dict:
         "mean_queries": mean_q,
         "slope": float(slope),
         "intercept": float(intercept),
-        "reference_slope": float(reference_slope),
-        "slope_minus_reference": float(slope - reference_slope),
+        "reference_slope": REFERENCE_SLOPE,
+        "slope_minus_reference": float(slope - REFERENCE_SLOPE),
     }

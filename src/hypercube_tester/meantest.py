@@ -140,12 +140,12 @@ def _level0_numerators(batches: np.ndarray) -> list[int]:
     return _paired_dots(batches.sum(axis=2, dtype=dtype).astype(np.int64), q)
 
 
-def _paired_dots(sums: np.ndarray, bound: int | None = None) -> list[int]:
-    """<s_x, s_y> of every pair of an int64 (r, 2, n) column-sum array,
-    exact. Given a bound on every entry's size with bound^2 n < 2^63, no
+def _paired_dots(sums: np.ndarray, bound: int) -> list[int]:
+    """<s_x, s_y> of every pair of an int64 (r, 2, n) column-sum array whose
+    entries are at most bound in size, exact. With bound^2 n < 2^63 no
     partial sum of the products can reach 2^63 in size, and each dot is an
-    int64 sum; otherwise, or with no bound, each is a sum of Python ints."""
-    if bound is not None and bound * bound * sums.shape[-1] < 1 << 63:
+    int64 sum; otherwise each is a sum of Python ints."""
+    if bound * bound * sums.shape[-1] < 1 << 63:
         return np.vecdot(sums[:, 0], sums[:, 1]).tolist()
     return [sum(a * b for a, b in zip(sx, sy)) for sx, sy in sums.tolist()]
 
@@ -195,7 +195,7 @@ class TauSchedule:
     """tau_0 = eps^2 n / 2 and tau_k = a q^2 tau_{k-1}^2 with
     a = TAU_RECURSION_COEFF, held as exact Fractions, and the trace's floats
     of them, worked out once: ``tau_levels`` (each tau_k correctly rounded,
-    inf past the float range) and ``tau_levels_log2`` (log2 tau_k)."""
+    inf past the float range)."""
 
     eps: float
     n: int
@@ -203,7 +203,6 @@ class TauSchedule:
     k0: int
     taus: tuple = field(init=False)
     tau_levels: tuple = field(init=False, repr=False, compare=False)
-    tau_levels_log2: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.eps <= 1.0:
@@ -221,9 +220,7 @@ class TauSchedule:
             taus.append(step * taus[-1] ** 2)
         object.__setattr__(self, "taus", tuple(taus))
         floats = tuple(_trace_float(*t.as_integer_ratio()) for t in taus)
-        log2s = tuple(math.log2(t.numerator) - math.log2(t.denominator) for t in taus)
         object.__setattr__(self, "tau_levels", floats)
-        object.__setattr__(self, "tau_levels_log2", log2s)
 
     def exceeded(self, k: int, num: int) -> bool:
         """Z_k = num / q^2 > tau_k, exact at every level."""
@@ -332,7 +329,6 @@ def mean_tester(oracle: ScondOracle, cfg: MeanTestConfig) -> TestVerdict:
         "k0": sched.k0,
         "z_levels": z_levels,
         "tau_levels": list(sched.tau_levels[:read]),
-        "tau_levels_log2": list(sched.tau_levels_log2[:read]),
     }
     return TestVerdict(decision, 2 * q, trace)
 

@@ -123,17 +123,18 @@ def uniform_signs(rng: np.random.Generator, shape) -> np.ndarray:
     draws. Both unpacking routes give the same bits in the same layout:
 
     * up to _TABLE_MAX_BYTES random bytes, one ``np.take`` of each byte on a
-      256-entry table of eight packed signs. On draws of a few rows it is
-      2 to 4 us cheaper per call than the other route (3.8 against 7.5 us for
-      one row of 30), and a recursive uniformity verdict makes thousands
-      of such calls: with ``np.unpackbits`` at every size the benchmark's
-      recursion workload ran about 10% slower;
+      256-entry table of eight packed signs: 0.9 to 2.4 us on 8 to 4,096
+      bytes, about 2 us less than ``np.unpackbits``. On the benchmark's
+      workloads (seed 1, 40 verdicts a cell) a mean null makes one such
+      call, a far edge verdict 2.4 and a far recursion verdict one, all
+      within 4 KiB, and every other cell none;
     * above it, ``np.unpackbits`` and an in-place {0, 1} -> {-1, +1} map.
       ``np.take`` first copies its uint8 index to an intp array eight times
       its size; from 2,048 rows of 128 entries up, that temporary and the
       output made the allocator fault pages in on every call (224 faults
       per call at 4,096 rows, one edge-tester block), while this route
-      allocates only the output and took none.
+      allocates only the output and took none. No benchmark workload
+      draws this much in one call.
 
     Rows whose length is not a multiple of 64 are then cut to k entries by
     one copy.
@@ -451,11 +452,6 @@ class ProductDistribution(HypercubeTarget):
         self.n = mu.size
         # uniform: every edge bias is 0, and the subcubes have no zero mass
         self.fair_edges = not mu.any()
-        # the coordinates of mean +-1, where edge_bias finds zero-support
-        # edges; built once, as mu is read-only (None when there is none)
-        pinned = np.abs(mu) == 1.0
-        self._pinned = _read_only(pinned) if pinned.any() else None
-        self._pinned_sign = _read_only(np.sign(mu).astype(np.int8))
 
     @classmethod
     def uniform(cls, n: int) -> "ProductDistribution":
@@ -511,9 +507,12 @@ class ProductDistribution(HypercubeTarget):
         points = np.atleast_2d(np.asarray(points, dtype=np.int8))
         coords = np.asarray(coords, dtype=np.int64)
         m = points.shape[0]
-        if self._pinned is None:
+        # an edge has zero support when a point is off a coordinate of mean
+        # +-1 other than the edge's own
+        pinned = np.abs(self.mu) == 1.0
+        if not pinned.any():
             return self.mu[coords], np.zeros(m, dtype=bool)
-        mism = (points != self._pinned_sign) & self._pinned
+        mism = (points != np.sign(self.mu).astype(np.int8)) & pinned
         zero = (mism.sum(axis=1) - mism[np.arange(m), coords]) > 0
         return np.where(zero, 0.0, self.mu[coords]), zero
 

@@ -41,6 +41,9 @@ ORIENTATION_CAP = 14
 PISIER_EXACT_CAP = 10
 PISIER_MC_MIN_DRAWS = 100_000
 KHINTCHINE_CAP = 20
+# the float slack of the Khintchine, graph-to-mean and contributing-pair
+# checks: a bound holds when it fails by at most this much
+TOL = 1e-12
 
 ZERO, UNEVEN, SCALE = 0, 1, 2
 
@@ -189,10 +192,9 @@ class OrientedGraphs:
         oriented out of x."""
         return self.source[self.edge_row] == np.arange(1 << self.m)[:, None]
 
-    def out_degrees(self, cls: int, kappa: int | None = None) -> np.ndarray:
-        sel = self.cls == cls
-        if kappa is not None:
-            sel &= self.kappa == kappa
+    def out_degrees(self, kappa: int) -> np.ndarray:
+        """Each vertex's out-degree among the scale-kappa edges."""
+        sel = (self.cls == SCALE) & (self.kappa == kappa)
         return np.bincount(self.source[sel], minlength=1 << self.m)
 
     def class_counts(self) -> dict:
@@ -330,7 +332,7 @@ def check_greedy_property(
     big_u = set(int(x) for x in big_u)
     if int(v) in big_u:
         return True
-    out_deg = graphs.out_degrees(SCALE, kappa)
+    out_deg = graphs.out_degrees(kappa)
     if any(out_deg[x] > g for x in big_u):
         return True
     return count_directed_into(graphs, kappa, big_u, int(v)) <= g
@@ -341,14 +343,12 @@ def check_greedy_property(
 
 
 def evaluate_robust_pisier(
-    ell: DensePmf, *, s: float = 1.0, rng: np.random.Generator | None = None
+    ell: DensePmf, *, rng: np.random.Generator | None = None
 ) -> InequalityReport:
-    """lhs = (E_x |f(x)|^s)^(1/s) with f = 2^m ell - 1; rhs the oriented
+    """lhs = E_x |f(x)| with f = 2^m ell - 1; rhs the L1 norm of the oriented
     derivative sum of the robust inequality on ell's orientation (by rng's
     draws past m = PISIER_EXACT_CAP). Reports lhs / (rhs ln m); asserts
     nothing (the inequality's constant is unspecified)."""
-    if s < 1.0:
-        raise ValueError("s must be >= 1")
     m = ell.n
     graphs = build_orientation(ell)
     n_v = 1 << m
@@ -357,10 +357,10 @@ def evaluate_robust_pisier(
     partner_f = f[(np.arange(n_v)[:, None] ^ bit_powers(m)[None, :])]
     delta = 0.5 * (f[:, None] - partner_f)
     c = pts * delta * graphs.out_mask()
-    lhs = float(np.mean(np.abs(f) ** s) ** (1.0 / s))
+    lhs = float(np.mean(np.abs(f)))
     if m <= PISIER_EXACT_CAP:
         sums = c @ pts.T  # [x, y] -> sum_i y_i x_i delta_i f(x) over out-edges
-        rhs = float(np.mean(np.abs(sums) ** s) ** (1.0 / s))
+        rhs = float(np.mean(np.abs(sums)))
         mode = "exact"
     else:
         if rng is None:
@@ -368,14 +368,14 @@ def evaluate_robust_pisier(
         xs = rng.integers(0, n_v, size=PISIER_MC_MIN_DRAWS)
         ys = uniform_signs(rng, (PISIER_MC_MIN_DRAWS, m))
         sums = (c[xs] * ys).sum(axis=1)
-        rhs = float(np.mean(np.abs(sums) ** s) ** (1.0 / s))
+        rhs = float(np.mean(np.abs(sums)))
         mode = "monte-carlo"
     scale = math.log(max(m, 2))
     if rhs > 0.0:
         ratio = lhs / (rhs * scale)
     else:
         ratio = math.inf if lhs > 0.0 else 0.0
-    return InequalityReport(lhs, rhs, ratio, {"m": m, "s": s, "mode": mode})
+    return InequalityReport(lhs, rhs, ratio, {"m": m, "mode": mode})
 
 
 def khintchine_lhs(a: np.ndarray) -> float:
@@ -394,8 +394,8 @@ def khintchine_lhs(a: np.ndarray) -> float:
     return total / (1 << m)
 
 
-def verify_khintchine(a: np.ndarray, tol: float = 1e-12) -> bool:
-    return khintchine_lhs(a) <= float(np.linalg.norm(a)) + tol
+def verify_khintchine(a: np.ndarray) -> bool:
+    return khintchine_lhs(a) <= float(np.linalg.norm(a)) + TOL
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +438,7 @@ def _directed_edge_class(p, cache: dict, t_set: frozenset, y: np.ndarray, coord:
 
 
 def verify_graph_to_mean(
-    p: DensePmf, t: int, trials: int, rng: np.random.Generator, tol: float = 1e-12
+    p: DensePmf, t: int, trials: int, rng: np.random.Generator
 ) -> VerifierReport:
     """For random (pi, y, i): when the directed edge (y restricted to the
     complement of S(pi minus i), pi(i)) is uneven, the conditional mean of
@@ -464,7 +464,7 @@ def verify_graph_to_mean(
         rho = _restriction_from_sequence(pi, y)
         mu = _conditional_mean_at(p, rho, int(pi[i]))
         nonvac += 1
-        if abs(mu) < bound - tol:
+        if abs(mu) < bound - TOL:
             failures.append(
                 {"pi": pi.tolist(), "i": i, "mu": mu, "bound": bound, "rec": rec}
             )
@@ -472,7 +472,7 @@ def verify_graph_to_mean(
 
 
 def verify_contributing_bias(
-    p: DensePmf, trials: int, rng: np.random.Generator, tol: float = 1e-12
+    p: DensePmf, trials: int, rng: np.random.Generator
 ) -> VerifierReport:
     """For random (pi, y, i, j) with both index-removed directed edges
     uneven: the conditional mean of p under rho(pi minus i, y) at pi(j)
@@ -503,7 +503,7 @@ def verify_contributing_bias(
         rho = _restriction_from_sequence(stars_minus_i, y)
         mu = _conditional_mean_at(p, rho, int(pi[j]))
         nonvac += 1
-        if abs(mu) < 1.0 / 20.0 - tol:
+        if abs(mu) < 1.0 / 20.0 - TOL:
             failures.append({"pi": pi.tolist(), "i": i, "j": j, "mu": mu})
     return VerifierReport(not failures, trials, nonvac, failures, {})
 

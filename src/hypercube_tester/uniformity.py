@@ -358,6 +358,22 @@ PRESETS = {
     ),
 }
 
+# the shrunk config: both presets land in the base case for every n <=
+# 34,657 at eps 0.5, and this one forces the recursive case at n = 64,
+# eps 0.5 with every loop cut to unit-test size; the children resolve
+# through the base case one level down. Not a preset, so no spec or CLI
+# value names it; the tests and demo 04 run it.
+SHRUNK = SubCondConfig(
+    c0=2.0 / 625.0,  # sigma(0.5) = 1/2 instead of 1/1250
+    l_formula=lambda n, eps: 4,
+    r_factor=0.3,
+    t_override=3,
+    mean_q_override=200,
+    mean_k0_override=0,
+    # the depth-1 children's edge tester keeps 5-standard-error thresholds
+    edge=EdgeConfig(c_h=0.5, c1=0.25, c2=0.05, c3=22.4, c_beta=1.0),
+)
+
 
 def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) -> TestVerdict:
     """Reject when some conditional single-coordinate bias is large.

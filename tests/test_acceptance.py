@@ -131,7 +131,7 @@ def test_criterion_1_exact_lemma_suite():
     kh_fail = 0
     for i in range(100):
         a = rng.standard_normal(1 + i % 12) * (0.1, 1.0, 10.0)[i % 3]
-        kh_fail += not verify_khintchine(a, tol=1e-12)
+        kh_fail += not verify_khintchine(a)
     parts.append(f"khintchine {kh_fail}/100")
 
     # edge classification + greedy deletion orderings on all edges
@@ -153,7 +153,7 @@ def test_criterion_1_exact_lemma_suite():
         scales = g.scales()
         if scales:
             kappa = int(scales[rng.integers(len(scales))])
-            out_deg = g.out_degrees(SCALE, kappa)
+            out_deg = g.out_degrees(kappa)
             big_u = rng.choice(n_v, size=int(rng.integers(1, n_v)), replace=False)
             rest = np.setdiff1d(np.arange(n_v), big_u)
             v = int(rest[rng.integers(rest.size)])
@@ -482,7 +482,7 @@ def write_scaling_artifact(out: Path) -> dict:
         seed=81,
     )
     summary = run_experiment(spec)["summary"]
-    report = scaling_report(summary["cells"], reference_slope=0.5)
+    report = scaling_report(summary["cells"])
     doc = {
         "experiment": spec.to_dict(),
         "cells": summary["cells"],

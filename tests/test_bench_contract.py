@@ -44,18 +44,16 @@ def test_every_bench_workload_gives_clean_verdicts(bench, monkeypatch):
 
 def test_recursion_config_is_rec_cfg(bench):
     # the shrunk recursion config is written twice, as bench.recursion_config
-    # and as REC_CFG of test_uniformity; a drift between the two copies fails
-    # here. l_formula is a function, so it is compared through big_l
-    from test_uniformity import REC_CFG
-
+    # and as the package's uniformity.SHRUNK; a drift between the two copies
+    # fails here. l_formula is a function, so it is compared through big_l
     uniformity = bench.import_package()[3]
     cfg = bench.recursion_config(uniformity)
     for f in dataclasses.fields(uniformity.SubCondConfig):
         if f.name != "l_formula":
-            assert getattr(cfg, f.name) == getattr(REC_CFG, f.name), f.name
+            assert getattr(cfg, f.name) == getattr(uniformity.SHRUNK, f.name), f.name
     for n in range(1, 129):
         for eps in (0.5, 0.25, 0.125):
-            assert cfg.big_l(n, eps) == REC_CFG.big_l(n, eps), (n, eps)
+            assert cfg.big_l(n, eps) == uniformity.SHRUNK.big_l(n, eps), (n, eps)
 
 
 def _tree_nodes(tree):

@@ -271,7 +271,7 @@ def test_scaling_report_exact_power_laws():
         cells = [
             {"n": n, "mean_queries": 10.0 * n**exponent} for n in (8, 16, 32, 64)
         ]
-        rep = scaling_report(cells, reference_slope=0.5)
+        rep = scaling_report(cells)
         assert rep["slope"] == pytest.approx(exponent, abs=1e-9)
         assert rep["slope_minus_reference"] == pytest.approx(
             exponent - 0.5, abs=1e-9

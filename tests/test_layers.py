@@ -58,6 +58,14 @@ def test_zoo_imports_only_the_model():
     assert _package_imports(source) == {"model"}
 
 
+def test_theory_imports_only_the_model_the_statistic_and_the_blowup():
+    # the lab checks the testers' facts from outside: it reads the model,
+    # the exact statistic (meantest.numerators) and the blow-up moments,
+    # and nothing from the uniformity tester, the harness or the front ends
+    source = (PACKAGE / "theory.py").read_text()
+    assert _package_imports(source) == {"blowup", "meantest", "model"}
+
+
 def test_package_import_loads_no_process_pool():
     # trials run in one process, so importing the package starts no pool
     code = (

@@ -304,8 +304,8 @@ def test_product_edge_bias_is_coordinate_mean():
     ],
 )
 def test_product_edge_bias_matches_dense_ratio(mu):
-    # the closed form, with its pinned-mean mask built once, against the
-    # generic ratio of point masses that DensePmf inherits
+    # the closed form against the generic ratio of point masses that
+    # DensePmf inherits
     prod = ProductDistribution(mu)
     dense = prod.dense()
     n = prod.n

@@ -221,7 +221,7 @@ def test_greedy_property_random_sweep():
         big_u = rng.choice(n_v, size=size, replace=False)
         rest = np.setdiff1d(np.arange(n_v), big_u)
         v = int(rest[rng.integers(rest.size)])
-        out_deg = g.out_degrees(SCALE, kappa)
+        out_deg = g.out_degrees(kappa)
         gbound = max(1, int(out_deg[big_u].max()))
         checked += 1
         assert check_greedy_property(g, kappa, big_u, v, gbound)
@@ -250,7 +250,7 @@ def test_count_directed_into_raw():
 def test_pisier_point_mass_frozen():
     # point mass: f = 2^m 1_atom - 1, so E|f| = 2 (1 - 2^-m) -> 1.75 at m=3
     p = DensePmf.point_mass(Point(np.array([-1, -1, -1], dtype=np.int8)))
-    rep = evaluate_robust_pisier(p, s=1.0)
+    rep = evaluate_robust_pisier(p)
     assert rep.lhs == pytest.approx(1.75, abs=1e-12)
     assert rep.rhs > 0
     assert rep.context["mode"] == "exact"
@@ -258,14 +258,9 @@ def test_pisier_point_mass_frozen():
 
 
 def test_pisier_uniform_is_degenerate_zero():
-    rep = evaluate_robust_pisier(DensePmf.uniform(3), s=1.0)
+    rep = evaluate_robust_pisier(DensePmf.uniform(3))
     assert rep.lhs == 0.0
     assert rep.ratio == 0.0
-
-
-def test_pisier_s_validation_and_mc_guard():
-    with pytest.raises(ValueError):
-        evaluate_robust_pisier(DensePmf.uniform(2), s=0.5)
 
 
 def test_khintchine_frozen_values():

@@ -46,18 +46,9 @@ def biased_edge_pmf(n: int, atom_index: int = 0, coord: int = 0) -> DensePmf:
     return DensePmf(n, mass)
 
 
-# a configuration that forces the general (recursive) case at n=64, eps=0.5:
-# sigma becomes 1/2, every loop is shrunk to unit-test size, and the edge
-# tester run by depth-1 children keeps its 5-standard-error thresholds
-REC_CFG = SubCondConfig(
-    c0=2.0 / 625.0,
-    l_formula=lambda n, eps: 4,
-    r_factor=0.3,
-    t_override=3,
-    mean_q_override=200,
-    mean_k0_override=0,
-    edge=EdgeConfig(c_h=0.5, c1=0.25, c2=0.05, c3=22.4, c_beta=1.0),
-)
+# the package's shrunk config, which forces the general (recursive) case at
+# n=64, eps=0.5
+REC_CFG = uniformity.SHRUNK
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +122,7 @@ def test_base_case_frozen_examples():
 
 def test_theta_sqrt_b_identity():
     # theta_h sqrt(b_h) >= c3 sqrt(c2) at every level of every calibration
-    for cfg in (EdgeConfig(), EdgeConfig(c_h=0.5, c1=0.25, c2=0.05, c3=22.4)):
+    for cfg in (EdgeConfig(), REC_CFG.edge):
         for n in (8, 16, 64):
             for eps in (0.5, 0.25):
                 levels = cfg.levels(n, eps)
