@@ -72,10 +72,12 @@ from .theory import (
     khintchine_lhs,
     probe_restriction_theorem,
     random_dense_pmf,
+    verify_blowup_factorization,
     verify_chain_rule,
     verify_contributing_bias,
     verify_graph_to_mean,
     verify_khintchine,
+    verify_orientation,
     verify_variance_bound,
 )
 from .uniformity import (

@@ -20,23 +20,20 @@ import sys
 
 import numpy as np
 
-from .blowup import explicit_moments, gram_moments
 from .harness import ExperimentSpec, _join_levels, _write_json, execute_trial, run_experiment
 from .model import DensePmf, Decision, ProductDistribution
 from .rng import stream
 from .theory import (
-    SCALE,
-    ZERO,
-    build_orientation,
-    check_greedy_property,
+    CHAIN_RULE_SLACK,
     evaluate_robust_pisier,
-    greedy_ordering_valid,
     probe_restriction_theorem,
     random_dense_pmf,
+    verify_blowup_factorization,
     verify_chain_rule,
     verify_contributing_bias,
     verify_graph_to_mean,
     verify_khintchine,
+    verify_orientation,
     verify_variance_bound,
 )
 from .uniformity import PRESETS
@@ -205,7 +202,7 @@ def _verifier_totals(reports):
 def _check_chain(n, cases, rng):
     pmfs = _random_pmfs(n, cases, rng)
     reps = [verify_chain_rule(p, _SIGMAS[c % len(_SIGMAS)]) for c, p in pmfs]
-    failures = sum(rep.lhs > rep.rhs + 1e-9 for rep in reps)
+    failures = sum(rep.lhs > rep.rhs + CHAIN_RULE_SLACK for rep in reps)
     return failures == 0, failures, cases, {"max_ratio": max([0.0] + [r.ratio for r in reps])}
 
 
@@ -222,33 +219,7 @@ def _check_pisier(n, cases, rng):
 
 
 def _check_greedy(n, cases, rng):
-    failures = 0
-    nonvac = 0
-    for _, p in _random_pmfs(n, cases, rng):
-        graphs = build_orientation(p)
-        n_v = 1 << n
-        if graphs.u.size != n * (1 << (n - 1)):
-            failures += 1
-            continue
-        for k in graphs.scales():
-            sel = (graphs.cls == SCALE) & (graphs.kappa == k)
-            if not greedy_ordering_valid(
-                n_v, graphs.u[sel], graphs.v[sel], graphs.orderings[k]
-            ):
-                failures += 1
-        scales = graphs.scales()
-        if scales:
-            kappa = int(scales[rng.integers(len(scales))])
-            out_deg = graphs.out_degrees(kappa)
-            size_u = int(rng.integers(1, n_v))
-            big_u = rng.choice(n_v, size=size_u, replace=False)
-            rest = np.setdiff1d(np.arange(n_v), big_u)
-            v = int(rest[rng.integers(rest.size)])
-            g = max(1, int(out_deg[big_u].max()))
-            nonvac += 1
-            if not check_greedy_property(graphs, kappa, big_u, v, g):
-                failures += 1
-    return failures == 0, failures, nonvac, {}
+    return _verifier_totals([verify_orientation(p, rng) for _, p in _random_pmfs(n, cases, rng)])
 
 
 def _check_graphmean(n, cases, rng):
@@ -286,18 +257,8 @@ def _check_variance(n, cases, rng):
 
 
 def _check_blowupfact(n, cases, rng):
-    failures = 0
-    for _, p in _random_pmfs(n, cases, rng):
-        for k in (0, 1):
-            mu_sq_k, frob_sq_k = gram_moments(p, k)
-            mu_sq_next, _ = gram_moments(p, k + 1)
-            ok = math.isclose(mu_sq_next, frob_sq_k, rel_tol=1e-9, abs_tol=1e-12)
-            if n ** (2 ** (k + 1)) <= 1 << 10:
-                em = explicit_moments(p, k)
-                ok &= math.isclose(em[0], mu_sq_k, rel_tol=1e-9, abs_tol=1e-12)
-                ok &= math.isclose(em[1], frob_sq_k, rel_tol=1e-9, abs_tol=1e-12)
-            failures += not ok
-    return failures == 0, failures, cases, {}
+    pmfs = _random_pmfs(n, cases, rng)
+    return _verifier_totals([verify_blowup_factorization(p) for _, p in pmfs])
 
 
 def _check_khintchine(n, cases, rng):

@@ -282,7 +282,10 @@ class MeanTestConfig:
     def resolve(self, n: int) -> TauSchedule:
         """The schedule at dimension n, memoised per (config, n) in a bounded
         cache: a recursive verdict runs hundreds of mean tests on a few
-        (config, n). An n that no schedule takes raises on every call."""
+        (config, n). An n that no schedule takes raises on every call, an
+        n < 1 before the sample rule runs."""
+        if n < 1:
+            raise ValueError(f"the mean test schedule needs n >= 1, got n={n}")
         k0 = default_k0(n) if self.k0 is None else self.k0
         q = Q_RULES[self.preset](n, self.eps, k0) if self.q is None else self.q
         return TauSchedule(self.eps, n, q, k0)

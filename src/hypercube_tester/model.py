@@ -48,23 +48,20 @@ _NORMALIZE_TOL = 1e-6
 
 STAR = 0
 
-_POINT_CACHE: dict[int, np.ndarray] = {}
-
-
 def bit_powers(n: int) -> np.ndarray:
     """Place values of each coordinate in the dense index (coordinate 0 is MSB)."""
     return (1 << np.arange(n - 1, -1, -1, dtype=np.int64)) if n else np.zeros(0, np.int64)
 
 
+@functools.cache
 def all_sign_points(n: int) -> np.ndarray:
-    """(2^n, n) int8 matrix of every point in dense index order. Cached for small n."""
+    """(2^n, n) int8 matrix of every point in dense index order; one shared
+    read-only array per n."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > 24:
         raise ValueError(f"refusing to enumerate 2^{n} points")
-    if n not in _POINT_CACHE:
-        _POINT_CACHE[n] = indices_to_points(np.arange(1 << n), n)
-    return _POINT_CACHE[n]
+    return _read_only(indices_to_points(np.arange(1 << n), n))
 
 
 def points_to_indices(signs: np.ndarray) -> np.ndarray:

@@ -146,11 +146,14 @@ class ScondOracle:
         per pair by ``_edge_counts``, from the pair's bias as the target's
         ``view_edge_bias`` gives it. A pair's bias estimate is
         (2 counts - b) / b. It charges size queries for the points and b per
-        pair; draws_per_pair is checked before anything is charged.
+        pair; draws_per_pair and the view's dimension, which must leave a
+        coordinate to draw, are checked before anything is charged.
         """
         b = as_int(draws_per_pair, "draws_per_pair")
         if b <= 0:
             raise ValueError("draws_per_pair must be positive")
+        if self.n < 1:
+            raise ValueError(f"edge_block needs a view of dimension >= 1, got {self.n}")
         points = self._draw(self.rho, size)
         coords = self.rng.integers(0, self.n, points.shape[0])
         return coords, self._edge_counts(

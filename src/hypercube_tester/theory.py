@@ -2,15 +2,17 @@
 
 Everything here is exact enumeration or Monte-Carlo at small dimension:
 chain rule for total variation under random restrictions, hypercube edge
-classification and greedy orientations, the robust Pisier inequality (as
-a reported ratio; its universal constant is unspecified), Khintchine's
-inequality, the graph-to-mean and contributing-pair lower bounds, the
-restriction-theorem probe, and the mean/variance bands of the pairing
-statistic Z.
+classification and greedy orientations, the blow-up factorisation of the
+level-k moments, the robust Pisier inequality (as a reported ratio; its
+universal constant is unspecified), Khintchine's inequality, the
+graph-to-mean and contributing-pair lower bounds, the restriction-theorem
+probe, and the mean/variance bands of the pairing statistic Z.
 
-Verifiers return report objects; the test suite (not this module) turns
-them into assertions, so a failing inequality shows up as a test failure
-with the offending parameters, never as a silent skip.
+Each check's procedure, its draws and its float slack live here once;
+verifiers return report objects, and the ``theorylab`` CLI and the test
+suite (not this module) count and assert them, so a failing inequality
+shows up as a test failure or a nonzero exit with the offending
+parameters, never as a silent skip.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blowup import gram_moments
+from .blowup import explicit_moments, gram_moments
 from .meantest import numerators
 from .model import (
     DensePmf,
@@ -44,6 +46,9 @@ KHINTCHINE_CAP = 20
 # the float slack of the Khintchine, graph-to-mean and contributing-pair
 # checks: a bound holds when it fails by at most this much
 TOL = 1e-12
+# the chain rule holds when its lhs exceeds its rhs by at most this much
+CHAIN_RULE_SLACK = 1e-9
+EXPLICIT_MOMENT_CAP = 1 << 10
 
 ZERO, UNEVEN, SCALE = 0, 1, 2
 
@@ -338,6 +343,34 @@ def check_greedy_property(
     return count_directed_into(graphs, kappa, big_u, int(v)) <= g
 
 
+def verify_orientation(p: DensePmf, rng: np.random.Generator) -> VerifierReport:
+    """p's orientation has all m 2^(m-1) edges and a valid greedy ordering
+    at every scale; when it has a scale, one greedy-property probe (its one
+    non-vacuous case) at a random scale, vertex set U, v outside U and
+    g = max(1, largest out-degree in U)."""
+    m = p.n
+    n_v = 1 << m
+    graphs = build_orientation(p)
+    if graphs.u.size != m * (1 << (m - 1)):
+        return VerifierReport(False, 1, 0, [{"edges": int(graphs.u.size)}])
+    failures = []
+    scales = graphs.scales()
+    for k in scales:
+        sel = (graphs.cls == SCALE) & (graphs.kappa == k)
+        if not greedy_ordering_valid(n_v, graphs.u[sel], graphs.v[sel], graphs.orderings[k]):
+            failures.append({"kappa": k, "ordering": graphs.orderings[k].tolist()})
+    if scales:
+        kappa = int(scales[rng.integers(len(scales))])
+        out_deg = graphs.out_degrees(kappa)
+        big_u = rng.choice(n_v, size=int(rng.integers(1, n_v)), replace=False)
+        rest = np.setdiff1d(np.arange(n_v), big_u)
+        v = int(rest[rng.integers(rest.size)])
+        g = max(1, int(out_deg[big_u].max()))
+        if not check_greedy_property(graphs, kappa, big_u, v, g):
+            failures.append({"kappa": kappa, "U": sorted(big_u.tolist()), "v": v, "g": g})
+    return VerifierReport(not failures, 1, int(bool(scales)), failures)
+
+
 # ---------------------------------------------------------------------------
 # Robust Pisier and Khintchine
 
@@ -402,12 +435,6 @@ def verify_khintchine(a: np.ndarray) -> bool:
 # Graph-to-mean and contributing pairs
 
 
-def _restriction_from_sequence(stars, y: np.ndarray) -> Restriction:
-    cells = np.asarray(y, dtype=np.int8).copy()
-    cells[list(stars)] = 0
-    return Restriction(cells)
-
-
 def _conditional_mean_at(p: DensePmf, rho: Restriction, coord: int) -> float:
     """mu(p_|rho)_coord, exact; 0 for zero-mass subcubes."""
     table, mass = conditional_table(p, rho)
@@ -461,7 +488,7 @@ def verify_graph_to_mean(
         if rec is None or rec["cls"] == ZERO:
             continue
         bound = 1.0 / 3.0 if rec["cls"] == UNEVEN else 2.0 ** (-rec["kappa"] - 1)
-        rho = _restriction_from_sequence(pi, y)
+        rho = Restriction.from_stars_and_point(np.isin(np.arange(n), pi), y)
         mu = _conditional_mean_at(p, rho, int(pi[i]))
         nonvac += 1
         if abs(mu) < bound - TOL:
@@ -499,8 +526,7 @@ def verify_contributing_bias(
         rec_j = _directed_edge_class(p, cache, set_j, y, int(pi[j]))
         if rec_j is None or rec_j["cls"] != UNEVEN:
             continue
-        stars_minus_i = [int(c) for k, c in enumerate(pi) if k != i]
-        rho = _restriction_from_sequence(stars_minus_i, y)
+        rho = Restriction.from_stars_and_point(np.isin(np.arange(n), list(set_i)), y)
         mu = _conditional_mean_at(p, rho, int(pi[j]))
         nonvac += 1
         if abs(mu) < 1.0 / 20.0 - TOL:
@@ -509,7 +535,23 @@ def verify_contributing_bias(
 
 
 # ---------------------------------------------------------------------------
-# Mean/variance bands for the pairing statistic
+# Blow-up factorisation and mean/variance bands for the pairing statistic
+
+
+def verify_blowup_factorization(p: DensePmf) -> VerifierReport:
+    """At k = 0 and 1, ||mu(bl^(k+1) p)||^2 = ||Sigma(bl^k p)||_F^2, and
+    the explicit moments agree with the Gram route where Sigma(bl^k p) has
+    at most EXPLICIT_MOMENT_CAP entries; one failure per level that fails."""
+    failures = []
+    for k in (0, 1):
+        gram = gram_moments(p, k)
+        mu_sq_next, _ = gram_moments(p, k + 1)
+        pairs = [(mu_sq_next, gram[1])]
+        if p.n ** (2 ** (k + 1)) <= EXPLICIT_MOMENT_CAP:
+            pairs += zip(explicit_moments(p, k), gram)
+        if not all(math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12) for a, b in pairs):
+            failures.append({"k": k, "pairs": pairs})
+    return VerifierReport(not failures, 1, 1, failures)
 
 
 def verify_variance_bound(

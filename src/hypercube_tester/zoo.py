@@ -4,8 +4,10 @@ a spec string or an entry file into a target.
 Every hypercube entry instantiates to either a DensePmf/ProductDistribution
 (small n) or a generative family that supports subcube-conditional sampling
 directly (any n); each is a ``model.HypercubeTarget`` and draws only through
-``cond_sample``. An entry is its JSON object {"kind": ..., <parameters>}; the
-kinds and their parameters are the rows of ``_KIND_DOCS``.
+``cond_sample``. An entry is its JSON object {"kind": ..., <parameters>}.
+Each kind, a hypercube target or a gaussian source, is one ``_Kind`` row of
+``_KIND_DOCS`` or ``_GAUSSIAN_KINDS``, and ``_build`` checks and builds the
+entries of both, so a new kind is one row.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,35 +32,6 @@ from .model import (
     points_to_indices,
     uniform_signs,
 )
-
-
-# kind: (description, required parameters as (name, shorthand converter) in
-# shorthand order, optional parameter names)
-_KIND_DOCS = {
-    "uniform": ("uniform distribution; no parameters", (), set()),
-    "two_point": (
-        "half mass on x, half on -x; params: x (sign list, default all +1)", (), {"x"}
-    ),
-    "planted_product": (
-        "product distribution with every mean eps; params: eps", (("eps", float),), set()
-    ),
-    "heavy_atom": (
-        "mass on one atom, rest uniform; params: mass, x (default all +1)",
-        (("mass", float),),
-        {"x"},
-    ),
-    "junta_mix": (
-        "inner PMF on first k coordinates times uniform; params: k, inner (2^k masses)",
-        (("k", int),),
-        {"inner"},
-    ),
-    # the shorthand noisy_parity:M:DELTA takes S = the first M coordinates
-    "noisy_parity": (
-        "chi_S(x) = +1 w.p. 1-delta, uniform within parity classes; params: S, delta",
-        (("S", lambda m: list(range(int(m)))), ("delta", float)),
-        set(),
-    ),
-}
 
 
 class TwoPointDistribution(HypercubeTarget):
@@ -273,12 +247,53 @@ class GaussianSource:
         return rng.binomial(np.asarray(rows, dtype=np.int64)[:, None], self.phi)
 
 
-# gaussian kind: (source builder, required parameters in the second field as
-# in _KIND_DOCS)
+class _Kind(NamedTuple):
+    """A kind's description, its builder ``build(n, **parameters)``, its
+    required parameters as (name, shorthand converter) in shorthand order,
+    and its optional parameters as name -> default at dimension n."""
+
+    doc: str
+    build: Callable
+    params: tuple = ()
+    optional: dict = {}
+
+
+_KIND_DOCS = {
+    "uniform": _Kind("uniform distribution; no parameters", ProductDistribution.uniform),
+    "two_point": _Kind(
+        "half mass on x, half on -x; params: x (sign list, default all +1)",
+        lambda n, x: TwoPointDistribution(x),
+        optional={"x": np.ones},
+    ),
+    "planted_product": _Kind(
+        "product distribution with every mean eps; params: eps",
+        lambda n, eps: ProductDistribution(np.full(n, float(eps))),
+        (("eps", float),),
+    ),
+    "heavy_atom": _Kind(
+        "mass on one atom, rest uniform; params: mass, x (default all +1)",
+        lambda n, mass, x: HeavyAtomDistribution(float(mass), x),
+        (("mass", float),),
+        {"x": np.ones},
+    ),
+    "junta_mix": _Kind(
+        "inner PMF on first k coordinates times uniform; params: k, inner (2^k masses)",
+        JuntaMixDistribution,
+        (("k", int),),
+        {"inner": lambda n: None},
+    ),
+    # the shorthand noisy_parity:M:DELTA takes S = the first M coordinates
+    "noisy_parity": _Kind(
+        "chi_S(x) = +1 w.p. 1-delta, uniform within parity classes; params: S, delta",
+        lambda n, S, delta: NoisyParityDistribution(n, S, float(delta)),
+        (("S", lambda m: list(range(int(m)))), ("delta", float)),
+    ),
+}
+
 _GAUSSIAN_KINDS = {
-    "standard": (GaussianSource, ()),
-    # the mean norm split evenly across coordinates
-    "shift": (
+    "standard": _Kind("N(0, I)", GaussianSource),
+    "shift": _Kind(
+        "N(mu, I) with every mean norm / sqrt(n); params: norm",
         lambda n, norm: GaussianSource(n, np.full(n, norm / math.sqrt(n))),
         (("norm", float),),
     ),
@@ -290,13 +305,13 @@ def _parse_shorthand(text: str, kinds: dict) -> dict | None:
     ``kinds`` and whose args are that row's required parameters in order;
     None when the string has another form."""
     kind, *args = text.split(":")
-    if kind not in kinds or len(args) != len(kinds[kind][1]):
+    if kind not in kinds or len(args) != len(kinds[kind].params):
         return None
-    return {"kind": kind, **{name: conv(a) for (name, conv), a in zip(kinds[kind][1], args)}}
+    return {"kind": kind, **{name: conv(a) for (name, conv), a in zip(kinds[kind].params, args)}}
 
 
 def zoo_kinds() -> dict[str, str]:
-    return {kind: doc for kind, (doc, _, _) in _KIND_DOCS.items()}
+    return {kind: row.doc for kind, row in _KIND_DOCS.items()}
 
 
 def _entry_kind(entry: dict) -> str:
@@ -305,41 +320,39 @@ def _entry_kind(entry: dict) -> str:
     return entry["kind"]
 
 
-def instantiate(entry: dict, n: int):
-    """Build the target distribution described by a zoo entry at dimension n.
+def _build(kinds: dict, entry: dict, n: int):
+    """The target at dimension n of an entry whose kind is a row of ``kinds``.
 
-    An entry with no kind or an unknown kind, a missing required parameter or
-    a parameter the kind does not take raises ValueError."""
+    An entry with no kind or an unknown kind, a missing required parameter,
+    a parameter the kind does not take or a target without n coordinates
+    raises ValueError."""
     kind = _entry_kind(entry)
-    p = {k: v for k, v in entry.items() if k != "kind"}
-    if kind not in _KIND_DOCS:
+    if kind not in kinds:
         raise ValueError(f"unknown zoo kind {kind!r}")
-    _, params, optional = _KIND_DOCS[kind]
-    required = {name for name, _ in params}
-    missing = required - p.keys()
-    if missing:
-        raise ValueError(f"zoo kind {kind!r} needs parameters {sorted(missing)}")
-    unknown = p.keys() - required - optional
-    if unknown:
-        raise ValueError(f"zoo kind {kind!r} takes no parameters {sorted(unknown)}")
-    if kind == "uniform":
-        return ProductDistribution.uniform(n)
-    if kind == "two_point":
-        target = TwoPointDistribution(p.get("x", np.ones(n)))
-        if target.n != n:
-            raise ValueError("two_point x must have length n")
-        return target
-    if kind == "planted_product":
-        eps = float(p["eps"])
-        return ProductDistribution(np.full(n, eps))
-    if kind == "heavy_atom":
-        target = HeavyAtomDistribution(float(p["mass"]), p.get("x", np.ones(n)))
-        if target.n != n:
-            raise ValueError("heavy_atom x must have length n")
-        return target
-    if kind == "junta_mix":
-        return JuntaMixDistribution(n, p["k"], p.get("inner"))
-    return NoisyParityDistribution(n, p["S"], float(p["delta"]))
+    _, build, params, optional = kinds[kind]
+    p = dict(entry)
+    del p["kind"]
+    required = dict(params).keys()
+    # every shorthand holds its required parameters alone: one comparison
+    if p.keys() != required:
+        missing = required - p.keys()
+        if missing:
+            raise ValueError(f"zoo kind {kind!r} needs parameters {sorted(missing)}")
+        unknown = p.keys() - required - optional.keys()
+        if unknown:
+            raise ValueError(f"zoo kind {kind!r} takes no parameters {sorted(unknown)}")
+    for name, default in optional.items():
+        if name not in p:
+            p[name] = default(n)
+    target = build(n, **p)
+    if target.n != n:
+        raise ValueError(f"{kind} x must have length n")
+    return target
+
+
+def instantiate(entry: dict, n: int):
+    """Build the target distribution described by a zoo entry at dimension n."""
+    return _build(_KIND_DOCS, entry, n)
 
 
 def save_entry(entry: dict, path: str) -> None:
@@ -386,11 +399,12 @@ def resolve_target(spec_string: str, n: int):
 
 
 def resolve_gaussian_source(spec_string: str, n: int) -> GaussianSource:
-    """Gaussian targets: a row of ``_GAUSSIAN_KINDS``, 'standard' or 'shift:NORM'."""
+    """Gaussian targets: the shorthand of a row of ``_GAUSSIAN_KINDS``."""
     entry = _parse_shorthand(spec_string, _GAUSSIAN_KINDS)
     if entry is None:
+        forms = [":".join([kind, *(name.upper() for name, _ in row.params)])
+                 for kind, row in _GAUSSIAN_KINDS.items()]
         raise ValueError(
-            f"gaussian distribution must be 'standard' or 'shift:NORM', got {spec_string!r}"
+            f"gaussian distribution must be {' or '.join(map(repr, forms))}, got {spec_string!r}"
         )
-    build = _GAUSSIAN_KINDS[entry.pop("kind")][0]
-    return build(n, *entry.values())
+    return _build(_GAUSSIAN_KINDS, entry, n)

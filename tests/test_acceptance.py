@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from hypercube_tester.blowup import (
-    explicit_moments,
     gram_moments,
     uniform_sigma_frob_sq_bound,
     uniform_sigma_frob_sq_exact,
@@ -42,15 +41,14 @@ from hypercube_tester.model import Decision, DensePmf, ProductDistribution
 from hypercube_tester.oracle import ScondOracle
 from hypercube_tester.rng import stream
 from hypercube_tester.theory import (
-    SCALE,
-    build_orientation,
-    check_greedy_property,
-    greedy_ordering_valid,
+    CHAIN_RULE_SLACK,
     random_dense_pmf,
+    verify_blowup_factorization,
     verify_chain_rule,
     verify_contributing_bias,
     verify_graph_to_mean,
     verify_khintchine,
+    verify_orientation,
     verify_variance_bound,
 )
 from hypercube_tester.uniformity import SubCondConfig, edge_tester, subcond_uni
@@ -95,7 +93,7 @@ def test_criterion_1_exact_lemma_suite():
     for i in range(100):
         p = random_dense_pmf(rng, 2 + i % 7)
         rep = verify_chain_rule(p, sigmas[i % 3])
-        chain_fail += rep.lhs > rep.rhs + 1e-9
+        chain_fail += rep.lhs > rep.rhs + CHAIN_RULE_SLACK
     parts.append(f"chain {chain_fail}/100 violations")
 
     # tensor-square factorization: next-level mean energy == current
@@ -103,15 +101,7 @@ def test_criterion_1_exact_lemma_suite():
     rng = stream(11, 1, 0)
     blow_fail = 0
     for i in range(60):
-        p = random_dense_pmf(rng, 2 + i % 3)
-        for k in (0, 1):
-            mu_k, frob_k = gram_moments(p, k)
-            mu_next, _ = gram_moments(p, k + 1)
-            ok = math.isclose(mu_next, frob_k, rel_tol=1e-9, abs_tol=1e-12)
-            em_mu, em_frob = explicit_moments(p, k)
-            ok &= math.isclose(em_mu, mu_k, rel_tol=1e-9, abs_tol=1e-12)
-            ok &= math.isclose(em_frob, frob_k, rel_tol=1e-9, abs_tol=1e-12)
-            blow_fail += not ok
+        blow_fail += len(verify_blowup_factorization(random_dense_pmf(rng, 2 + i % 3)).failures)
     parts.append(f"blowup {blow_fail}/120")
 
     # uniform covariance energy: exact value below the closed-form bound
@@ -136,31 +126,11 @@ def test_criterion_1_exact_lemma_suite():
 
     # edge classification + greedy deletion orderings on all edges
     rng = stream(11, 3, 0)
-    orient_fail = 0
-    greedy_nonvac = 0
+    orient_fail = greedy_nonvac = 0
     for i in range(1000):
-        m = 2 + i % 7
-        p = random_dense_pmf(rng, m)
-        g = build_orientation(p)
-        n_v = 1 << m
-        if g.u.size != m * (1 << (m - 1)):
-            orient_fail += 1
-            continue
-        for kappa in g.scales():
-            sel = (g.cls == SCALE) & (g.kappa == kappa)
-            if not greedy_ordering_valid(n_v, g.u[sel], g.v[sel], g.orderings[kappa]):
-                orient_fail += 1
-        scales = g.scales()
-        if scales:
-            kappa = int(scales[rng.integers(len(scales))])
-            out_deg = g.out_degrees(kappa)
-            big_u = rng.choice(n_v, size=int(rng.integers(1, n_v)), replace=False)
-            rest = np.setdiff1d(np.arange(n_v), big_u)
-            v = int(rest[rng.integers(rest.size)])
-            bound = max(1, int(out_deg[big_u].max()))
-            greedy_nonvac += 1
-            if not check_greedy_property(g, kappa, big_u, v, bound):
-                orient_fail += 1
+        rep = verify_orientation(random_dense_pmf(rng, 2 + i % 7), rng)
+        orient_fail += len(rep.failures)
+        greedy_nonvac += rep.nonvacuous
     parts.append(f"orientation+greedy {orient_fail}/1000 ({greedy_nonvac} probes)")
 
     # directed uneven/scale edges force conditional means away from zero

@@ -35,7 +35,7 @@ from hypercube_tester.meantest import (
     screen_null_reject,
     second_moment_screen,
 )
-from hypercube_tester.model import Decision, ProductDistribution
+from hypercube_tester.model import Decision, ProductDistribution, Restriction
 from hypercube_tester.oracle import ScondOracle
 from hypercube_tester.rng import stream
 from hypercube_tester.zoo import GaussianSource, TwoPointDistribution
@@ -538,6 +538,21 @@ def test_resolve_is_shared_by_equal_configs_and_raises_every_call():
     for q in range(1, limit + 10):
         MeanTestConfig(0.5, q=q).resolve(16)
     assert MeanTestConfig.resolve.cache_info().currsize <= limit
+
+
+@pytest.mark.parametrize("preset", ["practical", "paper"])
+def test_resolve_refuses_n_below_one_before_the_sample_rule(preset):
+    # the rules divided by sqrt(n) (ZeroDivisionError at 0, a math domain
+    # error below)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"needs n >= 1, got n={n}"):
+            MeanTestConfig(0.5, preset).resolve(n)
+    target = ProductDistribution(np.full(2, 0.3))
+    root = ScondOracle(target, stream(60, 0, 0))
+    view = root.restricted(Restriction(np.array([1, -1], dtype=np.int8)))
+    with pytest.raises(ValueError, match="got n=0"):
+        mean_tester(view, MeanTestConfig(0.5, preset))
+    assert root.queries == 0
 
 
 @pytest.mark.parametrize("n, q", [(1, 1), (7, 3), (64, 200), (300, 41)])

@@ -54,6 +54,15 @@ def test_all_sign_points_is_index_ordered():
         assert points_to_indices(pts).tolist() == list(range(1 << n))
 
 
+def test_all_sign_points_is_shared_and_read_only():
+    # one cached array per n: a write would show in every later call
+    pts = all_sign_points(3)
+    with pytest.raises(ValueError):
+        pts[0, 0] = 5
+    assert all_sign_points(3) is pts
+    assert all_sign_points(3)[0].tolist() == [-1, -1, -1]
+
+
 @given(st.integers(1, 10), st.integers(0, 1 << 10 - 1))
 def test_index_roundtrip(n, raw):
     idx = raw % (1 << n)

@@ -339,6 +339,16 @@ def test_edge_block_rejects_bad_draws_before_charging(b):
     assert o.rng.bit_generator.random_raw() == stream(37, 0, 0).bit_generator.random_raw()
 
 
+def test_edge_block_refuses_a_view_with_no_star_before_charging():
+    # a 0-star view has no coordinate to draw: it charged the points and then
+    # failed in rng.integers(0, 0)
+    root = ScondOracle(ProductDistribution(np.full(3, 0.2)), stream(38, 0, 0))
+    view = root.restricted(Restriction(np.array([1, -1, 1], dtype=np.int8)))
+    with pytest.raises(ValueError, match="dimension >= 1, got 0"):
+        view.edge_block(3, 5)
+    assert root.ledger == Ledger()
+
+
 # ---------------------------------------------------------------------------
 # restricted views
 

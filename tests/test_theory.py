@@ -27,7 +27,9 @@ from hypercube_tester.uniformity import (
     edge_null_accept,
     majority_vote_law,
 )
+from hypercube_tester import theory
 from hypercube_tester.theory import (
+    EXPLICIT_MOMENT_CAP,
     SCALE,
     UNEVEN,
     ZERO,
@@ -42,10 +44,12 @@ from hypercube_tester.theory import (
     khintchine_lhs,
     probe_restriction_theorem,
     random_dense_pmf,
+    verify_blowup_factorization,
     verify_chain_rule,
     verify_contributing_bias,
     verify_graph_to_mean,
     verify_khintchine,
+    verify_orientation,
     verify_variance_bound,
 )
 
@@ -210,22 +214,28 @@ def test_greedy_property_random_sweep():
     rng = stream(95, 0, 0)
     checked = 0
     for _ in range(120):
-        m = int(rng.integers(2, 6))
-        g = build_orientation(random_dense_pmf(rng, m))
-        scales = g.scales()
-        if not scales:
-            continue
-        kappa = int(scales[rng.integers(len(scales))])
-        n_v = 1 << m
-        size = int(rng.integers(1, n_v))
-        big_u = rng.choice(n_v, size=size, replace=False)
-        rest = np.setdiff1d(np.arange(n_v), big_u)
-        v = int(rest[rng.integers(rest.size)])
-        out_deg = g.out_degrees(kappa)
-        gbound = max(1, int(out_deg[big_u].max()))
-        checked += 1
-        assert check_greedy_property(g, kappa, big_u, v, gbound)
+        rep = verify_orientation(random_dense_pmf(rng, int(rng.integers(2, 6))), rng)
+        assert rep.ok, rep.failures
+        checked += rep.nonvacuous
     assert checked > 60
+    # no scale edge on the uniform cube: nothing to probe, and no draw
+    rng = stream(95, 1, 0)
+    assert verify_orientation(DensePmf.uniform(3), rng).nonvacuous == 0
+    assert rng.bit_generator.random_raw() == stream(95, 1, 0).bit_generator.random_raw()
+
+
+def test_verify_orientation_reports_a_reversed_ordering(monkeypatch):
+    # the lab's counts are not vacuous: orientations built on reversed
+    # deletion orderings fail the replay
+    honest = theory.greedy_ordering
+    monkeypatch.setattr(
+        theory, "greedy_ordering", lambda n_v, u, v: n_v - 1 - honest(n_v, u, v)
+    )
+    rng = stream(97, 0, 0)
+    reps = [verify_orientation(random_dense_pmf(rng, 4), rng) for _ in range(20)]
+    failed = [f for rep in reps for f in rep.failures]
+    assert sum(not rep.ok for rep in reps) >= 10
+    assert {"kappa", "ordering"} <= failed[0].keys()
 
 
 def test_greedy_property_vacuous_cases():
@@ -353,6 +363,30 @@ def test_contributing_bias_needs_two_coordinates():
 
 # ---------------------------------------------------------------------------
 # pairing-statistic moment bands
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_blowup_factorization_holds_and_reports_a_wrong_moment(monkeypatch, n):
+    p = random_dense_pmf(stream(105, n, 0), n)
+    rep = verify_blowup_factorization(p)
+    assert rep.ok and (rep.cases, rep.nonvacuous, rep.failures) == (1, 1, [])
+    # a Gram route off by one part in 10^6 at level 1 breaks the factorisation
+    # at k = 0 and the explicit agreement at k = 1 (where it is formed)
+    honest = theory.gram_moments
+    monkeypatch.setattr(
+        theory,
+        "gram_moments",
+        lambda p, k: tuple(x * (1 + 1e-6 * (k == 1)) for x in honest(p, k)),
+    )
+    failed = [f["k"] for f in verify_blowup_factorization(p).failures]
+    assert failed == ([0, 1] if n ** 4 <= EXPLICIT_MOMENT_CAP else [0])
+    # and an explicit route off by as much is caught where it is formed
+    monkeypatch.setattr(theory, "gram_moments", honest)
+    explicit = theory.explicit_moments
+    monkeypatch.setattr(
+        theory, "explicit_moments", lambda p, k: tuple(x * (1 + 1e-6) for x in explicit(p, k))
+    )
+    assert not verify_blowup_factorization(p).ok
 
 
 def test_variance_bound_uniform():

@@ -406,6 +406,21 @@ def test_gaussian_source_keeps_the_sign_law_of_its_means():
             "length n",
             id="atom-x-length",
         ),
+        pytest.param(
+            lambda: instantiate({"kind": "two_point", "x": [1, -1]}, 3),
+            "^two_point x must have length n$",
+            id="two-point-x-length",
+        ),
+        # a default fills an optional parameter the entry leaves out, not
+        # one it sets to null
+        pytest.param(
+            lambda: instantiate({"kind": "two_point", "x": None}, 3), "signs", id="two-point-null-x"
+        ),
+        pytest.param(
+            lambda: instantiate({"kind": "heavy_atom", "mass": 0.5, "x": None}, 3),
+            "signs",
+            id="atom-null-x",
+        ),
     ],
 )
 def test_zoo_refuses_bad_input(call, message):
@@ -445,6 +460,25 @@ def test_instantiate_names_a_missing_or_unknown_parameter(doc, message):
     with pytest.raises(ValueError) as info:
         instantiate(doc, 6)
     assert str(info.value) == f"zoo kind {message}"
+
+
+def test_a_kind_is_one_row_of_one_layout(monkeypatch):
+    # hypercube and gaussian kinds share one row layout and one builder call
+    for table in (zoo._KIND_DOCS, zoo._GAUSSIAN_KINDS):
+        assert all(type(row) is zoo._Kind for row in table.values())
+    with pytest.raises(ValueError, match="must be 'standard' or 'shift:NORM', got 'normal'"):
+        resolve_gaussian_source("normal", 4)
+    # a new kind needs its row alone: shorthand, checks and listing follow
+    row = zoo._Kind(
+        "every mean m; params: m",
+        lambda n, m: model.ProductDistribution(np.full(n, m)),
+        (("m", float),),
+    )
+    monkeypatch.setitem(zoo._KIND_DOCS, "flat", row)
+    assert np.allclose(instantiate(parse_spec_string("flat:0.5"), 3).mu, 0.5)
+    assert zoo_kinds()["flat"] == row.doc
+    with pytest.raises(ValueError, match="'flat' needs parameters"):
+        instantiate({"kind": "flat"}, 3)
 
 
 def test_shorthands_and_optional_parameters_pass_the_check():
