@@ -41,6 +41,7 @@ from .meantest import (
 from .model import (
     DensePmf,
     Decision,
+    EdgeSpectrum,
     Point,
     ProductDistribution,
     Restriction,
@@ -84,6 +85,7 @@ from .uniformity import (
     EdgeConfig,
     SubCondConfig,
     edge_null_accept,
+    edge_reject_prob,
     edge_tester,
     majority_vote_law,
     subcond_uni,

@@ -238,13 +238,25 @@ def _sound_exponent(k0: int) -> float:
     return (1 << (k0 + 1)) / ((1 << (k0 + 2)) - 2)
 
 
+def _check_n_eps(n: int, eps: float) -> None:
+    """The domain of the sample rules: n >= 1 coordinates and eps in (0, 1].
+    Outside it they divided by zero, or returned a count for an n = 0 that
+    no tester takes."""
+    if not n >= 1:
+        raise ValueError(f"n must be at least 1, got n={n}")
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"eps must lie in (0, 1], got eps={eps}")
+
+
 def practical_q(n: int, eps: float, k0: int) -> int:
+    _check_n_eps(n, eps)
     comp = math.ceil(C_COMP_PRACTICAL / (eps * eps * math.sqrt(n)))
     sound = math.ceil((C_SOUND_PRACTICAL / (eps * eps)) ** _sound_exponent(k0))
     return max(comp, sound, Q_MIN_PRACTICAL)
 
 
 def paper_q(n: int, eps: float, k0: int) -> int:
+    _check_n_eps(n, eps)
     return max(
         math.ceil(C_PAPER / (eps * eps * math.sqrt(n))),
         math.ceil(C_PAPER * (1.0 / (eps * eps)) ** _sound_exponent(k0)),
@@ -300,16 +312,20 @@ def mean_tester(oracle: ScondOracle, cfg: MeanTestConfig) -> TestVerdict:
     read of level 1. The verdict is charged its 2q queries, and its trace
     copies the schedule's tau floats for the levels read.
 
-    A schedule that reads level 0 only (k0 = 0) on a target with
-    ``fair_edges`` (the uniform product) draws no row: each column's +1
-    count in each half is Binomial(q, 1/2), drawn by one
-    ``rng.binomial(q, 1/2, (1, 2, n))``, and the oracle's ledger is charged
-    the 2q queries. Its verdict has the law of the rows', not their stream.
+    A schedule that reads level 0 only (k0 = 0) on a view whose target
+    gives its ``column_means`` mu (a product with no mean of +-1) draws no
+    row: the columns are independent, and each column's +1 count in each
+    half is Binomial(q, (1 + mu_i)/2), drawn by one
+    ``rng.binomial(q, (1 + mu)/2, (1, 2, n))``, p a float when every
+    coordinate has the same mean (1/2 on the uniform product), and the
+    oracle's ledger is charged the 2q queries. Its verdict has the law of
+    the rows', not their stream.
     """
     sched = cfg.resolve(oracle.n)
     q = sched.q
-    if sched.k0 == 0 and oracle.target.fair_edges:
-        plus = oracle.rng.binomial(q, 0.5, (1, 2, oracle.n))
+    means = oracle.target.column_means(oracle.rho) if sched.k0 == 0 else None
+    if means is not None:
+        plus = oracle.rng.binomial(q, (1.0 + means) / 2.0, (1, 2, oracle.n))
         oracle.ledger.queries += 2 * q
         # a half's column sum is (+1 count) - (-1 count) = 2 * plus - q
         (num0,) = _paired_dots(2 * plus - q, q)
@@ -404,6 +420,7 @@ def second_moment_screen(samples: np.ndarray) -> bool:
 def gaussian_required_samples(n: int, eps: float) -> int:
     """Total real-vector samples the gaussian tester consumes: its
     2 * GAUSS_REPS blocks of q rows, which hold the screen's rows at every n."""
+    _check_n_eps(n, eps)
     return 2 * GAUSS_REPS * _gaussian_q(n, eps)
 
 

@@ -14,16 +14,24 @@ Conventions used throughout the package:
   factor, from which ``HypercubeTarget.edge_bias`` takes the conditional
   bias of an edge; a target whose point mass underflows or costs more than
   the bias gives a closed-form ``edge_bias`` instead.
-* A target whose every edge bias is 0 on every subcube sets
-  ``fair_edges``; only the uniform product does. Every view of such a
-  target with k stars is the uniform k-cube, so the testers settle what
-  they read of it from exact laws: the edge tester draws each level from
-  the law of its counts and asks the oracle for no edge block, a random
-  restriction draws only its star count (``ScondOracle.draw_view``), and a
-  mean test that reads level 0 only draws its column counts, not its rows.
-  Any other target's edge blocks draw their points by ``cond_sample`` and
-  have them expanded to the root dimension for ``edge_bias``
-  (``view_edge_bias``), and its restrictions and mean tests draw rows.
+* A target may give each view's edge spectrum, ``edge_spectrum(rho)``: the
+  law of a pair's edge bias with the point drawn from the view and the
+  coordinate uniform over its stars, as classes of (weight, bias), or None
+  when it has no closed form. The uniform view's spectrum is
+  ``UNIFORM_SPECTRUM``, one class of bias 0; a product view groups its stars
+  by mean, and a ``zoo.NoisyParityDistribution`` view puts 1 - 2 delta on
+  the stars of its parity set. The edge tester draws each level of a view
+  with a spectrum from the exact law of its counts and asks the oracle for
+  no edge block. Any other view's edge blocks draw their points by
+  ``cond_sample`` and have them expanded to the root dimension for
+  ``edge_bias`` (``view_edge_bias``).
+* A target may give each view's column means, ``column_means(rho)``, when
+  its coordinates are independent and do not depend on the fill point: a
+  product with no mean of +-1. Such a view has its random restrictions
+  drawn as a star mask, or as a star count when every coordinate has the
+  same mean (``ScondOracle.draw_view``), and its level-0 mean tests as
+  column counts, not rows (``meantest.mean_tester``). Any other view's
+  restrictions and mean tests draw rows.
 * Every uniform +-1 entry, in the uniform product, the zoo targets and the
   oracle's zero-mass fallback, is one random bit from ``uniform_signs``.
   Every entry of a biased product is one random byte compared with a
@@ -38,7 +46,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -311,6 +319,25 @@ class TestVerdict:
     trace: dict = field(default_factory=dict)
 
 
+class EdgeSpectrum(NamedTuple):
+    """The law of a view's edge biases (``HypercubeTarget.edge_spectrum``).
+
+    A pair's point is drawn from the view and its coordinate uniformly from
+    the view's stars. ``law`` holds the classes (weight, beta) of the pair's
+    bias beta, the weights summing to 1; a bias of uniform sign is two
+    classes of half the weight, +beta and -beta. ``coords[j]`` holds the
+    stars of class j as view coordinates (indices into rho.stars), None for
+    every star. ``law`` alone fixes the edge tester's law, so its per-level
+    constants are cached by it, and its tables by each class's |beta|."""
+
+    law: tuple
+    coords: tuple
+
+
+# the spectrum of a uniform view: every pair's bias is 0
+UNIFORM_SPECTRUM = EdgeSpectrum(((1.0, 0.0),), (None,))
+
+
 class HypercubeTarget:
     """A distribution on {-1,+1}^n that draws only through ``cond_sample``.
 
@@ -320,12 +347,25 @@ class HypercubeTarget:
 
     A subclass also gives ``weight(rows)``, the mass of each row of an (m, n)
     array up to one constant factor, or overrides ``edge_bias`` with a
-    closed form.
+    closed form. It may override ``edge_spectrum``, which gives None here.
     """
 
     n: int
-    # whether every edge bias is 0 at every point of every subcube
-    fair_edges: bool = False
+
+    def edge_spectrum(self, rho: Restriction) -> Optional[EdgeSpectrum]:
+        """The ``EdgeSpectrum`` of the view on rho, or None when it has no
+        closed form or the view has zero mass; the edge tester then draws
+        the view's blocks."""
+        return None
+
+    def column_means(self, rho: Restriction):
+        """The means of the view's coordinates when they are independent
+        and their law does not depend on the fill point, so that a view of
+        the view is fixed by its stars alone: one float when every
+        coordinate of the target has it, else an array over rho's stars.
+        None here, and on every view where that does not hold; the oracle
+        then draws restrictions' fill points and mean tests' rows."""
+        return None
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """(size, n) draws from the whole cube, which never has zero mass."""
@@ -427,7 +467,7 @@ class ProductDistribution(HypercubeTarget):
     """Independent coordinates with means mu_i in [-1, 1].
 
     With every mean 0 (the uniform distribution) a draw is ``uniform_signs``,
-    one random bit per coordinate, and ``fair_edges`` is set. Otherwise each
+    one random bit per coordinate. Otherwise each
     entry is one random byte b, read from one ``random_raw`` call, against
     its coordinate's ``_thresholds`` (t, r): b < t gives +1, b > t gives -1,
     and a tie gives +1 iff a float64 uniform is below r, the ties' uniforms
@@ -448,11 +488,31 @@ class ProductDistribution(HypercubeTarget):
         self.mu = _read_only(mu.copy())
         self.n = mu.size
         # uniform: every edge bias is 0, and the subcubes have no zero mass
-        self.fair_edges = not mu.any()
+        self._uniform = not mu.any()
 
     @classmethod
     def uniform(cls, n: int) -> "ProductDistribution":
         return cls(np.zeros(n))
+
+    @functools.cached_property
+    def _flat(self) -> tuple:
+        """(whether some mean is +-1, which leaves the subcubes fixed against
+        it without mass; the one mean of every coordinate as a float when all
+        are equal, else None; the spectrum of every view when all are equal
+        and none is +-1, else None). Built on first use, not in __init__, as
+        ``_thresholds`` is."""
+        pinned = bool((np.abs(self.mu) == 1.0).any())
+        if not self.n or not (self.mu == self.mu[0]).all():
+            return pinned, None, None
+        mean = float(self.mu[0])
+        return pinned, mean, None if pinned else EdgeSpectrum(((1.0, mean),), (None,))
+
+    @functools.cached_property
+    def _classes(self) -> tuple[list, np.ndarray]:
+        """(the distinct means ascending, each coordinate's index among
+        them), for the spectra of a product with several means."""
+        values, codes = np.unique(self.mu, return_inverse=True)
+        return values.tolist(), codes
 
     @functools.cached_property
     def _thresholds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -475,8 +535,41 @@ class ProductDistribution(HypercubeTarget):
             mass = np.kron(mass, np.array([(1 - m) / 2, (1 + m) / 2]))
         return DensePmf(self.n, mass)
 
+    def column_means(self, rho: Restriction):
+        """The means of the view's stars: one float when every coordinate
+        has the same mean (0.0 on the uniform product), else ``mu`` on rho's
+        stars; None with a mean of +-1, whose subcubes may lack mass."""
+        if self._uniform:
+            return 0.0
+        pinned, mean, _ = self._flat
+        if pinned:
+            return None
+        return self.mu[rho.stars] if mean is None else mean
+
+    def edge_spectrum(self, rho: Restriction) -> Optional[EdgeSpectrum]:
+        """A pair's bias on star i is mu_i at every point, so the classes
+        are the view's stars grouped by mean (``column_means``), each
+        weighted by its share of them. The uniform product gives
+        ``UNIFORM_SPECTRUM`` itself on every view, and no other product
+        does. A product with a mean of +-1, whose subcubes may lack mass,
+        gives None."""
+        if self._uniform:
+            return UNIFORM_SPECTRUM
+        pinned, mean, flat = self._flat
+        if pinned or mean is not None:
+            return flat
+        values, codes = self._classes
+        codes = codes[rho.stars]
+        counts = np.bincount(codes, minlength=len(values)).tolist()
+        present = [j for j, count in enumerate(counts) if count]
+        if len(present) == 1:
+            return EdgeSpectrum(((1.0, values[present[0]]),), (None,))
+        k = codes.size
+        law = tuple((counts[j] / k, values[j]) for j in present)
+        return EdgeSpectrum(law, tuple(np.flatnonzero(codes == j) for j in present))
+
     def cond_sample(self, rng: np.random.Generator, rho: Restriction, size: int):
-        if self.fair_edges:
+        if self._uniform:
             return uniform_signs(rng, (size, rho.num_stars))
         fixed = rho.fixed
         # a cell fixed against a coordinate of mean +-1 leaves zero mass

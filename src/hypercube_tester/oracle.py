@@ -11,9 +11,10 @@ and ledger.
 Every sample drawn, conditioned or not, costs exactly one query; the sample
 hidden inside each random-restriction draw is charged too. A recursion node
 takes each random restriction as a view, ``draw_view(sigma)``; on a target
-with ``fair_edges`` that view is drawn from its law, a star count alone,
-and still charged the 1 query of its fill sample. Conditioning on a
-subcube of zero mass returns uniform draws on the free coordinates and bumps
+that gives its ``column_means`` (a product with no mean of +-1) that view is
+drawn from its law, a star mask alone (a star count when every coordinate
+has the same mean), and still charged the 1 query of its fill sample.
+Conditioning on a subcube of zero mass returns uniform draws on the free coordinates and bumps
 `zero_support_hits` once per such draw; this oracle is the only place that
 policy lives (a target reports the zero mass by returning None).
 
@@ -22,11 +23,12 @@ each a uniform coordinate, and answers each pair with the count of +1
 draws among b conditional draws on that pair's one-star subcube (the edge
 through the point along the coordinate), charging 1 + b queries per pair.
 Each count is one ``rng.binomial`` draw from the pair's exact bias, by the
-same route for fair and biased pairs alike. On a target with ``fair_edges``
-(the uniform product) the edge tester asks for no block: it draws each
+same route for fair and biased pairs alike. On a view whose target gives
+its ``edge_spectrum`` the edge tester asks for no block: it draws each
 level from the exact law of its counts and charges this ledger the pairs a
-block route would have drawn. A level-0 mean test on such a target draws
-its column counts the same way and charges the 2q rows they stand for.
+block route would have drawn. A level-0 mean test on a view with column
+means draws its column counts from their law and charges the 2q rows they
+stand for.
 """
 
 from __future__ import annotations
@@ -119,20 +121,29 @@ class ScondOracle:
         """The view on a random restriction of this view, charged the 1
         query of its fill sample: ``restricted(draw_restriction_sigma(sigma))``.
 
-        On a target with ``fair_edges`` (the uniform product) every view of k
-        stars is the uniform k-cube, whichever coordinates are stars and
-        whatever the fill point, so only k is drawn: one
-        ``rng.binomial(n, sigma)``. The view is then the root restriction
+        A view whose target gives its ``column_means`` (a product with no
+        mean of +-1) depends only on which coordinates are stars, not on the
+        fill point, so only the star mask is drawn, by the same
+        ``rng.random(n) < sigma``, and the view's other stars are fixed at
+        +1. When every coordinate has the same mean (the uniform product, a
+        planted product), every view of k stars is the same product,
+        whichever coordinates are stars, so only k is drawn: one
+        ``rng.binomial(n, sigma)``, and the view is the root restriction
         whose first k coordinates are stars and the rest +1
-        (``Restriction.leading_stars``). What a tester reads of it has the
-        law of the drawn view's; the stream words differ.
+        (``Restriction.leading_stars``). What a tester reads of such a view
+        has the law of the drawn view's; the stream words differ.
         """
-        if not self.target.fair_edges:
+        means = self.target.column_means(self.rho)
+        if means is None:
             return self.restricted(self.draw_restriction_sigma(sigma))
         _check_sigma(sigma)
-        k = int(self.rng.binomial(self.n, sigma))
+        if isinstance(means, float):
+            rho = Restriction.leading_stars(self.rho.n, int(self.rng.binomial(self.n, sigma)))
+        else:
+            cells = self.rho.cells.copy()
+            cells[self.rho.stars[self.rng.random(self.n) >= sigma]] = 1
+            rho = Restriction(cells)
         self.ledger.queries += 1
-        rho = Restriction.leading_stars(self.rho.n, k)
         return ScondOracle(self.target, self.rng, rho, self.ledger)
 
     def edge_block(self, size: int, draws_per_pair: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,8 +18,9 @@ conservative constant trail (its sigma is so small that any runnable
 dimension lands in the base case, so it is for inspection, not
 experiments).
 
-The exact laws stand beside their rules: `edge_null_accept`, the edge
-tester's uniform accept rate, and `majority_vote_law`, the law of `_vote`.
+The exact laws stand beside their rules: `edge_reject_prob`, the edge
+tester's reject rate on any root with an edge spectrum, `edge_null_accept`,
+its uniform accept rate, and `majority_vote_law`, the law of `_vote`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .meantest import MeanTestConfig, mean_tester
-from .model import Decision, TestVerdict, as_int
+from .model import UNIFORM_SPECTRUM, Decision, Restriction, TestVerdict, as_int
 from .oracle import ScondOracle
 
 # the edge tester draws a level in blocks of pairs; a block is the most
@@ -75,106 +76,329 @@ def _count_threshold(b: int, theta: float) -> int:
     return bisect.bisect_right(range(b + 1), theta, key=lambda d: d / b)
 
 
-def _edge_fire_prob(b: int, c: int) -> float:
-    """P(|2X - b| >= c) for X ~ Binomial(b, 1/2) and a level's count
-    threshold c >= 1 (``EdgeLevel.c``).
+@functools.lru_cache(maxsize=4096)
+def _edge_fire_prob(b: int, c: int, beta: float = 0.0) -> float:
+    """F(b, c, beta) = P(|2X - b| >= c) for X ~ Binomial(b, (1 + beta)/2)
+    and a level's count threshold c >= 1 (``EdgeLevel.c``): the chance that
+    a pair of edge bias beta fires, the one tail sum that the exact laws
+    and the law route read.
 
-    The event is X <= k or X >= b - k with k = (b - c) // 2, two disjoint
-    tails of equal mass, so f = 2 P(X <= k), and 0 when k < 0 (c = b + 1).
-    The tail is summed from k down by the ratio P(x - 1) / P(x) =
-    x / (b - x + 1), starting from P(k) by ``math.lgamma``, until the terms
-    no longer change the sum.
+    The event is X <= k or X >= b - k with k = (b - c) // 2, so F is 0 when
+    k < 0 (c = b + 1) and 1 when every value of |2X - b| is at least c. At
+    beta = 0 the two tails have equal mass, f = 2 P(X <= k), and the tail
+    is summed from k down by the ratio P(x - 1) / P(x) = x / (b - x + 1),
+    starting from P(k) by ``math.lgamma``, until the terms no longer change
+    the sum. Otherwise F = P(X <= k) + P(b - X <= k), each by
+    ``_binomial_cdf``.
     """
     k = (b - c) // 2
     if k < 0:
         return 0.0
+    if c <= b % 2:
+        return 1.0
+    if beta:
+        p, q = (1.0 + abs(beta)) / 2.0, (1.0 - abs(beta)) / 2.0
+        return min(1.0, _binomial_cdf(b, p, q, k) + _binomial_cdf(b, q, p, k))
     term = math.exp(
         math.lgamma(b + 1) - math.lgamma(k + 1) - math.lgamma(b - k + 1) - b * math.log(2.0)
     )
+    return 2.0 * _sum_down(b, k, term, 1.0)
+
+
+def _sum_down(b: int, k: int, term: float, ratio: float) -> float:
+    """sum_{x <= k} P(x) for P(k) = term and P(x - 1) / P(x) =
+    x / (b - x + 1) * ratio, added from x = k down until a term no longer
+    changes the sum; the terms must fall from the first."""
     tail = 0.0
     for x in range(k, -1, -1):
         if tail + term == tail:
             break
         tail += term
-        term *= x / (b - x + 1)
-    return 2.0 * tail
+        term *= x / (b - x + 1) * ratio
+    return tail
 
 
-class _FairLaw(NamedTuple):
-    """The law of Y = |2X - b| for X ~ Binomial(b, 1/2), as a fair level of
-    count threshold c reads it (``_fair_law``). Y takes the values
-    b % 2, b % 2 + 2, ...; ``below`` holds log P(Y <= y | Y < c) at the
-    values below c, and ``above`` and ``log_cdf`` hold -P(Y > y | Y >= c)
-    and log P(Y <= y) at the values from ``first``, the least at or above c.
-    Each ascends and ends at 0, so ``bisect`` inverts it, and each stops
-    where the mass left above it no longer shows in a double."""
+def _binomial_cdf(b: int, p: float, q: float, k: int) -> float:
+    """P(X <= k) for X ~ Binomial(b, p), with q = 1 - p given apart so that
+    a small q keeps its digits. Below the mean, P(x) falls as x goes down
+    from k, and the tail is summed from k down as in ``_edge_fire_prob``;
+    when k is at or above (b + 1) p it is 1 - P(b - X <= b - k - 1), whose
+    terms fall from their first."""
+    if k >= b or p == 0.0:
+        return 1.0
+    if k < 0 or q == 0.0:
+        return 0.0
+    flip = k >= (b + 1) * p
+    if flip:
+        p, q, k = q, p, b - k - 1
+    term = math.exp(
+        math.lgamma(b + 1) - math.lgamma(k + 1) - math.lgamma(b - k + 1)
+        + k * math.log(p) + (b - k) * math.log(q)
+    )
+    tail = _sum_down(b, k, term, q / p)
+    return 1.0 - tail if flip else tail
 
-    log_miss: float  # log(1 - P(Y >= c)), -inf when every pair fires
+
+def _pair_fire_prob(b: int, c: int, law: tuple) -> float:
+    """The chance that one pair of a level fires, sum_j w_j F(b, c, beta_j)
+    over the classes of an ``EdgeSpectrum.law``."""
+    return sum(w * _edge_fire_prob(b, c, beta) for w, beta in law)
+
+
+# a mass below e^-46 (about 2^-66) of the largest of its part is dropped
+# from a class's tables: beside that largest it no longer shows in a double
+_LOG_NEGLIGIBLE = 46.0
+
+_LN2 = math.log(2.0)
+
+
+def _binomial_run(b: int, p: float, q: float, lo: int, hi: int) -> tuple:
+    """(x, log P(X = x)) for X ~ Binomial(b, p), 0 < p < 1, over the
+    integers of [lo, hi] where the masses show: out from the largest mass
+    of the range, at the mode clipped to it and found by ``math.lgamma``,
+    by cumulative sums of the log ratio log P(x + 1) - log P(x) =
+    log((b - x) / (x + 1)) + log(p / q), as far as the masses stay within
+    e^-46 of it. Empty when lo > hi."""
+    if lo > hi:
+        return np.zeros(0, np.int64), np.zeros(0)
+    a = min(max(math.floor((b + 1) * p), lo), hi)
+    top = (
+        math.lgamma(b + 1) - math.lgamma(a + 1) - math.lgamma(b - a + 1)
+        + a * math.log(p) + (b - a) * math.log(q)
+    )
+    step = math.log(p) - math.log(q)
+    width = int(10.0 * math.sqrt(b * p * q)) + 16
+    while True:
+        x = np.arange(max(lo, a - width), min(hi, a + width) + 1)
+        rise = np.log(b - x[:-1]) - np.log(x[:-1] + 1.0) + step
+        logs = np.concatenate(([0.0], np.cumsum(rise)))
+        logs += top - logs[a - x[0]]
+        keep = logs >= top - _LOG_NEGLIGIBLE
+        # the masses fall away from a, so the kept ones are one run
+        if (x[0] == lo or not keep[0]) and (x[-1] == hi or not keep[-1]):
+            return x[keep], logs[keep]
+        width *= 2
+
+
+def _folded(b: int, runs: list) -> tuple[int, np.ndarray]:
+    """The law of Y = |2X - b| from runs of (x, log P(X = x)): (y0, shares),
+    the shares of y0, y0 + 2, ... up to the largest value kept, summing to
+    1, with every mass below e^-46 of the largest dropped (a value between
+    two kept ones whose masses were dropped has share 0); (0, empty) when
+    the runs are empty."""
+    x = np.concatenate([r[0] for r in runs])
+    if not x.size:
+        return 0, np.zeros(0)
+    logs = np.concatenate([r[1] for r in runs])
+    keep = logs >= logs.max() - _LOG_NEGLIGIBLE
+    y = np.abs(2 * x[keep] - b)
+    y0 = int(y.min())
+    mass = np.bincount((y - y0) // 2, weights=np.exp(logs[keep] - logs.max()))
+    return y0, mass / mass.sum()
+
+
+def _after(share: np.ndarray) -> np.ndarray:
+    """Each entry's sum of the shares after it, summed from the top so that
+    a small one keeps its digits; 0 at the last."""
+    return np.concatenate((np.cumsum(share[:0:-1])[::-1], np.zeros(min(1, share.size))))
+
+
+class _ClassLaw(NamedTuple):
+    """The law of Y = |2X - b| for X ~ Binomial(b, (1 + a)/2), the count of
+    a pair of edge bias +-a, as a level of b draws per pair and count
+    threshold c reads it (``_class_laws``). Y takes the values b % 2,
+    b % 2 + 2, ...; ``below`` holds log P(Y <= y | Y < c) at the values from
+    ``first`` and ``above`` holds -P(Y > y | Y >= c) at the values from
+    ``top``. Each ascends and ends at 0, so ``bisect`` inverts it, and each
+    stops where the masses left no longer show beside its part's largest."""
+
+    fire: float  # F(b, c, a) = P(Y >= c), ``_edge_fire_prob``
     first: int
     below: tuple[float, ...]
+    top: int
     above: tuple[float, ...]
-    log_cdf: tuple[float, ...]
 
 
-def _folded_masses(b: int, y: int, stop: int) -> list[float]:
-    """The masses of Y = y, y + 2, ... up to stop (Y = |2X - b| as in
-    ``_FairLaw``) up to one factor, by the ratio P(x + 1) / P(x) =
-    (b - x) / (x + 1) of X = (b + y) / 2, doubled from Y = 0 to Y = 2,
-    which have one and two values of X. Past Y = 2 the masses fall, so the
-    run stops once a term times b, a bound on the rest, is below 2^-64 of
-    the sum."""
-    out, term, total = [], 1.0, 0.0
-    while y <= stop:
-        out.append(term)
-        total += term
-        x = (b + y) // 2
-        term *= (b - x) / (x + 1) * (2 if y == 0 else 1)
-        y += 2
-        if term * b < total * 2.0**-64:
-            break
-    return out
+# the tables ``_class_laws`` keeps: a table holds about 9.5 standard
+# deviations of Y on each side of its part's largest mass, so one schedule's
+# tables take 0.5-0.9 MiB at n = 128 and 2-3.7 MiB at n = 1024 under the
+# practical preset, and the cache at most about 30 and 100 MiB
+_CLASS_TABLES = 512
 
 
-def _shares(masses: list[float]) -> list[tuple[float, float]]:
-    """Each entry's (share of the sum at or before it, share after it), each
-    summed from its own side so that neither loses a small value."""
-    total = sum(masses)
-    upto = itertools.accumulate(masses)
-    after = reversed(list(itertools.accumulate(reversed(masses[1:]), initial=0.0)))
-    return [(lo / total, hi / total) for lo, hi in zip(upto, after)]
+@functools.lru_cache(maxsize=_CLASS_TABLES)
+def _class_laws(b: int, c: int, a: float) -> _ClassLaw:
+    """The ``_ClassLaw`` of bias +-a, a >= 0, on a level (b, c), built once
+    per (b, c, a) and shared by every spectrum with a class of that |beta|;
+    the uniform product reads a = 0 alone. The body holds X in (k, b - k)
+    and the tail the rest, k = (b - c) // 2; at a = 1, Y = b. ``below`` is
+    log of the share at or before y while that is the smaller side, else
+    log1p of minus the share after it, each summed from its own side."""
+    k = (b - c) // 2
+    fire = _edge_fire_prob(b, c, a)
+    if a == 1.0:
+        sure, none = (b, np.ones(1)), (0, np.zeros(0))
+        (first, body), (top, tail) = (none, sure) if k >= 0 else (sure, none)
+    else:
+        p, q = (1.0 + a) / 2.0, (1.0 - a) / 2.0
+        lo = max(k, -1) + 1
+        first, body = _folded(b, [_binomial_run(b, p, q, lo, b - lo)])
+        top, tail = _folded(b, [_binomial_run(b, p, q, 0, k), _binomial_run(b, p, q, b - k, b)])
+    upto, after = np.cumsum(body), _after(body)
+    # np.where reads both sides, and the side not taken may be out of domain
+    with np.errstate(divide="ignore", invalid="ignore"):
+        below = np.where(upto < after, np.log(upto), np.log1p(-after))
+    return _ClassLaw(fire, first, tuple(below.tolist()), top, tuple((-_after(tail)).tolist()))
 
 
-@functools.lru_cache(maxsize=1024)
-def _fair_law(b: int, c: int) -> _FairLaw:
-    """The ``_FairLaw`` of a level with b draws per pair and count threshold
-    c, built once per (b, c): a recursive verdict settles thousands of
-    levels on a few schedules. P(Y >= c) is ``_edge_fire_prob(b, c)``, the
-    number ``edge_null_accept`` reads, or 1 when no value of Y lies below c."""
-    first = c + (c - b) % 2
-    body = _folded_masses(b, b % 2, c - 1)
-    fire = _edge_fire_prob(b, c) if body else 1.0
-    tail = _shares(_folded_masses(b, first, b)) if fire else []
-    return _FairLaw(
-        math.log1p(-fire) if fire < 1.0 else -math.inf,
-        first,
-        tuple(math.log(lo) if lo < hi else math.log1p(-hi) for lo, hi in _shares(body)),
-        tuple(-hi for _, hi in tail),
-        tuple(math.log1p(-fire * hi) for _, hi in tail),
-    )
+class _Firing(NamedTuple):
+    """A class of a spectrum that can fire, as the firing pair of a level
+    reads it (``_law_level``)."""
+
+    cls: int  # the class's index in the spectrum, for its stars
+    a: float  # |beta|, the key of its ``_class_laws`` table
+    sign: int  # the sign of its bias, +1 at 0
+    log_r: float  # log r, r = (1 + |beta|) / (1 - |beta|)
 
 
-class _FairStep(NamedTuple):
-    """One level of a fair edge run with what ``_fair_run`` reads of it,
-    worked out once per schedule (``EdgeConfig._fair_steps``)."""
+class _LawStep:
+    """One level of an edge run drawn from the law of a spectrum, with what
+    ``_law_run`` reads of it, kept per schedule and spectrum law
+    (``EdgeConfig._law_steps``): a few numbers per class, and no table but
+    a fair level's.
 
-    fire: float  # 1 - (1 - f)^m, the chance that some pair of the level fires
-    m: int
-    below: tuple[float, ...]  # the law's ``below``
-    ests: tuple[float, ...]  # y / b for the values y of Y that ``below`` holds
-    charge: int  # m (1 + b), the queries of a level that does not fire
-    trace: dict  # the level's trace entry but its max_est; copied, never changed
-    lv: EdgeLevel
-    law: _FairLaw
+    Class j fires with F_j = F(b, c, beta_j) (``_edge_fire_prob``), so a
+    pair fires with f = sum_j w_j F_j (``_pair_fire_prob``). Classes of
+    equal |beta| share their ``_class_laws`` table, which the run reads at
+    run time, and are grouped by it: ``body`` holds (share, |beta|) of the
+    pairs that do not fire, share = sum w_j (1 - F_j) / (1 - f) over the
+    group, and ``tail`` (sum w_j F_j, |beta|) of all pairs, so that a law
+    of one |beta| has one of each, its mass F_j. ``firing`` holds
+    a ``_Firing`` of each class that can fire and ``picks`` their
+    cumulative shares w_j F_j / f, () for one. ``fair`` holds the fair
+    table's ``below`` and the estimate y / b at each of its values, for a
+    level whose pairs that do not fire are all fair: a uniform recursion
+    reads thousands of levels on a few schedules. Every table the level can
+    read is built with the step, so a run builds none: a verdict's time
+    does not hang on which levels the verdicts before it reached. Slots,
+    not a NamedTuple: a run reads five fields per level, and a slot is about
+    three times faster to read.
+    """
+
+    __slots__ = ("lv", "m", "charge", "trace", "log_miss", "fire", "body", "tail", "firing",
+                 "picks", "fair")
+
+    def __init__(self, lv: EdgeLevel, law: tuple):
+        self.lv, self.m = lv, lv.m
+        self.charge = lv.m * (1 + lv.b)  # the queries of a level that does not fire
+        # the level's trace entry but its max_est; copied, never changed
+        self.trace = {"h": lv.h, "m": lv.m, "b": lv.b, "theta": lv.theta}
+        fires = [_edge_fire_prob(lv.b, lv.c, beta) for _, beta in law]
+        body, tail, firing = {}, {}, []
+        for j, ((w, beta), fj) in enumerate(zip(law, fires)):
+            a = abs(beta)
+            if w * (1.0 - fj) > 0.0:
+                body[a] = body.get(a, 0.0) + w * (1.0 - fj)
+            if w * fj > 0.0:
+                tail[a] = tail.get(a, 0.0) + w * fj
+                log_r = math.inf if a == 1.0 else math.log1p(a) - math.log1p(-a)
+                firing.append((w * fj, _Firing(j, a, -1 if beta < 0 else 1, log_r)))
+        # a pair that does not fire has a value of Y below c, which some
+        # class of F_j < 1 takes; with none, every pair fires
+        f = _pair_fire_prob(lv.b, lv.c, law)
+        if f >= 1.0 or not body:
+            f = 1.0
+        self.log_miss = math.log1p(-f) if f < 1.0 else -math.inf
+        self.fire = -math.expm1(lv.m * self.log_miss)  # the chance that some pair fires
+        miss = sum(body.values())
+        self.body = tuple((x / miss, a) for a, x in body.items())
+        self.tail = tuple((x, a) for a, x in tail.items())
+        self.firing = tuple(t for _, t in firing)
+        self.picks = ()
+        if len(firing) > 1:
+            total = sum(x for x, _ in firing)
+            self.picks = (*itertools.accumulate(x / total for x, _ in firing[:-1]), 1.0)
+        # every table the level can read, built with the step: a run builds none
+        laws = {a: _class_laws(lv.b, lv.c, a) for a in {*body, *tail}}
+        self.fair = None
+        if tuple(body) == (0.0,):
+            law = laws[0.0]
+            self.fair = law.below, tuple((law.first + 2 * i) / lv.b for i in range(len(law.below)))
+
+
+def _least(reaches: Callable[[int], bool], lo: int, hi: int) -> int:
+    """The least y of lo, lo + 2, ..., hi at which reaches(y) holds, given
+    that it holds at hi and, once it holds, at every larger y."""
+    i, j = 0, (hi - lo) // 2
+    while i < j:
+        mid = (i + j) // 2
+        if reaches(lo + 2 * mid):
+            j = mid
+        else:
+            i = mid + 1
+    return lo + 2 * i
+
+
+def _body_max(step: _LawStep, t: float) -> int:
+    """The largest Y of a level's m pairs, none of which fires, by inversion
+    of v at t = log(1 - v) / m: the least y with log P(Y <= y | Y < c) >= t,
+    P the mixture of ``step.body``'s class bodies. A level of one body
+    class bisects its ``below``; the mixture is summed at each probe, each
+    side from its own tables as ``_ClassLaw.below`` holds them."""
+    b, c = step.lv.b, step.lv.c
+    if len(step.body) == 1:
+        law = _class_laws(b, c, step.body[0][1])
+        return law.first + 2 * bisect.bisect_left(law.below, t)
+    laws = [(share, _class_laws(b, c, a)) for share, a in step.body]
+
+    def reaches(y: int) -> bool:
+        lo = hi = 0.0
+        for share, law in laws:
+            i = (y - law.first) // 2
+            if i < 0:
+                hi += share
+            elif i >= len(law.below):
+                lo += share
+            elif law.below[i] < -_LN2:
+                p = math.exp(law.below[i])
+                lo, hi = lo + share * p, hi + share * (1.0 - p)
+            else:
+                p = -math.expm1(law.below[i])
+                lo, hi = lo + share * (1.0 - p), hi + share * p
+        if lo < hi:
+            return lo > 0.0 and math.log(lo) >= t
+        return math.log1p(-hi) >= t
+
+    ends = [law.first + 2 * (len(law.below) - 1) for _, law in laws]
+    return _least(reaches, min(law.first for _, law in laws), max(ends))
+
+
+
+def _rest_max(step: _LawStep, t: float) -> int:
+    """The largest Y of the unconditioned pairs after a level's firing pair
+    in its block, as a bound from the tail: the least y >= the least tail
+    value with log P(Y <= y) >= t, t = log(1 - v) / rest, where P(Y > y) =
+    sum_j w_j F_j P_j(Y > y | Y >= c) over ``step.tail``; a law of one
+    |beta| bisects its table by that sum. A value below the least tail
+    value stands for every value below c."""
+    b, c = step.lv.b, step.lv.c
+    laws = [(mass, _class_laws(b, c, a)) for mass, a in step.tail]
+    if len(laws) == 1 and laws[0][0] == laws[0][1].fire:
+        fire, law = laws[0]
+        return law.top + 2 * bisect.bisect_left(law.above, t, key=lambda x: math.log1p(fire * x))
+
+    def reaches(y: int) -> bool:
+        h = 0.0
+        for mass, law in laws:
+            i = (y - law.top) // 2
+            if i < 0:
+                h += mass
+            elif i < len(law.above):
+                h -= mass * law.above[i]
+        return math.log1p(-h) >= t
+
+    ends = [law.top + 2 * (len(law.above) - 1) for _, law in laws]
+    return _least(reaches, min(law.top for _, law in laws), max(ends))
 
 
 class Bucket(NamedTuple):
@@ -238,37 +462,72 @@ class EdgeConfig:
         return tuple(out)
 
     @functools.lru_cache(maxsize=256)
-    def _fair_steps(self, n: int, eps: float) -> tuple[_FairStep, ...]:
-        """``levels(n, eps)`` with each level's fair constants: its fire
-        chance, its ``_fair_law`` and its trace entry, in a bounded cache
-        like ``levels``, so a fair run works none of them out."""
-        steps = []
-        for lv in self.levels(n, eps):
-            law = _fair_law(lv.b, lv.c)
-            fire = -math.expm1(lv.m * law.log_miss)
-            ests = tuple((lv.b % 2 + 2 * i) / lv.b for i in range(len(law.below)))
-            trace = {"h": lv.h, "m": lv.m, "b": lv.b, "theta": lv.theta}
-            steps.append(_FairStep(fire, lv.m, law.below, ests, lv.m * (1 + lv.b), trace, lv, law))
-        return tuple(steps)
+    def _law_steps(self, n: int, eps: float, law: tuple) -> tuple[_LawStep, ...] | None:
+        """``levels(n, eps)`` with each level's constants on a spectrum's
+        law (``_LawStep``): its fire chance, its class shares and its trace
+        entry, in a bounded cache like ``levels``, so a run on a law seen
+        before works none of them out. A step holds a few numbers per class
+        and at most the fair table of its (b, c); it builds the tables its
+        level can read in ``_class_laws``, which shares them by |beta|, so a
+        recursion that meets a new law at most leaves (a parity's weights
+        |S & stars| / k move with k) builds no table for it.
+
+        None when the law's distinct |beta| need more tables for the
+        schedule than ``_class_laws`` keeps: a run would then rebuild them
+        at every level, and the edge tester draws blocks instead. A
+        near-uniform product of 64 distinct means at n = 128 (960 tables)
+        took 170 ms a verdict on the law route and 254 ms on blocks, one of
+        32 means (480 tables) 1.4 ms and 235 ms (BENCH_edge_spectrum.json)."""
+        levels = self.levels(n, eps)
+        if len({abs(beta) for _, beta in law}) * len(levels) > _CLASS_TABLES:
+            return None
+        return tuple(_LawStep(lv, law) for lv in levels)
+
+
+def _log_edge_accept(law: tuple, n: int, eps: float, cfg: EdgeConfig | None) -> float:
+    """log P(``edge_tester`` accepts) on a root whose spectrum has law law:
+    sum_h m_h log(1 - f_h), f_h = ``_pair_fire_prob``, or -inf once some
+    f_h is 1."""
+    cfg = cfg or PRESETS["practical"].edge
+    log_accept = 0.0
+    for lv in cfg.levels(n, eps):
+        f = _pair_fire_prob(lv.b, lv.c, law)
+        if f >= 1.0:
+            return -math.inf
+        log_accept += lv.m * math.log1p(-f)
+    return log_accept
 
 
 def edge_null_accept(n: int, eps: float, cfg: EdgeConfig | None = None) -> float:
     """Exact probability that ``edge_tester`` accepts the uniform target
-    on n coordinates: prod_h (1 - f_h)^(m_h) over ``cfg.levels(n, eps)``.
+    on n coordinates: prod_h (1 - f_h)^(m_h) over ``cfg.levels(n, eps)``,
+    the complement of ``edge_reject_prob`` on ``UNIFORM_SPECTRUM``.
 
     On the uniform target each pair's +1 count X is Binomial(b_h, 1/2) and
     the pairs are independent, so the product is exact; f_h is the chance
     that one level-h pair fires (see ``_edge_fire_prob``). An accepted run
     spends exactly sum_h m_h (1 + b_h) queries over the same levels.
     """
-    cfg = cfg or PRESETS["practical"].edge
-    log_accept = 0.0
-    for lv in cfg.levels(n, eps):
-        f = _edge_fire_prob(lv.b, lv.c)
-        if f >= 1.0:
-            return 0.0
-        log_accept += lv.m * math.log1p(-f)
-    return math.exp(log_accept)
+    return math.exp(_log_edge_accept(UNIFORM_SPECTRUM.law, n, eps, cfg))
+
+
+def edge_reject_prob(target, n: int, eps: float, cfg: EdgeConfig | None = None) -> float:
+    """Exact probability that ``edge_tester`` rejects the root of target on
+    n coordinates: 1 - prod_h (1 - sum_j w_j F(b_h, c_h, beta_j))^(m_h) over
+    the classes (w_j, beta_j) of the root's ``edge_spectrum``.
+
+    The pairs are independent, and a pair's count is Binomial(b_h,
+    (1 + beta)/2) with beta drawn from the spectrum, so the product is
+    exact; F is the per-pair tail sum that the law route reads
+    (``_edge_fire_prob``). A target whose dimension is not n, or whose root
+    has no spectrum, is refused before any sum.
+    """
+    if as_int(n, "n") != target.n:
+        raise ValueError(f"n must be the target's dimension {target.n}, got n={n}")
+    spectrum = target.edge_spectrum(Restriction.all_stars(target.n))
+    if spectrum is None:
+        raise ValueError(f"the {type(target).__name__} target gives no edge spectrum at its root")
+    return -math.expm1(_log_edge_accept(spectrum.law, n, eps, cfg))
 
 
 def _too_small(sigma: float, n: int, eps: float) -> bool:
@@ -387,8 +646,8 @@ def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) 
     and the float estimates (2p - b_h) / b_h only fill the trace. The first
     firing pair ends the run with Reject, and the trace's ``fired`` names
     its level, its index ``pair`` within the level, its coordinate and its
-    estimate. Each level is settled by ``_drawn_level``; on a target with
-    ``fair_edges`` the whole run is drawn from its law (``_fair_run``).
+    estimate. Each level is settled by ``_drawn_level``; on a view with an
+    edge spectrum the whole run is drawn from its law (``_law_run``).
 
     A level's m_h pairs are drawn in blocks of
     max(1, EDGE_BLOCK_BYTES // rho.n) pairs (4,096 at n = 128), where rho.n
@@ -406,21 +665,27 @@ def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) 
     blocks it spends at most one block of pairs, (1 + b_h) queries each,
     and it is charged for every draw it made.
 
-    On a target with ``fair_edges`` (the uniform product, and so every view
-    of it and every recursion leaf on it) each pair's count is
-    Binomial(b_h, 1/2) whatever its point, and the run is drawn from the
-    exact law of its levels' counts instead: one ``rng.random(2L)`` for its
-    L levels gives each level whether it fires, its first firing pair and
-    its largest |2p - b_h|, and a level that fires draws its pair's estimate
-    and coordinate (``_fair_level``). Its verdict, trace and charge have
-    the law of the blocks', the charge still counting whole blocks; it
-    reads other stream words (BENCH_edge_law.json).
+    On a view whose target gives its ``edge_spectrum`` (the uniform
+    product and every view of it, a product with no mean of +-1, a noisy
+    parity) each pair's count is Binomial(b_h, (1 + beta)/2) with its bias
+    beta drawn from the spectrum's classes, whatever its point, and the run
+    is drawn from the exact law of its levels' counts instead: one
+    ``rng.random(2L)`` for its L levels gives each level whether it fires,
+    its first firing pair and its largest |2p - b_h|, and a level that
+    fires draws its pair's class, estimate and coordinate (``_law_level``).
+    Its verdict, trace and charge have the law of the blocks', the charge
+    still counting whole blocks; it reads other stream words
+    (BENCH_edge_law.json, BENCH_edge_spectrum.json). A spectrum whose
+    classes' tables for the schedule overflow the class cache draws blocks
+    (``EdgeConfig._law_steps``).
     """
     cfg = cfg or PRESETS["practical"].edge
-    if oracle.target.fair_edges:
-        levels, fired, queries = _fair_run(oracle, cfg._fair_steps(oracle.n, eps))
-    else:
+    spectrum = oracle.target.edge_spectrum(oracle.rho)
+    steps = None if spectrum is None else cfg._law_steps(oracle.n, eps, spectrum.law)
+    if steps is None:
         levels, fired, queries = _drawn_run(oracle, cfg.levels(oracle.n, eps))
+    else:
+        levels, fired, queries = _law_run(oracle, steps, spectrum.coords)
     return TestVerdict(
         Decision.ACCEPT if fired is None else Decision.REJECT,
         queries,
@@ -478,17 +743,18 @@ def _drawn_level(oracle: ScondOracle, lv: EdgeLevel, block: int) -> tuple:
     return top, done, None
 
 
-def _fair_run(oracle: ScondOracle, steps: tuple[_FairStep, ...]) -> tuple:
-    """``_drawn_run`` on a view whose every edge bias is 0, drawn from the
-    exact law of each level's m i.i.d. Y = |2X - b|, X ~ Binomial(b, 1/2)
-    (``_fair_law``).
+def _law_run(oracle: ScondOracle, steps: tuple[_LawStep, ...], coords: tuple) -> tuple:
+    """``_drawn_run`` on a view with an edge spectrum, drawn from the exact
+    law of each level's m i.i.d. Y = |2X - b|, X ~ Binomial(b, (1 + beta)/2)
+    with beta drawn from the spectrum (``_LawStep``); coords holds each
+    class's stars (``EdgeSpectrum.coords``).
 
     One ``rng.random(2L)`` gives every level of the L-level schedule its two
     uniforms (u, v), the words that L calls of ``rng.random(2)`` would read.
     A level fires when u < 1 - (1 - f)^m; one that does not has as its
     largest Y the largest of m values of Y given Y < c, by inversion of v,
     and is charged its m (1 + b) queries. The first level that fires is
-    settled by ``_fair_level`` and ends the run; the words drawn for the
+    settled by ``_law_level`` and ends the run; the words drawn for the
     levels after it are left unused. The oracle's ledger is charged once,
     at the end.
     """
@@ -496,47 +762,53 @@ def _fair_run(oracle: ScondOracle, steps: tuple[_FairStep, ...]) -> tuple:
     levels, fired, queries = [], None, 0
     for step, u, v in zip(steps, words, words):
         if u < step.fire:
-            top, fired, charge = _fair_level(oracle, step, u, v)
+            top, fired, charge = _law_level(oracle, step, u, v, coords)
             levels.append(dict(step.trace, max_est=top / step.lv.b))
             queries += charge
             break
-        est = step.ests[bisect.bisect_left(step.below, math.log1p(-v) / step.m)]
+        fair, t = step.fair, math.log1p(-v) / step.m
+        if fair is None:
+            est = _body_max(step, t) / step.lv.b
+        else:
+            est = fair[1][bisect.bisect_left(fair[0], t)]
         levels.append(dict(step.trace, max_est=est))
         queries += step.charge
     oracle.ledger.queries += queries
     return levels, fired, queries
 
 
-def _fair_level(oracle: ScondOracle, step: _FairStep, u: float, v: float) -> tuple:
-    """The level of a fair run that fires, given its uniforms u < step.fire
-    and v: (largest Y, fired, queries charged), what ``_drawn_level`` returns
-    for a level whose pairs are all fair.
+def _law_level(oracle: ScondOracle, step: _LawStep, u: float, v: float, coords: tuple) -> tuple:
+    """The level of a law run that fires, given its uniforms u < step.fire
+    and v: (largest Y, fired, queries charged), what ``_drawn_level`` returns.
 
     u gives the first firing pair i by inversion of the geometric law,
-    truncated to m. Then one ``rng.random(2)`` draws the firing pair's Y
-    given Y >= c and its sign, and ``rng.integers`` its coordinate. The
-    largest Y is the larger of that pair's and of the pairs after it in its
-    block, which are unconditioned, by inversion of v. The pairs charged
-    are those up to the end of the firing pair's block, as a drawn block is
-    charged, 1 + b queries each.
+    truncated to m. Then one ``rng.random(2)`` gives two uniforms (w, s);
+    on a spectrum of several classes that can fire, one ``rng.random()``
+    draws the pair's class j in proportion to w_j F_j. The pair's Y given
+    Y >= c is class j's by inversion of w, and its sign is the sign of
+    beta_j when s < P(2X - b = +-y | Y = y) = 1 / (1 + r^-y), r = (1 +
+    |beta_j|) / (1 - |beta_j|), which is 1/2 at beta = 0. Then
+    ``rng.integers`` draws its coordinate from class j's stars. The largest
+    Y is the larger of that pair's and of the pairs after it in its block,
+    which are unconditioned, by inversion of v (``_rest_max``). The pairs
+    charged are those up to the end of the firing pair's block, as a drawn
+    block is charged, 1 + b queries each.
     """
-    lv, law = step.lv, step.law
+    lv, rng = step.lv, oracle.rng
     m, b = lv.m, lv.b
-    i = min(m - 1, int(math.log1p(-u) / law.log_miss))
+    i = min(m - 1, int(math.log1p(-u) / step.log_miss))
     block = _block(oracle)
     pairs = min(m, (i // block + 1) * block)
-    w, sign = oracle.rng.random(2).tolist()
-    y = law.first + 2 * bisect.bisect_left(law.above, w - 1.0)
+    w, s = rng.random(2).tolist()
+    pick = step.firing[bisect.bisect_right(step.picks, rng.random()) if step.picks else 0]
+    law = _class_laws(b, lv.c, pick.a)
+    y = law.top + 2 * bisect.bisect_left(law.above, w - 1.0)
     rest = pairs - i - 1
-    top = y
-    if rest:
-        top = max(y, law.first + 2 * bisect.bisect_left(law.log_cdf, math.log1p(-v) / rest))
-    fired = {
-        "h": lv.h,
-        "pair": i,
-        "coord": int(oracle.rng.integers(0, oracle.n)),
-        "est": (y if sign < 0.5 else -y) / b,
-    }
+    top = max(y, _rest_max(step, math.log1p(-v) / rest)) if rest else y
+    stars = coords[pick.cls]
+    coord = rng.integers(0, oracle.n) if stars is None else stars[rng.integers(0, stars.size)]
+    sign = pick.sign if s < 1.0 / (1.0 + math.exp(-y * pick.log_r)) else -pick.sign
+    fired = {"h": lv.h, "pair": i, "coord": int(coord), "est": sign * y / b}
     return top, fired, pairs * (1 + b)
 
 
@@ -615,11 +887,13 @@ def subcond_uni(
     whose trace the node keeps under ``edge``.
 
     Each random restriction is one ``oracle.draw_view(sigma)`` call, the
-    view on it, which on a target with ``fair_edges`` draws only its star
-    count. A restriction is tested by a majority vote over its r mean tests
-    or its t children. Every repetition is one tester call, run one after
-    another: a mean test is one ``mean_tester`` call, and a child is one
-    ``subcond_uni`` node one level deeper, base cases included. The vote
+    view on it, which on a target with ``column_means`` (a product with no
+    mean of +-1) draws only its star mask, or only its star count when
+    every coordinate has the same mean. A restriction is tested by a
+    majority vote over its r mean tests or its t children. Every repetition
+    is one tester call, run one after another: a mean test is one
+    ``mean_tester`` call, and a child is one ``subcond_uni`` node one level
+    deeper, base cases included. The vote
     stops once one side holds a majority of all its repetitions
     (``_vote``), so a restriction whose first (r + 1) // 2 or (t + 1) // 2
     repetitions agree runs no other; the first ``ERROR`` ends the verdict.

@@ -21,7 +21,10 @@ import numpy as np
 
 from .model import (
     DENSE_CAP,
+    STAR,
+    UNIFORM_SPECTRUM,
     DensePmf,
+    EdgeSpectrum,
     HypercubeTarget,
     ProductDistribution,
     Restriction,
@@ -154,8 +157,9 @@ class NoisyParityDistribution(HypercubeTarget):
         self.n = n
         self.S = S
         self.delta = float(delta)
+        self._s = np.array(S, dtype=np.int64)
         self._s_mask = np.zeros(n, dtype=bool)
-        self._s_mask[list(S)] = True
+        self._s_mask[self._s] = True
 
     def _weight(self, parity: np.ndarray) -> np.ndarray:
         return np.where(parity > 0, 1.0 - self.delta, self.delta)
@@ -188,6 +192,37 @@ class NoisyParityDistribution(HypercubeTarget):
         flip = want_free != have
         draws[flip, s_cols[0]] *= -1
         return draws
+
+    def edge_spectrum(self, rho: Restriction):
+        """A pair's bias is 0 off S and chi_{S - i}(x) (1 - 2 delta) on a
+        star i of S. A view with j >= 1 of its k stars in S puts weight
+        j / k on |beta| = 1 - 2 delta, with the sign of the product of the
+        fixed cells of S when j = 1, and a uniform sign when j >= 2 (the
+        parity of the other free cells of S is then uniform); the rest is at
+        0. A view with no star in S is uniform, or has zero mass when its
+        fixed cells of S take the parity of weight 0: None."""
+        cells = rho.cells[self._s]
+        free = cells == STAR
+        j = int(np.count_nonzero(free))
+        # the product of the fixed cells of S
+        par = 1 - 2 * (int(np.count_nonzero(cells < 0)) % 2)
+        beta = 1.0 - 2.0 * self.delta
+        if j == 0:
+            return None if self._weight(par) == 0.0 else UNIFORM_SPECTRUM
+        if beta == 0.0:
+            return UNIFORM_SPECTRUM
+        k = rho.num_stars
+        on = np.searchsorted(rho.stars, self._s[free])
+        if j == 1:
+            law, coords = [(1.0 / k, par * beta)], [on]
+        else:
+            law, coords = [(j / (2 * k), beta), (j / (2 * k), -beta)], [on, on]
+        if j < k:
+            off = np.ones(k, dtype=bool)
+            off[on] = False
+            law.append(((k - j) / k, 0.0))
+            coords.append(np.flatnonzero(off))
+        return EdgeSpectrum(tuple(law), tuple(coords))
 
     def edge_bias(self, points: np.ndarray, coords: np.ndarray):
         # closed form: the edge tester's far target calls this on every
@@ -399,7 +434,10 @@ def resolve_target(spec_string: str, n: int):
 
 
 def resolve_gaussian_source(spec_string: str, n: int) -> GaussianSource:
-    """Gaussian targets: the shorthand of a row of ``_GAUSSIAN_KINDS``."""
+    """Gaussian targets: the shorthand of a row of ``_GAUSSIAN_KINDS``, at
+    n >= 1 coordinates (``shift`` divides by sqrt(n) as it builds)."""
+    if not as_int(n, "n") >= 1:
+        raise ValueError(f"n must be at least 1, got n={n}")
     entry = _parse_shorthand(spec_string, _GAUSSIAN_KINDS)
     if entry is None:
         forms = [":".join([kind, *(name.upper() for name, _ in row.params)])

@@ -155,6 +155,14 @@ def test_resolve_gaussian_source():
 # single trials
 
 
+def test_resolve_gaussian_source_refuses_an_empty_cube():
+    # shift:1 at n = 0 once raised ZeroDivisionError building its means
+    for spec in ("shift:1", "standard"):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"n must be at least 1, got n={n}"):
+                resolve_gaussian_source(spec, n)
+
+
 def test_run_trial_meantest_row_fields():
     row = run_trial(_spec(), 0, 4, 1.0, 0)
     assert set(row) == {

@@ -555,6 +555,57 @@ def test_resolve_refuses_n_below_one_before_the_sample_rule(preset):
     assert root.queries == 0
 
 
+SAMPLE_RULES = {
+    "practical_q": lambda n, eps: practical_q(n, eps, 0),
+    "paper_q": lambda n, eps: paper_q(n, eps, 0),
+    "gaussian_required_samples": gaussian_required_samples,
+}
+
+
+@pytest.mark.parametrize("rule", sorted(SAMPLE_RULES))
+def test_sample_rules_refuse_inputs_outside_their_domain(rule):
+    # each once raised ZeroDivisionError at n = 0 or eps = 0 or "cannot
+    # convert float NaN" at eps = nan, or gave 0 samples at n = 0; a
+    # ValueError names the parameter instead
+    call = SAMPLE_RULES[rule]
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"n must be at least 1, got n={n}"):
+            call(n, 0.5)
+    for eps in (0.0, -0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match=f"eps must lie in \\(0, 1\\], got eps={eps}"):
+            call(16, eps)
+    assert call(1, 1.0) >= 1
+
+
+def test_product_level0_mean_test_replays_its_counts():
+    # a biased product's view: each half's column counts by one
+    # rng.binomial(q, (1 + mu_i)/2, (1, 2, k)) over the view's stars, no row,
+    # and 2q queries; its column means withheld, the same view draws its rows
+    def refuse(size=None):
+        raise AssertionError("a product's level-0 mean test draws no row")
+
+    mu = np.array([0.3, -0.2, 0.0, 0.6, 0.3, -0.5])
+    target = ProductDistribution(mu)
+    rho = Restriction(np.array([0, 1, 0, 0, -1, 0], dtype=np.int8))
+    cfg = MeanTestConfig(0.5, q=40, k0=0)
+    for t in range(5):
+        o = ScondOracle(target, stream(88, 0, t))
+        view = o.restricted(rho)
+        view.sample = refuse
+        v = mean_tester(view, cfg)
+        replay = stream(88, 0, t)
+        plus_x, plus_y = replay.binomial(40, (1 + mu[rho.stars]) / 2, (1, 2, 4))[0].tolist()
+        num = sum((2 * a - 40) * (2 * b - 40) for a, b in zip(plus_x, plus_y))
+        assert v.trace["z_levels"] == [_trace_float(num, 1600)]
+        assert v.queries_used == o.queries == 80
+        assert o.rng.bit_generator.random_raw() == replay.bit_generator.random_raw()
+    target.column_means = lambda rho: None
+    o = ScondOracle(target, stream(88, 0, 0))
+    v = mean_tester(o.restricted(rho), cfg)
+    draw = target.cond_sample(stream(88, 0, 0), rho, 80)
+    assert v.trace["z_levels"] == [_trace_float(numerators(draw, 40, 0)[0], 1600)]
+
+
 @pytest.mark.parametrize("n, q", [(1, 1), (7, 3), (64, 200), (300, 41)])
 def test_fair_level0_mean_test_replays_its_counts(n, q):
     # on the uniform product a k0 = 0 schedule draws each half's column

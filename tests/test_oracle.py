@@ -378,8 +378,11 @@ def test_restricted_sample_equals_parent_cond_sample():
 
 
 def test_drawn_view_is_the_restricted_random_restriction():
-    # a target without fair_edges: draw_view is restricted(draw_restriction_sigma)
+    # a target without column means: draw_view is
+    # restricted(draw_restriction_sigma). A biased product whose column
+    # means are withheld, as the tests' drawn-route hook withholds them
     target = ProductDistribution(np.full(12, 0.2))
+    target.column_means = lambda rho: None
     for t in range(5):
         o, twin = (ScondOracle(target, stream(86, 0, t)) for _ in range(2))
         view = o.draw_view(0.4)
@@ -410,6 +413,31 @@ def test_fair_view_draws_only_its_star_count():
         assert o.rng.bit_generator.random_raw() == replay.bit_generator.random_raw()
     for sigma in (0.0, 1.0):
         assert ScondOracle(target, stream(86, 2, 0)).draw_view(sigma).n == 40 * sigma
+
+
+def test_product_view_draws_only_its_star_mask():
+    # a biased product: the star mask by the drawn route's rng.random(n) <
+    # sigma, 1 query, no fill sample, and the view's other stars fixed at +1;
+    # a view of a view draws its mask over its own stars. A product with a
+    # mean of +-1 has no spectrum and draws its fill point
+    mu = np.array([-0.6, 0.2, 0.5, 0.0, 0.2] * 2)
+    target = ProductDistribution(mu)
+    for t in range(5):
+        o = ScondOracle(target, stream(86, 3, t))
+        replay = stream(86, 3, t)
+        view = o.draw_view(0.4)
+        star = replay.random(10) < 0.4
+        assert view.rho.cells.tolist() == np.where(star, 0, 1).tolist()
+        assert view.ledger is o.ledger and view.rng is o.rng and o.queries == 1
+        inner = view.draw_view(0.5)
+        keep = replay.random(view.n) < 0.5
+        want = np.ones(10, dtype=np.int8)
+        want[view.rho.stars[keep]] = 0
+        assert inner.rho.cells.tolist() == want.tolist() and o.queries == 2
+        assert o.rng.bit_generator.random_raw() == replay.bit_generator.random_raw()
+    pinned = ProductDistribution(np.array([0.2, 1.0, -0.3]))
+    o, twin = (ScondOracle(pinned, stream(86, 4, 0)) for _ in range(2))
+    assert str(o.draw_view(0.5).rho) == str(twin.draw_restriction_sigma(0.5))
 
 
 def test_restricted_cond_sample_composes_restrictions():

@@ -19,7 +19,13 @@ from hypercube_tester import uniformity
 from hypercube_tester.cli import UsageError, build_parser
 from hypercube_tester.harness import ExperimentSpec, resolve_target
 from hypercube_tester.meantest import Q_RULES
-from hypercube_tester.model import DensePmf, Decision, ProductDistribution, Restriction
+from hypercube_tester.model import (
+    UNIFORM_SPECTRUM,
+    DensePmf,
+    Decision,
+    ProductDistribution,
+    Restriction,
+)
 from hypercube_tester.model import TestVerdict as Verdict  # not a test class
 from hypercube_tester.oracle import ScondOracle
 from hypercube_tester.rng import stream
@@ -286,9 +292,19 @@ def test_edge_tester_rejects_two_point_instantly():
     assert abs(v.trace["fired"]["est"]) == pytest.approx(1.0, abs=0.01)
 
 
-# noisy_parity:2:0.3 at n = 128, eps 0.5 on stream(1, 1, t): fired (h, coord,
-# est) and queries_used. Every one fires at a level of at most 64 pairs, which
-# is drawn as one block, so the block size must not move these verdicts.
+def drawn(target):
+    """target with its edge spectrum and column means withheld: the tests'
+    hook for the drawn routes, the reference that the law routes must
+    match. Its edge levels draw blocks, and a product's restrictions and
+    level-0 mean tests draw their fill points and rows."""
+    target.edge_spectrum = target.column_means = lambda rho: None
+    return target
+
+
+# noisy_parity:2:0.3 at n = 128, eps 0.5 on stream(1, 1, t), on the drawn
+# route: fired (h, coord, est) and queries_used. Every one fires at a level
+# of at most 64 pairs, which is drawn as one block, so the block size must
+# not move these verdicts.
 FAR_EDGE_VERDICTS_N128 = [
     (2, 1, -0.402197265625, 39_321_712),
     (1, 1, 0.3995703125, 26_214_448),
@@ -301,14 +317,37 @@ FAR_EDGE_VERDICTS_N128 = [
 ]
 
 
-def test_edge_tester_far_verdicts_pinned():
-    target = resolve_target("noisy_parity:2:0.3", 128)
-    for t, (h, coord, est, queries) in enumerate(FAR_EDGE_VERDICTS_N128):
+# the same runs on the law route, recorded when products and parities came
+# to be drawn from their edge spectra
+FAR_EDGE_LAW_VERDICTS_N128 = [
+    (0, 1, -0.3993408203125, 13_107_216),
+    (2, 0, 0.40201171875, 39_321_712),
+    (3, 0, -0.40025390625, 52_429_040),
+    (2, 0, -0.400908203125, 39_321_712),
+    (0, 1, -0.40045166015625, 13_107_216),
+    (2, 1, -0.39703125, 39_321_712),
+    (2, 1, 0.39884765625, 39_321_712),
+    (1, 0, 0.399365234375, 26_214_448),
+]
+
+
+def _assert_far_edge_verdicts(target, pins):
+    for t, (h, coord, est, queries) in enumerate(pins):
         v = edge_tester(ScondOracle(target, stream(1, 1, t)), 0.5)
         assert v.decision is Decision.REJECT
         fired = v.trace["fired"]
         got = (fired["h"], fired["coord"], fired["est"], v.queries_used)
         assert got == (h, coord, est, queries)
+
+
+def test_edge_tester_far_verdicts_pinned():
+    target = drawn(resolve_target("noisy_parity:2:0.3", 128))
+    _assert_far_edge_verdicts(target, FAR_EDGE_VERDICTS_N128)
+
+
+def test_edge_tester_far_law_verdicts_pinned():
+    target = resolve_target("noisy_parity:2:0.3", 128)
+    _assert_far_edge_verdicts(target, FAR_EDGE_LAW_VERDICTS_N128)
 
 
 def assert_block_ledger(v, block):
@@ -361,7 +400,8 @@ def test_edge_tester_block_overshoot(monkeypatch):
 # max_est) at n = 64, eps 0.5 on stream(16, 0, t), recorded before edge
 # blocks became one oracle call: the same stream must give the same verdicts.
 # The uniform rows were recorded again when fair levels came to be drawn
-# from their exact law, which reads other stream words
+# from their exact law, which reads other stream words; the parity rows are
+# the drawn route's, which they run on through ``drawn``
 EDGE_VERDICTS_N64 = {
     "uniform": [
         ("accept", 61_841_906, None, 0.6923076923076923),
@@ -381,10 +421,36 @@ def _fired(trace):
     return None if f is None else (f["h"], f["pair"], f["coord"], f["est"])
 
 
-@pytest.mark.parametrize("dist", sorted(EDGE_VERDICTS_N64))
+# the law route's verdicts on the same streams, recorded when products and
+# parities came to be drawn from their edge spectra
+EDGE_LAW_VERDICTS_N64 = {
+    "noisy_parity:2:0.3": [
+        ("reject", 17_561_810, (3, 34, 1, 0.40433673469387754), 0.40433673469387754),
+        ("reject", 13_171_298, (2, 16, 0, -0.39663265306122447), 0.39663265306122447),
+        ("reject", 4_390_414, (0, 1, 1, 0.4006186224489796), 0.4006186224489796),
+    ],
+    "planted_product:0.5": [
+        ("reject", 4_390_414, (0, 0, 29, 0.5014413265306122), 0.5022767857142857),
+        ("reject", 4_390_414, (0, 0, 10, 0.49840561224489793), 0.5023405612244898),
+        ("reject", 4_390_414, (0, 0, 43, 0.5005803571428571), 0.5016517857142857),
+    ],
+}
+
+
+def _edge_pin_target(dist):
+    """The target of an EDGE_VERDICTS_N64 or EDGE_LAW_VERDICTS_N64 row."""
+    route, _, name = dist.rpartition(" ")
+    target = resolve_target(name, 64)
+    return target if route == "law" or name == "uniform" else drawn(target)
+
+
+@pytest.mark.parametrize(
+    "dist", sorted(EDGE_VERDICTS_N64) + [f"law {d}" for d in sorted(EDGE_LAW_VERDICTS_N64)]
+)
 def test_edge_tester_stream_pinned(dist):
-    target = resolve_target(dist, 64)
-    for t, want in enumerate(EDGE_VERDICTS_N64[dist]):
+    target = _edge_pin_target(dist)
+    pins = EDGE_LAW_VERDICTS_N64 if dist.startswith("law ") else EDGE_VERDICTS_N64
+    for t, want in enumerate(pins[dist.removeprefix("law ")]):
         v = edge_tester(ScondOracle(target, stream(16, 0, t)), 0.5)
         top = max(lv["max_est"] for lv in v.trace["levels"])
         assert (v.decision.value, v.queries_used, _fired(v.trace), top) == want
@@ -412,8 +478,8 @@ def test_edge_tester_validates_eps():
 
 
 # ---------------------------------------------------------------------------
-# fair levels: on a target with fair_edges (the uniform product) each level
-# is drawn from the exact law of its counts, with no edge block
+# fair levels: on the uniform product each level is drawn from the exact
+# law of its counts, with no edge block
 
 
 def _peak_bytes(call):
@@ -441,21 +507,25 @@ def test_uniform_edge_levels_build_no_point_matrix():
 @pytest.mark.parametrize("b", [1, 2, 10, 29, 80, 231])
 def test_fair_law_tables_are_the_folded_binomial(b):
     # Y = |2X - b| for X ~ Binomial(b, 1/2), in exact fractions, against the
-    # tables of every count threshold c = 1..b + 1; a table may stop early
-    # only where the exact mass left above it is below 1e-15, so a survival
-    # share is exact to that mass, 2^-60 of the conditional law at most
+    # fair class's tables at every count threshold c = 1..b + 1; a table may
+    # stop early only where the exact mass left above it is below 1e-15, so
+    # a survival share is exact to that mass, 2^-60 of the conditional law
+    # at most
     mass = {}
     for x in range(b + 1):
         y = abs(2 * x - b)
         mass[y] = mass.get(y, 0) + Fraction(math.comb(b, x), 2**b)
     values = sorted(mass)
     for c in range(1, b + 2):
-        law = uniformity._fair_law(b, c)
+        law = uniformity._class_laws(b, c, 0.0)
         body = [y for y in values if y < c]
         tail = [y for y in values if y >= c]
         fire = sum(mass[y] for y in tail)
-        assert math.exp(law.log_miss) == pytest.approx(float(1 - fire), rel=1e-12, abs=1e-300)
-        assert len(law.below) <= len(body) and len(law.above) == len(law.log_cdf)
+        assert law.fire == pytest.approx(float(fire), rel=1e-12, abs=1e-300)
+        assert law.fire == uniformity._edge_fire_prob(b, c)
+        assert len(law.below) <= len(body)
+        if body:
+            assert law.first == body[0]
         for j, y in enumerate(body[: len(law.below)]):
             upto = sum(mass[v] for v in body if v <= y) / (1 - fire)
             assert math.exp(law.below[j]) == pytest.approx(float(upto), rel=1e-12)
@@ -463,12 +533,10 @@ def test_fair_law_tables_are_the_folded_binomial(b):
         if not fire:
             assert law.above == ()
             continue
-        assert law.first == tail[0] and len(law.above) <= len(tail)
+        assert law.top == tail[0] and len(law.above) <= len(tail)
         for j, y in enumerate(tail[: len(law.above)]):
             past = sum(mass[v] for v in tail if v > y)
             assert -law.above[j] == pytest.approx(float(past / fire), rel=1e-12, abs=2.0**-60)
-            assert math.exp(law.log_cdf[j]) == pytest.approx(float(1 - past), rel=1e-12)
-        assert sum(mass[v] for v in tail[len(law.above) :]) < 1e-15 * fire
 
 
 @pytest.mark.parametrize("n", [256, 1024])
@@ -605,13 +673,14 @@ def _per_level_fair_run(rng, n, eps, cfg, block):
     the max_est of each level that does not fire)."""
     queries, tops = 0, []
     for lv in cfg.levels(n, eps):
-        law = uniformity._fair_law(lv.b, lv.c)
+        law = uniformity._class_laws(lv.b, lv.c, 0.0)
+        log_miss = math.log1p(-law.fire)
         u, v = rng.random(2).tolist()
-        if u < -math.expm1(lv.m * law.log_miss):
-            i = min(lv.m - 1, int(math.log1p(-u) / law.log_miss))
+        if u < -math.expm1(lv.m * log_miss):
+            i = min(lv.m - 1, int(math.log1p(-u) / log_miss))
             pairs = min(lv.m, (i // block + 1) * block)
             return queries + pairs * (1 + lv.b), (lv.h, i), tops
-        y = lv.b % 2 + 2 * bisect.bisect_left(law.below, math.log1p(-v) / lv.m)
+        y = law.first + 2 * bisect.bisect_left(law.below, math.log1p(-v) / lv.m)
         tops.append(y / lv.b)
         queries += lv.m * (1 + lv.b)
     return queries, None, tops
@@ -643,21 +712,335 @@ def test_fair_run_reads_one_draw(monkeypatch, n):
             # the fired pair's (w, sign), then its coordinate, come after the
             # run's one draw
             lv = levels[fired[0]]
-            law = uniformity._fair_law(lv.b, lv.c)
+            law = uniformity._class_laws(lv.b, lv.c, 0.0)
             w, sign = copy.random(2).tolist()
-            y = law.first + 2 * bisect.bisect_left(law.above, w - 1.0)
+            y = law.top + 2 * bisect.bisect_left(law.above, w - 1.0)
             assert got[2:] == (int(copy.integers(0, n)), (y if sign < 0.5 else -y) / lv.b)
             assert o.rng.bit_generator.random_raw() == copy.bit_generator.random_raw()
             continue
         # a run that does not fire reads exactly one rng.random(2L)
         want = []
         for lv, v_word in zip(levels, words[1::2]):
-            law = uniformity._fair_law(lv.b, lv.c)
-            y = lv.b % 2 + 2 * bisect.bisect_left(law.below, math.log1p(-v_word) / lv.m)
+            law = uniformity._class_laws(lv.b, lv.c, 0.0)
+            y = law.first + 2 * bisect.bisect_left(law.below, math.log1p(-v_word) / lv.m)
             want.append(y / lv.b)
         assert [lv["max_est"] for lv in v.trace["levels"]] == want
         assert o.rng.bit_generator.random_raw() == copy.bit_generator.random_raw()
     assert kinds[Decision.ACCEPT] >= 10 and kinds[Decision.REJECT] >= 10
+
+
+# ---------------------------------------------------------------------------
+# law levels on an edge spectrum: products and parities, whose pairs carry a
+# few bias classes, settle their levels from the mixture of the classes'
+# laws; ``drawn`` withholds the spectrum, so the same target draws blocks
+
+
+@pytest.mark.parametrize("beta", [0.1, -0.3, 0.5, 0.9, 1.0])
+def test_pair_fire_prob_is_the_exact_binomial_tail(beta):
+    # F(b, c, beta) = P(|2X - b| >= c) for X ~ Binomial(b, (1 + beta)/2),
+    # in exact fractions, at every count threshold of small b: both tails,
+    # and the mean inside the upper one once |beta| b >= c
+    a = Fraction(abs(beta))
+    p = (1 + a) / 2
+    for b in (1, 2, 7, 10, 29, 80):
+        mass = [math.comb(b, x) * p**x * (1 - p) ** (b - x) for x in range(b + 1)]
+        for c in range(1, b + 2):
+            fire = sum(m for x, m in enumerate(mass) if abs(2 * x - b) >= c)
+            got = uniformity._edge_fire_prob(b, c, beta)
+            assert got == pytest.approx(float(fire), rel=1e-12, abs=1e-300), (b, c)
+    # the per-pair sum of a spectrum's law weighs each class's tail
+    law = ((0.25, beta), (0.25, -beta), (0.5, 0.0))
+    for b, c in ((10, 3), (29, 12), (80, 17)):
+        want = sum(w * uniformity._edge_fire_prob(b, c, x) for w, x in law)
+        assert uniformity._pair_fire_prob(b, c, law) == want
+        assert want == pytest.approx(
+            0.5 * uniformity._edge_fire_prob(b, c, beta) + 0.5 * uniformity._edge_fire_prob(b, c)
+        )
+
+
+def _folded_exact(b, beta):
+    """{y: P(Y = y)} for Y = |2X - b|, X ~ Binomial(b, (1 + beta)/2), in
+    exact fractions."""
+    p = (1 + Fraction(beta)) / 2
+    out = {}
+    for x in range(b + 1):
+        y = abs(2 * x - b)
+        out[y] = out.get(y, 0) + math.comb(b, x) * p**x * (1 - p) ** (b - x)
+    return out
+
+
+@pytest.mark.parametrize("b", [1, 10, 29, 80])
+def test_class_laws_are_the_folded_binomial(b):
+    # each class's body and tail against exact fractions at every count
+    # threshold: the conditional law at or below each tabled value of the
+    # body and above each of the tail, and the mass outside a table below
+    # 1e-18 of its part's
+    for beta in (0.0, 0.3, 0.8, 1.0):
+        mass = _folded_exact(b, beta)
+        for c in range(1, b + 2):
+            law = uniformity._class_laws(b, c, beta)
+            assert law.fire == uniformity._edge_fire_prob(b, c, beta)
+            for first, table, below in ((law.first, law.below, True), (law.top, law.above, False)):
+                part = {y: m for y, m in mass.items() if (y < c) is below and m}
+                if not table:
+                    assert not part
+                    continue
+                total = sum(part.values())
+                ys = [first + 2 * i for i in range(len(table))]
+                assert ys[0] in part and ys[-1] in part
+                assert list(table) == sorted(table) and table[-1] == 0.0
+                # the exact share at or below each value y of the table
+                upto = dict(zip(ys, itertools.accumulate(part.get(y, 0) for y in ys)))
+                lower = sum(m for v, m in part.items() if v < ys[0])
+                for y, got in zip(ys, table):
+                    if below:
+                        want = (lower + upto[y]) / total
+                        assert math.exp(got) == pytest.approx(float(want), rel=1e-9, abs=1e-15)
+                    else:
+                        want = 1 - (lower + upto[y]) / total
+                        assert -got == pytest.approx(float(want), rel=1e-9, abs=1e-15)
+                outside = sum(m for v, m in part.items() if not ys[0] <= v <= ys[-1])
+                assert outside <= total * Fraction(1, 10**18)
+
+
+def _midpoints(logs):
+    """A point between each entry of an ascending list and the one before
+    it, and one below the first: the t at which an inversion must give
+    each entry."""
+    return [logs[0] - 1.0] + [(x + y) / 2 for x, y in zip(logs, logs[1:])]
+
+
+def test_law_step_is_the_mixture_of_its_classes():
+    # a parity-like law at b = 29, c = 9: the fire chance and the class
+    # groups against exact fractions, and the inversions of a level that
+    # does not fire and of the pairs after a firing one in its block against
+    # the exact mixture laws, at a t inside each step of their CDFs
+    lv = uniformity.EdgeLevel(0, 5, 29, 0.3, 9)
+    law = ((0.125, 0.6), (0.125, -0.6), (0.75, 0.0))
+    step = uniformity._LawStep(lv, law)
+    mix = {}
+    for w, beta in law:
+        for y, m in _folded_exact(29, abs(beta)).items():
+            mix[y] = mix.get(y, 0) + Fraction(w) * m
+    f = sum(m for y, m in mix.items() if y >= 9)
+    assert 1 - math.exp(step.log_miss) == pytest.approx(float(f), rel=1e-12)
+    assert step.fire == pytest.approx(float(1 - (1 - f) ** 5), rel=1e-12)
+    # the two biased classes share one table and fire alike, more often
+    # than the fair one
+    assert [a for _, a in step.body] == [a for _, a in step.tail] == [0.6, 0.0]
+    assert [(p.cls, p.a, p.sign) for p in step.firing] == [(0, 0.6, 1), (1, 0.6, -1), (2, 0.0, 1)]
+    assert step.picks[0] == pytest.approx(step.picks[1] - step.picks[0]) and step.picks[-1] == 1.0
+    body = sorted(y for y in mix if y < 9)
+    logs = [math.log(sum(mix[v] for v in body if v <= y) / (1 - f)) for y in body]
+    assert [uniformity._body_max(step, t) for t in _midpoints(logs)] == body
+    tail = sorted(y for y in mix if y >= 9)
+    logs = [math.log(sum(m for v, m in mix.items() if v <= y)) for y in tail]
+    assert [uniformity._rest_max(step, t) for t in _midpoints(logs)] == tail
+    assert step.fair is None
+    # a level whose pairs that do not fire are all fair keeps its fair table
+    fair = uniformity._LawStep(lv, UNIFORM_SPECTRUM.law)
+    uniformity._body_max(fair, -1.0)
+    below = uniformity._class_laws(29, 9, 0.0).below
+    assert fair.fair == (below, tuple((1 + 2 * i) / 29 for i in range(len(below))))
+
+
+def test_edge_reject_prob_reads_the_root_spectrum():
+    # the uniform spectrum gives edge_null_accept's complement, pinned to
+    # the bit in EDGE_NULL_ACCEPT_PINS; a target without a spectrum, or a
+    # dimension that is not the target's, is refused
+    for (cfg, eps), want in EDGE_NULL_ACCEPT_PINS.items():
+        for k, accept in enumerate(want):
+            n = 16 << k
+            got = uniformity.edge_reject_prob(ProductDistribution.uniform(n), n, eps, cfg)
+            assert got == pytest.approx(1.0 - accept, rel=1e-12, abs=1e-15)
+    with pytest.raises(ValueError, match="no edge spectrum"):
+        uniformity.edge_reject_prob(TwoPointDistribution(np.ones(8)), 8, 0.5)
+    with pytest.raises(ValueError, match="n must be the target's dimension 8, got n=9"):
+        uniformity.edge_reject_prob(ProductDistribution.uniform(8), 9, 0.5)
+    with pytest.raises(ValueError, match="eps"):
+        uniformity.edge_reject_prob(ProductDistribution.uniform(8), 8, 0.0)
+    # a far product is rejected surely, and more bias never lowers the rate
+    rates = [
+        uniformity.edge_reject_prob(ProductDistribution(np.full(64, mu)), 64, 0.5)
+        for mu in (0.0, 0.005, 0.01, 0.02, 0.25)
+    ]
+    assert rates == sorted(rates) and rates[-1] == 1.0
+
+
+# five levels of 4 to 56 pairs at n = 64 and 4 to 64 at n = 128 (b = 628 to
+# 40, 1,639 to 103), each one block; the uniform target is accepted with
+# probability 0.889 and 0.809
+EDGE_LAW_CFG = EdgeConfig(c_h=0.5, c1=0.5, c2=0.05, c3=14.0)
+
+
+def _edge_outcomes(v):
+    """The compared outcomes of one edge_tester verdict."""
+    fired = v.trace["fired"]
+    return {
+        "decision": v.decision.value,
+        "queries": v.queries_used,
+        "fired level": None if fired is None else fired["h"],
+        "fired coord": None if fired is None else fired["coord"],
+        "fired sign": None if fired is None else fired["est"] > 0,
+        "fired |est|": None if fired is None else abs(fired["est"]),
+        # the firing pair's block holds later pairs, which may go further
+        "fired level max_est": None if fired is None else v.trace["levels"][-1]["max_est"],
+        "max_est at 0": v.trace["levels"][0]["max_est"],
+    }
+
+
+# exact reject rates under EDGE_LAW_CFG at eps 0.5: 0.468, 0.447, 0.512, 0.586
+@pytest.mark.parametrize(
+    "dist, n",
+    [
+        ("planted_product:0.06", 64),
+        ("planted_product:0.03", 128),
+        ("noisy_parity:32:0.46", 64),
+        ("noisy_parity:32:0.47", 128),
+    ],
+)
+def test_law_edge_runs_match_drawn_ones(dist, n):
+    # 2,000 runs a side on fixed streams: the law route against the drawn
+    # route on the hook. Each side's reject rate lies within 3 standard
+    # errors of edge_reject_prob; each outcome is compared at the 1e-4
+    # level, the |est| and the level max_est of a fired pair and the
+    # level-0 max_est by a Kolmogorov-Smirnov test and the rest by
+    # _two_sample_p. Power: a two-cell outcome whose share moves from p to
+    # p +- d is found with probability 0.9 once d >= 0.16 sqrt(p (1 - p)),
+    # such as 0.50 -> 0.58 in the reject rate; the level-0 max_est once the
+    # two distribution functions part by about 0.08, and the fired pairs'
+    # outcomes, which hold only the rejecting runs, at about 1.4 times that
+    exact = uniformity.edge_reject_prob(resolve_target(dist, n), n, 0.5, EDGE_LAW_CFG)
+    assert 0.2 <= exact <= 0.8
+    runs, sides = 2000, []
+    for key, route in ((31, "law"), (32, "drawn")):
+        target = resolve_target(dist, n)
+        if route == "drawn":
+            target = drawn(target)
+        side = []
+        for t in range(runs):
+            o = ScondOracle(target, stream(key, n, t))
+            v = edge_tester(o, 0.5, EDGE_LAW_CFG)
+            assert v.queries_used == o.queries
+            side.append(_edge_outcomes(v))
+        rate = sum(o["decision"] == "reject" for o in side) / runs
+        assert abs(rate - exact) <= 3 * math.sqrt(exact * (1 - exact) / runs), route
+        sides.append(side)
+    law, draws = sides
+    p_values = {}
+    for name in law[0]:
+        ours = [o[name] for o in law if o[name] is not None]
+        theirs = [o[name] for o in draws if o[name] is not None]
+        continuous = name in ("fired |est|", "fired level max_est", "max_est at 0")
+        p_values[name] = (_ks_two_sample_p if continuous else _two_sample_p)(ours, theirs)
+    assert min(p_values.values()) >= 1e-4, p_values
+
+
+@pytest.mark.parametrize("dist", ["planted_product:0.3", "noisy_parity:2:0.1"])
+def test_law_fired_blocks_match_drawn_ones(dist):
+    # targets whose level-0 pairs fire often, so that the later pairs of the
+    # firing pair's block often go further than it: planted_product:0.3
+    # fires at its first pair, noisy_parity:2:0.1 at a pair on one of its
+    # two stars of S (n = 64, EDGE_LAW_CFG, 1,000 runs a side, of which
+    # those that fire); the fired pair, its |est| and its level's max_est,
+    # and whether a later pair went further, against the drawn route, each
+    # at the 1e-4 level, with the power stated in
+    # test_law_edge_runs_match_drawn_ones at 1,000 runs a side:
+    # d >= 0.23 sqrt(p (1 - p)) for a two-cell outcome
+    runs, sides = 1000, []
+    for key, route in ((33, "law"), (34, "drawn")):
+        target = resolve_target(dist, 64)
+        if route == "drawn":
+            target = drawn(target)
+        side = []
+        for t in range(runs):
+            v = edge_tester(ScondOracle(target, stream(key, 64, t)), 0.5, EDGE_LAW_CFG)
+            fired = v.trace["fired"]
+            if fired is None:
+                continue
+            top, est = v.trace["levels"][-1]["max_est"], abs(fired["est"])
+            side.append((fired["h"], fired["pair"], est, top, top > est))
+        sides.append(side)
+    law, draws = sides
+    p_values = {
+        "fired pair": _two_sample_p([o[:2] for o in law], [o[:2] for o in draws]),
+        "fired |est|": _ks_two_sample_p([o[2] for o in law], [o[2] for o in draws]),
+        "level max_est": _ks_two_sample_p([o[3] for o in law], [o[3] for o in draws]),
+        "passed in its block": _two_sample_p([o[4] for o in law], [o[4] for o in draws]),
+    }
+    assert min(len(law), len(draws)) >= 0.9 * runs
+    assert sum(o[4] for o in law) >= runs // 10
+    assert min(p_values.values()) >= 1e-4, p_values
+
+
+def test_law_route_needs_its_tables_in_the_class_cache():
+    # a product of 64 distinct means at n = 64 needs 64 |beta| x 14 levels
+    # = 896 class tables, more than _class_laws keeps, so its edge levels
+    # draw blocks, word for word as on the drawn-route hook; one of 32
+    # means (448 tables) takes the law route
+    mu = np.linspace(0.01, 0.64, 64)
+    root = Restriction.all_stars(64)
+    law = ProductDistribution(mu).edge_spectrum(root).law
+    assert len(law) == 64 and len(EdgeConfig().levels(64, 0.5)) == 14
+    assert EdgeConfig()._law_steps(64, 0.5, law) is None
+    for t in range(3):
+        v, w = (
+            edge_tester(ScondOracle(target, stream(40, 0, t)), 0.5)
+            for target in (ProductDistribution(mu), drawn(ProductDistribution(mu)))
+        )
+        assert (v.decision, v.queries_used, v.trace) == (w.decision, w.queries_used, w.trace)
+    half = ProductDistribution(np.repeat(mu[::2], 2)).edge_spectrum(root).law
+    assert len(half) == 32 and EdgeConfig()._law_steps(64, 0.5, half) is not None
+
+
+def test_class_cache_bounds_a_parity_sweep():
+    # noisy parities of 40 distinct deltas near 1/2 at n = 128, which accept
+    # and so read all 15 levels: each delta is a new |beta| and needs 15
+    # tables of its own, 600 in all. The steps keep no table but the fair
+    # ones, so what stays is the class cache, at most 512 tables of about
+    # 60 KiB at this n (18 MiB held when written). When each law kept its
+    # own tables, one law whose levels were all read held 3.3 MiB
+    def sweep():
+        uniformity._class_laws.cache_clear()
+        EdgeConfig._law_steps.cache_clear()
+        for i in range(40):
+            target = NoisyParityDistribution(128, [0, 1], 0.4999 - 1e-6 * i)
+            edge_tester(ScondOracle(target, stream(41, 0, i)), 0.5)
+
+    # once untraced, so that the traced sweep finds its fire chances cached
+    sweep()
+    tracemalloc.start()
+    try:
+        sweep()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    info = uniformity._class_laws.cache_info()
+    assert info.misses > info.currsize == uniformity._CLASS_TABLES
+    assert held < 32 << 20
+
+
+def test_law_edge_run_reads_its_class_words():
+    # on a spectrum of several firing classes, a fired level reads its
+    # rng.random(2), then one rng.random() for the class, then the class's
+    # star by rng.integers; the coordinate lies in that class's stars
+    target = resolve_target("noisy_parity:2:0.3", 64)
+    spectrum = target.edge_spectrum(Restriction.all_stars(64))
+    assert len(spectrum.law) == 3
+    steps = EdgeConfig()._law_steps(64, 0.5, spectrum.law)
+    for t in range(8):
+        o = ScondOracle(target, stream(1, 2, t))
+        v = edge_tester(o, 0.5)
+        fired = v.trace["fired"]
+        replay = stream(1, 2, t)
+        replay.random(2 * len(steps))
+        step = steps[fired["h"]]
+        replay.random(2)
+        pick = step.firing[bisect.bisect_right(step.picks, replay.random())]
+        stars = spectrum.coords[pick.cls]
+        assert fired["coord"] == int(stars[replay.integers(0, stars.size)])
+        assert (fired["coord"] in (0, 1)) is (pick.cls < 2)
+        assert o.rng.bit_generator.random_raw() == replay.bit_generator.random_raw()
 
 
 # ---------------------------------------------------------------------------
@@ -953,15 +1336,15 @@ def test_batched_edge_accept_rate_matches_exact_law(monkeypatch, reps, block_byt
 def test_base_case_children_are_lone_edge_testers(monkeypatch, mean):
     # k = 3 child subcond_uni nodes of a restriction's view against 3 lone
     # edge testers on a copy of the stream: the same decisions, charges and
-    # edge traces, and the stream left at the same place. The uniform
-    # product settles its levels by the fair route; a product with every
-    # mean 0.1 has no fair_edges and draws its blocks, and a lone edge
-    # tester accepts it about 0.30 of the time under HALF_EDGE at n = 16.
+    # edge traces, and the stream left at the same place. Both products
+    # settle their levels from their spectra, the uniform one by the fair
+    # law; a lone edge tester accepts the product with every mean 0.1 about
+    # 0.30 of the time under HALF_EDGE at n = 16.
     # The views fix half of a 32-cube, and 128 bytes make blocks of 4 pairs
     # at the root's n = 32, splitting every level but the first
     monkeypatch.setattr(uniformity, "EDGE_BLOCK_BYTES", 4 * 32)
     target = ProductDistribution(np.full(32, mean))
-    assert target.fair_edges is (mean == 0.0)
+    assert target.edge_spectrum(Restriction.all_stars(32)).law == ((1.0, mean),)
     cfg = replace(REC_CFG, edge=HALF_EDGE)
     rho = Restriction(np.where(np.arange(32) % 2 == 0, 0, 1).astype(np.int8))
     planned = sum(lv.m * (1 + lv.b) for lv in HALF_EDGE.levels(16, 0.5))
@@ -1148,12 +1531,10 @@ class RestrictionLog(ScondOracle):
 
 
 def drawn_uniform(n):
-    """The uniform product with ``fair_edges`` forced off: its restrictions,
-    mean tests and edge levels take the drawn routes of a non-fair target,
-    whose laws the fair routes must keep."""
-    target = ProductDistribution.uniform(n)
-    target.fair_edges = False
-    return target
+    """The uniform product on the drawn-route hook: its restrictions, mean
+    tests and edge levels take the drawn routes, whose laws the fair routes
+    must keep."""
+    return drawn(ProductDistribution.uniform(n))
 
 
 def assert_restriction_charges(o, v, cfg, eps=0.5):
@@ -1330,6 +1711,31 @@ def test_fair_restrictions_match_drawn_ones(cfg, n):
     for name in fair[0]:
         test = _ks_two_sample_p if name == "queries" else _two_sample_p
         p_values[name] = test([o[name] for o in fair], [o[name] for o in drawn])
+    assert min(p_values.values()) >= 1e-4, p_values
+
+
+@pytest.mark.parametrize("cfg", [MEAN_FIRE_CFG, LEAF_FIRE_CFG], ids=["mean-fire", "leaf-fire"])
+def test_product_restrictions_match_drawn_ones(cfg):
+    # planted_product:0.02 at n = 64, whose restrictions draw only their
+    # star masks, whose level-0 mean tests draw column counts and whose
+    # leaves settle their levels from their spectra, against the same
+    # product on the drawn-route hook, 400 runs a side, compared as in
+    # test_fair_restrictions_match_drawn_ones and with its power
+    runs, sides = 400, []
+    for key, route in ((87, "law"), (88, "drawn")):
+        target = resolve_target("planted_product:0.02", 64)
+        if route == "drawn":
+            target = drawn(target)
+        side = []
+        for t in range(runs):
+            o = ScondOracle(target, stream(key, 64, t))
+            side.append(_route_outcomes(o, subcond_uni(o, 0.5, cfg)))
+        sides.append(side)
+    law, draws = sides
+    p_values = {}
+    for name in law[0]:
+        test = _ks_two_sample_p if name == "queries" else _two_sample_p
+        p_values[name] = test([o[name] for o in law], [o[name] for o in draws])
     assert min(p_values.values()) >= 1e-4, p_values
 
 

@@ -194,6 +194,93 @@ def test_edge_bias_matches_dense():
     assert zero_checked == {TwoPointDistribution, JuntaMixDistribution, NoisyParityDistribution}
 
 
+def _dense_bias_law(target, rho):
+    """The law of (view coordinate, edge bias) of a pair on the view rho,
+    its point drawn from the dense conditional PMF and its coordinate
+    uniform over the stars, as {(coordinate, bias): probability}."""
+    table, total = conditional_table(target.dense(), rho)
+    assert total > 0.0
+    k, stars = rho.num_stars, rho.stars
+    points = np.empty((1 << k, rho.n), dtype=np.int8)
+    points[:] = rho.cells
+    points[:, stars] = all_sign_points(k)
+    law = {}
+    for j in range(k):
+        bias, zero = target.edge_bias(points, np.full(1 << k, stars[j]))
+        assert not zero[table > 0].any()
+        for b, p in zip(bias[table > 0].tolist(), table[table > 0].tolist()):
+            key = (j, round(b, 12))
+            law[key] = law.get(key, 0.0) + p / k
+    return law
+
+
+def _spectrum_law(spectrum, k):
+    """The same law read from an EdgeSpectrum: class j puts w_j / |stars|
+    on each of its stars at its bias."""
+    law = {}
+    for (w, beta), coords in zip(spectrum.law, spectrum.coords):
+        coords = range(k) if coords is None else coords.tolist()
+        for j in coords:
+            key = (j, round(beta, 12))
+            law[key] = law.get(key, 0.0) + w / len(coords)
+    return law
+
+
+def test_edge_spectrum_matches_dense_edge_biases():
+    # products with up to three distinct means and noisy parities with 0 to
+    # 3 stars of S, at the root and on views that fix other cells, against
+    # edge_bias averaged over the dense conditional PMF
+    n = 6
+    targets = [
+        model.ProductDistribution(np.array([0.3, -0.5, 0.3, 0.0, 0.7, -0.5])),
+        model.ProductDistribution(np.full(n, 0.25)),
+        model.ProductDistribution.uniform(n),
+        NoisyParityDistribution(n, [0, 2, 3], 0.2),
+        NoisyParityDistribution(n, [1, 4], 0.9),
+        NoisyParityDistribution(n, [0, 2, 3], 0.0),
+    ]
+    views = [
+        [0, 0, 0, 0, 0, 0],
+        [1, 0, 0, -1, 0, 0],
+        [0, 1, -1, 1, 0, 1],
+        [-1, -1, 0, 1, 1, 1],
+        [1, -1, -1, 1, 0, 0],
+        [1, 0, 1, -1, 0, 1],
+    ]
+    seen = set()
+    for target in targets:
+        for cells in views:
+            rho = Restriction(np.array(cells, dtype=np.int8))
+            spectrum = target.edge_spectrum(rho)
+            if subcube_mass(target.dense(), rho) == 0.0:
+                assert spectrum is None
+                seen.add(None)
+                continue
+            assert sum(w for w, _ in spectrum.law) == pytest.approx(1.0, abs=1e-15)
+            want = _dense_bias_law(target, rho)
+            got = _spectrum_law(spectrum, rho.num_stars)
+            assert got.keys() == {key for key, p in want.items() if p > 0}
+            for key, p in got.items():
+                assert p == pytest.approx(want[key], abs=1e-12)
+            seen.add(len(spectrum.law))
+    assert seen == {None, 1, 2, 3, 4}
+
+
+def test_edge_spectrum_is_none_without_a_closed_form():
+    root = Restriction.all_stars(4)
+    # a mean of +-1 leaves subcubes without mass, and that product has no
+    # column means either; the other zoo families. A product of many
+    # distinct means has a class per mean
+    pinned = model.ProductDistribution(np.array([0.2, 1.0, 0.0, 0.1]))
+    assert pinned.edge_spectrum(root) is None and pinned.column_means(root) is None
+    many = model.ProductDistribution(np.linspace(-0.5, 0.5, 9))
+    assert len(many.edge_spectrum(Restriction.all_stars(many.n)).law) == 9
+    for target in (TwoPointDistribution(np.ones(4)), HeavyAtomDistribution(0.5, np.ones(4))):
+        assert target.edge_spectrum(root) is None
+    # the uniform product gives the one shared uniform spectrum
+    assert model.ProductDistribution.uniform(4).edge_spectrum(root) is model.UNIFORM_SPECTRUM
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 
