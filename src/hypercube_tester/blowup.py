@@ -36,7 +36,14 @@ GRAM_DIM_CAP = 12
 
 
 def blowup_dim(n: int, k: int) -> int:
-    return int(n) ** (1 << int(k))
+    """n^(2^k), the dimension after k blowups of n coordinates; an n or k
+    below 0 is refused."""
+    n, k = int(n), int(k)
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got n={n}")
+    if k < 0:
+        raise ValueError(f"k must be at least 0, got k={k}")
+    return n ** (1 << k)
 
 
 def blowup_rows(points: np.ndarray) -> np.ndarray:

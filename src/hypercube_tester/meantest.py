@@ -386,7 +386,12 @@ def screen_null_reject(n: int, batches: int) -> float:
     """Exact probability that `second_moment_screen` over ``batches`` batches
     rejects N(0, I) in dimension n, whose coordinates trip it independently:
     1 - (1 - P(Bin(batches, f) >= (batches + 1) / 2))^n with f = P(Gamma(8,
-    1/8) > 1.5) = 0.0895."""
+    1/8) > 1.5) = 0.0895. An n below 1, or a count of batches that is not
+    odd and positive, is refused."""
+    if not n >= 1:
+        raise ValueError(f"n must be at least 1, got n={n}")
+    if not (batches >= 1 and batches % 2 == 1):
+        raise ValueError(f"batches must be a positive odd count, got batches={batches}")
     return -math.expm1(n * math.log1p(-_screen_batch_law(batches)))
 
 
@@ -394,7 +399,8 @@ def screen_null_reject(n: int, batches: int) -> float:
 def screen_batches(n: int) -> int:
     """The screen's batch count at dimension n: the smallest odd count of at
     least SCREEN_MIN_BATCHES whose exact null reject rate is at most
-    SCREEN_NULL_REJECT; 9 up to n = 18, 17 at n = 1024, 23 at n = 65,536."""
+    SCREEN_NULL_REJECT; 9 up to n = 18, 17 at n = 1024, 23 at n = 65,536.
+    An n below 1 is refused (``screen_null_reject``)."""
     batches = SCREEN_MIN_BATCHES
     while screen_null_reject(n, batches) > SCREEN_NULL_REJECT:
         batches += 2

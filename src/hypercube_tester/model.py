@@ -12,8 +12,9 @@ Conventions used throughout the package:
   restriction (``HypercubeTarget.sample``).
 * A target gives ``weight(rows)``, its mass at each row up to one constant
   factor, from which ``HypercubeTarget.edge_bias`` takes the conditional
-  bias of an edge; a target whose point mass underflows or costs more than
-  the bias gives a closed-form ``edge_bias`` instead.
+  bias of an edge and ``HypercubeTarget.dense`` its dense form. Only
+  ``ProductDistribution``, whose point mass underflows past n of about
+  1074, gives a closed-form ``edge_bias`` and ``dense`` instead.
 * A target may give each view's edge spectrum, ``edge_spectrum(rho)``: the
   law of a pair's edge bias with the point drawn from the view and the
   coordinate uniform over its stars, as classes of (weight, bias), or None
@@ -55,6 +56,14 @@ DENSE_CAP = 30
 _NORMALIZE_TOL = 1e-6
 
 STAR = 0
+
+
+def _dense_cap(n: int) -> int:
+    """n, refused past DENSE_CAP before a dense form's 2^n masses are built."""
+    if n > DENSE_CAP:
+        raise ValueError(f"dense PMF dimension {n} exceeds cap {DENSE_CAP}")
+    return n
+
 
 def bit_powers(n: int) -> np.ndarray:
     """Place values of each coordinate in the dense index (coordinate 0 is MSB)."""
@@ -131,8 +140,9 @@ def uniform_signs(rng: np.random.Generator, shape) -> np.ndarray:
       256-entry table of eight packed signs: 0.9 to 2.4 us on 8 to 4,096
       bytes, about 2 us less than ``np.unpackbits``. On the benchmark's
       workloads (seed 1, 40 verdicts a cell) a mean null makes one such
-      call, a far edge verdict 2.4 and a far recursion verdict one, all
-      within 4 KiB, and every other cell none;
+      call and a far recursion verdict one, all within 4 KiB, and every
+      other cell none: a far edge verdict is drawn from its target's edge
+      spectrum and draws no signs;
     * above it, ``np.unpackbits`` and an in-place {0, 1} -> {-1, +1} map.
       ``np.take`` first copies its uint8 index to an intp array eight times
       its size; from 2,048 rows of 128 entries up, that temporary and the
@@ -346,8 +356,10 @@ class HypercubeTarget:
     ascending order, or None when that subcube has zero mass.
 
     A subclass also gives ``weight(rows)``, the mass of each row of an (m, n)
-    array up to one constant factor, or overrides ``edge_bias`` with a
-    closed form. It may override ``edge_spectrum``, which gives None here.
+    array up to one constant factor: its law, stated once, from which
+    ``edge_bias`` and ``dense`` follow. A subclass whose point mass
+    underflows overrides both with closed forms instead. It may override
+    ``edge_spectrum``, which gives None here.
     """
 
     n: int
@@ -370,6 +382,17 @@ class HypercubeTarget:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """(size, n) draws from the whole cube, which never has zero mass."""
         return self.cond_sample(rng, Restriction.all_stars(self.n), size)
+
+    def dense(self) -> "DensePmf":
+        """The target as a ``DensePmf``: ``weight`` at every point of the
+        cube, read 2^16 points at a time, normalized. An n past DENSE_CAP is
+        refused before a point is enumerated."""
+        n = _dense_cap(self.n)
+        step = 1 << min(n, 16)
+        mass = np.concatenate(
+            [self.weight(indices_to_points(np.arange(lo, lo + step), n)) for lo in range(0, 1 << n, step)]
+        )
+        return DensePmf(n, mass / mass.sum())
 
     def view_edge_bias(self, rho: Restriction, points: np.ndarray, coords: np.ndarray):
         """``edge_bias`` of int8 points on rho's star coordinates, with coords
@@ -414,8 +437,7 @@ class DensePmf(HypercubeTarget):
         n = as_int(n, "n")
         if n < 0:
             raise ValueError("n must be >= 0")
-        if n > DENSE_CAP:
-            raise ValueError(f"dense PMF dimension {n} exceeds cap {DENSE_CAP}")
+        _dense_cap(n)
         mass = np.asarray(mass, dtype=np.float64)
         if mass.shape != (1 << n,):
             raise ValueError(f"mass must have length 2^{n}")
@@ -495,24 +517,17 @@ class ProductDistribution(HypercubeTarget):
         return cls(np.zeros(n))
 
     @functools.cached_property
-    def _flat(self) -> tuple:
-        """(whether some mean is +-1, which leaves the subcubes fixed against
-        it without mass; the one mean of every coordinate as a float when all
-        are equal, else None; the spectrum of every view when all are equal
-        and none is +-1, else None). Built on first use, not in __init__, as
-        ``_thresholds`` is."""
-        pinned = bool((np.abs(self.mu) == 1.0).any())
-        if not self.n or not (self.mu == self.mu[0]).all():
-            return pinned, None, None
-        mean = float(self.mu[0])
-        return pinned, mean, None if pinned else EdgeSpectrum(((1.0, mean),), (None,))
-
-    @functools.cached_property
-    def _classes(self) -> tuple[list, np.ndarray]:
-        """(the distinct means ascending, each coordinate's index among
-        them), for the spectra of a product with several means."""
+    def _classes(self) -> tuple[list, np.ndarray, bool, Optional[EdgeSpectrum]]:
+        """The class table of the means: (the distinct means ascending, each
+        coordinate's index among them, whether some mean is +-1, which
+        leaves the subcubes fixed against it without mass, and the spectrum
+        of every view when there is one mean and it is not +-1, else None).
+        Built on first use, not in __init__, as ``_thresholds`` is."""
         values, codes = np.unique(self.mu, return_inverse=True)
-        return values.tolist(), codes
+        values = values.tolist()
+        pinned = values[0] == -1.0 or values[-1] == 1.0  # ascending, in [-1, 1]
+        one = len(values) == 1 and not pinned
+        return values, codes, pinned, EdgeSpectrum(((1.0, values[0]),), (None,)) if one else None
 
     @functools.cached_property
     def _thresholds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -530,6 +545,7 @@ class ProductDistribution(HypercubeTarget):
         return t, s - t
 
     def dense(self) -> DensePmf:
+        _dense_cap(self.n)
         mass = np.ones(1)
         for m in self.mu:
             mass = np.kron(mass, np.array([(1 - m) / 2, (1 + m) / 2]))
@@ -541,10 +557,10 @@ class ProductDistribution(HypercubeTarget):
         stars; None with a mean of +-1, whose subcubes may lack mass."""
         if self._uniform:
             return 0.0
-        pinned, mean, _ = self._flat
+        values, _, pinned, _ = self._classes
         if pinned:
             return None
-        return self.mu[rho.stars] if mean is None else mean
+        return values[0] if len(values) == 1 else self.mu[rho.stars]
 
     def edge_spectrum(self, rho: Restriction) -> Optional[EdgeSpectrum]:
         """A pair's bias on star i is mu_i at every point, so the classes
@@ -555,10 +571,9 @@ class ProductDistribution(HypercubeTarget):
         gives None."""
         if self._uniform:
             return UNIFORM_SPECTRUM
-        pinned, mean, flat = self._flat
-        if pinned or mean is not None:
+        values, codes, pinned, flat = self._classes
+        if flat is not None or pinned:
             return flat
-        values, codes = self._classes
         codes = codes[rho.stars]
         counts = np.bincount(codes, minlength=len(values)).tolist()
         present = [j for j, count in enumerate(counts) if count]

@@ -373,19 +373,14 @@ def _body_max(step: _LawStep, t: float) -> int:
     return _least(reaches, min(law.first for _, law in laws), max(ends))
 
 
-
 def _rest_max(step: _LawStep, t: float) -> int:
     """The largest Y of the unconditioned pairs after a level's firing pair
     in its block, as a bound from the tail: the least y >= the least tail
     value with log P(Y <= y) >= t, t = log(1 - v) / rest, where P(Y > y) =
-    sum_j w_j F_j P_j(Y > y | Y >= c) over ``step.tail``; a law of one
-    |beta| bisects its table by that sum. A value below the least tail
-    value stands for every value below c."""
+    sum_j w_j F_j P_j(Y > y | Y >= c) over ``step.tail``. A value below the
+    least tail value stands for every value below c."""
     b, c = step.lv.b, step.lv.c
     laws = [(mass, _class_laws(b, c, a)) for mass, a in step.tail]
-    if len(laws) == 1 and laws[0][0] == laws[0][1].fire:
-        fire, law = laws[0]
-        return law.top + 2 * bisect.bisect_left(law.above, t, key=lambda x: math.log1p(fire * x))
 
     def reaches(y: int) -> bool:
         h = 0.0
@@ -395,7 +390,9 @@ def _rest_max(step: _LawStep, t: float) -> int:
                 h += mass
             elif i < len(law.above):
                 h -= mass * law.above[i]
-        return math.log1p(-h) >= t
+        # where every pair fires, P(Y <= y) rounds to 0 at the first tabled
+        # values: log 0, which no t reaches
+        return h < 1.0 and math.log1p(-h) >= t
 
     ends = [law.top + 2 * (len(law.above) - 1) for _, law in laws]
     return _least(reaches, min(law.top for _, law in laws), max(ends))

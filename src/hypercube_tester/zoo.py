@@ -4,10 +4,11 @@ a spec string or an entry file into a target.
 Every hypercube entry instantiates to either a DensePmf/ProductDistribution
 (small n) or a generative family that supports subcube-conditional sampling
 directly (any n); each is a ``model.HypercubeTarget`` and draws only through
-``cond_sample``. An entry is its JSON object {"kind": ..., <parameters>}.
-Each kind, a hypercube target or a gaussian source, is one ``_Kind`` row of
-``_KIND_DOCS`` or ``_GAUSSIAN_KINDS``, and ``_build`` checks and builds the
-entries of both, so a new kind is one row.
+``cond_sample``. A family states its point mass once, as ``weight``, and its
+dense form and edge biases follow from it. An entry is its JSON object
+{"kind": ..., <parameters>}. Each kind, a hypercube target or a gaussian
+source, is one ``_Kind`` row of ``_KIND_DOCS`` or ``_GAUSSIAN_KINDS``, and
+``_build`` checks and builds the entries of both, so a new kind is one row.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ from .model import (
     Restriction,
     _validate_signs,
     as_int,
-    bit_powers,
     distribution_from_dict,
-    points_to_indices,
     uniform_signs,
 )
 
@@ -43,12 +42,6 @@ class TwoPointDistribution(HypercubeTarget):
     def __init__(self, x):
         self.x = _validate_signs(x)
         self.n = self.x.size
-
-    def dense(self) -> DensePmf:
-        mass = np.zeros(1 << self.n)
-        mass[int(points_to_indices(self.x))] += 0.5
-        mass[int(points_to_indices(-self.x))] += 0.5
-        return DensePmf(self.n, mass)
 
     def weight(self, rows: np.ndarray) -> np.ndarray:
         return ((rows == self.x).all(axis=1) | (rows == -self.x).all(axis=1)).astype(np.float64)
@@ -81,11 +74,6 @@ class HeavyAtomDistribution(HypercubeTarget):
         self.atom_mass = float(mass)
         self.x = _validate_signs(x)
         self.n = self.x.size
-
-    def dense(self) -> DensePmf:
-        mass = np.full(1 << self.n, (1.0 - self.atom_mass) * 2.0 ** -self.n)
-        mass[int(points_to_indices(self.x))] += self.atom_mass
-        return DensePmf(self.n, mass)
 
     def weight(self, rows: np.ndarray) -> np.ndarray:
         is_atom = (rows == self.x).all(axis=1)
@@ -122,10 +110,6 @@ class JuntaMixDistribution(HypercubeTarget):
             inner[-1] = 1.0  # point mass on all +1 within the junta
         self.inner = DensePmf(self.k, inner)
 
-    def dense(self) -> DensePmf:
-        rest = np.full(1 << (self.n - self.k), 2.0 ** -(self.n - self.k))
-        return DensePmf(self.n, np.kron(self.inner.mass, rest))
-
     def weight(self, rows: np.ndarray) -> np.ndarray:
         return self.inner.weight(rows[:, : self.k])
 
@@ -158,22 +142,14 @@ class NoisyParityDistribution(HypercubeTarget):
         self.S = S
         self.delta = float(delta)
         self._s = np.array(S, dtype=np.int64)
-        self._s_mask = np.zeros(n, dtype=bool)
-        self._s_mask[self._s] = True
 
     def _weight(self, parity: np.ndarray) -> np.ndarray:
         return np.where(parity > 0, 1.0 - self.delta, self.delta)
 
-    def dense(self) -> DensePmf:
-        idx = np.arange(1 << self.n, dtype=np.int64)
-        pw = bit_powers(self.n)[list(self.S)]
-        ones = np.zeros(1 << self.n, dtype=np.int64)
-        for p in pw:
-            ones += (idx & p) > 0
-        # chi_S = prod x_i = (-1)^(# of -1 entries among S); a set bit means +1
-        minus = len(self.S) - ones
-        parity = 1 - 2 * (minus % 2)
-        return DensePmf(self.n, 2.0 ** (1 - self.n) * self._weight(parity))
+    def weight(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's mass times 2^(n-1): 1 - delta where chi_S is +1, delta
+        where it is -1."""
+        return self._weight(rows[:, self._s].prod(axis=1))
 
     def cond_sample(self, rng: np.random.Generator, rho: Restriction, size: int):
         stars = rho.stars
@@ -223,29 +199,6 @@ class NoisyParityDistribution(HypercubeTarget):
             law.append(((k - j) / k, 0.0))
             coords.append(np.flatnonzero(off))
         return EdgeSpectrum(tuple(law), tuple(coords))
-
-    def edge_bias(self, points: np.ndarray, coords: np.ndarray):
-        # closed form: the edge tester's far target calls this on every
-        # block, where the generic ratio costs more and misses 1 - 2 delta
-        # by one ulp at some delta
-        points = np.atleast_2d(np.asarray(points, dtype=np.int8))
-        coords = np.asarray(coords, dtype=np.int64)
-        m = points.shape[0]
-        in_s = self._s_mask[coords]
-        s_vals = points[:, list(self.S)].astype(np.float64)
-        chi = s_vals.prod(axis=1)
-        rows = np.arange(m)
-        bias = np.zeros(m)
-        zero = np.zeros(m, dtype=bool)
-        if in_s.any():
-            xi = points[rows, coords].astype(np.float64)
-            par_other = chi[in_s] * xi[in_s]  # parity of S minus the edge coordinate
-            bias[in_s] = par_other * (1.0 - 2.0 * self.delta)
-        out = ~in_s
-        if out.any():
-            w = self._weight(chi[out])
-            zero[out] = w == 0.0
-        return bias, zero
 
 
 class GaussianSource:

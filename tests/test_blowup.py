@@ -36,6 +36,15 @@ def test_blowup_dim():
     assert blowup_dim(3, 1) == 9
     assert blowup_dim(3, 2) == 81
     assert blowup_dim(2, 3) == 256
+    assert blowup_dim(0, 2) == 0
+
+
+@pytest.mark.parametrize(
+    "n, k, message", [(-1, 1, "n must be at least 0, got n=-1"), (3, -1, "k must be at least 0, got k=-1")]
+)
+def test_blowup_dim_refuses_negative_input(n, k, message):
+    with pytest.raises(ValueError, match=message):
+        blowup_dim(n, k)
 
 
 def test_blowup_rows_is_outer_product_vec():

@@ -738,6 +738,21 @@ def test_screen_batches_hold_the_null_reject_rate():
     assert screen_null_reject(32, 11) == pytest.approx(0.00509, abs=1e-5)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: screen_batches(0), "n must be at least 1, got n=0"),
+        (lambda: screen_batches(-1), "n must be at least 1, got n=-1"),
+        (lambda: screen_null_reject(0, 1), "n must be at least 1, got n=0"),
+        (lambda: screen_null_reject(5, 0), "batches must be a positive odd count, got batches=0"),
+        (lambda: screen_null_reject(5, 4), "batches must be a positive odd count, got batches=4"),
+    ],
+)
+def test_screen_refuses_counts_outside_its_domain(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("n, variance, trials", [(16, 1.0, 8000), (32, 1.0, 8000), (1, 2.0, 2000)])
 def test_screen_reject_rate_matches_the_exact_law(n, variance, trials):
     # N(0, I) at n = 16 and 32, and one coordinate of variance 2

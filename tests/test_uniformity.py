@@ -844,6 +844,48 @@ def test_law_step_is_the_mixture_of_its_classes():
     assert fair.fair == (below, tuple((1 + 2 * i) / 29 for i in range(len(below))))
 
 
+def _one_class_log(fire, x):
+    """log(1 - F P(Y > y | Y >= c)) at a tail table entry x = -P(Y > y | Y >=
+    c), -inf where it rounds to log 0."""
+    return math.log1p(fire * x) if fire * x > -1.0 else -math.inf
+
+
+def _one_class_rest_max(step, t):
+    """The inversion of the pairs after a firing one on a law of one |beta|
+    by a bisection of its class's tail table, mass F: the least tabled y
+    with log P(Y <= y) >= t."""
+    ((fire, a),) = step.tail
+    law = uniformity._class_laws(step.lv.b, step.lv.c, a)
+    return law.top + 2 * bisect.bisect_left(law.above, t, key=lambda x: _one_class_log(fire, x))
+
+
+def test_rest_max_of_one_class_is_its_table_bisection():
+    # the mixture inversion on a one-class tail against the bisection of
+    # its table at the t of random (v, pairs left), on both edge configs,
+    # and at a t inside each step of the tail's CDF where the tables are
+    # short (the practical ones reach 10^4 values at n = 128). Where every
+    # pair fires, a table's first values give P(Y <= y) = 0 to the ulp: the
+    # first t then falls below the first value of nonzero P(Y <= y)
+    rng = stream(91, 0, 0)
+    pairs = 0
+    for cfg in (PRESETS["practical"].edge, REC_CFG.edge):
+        for n, eps, beta in itertools.product((8, 32, 128), (0.5, 0.25), (0.0, 0.3, 0.6, 0.9)):
+            for step in cfg._law_steps(n, eps, ((1.0, beta),)):
+                if not step.tail:
+                    continue
+                ((fire, a),) = step.tail
+                law = uniformity._class_laws(step.lv.b, step.lv.c, a)
+                assert fire == law.fire
+                ts = (np.log1p(-rng.random(20)) / rng.integers(1, 65, 20)).tolist()
+                if cfg is REC_CFG.edge or n == 8:
+                    logs = [log for x in law.above if (log := _one_class_log(fire, x)) > -math.inf]
+                    ts += _midpoints(logs)
+                for t in ts:
+                    assert uniformity._rest_max(step, t) == _one_class_rest_max(step, t)
+                pairs += len(ts)
+    assert pairs > 40_000
+
+
 def test_edge_reject_prob_reads_the_root_spectrum():
     # the uniform spectrum gives edge_null_accept's complement, pinned to
     # the bit in EDGE_NULL_ACCEPT_PINS; a target without a spectrum, or a

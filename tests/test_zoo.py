@@ -59,13 +59,62 @@ def _random_restriction(rng, n, force_star=True):
     return Restriction(cells)
 
 
+def _closed_form_mass(fam):
+    """A family's masses in dense order from its closed form: the atoms of
+    two_point and heavy_atom placed by index, the junta's inner PMF times
+    the uniform rest, and the parity's 2^(1-n) (1 - delta) or 2^(1-n) delta."""
+    n = fam.n
+    if isinstance(fam, TwoPointDistribution):
+        mass = np.zeros(1 << n)
+        mass[points_to_indices(fam.x)] += 0.5
+        mass[points_to_indices(-fam.x)] += 0.5
+    elif isinstance(fam, HeavyAtomDistribution):
+        mass = np.full(1 << n, (1.0 - fam.atom_mass) * 2.0**-n)
+        mass[points_to_indices(fam.x)] += fam.atom_mass
+    elif isinstance(fam, JuntaMixDistribution):
+        return np.kron(fam.inner.mass, np.full(1 << (n - fam.k), 2.0 ** -(n - fam.k)))
+    else:
+        chi = all_sign_points(n)[:, list(fam.S)].prod(axis=1)
+        return 2.0 ** (1 - n) * np.where(chi > 0, 1.0 - fam.delta, fam.delta)
+    return mass
+
+
 def test_dense_forms_are_valid_pmfs():
+    # each family's dense form, read from its weight, is a PMF with its
+    # masses in closed form to 1e-15 relative, a zero mass exactly zero;
+    # with two families that put zero mass on points
     rng = stream(31, 0, 0)
-    for n in (3, 4, 5):
-        for fam in _families(n, rng):
+    for n in (3, 4, 5, 8):
+        zeros = [HeavyAtomDistribution(1.0, np.ones(n)), NoisyParityDistribution(n, [0], 1.0)]
+        for fam in _families(n, rng) + zeros:
             mass = fam.dense().mass
             assert mass.min() >= 0
             assert mass.sum() == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(mass, _closed_form_mass(fam), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"kind": "two_point"},
+        {"kind": "heavy_atom", "mass": 0.5},
+        {"kind": "junta_mix", "k": 2},
+        {"kind": "noisy_parity", "S": [0, 1], "delta": 0.3},
+        {"kind": "planted_product", "eps": 0.25},
+    ],
+    ids=lambda entry: entry["kind"],
+)
+def test_dense_refuses_past_the_cap_before_it_allocates(entry):
+    # one past DENSE_CAP the masses alone would take 16 GiB
+    target = instantiate(entry, model.DENSE_CAP + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"dimension {model.DENSE_CAP + 1} exceeds cap"):
+            target.dense()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
 
 
 def test_sample_law_matches_dense():
@@ -158,10 +207,9 @@ def test_targets_draw_only_through_cond_sample():
         # each target states its point mass, or a closed-form edge bias
         assert {"weight", "edge_bias"} & set(vars(cls)), cls.__name__
     assert "sample" in vars(HypercubeTarget)
-    assert {cls.__name__ for cls in targets if "edge_bias" in vars(cls)} == {
-        "ProductDistribution",
-        "NoisyParityDistribution",
-    }
+    # only the product, whose point mass underflows past n of about 1074,
+    # gives its edge biases in closed form; the parity's follow from weight
+    assert {cls.__name__ for cls in targets if "edge_bias" in vars(cls)} == {"ProductDistribution"}
 
 
 def test_edge_bias_matches_dense():
