@@ -234,7 +234,10 @@ def default_k0(n: int) -> int:
 
 
 def _sound_exponent(k0: int) -> float:
-    """The soundness term's power of 1/eps^2: 2^(k0+1) / (2^(k0+2) - 2)."""
+    """The soundness term's power of 1/eps^2: 2^(k0+1) / (2^(k0+2) - 2),
+    for a first level k0 >= 0 (at -1 it divides by zero)."""
+    if not k0 >= 0:
+        raise ValueError(f"k0 must be at least 0, got k0={k0}")
     return (1 << (k0 + 1)) / ((1 << (k0 + 2)) - 2)
 
 
@@ -413,6 +416,8 @@ def second_moment_screen(samples: np.ndarray) -> bool:
     the first ``screen_batches(n)`` batches of SCREEN_BATCH_SIZE rows, a
     count that grows with n so that N(0, I) trips the screen with
     probability at most SCREEN_NULL_REJECT (``screen_null_reject``)."""
+    if samples.ndim != 2:
+        raise ValueError(f"samples must be a 2-d array of rows, got shape {samples.shape}")
     batches = screen_batches(samples.shape[1])
     need = batches * SCREEN_BATCH_SIZE
     if samples.shape[0] < need:
@@ -448,6 +453,8 @@ class GaussianDraw:
         self.source = source
         self.rng = rng
         self.rows = as_int(rows, "rows")
+        if self.rows < 1:
+            raise ValueError(f"rows must be at least 1, got rows={rows}")
         self._drawn = False
 
     @property

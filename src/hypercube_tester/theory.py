@@ -25,6 +25,7 @@ import numpy as np
 from .blowup import explicit_moments, gram_moments
 from .meantest import numerators
 from .model import (
+    DENSE_CAP,
     DensePmf,
     Restriction,
     all_sign_points,
@@ -74,7 +75,10 @@ class VerifierReport:
 
 
 def random_dense_pmf(rng: np.random.Generator, n: int, alpha: float = 0.3) -> DensePmf:
-    """Random dense PMF; small alpha concentrates mass (more uneven edges)."""
+    """Random dense PMF; small alpha concentrates mass (more uneven edges).
+    An n outside [1, DENSE_CAP] is refused before its 2^n weights are drawn."""
+    if not 1 <= n <= DENSE_CAP:
+        raise ValueError(f"n must lie in [1, {DENSE_CAP}], got n={n}")
     return DensePmf(n, rng.dirichlet(np.full(1 << n, alpha)))
 
 
@@ -563,6 +567,11 @@ def verify_variance_bound(
     use the blown-up exact moments)."""
     if p.n > 6:
         raise ValueError("variance check needs n <= 6")
+    # Z divides by q^2, and a variance needs two batches
+    if q < 1:
+        raise ValueError(f"q must be at least 1, got q={q}")
+    if batches < 2:
+        raise ValueError(f"batches must be at least 2, got batches={batches}")
 
     mu_sq, frob_sq = gram_moments(p, level)
     frob = math.sqrt(frob_sq)

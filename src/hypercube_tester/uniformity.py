@@ -149,9 +149,6 @@ def _pair_fire_prob(b: int, c: int, law: tuple) -> float:
 # from a class's tables: beside that largest it no longer shows in a double
 _LOG_NEGLIGIBLE = 46.0
 
-_LN2 = math.log(2.0)
-
-
 def _binomial_run(b: int, p: float, q: float, lo: int, hi: int) -> tuple:
     """(x, log P(X = x)) for X ~ Binomial(b, p), 0 < p < 1, over the
     integers of [lo, hi] where the masses show: out from the largest mass
@@ -273,7 +270,9 @@ class _LawStep:
     run time, and are grouped by it: ``body`` holds (share, |beta|) of the
     pairs that do not fire, share = sum w_j (1 - F_j) / (1 - f) over the
     group, and ``tail`` (sum w_j F_j, |beta|) of all pairs, so that a law
-    of one |beta| has one of each, its mass F_j. ``firing`` holds
+    of one |beta| has one of each, its mass F_j. A level whose pairs span
+    J >= 2 groups splits them among the groups by one multinomial on these
+    shares or masses (``_body_max``, ``_rest_max``). ``firing`` holds
     a ``_Firing`` of each class that can fire and ``picks`` their
     cumulative shares w_j F_j / f, () for one. ``fair`` holds the fair
     table's ``below`` and the estimate y / b at each of its values, for a
@@ -326,76 +325,54 @@ class _LawStep:
             self.fair = law.below, tuple((law.first + 2 * i) / lv.b for i in range(len(law.below)))
 
 
-def _least(reaches: Callable[[int], bool], lo: int, hi: int) -> int:
-    """The least y of lo, lo + 2, ..., hi at which reaches(y) holds, given
-    that it holds at hi and, once it holds, at every larger y."""
-    i, j = 0, (hi - lo) // 2
-    while i < j:
-        mid = (i + j) // 2
-        if reaches(lo + 2 * mid):
-            j = mid
-        else:
-            i = mid + 1
-    return lo + 2 * i
-
-
-def _body_max(step: _LawStep, t: float) -> int:
-    """The largest Y of a level's m pairs, none of which fires, by inversion
-    of v at t = log(1 - v) / m: the least y with log P(Y <= y | Y < c) >= t,
-    P the mixture of ``step.body``'s class bodies. A level of one body
-    class bisects its ``below``; the mixture is summed at each probe, each
-    side from its own tables as ``_ClassLaw.below`` holds them."""
+def _body_max(step: _LawStep, t: float, rng: np.random.Generator) -> int:
+    """The largest Y of a level's m pairs, none of which fires. A body of
+    one class bisects its ``below`` at t = log(1 - v) / m and reads no
+    stream word. A body of J >= 2 classes splits the m pairs among them by
+    one ``rng.multinomial`` on ``step.body``'s shares; one ``rng.random(J)``
+    gives each class a uniform u, and each class of k >= 1 pairs the
+    largest of its k values by bisecting its ``below`` at log(1 - u) / k."""
     b, c = step.lv.b, step.lv.c
     if len(step.body) == 1:
         law = _class_laws(b, c, step.body[0][1])
         return law.first + 2 * bisect.bisect_left(law.below, t)
-    laws = [(share, _class_laws(b, c, a)) for share, a in step.body]
-
-    def reaches(y: int) -> bool:
-        lo = hi = 0.0
-        for share, law in laws:
-            i = (y - law.first) // 2
-            if i < 0:
-                hi += share
-            elif i >= len(law.below):
-                lo += share
-            elif law.below[i] < -_LN2:
-                p = math.exp(law.below[i])
-                lo, hi = lo + share * p, hi + share * (1.0 - p)
-            else:
-                p = -math.expm1(law.below[i])
-                lo, hi = lo + share * (1.0 - p), hi + share * p
-        if lo < hi:
-            return lo > 0.0 and math.log(lo) >= t
-        return math.log1p(-hi) >= t
-
-    ends = [law.first + 2 * (len(law.below) - 1) for _, law in laws]
-    return _least(reaches, min(law.first for _, law in laws), max(ends))
+    counts = rng.multinomial(step.m, [share for share, _ in step.body]).tolist()
+    top = 0
+    for (_, a), k, u in zip(step.body, counts, rng.random(len(step.body)).tolist()):
+        if k:
+            law = _class_laws(b, c, a)
+            top = max(top, law.first + 2 * bisect.bisect_left(law.below, math.log1p(-u) / k))
+    return top
 
 
-def _rest_max(step: _LawStep, t: float) -> int:
-    """The largest Y of the unconditioned pairs after a level's firing pair
-    in its block, as a bound from the tail: the least y >= the least tail
-    value with log P(Y <= y) >= t, t = log(1 - v) / rest, where P(Y > y) =
-    sum_j w_j F_j P_j(Y > y | Y >= c) over ``step.tail``. A value below the
-    least tail value stands for every value below c."""
+def _rest_max(step: _LawStep, rest: int, v: float, rng: np.random.Generator) -> int:
+    """The largest Y of the rest >= 1 unconditioned pairs after a level's
+    firing pair in its block, as a bound from the tail: the least tail value
+    stands for every value below c. A tail of one class, mass F, gives the
+    least tabled y with log(1 - F P(Y > y | Y >= c)) >= log(1 - v) / rest
+    and reads no stream word. A tail of J >= 2 classes gives each class its
+    firing pairs among the rest by one ``rng.multinomial`` on ``step.tail``'s
+    masses and 1 - f; one ``rng.random(J)`` gives each class a uniform u,
+    and each class of k >= 1 firing pairs the largest of its k values by
+    bisecting its ``above`` at (1 - u)^(1/k) - 1."""
     b, c = step.lv.b, step.lv.c
     laws = [(mass, _class_laws(b, c, a)) for mass, a in step.tail]
-
-    def reaches(y: int) -> bool:
-        h = 0.0
-        for mass, law in laws:
-            i = (y - law.top) // 2
-            if i < 0:
-                h += mass
-            elif i < len(law.above):
-                h -= mass * law.above[i]
+    if len(laws) == 1:
+        ((mass, law),) = laws
         # where every pair fires, P(Y <= y) rounds to 0 at the first tabled
         # values: log 0, which no t reaches
-        return h < 1.0 and math.log1p(-h) >= t
-
-    ends = [law.top + 2 * (len(law.above) - 1) for _, law in laws]
-    return _least(reaches, min(law.top for _, law in laws), max(ends))
+        return law.top + 2 * bisect.bisect_left(
+            law.above,
+            math.log1p(-v) / rest,
+            key=lambda x: math.log1p(mass * x) if mass * x > -1.0 else -math.inf,
+        )
+    counts = rng.multinomial(rest, [mass for mass, _ in laws] + [math.exp(step.log_miss)]).tolist()
+    top = min(law.top for _, law in laws)
+    for (_, law), k, u in zip(laws, counts, rng.random(len(laws)).tolist()):
+        if k:
+            i = bisect.bisect_left(law.above, math.expm1(math.log1p(-u) / k))
+            top = max(top, law.top + 2 * i)
+    return top
 
 
 class Bucket(NamedTuple):
@@ -565,6 +542,8 @@ class SubCondConfig:
         )
 
     def sigma(self, eps: float) -> float:
+        if not 0.0 < eps <= 1.0:
+            raise ValueError(f"eps must lie in (0, 1], got eps={eps}")
         return min(1.0, 1.0 / (self.c0 * math.log2(16.0 / eps) ** 4))
 
     def big_l(self, n: int, eps: float) -> int:
@@ -584,10 +563,14 @@ class SubCondConfig:
     def base_case(self, n: int, eps: float) -> bool:
         """Whether the dimension is too small for restrictions to bite:
         e^(-sigma n / 10) > eps / 8."""
+        if not n >= 1:
+            raise ValueError(f"n must be at least 1, got n={n}")
         return _too_small(self.sigma(eps), n, eps)
 
     def mean_buckets(self, n: int, eps: float) -> tuple[Bucket, ...]:
         """Mean-loop buckets j = 1..ceil(log2 2L), s_j = ceil(8 L log2(2L) 2^-j)."""
+        if not 0.0 < eps <= 1.0:
+            raise ValueError(f"eps must lie in (0, 1], got eps={eps}")
         big_l = self.big_l(n, eps)
         lg = math.log2(2 * big_l)
         return _dyadic_buckets(math.ceil(lg), 8.0 * big_l * lg)
@@ -595,6 +578,8 @@ class SubCondConfig:
     def recursion_buckets(self, eps: float) -> tuple[Bucket, ...]:
         """Recursion-loop buckets j = 1..ceil(log2(4/eps)),
         s_j = ceil((32/eps) log2(4/eps) 2^-j)."""
+        if not 0.0 < eps <= 1.0:
+            raise ValueError(f"eps must lie in (0, 1], got eps={eps}")
         lg = math.log2(4.0 / eps)
         return _dyadic_buckets(math.ceil(lg), (32.0 / eps) * lg)
 
@@ -668,8 +653,11 @@ def edge_tester(oracle: ScondOracle, eps: float, cfg: EdgeConfig | None = None) 
     beta drawn from the spectrum's classes, whatever its point, and the run
     is drawn from the exact law of its levels' counts instead: one
     ``rng.random(2L)`` for its L levels gives each level whether it fires,
-    its first firing pair and its largest |2p - b_h|, and a level that
-    fires draws its pair's class, estimate and coordinate (``_law_level``).
+    its first firing pair and, where its pairs are of one |beta| group, its
+    largest |2p - b_h|; a level of J >= 2 groups splits its pairs among
+    them by one ``rng.multinomial`` and takes the largest of the groups'
+    own inversions of one ``rng.random(J)``. A level that fires draws its
+    pair's class, estimate and coordinate (``_law_level``).
     Its verdict, trace and charge have the law of the blocks', the charge
     still counting whole blocks; it reads other stream words
     (BENCH_edge_law.json, BENCH_edge_spectrum.json). A spectrum whose
@@ -749,8 +737,10 @@ def _law_run(oracle: ScondOracle, steps: tuple[_LawStep, ...], coords: tuple) ->
     One ``rng.random(2L)`` gives every level of the L-level schedule its two
     uniforms (u, v), the words that L calls of ``rng.random(2)`` would read.
     A level fires when u < 1 - (1 - f)^m; one that does not has as its
-    largest Y the largest of m values of Y given Y < c, by inversion of v,
-    and is charged its m (1 + b) queries. The first level that fires is
+    largest Y the largest of m values of Y given Y < c (``_body_max``): by
+    inversion of v when those pairs are of one |beta| group, else class by
+    class from words drawn when the level is read. It is charged its
+    m (1 + b) queries. The first level that fires is
     settled by ``_law_level`` and ends the run; the words drawn for the
     levels after it are left unused. The oracle's ledger is charged once,
     at the end.
@@ -765,7 +755,7 @@ def _law_run(oracle: ScondOracle, steps: tuple[_LawStep, ...], coords: tuple) ->
             break
         fair, t = step.fair, math.log1p(-v) / step.m
         if fair is None:
-            est = _body_max(step, t) / step.lv.b
+            est = _body_max(step, t, oracle.rng) / step.lv.b
         else:
             est = fair[1][bisect.bisect_left(fair[0], t)]
         levels.append(dict(step.trace, max_est=est))
@@ -787,7 +777,9 @@ def _law_level(oracle: ScondOracle, step: _LawStep, u: float, v: float, coords: 
     |beta_j|) / (1 - |beta_j|), which is 1/2 at beta = 0. Then
     ``rng.integers`` draws its coordinate from class j's stars. The largest
     Y is the larger of that pair's and of the pairs after it in its block,
-    which are unconditioned, by inversion of v (``_rest_max``). The pairs
+    which are unconditioned (``_rest_max``): by inversion of v on a tail of
+    one |beta| group, else class by class from a split of those pairs
+    drawn after the star, so the fired pair's words come first. The pairs
     charged are those up to the end of the firing pair's block, as a drawn
     block is charged, 1 + b queries each.
     """
@@ -800,10 +792,10 @@ def _law_level(oracle: ScondOracle, step: _LawStep, u: float, v: float, coords: 
     pick = step.firing[bisect.bisect_right(step.picks, rng.random()) if step.picks else 0]
     law = _class_laws(b, lv.c, pick.a)
     y = law.top + 2 * bisect.bisect_left(law.above, w - 1.0)
-    rest = pairs - i - 1
-    top = max(y, _rest_max(step, math.log1p(-v) / rest)) if rest else y
     stars = coords[pick.cls]
     coord = rng.integers(0, oracle.n) if stars is None else stars[rng.integers(0, stars.size)]
+    rest = pairs - i - 1
+    top = max(y, _rest_max(step, rest, v, rng)) if rest else y
     sign = pick.sign if s < 1.0 / (1.0 + math.exp(-y * pick.log_r)) else -pick.sign
     fired = {"h": lv.h, "pair": i, "coord": int(coord), "est": sign * y / b}
     return top, fired, pairs * (1 + b)

@@ -22,12 +22,13 @@ from hypercube_tester.model import (
 from hypercube_tester.rng import stream
 from hypercube_tester.uniformity import (
     EdgeConfig,
+    SubCondConfig,
     _count_threshold,
     _edge_fire_prob,
     edge_null_accept,
     majority_vote_law,
 )
-from hypercube_tester import theory
+from hypercube_tester import meantest, theory
 from hypercube_tester.theory import (
     EXPLICIT_MOMENT_CAP,
     SCALE,
@@ -52,6 +53,7 @@ from hypercube_tester.theory import (
     verify_orientation,
     verify_variance_bound,
 )
+from hypercube_tester.zoo import GaussianSource
 
 # ---------------------------------------------------------------------------
 # chain rule
@@ -418,6 +420,46 @@ def test_variance_bound_rejects_large_n():
     rng = stream(103, 0, 0)
     with pytest.raises(ValueError):
         verify_variance_bound(DensePmf.uniform(7), q=5, batches=10, rng=rng)
+
+
+# public entries that once divided by zero, indexed past a shape, asked
+# NumPy for 2^31 weights (16 GiB) or took an impossible value, each with
+# the ValueError that now names its parameter; an rng is read by none of
+# them before it refuses
+BAD_INPUTS = {
+    "practical_q k0=-1": (lambda rng: meantest.practical_q(16, 0.5, -1), "k0=-1"),
+    "practical_q k0=-2": (lambda rng: meantest.practical_q(16, 0.5, -2), "k0=-2"),
+    "paper_q k0=-1": (lambda rng: meantest.paper_q(16, 0.5, -1), "k0=-1"),
+    "sigma eps=0": (lambda rng: SubCondConfig().sigma(0.0), r"eps must lie in \(0, 1\]"),
+    "sigma eps=16": (lambda rng: SubCondConfig().sigma(16.0), "eps=16.0"),
+    "mean_buckets eps=0": (lambda rng: SubCondConfig().mean_buckets(16, 0.0), "eps=0.0"),
+    "recursion_buckets eps=0": (lambda rng: SubCondConfig().recursion_buckets(0.0), "eps=0.0"),
+    "recursion_buckets eps=8": (lambda rng: SubCondConfig().recursion_buckets(8.0), "eps=8.0"),
+    "base_case n=-1": (lambda rng: SubCondConfig().base_case(-1, 0.5), "n must be at least 1"),
+    "second_moment_screen 1-d": (
+        lambda rng: meantest.second_moment_screen(np.ones(5)), r"samples .* shape \(5,\)"
+    ),
+    "verify_variance_bound q=0": (
+        lambda rng: verify_variance_bound(DensePmf.uniform(2), 0, 10, rng), "q must be at least 1"
+    ),
+    "verify_variance_bound batches=1": (
+        lambda rng: verify_variance_bound(DensePmf.uniform(2), 10, 1, rng), "batches=1"
+    ),
+    "random_dense_pmf n=31": (lambda rng: random_dense_pmf(rng, 31), "n=31"),
+    "random_dense_pmf n=0": (lambda rng: random_dense_pmf(rng, 0), "n=0"),
+    "GaussianDraw rows=-1": (
+        lambda rng: meantest.GaussianDraw(GaussianSource(2), rng, -1), "rows must be at least 1"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_public_entries_refuse_bad_inputs_before_any_draw(name):
+    call, match = BAD_INPUTS[name]
+    rng = stream(106, 0, 0)
+    with pytest.raises(ValueError, match=match):
+        call(rng)
+    assert rng.bit_generator.random_raw() == stream(106, 0, 0).bit_generator.random_raw()
 
 
 def test_random_dense_pmf_is_valid():

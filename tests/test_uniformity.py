@@ -425,8 +425,8 @@ def _fired(trace):
 # parities came to be drawn from their edge spectra
 EDGE_LAW_VERDICTS_N64 = {
     "noisy_parity:2:0.3": [
-        ("reject", 17_561_810, (3, 34, 1, 0.40433673469387754), 0.40433673469387754),
-        ("reject", 13_171_298, (2, 16, 0, -0.39663265306122447), 0.39663265306122447),
+        ("reject", 17_561_810, (3, 34, 1, 0.40433673469387754), 0.4073469387755102),
+        ("reject", 13_171_298, (2, 16, 0, -0.39663265306122447), 0.4065051020408163),
         ("reject", 4_390_414, (0, 1, 1, 0.4006186224489796), 0.4006186224489796),
     ],
     "planted_product:0.5": [
@@ -812,9 +812,9 @@ def _midpoints(logs):
 
 def test_law_step_is_the_mixture_of_its_classes():
     # a parity-like law at b = 29, c = 9: the fire chance and the class
-    # groups against exact fractions, and the inversions of a level that
-    # does not fire and of the pairs after a firing one in its block against
-    # the exact mixture laws, at a t inside each step of their CDFs
+    # groups against exact fractions, and the largest Y of a level's m = 5
+    # pairs that do not fire and of rest = 5 pairs after a firing one in its
+    # block, drawn class by class, against the exact mixture laws
     lv = uniformity.EdgeLevel(0, 5, 29, 0.3, 9)
     law = ((0.125, 0.6), (0.125, -0.6), (0.75, 0.0))
     step = uniformity._LawStep(lv, law)
@@ -830,16 +830,30 @@ def test_law_step_is_the_mixture_of_its_classes():
     assert [a for _, a in step.body] == [a for _, a in step.tail] == [0.6, 0.0]
     assert [(p.cls, p.a, p.sign) for p in step.firing] == [(0, 0.6, 1), (1, 0.6, -1), (2, 0.0, 1)]
     assert step.picks[0] == pytest.approx(step.picks[1] - step.picks[0]) and step.picks[-1] == 1.0
-    body = sorted(y for y in mix if y < 9)
-    logs = [math.log(sum(mix[v] for v in body if v <= y) / (1 - f)) for y in body]
-    assert [uniformity._body_max(step, t) for t in _midpoints(logs)] == body
-    tail = sorted(y for y in mix if y >= 9)
-    logs = [math.log(sum(m for v, m in mix.items() if v <= y)) for y in tail]
-    assert [uniformity._rest_max(step, t) for t in _midpoints(logs)] == tail
+    # P(max <= y) = P(Y <= y | Y < c)^5 for the body and P(Y <= y)^5 for
+    # the rest, whose least tail value stands for every value below c. Of
+    # 20,000 draws, the empirical CDF lies within eps = sqrt(log(2 / 1e-4)
+    # / 4e4) = 0.0157 of the true law at every y but with probability 1e-4
+    # (Dvoretzky-Kiefer-Wolfowitz, Massart's constant); so a drawn law off
+    # the exact one by 2 eps at some y fails with probability >= 1 - 1e-4.
+    # Two groups read their words from rng: t and v are left unread
+    draws = 20_000
+    eps = math.sqrt(math.log(2 / 1e-4) / (2 * draws))
+    rng = stream(92, 0, 0)
+    body = Counter(uniformity._body_max(step, math.nan, rng) for _ in range(draws))
+    rest = Counter(uniformity._rest_max(step, 5, math.nan, rng) for _ in range(draws))
+    for drawn, fires, scale in ((body, False, 1 - f), (rest, True, 1)):
+        values = sorted(y for y in mix if (y >= 9) is fires)
+        assert set(drawn) <= set(values)
+        for y in values:
+            want = (sum(m for v, m in mix.items() if v <= y) / scale) ** 5
+            got = sum(k for v, k in drawn.items() if v <= y) / draws
+            assert abs(got - float(want)) < eps, (y, got, float(want))
     assert step.fair is None
-    # a level whose pairs that do not fire are all fair keeps its fair table
+    # a level whose pairs that do not fire are all fair keeps its fair
+    # table; a body of one class reads no stream word
     fair = uniformity._LawStep(lv, UNIFORM_SPECTRUM.law)
-    uniformity._body_max(fair, -1.0)
+    uniformity._body_max(fair, -1.0, None)
     below = uniformity._class_laws(29, 9, 0.0).below
     assert fair.fair == (below, tuple((1 + 2 * i) / 29 for i in range(len(below))))
 
@@ -860,12 +874,13 @@ def _one_class_rest_max(step, t):
 
 
 def test_rest_max_of_one_class_is_its_table_bisection():
-    # the mixture inversion on a one-class tail against the bisection of
-    # its table at the t of random (v, pairs left), on both edge configs,
-    # and at a t inside each step of the tail's CDF where the tables are
-    # short (the practical ones reach 10^4 values at n = 128). Where every
-    # pair fires, a table's first values give P(Y <= y) = 0 to the ulp: the
-    # first t then falls below the first value of nonzero P(Y <= y)
+    # the inversion of a one-class tail against the bisection of its table
+    # at t = log(1 - v) / rest: for random (v, pairs left) on both edge
+    # configs, and where the tables are short (the practical ones reach
+    # 10^4 values at n = 128) at v = 1 - e^t, rest = 1, for a t inside each
+    # step of the tail's CDF that a v below 1 reaches. A tail of one class
+    # reads no stream word. Where every pair fires, a table's first values
+    # give P(Y <= y) = 0 to the ulp
     rng = stream(91, 0, 0)
     pairs = 0
     for cfg in (PRESETS["practical"].edge, REC_CFG.edge):
@@ -876,13 +891,15 @@ def test_rest_max_of_one_class_is_its_table_bisection():
                 ((fire, a),) = step.tail
                 law = uniformity._class_laws(step.lv.b, step.lv.c, a)
                 assert fire == law.fire
-                ts = (np.log1p(-rng.random(20)) / rng.integers(1, 65, 20)).tolist()
+                cases = list(zip(rng.random(20).tolist(), rng.integers(1, 65, 20).tolist()))
                 if cfg is REC_CFG.edge or n == 8:
                     logs = [log for x in law.above if (log := _one_class_log(fire, x)) > -math.inf]
-                    ts += _midpoints(logs)
-                for t in ts:
-                    assert uniformity._rest_max(step, t) == _one_class_rest_max(step, t)
-                pairs += len(ts)
+                    vs = [-math.expm1(t) for t in _midpoints(logs)]
+                    cases += [(v, 1) for v in vs if v < 1.0]
+                for v, rest in cases:
+                    want = _one_class_rest_max(step, math.log1p(-v) / rest)
+                    assert uniformity._rest_max(step, rest, v, None) == want
+                pairs += len(cases)
     assert pairs > 40_000
 
 
@@ -1065,24 +1082,37 @@ def test_class_cache_bounds_a_parity_sweep():
 def test_law_edge_run_reads_its_class_words():
     # on a spectrum of several firing classes, a fired level reads its
     # rng.random(2), then one rng.random() for the class, then the class's
-    # star by rng.integers; the coordinate lies in that class's stars
+    # star by rng.integers, and last, with pairs left in its block, the
+    # split of those pairs over its two tail groups (rng.multinomial, then
+    # rng.random(2)); the coordinate lies in that class's stars
     target = resolve_target("noisy_parity:2:0.3", 64)
     spectrum = target.edge_spectrum(Restriction.all_stars(64))
     assert len(spectrum.law) == 3
     steps = EdgeConfig()._law_steps(64, 0.5, spectrum.law)
+    block = EDGE_BLOCK_BYTES // 64
+    splits = 0
     for t in range(8):
         o = ScondOracle(target, stream(1, 2, t))
         v = edge_tester(o, 0.5)
         fired = v.trace["fired"]
         replay = stream(1, 2, t)
         replay.random(2 * len(steps))
+        # the levels before it have one body group each, and read no word
+        assert all(len(step.body) == 1 for step in steps[: fired["h"]])
         step = steps[fired["h"]]
         replay.random(2)
         pick = step.firing[bisect.bisect_right(step.picks, replay.random())]
         stars = spectrum.coords[pick.cls]
         assert fired["coord"] == int(stars[replay.integers(0, stars.size)])
         assert (fired["coord"] in (0, 1)) is (pick.cls < 2)
+        rest = min(step.m, (fired["pair"] // block + 1) * block) - fired["pair"] - 1
+        assert len(step.tail) == 2
+        if rest:
+            replay.multinomial(rest, [mass for mass, _ in step.tail] + [math.exp(step.log_miss)])
+            replay.random(2)
+            splits += 1
         assert o.rng.bit_generator.random_raw() == replay.bit_generator.random_raw()
+    assert splits
 
 
 # ---------------------------------------------------------------------------
@@ -1177,6 +1207,42 @@ def test_recursion_ledger_is_conserved(recursive_uniform_run):
     assert trace_query_sum(v.trace["tree"]) == v.queries_used
     child_total = sum(c["queries"] for c in v.trace["tree"]["children"])
     assert 0 < child_total < v.queries_used
+
+
+def test_recursion_skips_empty_and_oversized_restrictions(monkeypatch):
+    # the first restriction of each loop is drawn, charged, and handed out
+    # as a view of no stars (the mean loop) or of all 64 stars (the
+    # recursion loop, past 2 sigma n = 58.2 at sigma(0.5) = 0.4545, where
+    # n = 64 is still no base case): neither is tested, both keep their 1
+    # query, and the ledger still adds up
+    cfg = replace(REC_CFG, c0=REC_CFG.c0 * 1.1)
+    assert 2.0 * cfg.sigma(0.5) * 64 < 64 and not cfg.base_case(64, 0.5)
+    o = ScondOracle(ProductDistribution.uniform(64), stream(79, 0, 1))
+    means = sum(bucket.s for bucket in cfg.mean_buckets(64, 0.5))
+    draw, root = ScondOracle.draw_view, []
+
+    def draw_view(self, sigma):
+        view = draw(self, sigma)
+        if self is o:
+            root.append(view)
+            if len(root) == 1:
+                return view.restricted(Restriction(np.ones(view.n, np.int8)))
+            if len(root) == means + 1:
+                return o.restricted(Restriction.all_stars(64))
+        return view
+
+    monkeypatch.setattr(ScondOracle, "draw_view", draw_view)
+    v = subcond_uni(o, 0.5, cfg)
+    tree = v.trace["tree"]
+    assert v.decision is Decision.ACCEPT
+    loops = tree["mean_loop"], tree["recursion_loop"]
+    assert [s["restrictions"] - s["tested"] for s in loops[0]] == [1, 0, 0]
+    assert [s["restrictions"] - s["recursed"] for s in loops[1]] == [1, 0, 0]
+    assert len(root) == sum(s["restrictions"] for loop in loops for s in loop)
+    # the root's own queries: 1 per restriction drawn and 2q per mean test
+    own = tree["queries"] - sum(child["queries"] for child in tree["children"])
+    assert own == len(root) + 2 * cfg.mean_q_override * sum(s["runs"] for s in loops[0])
+    assert v.queries_used == o.queries == trace_query_sum(tree)
 
 
 def test_recursion_rejects_two_point_in_mean_loop():
@@ -1822,11 +1888,18 @@ def test_batched_children_match_a_lone_base_case_node():
 # counts and its level-0 mean tests only their column counts; and
 # fire-uniform again when a fair edge run came to read all its levels' words
 # in one draw, which moves the words of a fired leaf's pair and of every
-# later node
+# later node. rec-parity, recorded when a level whose pairs mix two |beta|
+# came to be split by class, is the one parity recursion pinned: its
+# leaves' spectra mix the stars of S (bias +-0.1) with fair ones, so their
+# levels draw 2-group bodies and tails from the stream
 TRACE_PINS = {
     "rec-uniform": (
         "uniform", REC_CFG, (16, 1, 0),
         "a13b987aad17a5509071b679b336c4b9bbc54c87066296bd333a817c44522eb2",
+    ),
+    "rec-parity": (
+        "noisy_parity:32:0.45", REC_CFG, (16, 1, 2),
+        "8411fc28d562508a265d74c35dd36969b6da1ecfdbf1510703764916199fbd9f",
     ),
     "rec-two-point": (
         "two_point", REC_CFG, (16, 1, 0),
@@ -1857,6 +1930,20 @@ def test_recursion_trace_pinned(name):
     dist, cfg, key, digest = TRACE_PINS[name]
     v = subcond_uni(ScondOracle(resolve_target(dist, 64), stream(*key)), 0.5, cfg)
     assert _trace_digest(v) == digest
+
+
+def test_parity_recursion_is_decided_by_a_leaf():
+    # a restriction of a parity on 32 coordinates has a nonzero mean only
+    # when exactly one of its stars lies in S (7.5e-9 at sigma = 1/2), so
+    # the mean loop misses it and a child's edge tester, at depth 1, rejects
+    dist, cfg, key, _ = TRACE_PINS["rec-parity"]
+    o = ScondOracle(resolve_target(dist, 64), stream(*key))
+    v = subcond_uni(o, 0.5, cfg)
+    assert v.decision is Decision.REJECT
+    assert v.queries_used == o.queries == trace_query_sum(v.trace["tree"])
+    path, leaf = _decided_by(v.trace["tree"])
+    assert [branch for branch, _, _ in path] == ["recursion-loop"]
+    assert leaf[0] == 1 and leaf[2] is not None
 
 
 def test_depth_one_base_case_trace_pinned():

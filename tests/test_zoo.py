@@ -276,8 +276,9 @@ def _spectrum_law(spectrum, k):
 
 def test_edge_spectrum_matches_dense_edge_biases():
     # products with up to three distinct means and noisy parities with 0 to
-    # 3 stars of S, at the root and on views that fix other cells, against
-    # edge_bias averaged over the dense conditional PMF
+    # 3 stars of S (and one at delta = 1/2, which is the uniform target), at
+    # the root and on views that fix other cells, against edge_bias
+    # averaged over the dense conditional PMF
     n = 6
     targets = [
         model.ProductDistribution(np.array([0.3, -0.5, 0.3, 0.0, 0.7, -0.5])),
@@ -286,6 +287,7 @@ def test_edge_spectrum_matches_dense_edge_biases():
         NoisyParityDistribution(n, [0, 2, 3], 0.2),
         NoisyParityDistribution(n, [1, 4], 0.9),
         NoisyParityDistribution(n, [0, 2, 3], 0.0),
+        NoisyParityDistribution(n, [1, 2, 5], 0.5),
     ]
     views = [
         [0, 0, 0, 0, 0, 0],
